@@ -7,26 +7,26 @@ COVER_FLOOR_SCHEDULE ?= 75.0
 COVER_FLOOR_SERVICE  ?= 80.0
 COVER_FLOOR_DIFFTEST ?= 80.0
 
-.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race gen-gate narrow-race narrow-gate auto-race auto-gate fuzz cover bench bench-kernels bench-json serve serve-smoke serve-http stats clean
+.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race gen-gate narrow-race narrow-gate auto-race auto-gate bench-vet fuzz cover bench bench-kernels bench-json serve serve-smoke serve-http stats clean
 
 all: build test
 
 # `test` is tier 1 and includes the difftest seed corpus (TestSeedCorpus:
 # 200 random DAGs through the full schedule/execution knob sweep, which
-# covers the row bytecode VM, the closure row evaluator and the concurrent
-# fleet knob), the race-checked row-VM suite (rowvm-race), the race-checked
-# shared-fleet scheduler stress (fleet-race), the serving-layer smoke test
-# (serve-smoke), plus `go vet` and the exported-API golden (TestAPIGolden
-# against api.txt).
+# covers the row bytecode VM and the concurrent fleet knob), the
+# race-checked row-VM suite (rowvm-race), the race-checked shared-fleet
+# scheduler stress (fleet-race), the serving-layer smoke test
+# (serve-smoke), `go vet` here and in the benchmark's own module
+# (bench-vet), and the exported-API golden (TestAPIGolden against api.txt).
 build:
 	$(GO) build ./...
 
-test: vet gen rowvm-race fleet-race stream-race gen-race narrow-race auto-race serve-smoke
+test: vet bench-vet gen rowvm-race fleet-race stream-race gen-race narrow-race auto-race serve-smoke
 	$(GO) test ./...
 
 # Race-checked run of the row bytecode VM suite (differential vs scalar,
-# fusion/regalloc shape, fallback, float32 gate, pool shrink, end-to-end
-# closure-vs-VM pipeline).
+# fusion/regalloc shape, fallback, float32 gate, end-to-end VM-vs-scalar
+# pipeline).
 rowvm-race:
 	$(GO) test -race -run TestRowVM ./internal/engine/
 
@@ -48,6 +48,12 @@ stream-race:
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is its own module (BENCHMARK.json runs it), so the root build and
+# tests never compile it: vet it here, or a symbol removed from the packages
+# it imports only shows when the benchmark runs.
+bench-vet:
+	cd bench && $(GO) vet ./...
 
 # Verify the checked-in ahead-of-time kernel packages (internal/apps/gen,
 # internal/difftest/gencorpus) are byte-identical to what the emitter
@@ -148,19 +154,17 @@ cover:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Engine microbenchmarks: stencil/combination/accumulator kernels and the
-# repeated-Run steady state of the persistent executor.
+# Engine microbenchmarks: stencil kernels, row-VM combinations, accumulators
+# and the repeated-Run steady state of the persistent executor.
 bench-kernels:
 	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/
 
-# Machine-readable benchmark records: per-app Table-2 wall clocks and the
-# row-evaluator microbenchmarks (BENCH_rowvm.json), plus the multi-program
-# saturation benchmark of the shared fleet scheduler vs the serialized
-# per-program baseline (BENCH_fleet.json). Compare two files with
-# cmd/polymage-benchdiff (use -max-regress to gate the geomean).
+# Machine-readable benchmark records, one file per feature-vs-twin
+# measurement (e.g. BENCH_fleet.json: the multi-program saturation benchmark
+# of the shared fleet scheduler vs the serialized per-program baseline).
+# Compare two files with cmd/polymage-benchdiff (use -max-regress to gate
+# the geomean).
 bench-json:
-	$(GO) run ./cmd/polymage-bench -bench-json BENCH_rowvm.json -runs 5
-	@echo "wrote BENCH_rowvm.json"
 	$(GO) run ./cmd/polymage-bench -fleet-json BENCH_fleet.json -runs 5
 	@echo "wrote BENCH_fleet.json"
 	$(GO) run ./cmd/polymage-bench -stream-json BENCH_stream.json -runs 5

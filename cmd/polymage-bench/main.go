@@ -41,7 +41,6 @@ func main() {
 	serve := flag.String("serve", "", "steady-state serving mode: compile the named app once, time repeated requests")
 	requests := flag.Int("requests", 100, "number of requests for -serve")
 	stats := flag.Bool("stats", false, "run every app with executor metrics on and print per-stage breakdowns")
-	benchJSON := flag.String("bench-json", "", "write machine-readable benchmarks (apps + row-evaluator micros, VM vs closure) to the given file ('-' = stdout)")
 	fleetJSON := flag.String("fleet-json", "", "write the multi-program saturation benchmark (shared fleet vs serialized per-program baseline) to the given file ('-' = stdout)")
 	streamJSON := flag.String("stream-json", "", "write the streaming dirty-rectangle benchmark (whole-frame vs ROI partial recompute) to the given file ('-' = stdout)")
 	genJSON := flag.String("gen-json", "", "write the ahead-of-time kernel benchmark (generated kernels vs interpreted tiers, 1 thread) to the given file ('-' = stdout)")
@@ -50,7 +49,7 @@ func main() {
 	seed := flag.Int64("seed", harness.DefaultSeed, "seed for synthetic benchmark inputs")
 	flag.Parse()
 
-	if *benchJSON != "" || *fleetJSON != "" || *streamJSON != "" || *genJSON != "" || *narrowJSON != "" || *autoJSON != "" {
+	if *fleetJSON != "" || *streamJSON != "" || *genJSON != "" || *narrowJSON != "" || *autoJSON != "" {
 		cfg := harness.Config{Scale: *scale, Runs: *runs, Threads: *threads, Seed: *seed}
 		run := func(path string, f func(io.Writer, harness.Config) error) {
 			out := io.Writer(os.Stdout)
@@ -65,9 +64,6 @@ func main() {
 			if err := f(out, cfg); err != nil {
 				fatal(err)
 			}
-		}
-		if *benchJSON != "" {
-			run(*benchJSON, harness.BenchJSON)
 		}
 		if *fleetJSON != "" {
 			run(*fleetJSON, harness.BenchFleetJSON)

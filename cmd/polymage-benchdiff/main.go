@@ -1,5 +1,5 @@
 // polymage-benchdiff compares two benchmark JSON files produced by
-// `make bench-json` (harness.BenchJSON / harness.BenchFleetJSON) and flags
+// `make bench-json` (harness.BenchGenJSON / harness.BenchFleetJSON) and flags
 // regressions: any configuration whose wall clock grew by more than the
 // threshold (default 10%) fails the comparison and the process exits
 // non-zero, so the perf trajectory between two commits can gate CI. The

@@ -27,6 +27,8 @@ import (
 	"syscall"
 	"time"
 
+	_ "repro/internal/apps/gen" // ahead-of-time kernels for the Table-2 apps
+
 	"repro/internal/service"
 )
 

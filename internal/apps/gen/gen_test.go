@@ -7,7 +7,10 @@ import (
 	"repro/internal/apps"
 	_ "repro/internal/apps/gen" // registers the ahead-of-time kernels under test
 	"repro/internal/baseline"
+	"repro/internal/core"
+	"repro/internal/dsl"
 	"repro/internal/engine"
+	"repro/internal/expr"
 	"repro/internal/harness"
 	"repro/internal/schedule"
 )
@@ -168,5 +171,67 @@ func TestGenHashMismatchFallsBack(t *testing.T) {
 					name, i, gb.Data[i], wb.Data[i])
 			}
 		}
+	}
+}
+
+// TestTierAttribution pins the lowering invariant in the configuration a
+// user gets (auto-scheduler, Fast, pooled buffers, this package's kernels
+// linked; narrow types for the uint8 apps): every stage piece is counted in
+// exactly one evaluator tier, the scalar loop takes only predicated pieces
+// and accumulators, and the two removed tiers stay empty.
+func TestTierAttribution(t *testing.T) {
+	type pipe struct {
+		name   string
+		narrow bool
+		build  func() (*dsl.Builder, []string)
+		params map[string]int64
+	}
+	var pipes []pipe
+	for _, a := range apps.All() {
+		pipes = append(pipes, pipe{a.Name, false, a.Build, harness.ScaledParams(a, 4)})
+	}
+	for _, a := range apps.AllNarrow() {
+		pipes = append(pipes, pipe{a.Name, true, a.Build, a.BenchParams})
+	}
+	so := schedule.DefaultOptions()
+	so.Auto = true
+	for _, p := range pipes {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			b, outs := p.build()
+			pl, err := core.Compile(b, outs, core.Options{Estimates: p.params, Schedule: so, AllowUnproven: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := pl.Bind(p.params, engine.ExecOptions{Fast: true, ReuseBuffers: true, NarrowTypes: p.narrow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer prog.Close()
+			for _, sm := range prog.Stats().Stages {
+				st := prog.Graph.Stages[sm.Name]
+				pieces, scalar := len(st.Cases), 0
+				if st.IsAccumulator() {
+					pieces, scalar = 1, 1
+				}
+				for _, c := range st.Cases {
+					if c.Cond == nil {
+						continue
+					}
+					if _, _, box := expr.CondToBox(c.Cond, len(st.Decl.Domain())); !box {
+						scalar++ // residual per-point predicate
+					}
+				}
+				if got := sm.Gen + sm.Stencil + sm.IntStencil + sm.RowVM + sm.Scalar; got != pieces {
+					t.Errorf("%s: %d pieces counted in tiers, stage has %d (%+v)", sm.Name, got, pieces, sm)
+				}
+				if sm.Scalar != scalar {
+					t.Errorf("%s: %d pieces on the scalar loop, want %d (predicated pieces and accumulators only)", sm.Name, sm.Scalar, scalar)
+				}
+				if sm.Comb != 0 || sm.ClosureRow != 0 {
+					t.Errorf("%s: removed tiers report Comb=%d ClosureRow=%d", sm.Name, sm.Comb, sm.ClosureRow)
+				}
+			}
+		})
 	}
 }

@@ -53,28 +53,26 @@ func TestNarrowGoldenOracles(t *testing.T) {
 			}
 			for _, fast := range []bool{false, true} {
 				for _, threads := range []int{1, 4} {
-					for _, noVM := range []bool{false, true} {
-						name := fmt.Sprintf("fast=%v/threads=%d/novm=%v", fast, threads, noVM)
-						prog, err := pl.Bind(params, engine.ExecOptions{
-							Fast: fast, Threads: threads, NoRowVM: noVM,
-							NarrowTypes: true, Debug: true,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						got, err := prog.Run(inputs)
-						if err != nil {
-							prog.Close()
-							t.Fatalf("%s: %v", name, err)
-						}
-						for _, o := range outs {
-							if got[o].Elem != engine.ElemU8 {
-								t.Errorf("%s: output %s element type %v, want uint8", name, o, got[o].Elem)
-							}
-							exact(name+"/"+o, got[o], ref[o])
-						}
-						prog.Close()
+					name := fmt.Sprintf("fast=%v/threads=%d", fast, threads)
+					prog, err := pl.Bind(params, engine.ExecOptions{
+						Fast: fast, Threads: threads,
+						NarrowTypes: true, Debug: true,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
+					got, err := prog.Run(inputs)
+					if err != nil {
+						prog.Close()
+						t.Fatalf("%s: %v", name, err)
+					}
+					for _, o := range outs {
+						if got[o].Elem != engine.ElemU8 {
+							t.Errorf("%s: output %s element type %v, want uint8", name, o, got[o].Elem)
+						}
+						exact(name+"/"+o, got[o], ref[o])
+					}
+					prog.Close()
 				}
 			}
 			// The float32 layout on widened inputs computes the same values.

@@ -183,10 +183,11 @@ func HistorySamples(paths []string) ([]Sample, error) {
 }
 
 // defaultScheduleVariant reports whether a BENCH-JSON variant label names
-// a run of the default (hand-tuned) schedule on the interpreted tiers.
+// a run of the default (hand-tuned) schedule on the interpreted tiers ("vm"
+// is BENCH_gen.json's kernels-off side).
 func defaultScheduleVariant(v string) bool {
 	switch v {
-	case "vm", "novm", "interp", "hand":
+	case "vm", "interp", "hand":
 		return true
 	}
 	return false

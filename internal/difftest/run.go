@@ -34,10 +34,6 @@ type Knob struct {
 	// Tiling selects the strategy for fused groups (overlapped, the
 	// default, or the Figure 5 alternatives).
 	Tiling engine.TilingStrategy
-	// NoRowVM disables the row bytecode VM so Fast stages lower through
-	// the per-node closure row evaluator: the sweep differentially tests
-	// both evaluators against the reference interpreter.
-	NoRowVM bool
 	// Concurrent runs the compiled program from this many goroutines at
 	// once through the shared fleet scheduler, ULP-comparing every
 	// result against the sequential reference — the differential gate for
@@ -78,8 +74,8 @@ type Knob struct {
 }
 
 func (k Knob) String() string {
-	s := fmt.Sprintf("%s{tiles=%v fusion=%v inline=%v fast=%v threads=%d pool=%v tiling=%d vm=%v conc=%d",
-		k.Name, k.Tiles, !k.DisableFusion, !k.DisableInline, k.Fast, k.Threads, k.ReuseBuffers, k.Tiling, !k.NoRowVM, k.Concurrent)
+	s := fmt.Sprintf("%s{tiles=%v fusion=%v inline=%v fast=%v threads=%d pool=%v tiling=%d conc=%d",
+		k.Name, k.Tiles, !k.DisableFusion, !k.DisableInline, k.Fast, k.Threads, k.ReuseBuffers, k.Tiling, k.Concurrent)
 	if k.Frames > 1 {
 		s += fmt.Sprintf(" frames=%d roi=%v", k.Frames, k.ROI)
 	}
@@ -128,18 +124,17 @@ func (k Knob) inlineOptions() inline.Options {
 
 func (k Knob) engineOptions() engine.ExecOptions {
 	return engine.ExecOptions{Fast: k.Fast, Threads: k.Threads, Debug: true,
-		ReuseBuffers: k.ReuseBuffers, Tiling: k.Tiling, NoRowVM: k.NoRowVM,
+		ReuseBuffers: k.ReuseBuffers, Tiling: k.Tiling,
 		NarrowTypes: k.NarrowTypes, NoGenKernels: !k.GenKernels}
 }
 
-// DefaultKnobs is the standard sweep: 13 combinations covering every axis
+// DefaultKnobs is the standard sweep: 17 combinations covering every axis
 // (tile sizes incl. degenerate and asymmetric, fusion on/off, inlining
 // on/off, fast float32 path on/off, 1 vs N threads, pooling on/off, the
-// alternative tiling strategies of Figure 5, and the row VM vs the closure
-// row evaluator). The Fast knobs without NoRowVM run the bytecode VM, so
-// the VM is differentially tested against the reference on every seed; the
-// fast-novm-* knobs pin the closure evaluator, testing the two row
-// evaluators against each other through the shared reference.
+// alternative tiling strategies of Figure 5, concurrent runs, frame
+// streams, narrow types, generated kernels and the auto-scheduler). The
+// Fast knobs run the row bytecode VM, so it is differentially tested
+// against the reference on every seed.
 func DefaultKnobs() []Knob {
 	return []Knob{
 		{Name: "scalar-seq", Tiles: []int64{8, 16}, Threads: 1},
@@ -153,21 +148,17 @@ func DefaultKnobs() []Knob {
 		{Name: "huge-tile-fast", Tiles: []int64{512, 512}, Fast: true, Threads: 2},
 		{Name: "parallelogram-fast", Tiles: []int64{16, 16}, Fast: true, Threads: 2, Tiling: engine.ParallelogramTiling},
 		{Name: "split-fast", Tiles: []int64{16, 16}, Fast: true, Threads: 2, Tiling: engine.SplitTiling},
-		{Name: "fast-novm-seq", Tiles: []int64{8, 16}, Fast: true, Threads: 1, NoRowVM: true},
-		{Name: "fast-novm-par-pool", Tiles: []int64{16, 16}, Fast: true, Threads: 4, ReuseBuffers: true, NoRowVM: true},
 		{Name: "fleet-concurrent", Tiles: []int64{16, 16}, Fast: true, Threads: 4, ReuseBuffers: true, Concurrent: 4},
 		{Name: "frames-stream", Tiles: []int64{16, 16}, Fast: true, Threads: 4, Frames: 3},
 		{Name: "roi-dirty", Tiles: []int64{8, 8}, Fast: true, Threads: 2, Frames: 3, ROI: true},
 		{Name: "narrow-fast-par", Tiles: []int64{16, 16}, Fast: true, Threads: 4, NarrowTypes: true},
 		GenKnob(),
-		// Appended after GenKnob so existing knob indices (QuickKnobs,
-		// replay snippets) stay stable.
 		{Name: "schedule-auto", Tiles: []int64{16, 16}, Fast: true, Threads: 2, Auto: true},
 	}
 }
 
 // NarrowKnobs is the sweep for the integer corpus: the narrow layout
-// across the scalar/row-VM/no-VM/parallel/pooled/unfused axes plus one
+// across the scalar/row-VM/parallel/pooled/unfused axes plus one
 // float32-layout point, all of which must agree bit-for-bit with the
 // float64 reference on an Integer spec (Diff pins the zero-tolerance
 // oracle for those).
@@ -176,18 +167,16 @@ func NarrowKnobs() []Knob {
 		{Name: "narrow-scalar-seq", Tiles: []int64{8, 16}, Threads: 1, NarrowTypes: true},
 		{Name: "narrow-fast-seq", Tiles: []int64{8, 16}, Fast: true, Threads: 1, NarrowTypes: true},
 		{Name: "narrow-fast-par-pool", Tiles: []int64{16}, Fast: true, Threads: 4, ReuseBuffers: true, NarrowTypes: true},
-		{Name: "narrow-novm", Tiles: []int64{16, 16}, Fast: true, Threads: 2, NoRowVM: true, NarrowTypes: true},
 		{Name: "narrow-nofuse", Tiles: []int64{8, 8}, DisableFusion: true, Fast: true, Threads: 2, NarrowTypes: true},
 		{Name: "wide-fast-par", Tiles: []int64{16, 16}, Fast: true, Threads: 4},
 	}
 }
 
-// QuickKnobs is a 5-point subset for the native fuzzing loop, where
-// per-input cost matters more than axis coverage (both row evaluators stay
-// covered).
+// QuickKnobs is a 4-point subset for the native fuzzing loop, where
+// per-input cost matters more than axis coverage.
 func QuickKnobs() []Knob {
 	k := DefaultKnobs()
-	return []Knob{k[1], k[2], k[5], k[7], k[11]}
+	return []Knob{k[1], k[2], k[5], k[7]}
 }
 
 // RunOptions configures a differential run.

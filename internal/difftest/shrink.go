@@ -199,9 +199,6 @@ func KnobLiteral(k Knob) string {
 	if k.Tiling != 0 {
 		fmt.Fprintf(&b, ", Tiling: engine.TilingStrategy(%d)", int(k.Tiling))
 	}
-	if k.NoRowVM {
-		b.WriteString(", NoRowVM: true")
-	}
 	if k.NarrowTypes {
 		b.WriteString(", NarrowTypes: true")
 	}

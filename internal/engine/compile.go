@@ -15,7 +15,7 @@ type Ctx struct {
 	pt   []int64
 	bufs []*Buffer
 
-	// ks is reusable scratch for the leaf kernels (stencil/comb). The
+	// ks is reusable scratch for the leaf kernels (stencil/intstencil). The
 	// kernels never nest within a worker, so one shared set keeps their hot
 	// paths allocation-free across calls, groups and runs.
 	ks kernelScratch
@@ -27,11 +27,6 @@ type Ctx struct {
 type kernelScratch struct {
 	pt     []int64
 	tapOff []int64
-	bases  []int64
-	steps  []int64
-	rows   [][]float32
-	vals   []float64
-	acc    []float64
 	iacc   []int64
 }
 
@@ -57,13 +52,6 @@ type compiler struct {
 	// the program narrowed some slots); access compilation specializes the
 	// load path on it.
 	elems []Elem
-
-	// Row-level common-subexpression elimination: repeated subtrees are
-	// assigned memo slots and evaluated once per row (the paper's
-	// generated C++ gets the equivalent from icc's CSE; see the up-sample
-	// stages, whose parity weights appear once per tap).
-	memoIDs  map[string]int // subtree key -> memo slot
-	memoNext int
 }
 
 // elemOf returns the storage element type of a slot.

@@ -284,20 +284,12 @@ func (p *Program) computeRegion(w *worker, ls *loweredStage, region affine.Box, 
 			piece.sten.run(&w.ctx.Ctx, r, out)
 			continue
 		}
-		if piece.comb != nil {
-			piece.comb.run(&w.ctx.Ctx, r, out)
-			continue
-		}
 		if piece.isten != nil {
 			piece.isten.run(&w.ctx.Ctx, r, out)
 			continue
 		}
 		if piece.vm != nil {
 			p.vmLoop(w, piece, r, out)
-			continue
-		}
-		if piece.row != nil {
-			p.rowLoop(w, piece, r, out)
 			continue
 		}
 		p.scalarLoop(w, piece, r, out)
@@ -317,52 +309,10 @@ func intersectInto(dst, a, b affine.Box) affine.Box {
 	return dst
 }
 
-func (p *Program) rowLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buffer) {
-	nd := len(r)
-	last := nd - 1
-	c := &w.ctx
-	c.last = last
-	c.n = int(r[last].Size())
-	c.jLo = r[last].Lo
-	pt := c.pt[:nd]
-	for d := 0; d < nd; d++ {
-		pt[d] = r[d].Lo
-	}
-	rowLen := int64(c.n)
-	narrow := out.Elem != ElemF32
-	for {
-		c.pool.reset()
-		c.stamp++ // new row: invalidate CSE memos
-		vals := piece.row(c)
-		pt[last] = r[last].Lo
-		off := out.Offset(pt)
-		if narrow {
-			storeRowF64(out, off, vals)
-		} else {
-			dst := out.Data[off : off+rowLen]
-			for i := range dst {
-				dst[i] = float32(vals[i])
-			}
-		}
-		d := last - 1
-		for ; d >= 0; d-- {
-			pt[d]++
-			if pt[d] <= r[d].Hi {
-				break
-			}
-			pt[d] = r[d].Lo
-		}
-		if d < 0 {
-			return
-		}
-	}
-}
-
 // vmLoop drives the row bytecode program over a region: one program
-// execution per row, writing straight into the output buffer. Unlike
-// rowLoop there is no temp pool or CSE-memo bookkeeping per row — the VM's
-// register file is preallocated and value numbering already shares
-// repeated subtrees within the program.
+// execution per row, writing straight into the output buffer. There is no
+// per-row bookkeeping: the VM's register file is preallocated and value
+// numbering already shares repeated subtrees within the program.
 func (p *Program) vmLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buffer) {
 	nd := len(r)
 	last := nd - 1

@@ -20,7 +20,7 @@ const extShards = 4
 // Program. It owns
 //
 //   - the program's slice of the process-wide worker fleet: per-fleet-worker
-//     evaluation state (RowCtx, scratchpads, temp pools, memo tables, metric
+//     evaluation state (RowCtx, scratchpads, row-VM registers, metric
 //     shards) materialized lazily and reused across groups and Run calls —
 //     the fleet's goroutines themselves are shared by every program in the
 //     process (see fleet.go), and
@@ -50,10 +50,10 @@ type Executor struct {
 
 	arena arena
 
-	// pools aggregates temp-pool and row-VM register occupancy across all
-	// workers (fleet + run contexts); shared by reference so Snapshot never
-	// walks per-worker state.
-	pools poolGauges
+	// vmRegBytes aggregates row-VM register occupancy across all workers
+	// (fleet + run contexts); shared by reference so Snapshot never walks
+	// per-worker state.
+	vmRegBytes atomic.Int64
 
 	// rec is the metrics recorder; nil unless ExecOptions.Metrics was set when
 	// the executor was created. Workers carry their shard, so the disabled
@@ -105,7 +105,7 @@ func (rc *runCtx) bind(w *worker) {
 }
 
 // worker wraps the per-goroutine evaluation state. Workers are persistent:
-// scratch buffers, temp pools, memo tables and the small per-task slices
+// scratch buffers, row-VM registers and the small per-task slices
 // below survive across groups, runs and (for fleet workers) programs'
 // idle periods.
 type worker struct {
@@ -220,12 +220,7 @@ func (e *Executor) newWorker(shard int) *worker {
 	w := &worker{scratch: make(map[string]*Buffer), shard: e.rec.Shard(shard)}
 	w.ctx.pt = make([]int64, p.maxDims)
 	w.ctx.bufs = make([]*Buffer, p.slotCount)
-	w.ctx.pool = &tempPool{size: 1024, g: &e.pools}
-	w.ctx.vm.gauge = &e.pools.vmBytes
-	if p.memoCount > 0 {
-		w.ctx.memoStamp = make([]int64, p.memoCount)
-		w.ctx.memoVal = make([][]float64, p.memoCount)
-	}
+	w.ctx.vm.gauge = &e.vmRegBytes
 	return w
 }
 
@@ -375,13 +370,7 @@ func (e *Executor) Snapshot() obs.Snapshot {
 	snap := e.rec.Snapshot() // nil-safe: zero snapshot with Enabled=false
 	hits, misses, pooled, pooledBytes := e.arena.gauge()
 	snap.Arena = obs.ArenaStats{Hits: hits, Misses: misses, Pooled: pooled, PooledBytes: pooledBytes}
-	snap.TempPools = obs.TempPoolStats{
-		Temps:          e.pools.temps.Load(),
-		Bytes:          e.pools.bytes.Load(),
-		HighWaterBytes: e.pools.hw.Load(),
-		Shrinks:        e.pools.shrinks.Load(),
-		VMRegBytes:     e.pools.vmBytes.Load(),
-	}
+	snap.TempPools = obs.TempPoolStats{VMRegBytes: e.vmRegBytes.Load()}
 	if !snap.Enabled {
 		return snap
 	}

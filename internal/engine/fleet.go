@@ -23,8 +23,8 @@ import (
 //     tile/chunk indices from the section's shared atomic counter until
 //     none remain, so tile-granular load balance inside a section comes
 //     from the counter and cross-program balance from stealing;
-//   - per-worker evaluation state (RowCtx, scratchpads, temp pools, row-VM
-//     register files, metric shards) is keyed by program: fleet worker i
+//   - per-worker evaluation state (RowCtx, scratchpads, row-VM register
+//     files, metric shards) is keyed by program: fleet worker i
 //     lazily materializes one state per Executor it touches (Executor.fws,
 //     slot i is only ever accessed by fleet goroutine i), so picking up a
 //     task from any program needs no reallocation and no locks;

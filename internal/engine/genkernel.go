@@ -28,8 +28,10 @@ import (
 
 // genABI versions the generated-kernel calling convention and hash layout.
 // It is folded into every schedule hash, so kernels emitted by an older
-// emitter can never bind to a program lowered by a newer engine.
-const genABI = "polymage-genabi/1"
+// emitter can never bind to a program lowered by a newer engine. Version 2:
+// pieces that are weighted sums of products mirror the row VM's arithmetic
+// (version 1 packages mirrored a float64 combination kernel for them).
+const genABI = "polymage-genabi/2"
 
 // GenCtx is the context a generated kernel receives: the region to
 // compute, the output buffer, and the input buffers of the kernel's
@@ -304,8 +306,8 @@ type GenUnit struct {
 	// float32 too, or its results would not match the tier it replaces.
 	F32 bool
 	// Tier names the evaluator the piece runs on without a generated
-	// kernel ("stencil", "comb", "rowvm", "closure", "scalar") — emitter
-	// diagnostics and policy.
+	// kernel ("stencil", "rowvm", "scalar") — emitter diagnostics and
+	// policy.
 	Tier string
 	// Sten carries the engine's matched stencil plan when Tier is
 	// "stencil". The emitter must reproduce its arithmetic exactly
@@ -313,9 +315,6 @@ type GenUnit struct {
 	// source expression's tree shape, so that a generated kernel is a
 	// bit-identical substitute for the tier it displaces.
 	Sten *GenSten
-	// Comb carries the engine's matched combination plan when Tier is
-	// "comb" — same substitution contract as Sten.
-	Comb *GenComb
 }
 
 // GenSten is the emitter-facing form of the engine's specialized stencil
@@ -332,27 +331,6 @@ type GenSten struct {
 	// F32 selects the float32 accumulation path (weighted mass ≤ 4); the
 	// effective per-tap weight is then float32(Factor·Weights[t]).
 	F32 bool
-}
-
-// GenComb is the emitter-facing form of the engine's combination kernel:
-// factor · Σ_t w_t · Π_j accs[Terms[t][j]], accumulated in float64 with the
-// weight leading each product.
-type GenComb struct {
-	Factor  float64
-	Weights []float64
-	// Terms lists, per term, the indices into Accs of its factors (1–3).
-	Terms [][]int
-	Accs  []GenCombAccess
-}
-
-// GenCombAccess is one distinct access of a combination plan.
-type GenCombAccess struct {
-	Target string
-	// Args holds the affine index form per dimension (Var is the loop
-	// dimension or -1 for a constant index); Offs the evaluated constant
-	// offsets.
-	Args []affine.Access
-	Offs []int64
 }
 
 // GenUnits enumerates the pieces of this program eligible for ahead-of-time
@@ -410,23 +388,9 @@ func (p *Program) GenUnits() []GenUnit {
 					Offsets: k.offsets,
 					F32:     k.f32,
 				}
-			case piece.comb != nil:
-				k := piece.comb
-				u.Tier = "comb"
-				gc := &GenComb{Factor: k.factor, Weights: append([]float64(nil), k.weights...), Terms: k.terms}
-				for _, ca := range k.accs {
-					gc.Accs = append(gc.Accs, GenCombAccess{
-						Target: slotName[ca.slot],
-						Args:   ca.args,
-						Offs:   ca.offs,
-					})
-				}
-				u.Comb = gc
 			case piece.vm != nil:
 				u.Tier = "rowvm"
 				u.F32 = piece.vm.f32
-			case piece.row != nil:
-				u.Tier = "closure" // closure rows compute in float64
 			}
 			units = append(units, u)
 		}
@@ -439,8 +403,8 @@ func (p *Program) GenUnits() []GenUnit {
 // with a parameter-affine offset evaluable under the binding — and returns
 // the accessed targets in first-use order. Data-dependent gathers
 // (hist(I(x,y))), diagonal accesses (f(x, x)) and cross-dimension indices
-// fail the check: those stay on the row VM / closure path, which handles
-// them via per-subtree fallback.
+// fail the check: those stay on the row VM, which handles them via
+// per-subtree fallback.
 func genAnalyze(e expr.Expr, slots map[string]int, params map[string]int64) ([]string, bool) {
 	var reads []string
 	seen := map[string]bool{}

@@ -233,7 +233,7 @@ func bitEqual(t *testing.T, label string, got, want *Buffer) {
 
 // TestGenUnitsIrregular: pieces with data-dependent or cross-dimension
 // accesses are never enumerated (and so can never bind a kernel) — they
-// stay on the VM/closure path.
+// stay on the row VM.
 func TestGenUnitsIrregular(t *testing.T) {
 	b := dsl.NewBuilder()
 	R, C := b.Param("R"), b.Param("C")

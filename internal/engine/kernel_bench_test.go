@@ -10,56 +10,18 @@ import (
 	"repro/internal/schedule"
 )
 
-// Microbenchmarks for the specialized kernels (stencil fast paths, pointwise
-// combinations, accumulators) and for the repeated-Run steady state of the
+// Microbenchmarks for the specialized kernels (stencil fast paths,
+// accumulators), the row VM (pointwise combinations, deep trees, selects) and
+// for the repeated-Run steady state of the
 // persistent Executor. Run with -benchmem; the repeated-Run benchmarks are
 // the ones whose allocs/op the runtime work targets.
 
-// stencilBench compiles a single-stage stencil pipeline of the given shape
-// and runs it b.N times through one Executor, recycling outputs so the
-// steady state exercises only the kernel.
+// stencilBench runs a single-stage stencil of the given shape: the form the
+// specialized stencil kernel claims.
 func stencilBench(b *testing.B, weights [][]float64, factor float64) {
-	bl := dsl.NewBuilder()
-	R, C := bl.Param("R"), bl.Param("C")
-	I := bl.Image("I", expr.Float, R.Affine().AddConst(4), C.Affine().AddConst(4))
-	x, y := bl.Var("x"), bl.Var("y")
-	dom := []dsl.Interval{
-		dsl.Span(affine.Const(0), R.Affine().AddConst(3)),
-		dsl.Span(affine.Const(0), C.Affine().AddConst(3)),
-	}
-	inner := dsl.InBox([]*dsl.Variable{x, y}, []any{2, 2}, []any{dsl.Add(R, 1), dsl.Add(C, 1)})
-	f := bl.Func("f", expr.Float, []*dsl.Variable{x, y}, dom)
-	f.Define(dsl.Case{Cond: inner, E: dsl.Stencil(I, factor, weights, [2]any{x, y})})
-	g, err := pipeline.Build(bl, "f")
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := map[string]int64{"R": 512, "C": 512}
-	in, err := NewBufferForDomain(I.Domain(), params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	FillPattern(in, 11)
-	inputs := map[string]*Buffer{"I": in}
-	gr, err := schedule.BuildGroups(g, params, schedule.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer prog.Close()
-	e := prog.Executor()
-	b.SetBytes(int64((params["R"] + 4) * (params["C"] + 4) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := e.Run(inputs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.Recycle(out)
-	}
+	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
+		return dsl.Stencil(I, factor, weights, [2]any{x, y})
+	})
 }
 
 // 3-tap row stencil, normalized: float32 unrolled fast path.
@@ -83,8 +45,8 @@ func BenchmarkStencil9TapF64(b *testing.B) {
 	stencilBench(b, [][]float64{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}}, 1)
 }
 
-// BenchmarkCombination measures the pointwise combination kernel
-// (combKernel): a weighted sum of shifted reads from two producers.
+// BenchmarkCombination measures a pointwise combination on the row VM: a
+// weighted sum of reads from two producers.
 func BenchmarkCombination(b *testing.B) {
 	bl := dsl.NewBuilder()
 	R, C := bl.Param("R"), bl.Param("C")
@@ -175,59 +137,51 @@ func BenchmarkAccumulator(b *testing.B) {
 }
 
 // rowEvalBench compiles a single-stage pipeline whose expression is built
-// by mk and runs it b.N times, once per evaluator: the row bytecode VM and
-// the per-node closure row evaluator. The expressions are shaped so that
-// neither matchStencil nor matchCombination claims the stage (a top-level
-// clamp/select defeats both), making these direct closure-vs-VM
-// comparisons of the generic row path.
+// by mk and runs it b.N times through one Executor, recycling outputs so the
+// steady state exercises only the kernel. The BenchmarkRowEval* expressions
+// are shaped so that matchStencil does not claim the stage (a top-level
+// clamp/select defeats it), making them measurements of the row VM.
 func rowEvalBench(b *testing.B, mk func(I *dsl.Image, x, y *dsl.Variable) expr.Expr) {
-	for _, cfg := range []struct {
-		name string
-		noVM bool
-	}{{"closure", true}, {"vm", false}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			bl := dsl.NewBuilder()
-			R, C := bl.Param("R"), bl.Param("C")
-			I := bl.Image("I", expr.Float, R.Affine().AddConst(4), C.Affine().AddConst(4))
-			x, y := bl.Var("x"), bl.Var("y")
-			dom := []dsl.Interval{
-				dsl.Span(affine.Const(0), R.Affine().AddConst(3)),
-				dsl.Span(affine.Const(0), C.Affine().AddConst(3)),
-			}
-			inner := dsl.InBox([]*dsl.Variable{x, y}, []any{2, 2}, []any{dsl.Add(R, 1), dsl.Add(C, 1)})
-			f := bl.Func("f", expr.Float, []*dsl.Variable{x, y}, dom)
-			f.Define(dsl.Case{Cond: inner, E: mk(I, x, y)})
-			g, err := pipeline.Build(bl, "f")
-			if err != nil {
-				b.Fatal(err)
-			}
-			params := map[string]int64{"R": 512, "C": 512}
-			in, err := NewBufferForDomain(I.Domain(), params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			FillPattern(in, 23)
-			inputs := map[string]*Buffer{"I": in}
-			gr, err := schedule.BuildGroups(g, params, schedule.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1, NoRowVM: cfg.noVM})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer prog.Close()
-			e := prog.Executor()
-			b.SetBytes(int64((params["R"] + 4) * (params["C"] + 4) * 4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := e.Run(inputs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e.Recycle(out)
-			}
-		})
+	bl := dsl.NewBuilder()
+	R, C := bl.Param("R"), bl.Param("C")
+	I := bl.Image("I", expr.Float, R.Affine().AddConst(4), C.Affine().AddConst(4))
+	x, y := bl.Var("x"), bl.Var("y")
+	dom := []dsl.Interval{
+		dsl.Span(affine.Const(0), R.Affine().AddConst(3)),
+		dsl.Span(affine.Const(0), C.Affine().AddConst(3)),
+	}
+	inner := dsl.InBox([]*dsl.Variable{x, y}, []any{2, 2}, []any{dsl.Add(R, 1), dsl.Add(C, 1)})
+	f := bl.Func("f", expr.Float, []*dsl.Variable{x, y}, dom)
+	f.Define(dsl.Case{Cond: inner, E: mk(I, x, y)})
+	g, err := pipeline.Build(bl, "f")
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := map[string]int64{"R": 512, "C": 512}
+	in, err := NewBufferForDomain(I.Domain(), params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	FillPattern(in, 23)
+	inputs := map[string]*Buffer{"I": in}
+	gr, err := schedule.BuildGroups(g, params, schedule.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer prog.Close()
+	e := prog.Executor()
+	b.SetBytes(int64((params["R"] + 4) * (params["C"] + 4) * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := e.Run(inputs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Recycle(out)
 	}
 }
 
@@ -248,7 +202,7 @@ func deepTreeExpr(I *dsl.Image, x, y *dsl.Variable, nTaps int, weight float64) e
 }
 
 // stencil9Expr is a 3x3 normalized weighted sum wrapped in a clamp so the
-// specialized stencil kernel cannot claim it and the row evaluators run.
+// specialized stencil kernel cannot claim it and the row VM runs.
 // The clamp hi bound participates in the VM's float32 mass gate, so the
 // normalized variant clamps to [0,1] (float32-eligible) and the
 // unnormalized one to [0,16] (float64 accumulation).
@@ -271,7 +225,7 @@ func stencil9Expr(I *dsl.Image, x, y *dsl.Variable, factor, hi float64) expr.Exp
 }
 
 // Deep arithmetic tree, float64 accumulation (mass 16 blocks the VM's f32
-// instruction set; the closure path is float64 everywhere).
+// instruction set).
 func BenchmarkRowEvalDeepTreeF64(b *testing.B) {
 	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		return dsl.Min(deepTreeExpr(I, x, y, 16, 1.0), 1e6)
@@ -279,7 +233,7 @@ func BenchmarkRowEvalDeepTreeF64(b *testing.B) {
 }
 
 // Deep arithmetic tree, normalized: the VM runs its float32 instruction
-// set, the closure path stays float64 rows narrowed at the store.
+// set.
 func BenchmarkRowEvalDeepTreeF32(b *testing.B) {
 	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		return dsl.Min(dsl.Max(deepTreeExpr(I, x, y, 16, 0.5), 0.0), 1.0)
@@ -287,14 +241,14 @@ func BenchmarkRowEvalDeepTreeF32(b *testing.B) {
 }
 
 // Normalized 9-tap stencil (clamped so the stencil kernel stands aside):
-// VM float32 path vs closure float64 rows.
+// the VM's float32 path.
 func BenchmarkRowEvalStencil9F32(b *testing.B) {
 	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		return stencil9Expr(I, x, y, 1.0/16, 1.0)
 	})
 }
 
-// Unnormalized 9-tap stencil: both evaluators accumulate in float64.
+// Unnormalized 9-tap stencil: the VM accumulates in float64.
 func BenchmarkRowEvalStencil9F64(b *testing.B) {
 	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		return stencil9Expr(I, x, y, 1.0, 16.0)

@@ -194,7 +194,6 @@ func TestNarrowEndToEnd(t *testing.T) {
 	}{
 		{"fast-seq", ExecOptions{Fast: true, Threads: 1, NarrowTypes: true}},
 		{"fast-par", ExecOptions{Fast: true, Threads: 4, NarrowTypes: true}},
-		{"fast-norowvm", ExecOptions{Fast: true, Threads: 1, NoRowVM: true, NarrowTypes: true}},
 		{"scalar", ExecOptions{Threads: 1, NarrowTypes: true}},
 		{"pooled", ExecOptions{Fast: true, Threads: 2, ReuseBuffers: true, NarrowTypes: true}},
 	}

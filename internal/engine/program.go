@@ -48,19 +48,12 @@ type ExecOptions struct {
 	// pipeline stages. Independent of Metrics; off by default because
 	// label switching has per-kernel cost.
 	Profile bool
-	// NoRowVM disables the row bytecode VM and lowers generic Fast-path
-	// stages through the per-node closure row evaluator instead. Both
-	// evaluators stay reachable so they can be differentially tested and
-	// benchmarked against each other; the VM is the default because its
-	// register-allocated fused programs cut per-row dispatch and memory
-	// traffic (see rowvm.go).
-	NoRowVM bool
 	// NarrowTypes enables bitwidth inference (see narrow.go): stages whose
 	// values are provably integral and bounded within ±2^24 are stored as
 	// uint8/uint16/int32 instead of float32, cutting memory traffic on
 	// integer imaging pipelines, and UChar input images are expected as
-	// uint8 buffers. Inferred stages evaluate on the integer row VM (or the
-	// float64 row paths, which are bit-identical on the provable subset);
+	// uint8 buffers. Inferred stages evaluate on the integer row VM (or its
+	// float64 instruction set, which is bit-identical on the provable subset);
 	// the float32 kernels and generated kernels are never used for them, so
 	// results are exactly equal to the default layout's. Off by default:
 	// with the flag clear no inference runs and every buffer keeps the
@@ -92,15 +85,15 @@ func (o ExecOptions) threads() int {
 // loweredPiece is one case of a stage lowered for a concrete parameter
 // binding: the sub-box where it applies, an optional residual predicate
 // (nil when the condition is exactly the box — Section 3.7's branch-free
-// splitting), and the compiled evaluators.
+// splitting), and the compiled evaluators. Under Fast an unpredicated piece
+// carries exactly one of gen, sten, isten or vm; every other piece runs the
+// scalar loop over eval.
 type loweredPiece struct {
 	box  affine.Box
 	pred condFn
 	eval evalFn
-	row  rowFn
 	vm   *rowVM
 	sten *stencilKernel
-	comb *combKernel
 	// isten is the integer stencil kernel: the narrow-type counterpart of
 	// sten, accumulating in int64 over narrow source rows (see intstencil.go).
 	isten *intStencilKernel
@@ -176,12 +169,10 @@ type Program struct {
 	// Run validates input buffers against it.
 	slotElem []Elem
 	stages   map[string]*loweredStage
-	groups    []*groupExec
+	groups   []*groupExec
 	// fullSlots lists stages that get full-buffer allocations (all group
 	// live-outs).
 	fullStages []string
-	// memoCount is the number of row-CSE memo slots workers allocate.
-	memoCount int
 	// maxDims is the largest rank of any stage domain or reduction domain;
 	// persistent workers size their point odometer with it once.
 	maxDims int
@@ -212,29 +203,6 @@ type Program struct {
 	// SplitStats counts points computed in each split-tiling phase (filled
 	// by runs with ExecOptions.Tiling == SplitTiling; diagnostics only).
 	SplitStats struct{ Phase1, Phase2 int64 }
-}
-
-// registerCSE scans an expression for repeated subtrees of meaningful size
-// and assigns them memo slots so the row compiler evaluates them once per
-// row.
-func registerCSE(cp *compiler, e expr.Expr, counts map[string]int) {
-	expr.Walk(e, func(x expr.Expr) bool {
-		if expr.Size(x) < 5 {
-			return false // too small to be worth caching (and so are its children)
-		}
-		key := exprKey(x)
-		counts[key]++
-		if counts[key] == 2 {
-			if cp.memoIDs == nil {
-				cp.memoIDs = make(map[string]int)
-			}
-			if _, ok := cp.memoIDs[key]; !ok {
-				cp.memoIDs[key] = cp.memoNext
-				cp.memoNext++
-			}
-		}
-		return true
-	})
 }
 
 // Compile lowers a grouped pipeline for the given parameter binding. The
@@ -275,14 +243,6 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 		}
 	}
 	cp := &compiler{slots: p.slots, params: params, debug: opts.Debug, elems: p.slotElem}
-	if opts.Fast {
-		counts := make(map[string]int)
-		for _, name := range g.Order {
-			for _, c := range g.Stages[name].Cases {
-				registerCSE(cp, c.E, counts)
-			}
-		}
-	}
 	lowerDone := p.BindTrace.Start("lower")
 	p.stageNames = append(p.stageNames, g.Order...)
 	for i, name := range g.Order {
@@ -298,7 +258,6 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 		p.stages[name] = ls
 	}
 	lowerDone()
-	p.memoCount = cp.memoNext
 	planDone := p.BindTrace.Start("tileplan")
 	seenFull := make(map[string]bool)
 	for _, grp := range gr.Groups {
@@ -517,31 +476,22 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 		}
 		// Narrow-involved pieces (the stage stores a narrow type, or any
 		// access reads a narrow slot) stay off the float32 kernels: the
-		// stencil/comb kernels and the f32 VM read float32 backing arrays
+		// stencil kernel and the f32 VM read float32 backing arrays
 		// directly, and their rounding would break the narrow layout's
 		// exact-equality guarantee. They run on the integer VM when the
-		// stage is provably integral, else on the float64 row paths.
+		// stage is provably integral, else on the VM's float64 loop.
 		narrowed := ls.elem != ElemF32 || cp.readsNarrow(c.E)
 		if p.Opts.Fast && piece.pred == nil {
 			if !narrowed {
 				piece.sten = matchStencil(c.E, nd, cp)
-				if piece.sten == nil {
-					piece.comb = matchCombination(c.E, nd, cp)
-				}
 			} else if ls.intExact {
 				piece.isten = matchIntStencil(c.E, nd, cp)
 			}
-			if piece.sten == nil && piece.comb == nil && piece.isten == nil {
-				if p.Opts.NoRowVM {
-					piece.row, err = cp.compileRow(c.E)
-				} else {
-					piece.vm, err = cp.compileRowVM(c.E, nd-1)
-				}
+			if piece.sten == nil && piece.isten == nil {
+				piece.vm, err = cp.compileRowVM(c.E, nd-1)
 				if err != nil {
 					return nil, err
 				}
-			}
-			if piece.vm != nil {
 				if narrowed {
 					piece.vm.f32 = false
 				}
@@ -627,8 +577,6 @@ func (p *Program) Stats() obs.ProgramStats {
 				sm.Gen++
 			case piece.sten != nil:
 				sm.Stencil++
-			case piece.comb != nil:
-				sm.Comb++
 			case piece.isten != nil:
 				sm.IntStencil++
 			case piece.vm != nil:
@@ -649,8 +597,6 @@ func (p *Program) Stats() obs.ProgramStats {
 				if vm.intOK {
 					sm.VMInt = true
 				}
-			case piece.row != nil:
-				sm.ClosureRow++
 			default:
 				sm.Scalar++
 			}

@@ -8,19 +8,48 @@ import (
 	"repro/internal/expr"
 )
 
-// The row VM replaces the per-node closure tree of rowcompile.go with a
-// flat, register-allocated bytecode program per stage piece: the expression
-// DAG is linearized (with value numbering, so repeated subtrees compute
-// once per row) into three-address row instructions over a small file of
-// reused row buffers, a peephole pass fuses adjacent ops into
+// The row VM lowers an expression to array-at-a-time evaluation: each
+// instruction produces a whole row (the innermost, unit-stride dimension)
+// per dispatch, so the per-element cost is a tight slice loop instead of a
+// closure tree walk. This is the engine's stand-in for the SIMD
+// vectorization the paper obtains from icc on the generated branch-free
+// inner loops (DESIGN.md substitution note 3): like SIMD it only pays off
+// on unit-stride regular loops, which is why tiling+vec composes the way
+// Figure 10 shows.
+//
+// A stage piece compiles to a flat, register-allocated bytecode program: the
+// expression DAG is linearized (with value numbering, so repeated subtrees
+// compute once per row) into three-address row instructions over a small
+// file of reused row buffers, a peephole pass fuses adjacent ops into
 // superinstructions (mulAdd, axpy, shifted-load-accumulate for stencil
 // taps, clampSel, const folding), and one switch-dispatch loop per row
-// executes the program. A deep tree that cost one pooled temp per node in
-// the closure evaluator runs in 3-6 live rows here, and a fused stencil tap
-// is one instruction instead of a load row, a scale row and an add row.
-// Subtrees with no row form (data-dependent gathers) compile to a fallback
-// instruction that evaluates the scalar closure per element, so the VM is
-// total; ExecOptions.NoRowVM keeps the whole closure evaluator reachable.
+// executes the program, so a deep tree runs in 3-6 live rows and a fused
+// stencil tap is one instruction instead of a load row, a scale row and an
+// add row. Subtrees with no row form (data-dependent gathers) compile to a
+// fallback instruction that evaluates the scalar closure per element, so
+// the VM is total.
+
+// RowCtx carries the evaluation state for one row.
+type RowCtx struct {
+	Ctx
+	n    int   // row length
+	last int   // innermost dimension index
+	jLo  int64 // first coordinate of the row along the innermost dim
+
+	// Register file for rowVM execution (persists across rows, tiles and
+	// runs).
+	vm vmRegs
+}
+
+// exprKey is the structural key used for value numbering (String is
+// unambiguous for the expression grammar).
+func exprKey(e expr.Expr) string { return e.String() }
+
+var errNoRowForm = errorString("engine: condition has no row form")
+
+type errorString string
+
+func (e errorString) Error() string { return string(e) }
 
 // rop is a row-VM opcode. Opcodes prefixed b produce bool rows (masks) in
 // the separate bool register file.
@@ -156,9 +185,9 @@ type rowVM struct {
 }
 
 // vmRegs is the per-worker register file backing rowVM execution; rows are
-// grown on demand and persist across rows, tiles and runs like the temp
-// pool. gauge (shared across an executor's workers) tracks the pinned
-// bytes for Executor.Snapshot; nil outside the executor.
+// grown on demand and persist across rows, tiles and runs. gauge (shared
+// across an executor's workers) tracks the pinned bytes for
+// Executor.Snapshot; nil outside the executor.
 type vmRegs struct {
 	f     [][]float64
 	f32   [][]float32
@@ -224,9 +253,9 @@ type vmBuilder struct {
 }
 
 // compileRowVM lowers an expression to a row bytecode program. last is the
-// innermost dimension index of the stage's domain (its rank - 1). Like
-// compileRow it is total over row-evaluable stages: subtrees without a row
-// form lower to per-element fallback instructions.
+// innermost dimension index of the stage's domain (its rank - 1). It is
+// total over row-evaluable stages: subtrees without a row form lower to
+// per-element fallback instructions.
 func (cp *compiler) compileRowVM(e expr.Expr, last int) (*rowVM, error) {
 	vb := &vmBuilder{
 		cp:     cp,
@@ -676,8 +705,8 @@ func (vb *vmBuilder) fuseLoad(e expr.Expr) (int, bool) {
 }
 
 // emitFallback compiles the subtree with the scalar compiler and emits a
-// per-element fallback instruction — the closure path's escape hatch for
-// data-dependent gathers and exotic ops.
+// per-element fallback instruction — the escape hatch for data-dependent
+// gathers and exotic ops.
 func (vb *vmBuilder) emitFallback(e expr.Expr) (int, error) {
 	f, err := vb.cp.compile(e)
 	if err != nil {

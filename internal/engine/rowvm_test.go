@@ -64,9 +64,9 @@ func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n
 }
 
 // TestRowVMMatchesScalar is the differential property for the bytecode
-// evaluator: every expression form the closure row evaluator handles must
-// produce identical rows through the VM, including forms that exercise the
-// fused superinstructions and the per-subtree scalar fallback.
+// evaluator: array-at-a-time evaluation must agree with scalar evaluation
+// for every expression form, including forms that exercise the fused
+// superinstructions and the per-subtree scalar fallback.
 func TestRowVMMatchesScalar(t *testing.T) {
 	src := NewBuffer(affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 39}})
 	FillPattern(src, 9)
@@ -81,10 +81,10 @@ func TestRowVMMatchesScalar(t *testing.T) {
 		x, y,
 		expr.ParamRef{Name: "P"},
 		g(x, y), // unit stride
-		g(expr.AddE(x, expr.C(1)), expr.SubE(y, expr.C(2))),  // offsets
-		g(x, expr.MulE(expr.C(2), y)),                        // strided gather
-		g(x, expr.Binary{Op: expr.FDiv, L: y, R: expr.C(2)}), // divided gather
-		g(expr.Binary{Op: expr.FDiv, L: x, R: expr.C(2)}, y), // row-constant div
+		g(expr.AddE(x, expr.C(1)), expr.SubE(y, expr.C(2))),                       // offsets
+		g(x, expr.MulE(expr.C(2), y)),                                             // strided gather
+		g(x, expr.Binary{Op: expr.FDiv, L: y, R: expr.C(2)}),                      // divided gather
+		g(expr.Binary{Op: expr.FDiv, L: x, R: expr.C(2)}, y),                      // row-constant div
 		expr.AddE(g(x, y), expr.MulE(expr.C(0.5), g(x, expr.AddE(y, expr.C(1))))), // madLoad
 		expr.Unary{Op: expr.Sqrt, X: expr.Unary{Op: expr.Abs, X: g(x, y)}},
 		expr.MinE(g(x, y), expr.C(0.5)),
@@ -163,6 +163,75 @@ func TestRowVMMatchesScalar(t *testing.T) {
 	for _, e := range cases {
 		vmHarness(t, e, bufs, []int64{3, 2}, 30)
 	}
+
+	// Weighted sums of (products of) strided and floor-divided reads: the
+	// pyramid reduce/expand and Harris shapes. Each shape appears once with
+	// weighted mass <= 4 (the float32 instruction set, checked by vmHarness
+	// next to the float64 one) and once above the gate (float64 only).
+	wide := NewBuffer(affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 79}})
+	FillPattern(wide, 4)
+	bufs["h"] = wide
+	h := func(a, b expr.Expr) expr.Expr {
+		return expr.Access{Target: "h", Args: []expr.Expr{a, b}}
+	}
+	// reduce: scale · Σ w_i·w_j · h(2x+i, 2y+j), the 3x3 binomial of pyramid's
+	// down stage.
+	reduce := func(scale float64) expr.Expr {
+		w := []float64{1, 2, 1}
+		var terms []expr.Expr
+		for i := -1; i <= 1; i++ {
+			for j := -1; j <= 1; j++ {
+				terms = append(terms, expr.MulE(expr.C(scale*w[i+1]*w[j+1]),
+					h(expr.AddE(expr.MulE(expr.C(2), x), expr.C(float64(i))),
+						expr.AddE(expr.MulE(expr.C(2), y), expr.C(float64(j))))))
+			}
+		}
+		return expr.Sum(terms...)
+	}
+	half := func(v expr.Expr, d float64) expr.Expr {
+		return expr.AddE(expr.Binary{Op: expr.FDiv, L: expr.AddE(v, expr.C(2)), R: expr.C(2)}, expr.C(d))
+	}
+	// expand with constant weights: Σ w · g((x+2)/2+dx, (y+2)/2+dy).
+	expand := func(scale float64) expr.Expr {
+		var terms []expr.Expr
+		for dx := 0.0; dx <= 1; dx++ {
+			for dy := 0.0; dy <= 1; dy++ {
+				terms = append(terms, expr.MulE(expr.C(scale*0.25), g(half(x, dx), half(y, dy))))
+			}
+		}
+		return expr.Sum(terms...)
+	}
+	// expandParity is pyramid's up stage as written: bilinear weights from
+	// the parity of the loop variables (iota rows keep it on float64).
+	py := expr.SubE(expr.AddE(y, expr.C(2)), expr.MulE(expr.C(2), half(y, 0)))
+	expandParity := expr.AddE(
+		expr.MulE(expr.SubE(expr.C(1), expr.MulE(expr.C(0.5), py)), g(half(x, 0), half(y, 0))),
+		expr.MulE(expr.MulE(expr.C(0.5), py), g(half(x, 0), half(y, 1))))
+	// products: scale · Σ g·h over shifted taps (Harris' Sxy after inlining).
+	products := func(scale float64) expr.Expr {
+		var terms []expr.Expr
+		for j := -1.0; j <= 1; j++ {
+			terms = append(terms, expr.MulE(expr.C(scale), expr.MulE(g(x, expr.AddE(y, expr.C(j))), h(x, expr.AddE(y, expr.C(j))))))
+		}
+		return expr.Sum(terms...)
+	}
+	for _, c := range []struct {
+		name string
+		e    expr.Expr
+		f32  bool
+	}{
+		{"reduce", reduce(1.0 / 16), true},
+		{"reduce-unnormalized", reduce(1), false},
+		{"expand", expand(1), true},
+		{"expand-unnormalized", expand(8), false},
+		{"expand-parity", expandParity, false},
+		{"products", products(1), true},
+		{"products-unnormalized", products(2), false},
+	} {
+		if vm := vmHarness(t, c.e, bufs, []int64{3, 2}, 30); vm.f32 != c.f32 {
+			t.Errorf("%s: float32 instruction set = %v, want %v", c.name, vm.f32, c.f32)
+		}
+	}
 }
 
 // TestRowVMFusion checks the peephole pass on the canonical stencil shape:
@@ -218,8 +287,7 @@ func TestRowVMFusion(t *testing.T) {
 
 // TestRowVMRegisterAllocation verifies the liveness allocator: a balanced
 // 16-leaf multiply tree (31 SSA values, no fusion opportunities) must run
-// in at most 6 live rows — the closure evaluator would use one pooled temp
-// per node.
+// in at most 6 live rows, not one row per node.
 func TestRowVMRegisterAllocation(t *testing.T) {
 	src := NewBuffer(affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 39}})
 	FillPattern(src, 7)
@@ -315,86 +383,47 @@ func TestRowVMFloat32Gate(t *testing.T) {
 	}
 }
 
-// TestRowVMTempPoolShrink pins the pool-growth fix: a one-off oversized row
-// must not keep worker memory pinned once rows return to steady size, and
-// the gauges must track the release.
-func TestRowVMTempPoolShrink(t *testing.T) {
-	g := &poolGauges{}
-	p := &tempPool{size: 64, g: g}
-	p.get(100000)
-	p.getBool(100000)
-	p.reset() // oversized row is itself the high water: no shrink yet
-	if g.shrinks.Load() != 0 {
-		t.Fatal("shrink fired while the oversized row was still current")
-	}
-	p.get(100)
-	p.reset() // steady row is 100; 100000-length buffers now shrink away
-	if got := g.shrinks.Load(); got != 1 {
-		t.Fatalf("shrinks = %d, want 1", got)
-	}
-	if p.bufs[0] != nil || p.boolBufs[0] != nil {
-		t.Fatal("oversized buffers still pinned after shrink")
-	}
-	if got := g.bytes.Load(); got != 0 {
-		t.Fatalf("pinned bytes = %d after shrink, want 0", got)
-	}
-	if hw := g.hw.Load(); hw < 800000 {
-		t.Fatalf("high water = %d, want >= 800000", hw)
-	}
-	// The pool must still serve buffers correctly after shrinking.
-	b := p.get(200)
-	if len(b) != 200 {
-		t.Fatalf("post-shrink get returned len %d, want 200", len(b))
-	}
-	if got := g.bytes.Load(); got != 200*8 {
-		t.Fatalf("pinned bytes = %d after realloc, want %d", got, 200*8)
-	}
-}
-
-// TestRowVMEndToEnd compiles a small two-stage pipeline with and without
-// the VM and compares outputs, and checks that the lowering decisions are
-// visible in Program.Stats().
+// TestRowVMEndToEnd compiles a small two-stage pipeline, compares the VM's
+// output with the scalar evaluators', and checks that the lowering decisions
+// are visible in Program.Stats().
 func TestRowVMEndToEnd(t *testing.T) {
-	build := func() (*pipeline.Graph, map[string]*Buffer, map[string]int64) {
-		bl := dsl.NewBuilder()
-		R, C := bl.Param("R"), bl.Param("C")
-		I := bl.Image("I", expr.Float, R.Affine().AddConst(2), C.Affine().AddConst(2))
-		x, y := bl.Var("x"), bl.Var("y")
-		dom := []dsl.Interval{
-			dsl.Span(affine.Const(0), R.Affine().AddConst(1)),
-			dsl.Span(affine.Const(0), C.Affine().AddConst(1)),
-		}
-		inner := dsl.InBox([]*dsl.Variable{x, y}, []any{1, 1}, []any{dsl.Add(R, 0), dsl.Add(C, 0)})
-		// u: sqrt/abs keep matchStencil and matchCombination from claiming
-		// the stage, so it exercises the generic row evaluators.
-		u := bl.Func("u", expr.Float, []*dsl.Variable{x, y}, dom)
-		u.Define(dsl.Case{Cond: inner, E: dsl.Sqrt(dsl.Abs(dsl.Add(
-			dsl.Mul(0.25, I.At(x, dsl.Sub(y, 1))),
-			dsl.Add(dsl.Mul(0.5, I.At(x, y)), dsl.Mul(0.25, I.At(x, dsl.Add(y, 1)))))))})
-		// out: select-heavy stage over u.
-		out := bl.Func("out", expr.Float, []*dsl.Variable{x, y}, dom)
-		out.Define(dsl.Case{E: dsl.Sel(dsl.Cond(u.At(x, y), ">", 0.5),
-			dsl.Min(dsl.Mul(u.At(x, y), 2.0), 1.5),
-			dsl.Max(dsl.Sub(1.0, u.At(x, y)), 0.0))})
-		gph, err := pipeline.Build(bl, "out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		params := map[string]int64{"R": 96, "C": 96}
-		in, err := NewBufferForDomain(I.Domain(), params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		FillPattern(in, 19)
-		return gph, map[string]*Buffer{"I": in}, params
+	bl := dsl.NewBuilder()
+	R, C := bl.Param("R"), bl.Param("C")
+	I := bl.Image("I", expr.Float, R.Affine().AddConst(2), C.Affine().AddConst(2))
+	x, y := bl.Var("x"), bl.Var("y")
+	dom := []dsl.Interval{
+		dsl.Span(affine.Const(0), R.Affine().AddConst(1)),
+		dsl.Span(affine.Const(0), C.Affine().AddConst(1)),
 	}
-	run := func(noVM bool) (*Buffer, *Program) {
-		gph, inputs, params := build()
-		gr, err := schedule.BuildGroups(gph, params, schedule.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1, NoRowVM: noVM})
+	inner := dsl.InBox([]*dsl.Variable{x, y}, []any{1, 1}, []any{dsl.Add(R, 0), dsl.Add(C, 0)})
+	// u: sqrt/abs keep matchStencil from claiming the stage, so it exercises
+	// the row VM.
+	u := bl.Func("u", expr.Float, []*dsl.Variable{x, y}, dom)
+	u.Define(dsl.Case{Cond: inner, E: dsl.Sqrt(dsl.Abs(dsl.Add(
+		dsl.Mul(0.25, I.At(x, dsl.Sub(y, 1))),
+		dsl.Add(dsl.Mul(0.5, I.At(x, y)), dsl.Mul(0.25, I.At(x, dsl.Add(y, 1)))))))})
+	// out: select-heavy stage over u.
+	out := bl.Func("out", expr.Float, []*dsl.Variable{x, y}, dom)
+	out.Define(dsl.Case{E: dsl.Sel(dsl.Cond(u.At(x, y), ">", 0.5),
+		dsl.Min(dsl.Mul(u.At(x, y), 2.0), 1.5),
+		dsl.Max(dsl.Sub(1.0, u.At(x, y)), 0.0))})
+	gph, err := pipeline.Build(bl, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int64{"R": 96, "C": 96}
+	in, err := NewBufferForDomain(I.Domain(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	FillPattern(in, 19)
+	inputs := map[string]*Buffer{"I": in}
+	gr, err := schedule.BuildGroups(gph, params, schedule.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(fast bool) (*Buffer, *Program) {
+		prog, err := Compile(gr, params, ExecOptions{Fast: fast, Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,18 +434,18 @@ func TestRowVMEndToEnd(t *testing.T) {
 		}
 		return outs["out"], prog
 	}
-	vmOut, vmProg := run(false)
-	clOut, clProg := run(true)
-	if len(vmOut.Data) != len(clOut.Data) {
-		t.Fatalf("output sizes differ: %d vs %d", len(vmOut.Data), len(clOut.Data))
+	vmOut, vmProg := run(true)
+	scOut, _ := run(false)
+	if len(vmOut.Data) != len(scOut.Data) {
+		t.Fatalf("output sizes differ: %d vs %d", len(vmOut.Data), len(scOut.Data))
 	}
 	for i := range vmOut.Data {
-		a, b := float64(vmOut.Data[i]), float64(clOut.Data[i])
+		a, b := float64(vmOut.Data[i]), float64(scOut.Data[i])
 		if d := math.Abs(a - b); d > 1e-5+1e-5*math.Abs(b) {
-			t.Fatalf("output[%d]: vm %v vs closure %v", i, a, b)
+			t.Fatalf("output[%d]: vm %v vs scalar %v", i, a, b)
 		}
 	}
-	var vmPieces, vmInstrs, clRows int
+	var vmPieces, vmInstrs int
 	for _, sm := range vmProg.Stats().Stages {
 		vmPieces += sm.RowVM
 		vmInstrs += sm.VMInstrs
@@ -427,22 +456,8 @@ func TestRowVMEndToEnd(t *testing.T) {
 	if vmPieces < 2 || vmInstrs == 0 {
 		t.Fatalf("expected >= 2 VM-lowered pieces with instructions, got %d pieces / %d instrs", vmPieces, vmInstrs)
 	}
-	for _, sm := range clProg.Stats().Stages {
-		clRows += sm.ClosureRow
-		if sm.RowVM != 0 {
-			t.Fatalf("NoRowVM program still lowered stage %s to the VM", sm.Name)
-		}
-	}
-	if clRows < 2 {
-		t.Fatalf("expected >= 2 closure-row pieces with NoRowVM, got %d", clRows)
-	}
-	// The executor snapshot must expose the temp-pool gauges.
-	snap := vmProg.Executor().Snapshot()
-	if snap.TempPools.VMRegBytes <= 0 {
+	// The executor snapshot must expose the register-file gauge.
+	if snap := vmProg.Executor().Snapshot(); snap.TempPools.VMRegBytes <= 0 {
 		t.Fatalf("VMRegBytes = %d, want > 0 after a VM run", snap.TempPools.VMRegBytes)
-	}
-	clSnap := clProg.Executor().Snapshot()
-	if clSnap.TempPools.Bytes <= 0 {
-		t.Fatalf("closure temp pool bytes = %d, want > 0", clSnap.TempPools.Bytes)
 	}
 }

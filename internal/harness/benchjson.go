@@ -6,33 +6,28 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/affine"
 	"repro/internal/apps"
 	"repro/internal/baseline"
-	"repro/internal/dsl"
 	"repro/internal/engine"
-	"repro/internal/expr"
-	"repro/internal/pipeline"
 	"repro/internal/schedule"
 )
 
-// Machine-readable benchmark records (make bench-json -> BENCH_rowvm.json):
-// the per-app Table-2 wall clocks plus the row-evaluator microbenchmarks,
-// each measured under both row evaluators ("vm" = bytecode VM, "novm" =
-// per-node closure rows) so a single file documents the evaluator
-// trade-off. cmd/polymage-benchdiff compares two such files and flags
-// regressions.
+// Machine-readable benchmark records (make bench-json -> BENCH_*.json): one
+// BenchFile per feature-vs-twin measurement (generated kernels here; fleet,
+// stream, narrow and auto in their own files). cmd/polymage-benchdiff
+// compares two such files and flags regressions.
 
-// BenchSchema identifies the JSON layout emitted by BenchJSON.
+// BenchSchema identifies the JSON layout of a BenchFile.
 const BenchSchema = "polymage-bench/v1"
 
 // BenchResult is one timed configuration.
 type BenchResult struct {
-	// Name is the app ("harris") or microbenchmark ("micro-deeptree-f32").
+	// Name is the app ("harris") or workload ("fleet-sameprog-1client").
 	Name string `json:"name"`
-	// Kind is "app" (Table-2 pipeline) or "micro" (row-evaluator loop).
+	// Kind is "app" (Table-2 or narrow pipeline), "fleet" or "stream".
 	Kind string `json:"kind"`
-	// Variant is "vm" (row bytecode VM) or "novm" (closure rows).
+	// Variant names the side of the comparison the row belongs to ("gen" or
+	// "vm", "auto" or "hand", "narrow" or "wide", ...).
 	Variant string `json:"variant"`
 	// Millis is the average wall clock per run (warm-up discarded).
 	Millis float64 `json:"millis"`
@@ -40,19 +35,9 @@ type BenchResult struct {
 	Threads int `json:"threads"`
 }
 
-// BenchSummary aggregates a BenchFile: geomeans over the Table-2 apps per
-// variant and the resulting VM speedup factors.
+// BenchSummary aggregates a BenchFile: geomeans over the apps per variant
+// and the resulting speedup factors.
 type BenchSummary struct {
-	AppGeomeanVMMillis   float64            `json:"app_geomean_vm_ms"`
-	AppGeomeanNoVMMillis float64            `json:"app_geomean_novm_ms"`
-	// AppGeomeanSpeedup is novm/vm: > 1 means the VM is faster overall.
-	AppGeomeanSpeedup float64 `json:"app_geomean_speedup"`
-	// AppWorstRatio is max over apps of vm/novm: > 1 means some app
-	// regressed under the VM, by that factor.
-	AppWorstRatio float64 `json:"app_worst_ratio"`
-	// MicroSpeedup maps microbenchmark name to novm/vm.
-	MicroSpeedup map[string]float64 `json:"micro_speedup"`
-
 	// Fleet summary (files written by BenchFleetJSON only).
 	//
 	// FleetSaturationSpeedup is serial/fleet aggregate ms-per-request at
@@ -153,83 +138,9 @@ type BenchFile struct {
 	Summary   BenchSummary  `json:"summary"`
 }
 
-// BenchJSON measures every Table-2 app (opt+vec variant) and the
-// row-evaluator microbenchmarks under both evaluators and writes the
-// BenchFile JSON to w.
-func BenchJSON(w io.Writer, cfg Config) error {
-	threads := cfg.Threads
-	if threads == 0 {
-		threads = defaultThreads()
-	}
-	bf := &BenchFile{
-		Schema:    BenchSchema,
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Scale:     cfg.Scale,
-		Runs:      cfg.Runs,
-	}
-	v, err := baseline.Get("opt+vec")
-	if err != nil {
-		return err
-	}
-	var vmMs, novmMs []float64
-	worst := 0.0
-	for _, app := range apps.All() {
-		params := ScaledParams(app, cfg.Scale)
-		var ms [2]float64
-		for i, noVM := range []bool{false, true} {
-			// Pin generated kernels off so this stays a pure VM-vs-closure
-			// measurement even when an apps/gen package is linked in.
-			p, err := PrepareEngine(app, v, params, threads, schedule.DefaultOptions(), cfg.Seed,
-				func(o *engine.ExecOptions) { o.NoRowVM = noVM; o.NoGenKernels = true })
-			if err != nil {
-				return fmt.Errorf("%s: %w", app.Name, err)
-			}
-			ms[i], err = p.Measure(cfg.Runs)
-			p.Close()
-			if err != nil {
-				return fmt.Errorf("%s: %w", app.Name, err)
-			}
-		}
-		bf.Results = append(bf.Results,
-			BenchResult{Name: app.Name, Kind: "app", Variant: "vm", Millis: ms[0], Threads: threads},
-			BenchResult{Name: app.Name, Kind: "app", Variant: "novm", Millis: ms[1], Threads: threads})
-		vmMs = append(vmMs, ms[0])
-		novmMs = append(novmMs, ms[1])
-		if r := ms[0] / ms[1]; r > worst {
-			worst = r
-		}
-	}
-	bf.Summary.AppGeomeanVMMillis = geomean(vmMs)
-	bf.Summary.AppGeomeanNoVMMillis = geomean(novmMs)
-	if bf.Summary.AppGeomeanVMMillis > 0 {
-		bf.Summary.AppGeomeanSpeedup = bf.Summary.AppGeomeanNoVMMillis / bf.Summary.AppGeomeanVMMillis
-	}
-	bf.Summary.AppWorstRatio = worst
-	bf.Summary.MicroSpeedup = make(map[string]float64)
-	for _, m := range microBenches() {
-		var ms [2]float64
-		for i, noVM := range []bool{false, true} {
-			t, err := measureMicro(m, noVM, cfg.Runs)
-			if err != nil {
-				return fmt.Errorf("%s: %w", m.name, err)
-			}
-			ms[i] = t
-		}
-		bf.Results = append(bf.Results,
-			BenchResult{Name: m.name, Kind: "micro", Variant: "vm", Millis: ms[0], Threads: 1},
-			BenchResult{Name: m.name, Kind: "micro", Variant: "novm", Millis: ms[1], Threads: 1})
-		if ms[0] > 0 {
-			bf.Summary.MicroSpeedup[m.name] = ms[1] / ms[0]
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(bf)
-}
-
 // BenchGenJSON measures every Table-2 app (opt+vec variant) at one thread
 // with ahead-of-time generated kernels attached ("gen") and pinned off
-// ("vm" — the interpreted stencil/combination/row tiers) and writes the
+// ("vm" — the interpreted stencil/row tiers) and writes the
 // BenchFile JSON to w. The caller must link the generated-kernel package
 // (blank-import repro/internal/apps/gen) or every binding is a hash miss
 // and both variants time the interpreter.
@@ -300,121 +211,4 @@ func BenchGenJSON(w io.Writer, cfg Config) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(bf)
-}
-
-// microBench is a single-stage row-evaluator workload: the expression is
-// shaped so neither the stencil nor the combination kernel claims it and
-// the generic row path (VM or closure) does all the work.
-type microBench struct {
-	name string
-	mk   func(I *dsl.Image, x, y *dsl.Variable) expr.Expr
-}
-
-func microBenches() []microBench {
-	deep := func(I *dsl.Image, x, y *dsl.Variable, nTaps int, weight float64) expr.Expr {
-		var build func(lo, hi int) expr.Expr
-		build = func(lo, hi int) expr.Expr {
-			if lo == hi {
-				return I.At(x, dsl.Add(y, lo-nTaps/2))
-			}
-			mid := (lo + hi) / 2
-			return dsl.Add(dsl.Mul(weight, build(lo, mid)), dsl.Mul(weight, build(mid+1, hi)))
-		}
-		return build(0, nTaps-1)
-	}
-	sten9 := func(I *dsl.Image, x, y *dsl.Variable, factor, hi float64) expr.Expr {
-		w := []float64{1, 2, 1, 2, 4, 2, 1, 2, 1}
-		var e expr.Expr
-		k := 0
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				tap := dsl.Mul(w[k]*factor, I.At(dsl.Add(x, dx), dsl.Add(y, dy)))
-				if e == nil {
-					e = tap
-				} else {
-					e = dsl.Add(e, tap)
-				}
-				k++
-			}
-		}
-		return dsl.Min(dsl.Max(e, 0.0), hi)
-	}
-	return []microBench{
-		{"micro-deeptree-f64", func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
-			return dsl.Min(deep(I, x, y, 16, 1.0), 1e6)
-		}},
-		{"micro-deeptree-f32", func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
-			return dsl.Min(dsl.Max(deep(I, x, y, 16, 0.5), 0.0), 1.0)
-		}},
-		{"micro-stencil9-f32", func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
-			return sten9(I, x, y, 1.0/16, 1.0)
-		}},
-		{"micro-stencil9-f64", func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
-			return sten9(I, x, y, 1.0, 16.0)
-		}},
-		{"micro-select", func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
-			c := I.At(x, y)
-			l := I.At(x, dsl.Sub(y, 1))
-			r := I.At(x, dsl.Add(y, 1))
-			edge := dsl.Abs(dsl.Sub(r, l))
-			return dsl.Sel(dsl.Cond(edge, ">", 0.1),
-				dsl.Sel(dsl.Cond(c, ">", 0.5), dsl.Mul(c, 0.75), dsl.Add(c, 0.1)),
-				dsl.Mul(dsl.Add(dsl.Add(l, r), dsl.Mul(2.0, c)), 0.25))
-		}},
-	}
-}
-
-func measureMicro(m microBench, noVM bool, runs int) (float64, error) {
-	bl := dsl.NewBuilder()
-	R, C := bl.Param("R"), bl.Param("C")
-	I := bl.Image("I", expr.Float, R.Affine().AddConst(4), C.Affine().AddConst(4))
-	x, y := bl.Var("x"), bl.Var("y")
-	dom := []dsl.Interval{
-		dsl.Span(affine.Const(0), R.Affine().AddConst(3)),
-		dsl.Span(affine.Const(0), C.Affine().AddConst(3)),
-	}
-	inner := dsl.InBox([]*dsl.Variable{x, y}, []any{2, 2}, []any{dsl.Add(R, 1), dsl.Add(C, 1)})
-	f := bl.Func("f", expr.Float, []*dsl.Variable{x, y}, dom)
-	f.Define(dsl.Case{Cond: inner, E: m.mk(I, x, y)})
-	g, err := pipeline.Build(bl, "f")
-	if err != nil {
-		return 0, err
-	}
-	params := map[string]int64{"R": 512, "C": 512}
-	in, err := engine.NewBufferForDomain(I.Domain(), params)
-	if err != nil {
-		return 0, err
-	}
-	engine.FillPattern(in, 23)
-	inputs := map[string]*engine.Buffer{"I": in}
-	gr, err := schedule.BuildGroups(g, params, schedule.Options{})
-	if err != nil {
-		return 0, err
-	}
-	prog, err := engine.Compile(gr, params, engine.ExecOptions{Fast: true, Threads: 1, NoRowVM: noVM})
-	if err != nil {
-		return 0, err
-	}
-	defer prog.Close()
-	e := prog.Executor()
-	if runs < 2 {
-		runs = 2
-	}
-	var total time.Duration
-	counted := 0
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		out, err := e.Run(inputs)
-		if err != nil {
-			return 0, err
-		}
-		d := time.Since(start)
-		e.Recycle(out)
-		if i == 0 {
-			continue // warm-up
-		}
-		total += d
-		counted++
-	}
-	return float64(total.Microseconds()) / float64(counted) / 1000.0, nil
 }

@@ -82,7 +82,7 @@ func Prepare(app *apps.App, v baseline.Variant, params map[string]int64, threads
 }
 
 // PrepareEngine is Prepare with a hook to adjust the final execution
-// options (e.g. toggling ExecOptions.NoRowVM for evaluator comparisons).
+// options (e.g. toggling ExecOptions.NoGenKernels for tier comparisons).
 func PrepareEngine(app *apps.App, v baseline.Variant, params map[string]int64, threads int, base schedule.Options, seed int64, mod func(*engine.ExecOptions)) (*Prepared, error) {
 	b, outs := app.Build()
 	inputs, err := app.Inputs(b, params, seed)

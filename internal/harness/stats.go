@@ -64,9 +64,7 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 		snap.WallMillis(), snap.Workers.Workers, snap.Workers.Utilization*100)
 	fmt.Fprintf(w, "  arena    %d hits, %d misses, %d pooled (%.1f KB)\n",
 		snap.Arena.Hits, snap.Arena.Misses, snap.Arena.Pooled, float64(snap.Arena.PooledBytes)/1024.0)
-	fmt.Fprintf(w, "  pools    %.1f KB temp rows (high water %.1f KB, %d shrinks), %.1f KB VM registers\n",
-		float64(snap.TempPools.Bytes)/1024.0, float64(snap.TempPools.HighWaterBytes)/1024.0,
-		snap.TempPools.Shrinks, float64(snap.TempPools.VMRegBytes)/1024.0)
+	fmt.Fprintf(w, "  pools    %.1f KB VM registers\n", float64(snap.TempPools.VMRegBytes)/1024.0)
 	fmt.Fprintf(w, "  %-22s %10s %6s %8s %12s %10s\n", "stage", "kernel ms", "%", "tiles", "points", "recompute")
 	totalNanos := int64(0)
 	for _, st := range snap.Stages {

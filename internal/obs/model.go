@@ -92,13 +92,16 @@ type StageModel struct {
 	// integer-VM eligibility bound).
 	Elem     string
 	IntExact bool
-	// Evaluator selection, counted per case piece.
+	// Evaluator selection, counted per case piece. Comb and ClosureRow name
+	// tiers the engine no longer has and always read 0; they stay declared
+	// because bench/lib.go (a separate module, frozen by BENCHMARK.json)
+	// reads all seven fields.
 	Gen        int // ahead-of-time generated Go kernel (polymage-gen)
 	Stencil    int // specialized stencil kernel
-	Comb       int // pointwise combination kernel
+	Comb       int
 	IntStencil int // integer stencil kernel (narrow-type pipelines)
 	RowVM      int // row bytecode VM
-	ClosureRow int // per-node closure row evaluator
+	ClosureRow int
 	Scalar     int // per-point scalar loop (predicated pieces, accumulators)
 	// Row-VM program shape (zero when RowVM == 0).
 	VMInstrs    int  // instructions across the stage's VM programs

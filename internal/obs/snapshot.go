@@ -102,20 +102,9 @@ type Snapshot struct {
 	TempPools  TempPoolStats
 }
 
-// TempPoolStats gauges the per-worker row scratch memory: the closure
-// evaluator's pooled temp rows and the row VM's register files, summed
-// across an executor's workers. Shrinks counts pool-shrink events — a
-// one-off oversized row no longer pins worker memory forever (the pool
-// drops buffers beyond 4x the steady row size on reset).
+// TempPoolStats gauges the per-worker row scratch memory, summed across an
+// executor's workers.
 type TempPoolStats struct {
-	// Temps is the number of pooled row buffers currently held.
-	Temps int64
-	// Bytes is the memory currently pinned by pooled rows.
-	Bytes int64
-	// HighWaterBytes is the largest Bytes ever observed.
-	HighWaterBytes int64
-	// Shrinks counts reset()-triggered pool shrink events.
-	Shrinks int64
 	// VMRegBytes is the memory pinned by row-VM register files.
 	VMRegBytes int64
 }

@@ -85,13 +85,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 		out.Arena.Misses += s.Arena.Misses
 		out.Arena.Pooled += s.Arena.Pooled
 		out.Arena.PooledBytes += s.Arena.PooledBytes
-		out.TempPools.Temps += s.TempPools.Temps
-		out.TempPools.Bytes += s.TempPools.Bytes
-		out.TempPools.Shrinks += s.TempPools.Shrinks
 		out.TempPools.VMRegBytes += s.TempPools.VMRegBytes
-		if s.TempPools.HighWaterBytes > out.TempPools.HighWaterBytes {
-			out.TempPools.HighWaterBytes = s.TempPools.HighWaterBytes
-		}
 	}
 	if out.WallNanos > 0 && out.Workers.Workers > 0 {
 		out.Workers.Utilization = float64(out.Workers.BusyNanos) / (float64(out.WallNanos) * float64(out.Workers.Workers))

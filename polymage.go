@@ -244,8 +244,8 @@ type (
 // shapes the schedule — grouping, tile sizes, inlining — and therefore the
 // compiled Pipeline itself. ExecOptions is consumed later, at
 // Pipeline.Bind: it configures how a bound Program executes — thread
-// count, the fast fused-kernel path (Fast), evaluator tier toggles
-// (NoRowVM, NoGenKernels), metrics — without changing what is computed.
+// count, the fast fused-kernel path (Fast), the generated-kernel toggle
+// (NoGenKernels), metrics — without changing what is computed.
 // Anything that alters results or the schedule belongs in Options;
 // anything that only alters execution strategy belongs in ExecOptions.
 // The schedule hash that keys ahead-of-time generated kernels (see
