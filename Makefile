@@ -46,8 +46,12 @@ fleet-race:
 stream-race:
 	POLYMAGE_FLEET=4 $(GO) test -race -run TestStream ./internal/engine/ ./internal/service/ -count=1
 
+# `go vet`, plus formatting: any file gofmt would rewrite fails the target
+# (bench/ is BENCHMARK.json's and is checked by bench-vet only).
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l $$(find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l is not empty:"; echo "$$out"; exit 1; fi
 
 # bench/ is its own module (BENCHMARK.json runs it), so the root build and
 # tests never compile it: vet it here, or a symbol removed from the packages
@@ -58,16 +62,18 @@ bench-vet:
 # Verify the checked-in ahead-of-time kernel packages (internal/apps/gen,
 # internal/difftest/gencorpus) are byte-identical to what the emitter
 # produces today — fails on any drift, so generated kernels can never fall
-# out of sync with internal/codegen. To regenerate after a deliberate
-# emitter or schedule change:
+# out of sync with internal/codegen. Kernels are keyed by stage-piece
+# shape, not by schedule: regenerate after a deliberate change to the
+# emitter, to an evaluator a kernel mirrors, to an app's stage definitions
+# or to the inlining decisions, not after a scheduler change:
 #   go run ./cmd/polymage-gen
 gen:
 	$(GO) run ./cmd/polymage-gen -check
 
-# Race-checked run of the generated-kernel suite: schedule-hash stability,
-# registry dispatch/fallback matrix, golden emitter structure, and the
-# apps/gen parity tests (generated kernels vs interpreted tiers on every
-# Table-2 app).
+# Race-checked run of the generated-kernel suite: piece-key stability,
+# registry dispatch/fallback matrix, golden emitter structure and purity,
+# and the apps/gen parity tests (generated kernels vs interpreted tiers on
+# every Table-2 app under the hand and the auto schedule).
 gen-race:
 	$(GO) test -race -run TestGen ./internal/engine/ ./internal/codegen/ ./internal/apps/gen/ -count=1
 

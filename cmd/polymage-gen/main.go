@@ -1,20 +1,22 @@
 // Command polymage-gen is the ahead-of-time kernel generator: it compiles
-// pipeline bindings, emits Go source for every eligible stage piece
-// (internal/codegen.EmitGo) and writes the generated packages that register
-// those kernels with the execution engine under the binding's schedule
-// hash.
+// pipelines, gathers every stage piece eligible for a generated kernel
+// (engine.Program.GenUnits) and writes one Go function per distinct piece
+// shape (internal/codegen.EmitGo), registered with the execution engine
+// under the shape's content key. A kernel binds to any piece with that key
+// — any schedule, any image size, any pipeline — so each target compiles
+// its pipelines under both the hand and the auto schedule only to collect
+// the shapes the two inlining decisions produce, not to cover schedules.
 //
-// Two generation targets are maintained in-tree:
+// Two generation targets are maintained in-tree, one kernels_gen.go each:
 //
-//	internal/apps/gen       one file per Table-2 app at the benchmark
-//	                        binding (opt+vec, scale 4, default schedule)
+//	internal/apps/gen       the Table-2 apps at scale 4
 //	internal/difftest/gencorpus
-//	                        one file per fuzz-corpus seed at the
-//	                        difftest gen-kernels knob's options
+//	                        the first -corpus difftest seeds under the
+//	                        gen-kernels and schedule-auto knobs
 //
-// Run `make gen` to regenerate both and fail on drift; -check verifies
-// without writing (the tier-1 wiring that keeps checked-in kernels and
-// emitter in lockstep).
+// Run `go run ./cmd/polymage-gen` to regenerate both; -check (`make gen`)
+// verifies without writing, the tier-1 wiring that keeps checked-in
+// kernels and emitter in lockstep.
 package main
 
 import (
@@ -38,32 +40,40 @@ func main() {
 	appList := flag.String("apps", "all", "comma-separated app names to generate kernels for (empty = skip apps)")
 	corpus := flag.Int("corpus", 40, "number of difftest corpus seeds to generate kernels for (0 = skip)")
 	dir := flag.String("dir", ".", "repository root the generated packages are written under")
-	scale := flag.Int64("scale", 4, "parameter scale for app bindings (matches the benchmark harness default)")
+	scale := flag.Int64("scale", 4, "parameter scale the apps are compiled at (keys do not depend on it)")
 	check := flag.Bool("check", false, "verify checked-in files match the emitter instead of writing")
-	verbose := flag.Bool("v", false, "print per-kernel coverage")
+	verbose := flag.Bool("v", false, "print every eligible piece")
 	flag.Parse()
 
 	drift := 0
-	emit := func(path string, src []byte) {
+	emit := func(pkgDir, pkg string, units []engine.GenUnit) {
+		src, err := codegen.EmitGo(pkg, units)
+		if err != nil {
+			fatal(err)
+		}
+		path := filepath.Join(*dir, pkgDir, "kernels_gen.go")
+		fmt.Printf("%s: %d pieces, %d distinct kernels\n", path, len(units), bytes.Count(src, []byte("\nfunc k_")))
 		if *check {
-			old, err := os.ReadFile(path)
-			switch {
-			case err != nil:
-				fmt.Fprintf(os.Stderr, "polymage-gen: %s: missing or unreadable (%v)\n", path, err)
-				drift++
-			case !bytes.Equal(old, src):
-				fmt.Fprintf(os.Stderr, "polymage-gen: %s: drifted from emitter output (rerun make gen)\n", path)
+			if old, err := os.ReadFile(path); err != nil || !bytes.Equal(old, src) {
+				fmt.Fprintf(os.Stderr, "polymage-gen: %s: missing or drifted from emitter output (rerun go run ./cmd/polymage-gen)\n", path)
 				drift++
 			}
 			return
 		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			fatal(err)
-		}
 		if err := os.WriteFile(path, src, 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", path, len(src))
+	}
+	var units []engine.GenUnit
+	gather := func(name string, prog *engine.Program) {
+		for _, u := range prog.GenUnits() {
+			if *verbose {
+				fmt.Printf("  %s/%s piece %d: rank %d f32=%v tier=%s key=%.12s\n",
+					name, u.Stage, u.Piece, u.Rank, u.F32, u.Tier, u.Key)
+			}
+			units = append(units, u)
+		}
+		prog.Close()
 	}
 
 	if *appList != "" {
@@ -80,62 +90,37 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			params := harness.ScaledParams(app, *scale)
-			prep, err := harness.Prepare(app, v, params, 1, schedule.DefaultOptions(), harness.DefaultSeed)
-			if err != nil {
-				fatal(fmt.Errorf("prepare %s: %w", app.Name, err))
+			for _, auto := range []bool{false, true} {
+				so := schedule.DefaultOptions()
+				so.Auto = auto
+				prep, err := harness.Prepare(app, v, harness.ScaledParams(app, *scale), 1, so, harness.DefaultSeed)
+				if err != nil {
+					fatal(fmt.Errorf("prepare %s: %w", app.Name, err))
+				}
+				gather(app.Name, prep.Prog)
 			}
-			src, err := codegen.EmitGo(prep.Prog, codegen.GoOptions{Package: "gen", Name: app.Name})
-			if err != nil {
-				prep.Close()
-				fatal(fmt.Errorf("emit %s: %w", app.Name, err))
-			}
-			report(app.Name, prep.Prog, *verbose)
-			prep.Close()
-			emit(filepath.Join(*dir, "internal", "apps", "gen", app.Name+"_gen.go"), src)
 		}
+		emit("internal/apps/gen", "gen", units)
 	}
 
-	for seed := 1; seed <= *corpus; seed++ {
-		prog, err := difftest.BuildGenProgram(int64(seed))
-		if err != nil {
-			fatal(fmt.Errorf("corpus seed %d: %w", seed, err))
+	if *corpus > 0 {
+		units = nil
+		for seed := int64(1); seed <= int64(*corpus); seed++ {
+			for _, k := range difftest.GenKnobs() {
+				name := fmt.Sprintf("seed%03d/%s", seed, k.Name)
+				prog, err := difftest.BuildProgram(seed, k)
+				if err != nil {
+					fatal(fmt.Errorf("%s: %w", name, err))
+				}
+				gather(name, prog)
+			}
 		}
-		name := fmt.Sprintf("seed%03d", seed)
-		src, err := codegen.EmitGo(prog, codegen.GoOptions{Package: "gencorpus", Name: name})
-		if err != nil {
-			prog.Close()
-			fatal(fmt.Errorf("emit corpus seed %d: %w", seed, err))
-		}
-		report(name, prog, *verbose)
-		prog.Close()
-		emit(filepath.Join(*dir, "internal", "difftest", "gencorpus", name+"_gen.go"), src)
+		emit("internal/difftest/gencorpus", "gencorpus", units)
 	}
 
 	if drift > 0 {
-		fmt.Fprintf(os.Stderr, "polymage-gen: %d file(s) out of date\n", drift)
 		os.Exit(1)
 	}
-}
-
-// report prints the emission coverage of one binding: how many pieces got
-// kernels and which interpreted tier each would otherwise run on.
-func report(name string, prog *engine.Program, verbose bool) {
-	units := prog.GenUnits()
-	tiers := map[string]int{}
-	f32 := 0
-	for _, u := range units {
-		tiers[u.Tier]++
-		if u.F32 {
-			f32++
-		}
-		if verbose {
-			fmt.Printf("  %s/%s piece %d: rank %d f32=%v tier=%s reads=%v\n",
-				name, u.Stage, u.Piece, u.Rank, u.F32, u.Tier, u.Reads)
-		}
-	}
-	fmt.Printf("%s: %d kernels (%d float32) tiers=%v hash=%.12s…\n",
-		name, len(units), f32, tiers, prog.ScheduleHash())
 }
 
 func fatal(err error) {

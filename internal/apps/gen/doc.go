@@ -1,18 +1,17 @@
 // Package gen holds the checked-in ahead-of-time kernels for the seven
-// Table-2 benchmark apps, emitted by cmd/polymage-gen from each app's
-// default opt+vec binding (scale 4, one thread's schedule — the schedule
-// hash covers the tile plan and parameters, so any other binding is a
-// clean miss).
+// Table-2 benchmark apps, emitted by cmd/polymage-gen: one Go function per
+// distinct stage-piece shape found in the apps compiled under the hand and
+// the auto schedule.
 //
-// Each <app>_gen.go registers its kernels in the engine's process-wide
-// registry at init, keyed by the binding's schedule hash; linking this
-// package (usually via a blank import) is all it takes for hash-matching
-// programs to run the compiled loop nests instead of the interpreted
-// tiers. `make gen` fails the build if these files drift from what the
-// emitter produces.
+// kernels_gen.go registers each kernel in the engine's process-wide
+// registry at init under the content key of the piece it computes
+// (engine.GenUnit.Key); linking this package (usually via a blank import)
+// is all it takes for every piece with a registered key — under any
+// schedule, tile size or image size — to run the compiled loop nest
+// instead of the interpreted tiers. `make gen` fails the build if the file
+// drifts from what the emitter produces.
 //
-// Every file in this package other than this one and gen_test.go is
-// generated — regenerate instead of editing:
+// kernels_gen.go is generated — regenerate instead of editing:
 //
 //go:generate go run repro/cmd/polymage-gen -corpus 0 -dir ../../..
 package gen

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/apps"
 	_ "repro/internal/apps/gen" // registers the ahead-of-time kernels under test
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dsl"
 	"repro/internal/engine"
@@ -15,162 +14,123 @@ import (
 	"repro/internal/schedule"
 )
 
-// prepare compiles app at the exact binding polymage-gen emitted kernels
-// for (opt+vec, scale 4, default schedule, one thread), optionally pinning
-// the generated kernels off.
-func prepare(t *testing.T, app *apps.App, noGen bool) *harness.Prepared {
-	t.Helper()
-	v, err := baseline.Get("opt+vec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := harness.ScaledParams(app, 4)
-	p, err := harness.PrepareEngine(app, v, params, 1, schedule.DefaultOptions(), harness.DefaultSeed,
-		func(o *engine.ExecOptions) { o.NoGenKernels = noGen })
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+// pipe is one pipeline of the benchmark's set: a Table-2 app or a uint8 app.
+type pipe struct {
+	name   string
+	narrow bool
+	build  func() (*dsl.Builder, []string)
+	inputs func(b *dsl.Builder, params map[string]int64, seed int64) (map[string]*engine.Buffer, error)
 }
 
-func run(t *testing.T, p *harness.Prepared) map[string]*engine.Buffer {
-	t.Helper()
-	out, err := p.Prog.Run(p.Inputs)
-	if err != nil {
-		t.Fatal(err)
+func tablePipes() []pipe {
+	var out []pipe
+	for _, a := range apps.All() {
+		out = append(out, pipe{a.Name, false, a.Build, a.Inputs})
 	}
 	return out
 }
 
+// bound is a pipeline compiled once, as bench/ and polymage-serve compile
+// it (core.Compile, then Bind with Fast + ReuseBuffers), and bound twice:
+// with this package's kernels and with them pinned off.
+type bound struct {
+	on, off *engine.Program
+	inputs  map[string]*engine.Buffer
+}
+
+func bind(t *testing.T, p pipe, params map[string]int64, auto bool) bound {
+	t.Helper()
+	so := schedule.DefaultOptions()
+	so.Auto = auto
+	b, outs := p.build()
+	pl, err := core.Compile(b, outs, core.Options{Estimates: params, Schedule: so, AllowUnproven: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bd bound
+	for _, noGen := range []bool{false, true} {
+		prog, err := pl.Bind(params, engine.ExecOptions{Fast: true, ReuseBuffers: true, NarrowTypes: p.narrow, NoGenKernels: noGen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { prog.Close() })
+		if noGen {
+			bd.off = prog
+		} else {
+			bd.on = prog
+		}
+	}
+	if bd.inputs, err = p.inputs(b, params, harness.DefaultSeed); err != nil {
+		t.Fatal(err)
+	}
+	return bd
+}
+
 // genPieces sums the Gen counter over all stages of a program's kernel
 // report.
-func genPieces(p *harness.Prepared) int {
+func genPieces(p *engine.Program) int {
 	n := 0
-	for _, sm := range p.Prog.Stats().Stages {
+	for _, sm := range p.Stats().Stages {
 		n += sm.Gen
 	}
 	return n
 }
 
-// TestGenAppsMatchVM runs every Table-2 app at the checked-in kernels'
-// binding with generated kernels on and off and demands ULP-level
-// agreement: the ahead-of-time Go kernels are a drop-in substitution for
-// the interpreted tiers, not an approximation of them.
-func TestGenAppsMatchVM(t *testing.T) {
-	for _, app := range apps.All() {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
-			t.Parallel()
-			pg := prepare(t, app, false)
-			defer pg.Close()
-			if n := genPieces(pg); n == 0 {
-				t.Fatalf("%s: no generated kernels attached — schedule hash missed the checked-in gen package", app.Name)
-			} else {
-				t.Logf("%s: %d pieces on generated kernels", app.Name, n)
-			}
-			pv := prepare(t, app, true)
-			defer pv.Close()
-			if n := genPieces(pv); n != 0 {
-				t.Fatalf("%s: NoGenKernels binding still attached %d kernels", app.Name, n)
-			}
-			got := run(t, pg)
-			want := run(t, pv)
-			for name, wb := range want {
-				gb, ok := got[name]
-				if !ok {
-					t.Fatalf("%s: output %s missing from gen run", app.Name, name)
-				}
-				compareULP(t, app.Name, name, gb.Data, wb.Data)
-			}
-		})
-	}
-}
-
-// compareULP is the difftest tolerance (atol 1e-5, 32 ULP) applied
-// element-wise.
-func compareULP(t *testing.T, app, out string, got, want []float32) {
+// requireSubstitution demands that the generated kernels are a drop-in
+// substitution for the interpreted tiers, not an approximation of them:
+// every eligible piece binds a kernel, the kernels-off twin binds none, and
+// the two programs' outputs agree bit for bit.
+func (bd bound) requireSubstitution(t *testing.T) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s/%s: length %d vs %d", app, out, len(got), len(want))
+	if m := bd.on.Stats().GenMisses; m.NoKernel != 0 {
+		t.Errorf("%d eligible pieces have no checked-in kernel (rerun go run ./cmd/polymage-gen): %+v", m.NoKernel, m)
 	}
-	bad := 0
-	for i := range got {
-		g, w := got[i], want[i]
-		if g == w {
-			continue
-		}
-		if math.Abs(float64(g)-float64(w)) <= 1e-5 {
-			continue
-		}
-		if ulpDiff(g, w) <= 32 {
-			continue
-		}
-		if bad == 0 {
-			t.Errorf("%s/%s: index %d: gen=%v vm=%v (ulp=%d)", app, out, i, g, w, ulpDiff(g, w))
-		}
-		bad++
+	if n := genPieces(bd.off); n != 0 {
+		t.Fatalf("NoGenKernels binding still attached %d kernels", n)
 	}
-	if bad > 0 {
-		t.Fatalf("%s/%s: %d elements beyond tolerance", app, out, bad)
-	}
-}
-
-func ulpDiff(a, b float32) uint32 {
-	ab := math.Float32bits(a)
-	bb := math.Float32bits(b)
-	if ab>>31 != bb>>31 {
-		return ab&0x7fffffff + bb&0x7fffffff
-	}
-	if ab > bb {
-		return ab - bb
-	}
-	return bb - ab
-}
-
-// TestGenHashMismatchFallsBack rebinds harris with a different tile plan:
-// the schedule hash no longer matches the checked-in package and every
-// piece must fall back to the interpreted tiers, bit-identically to a
-// binding with generated kernels disabled outright.
-func TestGenHashMismatchFallsBack(t *testing.T) {
-	app, err := apps.Get("harris")
+	got, err := bd.on.Run(bd.inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := baseline.Get("opt+vec")
+	want, err := bd.off.Run(bd.inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := harness.ScaledParams(app, 4)
-	so := schedule.DefaultOptions()
-	so.TileSizes = []int64{48, 96} // not the emitted plan
-	mk := func(noGen bool) *harness.Prepared {
-		p, err := harness.PrepareEngine(app, v, params, 1, so, harness.DefaultSeed,
-			func(o *engine.ExecOptions) { o.NoGenKernels = noGen })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	pg := mk(false)
-	defer pg.Close()
-	if n := genPieces(pg); n != 0 {
-		t.Fatalf("hash-mismatched binding attached %d generated kernels", n)
-	}
-	pv := mk(true)
-	defer pv.Close()
-	got := run(t, pg)
-	want := run(t, pv)
 	for name, wb := range want {
 		gb := got[name]
-		if gb == nil {
-			t.Fatalf("output %s missing", name)
+		if gb == nil || len(gb.Data) != len(wb.Data) {
+			t.Fatalf("output %s missing or misshapen in the gen run", name)
 		}
 		for i := range wb.Data {
 			if math.Float32bits(gb.Data[i]) != math.Float32bits(wb.Data[i]) {
-				t.Fatalf("output %s index %d: fallback not bit-identical: %v vs %v",
-					name, i, gb.Data[i], wb.Data[i])
+				t.Fatalf("output %s index %d: gen=%v interpreted=%v", name, i, gb.Data[i], wb.Data[i])
 			}
 		}
+	}
+}
+
+// TestGenAppsMatchVM runs every Table-2 app under the hand schedule at the
+// scale polymage-gen compiled it at, and under the auto-scheduler at a
+// second parameter binding (scale 8) no kernel was emitted from: kernels
+// are keyed by piece shape, so they must bind whatever the schedule and the
+// image size, and change no output bit.
+func TestGenAppsMatchVM(t *testing.T) {
+	for _, p := range tablePipes() {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			app, _ := apps.Get(p.name)
+			hand := bind(t, p, harness.ScaledParams(app, 4), false)
+			n := genPieces(hand.on)
+			if n == 0 {
+				t.Fatal("no generated kernels attached under the hand schedule")
+			}
+			hand.requireSubstitution(t)
+			auto8 := bind(t, p, harness.ScaledParams(app, 8), true)
+			if got := genPieces(auto8.on); got < n {
+				t.Errorf("auto schedule at scale 8 binds %d kernels, hand schedule at scale 4 binds %d", got, n)
+			}
+			auto8.requireSubstitution(t)
+		})
 	}
 }
 
@@ -178,36 +138,32 @@ func TestGenHashMismatchFallsBack(t *testing.T) {
 // user gets (auto-scheduler, Fast, pooled buffers, this package's kernels
 // linked; narrow types for the uint8 apps): every stage piece is counted in
 // exactly one evaluator tier, the scalar loop takes only predicated pieces
-// and accumulators, and the two removed tiers stay empty.
+// and accumulators, the two removed tiers stay empty, every piece counted
+// outside the generated tier has its reason in GenMisses, and the Table-2
+// apps bind at least as many kernels as under the hand schedule.
 func TestTierAttribution(t *testing.T) {
-	type pipe struct {
-		name   string
-		narrow bool
-		build  func() (*dsl.Builder, []string)
-		params map[string]int64
-	}
-	var pipes []pipe
+	pipes := tablePipes()
+	params := map[string]map[string]int64{}
 	for _, a := range apps.All() {
-		pipes = append(pipes, pipe{a.Name, false, a.Build, harness.ScaledParams(a, 4)})
+		params[a.Name] = harness.ScaledParams(a, 4)
 	}
 	for _, a := range apps.AllNarrow() {
-		pipes = append(pipes, pipe{a.Name, true, a.Build, a.BenchParams})
+		pipes = append(pipes, pipe{a.Name, true, a.Build, a.Inputs})
+		params[a.Name] = a.BenchParams
 	}
-	so := schedule.DefaultOptions()
-	so.Auto = true
 	for _, p := range pipes {
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
-			b, outs := p.build()
-			pl, err := core.Compile(b, outs, core.Options{Estimates: p.params, Schedule: so, AllowUnproven: true})
-			if err != nil {
-				t.Fatal(err)
+			bd := bind(t, p, params[p.name], true)
+			bd.requireSubstitution(t)
+			prog := bd.on
+			if !p.narrow {
+				hand := bind(t, p, params[p.name], false)
+				if got, want := genPieces(prog), genPieces(hand.on); got < want || got == 0 {
+					t.Errorf("auto schedule binds %d kernels, hand schedule %d", got, want)
+				}
 			}
-			prog, err := pl.Bind(p.params, engine.ExecOptions{Fast: true, ReuseBuffers: true, NarrowTypes: p.narrow})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer prog.Close()
+			total, gen := 0, 0
 			for _, sm := range prog.Stats().Stages {
 				st := prog.Graph.Stages[sm.Name]
 				pieces, scalar := len(st.Cases), 0
@@ -231,6 +187,11 @@ func TestTierAttribution(t *testing.T) {
 				if sm.Comb != 0 || sm.ClosureRow != 0 {
 					t.Errorf("%s: removed tiers report Comb=%d ClosureRow=%d", sm.Name, sm.Comb, sm.ClosureRow)
 				}
+				total += pieces
+				gen += sm.Gen
+			}
+			if m := prog.Stats().GenMisses; gen+m.Total() != total {
+				t.Errorf("%d pieces on generated kernels + misses %+v do not add up to %d pieces", gen, m, total)
 			}
 		})
 	}

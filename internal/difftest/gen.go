@@ -28,7 +28,7 @@ func Generate(seed int64) PipelineSpec {
 // same DAG shape as Generate(seed), rebuilt with all-integral arithmetic
 // over a uint8 input image (the narrow-type difftest corpus). It is a
 // separate entry point rather than a generator axis so the float corpus —
-// and with it the schedule hashes of the checked-in gencorpus seeds —
+// and with it the piece shapes the checked-in gencorpus kernels cover —
 // stays byte-identical.
 func GenerateInteger(seed int64) PipelineSpec {
 	sp := Generate(seed)

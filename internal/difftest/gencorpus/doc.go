@@ -1,13 +1,15 @@
-// Package gencorpus holds checked-in ahead-of-time kernels for difftest
-// corpus seeds 1..40, emitted by cmd/polymage-gen through the same
-// generator/compile path the gen-kernels knob uses at test time, so each
-// seed's knob run is a schedule-hash hit. TestGenKnobCorpus blank-imports
-// this package and differential-tests the compiled kernels against the
-// reference interpreter and against the same knob with kernels pinned
-// off. `make gen` fails the build if these files drift from the emitter.
+// Package gencorpus holds checked-in ahead-of-time kernels for the
+// stage-piece shapes of difftest corpus seeds 1..40, emitted by
+// cmd/polymage-gen from each seed compiled under difftest.GenKnobs (hand
+// and auto schedule). Kernels are keyed by piece shape, so they bind under
+// every Fast knob of the sweep, and to any other seed that happens to
+// contain the same shape. The difftest tests blank-import this package;
+// TestGenKnobCorpus checks that every eligible piece of those seeds binds
+// and diffs the compiled kernels against the reference interpreter and
+// against the same knobs with kernels pinned off. `make gen` fails the
+// build if kernels_gen.go drifts from the emitter.
 //
-// Every file in this package other than this one is generated —
-// regenerate instead of editing:
+// kernels_gen.go is generated — regenerate instead of editing:
 //
 //go:generate go run repro/cmd/polymage-gen -apps "" -corpus 40 -dir ../../..
 package gencorpus

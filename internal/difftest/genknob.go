@@ -5,26 +5,27 @@ import (
 	"repro/internal/engine"
 )
 
-// GenKnob is the sweep point that exercises ahead-of-time generated Go
-// kernels: the only knob that leaves ExecOptions.NoGenKernels unset. Its
-// compile/execution options are shared with BuildGenProgram so the
-// checked-in gencorpus package (emitted by polymage-gen -corpus) hash-hits
-// under exactly this knob.
-func GenKnob() Knob {
-	return Knob{Name: "gen-kernels", Tiles: []int64{16, 16}, Fast: true, Threads: 2, GenKernels: true}
+// GenKnobs are the two sweep points cmd/polymage-gen compiles each corpus
+// seed under to collect the piece shapes the checked-in gencorpus package
+// holds kernels for: the hand schedule and the auto-scheduler, whose
+// inlining decision can differ. Kernels are keyed by piece shape, so they
+// bind under every other knob's schedule as well; these two are merely
+// the ones guaranteed full coverage.
+func GenKnobs() []Knob {
+	return []Knob{
+		{Name: "gen-kernels", Tiles: []int64{16, 16}, Fast: true, Threads: 2},
+		{Name: "schedule-auto", Tiles: []int64{16, 16}, Fast: true, Threads: 2, Auto: true},
+	}
 }
 
-// BuildGenProgram compiles the generated pipeline of a corpus seed with
-// GenKnob's exact options — the program polymage-gen emits a generated
-// kernel file from, and the binding whose schedule hash the gen-kernels
-// sweep knob reproduces at diff time.
-func BuildGenProgram(seed int64) (*engine.Program, error) {
+// BuildProgram compiles the generated pipeline of a corpus seed exactly as
+// Diff compiles it under knob k.
+func BuildProgram(seed int64, k Knob) (*engine.Program, error) {
 	sp := Generate(seed)
 	b, err := sp.Build(false)
 	if err != nil {
 		return nil, err
 	}
-	k := GenKnob()
 	pl, err := core.Compile(b.Graph.Builder, b.LiveOuts, core.Options{
 		Estimates:     b.Params,
 		Schedule:      k.schedOptions(),

@@ -205,6 +205,9 @@ func KnobLiteral(k Knob) string {
 	if k.Auto {
 		b.WriteString(", Auto: true")
 	}
+	if k.NoGenKernels {
+		b.WriteString(", NoGenKernels: true")
+	}
 	if k.Concurrent > 1 {
 		fmt.Fprintf(&b, ", Concurrent: %d", k.Concurrent)
 	}

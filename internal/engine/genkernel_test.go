@@ -1,21 +1,25 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/affine"
 	"repro/internal/dsl"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/schedule"
 )
 
-// genTestPipeline builds a small two-stage blur whose stage names are
-// unique to this file, so registrations under its hash cannot collide with
-// other tests sharing the process-wide registry.
+// genTestPipeline builds a small two-stage blur whose blur factor is unique
+// to this file, so a sentinel registered under one of its piece keys cannot
+// bind to another test's pipeline through the process-wide registry.
 func genTestPipeline(t testing.TB) (*pipeline.Graph, map[string]int64, map[string]*Buffer) {
 	t.Helper()
+	const factor = 0.3203125
 	b := dsl.NewBuilder()
 	R, C := b.Param("R"), b.Param("C")
 	I := b.Image("I", expr.Float, R.Affine().AddConst(2), C.Affine().AddConst(2))
@@ -25,7 +29,7 @@ func genTestPipeline(t testing.TB) (*pipeline.Graph, map[string]int64, map[strin
 		dsl.Span(affine.Const(1), C.Affine()),
 	}
 	gx := b.Func("genregBlurX", expr.Float, []*dsl.Variable{x, y}, dom)
-	gx.Define(dsl.Case{E: dsl.Mul(1.0/3,
+	gx.Define(dsl.Case{E: dsl.Mul(factor,
 		dsl.Add(dsl.Add(I.At(x, dsl.Sub(y, 1)), I.At(x, y)), I.At(x, dsl.Add(y, 1))))})
 	// One row narrower than blurX on each side so the x±1 taps stay inside
 	// the producer's domain.
@@ -34,7 +38,7 @@ func genTestPipeline(t testing.TB) (*pipeline.Graph, map[string]int64, map[strin
 		dsl.Span(affine.Const(1), C.Affine()),
 	}
 	gy := b.Func("genregBlurY", expr.Float, []*dsl.Variable{x, y}, gyDom)
-	gy.Define(dsl.Case{E: dsl.Mul(1.0/3,
+	gy.Define(dsl.Case{E: dsl.Mul(factor,
 		dsl.Add(dsl.Add(gx.At(dsl.Sub(x, 1), y), gx.At(x, y)), gx.At(dsl.Add(x, 1), y)))})
 	g, err := pipeline.Build(b, "genregBlurY")
 	if err != nil {
@@ -49,9 +53,13 @@ func genTestPipeline(t testing.TB) (*pipeline.Graph, map[string]int64, map[strin
 	return g, params, map[string]*Buffer{"I": in}
 }
 
-func genTestCompile(t testing.TB, g *pipeline.Graph, params map[string]int64, eo ExecOptions) *Program {
+// genTestCompile lowers g under the given tile sizes.
+func genTestCompile(t testing.TB, g *pipeline.Graph, params map[string]int64, eo ExecOptions, tiles ...int64) *Program {
 	t.Helper()
-	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: []int64{32, 32}})
+	if tiles == nil {
+		tiles = []int64{32, 32}
+	}
+	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: tiles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,110 +78,132 @@ func genCount(p *Program) int {
 	return n
 }
 
-// TestGenScheduleHashStable: the hash is deterministic across compiles,
-// invariant to execution-only options (threads, debug, kernel toggles),
-// and sensitive to the tile plan and the parameter binding.
-func TestGenScheduleHashStable(t *testing.T) {
-	g, params, _ := genTestPipeline(t)
-	mk := func(params map[string]int64, tiles []int64, eo ExecOptions) string {
-		gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: tiles})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := Compile(gr, params, eo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer prog.Close()
-		return prog.ScheduleHash()
+// genKeys lists the program's unit keys by "stage/piece".
+func genKeys(p *Program) map[string]string {
+	keys := map[string]string{}
+	for _, u := range p.GenUnits() {
+		keys[fmt.Sprintf("%s/%d", u.Stage, u.Piece)] = u.Key
 	}
-	base := mk(params, []int64{32, 32}, ExecOptions{Fast: true, Threads: 1})
-	if base == "" || len(base) != 64 {
-		t.Fatalf("unexpected hash %q", base)
-	}
-	if h := mk(params, []int64{32, 32}, ExecOptions{Fast: true, Threads: 4, Debug: true, NoGenKernels: true}); h != base {
-		t.Error("execution-only options changed the schedule hash")
-	}
-	if h := mk(params, []int64{16, 16}, ExecOptions{Fast: true, Threads: 1}); h == base {
-		t.Error("tile plan change did not change the schedule hash")
-	}
-	if h := mk(map[string]int64{"R": 96, "C": 64}, []int64{32, 32}, ExecOptions{Fast: true, Threads: 1}); h == base {
-		t.Error("parameter change did not change the schedule hash")
-	}
+	return keys
 }
 
-// TestGenRegistryLaterWins: re-registering a hash replaces the package.
-func TestGenRegistryLaterWins(t *testing.T) {
-	h := "genregtest-later-wins"
-	RegisterGenKernels(&GenPackage{Hash: h, Name: "first"})
-	RegisterGenKernels(&GenPackage{Hash: h, Name: "second"})
-	if got := LookupGenKernels(h); got == nil || got.Name != "second" {
-		t.Fatalf("lookup = %+v, want the later registration", got)
+// TestGenKeyStable: a piece's key is deterministic across compiles and
+// depends on nothing a kernel receives at run time — not the tile plan,
+// the image size or any execution option — and two stages computing
+// different things never share one.
+func TestGenKeyStable(t *testing.T) {
+	g, params, _ := genTestPipeline(t)
+	mk := func(params map[string]int64, eo ExecOptions, tiles ...int64) map[string]string {
+		prog := genTestCompile(t, g, params, eo, tiles...)
+		defer prog.Close()
+		return genKeys(prog)
 	}
-	if GenRegistrySize() == 0 {
-		t.Fatal("registry reports empty after registration")
+	base := mk(params, ExecOptions{Fast: true, Threads: 1})
+	if len(base) != 2 || len(base["genregBlurX/0"]) != 64 {
+		t.Fatalf("unexpected keys %v", base)
+	}
+	if base["genregBlurX/0"] == base["genregBlurY/0"] {
+		t.Error("a row blur and a column blur share a key")
+	}
+	for label, got := range map[string]map[string]string{
+		"execution-only options": mk(params, ExecOptions{Fast: true, Threads: 4, Debug: true, NoGenKernels: true, NarrowTypes: true}),
+		"tile plan":              mk(params, ExecOptions{Fast: true, Threads: 1}, 16, 16),
+		"image size":             mk(map[string]int64{"R": 96, "C": 40}, ExecOptions{Fast: true, Threads: 1}),
+	} {
+		if !reflect.DeepEqual(got, base) {
+			t.Errorf("%s changed the piece keys: %v vs %v", label, got, base)
+		}
+	}
+	// The interpreted tier a kernel mirrors is part of its shape: without
+	// Fast no stencil/VM plan exists, and a kernel emitted for one must not
+	// bind (non-Fast programs never consult the registry anyway).
+	if slow := mk(params, ExecOptions{Threads: 1}); slow["genregBlurY/0"] == base["genregBlurY/0"] {
+		t.Error("tier plan does not enter the key")
 	}
 }
 
 // TestGenDispatchAndFallback registers a sentinel kernel (writes a
-// constant) under the test pipeline's real hash and checks the dispatch
-// matrix: hash hit runs the kernel; NoGenKernels, a hash miss, and
-// non-covered pieces fall back to the interpreted tiers bit-identically.
+// constant) under the key of one piece of the test pipeline and checks the
+// dispatch matrix: a key hit runs the kernel under any tile plan and image
+// size, a later registration shadows an earlier one, entries without a
+// function never bind, and NoGenKernels or a non-Fast compile fall back to
+// the interpreted tiers bit-identically.
 func TestGenDispatchAndFallback(t *testing.T) {
 	g, params, inputs := genTestPipeline(t)
 
-	// Baseline: nothing registered for this hash yet.
+	// Baseline: nothing registered for these keys yet.
 	ref := genTestCompile(t, g, params, ExecOptions{Fast: true, Threads: 1})
 	defer ref.Close()
+	if n := genCount(ref); n != 0 {
+		t.Fatalf("%d kernels bound before any registration", n)
+	}
+	if m := ref.Stats().GenMisses; m.NoKernel != 2 {
+		t.Fatalf("GenMisses = %+v, want both pieces under NoKernel", m)
+	}
 	refOut, err := ref.Run(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash := ref.ScheduleHash()
+	keys := genKeys(ref)
 
-	const sentinel = float32(12345)
-	fill := func(c *GenCtx) {
-		last := len(c.Region) - 1
-		n := c.Region[last].Hi - c.Region[last].Lo + 1
-		for x := c.Region[0].Lo; x <= c.Region[0].Hi; x++ {
-			base := (x-c.Out.Box[0].Lo)*c.Out.Stride[0] + (c.Region[last].Lo - c.Out.Box[last].Lo)
-			for i := int64(0); i < n; i++ {
-				c.Out.Data[base+i] = sentinel
+	fill := func(v float32) func(*GenCtx) {
+		return func(c *GenCtx) {
+			last := len(c.Region) - 1
+			n := c.Region[last].Hi - c.Region[last].Lo + 1
+			for x := c.Region[0].Lo; x <= c.Region[0].Hi; x++ {
+				base := (x-c.Out.Box[0].Lo)*c.Out.Stride[0] + (c.Region[last].Lo - c.Out.Box[last].Lo)
+				for i := int64(0); i < n; i++ {
+					c.Out.Data[base+i] = v
+				}
 			}
 		}
 	}
-	RegisterGenKernels(&GenPackage{
-		Hash: hash,
-		Name: "genregtest-sentinel",
-		Kernels: []GenKernel{
-			{Stage: "genregBlurY", Piece: 0, Rank: 2, Reads: []string{"genregBlurX"}, Fn: fill},
-			// Invalid entries that attach must never bind: unknown stage,
-			// piece out of range, rank mismatch, unresolvable read, nil fn.
-			{Stage: "noSuchStage", Piece: 0, Rank: 2, Fn: fill},
-			{Stage: "genregBlurY", Piece: 9, Rank: 2, Fn: fill},
-			{Stage: "genregBlurX", Piece: 0, Rank: 3, Fn: fill},
-			{Stage: "genregBlurX", Piece: 0, Rank: 2, Reads: []string{"notARead"}, Fn: fill},
-			{Stage: "genregBlurX", Piece: 0, Rank: 2, Fn: nil},
-		},
+	const sentinel = float32(12345)
+	t.Cleanup(func() {
+		genMu.Lock()
+		delete(genRegistry, keys["genregBlurY/0"])
+		genMu.Unlock()
 	})
+	RegisterGenKernels([]GenKernel{
+		{Key: keys["genregBlurY/0"], Fn: fill(-1)},
+		{Key: keys["genregBlurX/0"], Fn: nil},
+	})
+	RegisterGenKernels([]GenKernel{{Key: keys["genregBlurY/0"], Fn: fill(sentinel)}})
 
-	// Hash hit: the sentinel kernel computes the live-out.
-	hit := genTestCompile(t, g, params, ExecOptions{Fast: true, Threads: 1})
-	defer hit.Close()
-	if n := genCount(hit); n != 1 {
-		t.Fatalf("attached %d kernels, want exactly the one valid entry", n)
-	}
-	out, err := hit.Run(inputs)
+	// Key hit under a tile plan and an image size the key never saw: the
+	// later sentinel computes the live-out.
+	big := map[string]int64{"R": 96, "C": 80}
+	bigIn, err := NewBufferForDomain(g.Images["I"].Domain(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range out["genregBlurY"].Data {
-		if v != sentinel {
-			t.Fatalf("generated kernel did not run: got %v, want sentinel", v)
+	for _, hit := range []*Program{
+		genTestCompile(t, g, params, ExecOptions{Fast: true, Threads: 1}),
+		genTestCompile(t, g, big, ExecOptions{Fast: true, Threads: 2}, 16, 48),
+	} {
+		defer hit.Close()
+		if n := genCount(hit); n != 1 {
+			t.Fatalf("attached %d kernels, want exactly the one registered with a function", n)
+		}
+		if m := hit.Stats().GenMisses; m.NoKernel != 1 {
+			t.Fatalf("GenMisses = %+v, want the nil-function piece under NoKernel", m)
+		}
+		in := inputs
+		if hit.Params["R"] == 96 {
+			in = map[string]*Buffer{"I": bigIn}
+		}
+		out, err := hit.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range out["genregBlurY"].Data {
+			if v != sentinel {
+				t.Fatalf("generated kernel did not run: got %v, want sentinel", v)
+			}
 		}
 	}
 
-	// NoGenKernels: knob wins over the registered package, output matches
+	// NoGenKernels: knob wins over the registered kernel, output matches
 	// the pre-registration baseline bit for bit.
 	off := genTestCompile(t, g, params, ExecOptions{Fast: true, Threads: 1, NoGenKernels: true})
 	defer off.Close()
@@ -185,20 +215,6 @@ func TestGenDispatchAndFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitEqual(t, "NoGenKernels", offOut["genregBlurY"], refOut["genregBlurY"])
-
-	// Hash miss: a different tile plan must ignore the package entirely.
-	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: []int64{16, 16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	miss, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer miss.Close()
-	if n := genCount(miss); n != 0 {
-		t.Fatalf("hash-mismatched program attached %d kernels", n)
-	}
 
 	// Non-Fast compile never consults the registry (its scalar tier is a
 	// different evaluator, so no output comparison here — only that the
@@ -257,5 +273,8 @@ func TestGenUnitsIrregular(t *testing.T) {
 		if u.Stage == "genregDiag" {
 			t.Fatalf("irregular stage enumerated as eligible: %+v", u)
 		}
+	}
+	if m := prog.Stats().GenMisses; m != (obs.GenMisses{Irregular: 1}) {
+		t.Errorf("GenMisses = %+v, want the one piece under Irregular", m)
 	}
 }

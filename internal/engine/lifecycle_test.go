@@ -35,9 +35,9 @@ func TestRecycleEdgeCases(t *testing.T) {
 	e := prog.Executor()
 
 	e.Recycle(nil)
-	e.Recycle(map[string]*Buffer{"harris": nil})                  // nil buffer
-	e.Recycle(map[string]*Buffer{"not-a-stage": NewBuffer(nil)})  // unknown name
-	e.Recycle(map[string]*Buffer{"I": inputs["I"]})               // input, not a stage
+	e.Recycle(map[string]*Buffer{"harris": nil})                 // nil buffer
+	e.Recycle(map[string]*Buffer{"not-a-stage": NewBuffer(nil)}) // unknown name
+	e.Recycle(map[string]*Buffer{"I": inputs["I"]})              // input, not a stage
 	foreign := NewBuffer(affine.Box{{Lo: 0, Hi: 7}, {Lo: 0, Hi: 7}})
 	e.Recycle(map[string]*Buffer{"harris": foreign}) // foreign but stage-named: taken
 

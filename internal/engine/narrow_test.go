@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/affine"
@@ -263,20 +264,23 @@ func TestNarrowInputValidation(t *testing.T) {
 	}
 }
 
-// TestNarrowScheduleHash: narrowing changes the generated-kernel cache key
-// (so float32 packages can never bind), while all-float32 programs hash
-// identically with the option on or off (checked-in packages stay bound).
-func TestNarrowScheduleHash(t *testing.T) {
+// TestNarrowGenKeys: a narrow stage or a narrow read yields no generated-
+// kernel unit (float32 kernels can never bind to it) and is counted under
+// GenMisses.NarrowElem, while an all-float32 program's piece keys are the
+// same with the option on or off (checked-in kernels stay bound).
+func TestNarrowGenKeys(t *testing.T) {
 	g, params, _ := narrowTestPipeline(t)
 	on := narrowCompile(t, g, params, ExecOptions{Fast: true, Threads: 1, NarrowTypes: true})
 	defer on.Close()
-	off := narrowCompile(t, g, params, ExecOptions{Fast: true, Threads: 1})
-	defer off.Close()
-	if on.ScheduleHash() == off.ScheduleHash() {
-		t.Error("narrowed program shares its schedule hash with the float32 program")
-	}
 	if units := on.GenUnits(); len(units) != 0 {
 		t.Errorf("narrowed program enumerated %d gen units, want 0", len(units))
+	}
+	pieces := 0
+	for _, sm := range on.Stats().Stages {
+		pieces += sm.IntStencil + sm.RowVM + sm.Scalar
+	}
+	if m := on.Stats().GenMisses; m.NarrowElem == 0 || m.NoKernel != 0 || m.Total() != pieces {
+		t.Errorf("GenMisses = %+v over %d pieces, want every unpredicated plain piece under NarrowElem", m, pieces)
 	}
 
 	gf, paramsF, _ := genTestPipeline(t)
@@ -284,8 +288,8 @@ func TestNarrowScheduleHash(t *testing.T) {
 	defer fOn.Close()
 	fOff := genTestCompile(t, gf, paramsF, ExecOptions{Fast: true, Threads: 1})
 	defer fOff.Close()
-	if fOn.ScheduleHash() != fOff.ScheduleHash() {
-		t.Error("NarrowTypes changed the hash of an all-float32 program")
+	if on, off := genKeys(fOn), genKeys(fOff); len(on) == 0 || !reflect.DeepEqual(on, off) {
+		t.Errorf("NarrowTypes changed the piece keys of an all-float32 program: %v vs %v", on, off)
 	}
 }
 

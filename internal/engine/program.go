@@ -61,11 +61,10 @@ type ExecOptions struct {
 	NarrowTypes bool
 	// NoGenKernels disables dispatch to ahead-of-time generated Go kernels
 	// (cmd/polymage-gen): stage pieces run on the row VM / specialized
-	// kernels even when the process links a generated-kernel package whose
-	// schedule hash matches this program. Generated kernels are a pure
-	// accelerator tier — with this knob, on any hash miss, or for pieces a
-	// kernel package does not cover (irregular accesses, predicated
-	// pieces), execution falls back to the tier below unchanged.
+	// kernels even when the process links a kernel for their shape.
+	// Generated kernels are a pure accelerator tier — with this knob, on
+	// any key miss, or for pieces no kernel can cover (irregular accesses,
+	// predicated pieces), execution falls back to the tier below unchanged.
 	NoGenKernels bool
 
 	// fleet overrides the process-wide scheduler this program's executor
@@ -98,11 +97,11 @@ type loweredPiece struct {
 	// sten, accumulating in int64 over narrow source rows (see intstencil.go).
 	isten *intStencilKernel
 	// gen is the ahead-of-time generated Go kernel bound to this piece
-	// (nil unless a registered kernel package matches the program's
-	// schedule hash); it takes precedence over every interpreted tier.
+	// (nil unless a kernel is registered under the piece's content key);
+	// it takes precedence over every interpreted tier.
 	gen *genBound
-	// src retains the case's expression for schedule hashing and the
-	// generated-kernel emitter (Program.GenUnits).
+	// src retains the case's expression for generated-kernel keys and the
+	// emitter (Program.GenUnits).
 	src expr.Expr
 }
 
@@ -195,10 +194,9 @@ type Program struct {
 	execOnce sync.Once
 	exec     *Executor
 
-	// hashOnce/schedHash memoize ScheduleHash (the generated-kernel cache
-	// key of this graph + binding + schedule).
-	hashOnce  sync.Once
-	schedHash string
+	// genMiss records why pieces did not bind a generated kernel
+	// (attachGenKernels); part of Stats().
+	genMiss obs.GenMisses
 
 	// SplitStats counts points computed in each split-tiling phase (filled
 	// by runs with ExecOptions.Tiling == SplitTiling; diagnostics only).
@@ -334,9 +332,8 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 		}
 		p.groups[last].releases = append(p.groups[last].releases, p.stages[name])
 	}
-	// Generated-kernel lookup: when the process links an ahead-of-time
-	// kernel package whose schedule hash matches this binding, bind its
-	// kernels to the pieces they cover (see genkernel.go).
+	// Generated-kernel lookup: bind every piece whose content key has an
+	// ahead-of-time kernel registered (see genkernel.go).
 	if opts.Fast && !opts.NoGenKernels {
 		p.attachGenKernels()
 	}
@@ -528,7 +525,7 @@ func (p *Program) OutputBox(name string) (affine.Box, error) {
 // Compare against Executor.Snapshot to see how the model's predictions
 // line up with measured recomputation.
 func (p *Program) Stats() obs.ProgramStats {
-	st := obs.ProgramStats{Compile: p.CompileTrace, Bind: p.BindTrace}
+	st := obs.ProgramStats{Compile: p.CompileTrace, Bind: p.BindTrace, GenMisses: p.genMiss}
 	st.Groups = make([]obs.GroupModel, 0, len(p.groups))
 	for _, ge := range p.groups {
 		gm := obs.GroupModel{

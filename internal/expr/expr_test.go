@@ -228,6 +228,30 @@ func TestSimplify(t *testing.T) {
 	}
 }
 
+// TestFoldParams: bound parameters and constant subtrees fold in float64,
+// unbound parameters stay, index arguments are not touched, and — unlike
+// Simplify — no algebraic identity rewrites the operation sequence.
+func TestFoldParams(t *testing.T) {
+	x := VarRef{Dim: 0, Name: "x"}
+	k, u := ParamRef{Name: "K"}, ParamRef{Name: "U"}
+	cases := []struct {
+		in   Expr
+		want string
+	}{
+		{MulE(DivE(k, C(2)), x), "(2.5 * x)"},
+		{AddE(x, SubE(k, k)), "(x + 0)"},
+		{MulE(C(1), x), "(1 * x)"},
+		{AddE(k, u), "(5 + U)"},
+		{Access{Target: "f", Args: []Expr{AddE(x, DivE(k, C(2)))}}, "f((x + (K / 2)))"},
+		{Select{Cond: Cmp{Op: LT, L: x, R: MulE(k, C(2))}, Then: Cast{To: Int, X: DivE(k, C(2))}, Else: Unary{Op: Neg, X: k}}, "(x < 10 ? 2 : -5)"},
+	}
+	for _, c := range cases {
+		if got := FoldParams(c.in, map[string]int64{"K": 5}).String(); got != c.want {
+			t.Errorf("FoldParams(%v) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
 // Property: Simplify preserves evaluation semantics.
 func TestSimplifyPreservesEval(t *testing.T) {
 	r := rand.New(rand.NewSource(11))

@@ -151,6 +151,61 @@ func simplifyNode(e Expr) Expr {
 	return e
 }
 
+// FoldParams substitutes the bound parameters and folds constant subtrees
+// in float64 arithmetic — the arithmetic the evaluators apply at run time —
+// without Simplify's algebraic identities, which would change the operation
+// sequence a kernel mirroring the evaluators must reproduce. Access index
+// arguments are integer-affine, not float, and are left untouched.
+func FoldParams(e Expr, params map[string]int64) Expr {
+	switch n := e.(type) {
+	case ParamRef:
+		if v, ok := params[n.Name]; ok {
+			return Const{V: float64(v)}
+		}
+	case Binary:
+		l, r := FoldParams(n.L, params), FoldParams(n.R, params)
+		lc, lok := l.(Const)
+		rc, rok := r.(Const)
+		if lok && rok {
+			return Const{V: evalBin(n.Op, lc.V, rc.V)}
+		}
+		return Binary{Op: n.Op, L: l, R: r}
+	case Unary:
+		x := FoldParams(n.X, params)
+		if c, ok := x.(Const); ok {
+			return Const{V: evalUn(n.Op, c.V)}
+		}
+		return Unary{Op: n.Op, X: x}
+	case Select:
+		return Select{
+			Cond: foldParamsCond(n.Cond, params),
+			Then: FoldParams(n.Then, params),
+			Else: FoldParams(n.Else, params),
+		}
+	case Cast:
+		x := FoldParams(n.X, params)
+		if c, ok := x.(Const); ok {
+			return Const{V: ApplyCast(n.To, c.V)}
+		}
+		return Cast{To: n.To, X: x}
+	}
+	return e
+}
+
+func foldParamsCond(c Cond, params map[string]int64) Cond {
+	switch n := c.(type) {
+	case Cmp:
+		return Cmp{Op: n.Op, L: FoldParams(n.L, params), R: FoldParams(n.R, params)}
+	case And:
+		return And{A: foldParamsCond(n.A, params), B: foldParamsCond(n.B, params)}
+	case Or:
+		return Or{A: foldParamsCond(n.A, params), B: foldParamsCond(n.B, params)}
+	case Not:
+		return Not{A: foldParamsCond(n.A, params)}
+	}
+	return c
+}
+
 // IsConstExpr reports whether the expression folds to a constant, returning
 // its value.
 func IsConstExpr(e Expr) (float64, bool) {

@@ -4,39 +4,27 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/baseline"
-	"repro/internal/engine"
 	"repro/internal/schedule"
 )
 
 // scheduleSig is an exact identity for a bound program's schedule: the
-// (inlining-reduced) stage order plus every group's members and tile
-// sizes. Equal signatures mean the two programs execute the same plan.
+// (inlining-reduced) stage order plus the grouping's digest. Equal
+// signatures mean the two programs execute the same plan.
 func scheduleSig(p *Prepared) string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(p.Prog.Graph.Order, ","))
-	parts := make([]string, 0, len(p.Prog.Grouping.Groups))
-	for _, g := range p.Prog.Grouping.Groups {
-		parts = append(parts, fmt.Sprintf("%s|%v|%v|%v", g.Anchor, g.Members, g.Tiled, g.TileSizes))
-	}
-	sort.Strings(parts)
-	sb.WriteString(";")
-	sb.WriteString(strings.Join(parts, ";"))
-	return sb.String()
+	return strings.Join(p.Prog.Graph.Order, ",") + ";" + p.Prog.Grouping.Digest()
 }
 
 // BenchAutoJSON measures every Table-2 app (opt+vec variant, 1 thread)
 // under the cost-model auto-scheduler ("auto") and the paper's hand-tuned
 // default schedule ("hand"), and writes the BenchFile JSON to w. Both
-// variants pin generated kernels off: searched schedules have fresh
-// schedule hashes that miss the checked-in kernel cache, and this file
-// gates schedule quality, not cache coverage. make auto-gate feeds the
-// result to polymage-benchdiff -max-auto-regress.
+// variants run the default configuration — generated kernels bind under
+// either schedule when the binary links internal/apps/gen. make auto-gate
+// feeds the result to polymage-benchdiff -max-auto-regress.
 func BenchAutoJSON(w io.Writer, cfg Config) error {
 	bf := &BenchFile{
 		Schema:    BenchSchema,
@@ -57,8 +45,7 @@ func BenchAutoJSON(w io.Writer, cfg Config) error {
 		for i, auto := range []bool{true, false} {
 			so := schedule.DefaultOptions()
 			so.Auto = auto
-			p, err := PrepareEngine(app, v, params, 1, so, cfg.Seed,
-				func(o *engine.ExecOptions) { o.NoGenKernels = true })
+			p, err := Prepare(app, v, params, 1, so, cfg.Seed)
 			if err != nil {
 				return fmt.Errorf("%s: %w", app.Name, err)
 			}

@@ -77,7 +77,7 @@ type BenchSummary struct {
 	// regressed under generated kernels, by that factor.
 	GenWorstRatio float64 `json:"gen_worst_ratio,omitempty"`
 	// GenPieces maps app name to the number of pieces that ran on
-	// generated kernels (0 means the schedule hash missed).
+	// generated kernels (0 means no kernel package is linked).
 	GenPieces map[string]int `json:"gen_pieces,omitempty"`
 
 	// Narrow summary (files written by BenchNarrowJSON only).
@@ -142,7 +142,7 @@ type BenchFile struct {
 // with ahead-of-time generated kernels attached ("gen") and pinned off
 // ("vm" — the interpreted stencil/row tiers) and writes the
 // BenchFile JSON to w. The caller must link the generated-kernel package
-// (blank-import repro/internal/apps/gen) or every binding is a hash miss
+// (blank-import repro/internal/apps/gen) or every piece is a key miss
 // and both variants time the interpreter.
 func BenchGenJSON(w io.Writer, cfg Config) error {
 	bf := &BenchFile{

@@ -29,6 +29,21 @@ func TestMeasureApp(t *testing.T) {
 	}
 }
 
+// TestStatsGenMisses: polymage-bench -stats says how many pieces run on
+// generated kernels and why the rest do not. This binary links no kernel
+// package, so bilateral's six eligible pieces read "no kernel for key"
+// beside its accumulators and its data-dependent gather.
+func TestStatsGenMisses(t *testing.T) {
+	var buf bytes.Buffer
+	if err := statsVariant(&buf, "bilateral", tinyConfig()); err != nil {
+		t.Fatal(err)
+	}
+	want := "gen      0/9 pieces; misses: 6 no kernel for key, 0 predicated, 2 accumulator/self-ref, 0 narrow elem, 1 irregular access"
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("stats output lacks %q:\n%s", want, buf.String())
+	}
+}
+
 func TestScaledParams(t *testing.T) {
 	app, _ := apps.Get("harris")
 	p := ScaledParams(app, 4)

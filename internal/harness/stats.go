@@ -78,6 +78,14 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 		fmt.Fprintf(w, "  %-22s %10.2f %5.1f%% %8d %12d %9.1f%%\n",
 			st.Name, st.KernelMillis(), pct, st.Tiles, st.Points, 100*st.RecomputeFraction())
 	}
+	gen, pieces := 0, 0
+	for _, sm := range model.Stages {
+		gen += sm.Gen
+		pieces += sm.Gen + sm.Stencil + sm.IntStencil + sm.RowVM + sm.Scalar
+	}
+	m := model.GenMisses
+	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d accumulator/self-ref, %d narrow elem, %d irregular access\n",
+		gen, pieces, m.NoKernel, m.Predicated, m.AccOrSelfRef, m.NarrowElem, m.Irregular)
 	hasVM := false
 	for _, sm := range model.Stages {
 		if sm.RowVM > 0 {

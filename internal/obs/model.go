@@ -79,6 +79,28 @@ type ProgramStats struct {
 	ScheduleModelCost float64
 	SearchStates      int
 	SearchPruned      int
+	// GenMisses counts, per reason, the stage pieces that did not bind an
+	// ahead-of-time generated kernel. Zero unless the program was compiled
+	// Fast with generated kernels enabled.
+	GenMisses GenMisses
+}
+
+// GenMisses says why stage pieces run on an interpreted tier instead of a
+// generated kernel (StageModel.Gen counts the hits). NoKernel is the one
+// reason regenerating fixes: the piece is eligible but no linked package
+// holds a kernel for its key.
+type GenMisses struct {
+	NoKernel     int `json:"no_kernel"`       // eligible, no kernel registered for its key
+	Predicated   int `json:"predicated"`      // residual per-point predicate
+	AccOrSelfRef int `json:"acc_or_self_ref"` // accumulator or self-referencing stage
+	NarrowElem   int `json:"narrow_elem"`     // narrow-typed stage or read
+	Irregular    int `json:"irregular"`       // non-affine / cross-dimension access, or rank outside 1–3
+}
+
+// Total is the number of pieces without a generated kernel; with the Gen
+// counts of the program's stages it adds up to the program's pieces.
+func (m GenMisses) Total() int {
+	return m.NoKernel + m.Predicated + m.AccOrSelfRef + m.NarrowElem + m.Irregular
 }
 
 // StageModel describes how one stage's case pieces were lowered: the

@@ -12,8 +12,11 @@
 package schedule
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/affine"
 	"repro/internal/expr"
@@ -65,6 +68,21 @@ type Grouping struct {
 	Searched  bool
 	ModelCost float64
 	Search    *SearchStats
+}
+
+// Digest is a short hash of the schedule actually chosen — every group's
+// anchor, members, tiled flag and tile sizes, whatever order the groups are
+// listed in — and of nothing else (not the graph, not the options that led
+// here), so two programs of one pipeline share it exactly when they run
+// the same plan.
+func (gr *Grouping) Digest() string {
+	parts := make([]string, len(gr.Groups))
+	for i, g := range gr.Groups {
+		parts[i] = fmt.Sprintf("%s|%v|%v|%v", g.Anchor, g.Members, g.Tiled, g.TileSizes)
+	}
+	sort.Strings(parts)
+	sum := sha256.Sum256([]byte(strings.Join(parts, ";")))
+	return hex.EncodeToString(sum[:8])
 }
 
 // Options tunes grouping and tiling.

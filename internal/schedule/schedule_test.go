@@ -94,6 +94,34 @@ func TestHarrisGroupsIntoOne(t *testing.T) {
 	}
 }
 
+// TestGroupingDigest: the digest identifies the plan — grouping and tile
+// sizes — and nothing else: equal for the same plan reached through
+// different options or estimates, different when either moves.
+func TestGroupingDigest(t *testing.T) {
+	digest := func(est map[string]int64, o Options) string {
+		gr, err := BuildGroups(harrisGraph(t), est, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gr.Digest()
+	}
+	tiled := func(sizes ...int64) Options {
+		o := DefaultOptions()
+		o.TileSizes = sizes
+		return o
+	}
+	base := digest(est, DefaultOptions())
+	if len(base) != 16 || base != digest(map[string]int64{"R": 2 * est["R"], "C": est["C"]}, tiled(DefaultOptions().TileSizes...)) {
+		t.Error("same grouping and tile sizes, different digest")
+	}
+	if base == digest(est, tiled(16, 64)) {
+		t.Error("tile sizes do not enter the digest")
+	}
+	if base == digest(est, Options{DisableFusion: true}) {
+		t.Error("grouping does not enter the digest")
+	}
+}
+
 func TestDisableFusion(t *testing.T) {
 	g := harrisGraph(t)
 	gr, err := BuildGroups(g, est, Options{DisableFusion: true})

@@ -289,6 +289,10 @@ type ProgramMetrics struct {
 	// evaluator each piece lowered to, the VM instruction mix, fused-op
 	// counts and register high-water (obs.StageModel).
 	Stages []obs.StageModel `json:"stages,omitempty"`
+	// GenMisses counts, per reason, the stage pieces that did not bind an
+	// ahead-of-time generated kernel (obs.GenMisses); no_kernel > 0 means
+	// the linked kernel package is stale for this pipeline.
+	GenMisses obs.GenMisses `json:"gen_misses"`
 }
 
 // Metrics is the body of GET /metrics: service-level counters plus every

@@ -299,10 +299,8 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 		RunMillis: r.millis,
 		Verified:  req.Verify,
 	}
-	if gr := e.res.prog.Grouping; gr != nil && gr.Searched {
-		resp.AutoScheduled = true
-	}
-	resp.ScheduleDigest = e.res.prog.ScheduleHash()[:16]
+	resp.AutoScheduled = e.res.prog.Grouping.Searched
+	resp.ScheduleDigest = e.res.prog.Grouping.Digest()
 	if !cached {
 		resp.CompileMillis = e.res.compileMillis
 	}
@@ -569,12 +567,14 @@ func (s *Service) Metrics() Metrics {
 		e.imu.Lock()
 		n := e.requests
 		e.imu.Unlock()
+		stats := e.res.prog.Stats()
 		m.Programs = append(m.Programs, ProgramMetrics{
-			Key:      e.key,
-			Pipeline: e.res.label,
-			Requests: n,
-			Snapshot: snap,
-			Stages:   e.res.prog.Stats().Stages,
+			Key:       e.key,
+			Pipeline:  e.res.label,
+			Requests:  n,
+			Snapshot:  snap,
+			Stages:    stats.Stages,
+			GenMisses: stats.GenMisses,
 		})
 	}
 	m.Merged = obs.Merge(snaps...)

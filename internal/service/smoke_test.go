@@ -93,6 +93,20 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("metrics snapshots empty: programs=%d merged.runs=%d", len(met.Programs), met.Merged.Runs)
 	}
 
+	// Tier attribution per program: every piece is either on a generated
+	// kernel or counted under the reason it is not (this binary links no
+	// kernel package, so eligible pieces read "no kernel for key").
+	for _, pm := range met.Programs {
+		pieces, gen := 0, 0
+		for _, sm := range pm.Stages {
+			pieces += sm.Gen + sm.Stencil + sm.IntStencil + sm.RowVM + sm.Scalar
+			gen += sm.Gen
+		}
+		if m := pm.GenMisses; pieces == 0 || gen+m.Total() != pieces {
+			t.Fatalf("%s: %d pieces, %d on generated kernels, gen_misses %+v do not add up", pm.Pipeline, pieces, gen, m)
+		}
+	}
+
 	// Snapshot stream: at least one obs.Snapshot JSON line arrives.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -248,8 +248,8 @@ type (
 // (NoGenKernels), metrics — without changing what is computed.
 // Anything that alters results or the schedule belongs in Options;
 // anything that only alters execution strategy belongs in ExecOptions.
-// The schedule hash that keys ahead-of-time generated kernels (see
-// cmd/polymage-gen) covers the former and ignores the latter.
+// Ahead-of-time generated kernels (see cmd/polymage-gen) are keyed by the
+// shape of the stage piece they compute and bind under either.
 //
 // Compile and Pipeline.Bind never panic on a malformed specification:
 // internal panics from the DSL layer or the compiler phases are recovered
