@@ -131,18 +131,24 @@ api:
 # Race-checked run of the execution engine and the serving layer:
 # concurrent Program.Run stress (TestConcurrentRun), executor lifecycle
 # races (TestConcurrentRunRecycleClose), fleet scheduler stress
-# (TestFleet*), and concurrent cold-cache compiles / warm hits / shutdown
-# against the HTTP service (TestConcurrentColdWarmShutdown). CI should run
-# this target. POLYMAGE_FLEET=4 keeps the scheduler multi-worker on
+# (TestFleet*), concurrent cold-cache compiles / warm hits / shutdown
+# against the HTTP service (TestConcurrentColdWarmShutdown), and concurrent
+# pixel-carrying /run requests through the split-everything direct codec
+# (TestPixelsConcurrent, TestStreamPixels). CI should run this target. POLYMAGE_FLEET=4 keeps the scheduler multi-worker on
 # single-core machines.
 race:
 	POLYMAGE_FLEET=4 $(GO) test -race ./internal/engine/... ./internal/service/...
 
 # Short coverage-guided differential fuzzing budget; use
 # `go test -fuzz=FuzzDiff -fuzztime=10m ./internal/difftest` (or
-# cmd/polymage-difftest -duration) for real soaks.
+# cmd/polymage-difftest -duration) for real soaks. The two service targets
+# hold the /run pixel codec to encoding/json: arbitrary bodies must decode
+# to the same request or the same refusal, finite float32 bit patterns must
+# print to the same bytes. Their seed corpora run in tier-1 `go test`.
 fuzz:
 	$(GO) test -fuzz=FuzzDiff -fuzztime=20s ./internal/difftest
+	$(GO) test -run '^$$' -fuzz=FuzzRunRequestDecode -fuzztime=10s ./internal/service
+	$(GO) test -run '^$$' -fuzz=FuzzDataEncode -fuzztime=10s ./internal/service
 
 # Per-package coverage with checked-in floors for the packages most
 # exposed to silent miscompiles (engine, schedule), the serving surface

@@ -603,25 +603,26 @@ func orderedBits(f float32) int64 {
 	return int64(u)
 }
 
-// Checksum returns an order-dependent FNV-style hash of a buffer's shape
-// and exact bit contents — a compact fingerprint for golden oracles and
-// failure messages.
+// Checksum returns an order-dependent FNV-1a-style hash of a buffer's
+// shape and exact bit contents — a compact fingerprint for golden oracles
+// and failure messages. Each box bound, the element-type tag and each
+// element is one xor-multiply step over the whole word (not one per byte:
+// a float32 has four and the step is a serial multiply chain, which made
+// this a visible share of a served request).
 func Checksum(b *engine.Buffer) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime
-		}
+		h ^= v
+		h *= prime
 	}
 	for _, r := range b.Box {
 		mix(uint64(r.Lo))
 		mix(uint64(r.Hi))
 	}
-	// Float32 buffers keep the historical hash; narrow layouts tag the
-	// element type and mix the raw stored integers, so a uint8 buffer and a
-	// float32 buffer holding the same values fingerprint differently.
+	// Narrow layouts tag the element type and mix the raw stored integers,
+	// so a uint8 buffer and a float32 buffer holding the same values
+	// fingerprint differently.
 	switch b.Elem {
 	case engine.ElemU8:
 		mix(uint64(b.Elem))

@@ -5,10 +5,51 @@ import (
 	"sync/atomic"
 )
 
-// FrameHistBuckets is the size of the frame-latency histogram: bucket i
-// counts frames whose wall time was in [2^(i-1), 2^i) microseconds (bucket
-// 0 is sub-microsecond). 40 buckets cover up to ~2^39 µs ≈ 6 days.
+// FrameHistBuckets is the size of a latency histogram: bucket i counts
+// samples whose wall time was in [2^(i-1), 2^i) microseconds (bucket 0 is
+// sub-microsecond). 40 buckets cover up to ~2^39 µs ≈ 6 days.
 const FrameHistBuckets = 40
+
+// LatencyHist accumulates latency samples: their count, their nanosecond
+// total and a power-of-two histogram of FrameHistBuckets buckets. The zero
+// value is ready; Record and Load are safe for concurrent use and Record
+// never allocates.
+type LatencyHist struct {
+	count, nanos atomic.Int64
+	hist         [FrameHistBuckets]atomic.Int64
+}
+
+// Record adds one sample.
+func (h *LatencyHist) Record(nanos int64) {
+	h.count.Add(1)
+	h.nanos.Add(nanos)
+	micros := nanos / 1e3
+	if micros < 0 {
+		micros = 0
+	}
+	b := bits.Len64(uint64(micros))
+	if b >= FrameHistBuckets {
+		b = FrameHistBuckets - 1
+	}
+	h.hist[b].Add(1)
+}
+
+// Load returns the totals and the histogram with trailing empty buckets
+// trimmed (nil before the first sample).
+func (h *LatencyHist) Load() (count, nanos int64, hist []int64) {
+	count, nanos = h.count.Load(), h.nanos.Load()
+	if count == 0 {
+		return count, nanos, nil
+	}
+	hist = make([]int64, 0, FrameHistBuckets)
+	for i := range h.hist {
+		hist = append(hist, h.hist[i].Load())
+	}
+	for len(hist) > 0 && hist[len(hist)-1] == 0 {
+		hist = hist[:len(hist)-1]
+	}
+	return count, nanos, hist
+}
 
 // Recorder collects executor metrics for one compiled program. It is
 // created with the program's stage and group names (indices into those
@@ -30,9 +71,7 @@ type Recorder struct {
 	// Frame-level counters: streamed frames (Executor.RunFrames /
 	// Stream.RunFrame) record here in addition to the run counters, with a
 	// power-of-two latency histogram for tail visibility.
-	frames     atomic.Int64
-	frameNanos atomic.Int64
-	frameHist  [FrameHistBuckets]atomic.Int64
+	frames LatencyHist
 }
 
 // NewRecorder builds a recorder for the given stage and group names with
@@ -75,17 +114,7 @@ func (r *Recorder) RecordFrame(nanos int64) {
 	if r == nil {
 		return
 	}
-	r.frames.Add(1)
-	r.frameNanos.Add(nanos)
-	micros := nanos / 1e3
-	if micros < 0 {
-		micros = 0
-	}
-	b := bits.Len64(uint64(micros))
-	if b >= FrameHistBuckets {
-		b = FrameHistBuckets - 1
-	}
-	r.frameHist[b].Add(1)
+	r.frames.Record(nanos)
 }
 
 // Shard is one worker's private slice of the metric space. The owning

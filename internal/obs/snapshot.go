@@ -131,24 +131,13 @@ func (r *Recorder) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	snap := Snapshot{
-		Enabled:    true,
-		Runs:       r.runs.Load(),
-		WallNanos:  r.runNanos.Load(),
-		Frames:     r.frames.Load(),
-		FrameNanos: r.frameNanos.Load(),
-		Stages:     make([]StageStats, len(r.stages)),
-		Groups:     make([]GroupStats, len(r.groups)),
+		Enabled:   true,
+		Runs:      r.runs.Load(),
+		WallNanos: r.runNanos.Load(),
+		Stages:    make([]StageStats, len(r.stages)),
+		Groups:    make([]GroupStats, len(r.groups)),
 	}
-	if snap.Frames > 0 {
-		hist := make([]int64, 0, FrameHistBuckets)
-		for i := range r.frameHist {
-			hist = append(hist, r.frameHist[i].Load())
-		}
-		for len(hist) > 0 && hist[len(hist)-1] == 0 {
-			hist = hist[:len(hist)-1]
-		}
-		snap.FrameHist = hist
-	}
+	snap.Frames, snap.FrameNanos, snap.FrameHist = r.frames.Load()
 	for i, name := range r.stages {
 		snap.Stages[i].Name = name
 	}

@@ -1,9 +1,9 @@
 package service
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
-	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -46,16 +46,21 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errf(405, "POST only"))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
+	t0 := s.phases.now()
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, errf(413, "request body exceeds %d bytes", mbe.Limit))
 			return
 		}
+		writeError(w, errf(400, "bad request body: %v", err))
+		return
+	}
+	req, err := s.codec.decodeRequest(body)
+	s.phases.since(phaseDecode, t0)
+	s.phases.addBytes(int64(len(body)), 0)
+	if err != nil {
 		writeError(w, errf(400, "bad request body: %v", err))
 		return
 	}
@@ -68,46 +73,106 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		req.Frames = n
 	}
 	if req.Frames > 1 {
-		s.handleRunStream(w, r, &req)
+		s.handleRunStream(w, r, req)
 		return
 	}
-	resp, err := s.Do(r.Context(), &req)
+	resp, err := s.Do(r.Context(), req)
 	if err != nil {
 		writeError(w, toError(err))
 		return
 	}
-	writeJSON(w, 200, resp)
+	t0 = s.phases.now()
+	envelope := *resp
+	envelope.Outputs = withoutData(resp.Outputs)
+	line, e := resultLine(&envelope, resp.Outputs)
+	if e != nil {
+		s.errs.Add(1)
+		writeError(w, e)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(200)
+	_ = s.sendResult(w, line, resp.Outputs, t0) // a failed write means the client is gone
+}
+
+// readBody reads a request body of at most limit bytes into a buffer sized
+// by the declared Content-Length; a longer body fails with
+// *http.MaxBytesError.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	size := min(max(r.ContentLength, 0), limit)
+	// ReadFrom grows the buffer unless MinRead bytes are free when it looks
+	// for the end of the body.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
+// resultLine makes the checks a 200 with pixels must pass before its
+// status line goes out, while a failure can still be answered as one: no
+// output value is NaN or infinite, and the envelope — the RunResponse or
+// FrameResult with its outputs' data withheld — encodes. It returns the
+// encoded envelope.
+func resultLine(envelope any, outputs map[string]OutputResult) ([]byte, *Error) {
+	if e := nonFinite(outputs); e != nil {
+		return nil, e
+	}
+	line, err := encodeLine(envelope)
+	if err != nil {
+		return nil, errf(500, "encode response: %v", err)
+	}
+	return line, nil
+}
+
+// sendResult writes a checked result, the outputs' data spliced into line,
+// and records the encode phase begun at t0.
+func (s *Service) sendResult(w io.Writer, line []byte, outputs map[string]OutputResult, t0 time.Time) error {
+	n, err := s.codec.writeResult(w, line, outputs)
+	s.phases.since(phaseEncode, t0)
+	s.phases.addBytes(0, n)
+	return err
 }
 
 // handleRunStream answers a frames>1 /run request as ndjson: one
 // FrameResult line per frame, flushed as it completes. Failures before
 // the first frame come back as an ordinary JSON error with their status;
 // once frames have been emitted the status line is gone, so a mid-stream
-// failure (deadline, execution error) appends a terminal {"error": ...}
-// line instead.
+// failure (deadline, execution error, a non-finite output value) appends a
+// terminal {"error": ...} line instead.
 func (s *Service) handleRunStream(w http.ResponseWriter, r *http.Request, req *RunRequest) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, errf(500, "streaming unsupported by this connection"))
 		return
 	}
-	enc := json.NewEncoder(flushWriter{w, fl})
-	enc.SetEscapeHTML(false)
 	started := false
 	err := s.DoStream(r.Context(), req, func(fr *FrameResult) error {
+		t0 := s.phases.now()
+		envelope := *fr
+		envelope.Outputs = withoutData(fr.Outputs)
+		line, e := resultLine(&envelope, fr.Outputs)
+		if e != nil {
+			return e
+		}
 		if !started {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(200)
 			started = true
 		}
-		return enc.Encode(fr)
+		if err := s.sendResult(w, line, fr.Outputs, t0); err != nil {
+			return err
+		}
+		fl.Flush()
+		return nil
 	})
 	if err != nil {
+		e := toError(err)
 		if !started {
-			writeError(w, toError(err))
+			writeError(w, e)
 			return
 		}
-		enc.Encode(toError(err))
+		line, _ := encodeLine(e) // a status and a string always encode
+		w.Write(line)            // the stream is over either way
+		fl.Flush()
 	}
 }
 
@@ -180,15 +245,18 @@ func (s *Service) handleApps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, 200, out)
 }
 
+// writeJSON answers with v encoded. These bodies are small, so they are
+// encoded before the status line: a value that cannot be encoded becomes a
+// 500 instead of an empty 200.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	line, err := encodeLine(v)
+	if err != nil {
+		code = 500
+		line, _ = encodeLine(errf(500, "encode response: %v", err)) // a status and a string always encode
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		// Headers are gone; nothing useful left to do.
-		fmt.Fprintln(w)
-	}
+	w.Write(line) // a failed write means the client is gone
 }
 
 func writeError(w http.ResponseWriter, e *Error) {

@@ -295,8 +295,35 @@ type ProgramMetrics struct {
 	GenMisses obs.GenMisses `json:"gen_misses"`
 }
 
+// PhaseMetrics totals one request phase: how many samples, their summed
+// time and a power-of-two latency histogram (bucket i counts samples of
+// [2^(i-1), 2^i) microseconds, trailing empty buckets trimmed — the layout
+// of obs.Snapshot.FrameHist).
+type PhaseMetrics struct {
+	Count int64   `json:"count"`
+	Nanos int64   `json:"ns"`
+	Hist  []int64 `json:"hist,omitempty"`
+}
+
+// RequestPhases splits request time by phase. Decode and Encode are taken
+// by the HTTP handler only: Decode is reading and parsing a /run body,
+// Encode is checking, encoding and writing a 200 response (a stream
+// contributes one sample per frame line). Queue is the wait for an
+// execution slot; Compile is program-cache resolution — a lookup on a hit,
+// the compile, or the wait for another request's compile, on a miss; Run
+// is pipeline execution, one sample per run or streamed frame.
+type RequestPhases struct {
+	Decode  PhaseMetrics `json:"decode"`
+	Queue   PhaseMetrics `json:"queue"`
+	Compile PhaseMetrics `json:"compile"`
+	Run     PhaseMetrics `json:"run"`
+	Encode  PhaseMetrics `json:"encode"`
+}
+
 // Metrics is the body of GET /metrics: service-level counters plus every
-// cached program's executor snapshot and their merged aggregate.
+// cached program's executor snapshot and their merged aggregate. Phases,
+// BodyBytesIn and BodyBytesOut (the /run bodies read and the 200 responses
+// written) stay zero under Config.DisableMetrics.
 type Metrics struct {
 	Health          Health           `json:"health"`
 	Requests        int64            `json:"requests"`
@@ -310,6 +337,9 @@ type Metrics struct {
 	Compiles        int64            `json:"compiles"`
 	CompileErrors   int64            `json:"compile_errors"`
 	Evictions       int64            `json:"evictions"`
+	Phases          RequestPhases    `json:"phases"`
+	BodyBytesIn     int64            `json:"body_bytes_in"`
+	BodyBytesOut    int64            `json:"body_bytes_out"`
 	Programs        []ProgramMetrics `json:"programs"`
 	Merged          obs.Snapshot     `json:"merged"`
 }

@@ -73,7 +73,8 @@ type Config struct {
 	// registered apps callable.
 	DisableSpecs bool
 	// DisableMetrics compiles programs without the observability
-	// recorder; /metrics then reports counters but empty snapshots.
+	// recorder and records no request phases; /metrics then reports
+	// counters but empty snapshots and zero phase totals.
 	DisableMetrics bool
 }
 
@@ -125,6 +126,9 @@ type Service struct {
 
 	requests, errs, panics          atomic.Int64
 	rejected429, rejected503, slows atomic.Int64
+	phases                          *phaseStats // nil under DisableMetrics
+
+	codec codec
 
 	// beforeRun, when set (tests only), runs on the execution goroutine
 	// just before the program runs — the hook overload and deadline tests
@@ -135,12 +139,17 @@ type Service struct {
 // New returns a ready Service.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	return &Service{
+	s := &Service{
 		cfg:   cfg,
 		cache: newProgramCache(cfg.MaxPrograms),
 		start: time.Now(),
 		sem:   make(chan struct{}, cfg.MaxInFlight),
+		codec: defaultCodec(),
 	}
+	if !cfg.DisableMetrics {
+		s.phases = new(phaseStats)
+	}
+	return s
 }
 
 // Do executes one request: admission, program-cache resolution (compiling
@@ -187,7 +196,9 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 	// Admission: one slot per executing request, bounded queue behind it.
 	// The slot covers compilation too — a cold-cache stampede compiles at
 	// most MaxInFlight programs at once.
+	t0 := s.phases.now()
 	release, aerr := s.admit(ctx)
+	s.phases.since(phaseQueue, t0)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -214,9 +225,11 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 	}
 	auto := s.autoFor(req)
 	key := req.cacheKey(eo, req.Tiles, auto)
+	t0 = s.phases.now()
 	e, cached, cerr := s.cache.acquire(ctx, key, func() (compiled, error) {
 		return s.build(req, eo, auto)
 	})
+	s.phases.since(phaseCompile, t0)
 	if cerr != nil {
 		return nil, toError(cerr)
 	}
@@ -232,9 +245,9 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 	// and the shutdown waitgroup until the run actually finishes, and on
 	// timeout a drain goroutine recycles the late result.
 	type runResult struct {
-		out    map[string]*engine.Buffer
-		err    error
-		millis float64
+		out map[string]*engine.Buffer
+		err error
+		dur time.Duration
 	}
 	ch := make(chan runResult, 1)
 	s.wg.Add(1) // safe: our own wg.Add(1) above is still held
@@ -255,7 +268,7 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 		}
 		t0 := time.Now()
 		out, rerr := e.res.prog.Run(inputs)
-		ch <- runResult{out: out, err: rerr, millis: float64(time.Since(t0).Nanoseconds()) / 1e6}
+		ch <- runResult{out: out, err: rerr, dur: time.Since(t0)}
 	}()
 
 	var r runResult
@@ -276,6 +289,7 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 	if r.err != nil {
 		return nil, toError(r.err)
 	}
+	s.phases.add(phaseRun, r.dur)
 
 	recycle := func() { e.res.prog.Executor().Recycle(r.out) }
 	if req.Verify {
@@ -296,7 +310,7 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 		Pipeline:  e.res.label,
 		Key:       key,
 		Cached:    cached,
-		RunMillis: r.millis,
+		RunMillis: float64(r.dur.Nanoseconds()) / 1e6,
 		Verified:  req.Verify,
 	}
 	resp.AutoScheduled = e.res.prog.Grouping.Searched
@@ -560,6 +574,7 @@ func (s *Service) Metrics() Metrics {
 		CompileErrors:   cs.compileErrors,
 		Evictions:       cs.evictions,
 	}
+	m.Phases, m.BodyBytesIn, m.BodyBytesOut = s.phases.totals()
 	snaps := make([]obs.Snapshot, 0, len(entries))
 	for _, e := range entries {
 		snap := e.res.prog.Executor().Snapshot()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -18,7 +19,8 @@ import (
 // per-worker state are reused frame-to-frame, and with an ROI set the
 // engine recomputes only the tiles the per-frame input change touches.
 // emit is called once per completed frame, in order, on the caller's
-// goroutine; a non-nil emit error aborts the sequence. Frames after the
+// goroutine; a non-nil emit error aborts the sequence — DoStream returns
+// it as is when it is an *Error, as a 500 otherwise. Frames after the
 // first evolve the inputs with a deterministic per-frame pattern,
 // confined to the ROI when one is set.
 //
@@ -60,7 +62,9 @@ func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*Fram
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 
+	t0 := s.phases.now()
 	release, aerr := s.admit(ctx)
+	s.phases.since(phaseQueue, t0)
 	if aerr != nil {
 		return aerr
 	}
@@ -87,9 +91,11 @@ func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*Fram
 	// the same compiled program single-shot requests share.
 	auto := s.autoFor(req)
 	key := req.cacheKey(eo, req.Tiles, auto)
+	t0 = s.phases.now()
 	e, cached, cerr := s.cache.acquire(ctx, key, func() (compiled, error) {
 		return s.build(req, eo, auto)
 	})
+	s.phases.since(phaseCompile, t0)
 	if cerr != nil {
 		return toError(cerr)
 	}
@@ -194,10 +200,12 @@ func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*Fram
 				}
 				return
 			}
+			dur := time.Since(t0)
+			s.phases.add(phaseRun, dur)
 			stats := st.Stats()
 			fr := &FrameResult{
 				Frame:         f,
-				RunMillis:     float64(time.Since(t0).Nanoseconds()) / 1e6,
+				RunMillis:     float64(dur.Nanoseconds()) / 1e6,
 				TilesExecuted: stats.TilesExecuted - prev.TilesExecuted,
 				TilesSkipped:  stats.TilesSkipped - prev.TilesSkipped,
 			}
@@ -234,6 +242,10 @@ func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*Fram
 				return toError(msg.err)
 			}
 			if eerr := emit(msg.fr); eerr != nil {
+				var typed *Error // emit's own verdict, such as the HTTP layer's 422
+				if errors.As(eerr, &typed) {
+					return typed
+				}
 				return errf(500, "emit frame %d: %v", msg.fr.Frame, eerr)
 			}
 		case <-ctx.Done():
