@@ -7,21 +7,24 @@ COVER_FLOOR_SCHEDULE ?= 75.0
 COVER_FLOOR_SERVICE  ?= 80.0
 COVER_FLOOR_DIFFTEST ?= 80.0
 
-.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race gen-gate narrow-race narrow-gate auto-race auto-gate bench-vet fuzz cover bench bench-kernels bench-json serve serve-smoke serve-http stats clean
+.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race narrow-race auto-race bench-vet bench-smoke fuzz cover bench bench-kernels serve serve-smoke serve-http stats clean
 
 all: build test
 
 # `test` is tier 1 and includes the difftest seed corpus (TestSeedCorpus:
 # 200 random DAGs through the full schedule/execution knob sweep, which
 # covers the row bytecode VM and the concurrent fleet knob), the
-# race-checked row-VM suite (rowvm-race), the race-checked shared-fleet
-# scheduler stress (fleet-race), the serving-layer smoke test
-# (serve-smoke), `go vet` here and in the benchmark's own module
-# (bench-vet), and the exported-API golden (TestAPIGolden against api.txt).
+# generated-kernel drift check (gen), the race-checked suites (rowvm-race,
+# fleet-race, stream-race, gen-race, narrow-race, auto-race), the
+# serving-layer smoke test (serve-smoke), `go vet` and gofmt here (vet),
+# the benchmark's own module vetted and run at test size (bench-vet,
+# bench-smoke), and the exported-API golden (TestAPIGolden against api.txt).
+# Wall-clock numbers are not gated here: they are read from
+# `bash bench/run.sh` (BENCHMARK.json; `-compare old.json new.json`).
 build:
 	$(GO) build ./...
 
-test: vet bench-vet gen rowvm-race fleet-race stream-race gen-race narrow-race auto-race serve-smoke
+test: vet bench-vet bench-smoke gen rowvm-race fleet-race stream-race gen-race narrow-race auto-race serve-smoke
 	$(GO) test ./...
 
 # Race-checked run of the row bytecode VM suite (differential vs scalar,
@@ -54,10 +57,17 @@ vet:
 	if [ -n "$$out" ]; then echo "gofmt -l is not empty:"; echo "$$out"; exit 1; fi
 
 # bench/ is its own module (BENCHMARK.json runs it), so the root build and
-# tests never compile it: vet it here, or a symbol removed from the packages
-# it imports only shows when the benchmark runs.
+# tests never compile or run it. bench-vet compiles it, so a symbol removed
+# from a package it imports shows here; bench-smoke runs its tests (~25 s):
+# all five workloads at test size, timed and traced, against a freshly
+# built polymage-serve, each checked for correct outputs and for exactly
+# the metric names BENCHMARK.json lists. A change that breaks the one
+# performance ledger shows here and not when the numbers are next read.
 bench-vet:
 	cd bench && $(GO) vet ./...
+
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # Verify the checked-in ahead-of-time kernel packages (internal/apps/gen,
 # internal/difftest/gencorpus) are byte-identical to what the emitter
@@ -77,14 +87,6 @@ gen:
 gen-race:
 	$(GO) test -race -run TestGen ./internal/engine/ ./internal/codegen/ ./internal/apps/gen/ -count=1
 
-# Re-measure the generated-kernel benchmark and gate it against the
-# committed BENCH_gen.json: per-row regressions beyond 10%, plus the
-# gen-vs-interpreted geomean speedup floor (>= 1.2x per ISSUE, target 1.5x
-# per ROADMAP).
-gen-gate:
-	$(GO) run ./cmd/polymage-bench -gen-json /tmp/BENCH_gen_new.json -runs 5
-	$(GO) run ./cmd/polymage-benchdiff -min-gen-speedup 1.2 BENCH_gen.json /tmp/BENCH_gen_new.json
-
 # Race-checked run of the narrow-type suite: uint8/uint16 end-to-end
 # execution and input validation, interval/cast soundness, the integer
 # row-VM opcodes, the narrow golden-oracle apps, and a short slice of the
@@ -93,27 +95,12 @@ gen-gate:
 narrow-race:
 	$(GO) test -race -short -run 'TestNarrow|TestInteger|TestIvCast|TestVMInt|TestElemFor' ./internal/engine/ ./internal/apps/ ./internal/difftest/ -count=1
 
-# Re-measure the narrow-type benchmark and gate it against the committed
-# BENCH_narrow.json: the best narrow-vs-wide app speedup must stay >= 1.3x
-# and no float app may regress under the inference pass.
-narrow-gate:
-	$(GO) run ./cmd/polymage-bench -narrow-json /tmp/BENCH_narrow_new.json -runs 5
-	$(GO) run ./cmd/polymage-benchdiff -min-narrow-speedup 1.3 BENCH_narrow.json /tmp/BENCH_narrow_new.json
-
 # Race-checked run of the auto-scheduler suite: cost-model term pinning
 # against executor observability counters, beam-search determinism and
 # never-worse-than-greedy, the core inlining axis, and the serving-layer
 # auto path (cache-key distinctness, end-to-end request).
 auto-race:
 	POLYMAGE_FLEET=4 $(GO) test -race -short -run 'TestAuto' ./internal/schedule/ ./internal/core/ ./internal/service/ -count=1
-
-# Re-measure the auto-scheduler benchmark (searched schedules vs the
-# hand-tuned defaults on every Table-2 app) and gate it against the
-# committed BENCH_auto.json: the auto geomean must stay at parity or
-# better (>= 1.0x) and no single app may regress beyond 5%.
-auto-gate:
-	$(GO) run ./cmd/polymage-bench -auto-json /tmp/BENCH_auto_new.json -runs 5
-	$(GO) run ./cmd/polymage-benchdiff -max-auto-regress 0.05 BENCH_auto.json /tmp/BENCH_auto_new.json
 
 # In-process end-to-end gate for the HTTP serving layer: cold/warm/
 # overload/oversized requests plus /healthz, /metrics and the snapshot
@@ -170,23 +157,6 @@ bench:
 # and the repeated-Run steady state of the persistent executor.
 bench-kernels:
 	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/
-
-# Machine-readable benchmark records, one file per feature-vs-twin
-# measurement (e.g. BENCH_fleet.json: the multi-program saturation benchmark
-# of the shared fleet scheduler vs the serialized per-program baseline).
-# Compare two files with cmd/polymage-benchdiff (use -max-regress to gate
-# the geomean).
-bench-json:
-	$(GO) run ./cmd/polymage-bench -fleet-json BENCH_fleet.json -runs 5
-	@echo "wrote BENCH_fleet.json"
-	$(GO) run ./cmd/polymage-bench -stream-json BENCH_stream.json -runs 5
-	@echo "wrote BENCH_stream.json"
-	$(GO) run ./cmd/polymage-bench -gen-json BENCH_gen.json -runs 5
-	@echo "wrote BENCH_gen.json"
-	$(GO) run ./cmd/polymage-bench -narrow-json BENCH_narrow.json -runs 5
-	@echo "wrote BENCH_narrow.json"
-	$(GO) run ./cmd/polymage-bench -auto-json BENCH_auto.json -runs 5
-	@echo "wrote BENCH_auto.json"
 
 serve:
 	$(GO) run ./cmd/polymage-bench -serve harris -requests 100

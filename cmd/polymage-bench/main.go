@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -41,47 +40,9 @@ func main() {
 	serve := flag.String("serve", "", "steady-state serving mode: compile the named app once, time repeated requests")
 	requests := flag.Int("requests", 100, "number of requests for -serve")
 	stats := flag.Bool("stats", false, "run every app with executor metrics on and print per-stage breakdowns")
-	fleetJSON := flag.String("fleet-json", "", "write the multi-program saturation benchmark (shared fleet vs serialized per-program baseline) to the given file ('-' = stdout)")
-	streamJSON := flag.String("stream-json", "", "write the streaming dirty-rectangle benchmark (whole-frame vs ROI partial recompute) to the given file ('-' = stdout)")
-	genJSON := flag.String("gen-json", "", "write the ahead-of-time kernel benchmark (generated kernels vs interpreted tiers, 1 thread) to the given file ('-' = stdout)")
-	narrowJSON := flag.String("narrow-json", "", "write the narrow-type benchmark (uint8/uint16 layout vs float32 on the narrow apps, plus float-app no-op check) to the given file ('-' = stdout)")
-	autoJSON := flag.String("auto-json", "", "write the auto-scheduler benchmark (cost-model searched schedules vs hand-tuned defaults, 1 thread) to the given file ('-' = stdout)")
 	seed := flag.Int64("seed", harness.DefaultSeed, "seed for synthetic benchmark inputs")
 	flag.Parse()
 
-	if *fleetJSON != "" || *streamJSON != "" || *genJSON != "" || *narrowJSON != "" || *autoJSON != "" {
-		cfg := harness.Config{Scale: *scale, Runs: *runs, Threads: *threads, Seed: *seed}
-		run := func(path string, f func(io.Writer, harness.Config) error) {
-			out := io.Writer(os.Stdout)
-			if path != "-" {
-				file, err := os.Create(path)
-				if err != nil {
-					fatal(err)
-				}
-				defer file.Close()
-				out = file
-			}
-			if err := f(out, cfg); err != nil {
-				fatal(err)
-			}
-		}
-		if *fleetJSON != "" {
-			run(*fleetJSON, harness.BenchFleetJSON)
-		}
-		if *streamJSON != "" {
-			run(*streamJSON, harness.BenchStreamJSON)
-		}
-		if *genJSON != "" {
-			run(*genJSON, harness.BenchGenJSON)
-		}
-		if *narrowJSON != "" {
-			run(*narrowJSON, harness.BenchNarrowJSON)
-		}
-		if *autoJSON != "" {
-			run(*autoJSON, harness.BenchAutoJSON)
-		}
-		return
-	}
 	if *stats {
 		cfg := harness.Config{Scale: *scale, Runs: *runs, Threads: *threads, Seed: *seed}
 		if err := harness.Stats(os.Stdout, cfg); err != nil {

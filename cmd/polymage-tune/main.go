@@ -8,15 +8,14 @@
 // cost, and reports whether the predicted best matches the measured best
 // (top-1 hit) plus the Spearman rank correlation, alongside the searched
 // schedule's own measurement. -fit regresses the model coefficients
-// against a fresh sweep (plus any BENCH_*.json history passed as extra
-// arguments) and writes them with -fit-out.
+// against a fresh sweep of every app and prints them.
 //
 // Usage:
 //
 //	polymage-tune -app camera [-scale 4] [-scatter] [-full-space]
 //	              [-random-trials 5]
 //	polymage-tune -auto [-app camera] [-scale 4]
-//	polymage-tune -fit [-fit-out AUTOTUNE_weights.json] [BENCH_*.json ...]
+//	polymage-tune -fit [-scale 4] [-runs 3]
 package main
 
 import (
@@ -40,13 +39,12 @@ func main() {
 	fullSpace := flag.Bool("full-space", false, "use the paper's full 147-point space")
 	randomTrials := flag.Int("random-trials", 5, "trials for the OpenTuner-style random search (0 = skip)")
 	autoEval := flag.Bool("auto", false, "validate the auto-scheduler's cost model: predicted vs measured schedule ranking on -app")
-	fit := flag.Bool("fit", false, "fit the cost-model coefficients against a fresh sweep (plus any BENCH_*.json history passed as arguments)")
-	fitOut := flag.String("fit-out", "", "write fitted coefficients (JSON) to this file")
+	fit := flag.Bool("fit", false, "fit the cost-model coefficients against a fresh sweep of every app and print them")
 	runs := flag.Int("runs", 3, "timed runs per measured schedule for -auto / -fit")
 	flag.Parse()
 
 	if *fit {
-		fitMain(*scale, *runs, *fitOut, flag.Args())
+		fitMain(*scale, *runs)
 		return
 	}
 
@@ -122,18 +120,11 @@ func autoMain(app *apps.App, params map[string]int64, runs int) {
 	fmt.Printf("searched schedule: %.2f ms (grid-measured best %.2f ms, ratio %.3f)\n", ms, best, ms/best)
 }
 
-// fitMain regresses the model coefficients against a fresh sweep plus any
-// BENCH_*.json history files.
-func fitMain(scale int64, runs int, out string, history []string) {
+// fitMain regresses the model coefficients against a fresh sweep.
+func fitMain(scale int64, runs int) {
 	fmt.Printf("sweeping %d apps at scale %d for fit samples...\n", len(apps.Names()), scale)
 	samples, err := autotune.SweepSamples(scale, runs, 42)
 	fatal(err)
-	if len(history) > 0 {
-		hs, err := autotune.HistorySamples(history)
-		fatal(err)
-		fmt.Printf("plus %d samples from %d history file(s)\n", len(hs), len(history))
-		samples = append(samples, hs...)
-	}
 	rep, err := autotune.Report(samples)
 	fatal(err)
 	fmt.Printf("fitted over %d samples (R² = %.3f):\n", rep.Samples, rep.R2)
@@ -142,10 +133,6 @@ func fitMain(scale int64, runs int, out string, history []string) {
 	d := schedule.DefaultCostWeights()
 	fmt.Printf("  (defaults: compute=%g recompute=%g traffic=%g parallel=%g footprint=%g)\n",
 		d.Compute, d.Recompute, d.Traffic, d.Parallel, d.Footprint)
-	if out != "" {
-		fatal(autotune.SaveWeights(out, rep.Weights))
-		fmt.Printf("wrote %s\n", out)
-	}
 }
 
 func fatal(err error) {

@@ -1,9 +1,7 @@
 package autotune
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/apps"
@@ -16,8 +14,7 @@ import (
 // the model's term vector for one compiled schedule with its measured
 // milliseconds, and FitWeights solves the nonnegative least-squares
 // regression ms ≈ w · terms. Samples come from a fresh deterministic
-// sweep (SweepSamples) and, optionally, from committed BENCH_*.json
-// history files (HistorySamples). cmd/polymage-tune -fit drives it.
+// sweep (SweepSamples). cmd/polymage-tune -fit drives it.
 
 // Sample is one (schedule, measurement) observation.
 type Sample struct {
@@ -121,76 +118,6 @@ func SweepSamples(scale int64, runs int, seed int64) ([]Sample, error) {
 		out = append(out, s...)
 	}
 	return out, nil
-}
-
-// benchFile is the minimal slice of the harness BENCH-JSON schema this
-// package decodes (it cannot import harness — see scaledParams).
-type benchFile struct {
-	Schema  string `json:"schema"`
-	Scale   int64  `json:"scale"`
-	Results []struct {
-		Name    string  `json:"name"`
-		Kind    string  `json:"kind"`
-		Variant string  `json:"variant"`
-		Millis  float64 `json:"millis"`
-		Threads int     `json:"threads"`
-	} `json:"results"`
-}
-
-// HistorySamples converts committed BENCH_*.json files into fit samples:
-// every 1-thread app row whose variant ran the default schedule is paired
-// with the model's term vector for that schedule at the file's scale.
-// Rows for other variants (different schedules or thread counts) are
-// skipped — their wall clocks are not explained by these terms.
-func HistorySamples(paths []string) ([]Sample, error) {
-	var out []Sample
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var bf benchFile
-		if err := json.Unmarshal(data, &bf); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		// Term vectors are per (app, scale); cache within the file.
-		terms := make(map[string][5]float64)
-		for _, r := range bf.Results {
-			if r.Kind != "app" || r.Threads != 1 || !defaultScheduleVariant(r.Variant) {
-				continue
-			}
-			app, err := apps.Get(r.Name)
-			if err != nil {
-				continue // historical app no longer registered
-			}
-			t, ok := terms[r.Name]
-			if !ok {
-				params := scaledParams(app, bf.Scale)
-				pl, _, _, cerr := compileApp(app, params, schedule.DefaultOptions(), 1)
-				if cerr != nil {
-					continue
-				}
-				t, cerr = schedule.PipelineTerms(pl.Grouping, schedule.AutoOptions{})
-				if cerr != nil {
-					continue
-				}
-				terms[r.Name] = t
-			}
-			out = append(out, Sample{App: r.Name, Config: path + ":" + r.Variant, Terms: t, Millis: r.Millis})
-		}
-	}
-	return out, nil
-}
-
-// defaultScheduleVariant reports whether a BENCH-JSON variant label names
-// a run of the default (hand-tuned) schedule on the interpreted tiers ("vm"
-// is BENCH_gen.json's kernels-off side).
-func defaultScheduleVariant(v string) bool {
-	switch v {
-	case "vm", "interp", "hand":
-		return true
-	}
-	return false
 }
 
 // FitWeights solves the nonnegative least-squares fit ms ≈ w · terms by
@@ -331,28 +258,6 @@ func dot(w, t [5]float64) float64 {
 		s += w[i] * t[i]
 	}
 	return s
-}
-
-// SaveWeights writes fitted coefficients as indented JSON.
-func SaveWeights(path string, w schedule.CostWeights) error {
-	data, err := json.MarshalIndent(w, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadWeights reads coefficients saved by SaveWeights.
-func LoadWeights(path string) (schedule.CostWeights, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return schedule.CostWeights{}, err
-	}
-	var w schedule.CostWeights
-	if err := json.Unmarshal(data, &w); err != nil {
-		return schedule.CostWeights{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return w, nil
 }
 
 // RankEval compares the model's predicted ranking of schedules against

@@ -48,42 +48,26 @@ func Figure9CSV(w io.Writer, cfg Config, space autotune.Space) error {
 }
 
 // Figure10CSV writes the variant-comparison data (Figure 10) as CSV with
-// columns app, variant, cores, speedup_over_base_1core.
+// columns app, variant, cores, speedup_over_base; cores is the thread count
+// the engine ran (see figure10Line).
 func Figure10CSV(w io.Writer, cfg Config, cores []int) error {
-	if len(cores) == 0 {
-		cores = []int{1, 2, 4}
+	lines, err := measureFigure10(cfg, cores)
+	if err != nil {
+		return err
 	}
 	cw := csv.NewWriter(w)
 	defer cw.Flush()
 	if err := cw.Write([]string{"app", "variant", "cores", "speedup_over_base"}); err != nil {
 		return err
 	}
-	for _, fa := range figure10Apps {
-		app, err := apps.Get(fa.name)
-		if err != nil {
-			return err
-		}
-		baseMs, err := MeasureApp(app, "base", 1, cfg)
-		if err != nil {
-			return err
-		}
-		variants := []string{"base", "base+vec", "opt", "opt+vec", "htuned", "htuned+vec"}
-		if fa.hasMatched {
-			variants = append(variants, "hmatched", "hmatched+vec")
-		}
-		for _, v := range variants {
-			for _, c := range cores {
-				ms, err := MeasureApp(app, v, c, cfg)
-				if err != nil {
-					return err
-				}
-				rec := []string{
-					app.Name, v, strconv.Itoa(c),
-					strconv.FormatFloat(baseMs/ms, 'f', 3, 64),
-				}
-				if err := cw.Write(rec); err != nil {
-					return err
-				}
+	for _, l := range lines {
+		for i, c := range l.cores {
+			rec := []string{
+				l.app.Name, l.variant, strconv.Itoa(c),
+				strconv.FormatFloat(l.speedup[i], 'f', 3, 64),
+			}
+			if err := cw.Write(rec); err != nil {
+				return err
 			}
 		}
 	}

@@ -41,12 +41,6 @@ type Config struct {
 // Override with cmd/polymage-bench's -seed flag.
 const DefaultSeed = 42
 
-// DefaultConfig returns a quick configuration (scaled-down inputs, few
-// runs).
-func DefaultConfig() Config {
-	return Config{Scale: 4, Runs: 3, Seed: DefaultSeed}
-}
-
 // ScaledParams divides the paper parameters by the scale, clamping at the
 // test-size parameters.
 func ScaledParams(app *apps.App, scale int64) map[string]int64 {
@@ -78,12 +72,6 @@ type Prepared struct {
 
 // Prepare compiles the app under the variant's scheduling options.
 func Prepare(app *apps.App, v baseline.Variant, params map[string]int64, threads int, base schedule.Options, seed int64) (*Prepared, error) {
-	return PrepareEngine(app, v, params, threads, base, seed, nil)
-}
-
-// PrepareEngine is Prepare with a hook to adjust the final execution
-// options (e.g. toggling ExecOptions.NoGenKernels for tier comparisons).
-func PrepareEngine(app *apps.App, v baseline.Variant, params map[string]int64, threads int, base schedule.Options, seed int64, mod func(*engine.ExecOptions)) (*Prepared, error) {
 	b, outs := app.Build()
 	inputs, err := app.Inputs(b, params, seed)
 	if err != nil {
@@ -97,11 +85,7 @@ func PrepareEngine(app *apps.App, v baseline.Variant, params map[string]int64, t
 	if err != nil {
 		return nil, err
 	}
-	eo := v.EngineOptions(threads)
-	if mod != nil {
-		mod(&eo)
-	}
-	prog, err := pl.Bind(params, eo)
+	prog, err := pl.Bind(params, v.EngineOptions(threads))
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/difftest"
+	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -127,25 +129,47 @@ func TestAutoSearchDeterminism(t *testing.T) {
 	}
 }
 
-// TestAutoNeverWorseThanGreedy checks the seed guarantee on every app: the
+// TestAutoNeverWorseThanGreedy checks the seed guarantee on every app and
+// on the generated-pipeline corpus (the seeds cmd/polymage-gen emits
+// gencorpus kernels for, built as difftest.BuildProgram builds them): the
 // searched partition's model cost never exceeds the greedy Algorithm 1
 // partition's cost on the same graph (the greedy result is a seed state).
+// This is the part of "auto is never worse than the hand schedule" that
+// holds exactly; wall clock is read from bench/'s schedule.hand_run_ms and
+// engine.run_ms rows, bit-identical outputs from difftest's schedule-auto
+// knob.
 func TestAutoNeverWorseThanGreedy(t *testing.T) {
+	type input struct {
+		name   string
+		b      *dsl.Builder
+		outs   []string
+		params map[string]int64
+	}
+	var inputs []input
 	for _, app := range apps.All() {
-		t.Run(app.Name, func(t *testing.T) {
-			params := harness.ScaledParams(app, 16)
-			b, outs := app.Build()
-			pl, err := core.Compile(b, outs, core.Options{Estimates: params, Schedule: schedule.DefaultOptions(), AllowUnproven: true})
+		b, outs := app.Build()
+		inputs = append(inputs, input{app.Name, b, outs, harness.ScaledParams(app, 16)})
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		built, err := difftest.Generate(seed).Build(false)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("seed%03d", seed), built.Graph.Builder, built.LiveOuts, built.Params})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			pl, err := core.Compile(in.b, in.outs, core.Options{Estimates: in.params, Schedule: schedule.DefaultOptions(), AllowUnproven: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			greedyCost, _, err := schedule.PipelineCost(pl.Graph, pl.Grouping.Groups, params, schedule.AutoOptions{})
+			greedyCost, _, err := schedule.PipelineCost(pl.Graph, pl.Grouping.Groups, in.params, schedule.AutoOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			so := schedule.DefaultOptions()
 			so.Auto = true
-			searched, err := schedule.BuildGroups(pl.Graph, params, so)
+			searched, err := schedule.BuildGroups(pl.Graph, in.params, so)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,8 +65,8 @@ type CostWeights struct {
 
 // DefaultCostWeights returns the built-in coefficients, calibrated by
 // hand against measured tile-size/fusion sweeps of the Table-2 apps until
-// the model's ranking matched the measured one (BENCH_auto.json is the
-// resulting gate). cmd/polymage-tune -fit re-derives machine-local
+// the model's ranking matched the measured one (cmd/polymage-tune -auto
+// re-checks that ranking). cmd/polymage-tune -fit re-derives machine-local
 // coefficients via internal/autotune FitWeights. Units are arbitrary —
 // the search only compares sums.
 func DefaultCostWeights() CostWeights {
