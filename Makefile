@@ -29,9 +29,11 @@ test: vet bench-vet bench-smoke gen rowvm-race fleet-race stream-race gen-race n
 
 # Race-checked run of the row bytecode VM suite (differential vs scalar,
 # fusion/regalloc shape, fallback, float32 gate, end-to-end VM-vs-scalar
-# pipeline).
+# pipeline) and of the gather/scatter table (internal/difftest: gather
+# instruction and row-swept accumulator vs the scalar tier, threads 1 and 2,
+# out-of-region faults).
 rowvm-race:
-	$(GO) test -race -run TestRowVM ./internal/engine/
+	$(GO) test -race -run TestRowVM ./internal/engine/ ./internal/difftest/
 
 # Race-checked saturation stress of the shared-fleet scheduler: concurrent
 # same-program runs, multi-program interleaving on shared workers,
@@ -83,9 +85,12 @@ gen:
 # Race-checked run of the generated-kernel suite: piece-key stability,
 # registry dispatch/fallback matrix, golden emitter structure and purity,
 # and the apps/gen parity tests (generated kernels vs interpreted tiers on
-# every Table-2 app under the hand and the auto schedule).
+# every Table-2 app under the hand and the auto schedule), plus the gather
+# table's generated leg (kernels for data-dependent and cross-dimension
+# indices vs the VM and the scalar tier).
 gen-race:
 	$(GO) test -race -run TestGen ./internal/engine/ ./internal/codegen/ ./internal/apps/gen/ -count=1
+	$(GO) test -race -run TestGenGatherTable ./internal/difftest/ -count=1
 
 # Race-checked run of the narrow-type suite: uint8/uint16 end-to-end
 # execution and input validation, interval/cast soundness, the integer

@@ -12,7 +12,8 @@
 //	internal/apps/gen       the Table-2 apps at scale 4
 //	internal/difftest/gencorpus
 //	                        the first -corpus difftest seeds under the
-//	                        gen-kernels and schedule-auto knobs
+//	                        gen-kernels and schedule-auto knobs, and the
+//	                        hand-written gather table (difftest.GatherCases)
 //
 // Run `go run ./cmd/polymage-gen` to regenerate both; -check (`make gen`)
 // verifies without writing, the tier-1 wiring that keeps checked-in
@@ -114,6 +115,13 @@ func main() {
 				}
 				gather(name, prog)
 			}
+		}
+		for _, gc := range difftest.GatherCases() {
+			prog, err := gc.Compile(gc.Params, engine.ExecOptions{Fast: true})
+			if err != nil {
+				fatal(fmt.Errorf("gather case %s: %w", gc.Name, err))
+			}
+			gather("gather/"+gc.Name, prog)
 		}
 		emit("internal/difftest/gencorpus", "gencorpus", units)
 	}

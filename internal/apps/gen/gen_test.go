@@ -82,8 +82,18 @@ func genPieces(p *engine.Program) int {
 // the two programs' outputs agree bit for bit.
 func (bd bound) requireSubstitution(t *testing.T) {
 	t.Helper()
-	if m := bd.on.Stats().GenMisses; m.NoKernel != 0 {
+	st := bd.on.Stats()
+	if m := st.GenMisses; m.NoKernel != 0 {
 		t.Errorf("%d eligible pieces have no checked-in kernel (rerun go run ./cmd/polymage-gen): %+v", m.NoKernel, m)
+	}
+	// Gathers and cross-dimension indices have kernels and a row
+	// instruction: no piece of these pipelines is irregular, none falls back
+	// to a per-element closure.
+	if m := st.GenMisses; m.Irregular != 0 {
+		t.Errorf("%d pieces counted irregular: %+v", m.Irregular, m)
+	}
+	if f := st.VMFalls; f.Total() != 0 {
+		t.Errorf("row-VM code still holds fallback instructions: %+v", f)
 	}
 	if n := genPieces(bd.off); n != 0 {
 		t.Fatalf("NoGenKernels binding still attached %d kernels", n)
@@ -138,7 +148,7 @@ func TestGenAppsMatchVM(t *testing.T) {
 // user gets (auto-scheduler, Fast, pooled buffers, this package's kernels
 // linked; narrow types for the uint8 apps): every stage piece is counted in
 // exactly one evaluator tier, the scalar loop takes only predicated pieces
-// and accumulators, the two removed tiers stay empty, every piece counted
+// (an accumulator is swept by rows), the two removed tiers stay empty, every piece counted
 // outside the generated tier has its reason in GenMisses, and the Table-2
 // apps bind at least as many kernels as under the hand schedule.
 func TestTierAttribution(t *testing.T) {
@@ -168,7 +178,10 @@ func TestTierAttribution(t *testing.T) {
 				st := prog.Graph.Stages[sm.Name]
 				pieces, scalar := len(st.Cases), 0
 				if st.IsAccumulator() {
-					pieces, scalar = 1, 1
+					pieces = 1
+					if sm.RowVM != 1 {
+						t.Errorf("%s: accumulator counts RowVM=%d, want its row sweep", sm.Name, sm.RowVM)
+					}
 				}
 				for _, c := range st.Cases {
 					if c.Cond == nil {
@@ -182,7 +195,7 @@ func TestTierAttribution(t *testing.T) {
 					t.Errorf("%s: %d pieces counted in tiers, stage has %d (%+v)", sm.Name, got, pieces, sm)
 				}
 				if sm.Scalar != scalar {
-					t.Errorf("%s: %d pieces on the scalar loop, want %d (predicated pieces and accumulators only)", sm.Name, sm.Scalar, scalar)
+					t.Errorf("%s: %d pieces on the scalar loop, want %d (predicated pieces only)", sm.Name, sm.Scalar, scalar)
 				}
 				if sm.Comb != 0 || sm.ClosureRow != 0 {
 					t.Errorf("%s: removed tiers report Comb=%d ClosureRow=%d", sm.Name, sm.Comb, sm.ClosureRow)
@@ -194,5 +207,64 @@ func TestTierAttribution(t *testing.T) {
 				t.Errorf("%d pieces on generated kernels + misses %+v do not add up to %d pieces", gen, m, total)
 			}
 		})
+	}
+}
+
+// BenchmarkGather times the two data-dependent stages the benchmark's worst
+// rows sat in — bilateral's trilinear slice `out` and local Laplacian's
+// level interpolation `outL0` — on each tier at scale 4, hand schedule, one
+// thread, and reports the stage's own kernel time per domain point, so the
+// per-layer number is reproducible without bench/. It lives here, not in
+// internal/engine, because only a test binary that links this package's
+// kernels has a generated tier to time.
+func BenchmarkGather(b *testing.B) {
+	tiers := []struct {
+		name string
+		opts engine.ExecOptions
+	}{
+		{"scalar", engine.ExecOptions{}},
+		{"vm", engine.ExecOptions{Fast: true, NoGenKernels: true}},
+		{"gen", engine.ExecOptions{Fast: true}},
+	}
+	for _, c := range []struct{ app, stage string }{{"bilateral", "out"}, {"laplacian", "outL0"}} {
+		app, err := apps.Get(c.app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		params := harness.ScaledParams(app, 4)
+		for _, tier := range tiers {
+			b.Run(c.app+"/"+c.stage+"/"+tier.name, func(b *testing.B) {
+				bl, outs := app.Build()
+				pl, err := core.Compile(bl, outs, core.Options{Estimates: params, Schedule: schedule.DefaultOptions(), AllowUnproven: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts := tier.opts
+				opts.Threads, opts.ReuseBuffers, opts.Metrics = 1, true, true
+				prog, err := pl.Bind(params, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer prog.Close()
+				inputs, err := app.Inputs(bl, params, harness.DefaultSeed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e := prog.Executor()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					out, err := e.Run(inputs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					e.Recycle(out)
+				}
+				for _, st := range e.Snapshot().Stages {
+					if st.Name == c.stage {
+						b.ReportMetric(float64(st.KernelNanos)/float64(st.Points), "ns/point")
+					}
+				}
+			})
+		}
 	}
 }

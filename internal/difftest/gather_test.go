@@ -1,0 +1,196 @@
+package difftest
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/obs"
+)
+
+// gatherTier is one execution tier the table runs every case on.
+type gatherTier struct {
+	name string
+	opts engine.ExecOptions
+}
+
+var gatherTiers = []gatherTier{
+	{"gen", engine.ExecOptions{Fast: true}},
+	{"vm", engine.ExecOptions{Fast: true, NoGenKernels: true}},
+	{"scalar", engine.ExecOptions{}},
+}
+
+// gatherInputs fills the case's one image: the pattern as the compiled
+// program stores it (uint8 under NarrowTypes) and as the reference
+// interpreter reads it (always float32).
+func gatherInputs(t *testing.T, prog *engine.Program) (run, ref map[string]*engine.Buffer) {
+	t.Helper()
+	box, err := prog.InputBox("I")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := engine.NewBuffer(box)
+	if prog.Opts.NarrowTypes {
+		img = engine.NewBufferElem(box, engine.ElemU8)
+	}
+	engine.FillPattern(img, 21)
+	return map[string]*engine.Buffer{"I": img}, map[string]*engine.Buffer{"I": engine.ConvertBuffer(img, engine.ElemF32)}
+}
+
+// gatherTable runs every case on the given tiers with 1 and 2 threads and
+// demands one answer, bit for bit, within golden tolerance of the
+// reference interpreter. check sees each compiled program once.
+func gatherTable(t *testing.T, tiers []gatherTier, check func(t *testing.T, gc GatherCase, tier gatherTier, st obs.ProgramStats)) {
+	for _, gc := range GatherCases() {
+		t.Run(gc.Name, func(t *testing.T) {
+			t.Parallel()
+			var first *engine.Buffer
+			var firstName string
+			for _, tier := range tiers {
+				for threads := 1; threads <= 2; threads++ {
+					name := fmt.Sprintf("%s/threads=%d", tier.name, threads)
+					opts := tier.opts
+					opts.Threads = threads
+					prog, err := gc.Compile(gc.Params, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					defer prog.Close()
+					if threads == 1 {
+						check(t, gc, tier, prog.Stats())
+					}
+					run, refIn := gatherInputs(t, prog)
+					outs, err := prog.Run(run)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					out := outs[prog.Graph.LiveOuts[0]]
+					if first == nil {
+						ref, err := engine.Reference(prog.Graph, gc.Params, refIn)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d := Compare(out, ref[prog.Graph.LiveOuts[0]], 2e-3, 64); d != "" {
+							t.Fatalf("%s vs reference: %s", name, d)
+						}
+						first, firstName = out, name
+						continue
+					}
+					for i := range first.Data {
+						if math.Float32bits(out.Data[i]) != math.Float32bits(first.Data[i]) {
+							t.Fatalf("%s[%d] = %v, %s[%d] = %v: not bit-identical", name, i, out.Data[i], firstName, i, first.Data[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRowVMGatherTable: the row VM's gather instruction and the row-swept
+// accumulator against the scalar tier, which still walks one closure per
+// element. No case leaves a per-element fallback in its row programs.
+func TestRowVMGatherTable(t *testing.T) {
+	gatherTable(t, gatherTiers[1:], func(t *testing.T, gc GatherCase, tier gatherTier, st obs.ProgramStats) {
+		if tier.opts.Fast && st.VMFalls.Total() != 0 {
+			t.Errorf("row programs keep fallback instructions: %+v", st.VMFalls)
+		}
+	})
+}
+
+// TestGenGatherTable: the generated kernels against the VM they replace and
+// the scalar tier. Every float32 non-accumulator piece of the table binds a
+// checked-in kernel.
+func TestGenGatherTable(t *testing.T) {
+	gatherTable(t, gatherTiers, func(t *testing.T, gc GatherCase, tier gatherTier, st obs.ProgramStats) {
+		if tier.name != "gen" {
+			return
+		}
+		want := obs.GenMisses{}
+		switch gc.Name {
+		case "u8slot":
+			want.NarrowElem = 1
+		case "hist":
+			want.AccOrSelfRef = 1
+		}
+		if st.GenMisses != want {
+			t.Errorf("GenMisses = %+v, want %+v (rerun go run ./cmd/polymage-gen?)", st.GenMisses, want)
+		}
+	})
+}
+
+func gatherCase(t *testing.T, name string) GatherCase {
+	t.Helper()
+	for _, gc := range GatherCases() {
+		if gc.Name == name {
+			return gc
+		}
+	}
+	t.Fatalf("no gather case %q", name)
+	return GatherCase{}
+}
+
+// gatherFault binds lut1d so that its clamped index still leaves the
+// table, and returns Run's error.
+func gatherFault(t *testing.T, opts engine.ExecOptions) error {
+	t.Helper()
+	gc := gatherCase(t, "lut1d")
+	opts.Threads = 1
+	prog, err := gc.Compile(gc.Fault, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prog.Close()
+	run, _ := gatherInputs(t, prog)
+	_, err = prog.Run(run)
+	return err
+}
+
+// TestRowVMGatherFaults: an index outside the gathered stage is a Run
+// error on every tier — the region check's message under Debug, Go's own
+// bounds check on the flat offset without it — never a crash or a read
+// outside the buffer.
+func TestRowVMGatherFaults(t *testing.T) {
+	for _, tier := range gatherTiers {
+		err := gatherFault(t, tier.opts)
+		if err == nil || !strings.Contains(err.Error(), "index out of range") {
+			t.Errorf("%s: out-of-buffer gather: err = %v, want a bounds-check error", tier.name, err)
+		}
+		dbg := tier.opts
+		dbg.Debug = true
+		err = gatherFault(t, dbg)
+		if err == nil || !strings.Contains(err.Error(), "engine: out-of-region read of lut dim 0 at ") {
+			t.Errorf("%s: out-of-region gather under Debug: err = %v, want the region check's message", tier.name, err)
+		}
+	}
+}
+
+// TestRowVMGatherHistDebug: an accumulator target outside the output box is
+// dropped silently (the table), and panics with the sweep's message under
+// Debug, swept by rows or by points. The private-copy sweep turns the panic
+// into Run's error; the sequential one (a single worker) lets it through.
+func TestRowVMGatherHistDebug(t *testing.T) {
+	gc := gatherCase(t, "hist")
+	for _, fast := range []bool{true, false} {
+		prog, err := gc.Compile(gc.Params, engine.ExecOptions{Fast: fast, Debug: true, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, _ := gatherInputs(t, prog)
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			_, err := prog.Run(run)
+			return fmt.Sprint(err)
+		}()
+		prog.Close()
+		if !strings.Contains(msg, "engine: accumulator hist target [") || !strings.Contains(msg, "] outside ") {
+			t.Errorf("Fast=%v: got %q, want the accumulator target message", fast, msg)
+		}
+	}
+}

@@ -232,8 +232,7 @@ func (cp *compiler) compileAccess(a expr.Access) (evalFn, error) {
 			for d, f := range idx {
 				x := f(c)
 				if x < b.Box[d].Lo || x > b.Box[d].Hi {
-					panic(fmt.Sprintf("engine: out-of-region read of %s dim %d at %d (region %v, point %v)",
-						target, d, x, b.Box, c.pt))
+					panicOutOfRegion(target, d, x, b, c.pt)
 				}
 				off += (x - b.Box[d].Lo) * b.Stride[d]
 			}
@@ -282,6 +281,13 @@ func (cp *compiler) compileAccess(a expr.Access) (evalFn, error) {
 			return float64(b.Data[off])
 		}, nil
 	}
+}
+
+// panicOutOfRegion is Debug's per-dimension access check failing: index x
+// of dimension d lies outside the buffer bound to target.
+func panicOutOfRegion(target string, d int, x int64, b *Buffer, pt []int64) {
+	panic(fmt.Sprintf("engine: out-of-region read of %s dim %d at %d (region %v, point %v)",
+		target, d, x, b.Box, pt))
 }
 
 func (cp *compiler) compileCond(c expr.Cond) (condFn, error) {

@@ -534,6 +534,10 @@ func (p *Program) accumulateStage(w *worker, ls *loweredStage, region affine.Box
 }
 
 func (p *Program) accumulateRegion(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
+	if ls.accValVM != nil {
+		p.accumulateRows(w, ls, region, out)
+		return
+	}
 	c := &w.ctx.Ctx
 	nd := len(region)
 	pt := c.pt[:nd]
@@ -560,6 +564,72 @@ func (p *Program) accumulateRegion(w *worker, ls *loweredStage, region affine.Bo
 			out.Data[off] = applyReduce(ls.accOp, out.Data[off], float32(v))
 		}
 		d := nd - 1
+		for ; d >= 0; d-- {
+			pt[d]++
+			if pt[d] <= region[d].Hi {
+				break
+			}
+			pt[d] = region[d].Lo
+		}
+		if d < 0 {
+			return
+		}
+	}
+}
+
+// accumulateRows is the Fast form of the sweep. Per row of the reduction
+// domain each target index is evaluated by its row program and folded into a
+// per-worker row of flat output offsets, with the scalar sweep's
+// per-dimension skip-or-Debug-panic check (a skipped point's offset is -1);
+// the value row is then scattered left to right, so every output element
+// sees the same updates in the same order and sums are bit-identical. The
+// value is evaluated at skipped points too, which the scalar sweep does not
+// do: a data-dependent read in it must stay inside its buffer over the whole
+// reduction domain.
+func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
+	nd := len(region)
+	last := nd - 1
+	c := &w.ctx
+	c.last = last
+	c.n = int(region[last].Size())
+	c.jLo = region[last].Lo
+	pt := c.pt[:nd]
+	for d := 0; d < nd; d++ {
+		pt[d] = region[d].Lo
+	}
+	w.accIdx = growI64(w.accIdx, c.n)
+	offs := w.accIdx
+	for {
+		pt[last] = region[last].Lo
+		for i := range offs {
+			offs[i] = 0
+		}
+		for d, vm := range ls.accIdxVM {
+			lo, hi, stride := out.Box[d].Lo, out.Box[d].Hi, out.Stride[d]
+			for i, v := range vm.eval64(c) {
+				x := int64(v)
+				switch {
+				case offs[i] < 0:
+				case x >= lo && x <= hi:
+					offs[i] += (x - lo) * stride
+				case p.Opts.Debug:
+					pt[last] = region[last].Lo + int64(i)
+					idx := make([]int64, d+1)
+					for k := range idx {
+						idx[k] = ls.accIdx[k](&c.Ctx)
+					}
+					panic(fmt.Sprintf("engine: accumulator %s target %v outside %v at %v", ls.name, idx, out.Box, pt))
+				default:
+					offs[i] = -1
+				}
+			}
+		}
+		for i, v := range ls.accValVM.eval64(c) {
+			if off := offs[i]; off >= 0 {
+				out.Data[off] = applyReduce(ls.accOp, out.Data[off], float32(v))
+			}
+		}
+		d := last - 1
 		for ; d >= 0; d-- {
 			pt[d]++
 			if pt[d] <= region[d].Hi {

@@ -23,15 +23,16 @@ import (
 // of exactly what the emitter bakes in (GenUnit.Key). Lowering computes the
 // key of each eligible piece and binds on a hit, whatever the schedule,
 // stage names or image size. The registry is a pure accelerator: a miss,
-// ExecOptions.NoGenKernels, or an ineligible piece (irregular accesses,
-// predicated pieces, accumulators, self-referencing or narrow stages) runs
-// on the row VM / specialized kernels exactly as before.
+// ExecOptions.NoGenKernels, or an ineligible piece (predicated pieces,
+// accumulators, self-referencing or narrow stages, stages of rank above 3)
+// runs on the row VM / specialized kernels exactly as before.
 
 // genABI versions the generated-kernel calling convention and key layout.
 // It is folded into every key, so kernels emitted by an older emitter can
-// never bind to a piece lowered by a newer engine. Version 3: kernels are
-// keyed per piece (version 2 keyed whole packages by a schedule hash).
-const genABI = "polymage-genabi/3"
+// never bind to a piece lowered by a newer engine. Version 4: index
+// arguments may be affine in any loop variable or data-dependent (version 3
+// admitted only arguments affine in their own dimension's variable).
+const genABI = "polymage-genabi/4"
 
 // GenCtx is the context a generated kernel receives: the region to
 // compute, the output buffer, and the input buffers of the kernel's
@@ -123,11 +124,10 @@ func (p *Program) genLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buf
 }
 
 // GenUnit describes one stage piece the emitter can generate a kernel for:
-// a plain (non-accumulator, non-self-referencing) float32 stage piece with
-// no residual predicate whose accesses are all regular — every index
-// argument affine in its own dimension's loop variable alone. Stage, Piece
-// and Reads locate the piece in this program; the remaining fields are the
-// piece's shape — all the emitter may read, and exactly what Key hashes.
+// a plain (non-accumulator, non-self-referencing) float32 stage piece of
+// rank 1–3 with no residual predicate. Stage, Piece and Reads locate the
+// piece in this program; the remaining fields are the piece's shape — all
+// the emitter may read, and exactly what Key hashes.
 type GenUnit struct {
 	Stage string
 	Piece int
@@ -144,8 +144,10 @@ type GenUnit struct {
 	Rank int
 	// Expr is the piece's defining expression in canonical form: bound
 	// parameters folded (expr.FoldParams), read targets renamed to their
-	// GenCtx.Bufs position ("b0", "b1", …), every index argument rebuilt
-	// from its resolved affine form, variable names dropped.
+	// GenCtx.Bufs position ("b0", "b1", …), every quasi-affine index
+	// argument rebuilt from its resolved affine form (over whichever loop
+	// variable it uses), data-dependent index arguments kept as canonical
+	// expressions of their own, variable names dropped.
 	Expr expr.Expr
 	// F32 reports that the evaluator this piece would otherwise run on
 	// computes in float32 (the stencil kernel's low-mass path, weighted
@@ -213,8 +215,10 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 				miss.Predicated++
 				continue
 			}
-			canon, reads, ok := genCanon(piece.src, p.slots, p.Params)
-			if !ok {
+			canon, reads, gather, ok := genCanon(piece.src, p.slots, p.Params)
+			if !ok || (gather && p.Opts.Debug) {
+				// Under Debug a gather keeps the per-dimension region
+				// check, which only the interpreted tiers carry.
 				miss.Irregular++
 				continue
 			}
@@ -251,17 +255,17 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 }
 
 // genCanon brings a piece expression into the canonical form GenUnit.Expr
-// documents and returns the accessed targets in first-use order. It fails
-// when an access is irregular — an index argument that is not quasi-affine
-// in its own dimension's variable (or constant) with an offset evaluable
-// under the binding: data-dependent gathers (hist(I(x,y))), diagonal
-// accesses (f(x, x)) and cross-dimension indices stay on the row VM, which
-// handles them via per-subtree fallback.
-func genCanon(e expr.Expr, slots map[string]int, params map[string]int64) (expr.Expr, []string, bool) {
-	var reads []string
+// documents and returns the accessed targets in first-use order, and
+// whether some index argument is data-dependent (a gather: hist(I(x,y))).
+// Index arguments may be quasi-affine in any one loop variable — their own
+// dimension's, another's (blend(c,x,y) reading mask(x,y)) or the same one
+// twice (f(x, x)) — or arbitrary expressions, canonicalised recursively. It
+// fails only on an unknown target or an affine offset the binding cannot
+// evaluate.
+func genCanon(e expr.Expr, slots map[string]int, params map[string]int64) (canon expr.Expr, reads []string, gather, ok bool) {
 	pos := map[string]int{}
-	ok := true
-	canon := expr.Transform(expr.FoldParams(e, params), func(x expr.Expr) expr.Expr {
+	ok = true
+	canon = expr.Transform(expr.FoldParams(e, params), func(x expr.Expr) expr.Expr {
 		switch n := x.(type) {
 		case expr.VarRef:
 			return expr.VarRef{Dim: n.Dim}
@@ -270,15 +274,19 @@ func genCanon(e expr.Expr, slots map[string]int, params map[string]int64) (expr.
 				ok = false
 				return nil
 			}
+			// Transform is bottom-up: n.Args are canonical already.
 			args := make([]expr.Expr, len(n.Args))
 			for d, arg := range n.Args {
 				aff, affOK := expr.ToAffineAccess(arg)
-				if !affOK || (aff.Var != d && aff.Var != -1) || aff.Div < 1 {
-					ok = false
-					return nil
+				if !affOK {
+					// A value like any other (FoldParams leaves index
+					// arguments alone because affine ones are not values).
+					args[d] = expr.FoldParams(arg, params)
+					gather = true
+					continue
 				}
 				off, err := aff.Off.Eval(params)
-				if err != nil {
+				if err != nil || aff.Div < 1 {
 					ok = false
 					return nil
 				}
@@ -294,7 +302,7 @@ func genCanon(e expr.Expr, slots map[string]int, params map[string]int64) (expr.
 		}
 		return nil
 	})
-	return canon, reads, ok
+	return canon, reads, gather, ok
 }
 
 // canonIndex rebuilds floor((Coeff·x_Var + off) / Div) as the smallest

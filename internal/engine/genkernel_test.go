@@ -247,34 +247,47 @@ func bitEqual(t *testing.T, label string, got, want *Buffer) {
 	}
 }
 
-// TestGenUnitsIrregular: pieces with data-dependent or cross-dimension
-// accesses are never enumerated (and so can never bind a kernel) — they
-// stay on the row VM.
+// TestGenUnitsIrregular pins what "irregular" still means. Cross-dimension
+// indices (f(x, x)) and data-dependent ones (lut(I(x,y))) are enumerated
+// like any other piece, each shape under its own key; the reason is left to
+// stages of rank above 3 and, under Debug, to gather pieces, whose
+// per-dimension region check only the interpreted tiers carry.
 func TestGenUnitsIrregular(t *testing.T) {
 	b := dsl.NewBuilder()
 	R, C := b.Param("R"), b.Param("C")
 	I := b.Image("I", expr.Float, R.Affine().AddConst(2), C.Affine().AddConst(2))
-	x, y := b.Var("x"), b.Var("y")
+	x, y, u, v := b.Var("x"), b.Var("y"), b.Var("u"), b.Var("v")
 	dom := []dsl.Interval{
 		dsl.Span(affine.Const(1), R.Affine()),
 		dsl.Span(affine.Const(1), C.Affine()),
 	}
 	diag := b.Func("genregDiag", expr.Float, []*dsl.Variable{x, y}, dom)
-	// f(x, x): the second index uses the wrong dimension's variable.
+	// f(x, x): the second index uses the other dimension's variable.
 	diag.Define(dsl.Case{E: dsl.Add(I.At(x, x), I.At(x, y))})
-	g, err := pipeline.Build(b, "genregDiag")
+	lut := b.Func("genregLUT", expr.Float, []*dsl.Variable{x, y}, dom)
+	lut.Define(dsl.Case{E: I.At(x, dsl.Clamp(dsl.Cast(expr.Int, dsl.Mul(I.At(x, y), 31.0)), 0, 31))})
+	two := []dsl.Interval{dsl.ConstSpan(0, 1), dsl.ConstSpan(0, 1)}
+	deep := b.Func("genregRank4", expr.Float, []*dsl.Variable{u, v, x, y}, append(two, dom...))
+	deep.Define(dsl.Case{E: dsl.Add(diag.At(x, y), lut.At(x, y))})
+	g, err := pipeline.Build(b, "genregRank4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 32, "C": 32}
 	prog := genTestCompile(t, g, params, ExecOptions{Fast: true, Threads: 1})
 	defer prog.Close()
-	for _, u := range prog.GenUnits() {
-		if u.Stage == "genregDiag" {
-			t.Fatalf("irregular stage enumerated as eligible: %+v", u)
-		}
+	keys := genKeys(prog)
+	if len(keys) != 2 || keys["genregDiag/0"] == "" || keys["genregLUT/0"] == "" || keys["genregDiag/0"] == keys["genregLUT/0"] {
+		t.Fatalf("eligible pieces = %v, want genregDiag and genregLUT under distinct keys", keys)
 	}
-	if m := prog.Stats().GenMisses; m != (obs.GenMisses{Irregular: 1}) {
-		t.Errorf("GenMisses = %+v, want the one piece under Irregular", m)
+	// No package in this binary holds their kernels; the rank-4 stage is
+	// the only irregular piece.
+	if m := prog.Stats().GenMisses; m != (obs.GenMisses{NoKernel: 2, Irregular: 1}) {
+		t.Errorf("GenMisses = %+v, want 2 under NoKernel and the rank-4 piece under Irregular", m)
+	}
+	dbg := genTestCompile(t, g, params, ExecOptions{Fast: true, Threads: 1, Debug: true})
+	defer dbg.Close()
+	if m := dbg.Stats().GenMisses; m != (obs.GenMisses{NoKernel: 1, Irregular: 2}) {
+		t.Errorf("GenMisses under Debug = %+v, want the gather piece moved to Irregular", m)
 	}
 }

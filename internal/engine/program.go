@@ -63,8 +63,9 @@ type ExecOptions struct {
 	// (cmd/polymage-gen): stage pieces run on the row VM / specialized
 	// kernels even when the process links a kernel for their shape.
 	// Generated kernels are a pure accelerator tier — with this knob, on
-	// any key miss, or for pieces no kernel can cover (irregular accesses,
-	// predicated pieces), execution falls back to the tier below unchanged.
+	// any key miss, or for pieces no kernel can cover (predicated pieces,
+	// accumulators, narrow stages), execution falls back to the tier below
+	// unchanged.
 	NoGenKernels bool
 
 	// fleet overrides the process-wide scheduler this program's executor
@@ -85,8 +86,9 @@ func (o ExecOptions) threads() int {
 // binding: the sub-box where it applies, an optional residual predicate
 // (nil when the condition is exactly the box — Section 3.7's branch-free
 // splitting), and the compiled evaluators. Under Fast an unpredicated piece
-// carries exactly one of gen, sten, isten or vm; every other piece runs the
-// scalar loop over eval.
+// carries exactly one of gen, sten, isten or vm (vm stays compiled under a
+// bound gen: it is what NoGenKernels and Stats().VMFalls read); every other
+// piece runs the scalar loop over eval.
 type loweredPiece struct {
 	box  affine.Box
 	pred condFn
@@ -128,6 +130,11 @@ type loweredStage struct {
 	redDom affine.Box
 	accIdx []idxFn
 	accVal evalFn
+	// accIdxVM/accValVM are the row programs of the target indices and the
+	// value (Fast only): the reduction domain is swept a row at a time and
+	// scattered in the scalar sweep's order.
+	accIdxVM []*rowVM
+	accValVM *rowVM
 }
 
 // groupExec pairs a schedule group with its tile plan and lowered members.
@@ -428,6 +435,20 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 		if err != nil {
 			return nil, err
 		}
+		if p.Opts.Fast && len(ls.redDom) > 0 {
+			last := len(ls.redDom) - 1
+			for _, te := range st.AccTarget {
+				vm, err := cp.compileRowIdx(te, last)
+				if err != nil {
+					return nil, err
+				}
+				ls.accIdxVM = append(ls.accIdxVM, vm)
+			}
+			ls.accValVM, err = cp.compileRowVM(st.AccValue, last)
+			if err != nil {
+				return nil, err
+			}
+		}
 		return ls, nil
 	}
 	nd := len(dom)
@@ -564,11 +585,33 @@ func (p *Program) Stats() obs.ProgramStats {
 	for _, name := range p.stageNames {
 		ls := p.stages[name]
 		sm := obs.StageModel{Name: name, Elem: ls.elem.String(), IntExact: ls.intExact}
-		if ls.isAcc {
+		// vmShape adds one row program to the stage's VM counters.
+		vmShape := func(vm *rowVM) {
+			sm.VMInstrs += len(vm.instrs)
+			sm.VMFusedOps += vm.fused
+			sm.VMFallbacks += len(vm.falls)
+			sm.VMRegs = max(sm.VMRegs, vm.nRegs)
+			sm.VMBoolRegs = max(sm.VMBoolRegs, vm.nBool)
+		}
+		switch {
+		case ls.accValVM != nil:
+			// An accumulator is one piece; under Fast its targets and value
+			// are row programs (accumulateRows).
+			sm.RowVM++
+			for _, vm := range ls.accIdxVM {
+				vmShape(vm)
+				st.VMFalls.Add(vm.fallWhy)
+			}
+			vmShape(ls.accValVM)
+			st.VMFalls.Add(ls.accValVM.fallWhy)
+		case ls.isAcc:
 			sm.Scalar++
 		}
 		for pi := range ls.pieces {
 			piece := &ls.pieces[pi]
+			if piece.vm != nil {
+				st.VMFalls.Add(piece.vm.fallWhy)
+			}
 			switch {
 			case piece.gen != nil:
 				sm.Gen++
@@ -578,20 +621,11 @@ func (p *Program) Stats() obs.ProgramStats {
 				sm.IntStencil++
 			case piece.vm != nil:
 				sm.RowVM++
-				vm := piece.vm
-				sm.VMInstrs += len(vm.instrs)
-				sm.VMFusedOps += vm.fused
-				sm.VMFallbacks += len(vm.falls)
-				if vm.nRegs > sm.VMRegs {
-					sm.VMRegs = vm.nRegs
-				}
-				if vm.nBool > sm.VMBoolRegs {
-					sm.VMBoolRegs = vm.nBool
-				}
-				if vm.f32 {
+				vmShape(piece.vm)
+				if piece.vm.f32 {
 					sm.VMF32 = true
 				}
-				if vm.intOK {
+				if piece.vm.intOK {
 					sm.VMInt = true
 				}
 			default:

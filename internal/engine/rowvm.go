@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 
 	"repro/internal/affine"
 	"repro/internal/expr"
+	"repro/internal/obs"
 )
 
 // The row VM lowers an expression to array-at-a-time evaluation: each
@@ -25,9 +27,14 @@ import (
 // taps, clampSel, const folding), and one switch-dispatch loop per row
 // executes the program, so a deep tree runs in 3-6 live rows and a fused
 // stencil tap is one instruction instead of a load row, a scale row and an
-// add row. Subtrees with no row form (data-dependent gathers) compile to a
-// fallback instruction that evaluates the scalar closure per element, so
-// the VM is total.
+// add row. Indirect addressing has a row form too: an access with a
+// data-dependent index argument (hist(I(x,y)), a trilinear grid tap), or with
+// several arguments varying along the row, compiles to a gather instruction
+// whose index arguments are ordinary value-numbered rows, so an index shared
+// by many taps is computed once per row. A subtree with no row instruction
+// at all compiles to a fallback instruction that evaluates the scalar
+// closure per element, so the VM stays total when the expression grammar
+// grows ahead of it; no expression form reaches it today.
 
 // RowCtx carries the evaluation state for one row.
 type RowCtx struct {
@@ -67,6 +74,9 @@ const (
 	rLoadS   // strided: coeff != 1, div 1
 	rLoadDiv // divided: floor((coeff*j+off)/div) gather
 	rLoadB   // row-invariant access: broadcast one element
+	// Indirect addressing; aux indexes rowVM.idxs / rowVM.gathers.
+	rIdx    // dst[i] = floor((coeff*x+off)/div), a quasi-affine index as an exact float row
+	rGather // dst[i] = buf[args...] with per-element index rows (see vmGather)
 	// Fused loads (peephole superinstructions over unit loads).
 	rLoadMulI // dst[i] = imm * load[i]           (first stencil tap)
 	rMadLoad  // dst[i] = a[i] + imm * load[i]    (stencil tap accumulate)
@@ -150,6 +160,131 @@ func (l *vmLoad) rowBase(c *RowCtx) (*Buffer, int64) {
 	return b, base
 }
 
+// vmIdx is one quasi-affine index argument in row form: the integer
+// floor((Coeff·x_Var + off) / Div) that compileIdx computes per point, as a
+// float64 row (exact: indices are far below 2^53). Over any variable but the
+// row's the row is a broadcast.
+type vmIdx struct {
+	aff affine.Access
+	off int64
+}
+
+// row fills t with the index along the current row. Divided forms step the
+// quotient and remainder instead of dividing per element.
+func (ix *vmIdx) row(c *RowCtx, t []float64) {
+	a := ix.aff
+	if a.Var != c.last {
+		x := ix.off
+		if a.Var >= 0 {
+			x += a.Coeff * c.pt[a.Var]
+		}
+		v := float64(affine.FloorDiv(x, a.Div))
+		for i := range t {
+			t[i] = v
+		}
+		return
+	}
+	num := a.Coeff*c.jLo + ix.off
+	if a.Div == 1 {
+		for i := range t {
+			t[i] = float64(num)
+			num += a.Coeff
+		}
+		return
+	}
+	q := affine.FloorDiv(num, a.Div)
+	r := num - q*a.Div // 0 <= r < Div
+	dq := affine.FloorDiv(a.Coeff, a.Div)
+	dr := a.Coeff - dq*a.Div // 0 <= dr < Div
+	for i := range t {
+		t[i] = float64(q)
+		q += dq
+		if r += dr; r >= a.Div {
+			q++
+			r -= a.Div
+		}
+	}
+}
+
+// vmGather describes one access with no single-step row form: some index
+// argument is data-dependent, or several vary along the row. regs[d] >= 0
+// names the float register holding dimension d's index row, converted with
+// the same int64(v) as compileIdx; regs[d] < 0 marks a row-invariant affine
+// argument resolved from affs/offs like vmLoad.rowBase. The element load
+// keeps the scalar path's checks: a Go-bounds-checked flat offset, plus the
+// per-dimension region check under Debug.
+type vmGather struct {
+	slot   int
+	target string
+	debug  bool
+	regs   []int
+	affs   []affine.Access
+	offs   []int64
+}
+
+func (g *vmGather) outOfRegion(c *RowCtx, b *Buffer, d int, x int64, i int) {
+	c.pt[c.last] = c.jLo + int64(i)
+	panicOutOfRegion(g.target, d, x, b, c.pt)
+}
+
+// run gathers one row into t. The flat offsets are accumulated a dimension
+// at a time in the worker's offset row, so t may alias an index register.
+func (g *vmGather) run(c *RowCtx, regs [][]float64, t []float64) {
+	b := c.bufs[g.slot]
+	var base int64
+	for d, r := range g.regs {
+		if r >= 0 {
+			continue
+		}
+		aff := g.affs[d]
+		x := g.offs[d]
+		if aff.Var >= 0 {
+			x += aff.Coeff * c.pt[aff.Var]
+		}
+		x = affine.FloorDiv(x, aff.Div)
+		if g.debug && (x < b.Box[d].Lo || x > b.Box[d].Hi) {
+			g.outOfRegion(c, b, d, x, 0)
+		}
+		base += (x - b.Box[d].Lo) * b.Stride[d]
+	}
+	offs := c.vm.ensureOffs(len(t))
+	first := true
+	for d, r := range g.regs {
+		if r < 0 {
+			continue
+		}
+		idx := regs[r][:len(offs)]
+		lo, hi, stride := b.Box[d].Lo, b.Box[d].Hi, b.Stride[d]
+		if g.debug {
+			for i, v := range idx {
+				if x := int64(v); x < lo || x > hi {
+					g.outOfRegion(c, b, d, x, i)
+				}
+			}
+		}
+		if first {
+			first = false
+			for i, v := range idx {
+				offs[i] = base + (int64(v)-lo)*stride
+			}
+		} else {
+			for i, v := range idx {
+				offs[i] += (int64(v) - lo) * stride
+			}
+		}
+	}
+	if b.Elem != ElemF32 {
+		for i, off := range offs {
+			t[i] = b.LoadF64(off)
+		}
+		return
+	}
+	data := b.Data
+	for i, off := range offs {
+		t[i] = float64(data[off])
+	}
+}
+
 // rinstr is one encoded three-address row instruction. a/b are float
 // register operands (bool registers for the bool-logic ops), m is the bool
 // operand of rSelect and the third float operand of rMulAdd. imm32/imm232
@@ -168,14 +303,19 @@ type rinstr struct {
 
 // rowVM is a compiled row program for one stage piece.
 type rowVM struct {
-	instrs []rinstr
-	loads  []vmLoad
-	falls  []evalFn
-	nRegs  int    // float row registers (liveness high-water mark)
-	nBool  int    // bool row registers
-	res    uint16 // register holding the finished row
-	fused  int    // superinstructions emitted by the peephole pass
-	f32    bool   // program qualifies for the float32 instruction set
+	instrs  []rinstr
+	loads   []vmLoad
+	idxs    []vmIdx
+	gathers []vmGather
+	falls   []evalFn
+	// fallWhy counts falls by the reason no row instruction covered the
+	// subtree (Program.Stats).
+	fallWhy obs.VMFalls
+	nRegs   int    // float row registers (liveness high-water mark)
+	nBool   int    // bool row registers
+	res     uint16 // register holding the finished row
+	fused   int    // superinstructions emitted by the peephole pass
+	f32     bool   // program qualifies for the float32 instruction set
 	// intOK: the program qualifies for the integer instruction set
 	// (rowvmint.go). Set only for stages bitwidth inference proved integral
 	// within ±2^24 (program.go masks the structural check with the
@@ -193,7 +333,18 @@ type vmRegs struct {
 	f32   [][]float32
 	i     [][]int64
 	b     [][]bool
+	offs  []int64 // flat-offset row of the gather in flight
 	gauge *atomic.Int64
+}
+
+func (vr *vmRegs) ensureOffs(n int) []int64 {
+	if len(vr.offs) < n {
+		if vr.gauge != nil {
+			vr.gauge.Add(int64(n-len(vr.offs)) * 8)
+		}
+		vr.offs = make([]int64, n)
+	}
+	return vr.offs[:n]
 }
 
 func (vr *vmRegs) ensureF(nr, n int) [][]float64 {
@@ -228,11 +379,13 @@ func (vr *vmRegs) ensureB(nb, n int) [][]bool {
 
 // vmValue is one SSA value of the linearized program, before register
 // allocation. Operands a/b/m are value ids (-1 = unused); whether an
-// operand lives in the float or bool space follows from its own isBool.
+// operand lives in the float or bool space follows from its own isBool. xs
+// holds a gather's index operands, one per producer dimension (-1 = none).
 type vmValue struct {
 	op     rop
 	a, b   int
 	m      int
+	xs     []int
 	aux    int32
 	imm    float64
 	imm2   float64
@@ -241,15 +394,18 @@ type vmValue struct {
 
 // vmBuilder linearizes one piece expression.
 type vmBuilder struct {
-	cp     *compiler
-	last   int // innermost dimension index of the stage domain
-	vals   []vmValue
-	memo   map[string]int // structural key -> value id (DAG sharing)
-	consts map[uint64]int // float bits -> rConst value id
-	counts map[string]int // subtree occurrence counts (fusion safety)
-	loads  []vmLoad
-	falls  []evalFn
-	fused  int
+	cp      *compiler
+	last    int // innermost dimension index of the stage domain
+	vals    []vmValue
+	memo    map[string]int // structural key -> value id (DAG sharing)
+	consts  map[uint64]int // float bits -> rConst value id
+	counts  map[string]int // subtree occurrence counts (fusion safety)
+	loads   []vmLoad
+	idxs    []vmIdx
+	gathers []vmGather
+	falls   []evalFn
+	fallWhy obs.VMFalls
+	fused   int
 }
 
 // compileRowVM lowers an expression to a row bytecode program. last is the
@@ -273,6 +429,23 @@ func (cp *compiler) compileRowVM(e expr.Expr, last int) (*rowVM, error) {
 		return nil, err
 	}
 	return vb.finish(res), nil
+}
+
+// compileRowIdx lowers an index expression (an accumulator target) to a row
+// program whose float64 result converts to the index with int64(v): the
+// integer quasi-affine form where compileIdx would use one, the expression's
+// own value row otherwise, so the rows hold exactly compileIdx's indices.
+func (cp *compiler) compileRowIdx(e expr.Expr, last int) (*rowVM, error) {
+	aff, ok := expr.ToAffineAccess(e)
+	if !ok {
+		return cp.compileRowVM(e, last)
+	}
+	off, err := aff.Off.Eval(cp.params)
+	if err != nil {
+		return nil, err
+	}
+	vb := &vmBuilder{cp: cp, last: last, memo: make(map[string]int)}
+	return vb.finish(vb.emitIdx(aff, off)), nil
 }
 
 func (vb *vmBuilder) push(v vmValue) int {
@@ -350,7 +523,7 @@ func (vb *vmBuilder) emitNew(e expr.Expr) (int, error) {
 		}
 		op, ok := unaryOp(n.Op)
 		if !ok {
-			return vb.emitFallback(e)
+			return vb.emitFallback(e, &vb.fallWhy.Op)
 		}
 		return vb.push(vmValue{op: op, a: x, b: -1, m: -1}), nil
 	case expr.Select:
@@ -363,7 +536,7 @@ func (vb *vmBuilder) emitNew(e expr.Expr) (int, error) {
 		m, err := vb.emitCond(n.Cond)
 		if err != nil {
 			if err == errNoRowForm {
-				return vb.emitFallback(e)
+				return vb.emitFallback(e, &vb.fallWhy.Cond)
 			}
 			return 0, err
 		}
@@ -383,7 +556,7 @@ func (vb *vmBuilder) emitNew(e expr.Expr) (int, error) {
 		}
 		return vb.push(vmValue{op: rCast, a: x, b: -1, m: -1, aux: int32(n.To)}), nil
 	}
-	return vb.emitFallback(e)
+	return vb.emitFallback(e, &vb.fallWhy.Other)
 }
 
 func unaryOp(op expr.UnOp) (rop, bool) {
@@ -517,7 +690,7 @@ func (vb *vmBuilder) emitBinary(n expr.Binary) (int, error) {
 		}
 		return vb.emitRegReg(rFDiv, n.L, n.R)
 	}
-	return vb.emitFallback(n)
+	return vb.emitFallback(n, &vb.fallWhy.Op)
 }
 
 func (vb *vmBuilder) emitRegReg(op rop, l, r expr.Expr) (int, error) {
@@ -633,8 +806,9 @@ func (vb *vmBuilder) tryClamp(n expr.Binary) (int, bool, error) {
 }
 
 // analyzeLoad resolves an access's affine form. It returns (nil, 0, nil)
-// when the access has no row form (non-affine argument, or more than one
-// argument varying along the row) and the caller should fall back.
+// when the access has no single-step row form (non-affine argument, or more
+// than one argument varying along the row) and the caller should emit a
+// gather.
 func (vb *vmBuilder) analyzeLoad(a expr.Access) (*vmLoad, rop, error) {
 	slot, ok := vb.cp.slots[a.Target]
 	if !ok {
@@ -683,10 +857,56 @@ func (vb *vmBuilder) emitAccess(a expr.Access) (int, error) {
 		return 0, err
 	}
 	if l == nil {
-		return vb.emitFallback(a)
+		return vb.emitGather(a)
 	}
 	vb.loads = append(vb.loads, *l)
 	return vb.push(vmValue{op: op, a: -1, b: -1, m: -1, aux: int32(len(vb.loads) - 1)}), nil
+}
+
+// emitGather lowers an access analyzeLoad has no load form for. Arguments
+// that vary along the row become index rows — rIdx for quasi-affine ones,
+// the argument's own value row otherwise — and the rest stay affine in the
+// gather's row base.
+func (vb *vmBuilder) emitGather(a expr.Access) (int, error) {
+	nd := len(a.Args)
+	g := vmGather{slot: vb.cp.slots[a.Target], target: a.Target, debug: vb.cp.debug,
+		regs: make([]int, nd), affs: make([]affine.Access, nd), offs: make([]int64, nd)}
+	xs := make([]int, nd)
+	for d, arg := range a.Args {
+		xs[d] = -1
+		aff, ok := expr.ToAffineAccess(arg)
+		if !ok {
+			id, err := vb.emit(arg)
+			if err != nil {
+				return 0, err
+			}
+			xs[d] = id
+			continue
+		}
+		off, err := aff.Off.Eval(vb.cp.params)
+		if err != nil {
+			return 0, err
+		}
+		if aff.Var >= 0 && aff.Var == vb.last {
+			xs[d] = vb.emitIdx(aff, off)
+			continue
+		}
+		g.affs[d], g.offs[d] = aff, off
+	}
+	vb.gathers = append(vb.gathers, g)
+	return vb.push(vmValue{op: rGather, a: -1, b: -1, m: -1, xs: xs, aux: int32(len(vb.gathers) - 1)}), nil
+}
+
+// emitIdx emits (or reuses) the index row of a quasi-affine argument.
+func (vb *vmBuilder) emitIdx(aff affine.Access, off int64) int {
+	key := fmt.Sprintf("\x00idx %d %d %d %d", aff.Var, aff.Coeff, off, aff.Div)
+	if id, ok := vb.memo[key]; ok {
+		return id
+	}
+	vb.idxs = append(vb.idxs, vmIdx{aff: aff, off: off})
+	id := vb.push(vmValue{op: rIdx, a: -1, b: -1, m: -1, aux: int32(len(vb.idxs) - 1)})
+	vb.memo[key] = id
+	return id
 }
 
 // fuseLoad returns a load-table index for e when it is a single-use
@@ -705,13 +925,14 @@ func (vb *vmBuilder) fuseLoad(e expr.Expr) (int, bool) {
 }
 
 // emitFallback compiles the subtree with the scalar compiler and emits a
-// per-element fallback instruction — the escape hatch for data-dependent
-// gathers and exotic ops.
-func (vb *vmBuilder) emitFallback(e expr.Expr) (int, error) {
+// per-element fallback instruction — the escape hatch for a node the VM has
+// no row instruction for; why counts it by reason.
+func (vb *vmBuilder) emitFallback(e expr.Expr, why *int) (int, error) {
 	f, err := vb.cp.compile(e)
 	if err != nil {
 		return 0, err
 	}
+	*why++
 	vb.falls = append(vb.falls, f)
 	return vb.push(vmValue{op: rFall, a: -1, b: -1, m: -1, aux: int32(len(vb.falls) - 1)}), nil
 }
@@ -801,8 +1022,10 @@ func (vb *vmBuilder) finish(res int) *rowVM {
 	for i := range lastUse {
 		lastUse[i] = i
 	}
+	var ops []int
 	for i, v := range vb.vals {
-		for _, o := range [3]int{v.a, v.b, v.m} {
+		ops = append(append(ops[:0], v.a, v.b, v.m), v.xs...)
+		for _, o := range ops {
 			if o >= 0 {
 				lastUse[o] = i
 			}
@@ -814,7 +1037,7 @@ func (vb *vmBuilder) finish(res int) *rowVM {
 	var freeF, freeB []int
 	nF, nB := 0, 0
 	for i, v := range vb.vals {
-		ops := [3]int{v.a, v.b, v.m}
+		ops = append(append(ops[:0], v.a, v.b, v.m), v.xs...)
 		for k, o := range ops {
 			if o < 0 || lastUse[o] != i {
 				continue
@@ -872,9 +1095,17 @@ func (vb *vmBuilder) finish(res int) *rowVM {
 		if v.m >= 0 {
 			in.m = uint16(reg[v.m])
 		}
+		for d, o := range v.xs {
+			if o >= 0 {
+				vb.gathers[v.aux].regs[d] = reg[o]
+			} else {
+				vb.gathers[v.aux].regs[d] = -1
+			}
+		}
 		ins[i] = in
 	}
-	vm := &rowVM{instrs: ins, loads: vb.loads, falls: vb.falls,
+	vm := &rowVM{instrs: ins, loads: vb.loads, idxs: vb.idxs, gathers: vb.gathers,
+		falls: vb.falls, fallWhy: vb.fallWhy,
 		nRegs: nF, nBool: nB, res: uint16(reg[res]), fused: vb.fused}
 	vm.f32 = vmFloat32OK(vb.vals, res)
 	vm.intOK = vmIntOK(vb.vals)
@@ -988,6 +1219,10 @@ func (vm *rowVM) eval64(c *RowCtx) []float64 {
 			for i := range t {
 				t[i] = v
 			}
+		case rIdx:
+			vm.idxs[in.aux].row(c, regs[in.dst][:n])
+		case rGather:
+			vm.gathers[in.aux].run(c, regs, regs[in.dst][:n])
 		case rLoadMulI:
 			t := regs[in.dst][:n]
 			w := in.imm

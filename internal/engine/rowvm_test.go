@@ -66,7 +66,7 @@ func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n
 // TestRowVMMatchesScalar is the differential property for the bytecode
 // evaluator: array-at-a-time evaluation must agree with scalar evaluation
 // for every expression form, including forms that exercise the fused
-// superinstructions and the per-subtree scalar fallback.
+// superinstructions and the gather instruction.
 func TestRowVMMatchesScalar(t *testing.T) {
 	src := NewBuffer(affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 39}})
 	FillPattern(src, 9)
@@ -95,7 +95,7 @@ func TestRowVMMatchesScalar(t *testing.T) {
 			Else: g(x, expr.AddE(y, expr.C(2))),
 		},
 		expr.Cast{To: expr.Int, X: expr.MulE(g(x, y), expr.C(100))},
-		// Data-dependent gather exercises the scalar fallback path.
+		// Data-dependent gather: a gather instruction over a value index row.
 		g(x, expr.Cast{To: expr.Int, X: expr.MulE(g(x, y), expr.C(30))}),
 		// Reg-reg forms (no literal operand anywhere).
 		expr.DivE(g(x, y), expr.AddE(g(x, expr.AddE(y, expr.C(1))), expr.C(2))),
@@ -316,32 +316,68 @@ func TestRowVMRegisterAllocation(t *testing.T) {
 	}
 }
 
-// TestRowVMFallback pins the per-subtree escape hatch: a data-dependent
-// gather compiles to a fallback instruction (not an error, not a wrong
-// answer), and the rest of the expression still runs as bytecode.
+// TestRowVMFallback pins what is left of the per-subtree escape hatch.
+// Data-dependent gathers and diagonal accesses no longer reach it: each is
+// one gather instruction whose index rows are shared VM values. The hatch
+// itself — a node without a row instruction evaluates through its scalar
+// closure, counted by reason — is driven through the builder, because no
+// expression form reaches it today.
 func TestRowVMFallback(t *testing.T) {
 	src := NewBuffer(affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 39}})
 	FillPattern(src, 9)
+	bufs := map[string]*Buffer{"g": src}
 	x := expr.VarRef{Dim: 0, Name: "x"}
 	y := expr.VarRef{Dim: 1, Name: "y"}
 	g := func(a, b expr.Expr) expr.Expr {
 		return expr.Access{Target: "g", Args: []expr.Expr{a, b}}
 	}
-	gather := g(x, expr.Cast{To: expr.Int, X: expr.MulE(g(x, y), expr.C(30))})
-	e := expr.AddE(expr.MulE(gather, expr.C(0.5)), g(x, y))
-	vm := vmHarness(t, e, map[string]*Buffer{"g": src}, []int64{3, 2}, 30)
-	if len(vm.falls) != 1 {
-		t.Fatalf("fallback count = %d, want 1", len(vm.falls))
+	count := func(vm *rowVM, op rop) int {
+		n := 0
+		for _, in := range vm.instrs {
+			if in.op == op {
+				n++
+			}
+		}
+		return n
 	}
-	if vm.f32 {
-		t.Fatal("a program with scalar fallbacks must not take the float32 path")
+	idx := expr.Cast{To: expr.Int, X: expr.MulE(g(x, y), expr.C(30))}
+	// Two taps through one data-dependent index: the index row is computed
+	// once, each tap is one gather.
+	e := expr.AddE(expr.MulE(g(x, idx), expr.C(0.5)), g(expr.AddE(x, expr.C(1)), idx))
+	vm := vmHarness(t, e, bufs, []int64{3, 2}, 30)
+	if len(vm.falls) != 0 || count(vm, rGather) != 2 || count(vm, rCast) != 1 {
+		t.Fatalf("two-tap gather: %d falls, %d gathers, %d casts; want 0, 2, 1", len(vm.falls), count(vm, rGather), count(vm, rCast))
 	}
-	// A diagonal access g(y, y) varies two producer dims along the row:
-	// no single-stride row form exists, so it must also fall back.
-	diag := vmHarness(t, g(expr.Binary{Op: expr.FDiv, L: y, R: expr.C(4)}, y),
-		map[string]*Buffer{"g": src}, []int64{3, 2}, 18)
-	if len(diag.falls) != 1 {
-		t.Fatalf("diagonal access fallback count = %d, want 1", len(diag.falls))
+	if vm.f32 || vm.intOK {
+		t.Fatal("a program with a gather must stay on the float64 instruction set")
+	}
+	// A diagonal access g(y/4, y) varies two producer dims along the row:
+	// two affine index rows feed one gather.
+	diag := vmHarness(t, g(expr.Binary{Op: expr.FDiv, L: y, R: expr.C(4)}, y), bufs, []int64{3, 2}, 18)
+	if len(diag.falls) != 0 || count(diag, rGather) != 1 || count(diag, rIdx) != 2 {
+		t.Fatalf("diagonal access: %d falls, %d gathers, %d index rows; want 0, 1, 2", len(diag.falls), count(diag, rGather), count(diag, rIdx))
+	}
+	// Negative and non-unit coefficients step the divided index exactly.
+	vmHarness(t, g(expr.Binary{Op: expr.FDiv, L: expr.SubE(expr.C(57), expr.MulE(expr.C(3), y)), R: expr.C(4)},
+		expr.Binary{Op: expr.FDiv, L: expr.MulE(expr.C(5), y), R: expr.C(3)}), bufs, []int64{3, 0}, 8)
+
+	cp := &compiler{slots: map[string]int{"g": 0}}
+	vb := &vmBuilder{cp: cp, last: 1, memo: map[string]int{}, consts: map[uint64]int{}, counts: map[string]int{}}
+	sub := expr.MulE(g(x, y), expr.C(2))
+	id, err := vb.emitFallback(sub, &vb.fallWhy.Op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hatch := vb.finish(vb.push(vmValue{op: rAddI, a: id, b: -1, m: -1, imm: 1}))
+	if len(hatch.falls) != 1 || hatch.fallWhy.Op != 1 || hatch.fallWhy.Total() != 1 || hatch.f32 || hatch.intOK {
+		t.Fatalf("escape hatch: falls=%d why=%+v f32=%v int=%v", len(hatch.falls), hatch.fallWhy, hatch.f32, hatch.intOK)
+	}
+	rc := &RowCtx{n: 12, last: 1, jLo: 5}
+	rc.pt, rc.bufs = []int64{3, 5}, []*Buffer{src}
+	for i, v := range hatch.eval64(rc) {
+		if want := float64(src.At(3, 5+int64(i)))*2 + 1; v != want {
+			t.Fatalf("escape hatch [%d] = %v, want %v", i, v, want)
+		}
 	}
 }
 

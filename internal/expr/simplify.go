@@ -155,7 +155,8 @@ func simplifyNode(e Expr) Expr {
 // in float64 arithmetic — the arithmetic the evaluators apply at run time —
 // without Simplify's algebraic identities, which would change the operation
 // sequence a kernel mirroring the evaluators must reproduce. Access index
-// arguments are integer-affine, not float, and are left untouched.
+// arguments are left untouched: the affine ones are integer forms, not
+// float values, and the caller decides which are which.
 func FoldParams(e Expr, params map[string]int64) Expr {
 	switch n := e.(type) {
 	case ParamRef:

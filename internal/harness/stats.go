@@ -86,6 +86,8 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 	m := model.GenMisses
 	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d accumulator/self-ref, %d narrow elem, %d irregular access\n",
 		gen, pieces, m.NoKernel, m.Predicated, m.AccOrSelfRef, m.NarrowElem, m.Irregular)
+	f := model.VMFalls
+	fmt.Fprintf(w, "  vm falls %d; reasons: %d no row op, %d condition, %d other\n", f.Total(), f.Op, f.Cond, f.Other)
 	hasVM := false
 	for _, sm := range model.Stages {
 		if sm.RowVM > 0 {

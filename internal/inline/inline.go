@@ -114,21 +114,32 @@ func inlinable(g *pipeline.Graph, st *pipeline.Stage, opts Options) bool {
 	}
 	// Consumers must all be plain functions (substituting into an
 	// accumulator's data-dependent target is legal for the value but we
-	// keep reductions untouched, as the paper does), and must not grow
-	// beyond the size cap.
+	// keep reductions untouched, as the paper does), must read the stage at
+	// quasi-affine indices only, and must not grow beyond the size cap. A
+	// stage read at a data-dependent index is a lookup table: substituting
+	// it would re-evaluate its definition at every consumer point instead of
+	// once per table entry (the camera pipeline's 1024-entry tone curve).
 	for _, cn := range st.Consumers {
 		c := g.Stages[cn]
 		if c.IsAccumulator() {
 			return false
 		}
-		uses := 0
+		uses, gathered := 0, false
 		for _, e := range c.Exprs() {
 			expr.Walk(e, func(x expr.Expr) bool {
 				if a, ok := x.(expr.Access); ok && a.Target == st.Name {
 					uses++
+					for _, arg := range a.Args {
+						if _, affine := expr.ToAffineAccess(arg); !affine {
+							gathered = true
+						}
+					}
 				}
 				return true
 			})
+		}
+		if gathered {
+			return false
 		}
 		grown := 0
 		for _, e := range c.Exprs() {

@@ -201,3 +201,37 @@ func TestLiveOutNotInlined(t *testing.T) {
 		t.Error("live-out stage must not be inlined away")
 	}
 }
+
+// TestLookupTableNotInlined: a stage read at a data-dependent index is a
+// lookup table — substituting it would re-evaluate its definition at every
+// consumer point instead of once per entry (the camera pipeline's tone
+// curve) — while the same definition read at an affine index still inlines.
+func TestLookupTableNotInlined(t *testing.T) {
+	b := dsl.NewBuilder()
+	x, z := b.Var("x"), b.Var("z")
+	dom := []dsl.Interval{dsl.ConstSpan(0, 63)}
+	I := b.Image("I", expr.Float, affine.Const(64))
+	curve := func(name string) *dsl.Function {
+		f := b.Func(name, expr.Float, []*dsl.Variable{z}, dom)
+		f.Define(dsl.Case{E: dsl.Pow(dsl.Div(z, 63.0), 1.0/2.2)})
+		return f
+	}
+	lut, ramp := curve("lut"), curve("ramp")
+	o := b.Func("o", expr.Float, []*dsl.Variable{x}, dom)
+	idx := dsl.Clamp(dsl.Cast(expr.Int, dsl.Mul(I.At(x), 63.0)), 0, 63)
+	o.Define(dsl.Case{E: dsl.Add(lut.At(idx), ramp.At(dsl.Sub(63, x)))})
+	g, err := pipeline.Build(b, "o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inlined, err := Apply(g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(inlined, ",") != "ramp" {
+		t.Errorf("inlined = %v, want only the affinely read ramp", inlined)
+	}
+	if got := strings.Join(g.Stages["o"].Producers, ","); got != "lut" {
+		t.Errorf("o producers = %s, want the lookup table kept as a stage", got)
+	}
+}

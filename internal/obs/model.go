@@ -83,6 +83,29 @@ type ProgramStats struct {
 	// ahead-of-time generated kernel. Zero unless the program was compiled
 	// Fast with generated kernels enabled.
 	GenMisses GenMisses
+	// VMFalls counts, per reason, the per-element fallback instructions
+	// left in the program's row-VM code (pieces and accumulators, whether or
+	// not a generated kernel displaced the piece). Zero unless compiled Fast.
+	VMFalls VMFalls
+}
+
+// VMFalls says why row-VM subtrees still evaluate through the per-element
+// scalar closure instead of a row instruction. Data-dependent gathers are
+// not among the reasons: they have a row instruction of their own.
+type VMFalls struct {
+	Op    int `json:"op"`    // operator with no row instruction
+	Cond  int `json:"cond"`  // Select condition with no row form
+	Other int `json:"other"` // expression node the VM does not know
+}
+
+// Total is the number of fallback instructions in the program.
+func (f VMFalls) Total() int { return f.Op + f.Cond + f.Other }
+
+// Add accumulates another program's (or piece's) counts.
+func (f *VMFalls) Add(g VMFalls) {
+	f.Op += g.Op
+	f.Cond += g.Cond
+	f.Other += g.Other
 }
 
 // GenMisses says why stage pieces run on an interpreted tier instead of a
@@ -94,7 +117,7 @@ type GenMisses struct {
 	Predicated   int `json:"predicated"`      // residual per-point predicate
 	AccOrSelfRef int `json:"acc_or_self_ref"` // accumulator or self-referencing stage
 	NarrowElem   int `json:"narrow_elem"`     // narrow-typed stage or read
-	Irregular    int `json:"irregular"`       // non-affine / cross-dimension access, or rank outside 1–3
+	Irregular    int `json:"irregular"`       // stage rank outside 1–3, an index offset the binding cannot evaluate, or a gather piece under Debug
 }
 
 // Total is the number of pieces without a generated kernel; with the Gen
@@ -122,9 +145,9 @@ type StageModel struct {
 	Stencil    int // specialized stencil kernel
 	Comb       int
 	IntStencil int // integer stencil kernel (narrow-type pipelines)
-	RowVM      int // row bytecode VM
+	RowVM      int // row bytecode VM (incl. an accumulator swept by rows)
 	ClosureRow int
-	Scalar     int // per-point scalar loop (predicated pieces, accumulators)
+	Scalar     int // per-point scalar loop (predicated pieces; accumulators without Fast)
 	// Row-VM program shape (zero when RowVM == 0).
 	VMInstrs    int  // instructions across the stage's VM programs
 	VMFusedOps  int  // superinstructions emitted by the peephole pass

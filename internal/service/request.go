@@ -293,6 +293,9 @@ type ProgramMetrics struct {
 	// ahead-of-time generated kernel (obs.GenMisses); no_kernel > 0 means
 	// the linked kernel package is stale for this pipeline.
 	GenMisses obs.GenMisses `json:"gen_misses"`
+	// VMFalls counts, per reason, the per-element fallback instructions
+	// left in the program's row-VM code (obs.VMFalls).
+	VMFalls obs.VMFalls `json:"vm_falls"`
 }
 
 // PhaseMetrics totals one request phase: how many samples, their summed

@@ -590,6 +590,7 @@ func (s *Service) Metrics() Metrics {
 			Snapshot:  snap,
 			Stages:    stats.Stages,
 			GenMisses: stats.GenMisses,
+			VMFalls:   stats.VMFalls,
 		})
 	}
 	m.Merged = obs.Merge(snaps...)
