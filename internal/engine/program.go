@@ -579,6 +579,10 @@ func (p *Program) Stats() obs.ProgramStats {
 		if s := p.Grouping.Search; s != nil {
 			st.SearchStates = s.States
 			st.SearchPruned = s.Pruned
+			st.SearchCostEvals = s.CostEvals
+			st.SearchCostCacheHits = s.CostCacheHits
+			st.SearchPerDimEvals = s.PerDimEvals
+			st.SearchEnumeratedEvals = s.EnumeratedEvals
 		}
 	}
 	st.Stages = make([]obs.StageModel, 0, len(p.stageNames))

@@ -30,7 +30,11 @@ func Stats(w io.Writer, cfg Config) error {
 
 func statsApp(w io.Writer, app *apps.App, v baseline.Variant, cfg Config) error {
 	params := ScaledParams(app, cfg.Scale)
-	p, err := Prepare(app, v, params, cfg.Threads, schedule.DefaultOptions(), cfg.Seed)
+	// Scheduled as polymage-serve schedules by default: the searched
+	// grouping is what the search line and the per-group rows describe.
+	so := schedule.DefaultOptions()
+	so.Auto = true
+	p, err := Prepare(app, v, params, cfg.Threads, so, cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -55,9 +59,15 @@ func statsApp(w io.Writer, app *apps.App, v baseline.Variant, cfg Config) error 
 }
 
 func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model obs.ProgramStats) {
-	fmt.Fprintf(w, "stats %s [scale 1/%d, %d runs, opt+vec]\n", name, cfg.Scale, snap.Runs)
+	fmt.Fprintf(w, "stats %s [scale 1/%d, %d runs, opt+vec, auto-scheduled]\n", name, cfg.Scale, snap.Runs)
 	if model.Compile != nil {
 		fmt.Fprintf(w, "  compile  %s\n", model.Compile.String())
+	}
+	if model.AutoScheduled {
+		fmt.Fprintf(w, "  search   %d states (%d evaluated, %d from memo), %d pruned; tiles per dimension %d, tile by tile %d, extrapolated %d\n",
+			model.SearchStates, model.SearchCostEvals, model.SearchCostCacheHits, model.SearchPruned,
+			model.SearchPerDimEvals, model.SearchEnumeratedEvals,
+			model.SearchCostEvals-model.SearchPerDimEvals-model.SearchEnumeratedEvals)
 	}
 	fmt.Fprintf(w, "  lower    %s\n", model.Bind.String())
 	fmt.Fprintf(w, "  run      %.2f ms wall, %d workers, %.0f%% utilization\n",

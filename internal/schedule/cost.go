@@ -2,6 +2,9 @@ package schedule
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/affine"
 	"repro/internal/pipeline"
@@ -126,134 +129,77 @@ type GroupCost struct {
 // must be well-formed (members topologically ordered, scales populated for
 // multi-stage groups) — exactly what BuildGroups/the search construct.
 func EvalGroupCost(g *pipeline.Graph, grp *Group, est map[string]int64, ao AutoOptions) (GroupCost, error) {
-	ao = ao.withDefaults()
 	tp, err := NewTilePlan(g, grp, est)
 	if err != nil {
 		return GroupCost{}, err
 	}
-	c := GroupCost{Tiles: tp.NumTiles()}
+	c, _, err := evalGroupCost(tp, ao.withDefaults(), true)
+	return c, err
+}
 
-	liveOut := make(map[string]bool, len(tp.LiveOuts))
-	for _, lo := range tp.LiveOuts {
-		liveOut[lo] = true
-	}
+// tileSums are a group's per-tile cost terms summed over its tiles.
+type tileSums struct {
+	compute, recompute, footprint float64
+	// ext[e] is the number of points of TilePlan.ext[e] read, summed over
+	// tiles (halo overlap counted once per tile that reads it).
+	ext []float64
+}
 
+// evalGroupCost prices the group of a tile plan under resolved options
+// (AutoOptions.withDefaults). perDim permits the per-dimension enumeration
+// where it applies; without it every exact evaluation walks every tile, the
+// reference the fast path is held to bit for bit. usedPerDim reports that
+// the group's tiles were enumerated per dimension (perDimSums) rather than
+// one by one or, beyond ExactTileCap, extrapolated (sumTiles).
+func evalGroupCost(tp *TilePlan, ao AutoOptions, perDim bool) (c GroupCost, usedPerDim bool, err error) {
+	grp, g := tp.Group, tp.Graph
+	c = GroupCost{Tiles: tp.NumTiles()}
 	budgetPts := float64(ao.CacheBudgetBytes) / 4 // float32 scratch elements
 
 	// Live-out writes are tile-independent: each live-out's full domain is
 	// written exactly once per run (tiles own disjoint regions).
-	for _, lo := range tp.LiveOuts {
-		size := float64(tp.MemberDomain(lo).Size())
+	for i := range tp.members {
+		if !tp.members[i].live {
+			continue
+		}
+		size := float64(tp.members[i].dom.Size())
 		priced := size * trafficFactor(size, budgetPts)
 		c.Traffic += priced
-		if !g.Stages[lo].LiveOut {
+		if !g.Stages[grp.Members[i]].LiveOut {
 			c.ReducibleTraffic += priced
 		}
 	}
 
-	// Per-tile terms: exact enumeration when the tile count is within the
-	// cap, interior-tile extrapolation beyond it.
-	enumerated := c.Tiles
-	scale := 1.0
-	if c.Tiles <= ao.ExactTileCap {
-		c.Exact = true
-	} else {
-		enumerated, scale = 1, float64(c.Tiles)
+	// Per-tile terms: exact when the tile count is within the cap,
+	// interior-tile extrapolation beyond it.
+	c.Exact = c.Tiles <= ao.ExactTileCap
+	var sums tileSums
+	if c.Exact && perDim {
+		sums, usedPerDim = tp.perDimSums(ao.RowOverheadPoints, budgetPts)
 	}
-	idx := make([]int64, len(tp.TileCounts))
-	extSum := make(map[string]float64)
-	var reqM, extM map[string]affine.Box
-	owned := make(map[string]affine.Box, len(grp.Members))
-	for _, m := range grp.Members {
-		owned[m] = make(affine.Box, len(tp.MemberDomain(m)))
-	}
-	for flat := int64(0); flat < enumerated; flat++ {
-		if c.Exact {
-			tp.TileIndex(flat, idx)
-		} else {
-			for d, n := range tp.TileCounts {
-				idx[d] = n / 2 // interior tile
-			}
-		}
-		reqM, err = tp.Required(idx, reqM)
-		if err != nil {
-			return GroupCost{}, err
-		}
-		work := 0.0
-		for _, m := range grp.Members {
-			b := reqM[m]
-			if b.Empty() {
-				continue
-			}
-			size := float64(b.Size())
-			// Row segments: the engine walks the region row-major, paying a
-			// fixed dispatch cost per row of the innermost dimension.
-			rows := 1.0
-			if inner := float64(b[len(b)-1].Size()); inner > 0 {
-				rows = size / inner
-			}
-			c.Compute += (size + ao.RowOverheadPoints*rows) * scale
-			// Recomputed points: required minus the tile-owned region —
-			// the same quantity the executor's metrics path measures into
-			// StageStats.RecomputedPoints.
-			ob := owned[m]
-			tp.OwnedBoxInto(ob, m, idx)
-			in := int64(1)
-			for d := range b {
-				sz := ob[d].Intersect(b[d]).Size()
-				if sz <= 0 {
-					in = 0
-					break
-				}
-				in *= sz
-			}
-			c.Recompute += (size - float64(in)) * scale
-			work += size
-		}
-		extM, err = tp.ExternalReads(reqM, extM)
-		if err != nil {
-			return GroupCost{}, err
-		}
-		for target, b := range extM {
-			if b.Empty() {
-				continue
-			}
-			sz := float64(b.Size())
-			extSum[target] += sz * scale
-			work += sz
-		}
-		// Footprint is the tile's whole working set — member regions
-		// (scratch and the live-out slice it writes) plus the external
-		// regions it reads. All of it competes for the same cache; counting
-		// only scratch lets a tile that barely fits its intermediates but
-		// thrashes on inputs look free.
-		if work > budgetPts {
-			c.FootprintExcess += (work - budgetPts) * scale
+	if !usedPerDim {
+		if sums, err = tp.sumTiles(ao.RowOverheadPoints, budgetPts, c.Exact); err != nil {
+			return GroupCost{}, false, err
 		}
 	}
+	c.Compute, c.Recompute, c.FootprintExcess = sums.compute, sums.recompute, sums.footprint
 
 	// External reads: distinct bytes stream in once at full price; the
 	// per-tile halo overlap re-reads rows adjacent tiles just touched,
 	// which stay cache-hot and are priced at a discount. Without the
 	// split, tall-tile schedules (more tiles along y, more halo re-reads)
 	// look artificially expensive against square ones.
-	for target, sum := range extSum {
-		distinct := sum
-		var dom affine.Box
-		var derr error
-		if im, isImage := g.Images[target]; isImage {
-			dom, derr = im.Domain().Eval(est)
-		} else {
-			dom, derr = domainAt(g.Stages[target], est)
+	for e, sum := range sums.ext {
+		if sum == 0 {
+			continue
 		}
-		if derr == nil {
-			if d := float64(dom.Size()); d < distinct {
-				distinct = d
-			}
+		distinct := sum
+		if d := float64(tp.ext[e].dom.Size()); d < distinct {
+			distinct = d
 		}
 		priced := distinct*trafficFactor(distinct, budgetPts) + rereadDiscount*(sum-distinct)
 		c.Traffic += priced
-		if _, isImage := g.Images[target]; !isImage {
+		if _, isImage := g.Images[tp.ext[e].name]; !isImage {
 			c.ReducibleTraffic += priced
 		}
 	}
@@ -273,22 +219,367 @@ func EvalGroupCost(g *pipeline.Graph, grp *Group, est map[string]int64, ao AutoO
 		idleUnits := waves*w - units
 		c.ParallelIdle = float64(idleUnits) * c.Compute / float64(units)
 	}
-	return c, nil
+	return c, usedPerDim, nil
+}
+
+// sumTiles probes tiles one by one: every tile when exact, else the
+// interior tile alone, its terms scaled by the tile count.
+func (tp *TilePlan) sumTiles(rowOverhead, budgetPts float64, exact bool) (tileSums, error) {
+	sums := tileSums{ext: make([]float64, len(tp.ext))}
+	n, scale := tp.NumTiles(), 1.0
+	idx := make([]int64, len(tp.TileCounts))
+	if !exact {
+		n, scale = 1, float64(n)
+		idx = tp.interiorTile()
+	}
+	req, owned, ext := tp.memberBoxes(), tp.memberBoxes(), tp.extBoxes()
+	for flat := int64(0); flat < n; flat++ {
+		if exact {
+			tp.TileIndex(flat, idx)
+		}
+		if err := tp.requiredInto(idx, req); err != nil {
+			return tileSums{}, err
+		}
+		work := 0.0
+		for i, b := range req {
+			if b.Empty() {
+				continue
+			}
+			size := float64(b.Size())
+			// Row segments: the engine walks the region row-major, paying a
+			// fixed dispatch cost per row of the innermost dimension.
+			rows := 1.0
+			if inner := float64(b[len(b)-1].Size()); inner > 0 {
+				rows = size / inner
+			}
+			sums.compute += (size + rowOverhead*rows) * scale
+			// Recomputed points: required minus the tile-owned region —
+			// the same quantity the executor's metrics path measures into
+			// StageStats.RecomputedPoints.
+			ob := owned[i]
+			tp.ownedInto(ob, i, idx)
+			in := int64(1)
+			for d := range b {
+				in *= ob[d].Intersect(b[d]).Size()
+			}
+			sums.recompute += (size - float64(in)) * scale
+			work += size
+		}
+		if err := tp.externalInto(req, ext); err != nil {
+			return tileSums{}, err
+		}
+		for e, b := range ext {
+			if b.Empty() {
+				continue
+			}
+			sz := float64(b.Size())
+			sums.ext[e] += sz * scale
+			work += sz
+		}
+		// Footprint is the tile's whole working set — member regions
+		// (scratch and the live-out slice it writes) plus the external
+		// regions it reads. All of it competes for the same cache; counting
+		// only scratch lets a tile that barely fits its intermediates but
+		// thrashes on inputs look free.
+		if work > budgetPts {
+			sums.footprint += (work - budgetPts) * scale
+		}
+	}
+	return sums, nil
+}
+
+// exactBelow bounds the sums perDimSums may form: every term is an integer
+// (or, for the footprint excess, a multiple of 1/4), and below 2^50 float64
+// adds and multiplies those without rounding, in any order.
+const exactBelow = float64(1 << 50)
+
+// perDimSums computes exactly what sumTiles(exact) computes, from the
+// T₀+T₁+… tiles of one axis cross instead of all T₀·T₁·… tiles.
+//
+// Every access reads one consumer variable and every dimension of an owned
+// box follows one anchor dimension, so each dimension of each member's
+// required region (and of each external read region) is a function of the
+// tile index along the tiled anchor dimensions it transitively derives
+// from. When that is at most one anchor dimension per region dimension, the
+// one its owned box follows (tileAxes), the extent of a region dimension at
+// tile (t₀,t₁,…) is its extent at the cross tile (…,tₐ,…) of its axis a, and
+// a tile's sizes, row counts and owned intersections are products of
+// per-axis factors. The one coupling between dimensions in Required is that
+// a member with an empty region propagates nothing; the probes establish
+// that no member is empty on the cross, which by induction from the
+// consumers makes every member non-empty, with the tabulated extents, on
+// every tile. Runs of cross tiles with equal factors are counted once with
+// a multiplicity.
+//
+// ok is false — and the caller walks every tile — when the structure or a
+// probe rules the table out, when a probe fails (sumTiles reports the
+// error), or when the sums could leave the range in which float64 is exact
+// for them (a fractional row overhead, or more than 2^50 points): inside
+// it, re-associating the sums cannot change a bit of the result.
+func (tp *TilePlan) perDimSums(rowOverhead, budgetPts float64) (sums tileSums, ok bool) {
+	if rowOverhead != math.Trunc(rowOverhead) {
+		return sums, false
+	}
+	bound := 0.0
+	for i := range tp.members {
+		bound += (1 + rowOverhead) * boxPoints(tp.members[i].dom)
+	}
+	for _, e := range tp.ext {
+		bound += boxPoints(e.dom)
+	}
+	if bound*float64(tp.NumTiles()) >= exactBelow {
+		return sums, false
+	}
+	memAxis, extAxis, ok := tp.tileAxes()
+	if !ok {
+		return sums, false
+	}
+
+	nM, nE := len(tp.members), len(tp.ext)
+	req, owned, ext := tp.memberBoxes(), tp.memberBoxes(), tp.extBoxes()
+	idx := make([]int64, len(tp.TileCounts))
+	probe := func() bool {
+		if tp.requiredInto(idx, req) != nil {
+			return false
+		}
+		for i, b := range req {
+			if b.Empty() {
+				return false
+			}
+			tp.ownedInto(owned[i], i, idx)
+		}
+		return tp.externalInto(req, ext) == nil
+	}
+	// factors lays out, for the probed tile, the product over the region
+	// dimensions on one axis (−1: the tile-independent dimensions) of each
+	// member's extent, row count (extent without the innermost dimension)
+	// and owned intersection, then of each external read's extent.
+	factors := func(axis int) []int64 {
+		f := make([]int64, 3*nM+nE)
+		for i, b := range req {
+			size, rows, in := int64(1), int64(1), int64(1)
+			for d, r := range b {
+				if memAxis[i][d] != axis {
+					continue
+				}
+				size *= r.Size()
+				if d < len(b)-1 {
+					rows *= r.Size()
+				}
+				in *= owned[i][d].Intersect(r).Size()
+			}
+			f[3*i], f[3*i+1], f[3*i+2] = size, rows, in
+		}
+		for e, b := range ext {
+			sz := int64(1)
+			for d, r := range b {
+				if extAxis[e][d] == axis {
+					sz *= r.Size()
+				}
+			}
+			f[3*nM+e] = sz
+		}
+		return f
+	}
+
+	if !probe() {
+		return sums, false
+	}
+	fixed := factors(-1)
+	type class struct {
+		n int64 // cross tiles with these factors
+		f []int64
+	}
+	var axes [][]class
+	for a, count := range tp.TileCounts {
+		if count <= 1 {
+			continue
+		}
+		var cls []class
+		for t := int64(0); t < count; t++ {
+			idx[a] = t
+			if !probe() {
+				return sums, false
+			}
+			f := factors(a)
+			if last := len(cls) - 1; last >= 0 && slices.Equal(cls[last].f, f) {
+				cls[last].n++
+			} else {
+				cls = append(cls, class{1, f})
+			}
+		}
+		idx[a] = 0
+		axes = append(axes, cls)
+	}
+
+	// One pass per combination of classes: the tile loop of sumTiles over
+	// the reduced grid, each combination weighted by the tiles it stands for.
+	sums.ext = make([]float64, nE)
+	pick := make([]int, len(axes))
+	cur := make([]int64, len(fixed))
+	for {
+		copy(cur, fixed)
+		tiles := 1.0
+		for k, cls := range axes {
+			c := cls[pick[k]]
+			tiles *= float64(c.n)
+			for j, v := range c.f {
+				cur[j] *= v
+			}
+		}
+		work := 0.0
+		for i := 0; i < nM; i++ {
+			size, rows, in := cur[3*i], cur[3*i+1], cur[3*i+2]
+			sums.compute += (float64(size) + rowOverhead*float64(rows)) * tiles
+			sums.recompute += float64(size-in) * tiles
+			work += float64(size)
+		}
+		for e, sz := range cur[3*nM:] {
+			sums.ext[e] += float64(sz) * tiles
+			work += float64(sz)
+		}
+		if work > budgetPts {
+			sums.footprint += (work - budgetPts) * tiles
+		}
+		k := len(pick) - 1
+		for ; k >= 0; k-- {
+			if pick[k]++; pick[k] < len(axes[k]) {
+				break
+			}
+			pick[k] = 0
+		}
+		if k < 0 {
+			return sums, true
+		}
+	}
+}
+
+// boxPoints is Box.Size in float64, which cannot overflow.
+func boxPoints(b affine.Box) float64 {
+	p := 1.0
+	for _, r := range b {
+		p *= float64(r.Size())
+	}
+	return p
+}
+
+// tileAxes reports, for every dimension of every member's required region
+// and of every external read region, the one tiled anchor dimension its
+// range can vary with across tiles (−1: none). ok is false when some region
+// dimension derives from two tiled anchor dimensions (a transposed in-group
+// access, a producer dimension fed by two consumer variables) or from an
+// index the masks do not model: a non-affine in-group access, which
+// Required refuses, or a variable outside the reader's output domain (a
+// reduction variable), charged to every tiled dimension.
+func (tp *TilePlan) tileAxes() (mem, ext [][]int, ok bool) {
+	if len(tp.TileCounts) > 64 {
+		return nil, nil, false
+	}
+	var all uint64
+	tiled := func(a int) uint64 {
+		if a >= 0 && a < len(tp.TileCounts) && tp.TileCounts[a] > 1 {
+			return 1 << uint(a)
+		}
+		return 0
+	}
+	for a := range tp.TileCounts {
+		all |= tiled(a)
+	}
+	// Every member's owned box follows its scales (ownedInto): it seeds the
+	// live-outs' regions, and the recompute term intersects it with the
+	// region of every member, so a region dimension must vary with the same
+	// anchor dimension its owned box does.
+	mm := make([][]uint64, len(tp.members))
+	for i := range tp.members {
+		pm := &tp.members[i]
+		mm[i] = make([]uint64, len(pm.dom))
+		for d := range mm[i] {
+			if pm.anchor {
+				mm[i][d] = tiled(d)
+			} else {
+				mm[i][d] = tiled(pm.scales[d].AnchorDim)
+			}
+		}
+	}
+	em := make([][]uint64, len(tp.ext))
+	for e := range em {
+		em[e] = make([]uint64, len(tp.ext[e].dom))
+	}
+	// Consumers before producers, so a member's masks are final when its
+	// accesses hand them on.
+	for i := len(tp.members) - 1; i >= 0; i-- {
+		for _, a := range tp.members[i].in {
+			if !a.ok {
+				return nil, nil, false
+			}
+			if a.acc.Var >= 0 {
+				mm[a.target][a.dim] |= mm[i][a.acc.Var]
+			}
+		}
+		for _, a := range tp.members[i].out {
+			switch {
+			case !a.ok:
+				// Widened to the producer's whole extent on every tile.
+			case a.acc.Var >= len(mm[i]):
+				em[a.target][a.dim] |= all
+			case a.acc.Var >= 0:
+				em[a.target][a.dim] |= mm[i][a.acc.Var]
+			}
+		}
+	}
+	axes := func(masks [][]uint64) ([][]int, bool) {
+		out := make([][]int, len(masks))
+		for i, ms := range masks {
+			out[i] = make([]int, len(ms))
+			for d, m := range ms {
+				if m&(m-1) != 0 {
+					return nil, false
+				}
+				out[i][d] = bits.TrailingZeros64(m)
+				if m == 0 {
+					out[i][d] = -1
+				}
+			}
+		}
+		return out, true
+	}
+	if mem, ok = axes(mm); !ok {
+		return nil, nil, false
+	}
+	if ext, ok = axes(em); !ok {
+		return nil, nil, false
+	}
+	return mem, ext, true
+}
+
+// pipelineCosts prices the groups of one graph over one set of graph tables
+// and one resolution of the options.
+func pipelineCosts(g *pipeline.Graph, groups []*Group, est map[string]int64, ao AutoOptions) ([]GroupCost, error) {
+	ao = ao.withDefaults()
+	gi := newGraphInfo(g, est)
+	costs := make([]GroupCost, len(groups))
+	for i, grp := range groups {
+		tp, err := newTilePlan(gi, grp)
+		if err == nil {
+			costs[i], _, err = evalGroupCost(tp, ao, true)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("schedule: cost of group %s: %w", grp.Anchor, err)
+		}
+	}
+	return costs, nil
 }
 
 // PipelineCost prices a whole grouping: per-group breakdowns plus the
 // weighted total under the AutoOptions' weights.
 func PipelineCost(g *pipeline.Graph, groups []*Group, est map[string]int64, ao AutoOptions) (float64, []GroupCost, error) {
-	ao = ao.withDefaults()
+	costs, err := pipelineCosts(g, groups, est, ao)
+	if err != nil {
+		return 0, nil, err
+	}
 	w := ao.weights()
 	total := 0.0
-	costs := make([]GroupCost, len(groups))
-	for i, grp := range groups {
-		c, err := EvalGroupCost(g, grp, est, ao)
-		if err != nil {
-			return 0, nil, fmt.Errorf("schedule: cost of group %s: %w", grp.Anchor, err)
-		}
-		costs[i] = c
+	for _, c := range costs {
 		total += w.Total(c)
 	}
 	return total, costs, nil
@@ -299,11 +590,11 @@ func PipelineCost(g *pipeline.Graph, groups []*Group, est map[string]int64, ao A
 // fitting CostWeights.
 func PipelineTerms(gr *Grouping, ao AutoOptions) ([5]float64, error) {
 	var v [5]float64
-	for _, grp := range gr.Groups {
-		c, err := EvalGroupCost(gr.Graph, grp, gr.Est, ao)
-		if err != nil {
-			return v, err
-		}
+	costs, err := pipelineCosts(gr.Graph, gr.Groups, gr.Est, ao)
+	if err != nil {
+		return v, err
+	}
+	for _, c := range costs {
 		cv := c.Vector()
 		for i := range v {
 			v[i] += cv[i]

@@ -58,39 +58,38 @@ func DependenceVectors(g *pipeline.Graph, grp *Group) ([]DepVector, error) {
 	}
 	for _, cname := range grp.Members {
 		cs := grp.Scales[cname]
-		for target, accs := range stageAccessMap(g.Stages[cname]) {
+		seen := make(map[string]bool)
+		for _, aa := range stageAccesses(g.Stages[cname]) {
+			target := aa.Target
 			if !memberSet[target] || target == cname {
 				continue
 			}
-			seen := make(map[string]bool)
-			for _, aa := range accs {
-				if !aa.OK {
-					return nil, fmt.Errorf("schedule: non-affine in-group access %s -> %s", cname, target)
+			if !aa.OK {
+				return nil, fmt.Errorf("schedule: non-affine in-group access %s -> %s", cname, target)
+			}
+			dv := DepVector{
+				From:       cname,
+				To:         target,
+				LevelDelta: levels[cname] - levels[target],
+				Delta:      make([]*affine.Rational, anchorDims),
+			}
+			if aa.Acc.Var >= 0 && aa.Acc.Var < len(cs) {
+				ds := cs[aa.Acc.Var]
+				if ds.AnchorDim >= 0 && !ds.Scale.IsZero() {
+					// Common-space dependence distance: the consumer
+					// point u reads the producer at u + β/(s_c·α)
+					// where the access is (α·x + β)/δ and s_c is the
+					// consumer's scale. The distance (consumer −
+					// producer) is −β/(s_c·α).
+					off, _ := aa.Acc.Off.ConstVal()
+					d := affine.NewRational(-off*ds.Scale.Den, ds.Scale.Num*aa.Acc.Coeff)
+					dv.Delta[ds.AnchorDim] = &d
 				}
-				dv := DepVector{
-					From:       cname,
-					To:         target,
-					LevelDelta: levels[cname] - levels[target],
-					Delta:      make([]*affine.Rational, anchorDims),
-				}
-				if aa.Acc.Var >= 0 && aa.Acc.Var < len(cs) {
-					ds := cs[aa.Acc.Var]
-					if ds.AnchorDim >= 0 && !ds.Scale.IsZero() {
-						// Common-space dependence distance: the consumer
-						// point u reads the producer at u + β/(s_c·α)
-						// where the access is (α·x + β)/δ and s_c is the
-						// consumer's scale. The distance (consumer −
-						// producer) is −β/(s_c·α).
-						off, _ := aa.Acc.Off.ConstVal()
-						d := affine.NewRational(-off*ds.Scale.Den, ds.Scale.Num*aa.Acc.Coeff)
-						dv.Delta[ds.AnchorDim] = &d
-					}
-				}
-				key := fmt.Sprintf("%d|%v", dv.LevelDelta, dv.Delta)
-				if !seen[key] {
-					seen[key] = true
-					out = append(out, dv)
-				}
+			}
+			key := fmt.Sprintf("%s|%d|%v", target, dv.LevelDelta, dv.Delta)
+			if !seen[key] {
+				seen[key] = true
+				out = append(out, dv)
 			}
 		}
 	}

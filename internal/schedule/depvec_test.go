@@ -32,7 +32,7 @@ func figure5Chain(t *testing.T) (*pipeline.Graph, *Group) {
 		t.Fatal(err)
 	}
 	members := map[string]bool{"f1": true, "f2": true, "fout": true}
-	scales, err := computeScales(g, members, "fout")
+	scales, err := computeScales(newGraphInfo(g, nil), members, "fout")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSamplingDependenceVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := map[string]bool{"ff": true, "d": true, "out": true}
-	scales, err := computeScales(g, members, "out")
+	scales, err := computeScales(newGraphInfo(g, nil), members, "out")
 	if err != nil {
 		t.Fatal(err)
 	}

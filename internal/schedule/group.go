@@ -27,6 +27,7 @@ func BuildGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Groupi
 		Graph:  g,
 		Est:    est,
 	}
+	gi := newGraphInfo(g, est)
 	nextID := 0
 	for _, name := range g.Order {
 		grp := &Group{ID: nextID, Members: []string{name}, Anchor: name}
@@ -36,7 +37,7 @@ func BuildGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Groupi
 	}
 	if !opts.DisableFusion {
 		for {
-			merged, err := tryMerge(gr, est, opts, &nextID)
+			merged, err := tryMerge(gr, gi, opts, &nextID)
 			if err != nil {
 				return nil, err
 			}
@@ -55,7 +56,7 @@ func BuildGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Groupi
 // tryMerge performs one iteration of Algorithm 1's repeat loop: it scans
 // candidate groups (single child, mergeable) in decreasing size order and
 // merges the first profitable one. Returns false when converged.
-func tryMerge(gr *Grouping, est map[string]int64, opts Options, nextID *int) (bool, error) {
+func tryMerge(gr *Grouping, gi *graphInfo, opts Options, nextID *int) (bool, error) {
 	g := gr.Graph
 	// Candidates: groups with exactly one child group (line 6).
 	type cand struct {
@@ -69,10 +70,10 @@ func tryMerge(gr *Grouping, est map[string]int64, opts Options, nextID *int) (bo
 		if len(children) != 1 {
 			continue
 		}
-		if !mergeableGroup(g, grp, est, opts, true) || !mergeableGroup(g, children[0], est, opts, false) {
+		if !mergeableGroup(gi, grp, opts, true) || !mergeableGroup(gi, children[0], opts, false) {
 			continue
 		}
-		cands = append(cands, cand{grp: grp, child: children[0], size: groupSize(g, grp.Members, est)})
+		cands = append(cands, cand{grp: grp, child: children[0], size: gi.groupSize(grp.Members)})
 	}
 	// Sort by decreasing size (line 7); break ties deterministically.
 	sort.Slice(cands, func(i, j int) bool {
@@ -82,7 +83,7 @@ func tryMerge(gr *Grouping, est map[string]int64, opts Options, nextID *int) (bo
 		return cands[i].grp.Anchor < cands[j].grp.Anchor
 	})
 	for _, c := range cands {
-		merged, ratios, scales, ok, err := evaluateMerge(gr, c.grp, c.child, est, opts)
+		merged, ratios, scales, ok, err := evaluateMerge(gi, c.grp, c.child, opts)
 		if err != nil {
 			return false, err
 		}
@@ -99,11 +100,7 @@ func tryMerge(gr *Grouping, est map[string]int64, opts Options, nextID *int) (bo
 			OverlapRatio: ratios,
 		}
 		*nextID++
-		anchorBox, err := domainAt(g.Stages[newGrp.Anchor], est)
-		if err != nil {
-			return false, err
-		}
-		newGrp.TileSizes = effectiveTileSizes(anchorBox, opts)
+		newGrp.TileSizes = effectiveTileSizes(gi.domain(newGrp.Anchor).box, opts)
 		replaceGroups(gr, c.grp, c.child, newGrp)
 		return true, nil
 	}
@@ -113,14 +110,14 @@ func tryMerge(gr *Grouping, est map[string]int64, opts Options, nextID *int) (bo
 // mergeableGroup reports whether a group may participate in a merge at all:
 // no accumulators, no self-referencing stages, and (for the parent side)
 // not smaller than the minimum size.
-func mergeableGroup(g *pipeline.Graph, grp *Group, est map[string]int64, opts Options, isParent bool) bool {
+func mergeableGroup(gi *graphInfo, grp *Group, opts Options, isParent bool) bool {
 	for _, m := range grp.Members {
-		st := g.Stages[m]
+		st := gi.g.Stages[m]
 		if st.IsAccumulator() || st.SelfRef {
 			return false
 		}
 	}
-	if isParent && groupSize(g, grp.Members, est) < opts.MinSize {
+	if isParent && gi.groupSize(grp.Members) < opts.MinSize {
 		return false
 	}
 	return true
@@ -129,8 +126,8 @@ func mergeableGroup(g *pipeline.Graph, grp *Group, est map[string]int64, opts Op
 // evaluateMerge checks the two merge criteria of Algorithm 1 (lines 10-12):
 // constant dependence vectors after alignment/scaling, and relative overlap
 // below the threshold.
-func evaluateMerge(gr *Grouping, parent, child *Group, est map[string]int64, opts Options) (members []string, ratios []float64, scales map[string][]DimScale, ok bool, err error) {
-	g := gr.Graph
+func evaluateMerge(gi *graphInfo, parent, child *Group, opts Options) (members []string, ratios []float64, scales map[string][]DimScale, ok bool, err error) {
+	g := gi.g
 	memberSet := make(map[string]bool, len(parent.Members)+len(child.Members))
 	for _, m := range parent.Members {
 		memberSet[m] = true
@@ -139,16 +136,16 @@ func evaluateMerge(gr *Grouping, parent, child *Group, est map[string]int64, opt
 		memberSet[m] = true
 	}
 	anchor := child.Anchor
-	scales, serr := computeScales(g, memberSet, anchor)
+	scales, serr := computeScales(gi, memberSet, anchor)
 	if serr != nil {
 		return nil, nil, nil, false, nil // cannot align/scale: not mergeable
 	}
 	members = sortedMembers(g, memberSet)
-	anchorBox, err := domainAt(g.Stages[anchor], est)
-	if err != nil {
-		return nil, nil, nil, false, err
+	as := gi.domain(anchor)
+	if as.err != nil {
+		return nil, nil, nil, false, as.err
 	}
-	tileSizes := effectiveTileSizes(anchorBox, opts)
+	tileSizes := effectiveTileSizes(as.box, opts)
 	tiled := false
 	for _, ts := range tileSizes {
 		if ts > 0 {
@@ -159,7 +156,11 @@ func evaluateMerge(gr *Grouping, parent, child *Group, est map[string]int64, opt
 		return nil, nil, nil, false, nil // nothing to tile: keep separate
 	}
 	trial := &Group{Members: members, Anchor: anchor, Scales: scales, Tiled: true, TileSizes: tileSizes}
-	ratios, rerr := estimateOverlap(g, trial, est, opts)
+	tp, perr := newTilePlan(gi, trial)
+	if perr != nil {
+		return nil, nil, nil, false, nil
+	}
+	ratios, rerr := estimateOverlap(tp, opts)
 	if rerr != nil {
 		return nil, nil, nil, false, nil
 	}
@@ -176,26 +177,18 @@ func evaluateMerge(gr *Grouping, parent, child *Group, est map[string]int64, opt
 // required extent is mapped into the anchor's (common, scaled) space and
 // compared against the tile size (Section 3.5: "the size of the overlapping
 // region as a fraction of the tile size").
-func estimateOverlap(g *pipeline.Graph, grp *Group, est map[string]int64, opts Options) ([]float64, error) {
-	tp, err := NewTilePlan(g, grp, est)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int64, len(tp.TileCounts))
-	for d, c := range tp.TileCounts {
-		idx[d] = c / 2 // interior tile
-	}
-	req, err := tp.Required(idx, nil)
-	if err != nil {
+func estimateOverlap(tp *TilePlan, opts Options) ([]float64, error) {
+	req := tp.memberBoxes()
+	if err := tp.requiredInto(tp.interiorTile(), req); err != nil {
 		return nil, err
 	}
 	ratios := make([]float64, len(tp.AnchorBox))
-	for _, m := range grp.Members {
-		box := req[m]
-		if box == nil || box.Empty() {
+	for i, m := range tp.Group.Members {
+		box := req[i]
+		if box.Empty() {
 			continue
 		}
-		for d, ds := range grp.Scales[m] {
+		for d, ds := range tp.members[i].scales {
 			if ds.AnchorDim < 0 {
 				if box[d].Size() > opts.MaxUnalignedExtent {
 					return nil, fmt.Errorf("unaligned dimension of %s too wide (%d)", m, box[d].Size())

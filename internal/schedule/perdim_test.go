@@ -1,0 +1,261 @@
+package schedule_test
+
+// The per-dimension enumeration of the cost model (cost.go perDimSums) is
+// held to the tile-by-tile loop it replaces, bit for bit, over every group
+// the repo knows how to make — and over hand-built groups that must fall
+// back to the loop.
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/affine"
+	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/difftest"
+	"repro/internal/dsl"
+	"repro/internal/expr"
+	"repro/internal/harness"
+	"repro/internal/pipeline"
+	"repro/internal/schedule"
+)
+
+// sameCost compares every GroupCost field, floats by their bits.
+func sameCost(a, b schedule.GroupCost) bool {
+	bits := math.Float64bits
+	return bits(a.Compute) == bits(b.Compute) && bits(a.Recompute) == bits(b.Recompute) &&
+		bits(a.Traffic) == bits(b.Traffic) && bits(a.ReducibleTraffic) == bits(b.ReducibleTraffic) &&
+		bits(a.ParallelIdle) == bits(b.ParallelIdle) && bits(a.FootprintExcess) == bits(b.FootprintExcess) &&
+		a.Tiles == b.Tiles && a.Exact == b.Exact
+}
+
+// retiled lists a group as scheduled plus the group under each default tile
+// candidate (sizes assigned to the anchor's dimensions outermost first, the
+// last repeating, as Options.TileSizes are).
+func retiled(grp *schedule.Group, rank int) []*schedule.Group {
+	out := []*schedule.Group{grp}
+	for _, cand := range schedule.DefaultAutoOptions().TileCandidates {
+		g2 := *grp
+		g2.Tiled = true
+		g2.TileSizes = make([]int64, rank)
+		for d := range g2.TileSizes {
+			g2.TileSizes[d] = cand[min(d, len(cand)-1)]
+		}
+		out = append(out, &g2)
+	}
+	return out
+}
+
+// perDimTally counts how the exact evaluations of a pipeline were enumerated.
+type perDimTally struct{ perDim, enumerated, extrapolated int }
+
+// checkGrouping prices every group of a grouping, as scheduled and under
+// every tile candidate, both ways.
+func checkGrouping(t *testing.T, label string, gr *schedule.Grouping, tally *perDimTally) {
+	t.Helper()
+	for _, grp := range gr.Groups {
+		rank := gr.Graph.Stages[grp.Anchor].Decl.NumDims()
+		for _, g2 := range retiled(grp, rank) {
+			fast, ref, perDim, err := schedule.EvalGroupCostBothWays(gr.Graph, g2, gr.Est, schedule.AutoOptions{})
+			if err != nil {
+				t.Fatalf("%s: group %s tiles %v: %v", label, grp.Anchor, g2.TileSizes, err)
+			}
+			if !sameCost(fast, ref) {
+				t.Errorf("%s: group %s tiles %v (per-dim %v):\n  fast %+v\n  loop %+v", label, grp.Anchor, g2.TileSizes, perDim, fast, ref)
+			}
+			switch {
+			case !fast.Exact:
+				tally.extrapolated++
+			case perDim:
+				tally.perDim++
+			default:
+				tally.enumerated++
+			}
+		}
+	}
+}
+
+// checkPipeline compiles a pipeline under the hand and the auto schedule and
+// checks both groupings.
+func checkPipeline(t *testing.T, label string, b *dsl.Builder, outs []string, params map[string]int64) perDimTally {
+	t.Helper()
+	var tally perDimTally
+	for _, auto := range []bool{false, true} {
+		so := schedule.DefaultOptions()
+		so.Auto = auto
+		pl, err := core.Compile(b, outs, core.Options{Estimates: params, Schedule: so, AllowUnproven: true})
+		if err != nil {
+			t.Fatalf("%s auto=%v: %v", label, auto, err)
+		}
+		checkGrouping(t, fmt.Sprintf("%s auto=%v", label, auto), pl.Grouping, &tally)
+	}
+	return tally
+}
+
+func TestEvalGroupCostPerDimMatchesEnumeration(t *testing.T) {
+	type sized struct {
+		label  string
+		params map[string]int64
+	}
+	t.Run("apps", func(t *testing.T) {
+		// The Table-2 and uint8 apps must stay on the fast path: a tile-by-
+		// tile evaluation here is the cold-path regression the split guards.
+		check := func(name string, build func() (*dsl.Builder, []string), sizes []sized) {
+			for _, sz := range sizes {
+				if testing.Short() && sz.label != "test" {
+					continue
+				}
+				b, outs := build()
+				tally := checkPipeline(t, name+"/"+sz.label, b, outs, sz.params)
+				if tally.perDim == 0 || tally.enumerated != 0 {
+					t.Errorf("%s/%s: %d per-dimension, %d tile-by-tile evaluations", name, sz.label, tally.perDim, tally.enumerated)
+				}
+			}
+		}
+		for _, app := range apps.All() {
+			check(app.Name, app.Build, []sized{{"test", app.TestParams}, {"scale4", harness.ScaledParams(app, 4)}})
+		}
+		for _, app := range apps.AllNarrow() {
+			check(app.Name, app.Build, []sized{{"test", app.TestParams}, {"bench", app.BenchParams}})
+		}
+	})
+	t.Run("generated", func(t *testing.T) {
+		var total perDimTally
+		add := func(label string, sp difftest.PipelineSpec) {
+			built, err := sp.Build(false)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			tally := checkPipeline(t, label, built.Graph.Builder, built.LiveOuts, built.Params)
+			total.perDim += tally.perDim
+			total.enumerated += tally.enumerated
+			total.extrapolated += tally.extrapolated
+		}
+		for seed := int64(1); seed <= 40; seed++ {
+			add(fmt.Sprintf("gencorpus seed %d", seed), difftest.Generate(seed))
+		}
+		n := int64(100)
+		if testing.Short() {
+			n = 12
+		}
+		for i := int64(0); i < n; i++ {
+			seed := 20260805 + i
+			add(fmt.Sprintf("float seed %d", seed), difftest.Generate(seed))
+			add(fmt.Sprintf("integer seed %d", seed), difftest.GenerateInteger(seed))
+		}
+		for _, gc := range difftest.GatherCases() {
+			b, outs := gc.Build()
+			tally := checkPipeline(t, "gather "+gc.Name, b, outs, gc.Params)
+			total.perDim += tally.perDim
+			total.enumerated += tally.enumerated
+		}
+		t.Logf("generated pipelines: %d per-dimension, %d tile-by-tile, %d extrapolated evaluations", total.perDim, total.enumerated, total.extrapolated)
+		if total.perDim == 0 {
+			t.Error("no generated group took the per-dimension path")
+		}
+	})
+}
+
+// TestEvalGroupCostPerDimFallback hand-builds groups the separability check
+// or a probe must refuse; each still prices the same both ways, by the loop.
+func TestEvalGroupCostPerDimFallback(t *testing.T) {
+	const n = 32
+	dom2 := []dsl.Interval{dsl.ConstSpan(0, n-1), dsl.ConstSpan(0, n-1)}
+	identity := func(rank int) []schedule.DimScale {
+		ds := make([]schedule.DimScale, rank)
+		for d := range ds {
+			ds[d] = schedule.DimScale{AnchorDim: d, Scale: affine.One}
+		}
+		return ds
+	}
+	// pair builds I -> p -> f with f reading p through read(p, x, y).
+	pair := func(pdom []dsl.Interval, read func(p *dsl.Function, x, y *dsl.Variable) dsl.Case) (*pipeline.Graph, *schedule.Group) {
+		b := dsl.NewBuilder()
+		I := b.Image("I", expr.Float, affine.Const(n), affine.Const(n))
+		x, y := b.Var("x"), b.Var("y")
+		p := b.Func("p", expr.Float, []*dsl.Variable{x, y}, pdom)
+		p.Define(dsl.Case{E: I.At(x, y)})
+		f := b.Func("f", expr.Float, []*dsl.Variable{x, y}, dom2)
+		f.Define(read(p, x, y))
+		g, err := pipeline.Build(b, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, &schedule.Group{
+			Members: []string{"p", "f"}, Anchor: "f", Tiled: true, TileSizes: []int64{8, 8},
+			Scales: map[string][]schedule.DimScale{"p": identity(2), "f": identity(2)},
+		}
+	}
+	cases := []struct {
+		name  string
+		build func() (*pipeline.Graph, *schedule.Group)
+		// perDim: the control case stays on the fast path, proving the
+		// others fall back for their stated reason and not by accident.
+		perDim bool
+	}{
+		{"control", func() (*pipeline.Graph, *schedule.Group) {
+			return pair(dom2, func(p *dsl.Function, x, y *dsl.Variable) dsl.Case {
+				return dsl.Case{E: dsl.Add(p.At(x, y), p.At(dsl.Add(x, 1), dsl.Sub(y, 1)))}
+			})
+		}, true},
+		{"transposed access", func() (*pipeline.Graph, *schedule.Group) {
+			return pair(dom2, func(p *dsl.Function, x, y *dsl.Variable) dsl.Case {
+				return dsl.Case{E: p.At(y, x)}
+			})
+		}, false},
+		{"dimension fed by two variables", func() (*pipeline.Graph, *schedule.Group) {
+			return pair(dom2, func(p *dsl.Function, x, y *dsl.Variable) dsl.Case {
+				return dsl.Case{E: dsl.Add(p.At(x, y), p.At(y, y))}
+			})
+		}, false},
+		{"member not required by every tile", func() (*pipeline.Graph, *schedule.Group) {
+			half := []dsl.Interval{dsl.ConstSpan(0, n/2-1), dsl.ConstSpan(0, n-1)}
+			return pair(half, func(p *dsl.Function, x, y *dsl.Variable) dsl.Case {
+				return dsl.Case{Cond: dsl.Cond(x, "<", n/2), E: p.At(x, y)}
+			})
+		}, false},
+		{"reduction variable", func() (*pipeline.Graph, *schedule.Group) {
+			b := dsl.NewBuilder()
+			V := b.Image("V", expr.Float, affine.Const(n), affine.Const(n), affine.Const(4))
+			x, y := b.Var("x"), b.Var("y")
+			rx, ry, rz := b.Var("rx"), b.Var("ry"), b.Var("rz")
+			red := []dsl.Interval{dsl.ConstSpan(0, n-1), dsl.ConstSpan(0, n-1), dsl.ConstSpan(0, 3)}
+			acc := b.Accum("acc", expr.Float, []*dsl.Variable{rx, ry, rz}, red, []*dsl.Variable{x, y}, dom2)
+			acc.Define([]any{rx, ry}, V.At(rx, ry, rz), dsl.SumOp)
+			g, err := pipeline.Build(b, "acc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g, &schedule.Group{
+				Members: []string{"acc"}, Anchor: "acc", Tiled: true, TileSizes: []int64{8, 8},
+				Scales: map[string][]schedule.DimScale{"acc": identity(2)},
+			}
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, grp := tc.build()
+			fast, ref, perDim, err := schedule.EvalGroupCostBothWays(g, grp, map[string]int64{}, schedule.AutoOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCost(fast, ref) {
+				t.Errorf("fast %+v\nloop %+v", fast, ref)
+			}
+			if !fast.Exact || fast.Tiles != 16 {
+				t.Fatalf("want 16 exactly enumerated tiles, got %+v", fast)
+			}
+			if perDim != tc.perDim {
+				t.Errorf("per-dimension path taken: %v, want %v", perDim, tc.perDim)
+			}
+		})
+	}
+	// A fractional row overhead leaves the exact-integer range the
+	// re-association argument needs: the loop prices it.
+	g, grp := cases[0].build()
+	_, _, perDim, err := schedule.EvalGroupCostBothWays(g, grp, map[string]int64{}, schedule.AutoOptions{RowOverheadPoints: 24.3})
+	if err != nil || perDim {
+		t.Errorf("fractional row overhead: per-dimension %v, err %v", perDim, err)
+	}
+}

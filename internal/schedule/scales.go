@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/affine"
-	"repro/internal/pipeline"
 )
 
 // computeScales performs the alignment and scaling analysis of Section 3.3
@@ -16,7 +15,8 @@ import (
 // parametric offset, when a sampling rate is non-positive (mirrored
 // accesses), or when two paths assign inconsistent scales (the paper's
 // f(x,y) = g(x,y) + g(y,x) and f(x) = g(x/2) + g(x/4) examples).
-func computeScales(g *pipeline.Graph, members map[string]bool, anchor string) (map[string][]DimScale, error) {
+func computeScales(gi *graphInfo, members map[string]bool, anchor string) (map[string][]DimScale, error) {
+	g := gi.g
 	anchorStage := g.Stages[anchor]
 	scales := make(map[string][]DimScale, len(members))
 	as := make([]DimScale, anchorStage.Decl.NumDims())
@@ -34,34 +34,31 @@ func computeScales(g *pipeline.Graph, members map[string]bool, anchor string) (m
 		if !ok {
 			return nil, fmt.Errorf("schedule: member %s unreachable from anchor %s", cname, anchor)
 		}
-		c := g.Stages[cname]
-		for target, accs := range stageAccessMap(c) {
+		for _, aa := range gi.accesses(cname) {
+			target := aa.Target
 			if !members[target] || target == cname {
 				continue
 			}
-			p := g.Stages[target]
 			ps := scales[target]
 			if ps == nil {
-				ps = make([]DimScale, p.Decl.NumDims())
+				ps = make([]DimScale, g.Stages[target].Decl.NumDims())
 				for d := range ps {
 					ps[d] = DimScale{AnchorDim: -1}
 				}
 				scales[target] = ps
 			}
-			for _, aa := range accs {
-				if !aa.OK {
-					return nil, fmt.Errorf("schedule: %s reads %s through a non-affine access", cname, target)
-				}
-				if _, isConst := aa.Acc.Off.ConstVal(); !isConst {
-					return nil, fmt.Errorf("schedule: %s reads %s with a parametric offset (%s)", cname, target, aa.Acc.Off)
-				}
-				ds, err := accessDimScale(cs, aa.Acc)
-				if err != nil {
-					return nil, fmt.Errorf("schedule: %s -> %s: %v", cname, target, err)
-				}
-				if err := mergeDimScale(&ps[aa.ProducerDim], ds); err != nil {
-					return nil, fmt.Errorf("schedule: %s -> %s dim %d: %v", cname, target, aa.ProducerDim, err)
-				}
+			if !aa.OK {
+				return nil, fmt.Errorf("schedule: %s reads %s through a non-affine access", cname, target)
+			}
+			if _, isConst := aa.Acc.Off.ConstVal(); !isConst {
+				return nil, fmt.Errorf("schedule: %s reads %s with a parametric offset (%s)", cname, target, aa.Acc.Off)
+			}
+			ds, err := accessDimScale(cs, aa.Acc)
+			if err != nil {
+				return nil, fmt.Errorf("schedule: %s -> %s: %v", cname, target, err)
+			}
+			if err := mergeDimScale(&ps[aa.ProducerDim], ds); err != nil {
+				return nil, fmt.Errorf("schedule: %s -> %s dim %d: %v", cname, target, aa.ProducerDim, err)
 			}
 		}
 	}

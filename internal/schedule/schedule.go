@@ -152,27 +152,29 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// argAccess is one index expression of one access: which producer dimension
-// it indexes and its quasi-affine form (OK reports whether it has one).
+// argAccess is one index expression of one access: which producer (a stage
+// or an input image) and which of its dimensions it indexes, and its
+// quasi-affine form (OK reports whether it has one).
 type argAccess struct {
+	Target      string
 	ProducerDim int
 	Acc         affine.Access
 	OK          bool
 }
 
-// stageAccessMap extracts, for every target a stage reads (stages and
-// images, conditions included), the list of per-dimension accesses.
-func stageAccessMap(st *pipeline.Stage) map[string][]argAccess {
-	out := make(map[string][]argAccess)
+// stageAccesses lists every index expression of every access a stage makes
+// (stages and images, conditions included), in expression order.
+func stageAccesses(st *pipeline.Stage) []argAccess {
+	var out []argAccess
 	record := func(e expr.Expr) bool {
 		a, ok := e.(expr.Access)
 		if !ok {
 			return true
 		}
 		for d, arg := range a.Args {
-			aa := argAccess{ProducerDim: d}
+			aa := argAccess{Target: a.Target, ProducerDim: d}
 			aa.Acc, aa.OK = expr.ToAffineAccess(arg)
-			out[a.Target] = append(out[a.Target], aa)
+			out = append(out, aa)
 		}
 		return true
 	}
@@ -187,6 +189,62 @@ func stageAccessMap(st *pipeline.Stage) map[string][]argAccess {
 	return out
 }
 
+// graphInfo holds what every tile plan of one graph under one parameter
+// binding shares: each stage's accesses and the concrete domain of each
+// stage and image. Entries are filled on first use, so planning one group
+// walks that group's stages only, while a search builds one graphInfo and
+// every candidate it prices reads the same tables instead of re-walking the
+// members' expression trees. Not safe for concurrent use.
+type graphInfo struct {
+	g      *pipeline.Graph
+	params map[string]int64
+	accs   map[string][]argAccess
+	doms   map[string]domainInfo
+}
+
+// domainInfo is the concrete domain of a stage or an image; known is false
+// when the graph has neither under that name.
+type domainInfo struct {
+	box   affine.Box
+	known bool
+	err   error
+}
+
+func newGraphInfo(g *pipeline.Graph, params map[string]int64) *graphInfo {
+	return &graphInfo{
+		g:      g,
+		params: params,
+		accs:   make(map[string][]argAccess),
+		doms:   make(map[string]domainInfo),
+	}
+}
+
+// accesses returns stageAccesses of a stage of the graph.
+func (gi *graphInfo) accesses(stage string) []argAccess {
+	a, ok := gi.accs[stage]
+	if !ok {
+		a = stageAccesses(gi.g.Stages[stage])
+		gi.accs[stage] = a
+	}
+	return a
+}
+
+// domain returns the concrete domain of a stage or an input image.
+func (gi *graphInfo) domain(name string) domainInfo {
+	di, ok := gi.doms[name]
+	if !ok {
+		if st, isStage := gi.g.Stages[name]; isStage {
+			di.known = true
+			di.box, di.err = domainAt(st, gi.params)
+		} else if im, isImage := gi.g.Images[name]; isImage {
+			di.known = true
+			di.box, di.err = im.Domain().Eval(gi.params)
+		}
+		gi.doms[name] = di
+	}
+	return di
+}
+
 // domainAt evaluates a stage's domain at the estimates.
 func domainAt(st *pipeline.Stage, est map[string]int64) (affine.Box, error) {
 	b, err := st.Decl.Domain().Eval(est)
@@ -198,11 +256,11 @@ func domainAt(st *pipeline.Stage, est map[string]int64) (affine.Box, error) {
 
 // groupSize is the total number of domain points of the group's members at
 // the estimates (Algorithm 1 sorts candidates by this).
-func groupSize(g *pipeline.Graph, members []string, est map[string]int64) int64 {
+func (gi *graphInfo) groupSize(members []string) int64 {
 	var n int64
 	for _, m := range members {
-		if b, err := domainAt(g.Stages[m], est); err == nil {
-			n += b.Size()
+		if d := gi.domain(m); d.err == nil {
+			n += d.box.Size()
 		}
 	}
 	return n

@@ -196,7 +196,7 @@ func downsampleChain(t *testing.T) *pipeline.Graph {
 func TestScalingThroughSampling(t *testing.T) {
 	g := downsampleChain(t)
 	members := map[string]bool{"f": true, "d": true, "out": true}
-	scales, err := computeScales(g, members, "out")
+	scales, err := computeScales(newGraphInfo(g, nil), members, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestInconsistentScalesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := computeScales(g, map[string]bool{"f": true, "g": true}, "f"); err == nil {
+	if _, err := computeScales(newGraphInfo(g, nil), map[string]bool{"f": true, "g": true}, "f"); err == nil {
 		t.Error("expected inconsistent-scale error for g(x/2) + g(x/4)")
 	}
 }
@@ -245,7 +245,7 @@ func TestTransposedAccessRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := computeScales(g, map[string]bool{"f": true, "g": true}, "f"); err == nil {
+	if _, err := computeScales(newGraphInfo(g, nil), map[string]bool{"f": true, "g": true}, "f"); err == nil {
 		t.Error("expected alignment conflict for g(x,y) + g(y,x)")
 	}
 }
@@ -318,25 +318,20 @@ func checkTilePlanInvariants(t *testing.T, tp *TilePlan, params map[string]int64
 			if crq == nil || crq.Empty() {
 				continue
 			}
-			for target, accs := range tp.accessCache[cname] {
-				if target == cname || !tp.memberSet[target] {
-					continue
+			for _, aa := range tp.InGroupAccesses(cname) {
+				var vr affine.Range
+				if aa.Acc.Var >= 0 {
+					vr = crq[aa.Acc.Var]
 				}
-				for _, aa := range accs {
-					var vr affine.Range
-					if aa.Acc.Var >= 0 {
-						vr = crq[aa.Acc.Var]
-					}
-					rng, err := aa.Acc.RangeOver(vr, params)
-					if err != nil {
-						t.Fatal(err)
-					}
-					need := rng.Intersect(tp.domCache[target][aa.ProducerDim])
-					have := req[target][aa.ProducerDim]
-					if !have.ContainsRange(need) {
-						t.Fatalf("tile %v: %s needs %s of %s dim %d but tile computes %s",
-							idx, cname, need, target, aa.ProducerDim, have)
-					}
+				rng, err := aa.Acc.RangeOver(vr, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				need := rng.Intersect(tp.MemberDomain(aa.Target)[aa.ProducerDim])
+				have := req[aa.Target][aa.ProducerDim]
+				if !have.ContainsRange(need) {
+					t.Fatalf("tile %v: %s needs %s of %s dim %d but tile computes %s",
+						idx, cname, need, aa.Target, aa.ProducerDim, have)
 				}
 			}
 		}
@@ -360,7 +355,7 @@ func checkTilePlanInvariants(t *testing.T, tp *TilePlan, params map[string]int64
 	}
 	// Per dim: dedup and check the intervals tile the domain contiguously.
 	for lo, dims := range covers {
-		dom := tp.domCache[lo]
+		dom := tp.MemberDomain(lo)
 		for d, ivs := range dims {
 			uniq := map[cover]bool{}
 			for _, iv := range ivs {
@@ -423,5 +418,44 @@ func TestEffectiveTileSizes(t *testing.T) {
 	small := affine.Box{{Lo: 0, Hi: 30}}
 	if got := effectiveTileSizes(small, opts); got[0] != 0 {
 		t.Errorf("small extent should be untiled, got %v", got)
+	}
+}
+
+// TestRequiredSteadyStateAllocs pins the contract the engine's tile loop
+// relies on: with their maps reused, Required and ExternalReads allocate
+// nothing.
+func TestRequiredSteadyStateAllocs(t *testing.T) {
+	g := harrisGraph(t)
+	est := map[string]int64{"R": 150, "C": 200}
+	gr, err := BuildGroups(g, est, Options{TileSizes: []int64{32, 64}, MinTileExtent: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := NewTilePlan(g, gr.Groups[0], est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := []int64{1, 1}
+	req, err := tp.Required(idx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := tp.ExternalReads(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ext) == 0 {
+		t.Fatal("harris group reads no external producer")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := tp.Required(idx, req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tp.ExternalReads(req, ext); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Required+ExternalReads allocate %.0f times per tile", allocs)
 	}
 }

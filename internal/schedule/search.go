@@ -123,13 +123,29 @@ func (ao AutoOptions) Digest() string {
 
 // SearchStats counts the search's effort.
 type SearchStats struct {
-	// States is the number of cost-model evaluations performed.
+	// States is the number of candidates priced — a candidate whose price
+	// came from the search's memo counts like one evaluated, so MaxStates
+	// cuts the search at the same point either way.
 	States int
 	// Expanded is the number of partition states whose merges were tried.
 	Expanded int
 	// Pruned is the number of states cut by the branch-and-bound lower
 	// bound without expansion.
 	Pruned int
+	// CostEvals is the number of cost-model evaluations actually performed
+	// and CostCacheHits the number of candidates priced from the memo
+	// instead: beam neighbours reach the same (members, tile sizes)
+	// candidate by different merge orders. States = CostEvals +
+	// CostCacheHits.
+	CostEvals     int
+	CostCacheHits int
+	// PerDimEvals and EnumeratedEvals split the exact evaluations
+	// (GroupCost.Exact) by how they enumerated the group's tiles: from a
+	// per-dimension table probed on one axis cross, or tile by tile because
+	// the group failed the separability check (cost.go perDimSums). The
+	// rest of CostEvals extrapolated from one interior tile.
+	PerDimEvals     int
+	EnumeratedEvals int
 }
 
 // searchState is one partition of the stages into groups. Group objects
@@ -166,6 +182,10 @@ type searcher struct {
 	ao    AutoOptions
 	w     CostWeights
 	stats SearchStats
+	// gi holds the access tables and domains every candidate's tile plan
+	// reads; memo the price of every merged candidate seen so far.
+	gi   *graphInfo
+	memo map[string]candidatePrice
 	// nextID hands out group IDs above every seed ID so IDs stay unique
 	// within any state.
 	nextID int
@@ -182,7 +202,11 @@ func SearchGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Group
 		ao = *opts.AutoOpts
 	}
 	ao = ao.withDefaults()
-	s := &searcher{g: g, est: est, opts: opts, ao: ao, w: ao.weights(), nextID: len(g.Order) + 1}
+	s := &searcher{
+		g: g, est: est, opts: opts, ao: ao, w: ao.weights(),
+		gi: newGraphInfo(g, est), memo: make(map[string]candidatePrice),
+		nextID: len(g.Order) + 1,
+	}
 
 	seeds, err := s.seedStates()
 	if err != nil {
@@ -275,15 +299,13 @@ func (s *searcher) seedStates() ([]*searchState, error) {
 	var asIs, retiled []*Group
 	retileOK := true
 	for _, grp := range greedy.Groups {
-		c, cerr := EvalGroupCost(s.g, grp, s.est, s.ao)
+		c, cerr := s.evalCost(grp)
 		if cerr != nil {
 			asIs = nil
 			retileOK = false
 			break
 		}
-		s.stats.States++
-		gc := c
-		grp.Cost = &gc
+		grp.Cost = &c
 		asIs = append(asIs, grp)
 		if len(grp.Members) > 1 {
 			memberSet := make(map[string]bool, len(grp.Members))
@@ -326,7 +348,7 @@ func (s *searcher) expand(st *searchState) ([]*searchState, error) {
 			continue
 		}
 		child := children[0]
-		if !mergeableGroup(s.g, grp, s.est, s.opts, true) || !mergeableGroup(s.g, child, s.est, s.opts, false) {
+		if !mergeableGroup(s.gi, grp, s.opts, true) || !mergeableGroup(s.gi, child, s.opts, false) {
 			continue
 		}
 		memberSet := make(map[string]bool, len(grp.Members)+len(child.Members))
@@ -358,15 +380,16 @@ func (s *searcher) expand(st *searchState) ([]*searchState, error) {
 // unaligned dimension too wide, nothing to tile). Deterministic: strict
 // argmin, earlier candidate wins ties.
 func (s *searcher) bestMergedGroup(memberSet map[string]bool, anchor string) *Group {
-	scales, err := computeScales(s.g, memberSet, anchor)
+	scales, err := computeScales(s.gi, memberSet, anchor)
 	if err != nil {
 		return nil
 	}
 	members := sortedMembers(s.g, memberSet)
-	anchorBox, err := domainAt(s.g.Stages[anchor], s.est)
-	if err != nil {
+	as := s.gi.domain(anchor)
+	if as.err != nil {
 		return nil
 	}
+	anchorBox := as.box
 	var best *Group
 	var bestCost float64
 	for _, cand := range s.ao.TileCandidates {
@@ -386,20 +409,12 @@ func (s *searcher) bestMergedGroup(memberSet map[string]bool, anchor string) *Gr
 			continue
 		}
 		trial := &Group{ID: s.nextID, Members: members, Anchor: anchor, Scales: scales, Tiled: true, TileSizes: ts}
-		// estimateOverlap doubles as the legality check Algorithm 1 relies
-		// on: it rejects over-wide unaligned dimensions and degenerate
-		// (NaN/Inf) overlaps. Its threshold is not applied here — the
-		// model prices the overlap instead.
-		ratios, rerr := estimateOverlap(s.g, trial, s.est, s.opts)
-		if rerr != nil {
+		p := s.priceCandidate(trial)
+		if !p.ok {
 			continue
 		}
-		trial.OverlapRatio = ratios
-		c, cerr := EvalGroupCost(s.g, trial, s.est, s.ao)
-		if cerr != nil {
-			continue
-		}
-		s.stats.States++
+		trial.OverlapRatio = p.ratios
+		c := p.cost
 		trial.Cost = &c
 		if t := s.w.Total(c); best == nil || t < bestCost {
 			best, bestCost = trial, t
@@ -427,13 +442,77 @@ func (s *searcher) singletonGroup(name string, id int) (*Group, error) {
 		Scales:    map[string][]DimScale{name: ds},
 		TileSizes: make([]int64, st.Decl.NumDims()),
 	}
-	c, err := EvalGroupCost(s.g, grp, s.est, s.ao)
+	c, err := s.evalCost(grp)
 	if err != nil {
 		return nil, fmt.Errorf("schedule: cost of stage %s: %w", name, err)
 	}
-	s.stats.States++
 	grp.Cost = &c
 	return grp, nil
+}
+
+// evalCost prices one group from scratch and counts it as a state.
+func (s *searcher) evalCost(grp *Group) (GroupCost, error) {
+	tp, err := newTilePlan(s.gi, grp)
+	if err != nil {
+		return GroupCost{}, err
+	}
+	return s.evalPlan(tp)
+}
+
+// evalPlan prices a planned group, counting the evaluation and how it
+// enumerated the group's tiles.
+func (s *searcher) evalPlan(tp *TilePlan) (GroupCost, error) {
+	c, perDim, err := evalGroupCost(tp, s.ao, true)
+	if err != nil {
+		return c, err
+	}
+	s.stats.States++
+	s.stats.CostEvals++
+	switch {
+	case !c.Exact: // extrapolated from an interior tile
+	case perDim:
+		s.stats.PerDimEvals++
+	default:
+		s.stats.EnumeratedEvals++
+	}
+	return c, nil
+}
+
+// candidatePrice is the memoised outcome of pricing one merged candidate:
+// its legality (ok), overlap ratios and cost.
+type candidatePrice struct {
+	ok     bool
+	ratios []float64
+	cost   GroupCost
+}
+
+// priceCandidate checks and prices a merged, tiled candidate, once per
+// search: the outcome is a function of the anchor, the member set and the
+// tile sizes (scales follow from the first two), which is the memo's key. A
+// legal candidate counts as a state whether its price was computed or
+// remembered.
+func (s *searcher) priceCandidate(trial *Group) candidatePrice {
+	key := fmt.Sprintf("%s|%s|%v", trial.Anchor, strings.Join(trial.Members, ","), trial.TileSizes)
+	if p, hit := s.memo[key]; hit {
+		if p.ok {
+			s.stats.States++
+			s.stats.CostCacheHits++
+		}
+		return p
+	}
+	var p candidatePrice
+	if tp, err := newTilePlan(s.gi, trial); err == nil {
+		// estimateOverlap doubles as the legality check Algorithm 1 relies
+		// on: it rejects over-wide unaligned dimensions and degenerate
+		// (NaN/Inf) overlaps. Its threshold is not applied here — the
+		// model prices the overlap instead.
+		if p.ratios, err = estimateOverlap(tp, s.opts); err == nil {
+			p.cost, err = s.evalPlan(tp)
+			p.ok = err == nil
+		}
+	}
+	s.memo[key] = p
+	return p
 }
 
 // newState assembles a state from its groups: total cost, name index and

@@ -28,32 +28,67 @@ type TilePlan struct {
 	// anchor.
 	LiveOuts []string
 
-	accessCache map[string]map[string][]argAccess
-	domCache    map[string]affine.Box
-	memberSet   map[string]bool
-	// extDoms holds the concrete domains of every out-of-group producer any
-	// member reads (earlier stages and input images), precomputed so
-	// dirty-rectangle runs can derive each tile's external read regions
-	// without locking or allocating.
-	extDoms map[string]affine.Box
+	// members parallels Group.Members; index maps a member's name to its
+	// position. The per-tile walks below (requiredInto, externalInto,
+	// ownedInto) address members and producers by position only.
+	members []planMember
+	index   map[string]int
+	// ext lists every out-of-group producer any member reads (earlier
+	// stages and input images) in first-read order, with its concrete
+	// domain, so dirty-rectangle runs can derive each tile's external read
+	// regions without locking or allocating.
+	ext []planExt
+}
+
+// planMember is one group member as the per-tile walks see it.
+type planMember struct {
+	dom    affine.Box
+	scales []DimScale // Group.Scales of the member
+	anchor bool
+	live   bool
+	// in are the member's accesses to other members, out its accesses to
+	// out-of-group producers, both in expression order. Self-references and
+	// targets the graph does not know are in neither.
+	in, out []planAccess
+}
+
+// planAccess is an argAccess with its target resolved to a position in
+// TilePlan.members (planMember.in) or TilePlan.ext (planMember.out).
+type planAccess struct {
+	target int
+	dim    int
+	acc    affine.Access
+	ok     bool
+}
+
+type planExt struct {
+	name string
+	dom  affine.Box
 }
 
 // NewTilePlan builds the tile decomposition of a group under the given
 // parameter binding.
 func NewTilePlan(g *pipeline.Graph, grp *Group, params map[string]int64) (*TilePlan, error) {
-	anchorBox, err := domainAt(g.Stages[grp.Anchor], params)
-	if err != nil {
-		return nil, err
+	return newTilePlan(newGraphInfo(g, params), grp)
+}
+
+// newTilePlan is NewTilePlan over shared graph tables.
+func newTilePlan(gi *graphInfo, grp *Group) (*TilePlan, error) {
+	g := gi.g
+	anchor := gi.domain(grp.Anchor)
+	if anchor.err != nil {
+		return nil, anchor.err
 	}
+	anchorBox := anchor.box
 	tp := &TilePlan{
-		Group:       grp,
-		Graph:       g,
-		Params:      params,
-		AnchorBox:   anchorBox,
-		TileSizes:   make([]int64, len(anchorBox)),
-		TileCounts:  make([]int64, len(anchorBox)),
-		accessCache: make(map[string]map[string][]argAccess),
-		domCache:    make(map[string]affine.Box),
+		Group:      grp,
+		Graph:      g,
+		Params:     gi.params,
+		AnchorBox:  anchorBox,
+		TileSizes:  make([]int64, len(anchorBox)),
+		TileCounts: make([]int64, len(anchorBox)),
+		members:    make([]planMember, len(grp.Members)),
+		index:      make(map[string]int, len(grp.Members)),
 	}
 	if grp.Tiled {
 		copy(tp.TileSizes, grp.TileSizes)
@@ -67,51 +102,53 @@ func NewTilePlan(g *pipeline.Graph, grp *Group, params map[string]int64) (*TileP
 			tp.TileCounts[d] = affine.CeilDiv(r.Size(), ts)
 		}
 	}
-	inGroup := make(map[string]bool, len(grp.Members))
-	for _, m := range grp.Members {
-		inGroup[m] = true
+	for i, m := range grp.Members {
+		tp.index[m] = i
 	}
-	tp.memberSet = inGroup
-	for _, m := range grp.Members {
+	extIndex := make(map[string]int)
+	for i, m := range grp.Members {
 		st := g.Stages[m]
-		live := st.LiveOut
+		dom := gi.domain(m)
+		if dom.err != nil {
+			return nil, dom.err
+		}
+		pm := &tp.members[i]
+		pm.dom = dom.box
+		pm.scales = grp.Scales[m]
+		pm.anchor = m == grp.Anchor
+		pm.live = st.LiveOut || pm.anchor
 		for _, c := range st.Consumers {
-			if !inGroup[c] {
-				live = true
+			if _, in := tp.index[c]; !in {
+				pm.live = true
 			}
 		}
-		if m == grp.Anchor {
-			live = true
-		}
-		if live {
+		if pm.live {
 			tp.LiveOuts = append(tp.LiveOuts, m)
 		}
-		tp.accessCache[m] = stageAccessMap(st)
-		dom, err := domainAt(st, params)
-		if err != nil {
-			return nil, err
-		}
-		tp.domCache[m] = dom
-	}
-	tp.extDoms = make(map[string]affine.Box)
-	for _, m := range grp.Members {
-		for target := range tp.accessCache[m] {
-			if inGroup[target] || tp.extDoms[target] != nil {
+		for _, aa := range gi.accesses(m) {
+			pa := planAccess{dim: aa.ProducerDim, acc: aa.Acc, ok: aa.OK}
+			if t, in := tp.index[aa.Target]; in {
+				if t != i {
+					pa.target = t
+					pm.in = append(pm.in, pa)
+				}
 				continue
 			}
-			var dom affine.Box
-			var err error
-			if st, ok := g.Stages[target]; ok {
-				dom, err = domainAt(st, params)
-			} else if im, ok := g.Images[target]; ok {
-				dom, err = im.Domain().Eval(params)
-			} else {
-				continue
+			e, seen := extIndex[aa.Target]
+			if !seen {
+				dom := gi.domain(aa.Target)
+				if !dom.known {
+					continue
+				}
+				if dom.err != nil {
+					return nil, dom.err
+				}
+				e = len(tp.ext)
+				extIndex[aa.Target] = e
+				tp.ext = append(tp.ext, planExt{name: aa.Target, dom: dom.box})
 			}
-			if err != nil {
-				return nil, err
-			}
-			tp.extDoms[target] = dom
+			pa.target = e
+			pm.out = append(pm.out, pa)
 		}
 	}
 	return tp, nil
@@ -124,6 +161,15 @@ func (tp *TilePlan) NumTiles() int64 {
 		n *= c
 	}
 	return n
+}
+
+// interiorTile returns the index of the middle tile along every dimension.
+func (tp *TilePlan) interiorTile() []int64 {
+	idx := make([]int64, len(tp.TileCounts))
+	for d, n := range tp.TileCounts {
+		idx[d] = n / 2
+	}
+	return idx
 }
 
 // TileIndex converts a flat tile number into a per-dimension tile index.
@@ -157,8 +203,13 @@ func (tp *TilePlan) TileBox(idx []int64) affine.Box {
 	return b
 }
 
-// MemberDomain returns a member's concrete domain.
-func (tp *TilePlan) MemberDomain(m string) affine.Box { return tp.domCache[m] }
+// MemberDomain returns a member's concrete domain (nil for a non-member).
+func (tp *TilePlan) MemberDomain(m string) affine.Box {
+	if i, ok := tp.index[m]; ok {
+		return tp.members[i].dom
+	}
+	return nil
+}
 
 // MemberAccess is one in-group access of a member (consumer side view).
 type MemberAccess struct {
@@ -168,17 +219,17 @@ type MemberAccess struct {
 	OK          bool // quasi-affine form available
 }
 
-// InGroupAccesses lists a member's accesses to other group members (used by
-// alternative tiling strategies such as split tiling).
+// InGroupAccesses lists a member's accesses to other group members in
+// expression order (used by alternative tiling strategies such as split
+// tiling).
 func (tp *TilePlan) InGroupAccesses(m string) []MemberAccess {
+	i, ok := tp.index[m]
+	if !ok {
+		return nil
+	}
 	var out []MemberAccess
-	for target, accs := range tp.accessCache[m] {
-		if target == m || !tp.memberSet[target] {
-			continue
-		}
-		for _, aa := range accs {
-			out = append(out, MemberAccess{Target: target, ProducerDim: aa.ProducerDim, Acc: aa.Acc, OK: aa.OK})
-		}
+	for _, a := range tp.members[i].in {
+		out = append(out, MemberAccess{Target: tp.Group.Members[a.target], ProducerDim: a.dim, Acc: a.acc, OK: a.ok})
 	}
 	return out
 }
@@ -188,9 +239,8 @@ func (tp *TilePlan) InGroupAccesses(m string) []MemberAccess {
 // member's domain exactly, so parallel tiles never write the same live-out
 // element twice (overlap regions are recomputed into scratchpads only).
 func (tp *TilePlan) OwnedBox(m string, idx []int64) affine.Box {
-	dom := tp.domCache[m]
-	out := make(affine.Box, len(dom))
-	tp.ownedBoxInto(out, m, idx)
+	out := make(affine.Box, len(tp.MemberDomain(m)))
+	tp.OwnedBoxInto(out, m, idx)
 	return out
 }
 
@@ -198,14 +248,16 @@ func (tp *TilePlan) OwnedBox(m string, idx []int64) affine.Box {
 // rank) without allocating — used by the engine's metrics path to measure
 // recomputation without perturbing the run it is measuring.
 func (tp *TilePlan) OwnedBoxInto(dst affine.Box, m string, idx []int64) {
-	tp.ownedBoxInto(dst, m, idx)
+	if i, ok := tp.index[m]; ok {
+		tp.ownedInto(dst, i, idx)
+	}
 }
 
-// ownedBoxInto computes OwnedBox into dst (len(dst) must equal the member's
-// rank) without allocating — the steady-state path for repeated Required
-// calls.
-func (tp *TilePlan) ownedBoxInto(out affine.Box, m string, idx []int64) {
-	if m == tp.Group.Anchor {
+// ownedInto computes the owned box of the member at position i into out
+// (len(out) must equal the member's rank) without allocating.
+func (tp *TilePlan) ownedInto(out affine.Box, i int, idx []int64) {
+	pm := &tp.members[i]
+	if pm.anchor {
 		for d, r := range tp.AnchorBox {
 			if tp.TileSizes[d] == 0 {
 				out[d] = r
@@ -220,10 +272,8 @@ func (tp *TilePlan) ownedBoxInto(out affine.Box, m string, idx []int64) {
 		}
 		return
 	}
-	scales := tp.Group.Scales[m]
-	dom := tp.domCache[m]
-	for d, r := range dom {
-		ds := scales[d]
+	for d, r := range pm.dom {
+		ds := pm.scales[d]
 		if ds.AnchorDim < 0 || tp.TileSizes[ds.AnchorDim] == 0 {
 			// Unaligned or untiled anchor dimension: the single tile along
 			// it owns the full extent.
@@ -240,80 +290,116 @@ func (tp *TilePlan) ownedBoxInto(out affine.Box, m string, idx []int64) {
 		if t < tp.TileCounts[a]-1 {
 			hi = r.Lo + ds.Scale.ScaleFloor((t+1)*tp.TileSizes[a]) - 1
 		}
-		out[d] = affine.Range{Lo: lo, Hi: hi}
-	}
-	for d := range out {
-		out[d] = out[d].Intersect(dom[d])
+		out[d] = affine.Range{Lo: lo, Hi: hi}.Intersect(r)
 	}
 }
+
+// boxStack is the stack space Required and ExternalReads lay a map's boxes
+// out in by position; groups with more members or producers spill to the
+// heap.
+const boxStack = 32
 
 // Required computes, for the tile at idx, the region of every member that
 // must be evaluated: the tile's owned live-out boxes plus everything the
 // in-group consumers transitively need (the overlapped tile of Figure 6).
 // Results are clipped to the member domains. The returned map is freshly
 // allocated unless dst is provided.
+//
+// Boxes in dst are reused in place across calls (steady-state Required
+// allocates nothing): a member not required by this tile holds an all-empty
+// box rather than nil, which callers treat identically.
 func (tp *TilePlan) Required(idx []int64, dst map[string]affine.Box) (map[string]affine.Box, error) {
 	req := dst
 	if req == nil {
-		req = make(map[string]affine.Box, len(tp.Group.Members))
+		req = make(map[string]affine.Box, len(tp.members))
 	}
-	members := tp.Group.Members
-	// Boxes in req are reused in place across calls (steady-state Required
-	// allocates nothing): a member not required by this tile holds an
-	// all-empty box rather than nil, which callers treat identically.
-	for _, m := range members {
-		dom := tp.domCache[m]
-		b := req[m]
-		if len(b) != len(dom) {
-			b = make(affine.Box, len(dom))
-			req[m] = b
+	var stack [boxStack]affine.Box
+	boxes := stack[:0]
+	for i, m := range tp.Group.Members {
+		boxes = append(boxes, mapBox(req, m, len(tp.members[i].dom)))
+	}
+	if err := tp.requiredInto(idx, boxes); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// mapBox returns m[name] if it has the given rank, else installs a fresh
+// box of that rank.
+func mapBox(m map[string]affine.Box, name string, rank int) affine.Box {
+	b := m[name]
+	if len(b) != rank {
+		b = make(affine.Box, rank)
+		m[name] = b
+	}
+	return b
+}
+
+// memberBoxes allocates one box per member, for requiredInto.
+func (tp *TilePlan) memberBoxes() []affine.Box {
+	out := make([]affine.Box, len(tp.members))
+	for i := range out {
+		out[i] = make(affine.Box, len(tp.members[i].dom))
+	}
+	return out
+}
+
+// extBoxes allocates one box per external producer, for externalInto.
+func (tp *TilePlan) extBoxes() []affine.Box {
+	out := make([]affine.Box, len(tp.ext))
+	for i := range out {
+		out[i] = make(affine.Box, len(tp.ext[i].dom))
+	}
+	return out
+}
+
+var emptyRange = affine.Range{Lo: 0, Hi: -1}
+
+// requiredInto is Required by position: req[i] (of member i's rank) receives
+// the region of Group.Members[i].
+func (tp *TilePlan) requiredInto(idx []int64, req []affine.Box) error {
+	for i := range tp.members {
+		pm := &tp.members[i]
+		if pm.live {
+			// Seed with the owned live-out region.
+			tp.ownedInto(req[i], i, idx)
+			continue
 		}
+		b := req[i]
 		for d := range b {
-			b[d] = affine.Range{Lo: 0, Hi: -1} // empty
+			b[d] = emptyRange
 		}
-	}
-	// Seed with owned live-out regions.
-	for _, lo := range tp.LiveOuts {
-		tp.ownedBoxInto(req[lo], lo, idx)
 	}
 	// Backward propagation: consumers before producers.
-	for i := len(members) - 1; i >= 0; i-- {
-		cname := members[i]
-		crq := req[cname]
+	for i := len(tp.members) - 1; i >= 0; i-- {
+		crq := req[i]
 		if crq.Empty() {
 			continue
 		}
-		for target, accs := range tp.accessCache[cname] {
-			if target == cname || !tp.memberSet[target] {
-				continue
+		for _, a := range tp.members[i].in {
+			if !a.ok {
+				return fmt.Errorf("schedule: non-affine in-group access %s -> %s", tp.Group.Members[i], tp.Group.Members[a.target])
 			}
-			pdom := tp.domCache[target]
-			prq := req[target]
-			for _, aa := range accs {
-				if !aa.OK {
-					return nil, fmt.Errorf("schedule: non-affine in-group access %s -> %s", cname, target)
-				}
-				var varRange affine.Range
-				if aa.Acc.Var >= 0 {
-					varRange = crq[aa.Acc.Var]
-				}
-				rng, err := aa.Acc.RangeOver(varRange, tp.Params)
-				if err != nil {
-					return nil, err
-				}
-				prq[aa.ProducerDim] = prq[aa.ProducerDim].Union(rng.Intersect(pdom[aa.ProducerDim]))
+			var varRange affine.Range
+			if a.acc.Var >= 0 {
+				varRange = crq[a.acc.Var]
 			}
+			rng, err := a.acc.RangeOver(varRange, tp.Params)
+			if err != nil {
+				return err
+			}
+			prq := req[a.target]
+			prq[a.dim] = prq[a.dim].Union(rng.Intersect(tp.members[a.target].dom[a.dim]))
 		}
 	}
 	// Clip to domains (in place).
-	for _, m := range members {
-		b := req[m]
-		dom := tp.domCache[m]
+	for i := range tp.members {
+		b, dom := req[i], tp.members[i].dom
 		for d := range b {
 			b[d] = b[d].Intersect(dom[d])
 		}
 	}
-	return req, nil
+	return nil
 }
 
 // ExternalReads computes, given a tile's member required regions req (as
@@ -326,48 +412,55 @@ func (tp *TilePlan) Required(idx []int64, dst map[string]affine.Box) (map[string
 func (tp *TilePlan) ExternalReads(req map[string]affine.Box, dst map[string]affine.Box) (map[string]affine.Box, error) {
 	out := dst
 	if out == nil {
-		out = make(map[string]affine.Box, len(tp.extDoms))
+		out = make(map[string]affine.Box, len(tp.ext))
 	}
-	for target, dom := range tp.extDoms {
-		b := out[target]
-		if len(b) != len(dom) {
-			b = make(affine.Box, len(dom))
-			out[target] = b
-		}
+	var rstack, estack [boxStack]affine.Box
+	reqBoxes, extBoxes := rstack[:0], estack[:0]
+	for _, m := range tp.Group.Members {
+		reqBoxes = append(reqBoxes, req[m])
+	}
+	for _, e := range tp.ext {
+		extBoxes = append(extBoxes, mapBox(out, e.name, len(e.dom)))
+	}
+	if err := tp.externalInto(reqBoxes, extBoxes); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// externalInto is ExternalReads by position: req is indexed like
+// Group.Members, out like tp.ext.
+func (tp *TilePlan) externalInto(req, out []affine.Box) error {
+	for _, b := range out {
 		for d := range b {
-			b[d] = affine.Range{Lo: 0, Hi: -1} // empty
+			b[d] = emptyRange
 		}
 	}
-	for _, cname := range tp.Group.Members {
-		crq := req[cname]
+	for i := range tp.members {
+		crq := req[i]
 		if crq.Empty() {
 			continue
 		}
-		for target, accs := range tp.accessCache[cname] {
-			edom, external := tp.extDoms[target]
-			if !external {
+		for _, a := range tp.members[i].out {
+			edom := tp.ext[a.target].dom
+			erq := out[a.target]
+			if !a.ok || a.acc.Var >= len(crq) {
+				// Non-affine access, or one indexed by a variable outside
+				// the member's output domain (a reduction variable):
+				// widen to the producer's whole extent.
+				erq[a.dim] = erq[a.dim].Union(edom[a.dim])
 				continue
 			}
-			erq := out[target]
-			for _, aa := range accs {
-				if !aa.OK || aa.Acc.Var >= len(crq) {
-					// Non-affine access, or one indexed by a variable outside
-					// the member's output domain (a reduction variable):
-					// widen to the producer's whole extent.
-					erq[aa.ProducerDim] = erq[aa.ProducerDim].Union(edom[aa.ProducerDim])
-					continue
-				}
-				var varRange affine.Range
-				if aa.Acc.Var >= 0 {
-					varRange = crq[aa.Acc.Var]
-				}
-				rng, err := aa.Acc.RangeOver(varRange, tp.Params)
-				if err != nil {
-					return nil, err
-				}
-				erq[aa.ProducerDim] = erq[aa.ProducerDim].Union(rng.Intersect(edom[aa.ProducerDim]))
+			var varRange affine.Range
+			if a.acc.Var >= 0 {
+				varRange = crq[a.acc.Var]
 			}
+			rng, err := a.acc.RangeOver(varRange, tp.Params)
+			if err != nil {
+				return err
+			}
+			erq[a.dim] = erq[a.dim].Union(rng.Intersect(edom[a.dim]))
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -67,6 +67,23 @@ func TestAutoServeEndToEnd(t *testing.T) {
 		t.Fatal("hand-scheduled response claims auto_scheduled")
 	}
 
+	// /metrics says what the search did for the searched program, and
+	// nothing for the hand-scheduled one.
+	var searched, hand int
+	for _, pm := range svc.Metrics().Programs {
+		if pm.Search == nil {
+			hand++
+			continue
+		}
+		searched++
+		if s := pm.Search; s.States <= 0 || s.States != s.CostEvals+s.CostCacheHits || s.PerDimEvals <= 0 || s.EnumeratedEvals != 0 {
+			t.Errorf("search metrics %+v: want states = evals + hits, per-dimension evaluations only", *s)
+		}
+	}
+	if searched != 1 || hand != 1 {
+		t.Errorf("%d searched and %d hand programs carry search metrics, want 1 and 1", searched, hand)
+	}
+
 	// Explicit tiles pin a hand schedule; combining them with auto=true
 	// is a contradiction the API rejects.
 	on := true

@@ -296,6 +296,22 @@ type ProgramMetrics struct {
 	// VMFalls counts, per reason, the per-element fallback instructions
 	// left in the program's row-VM code (obs.VMFalls).
 	VMFalls obs.VMFalls `json:"vm_falls"`
+	// Search is what the auto-scheduler's search did to produce this
+	// program's schedule; absent for a hand-scheduled program.
+	Search *SearchMetrics `json:"search,omitempty"`
+}
+
+// SearchMetrics are the schedule search's effort counters
+// (obs.ProgramStats Search*): candidates priced, of which evaluated and
+// remembered; evaluations by how they enumerated the group's tiles; states
+// cut by the lower bound.
+type SearchMetrics struct {
+	States          int `json:"states"`
+	Pruned          int `json:"pruned"`
+	CostEvals       int `json:"cost_evals"`
+	CostCacheHits   int `json:"cost_cache_hits"`
+	PerDimEvals     int `json:"per_dim_evals"`
+	EnumeratedEvals int `json:"enumerated_evals"`
 }
 
 // PhaseMetrics totals one request phase: how many samples, their summed

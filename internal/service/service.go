@@ -583,7 +583,7 @@ func (s *Service) Metrics() Metrics {
 		n := e.requests
 		e.imu.Unlock()
 		stats := e.res.prog.Stats()
-		m.Programs = append(m.Programs, ProgramMetrics{
+		pm := ProgramMetrics{
 			Key:       e.key,
 			Pipeline:  e.res.label,
 			Requests:  n,
@@ -591,7 +591,18 @@ func (s *Service) Metrics() Metrics {
 			Stages:    stats.Stages,
 			GenMisses: stats.GenMisses,
 			VMFalls:   stats.VMFalls,
-		})
+		}
+		if stats.AutoScheduled {
+			pm.Search = &SearchMetrics{
+				States:          stats.SearchStates,
+				Pruned:          stats.SearchPruned,
+				CostEvals:       stats.SearchCostEvals,
+				CostCacheHits:   stats.SearchCostCacheHits,
+				PerDimEvals:     stats.SearchPerDimEvals,
+				EnumeratedEvals: stats.SearchEnumeratedEvals,
+			}
+		}
+		m.Programs = append(m.Programs, pm)
 	}
 	m.Merged = obs.Merge(snaps...)
 	return m
