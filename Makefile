@@ -7,7 +7,7 @@ COVER_FLOOR_SCHEDULE ?= 75.0
 COVER_FLOOR_SERVICE  ?= 80.0
 COVER_FLOOR_DIFFTEST ?= 80.0
 
-.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race narrow-race auto-race bench-vet bench-smoke fuzz cover bench bench-kernels serve serve-smoke serve-http stats clean
+.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race gen-bce narrow-race auto-race bench-vet bench-smoke fuzz cover bench bench-kernels serve serve-smoke serve-http stats clean
 
 all: build test
 
@@ -83,22 +83,39 @@ gen:
 	$(GO) run ./cmd/polymage-gen -check
 
 # Race-checked run of the generated-kernel suite: piece-key stability,
-# registry dispatch/fallback matrix, golden emitter structure and purity,
-# and the apps/gen parity tests (generated kernels vs interpreted tiers on
-# every Table-2 app under the hand and the auto schedule), plus the gather
-# table's generated leg (kernels for data-dependent and cross-dimension
-# indices vs the VM and the scalar tier).
+# registry dispatch/fallback matrix, golden emitter structure, purity and the
+# typed bodies' text, and the apps/gen parity tests (generated kernels vs
+# interpreted tiers on every Table-2 app and both uint8 apps under the hand
+# and the auto schedule), plus the generated leg of the hand-written tables
+# (kernels for data-dependent and cross-dimension indices, and for the
+# int64-body forms, vs the VM and the scalar tier).
 gen-race:
 	$(GO) test -race -run TestGen ./internal/engine/ ./internal/codegen/ ./internal/apps/gen/ -count=1
-	$(GO) test -race -run TestGenGatherTable ./internal/difftest/ -count=1
+	$(GO) test -race -run 'TestGenGatherTable|TestGenIntBodyTable' ./internal/difftest/ -count=1
+
+# Bounds checks the compiler could not eliminate in the checked-in kernels,
+# per kernel and in its inner `for i := 0; i < n; i++` loop (the compiler's
+# check_bce report joined with the kernel each reported line belongs to).
+# The int64 bodies of
+# internal/apps/gen read 0 in the inner loop; float bodies read one per inner
+# loop, on the first row read (ROADMAP item 3 a), and a kernel with
+# per-element indexed loads (gathers, strided reads) keeps one per such load
+# by design.
+gen-bce:
+	@for d in internal/apps/gen internal/difftest/gencorpus; do \
+		echo "$$d/kernels_gen.go"; \
+		$(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./$$d/ 2>&1 | awk -f internal/codegen/bce.awk $$d/kernels_gen.go - || exit 1; \
+	done
 
 # Race-checked run of the narrow-type suite: uint8/uint16 end-to-end
 # execution and input validation, interval/cast soundness, the integer
-# row-VM opcodes, the narrow golden-oracle apps, and a short slice of the
-# integer differential corpus under the narrow knob sweep (the full corpus
-# runs race-free in `go test ./...`).
+# row-VM opcodes, the narrow golden-oracle apps, the uint8 apps on generated
+# kernels vs the integer VM vs the reference (TestGenNarrowAppsMatchVM), and
+# a short slice of the integer differential corpus under the narrow knob
+# sweep, narrow-gen included (the full corpus runs race-free in
+# `go test ./...`).
 narrow-race:
-	$(GO) test -race -short -run 'TestNarrow|TestInteger|TestIvCast|TestVMInt|TestElemFor' ./internal/engine/ ./internal/apps/ ./internal/difftest/ -count=1
+	$(GO) test -race -short -run 'TestNarrow|TestInteger|TestIvCast|TestVMInt|TestElemFor|TestGenNarrow' ./internal/engine/ ./internal/apps/... ./internal/difftest/ -count=1
 
 # Race-checked run of the auto-scheduler suite: cost-model term pinning
 # against executor observability counters, beam-search determinism and

@@ -9,11 +9,15 @@
 //
 // Two generation targets are maintained in-tree, one kernels_gen.go each:
 //
-//	internal/apps/gen       the Table-2 apps at scale 4
+//	internal/apps/gen       the Table-2 apps at scale 4 and the uint8 apps
+//	                        (apps.AllNarrow) at their benchmark size, under
+//	                        NarrowTypes and in the float32 layout
 //	internal/difftest/gencorpus
 //	                        the first -corpus difftest seeds under the
-//	                        gen-kernels and schedule-auto knobs, and the
-//	                        hand-written gather table (difftest.GatherCases)
+//	                        gen-kernels and schedule-auto knobs, the integer
+//	                        corpus under their NarrowTypes counterparts, and
+//	                        the hand-written tables (difftest.GatherCases,
+//	                        difftest.IntBodyCases)
 //
 // Run `go run ./cmd/polymage-gen` to regenerate both; -check (`make gen`)
 // verifies without writing, the tier-1 wiring that keeps checked-in
@@ -38,8 +42,8 @@ import (
 )
 
 func main() {
-	appList := flag.String("apps", "all", "comma-separated app names to generate kernels for (empty = skip apps)")
-	corpus := flag.Int("corpus", 40, "number of difftest corpus seeds to generate kernels for (0 = skip)")
+	appList := flag.String("apps", "all", "comma-separated app names, Table-2 or uint8, to generate kernels for (empty = skip apps)")
+	corpus := flag.Int("corpus", 40, "number of difftest corpus seeds to generate kernels for, beside the integer corpus and the hand-written tables (0 = skip them all)")
 	dir := flag.String("dir", ".", "repository root the generated packages are written under")
 	scale := flag.Int64("scale", 4, "parameter scale the apps are compiled at (keys do not depend on it)")
 	check := flag.Bool("check", false, "verify checked-in files match the emitter instead of writing")
@@ -69,8 +73,8 @@ func main() {
 	gather := func(name string, prog *engine.Program) {
 		for _, u := range prog.GenUnits() {
 			if *verbose {
-				fmt.Printf("  %s/%s piece %d: rank %d f32=%v tier=%s key=%.12s\n",
-					name, u.Stage, u.Piece, u.Rank, u.F32, u.Tier, u.Key)
+				fmt.Printf("  %s/%s piece %d: rank %d f32=%v tier=%s out=%s reads=%v key=%.12s\n",
+					name, u.Stage, u.Piece, u.Rank, u.F32, u.Tier, u.Out, u.Elems, u.Key)
 			}
 			units = append(units, u)
 		}
@@ -78,7 +82,7 @@ func main() {
 	}
 
 	if *appList != "" {
-		names := apps.Names()
+		names := append(apps.Names(), apps.NarrowNames()...)
 		if *appList != "all" {
 			names = strings.Split(*appList, ",")
 		}
@@ -87,18 +91,34 @@ func main() {
 			fatal(err)
 		}
 		for _, name := range names {
-			app, err := apps.Get(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			for _, auto := range []bool{false, true} {
-				so := schedule.DefaultOptions()
-				so.Auto = auto
-				prep, err := harness.Prepare(app, v, harness.ScaledParams(app, *scale), 1, so, harness.DefaultSeed)
-				if err != nil {
-					fatal(fmt.Errorf("prepare %s: %w", app.Name, err))
+			name = strings.TrimSpace(name)
+			var prepares []func(schedule.Options) (*harness.Prepared, error)
+			if app, err := apps.Get(name); err == nil {
+				prepares = append(prepares, func(so schedule.Options) (*harness.Prepared, error) {
+					return harness.Prepare(app, v, harness.ScaledParams(app, *scale), 1, so, harness.DefaultSeed)
+				})
+			} else if napp, nerr := apps.GetNarrow(name); nerr == nil {
+				// A uint8 app is compiled in both layouts: NarrowTypes as
+				// bench/ runs it, and the float32 layout a narrow-off
+				// comparison runs.
+				for _, narrow := range []bool{true, false} {
+					prepares = append(prepares, func(so schedule.Options) (*harness.Prepared, error) {
+						return harness.PrepareNarrow(napp, v, narrow, napp.BenchParams, 1, so, harness.DefaultSeed)
+					})
 				}
-				gather(app.Name, prep.Prog)
+			} else {
+				fatal(fmt.Errorf("%v; %v", err, nerr))
+			}
+			for _, prepare := range prepares {
+				for _, auto := range []bool{false, true} {
+					so := schedule.DefaultOptions()
+					so.Auto = auto
+					prep, err := prepare(so)
+					if err != nil {
+						fatal(fmt.Errorf("prepare %s: %w", name, err))
+					}
+					gather(name, prep.Prog)
+				}
 			}
 		}
 		emit("internal/apps/gen", "gen", units)
@@ -109,19 +129,30 @@ func main() {
 		for seed := int64(1); seed <= int64(*corpus); seed++ {
 			for _, k := range difftest.GenKnobs() {
 				name := fmt.Sprintf("seed%03d/%s", seed, k.Name)
-				prog, err := difftest.BuildProgram(seed, k)
+				prog, err := difftest.BuildProgram(difftest.Generate(seed), k)
 				if err != nil {
 					fatal(fmt.Errorf("%s: %w", name, err))
 				}
 				gather(name, prog)
 			}
 		}
-		for _, gc := range difftest.GatherCases() {
+		for i := int64(0); i < difftest.IntegerCorpusSeeds; i++ {
+			seed := difftest.IntegerCorpusBase + i
+			for _, k := range difftest.NarrowGenKnobs() {
+				name := fmt.Sprintf("int%d/%s", seed, k.Name)
+				prog, err := difftest.BuildProgram(difftest.GenerateInteger(seed), k)
+				if err != nil {
+					fatal(fmt.Errorf("%s: %w", name, err))
+				}
+				gather(name, prog)
+			}
+		}
+		for _, gc := range append(difftest.GatherCases(), difftest.IntBodyCases()...) {
 			prog, err := gc.Compile(gc.Params, engine.ExecOptions{Fast: true})
 			if err != nil {
-				fatal(fmt.Errorf("gather case %s: %w", gc.Name, err))
+				fatal(fmt.Errorf("table case %s: %w", gc.Name, err))
 			}
-			gather("gather/"+gc.Name, prog)
+			gather("table/"+gc.Name, prog)
 		}
 		emit("internal/difftest/gencorpus", "gencorpus", units)
 	}

@@ -1,7 +1,9 @@
 // Package gen holds the checked-in ahead-of-time kernels for the seven
-// Table-2 benchmark apps, emitted by cmd/polymage-gen: one Go function per
-// distinct stage-piece shape found in the apps compiled under the hand and
-// the auto schedule.
+// Table-2 benchmark apps and the two uint8 apps (apps.AllNarrow), emitted
+// by cmd/polymage-gen: one Go function per distinct stage-piece shape found
+// in the apps compiled under the hand and the auto schedule — the uint8
+// apps both with NarrowTypes (int64 bodies over uint8/uint16 rows) and in
+// the float32 layout.
 //
 // kernels_gen.go registers each kernel in the engine's process-wide
 // registry at init under the content key of the piece it computes

@@ -1,12 +1,13 @@
 package gen_test
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"repro/internal/apps"
 	_ "repro/internal/apps/gen" // registers the ahead-of-time kernels under test
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/expr"
@@ -20,12 +21,22 @@ type pipe struct {
 	narrow bool
 	build  func() (*dsl.Builder, []string)
 	inputs func(b *dsl.Builder, params map[string]int64, seed int64) (map[string]*engine.Buffer, error)
+	// threads is the worker count programs are bound with (0 = GOMAXPROCS).
+	threads int
 }
 
 func tablePipes() []pipe {
 	var out []pipe
 	for _, a := range apps.All() {
-		out = append(out, pipe{a.Name, false, a.Build, a.Inputs})
+		out = append(out, pipe{name: a.Name, build: a.Build, inputs: a.Inputs})
+	}
+	return out
+}
+
+func narrowPipes() []pipe {
+	var out []pipe
+	for _, a := range apps.AllNarrow() {
+		out = append(out, pipe{name: a.Name, narrow: true, build: a.Build, inputs: a.Inputs})
 	}
 	return out
 }
@@ -49,7 +60,7 @@ func bind(t *testing.T, p pipe, params map[string]int64, auto bool) bound {
 	}
 	var bd bound
 	for _, noGen := range []bool{false, true} {
-		prog, err := pl.Bind(params, engine.ExecOptions{Fast: true, ReuseBuffers: true, NarrowTypes: p.narrow, NoGenKernels: noGen})
+		prog, err := pl.Bind(params, engine.ExecOptions{Fast: true, ReuseBuffers: true, Threads: p.threads, NarrowTypes: p.narrow, NoGenKernels: noGen})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,8 +90,9 @@ func genPieces(p *engine.Program) int {
 // requireSubstitution demands that the generated kernels are a drop-in
 // substitution for the interpreted tiers, not an approximation of them:
 // every eligible piece binds a kernel, the kernels-off twin binds none, and
-// the two programs' outputs agree bit for bit.
-func (bd bound) requireSubstitution(t *testing.T) {
+// the two programs' outputs agree bit for bit. It returns the outputs of
+// the run with kernels.
+func (bd bound) requireSubstitution(t *testing.T) map[string]*engine.Buffer {
 	t.Helper()
 	st := bd.on.Stats()
 	if m := st.GenMisses; m.NoKernel != 0 {
@@ -107,16 +119,11 @@ func (bd bound) requireSubstitution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, wb := range want {
-		gb := got[name]
-		if gb == nil || len(gb.Data) != len(wb.Data) {
-			t.Fatalf("output %s missing or misshapen in the gen run", name)
-		}
-		for i := range wb.Data {
-			if math.Float32bits(gb.Data[i]) != math.Float32bits(wb.Data[i]) {
-				t.Fatalf("output %s index %d: gen=%v interpreted=%v", name, i, gb.Data[i], wb.Data[i])
-			}
+		if d := difftest.SameBits(got[name], wb); d != "" {
+			t.Fatalf("output %s of the gen run against the interpreted run: %s", name, d)
 		}
 	}
+	return got
 }
 
 // TestGenAppsMatchVM runs every Table-2 app under the hand schedule at the
@@ -144,21 +151,60 @@ func TestGenAppsMatchVM(t *testing.T) {
 	}
 }
 
+// TestGenNarrowAppsMatchVM is TestGenAppsMatchVM for the uint8 apps, in
+// combination: at the test size and two odd ones (a 1-wide image included),
+// one and two workers, hand and auto schedule, every piece binds a kernel
+// (gen_piece_share 1, no miss of any kind) and the generated run, the
+// kernels-off run and the reference interpreter agree exactly.
+func TestGenNarrowAppsMatchVM(t *testing.T) {
+	for _, p := range narrowPipes() {
+		app, _ := apps.GetNarrow(p.name)
+		for _, params := range []map[string]int64{app.TestParams, {"R": 7, "C": 1}, {"R": 37, "C": 53}} {
+			for _, auto := range []bool{false, true} {
+				for p.threads = 1; p.threads <= 2; p.threads++ {
+					t.Run(fmt.Sprintf("%s/%dx%d/auto=%v/threads=%d", p.name, params["R"], params["C"], auto, p.threads), func(t *testing.T) {
+						bd := bind(t, p, params, auto)
+						got := bd.requireSubstitution(t)
+						st := bd.on.Stats()
+						pieces := 0
+						for _, name := range bd.on.Graph.Order {
+							pieces += len(bd.on.Graph.Stages[name].Cases)
+						}
+						if n := genPieces(bd.on); n != pieces || st.GenMisses.Total() != 0 {
+							t.Errorf("%d of %d pieces on generated kernels, misses %+v", n, pieces, st.GenMisses)
+						}
+						ref, err := engine.Reference(bd.on.Graph, params, bd.inputs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, lo := range bd.on.Graph.LiveOuts {
+							if d := difftest.Compare(got[lo], ref[lo], 0, 0); d != "" {
+								t.Errorf("output %s differs from the reference interpreter: %s", lo, d)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestTierAttribution pins the lowering invariant in the configuration a
 // user gets (auto-scheduler, Fast, pooled buffers, this package's kernels
 // linked; narrow types for the uint8 apps): every stage piece is counted in
 // exactly one evaluator tier, the scalar loop takes only predicated pieces
-// (an accumulator is swept by rows), the two removed tiers stay empty, every piece counted
-// outside the generated tier has its reason in GenMisses, and the Table-2
-// apps bind at least as many kernels as under the hand schedule.
+// (an accumulator is swept by rows), the three removed tiers stay empty,
+// every piece counted outside the generated tier has its reason in
+// GenMisses, and the Table-2 apps bind at least as many kernels as under the
+// hand schedule.
 func TestTierAttribution(t *testing.T) {
 	pipes := tablePipes()
 	params := map[string]map[string]int64{}
 	for _, a := range apps.All() {
 		params[a.Name] = harness.ScaledParams(a, 4)
 	}
+	pipes = append(pipes, narrowPipes()...)
 	for _, a := range apps.AllNarrow() {
-		pipes = append(pipes, pipe{a.Name, true, a.Build, a.Inputs})
 		params[a.Name] = a.BenchParams
 	}
 	for _, p := range pipes {
@@ -191,14 +237,14 @@ func TestTierAttribution(t *testing.T) {
 						scalar++ // residual per-point predicate
 					}
 				}
-				if got := sm.Gen + sm.Stencil + sm.IntStencil + sm.RowVM + sm.Scalar; got != pieces {
+				if got := sm.Gen + sm.Stencil + sm.RowVM + sm.Scalar; got != pieces {
 					t.Errorf("%s: %d pieces counted in tiers, stage has %d (%+v)", sm.Name, got, pieces, sm)
 				}
 				if sm.Scalar != scalar {
 					t.Errorf("%s: %d pieces on the scalar loop, want %d (predicated pieces only)", sm.Name, sm.Scalar, scalar)
 				}
-				if sm.Comb != 0 || sm.ClosureRow != 0 {
-					t.Errorf("%s: removed tiers report Comb=%d ClosureRow=%d", sm.Name, sm.Comb, sm.ClosureRow)
+				if sm.Comb != 0 || sm.IntStencil != 0 || sm.ClosureRow != 0 {
+					t.Errorf("%s: removed tiers report Comb=%d IntStencil=%d ClosureRow=%d", sm.Name, sm.Comb, sm.IntStencil, sm.ClosureRow)
 				}
 				total += pieces
 				gen += sm.Gen

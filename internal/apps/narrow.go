@@ -12,7 +12,7 @@ import (
 // Narrow-type application variants (Options.NarrowTypes): all-integer
 // uint8 pipelines whose every stage bitwidth inference proves integral
 // within ±2^24, so execution is bit-exact across the scalar, row-VM,
-// integer-VM and integer-stencil tiers and the narrowed buffers hold the
+// integer-VM and generated int64 tiers and the narrowed buffers hold the
 // same values as the float32 layout at a fraction of the footprint.
 //
 // These live in their own registry rather than apps.All(): the Table 2
@@ -99,9 +99,10 @@ func narrowInputs(b *dsl.Builder, params map[string]int64, seed int64) (map[stri
 // blur-u8: a separable 5-tap binomial blur over a uint8 image with
 // integral weights throughout. blurx holds Σ w·I in [0, 4080] (uint16),
 // blury Σ w·blurx in [0, 65280] (uint16), and the final stage divides by
-// the total mass 256 back into [0, 255] (uint8). The two stencil stages
-// lower to the integer stencil kernel; the power-of-two floor division
-// lowers to an arithmetic shift in the integer VM.
+// the total mass 256 back into [0, 255] (uint8). All three stages are
+// int-exact: int64 kernels where internal/apps/gen is linked, integer-VM
+// programs otherwise, the power-of-two floor division an arithmetic shift
+// in both.
 func init() {
 	registerNarrow(&NarrowApp{
 		Name:        "blur-u8",
@@ -156,9 +157,9 @@ func buildBlurU8() (*dsl.Builder, []string) {
 
 // unsharp-u8: the unsharp-mask shape in pure integer arithmetic — a
 // separable 1-2-1 blur normalized by floor division, then a clamped
-// 2·I − blur sharpening cast back to uint8. Exercises the integer stencil
-// (blurx), the integer VM with a non-power-of-two divisor (blury), and
-// the saturating UChar cast of a provably bounded operand (sharp).
+// 2·I − blur sharpening cast back to uint8. Exercises an integer stencil
+// shape (blurx), integer floor division (blury), and the saturating UChar
+// cast of a provably bounded operand (sharp).
 func init() {
 	registerNarrow(&NarrowApp{
 		Name:        "unsharp-u8",

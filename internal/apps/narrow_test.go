@@ -11,8 +11,8 @@ import (
 
 // TestNarrowGoldenOracles pins every narrow app to the reference
 // interpreter with EXACT equality (no ULP budget): every stage is provably
-// integral within ±2^24, so the scalar tier, the row VM, the integer VM,
-// the integer stencil kernel and the parallel/pooled executors must all
+// integral within ±2^24, so the scalar tier, the row VM, the integer VM
+// and the parallel/pooled executors must all
 // produce the same integers bit for bit — and so must the float32 layout
 // (NarrowTypes off) on converted inputs.
 func TestNarrowGoldenOracles(t *testing.T) {

@@ -1,0 +1,47 @@
+# bce.awk joins the compiler's bounds-check report with the kernels of a
+# generated file (`make gen-bce`):
+#
+#	go build -gcflags=-d=ssa/check_bce/debug=1 ./PKG/ 2>&1 | awk -f bce.awk PKG/kernels_gen.go -
+#
+# Pass 1, the generated source: which kernel each line belongs to, its body
+# kind, and the lines of its inner `for i := 0; i < n; i++` loop. Pass 2, the
+# report: the IsInBounds checks that survived, per kernel, and how many of
+# them sit in the inner loop; then the inner-loop total per body kind.
+FNR == NR {
+	if ($0 ~ /^\/\/ k_[0-9a-f]+ computes .*\((float32|float64|int64) body\)/) {
+		kind = $0
+		sub(/ body\).*/, "", kind)
+		sub(/.*\(/, "", kind)
+		body[$2] = kind
+	}
+	if ($0 ~ /^func k_/) {
+		cur = substr($2, 1, index($2, "(") - 1)
+		order[++nk] = cur
+	}
+	if ($0 ~ /^}/) cur = ""
+	if (match($0, /^\t+for i := 0; i < n; i\+\+ \{$/)) {
+		depth = RLENGTH - length("for i := 0; i < n; i++ {")
+		inner = 1
+		next
+	}
+	if (inner && match($0, /^\t+}$/) && RLENGTH - 1 == depth) inner = 0
+	fn[FNR] = cur
+	in_loop[FNR] = inner
+	next
+}
+/Found IsInBounds/ {
+	split($1, pos, ":")
+	k = fn[pos[2]]
+	if (k == "") next
+	total[k]++
+	if (in_loop[pos[2]]) loop[k]++
+}
+END {
+	for (i = 1; i <= nk; i++) {
+		k = order[i]
+		printf "  %s %-7s IsInBounds %3d, in the inner loop %d\n", k, body[k], total[k], loop[k]
+		sum[body[k]] += loop[k]
+		cnt[body[k]]++
+	}
+	for (b in cnt) printf "  %s bodies: %d kernels, %d inner-loop bounds checks\n", b, cnt[b], sum[b]
+}

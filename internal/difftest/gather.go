@@ -9,11 +9,12 @@ import (
 	"repro/internal/schedule"
 )
 
-// GatherCase is one hand-written pipeline of the gather/scatter
-// differential table (internal/engine/gather_test.go): the indirect
-// addressing shapes the generated corpus does not draw. It lives here, not
-// in a test file, because cmd/polymage-gen compiles every case too, so the
-// gencorpus package holds the kernels the table's Fast leg binds.
+// GatherCase is one hand-written pipeline of the differential tables in
+// gather_test.go: the indirect addressing shapes (GatherCases) and the
+// int64-body forms (IntBodyCases) the generated corpora do not draw. It
+// lives here, not in a test file, because cmd/polymage-gen compiles every
+// case too, so the gencorpus package holds the kernels the tables' Fast leg
+// binds.
 type GatherCase struct {
 	Name string
 	// Narrow compiles with NarrowTypes; the input image is uint8.

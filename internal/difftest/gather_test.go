@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -40,13 +39,18 @@ func gatherInputs(t *testing.T, prog *engine.Program) (run, ref map[string]*engi
 }
 
 // gatherTable runs every case on the given tiers with 1 and 2 threads and
-// demands one answer, bit for bit, within golden tolerance of the
-// reference interpreter. check sees each compiled program once.
-func gatherTable(t *testing.T, tiers []gatherTier, check func(t *testing.T, gc GatherCase, tier gatherTier, st obs.ProgramStats)) {
-	for _, gc := range GatherCases() {
+// demands one answer per live-out, bit for bit, within golden tolerance of
+// the reference interpreter — equal to it when exact. check sees each
+// compiled program once.
+func gatherTable(t *testing.T, cases []GatherCase, tiers []gatherTier, exact bool, check func(t *testing.T, gc GatherCase, tier gatherTier, prog *engine.Program)) {
+	atol, ulp := 2e-3, uint32(64)
+	if exact {
+		atol, ulp = 0, 0
+	}
+	for _, gc := range cases {
 		t.Run(gc.Name, func(t *testing.T) {
 			t.Parallel()
-			var first *engine.Buffer
+			var first map[string]*engine.Buffer
 			var firstName string
 			for _, tier := range tiers {
 				for threads := 1; threads <= 2; threads++ {
@@ -59,28 +63,29 @@ func gatherTable(t *testing.T, tiers []gatherTier, check func(t *testing.T, gc G
 					}
 					defer prog.Close()
 					if threads == 1 {
-						check(t, gc, tier, prog.Stats())
+						check(t, gc, tier, prog)
 					}
 					run, refIn := gatherInputs(t, prog)
 					outs, err := prog.Run(run)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					out := outs[prog.Graph.LiveOuts[0]]
 					if first == nil {
 						ref, err := engine.Reference(prog.Graph, gc.Params, refIn)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if d := Compare(out, ref[prog.Graph.LiveOuts[0]], 2e-3, 64); d != "" {
-							t.Fatalf("%s vs reference: %s", name, d)
+						for _, lo := range prog.Graph.LiveOuts {
+							if d := Compare(outs[lo], ref[lo], atol, ulp); d != "" {
+								t.Fatalf("%s: %s vs reference: %s", name, lo, d)
+							}
 						}
-						first, firstName = out, name
+						first, firstName = outs, name
 						continue
 					}
-					for i := range first.Data {
-						if math.Float32bits(out.Data[i]) != math.Float32bits(first.Data[i]) {
-							t.Fatalf("%s[%d] = %v, %s[%d] = %v: not bit-identical", name, i, out.Data[i], firstName, i, first.Data[i])
+					for _, lo := range prog.Graph.LiveOuts {
+						if d := SameBits(outs[lo], first[lo]); d != "" {
+							t.Fatalf("%s: %s is not bit-identical to %s's: %s", name, lo, firstName, d)
 						}
 					}
 				}
@@ -93,30 +98,64 @@ func gatherTable(t *testing.T, tiers []gatherTier, check func(t *testing.T, gc G
 // accumulator against the scalar tier, which still walks one closure per
 // element. No case leaves a per-element fallback in its row programs.
 func TestRowVMGatherTable(t *testing.T) {
-	gatherTable(t, gatherTiers[1:], func(t *testing.T, gc GatherCase, tier gatherTier, st obs.ProgramStats) {
-		if tier.opts.Fast && st.VMFalls.Total() != 0 {
+	gatherTable(t, GatherCases(), gatherTiers[1:], false, func(t *testing.T, gc GatherCase, tier gatherTier, prog *engine.Program) {
+		if st := prog.Stats(); tier.opts.Fast && st.VMFalls.Total() != 0 {
 			t.Errorf("row programs keep fallback instructions: %+v", st.VMFalls)
 		}
 	})
 }
 
 // TestGenGatherTable: the generated kernels against the VM they replace and
-// the scalar tier. Every float32 non-accumulator piece of the table binds a
-// checked-in kernel.
+// the scalar tier. Every non-accumulator piece of the table binds a
+// checked-in kernel, u8slot's gather from a uint8 slot included.
 func TestGenGatherTable(t *testing.T) {
-	gatherTable(t, gatherTiers, func(t *testing.T, gc GatherCase, tier gatherTier, st obs.ProgramStats) {
+	gatherTable(t, GatherCases(), gatherTiers, false, func(t *testing.T, gc GatherCase, tier gatherTier, prog *engine.Program) {
 		if tier.name != "gen" {
 			return
 		}
 		want := obs.GenMisses{}
-		switch gc.Name {
-		case "u8slot":
-			want.NarrowElem = 1
-		case "hist":
+		if gc.Name == "hist" {
 			want.AccOrSelfRef = 1
 		}
-		if st.GenMisses != want {
-			t.Errorf("GenMisses = %+v, want %+v (rerun go run ./cmd/polymage-gen?)", st.GenMisses, want)
+		if m := prog.Stats().GenMisses; m != want {
+			t.Errorf("GenMisses = %+v, want %+v (rerun go run ./cmd/polymage-gen?)", m, want)
+		}
+	})
+}
+
+// TestGenIntBodyTable: the typed emitter's int64 and float64-over-narrow
+// bodies against the integer VM, the scalar tier and the reference
+// interpreter, exactly. Every piece binds a checked-in kernel; each case's
+// units are of the tier its name says, and its live-outs of the element
+// types it was written to store.
+func TestGenIntBodyTable(t *testing.T) {
+	wantElems := map[string]string{
+		"negdiv": "int32 int32 int32", "select": "int32 uint8",
+		"edges": "uint16 int32 uint8 int32", "f64narrow": "float32 uint8",
+	}
+	gatherTable(t, IntBodyCases(), gatherTiers, true, func(t *testing.T, gc GatherCase, tier gatherTier, prog *engine.Program) {
+		if tier.name != "gen" {
+			return
+		}
+		st := prog.Stats()
+		if m := st.GenMisses; m.Total() != 0 {
+			t.Errorf("GenMisses = %+v, want none (rerun go run ./cmd/polymage-gen?)", m)
+		}
+		elemOf := map[string]string{}
+		for _, sm := range st.Stages {
+			elemOf[sm.Name] = sm.Elem
+		}
+		var elems []string
+		for _, lo := range prog.Graph.LiveOuts {
+			elems = append(elems, elemOf[lo])
+		}
+		if got := strings.Join(elems, " "); got != wantElems[gc.Name] {
+			t.Errorf("live-out element types %q, want %q", got, wantElems[gc.Name])
+		}
+		for _, u := range prog.GenUnits() {
+			if (u.Tier == "int") == (gc.Name == "f64narrow" && u.Stage != "wide") {
+				t.Errorf("stage %s is a %q unit", u.Stage, u.Tier)
+			}
 		}
 	})
 }

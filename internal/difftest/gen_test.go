@@ -27,7 +27,7 @@ func TestGenKnobCorpus(t *testing.T) {
 	for _, k := range GenKnobs() {
 		hits := 0
 		for seed := int64(1); seed <= gencorpusSeeds; seed++ {
-			prog, err := BuildProgram(seed, k)
+			prog, err := BuildProgram(Generate(seed), k)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

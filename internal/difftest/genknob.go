@@ -18,10 +18,28 @@ func GenKnobs() []Knob {
 	}
 }
 
-// BuildProgram compiles the generated pipeline of a corpus seed exactly as
-// Diff compiles it under knob k.
-func BuildProgram(seed int64, k Knob) (*engine.Program, error) {
-	sp := Generate(seed)
+// The integer corpus (TestIntegerSeedCorpus): GenerateInteger over
+// IntegerCorpusSeeds consecutive seeds from IntegerCorpusBase.
+const (
+	IntegerCorpusBase  = 20260807
+	IntegerCorpusSeeds = 48
+)
+
+// NarrowGenKnobs are GenKnobs' counterparts for the integer corpus, compiled
+// with NarrowTypes: the piece shapes of the hand schedule (which the other
+// narrow knobs share) and of the auto-scheduler. The second, narrow-gen, is
+// also the point of NarrowKnobs that runs the int64 kernels in the
+// configuration bench/ and the service use (auto-scheduled, pooled buffers).
+func NarrowGenKnobs() []Knob {
+	return []Knob{
+		{Name: "narrow-hand", Tiles: []int64{16, 16}, Fast: true, Threads: 2, NarrowTypes: true},
+		{Name: "narrow-gen", Tiles: []int64{16, 16}, Fast: true, Threads: 2, Auto: true, ReuseBuffers: true, NarrowTypes: true},
+	}
+}
+
+// BuildProgram compiles a generated pipeline exactly as Diff compiles it
+// under knob k.
+func BuildProgram(sp PipelineSpec, k Knob) (*engine.Program, error) {
 	b, err := sp.Build(false)
 	if err != nil {
 		return nil, err

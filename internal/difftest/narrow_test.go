@@ -13,17 +13,16 @@ import (
 // integer DAGs (uint8 input, all-integral stages renormalized into
 // [0, 255]) diffed against the float64 reference under the narrow sweep
 // with the zero-tolerance oracle — the narrow layouts, the integer row VM,
-// the integer stencil kernel and the float32 layout of the same pipeline
-// must all agree bit for bit.
+// the gencorpus int64 kernels (hand- and auto-scheduled) and the float32
+// layout of the same pipeline must all agree bit for bit.
 func TestIntegerSeedCorpus(t *testing.T) {
-	const base = 20260807
-	n := 48
+	n := IntegerCorpusSeeds
 	if testing.Short() {
 		n = 12
 	}
 	opts := RunOptions{Knobs: NarrowKnobs()}
 	for i := 0; i < n; i++ {
-		seed := int64(base + i)
+		seed := int64(IntegerCorpusBase + i)
 		sp := GenerateInteger(seed)
 		m, err := Diff(sp, opts)
 		if err != nil {
@@ -31,6 +30,44 @@ func TestIntegerSeedCorpus(t *testing.T) {
 		}
 		if m != nil {
 			reportShrunk(t, m, opts)
+		}
+	}
+}
+
+// TestIntegerCorpusBindsKernels is TestGenKnobCorpus's coverage guard for
+// the integer corpus: under both NarrowGenKnobs every seed runs generated
+// kernels, no eligible piece lacks a checked-in one, and none is refused for
+// its element type — so the narrow knobs of the sweep above do execute the
+// typed emitter's output.
+func TestIntegerCorpusBindsKernels(t *testing.T) {
+	for _, k := range NarrowGenKnobs() {
+		intPieces := 0
+		for i := int64(0); i < IntegerCorpusSeeds; i++ {
+			seed := IntegerCorpusBase + i
+			prog, err := BuildProgram(GenerateInteger(seed), k)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			st := prog.Stats()
+			for _, u := range prog.GenUnits() {
+				if u.Tier == "int" {
+					intPieces++
+				}
+			}
+			prog.Close()
+			if m := st.GenMisses; m.NoKernel != 0 || m.NarrowElem != 0 {
+				t.Errorf("seed %d under %s: %+v (rerun go run ./cmd/polymage-gen)", seed, k.Name, m)
+			}
+			gen := 0
+			for _, sm := range st.Stages {
+				gen += sm.Gen
+			}
+			if gen == 0 {
+				t.Errorf("seed %d under %s ran no generated kernel", seed, k.Name)
+			}
+		}
+		if intPieces == 0 {
+			t.Errorf("%s: no piece of the integer corpus is an int64-body unit", k.Name)
 		}
 	}
 }
@@ -44,7 +81,7 @@ func TestIntegerCorpusNarrows(t *testing.T) {
 	narrowed, intExact := 0, 0
 	const n = 24
 	for i := 0; i < n; i++ {
-		sp := GenerateInteger(int64(20260807 + i))
+		sp := GenerateInteger(int64(IntegerCorpusBase + i))
 		b, err := sp.Build(false)
 		if err != nil {
 			t.Fatalf("seed %d: %v", sp.Seed, err)
@@ -90,9 +127,16 @@ func TestIntegerCorpusNarrows(t *testing.T) {
 // TestIntegerMutationCaught: an off-by-one perturbation on the optimized
 // side of an integer spec must be caught by the narrow sweep's exactness
 // oracle and shrink to a small repro that keeps both the perturbed stage
-// and the Integer flag.
+// and the Integer flag. The narrow-gen point must catch it on its own too:
+// a perturbed piece has no kernel and falls to the integer VM between
+// generated neighbours.
 func TestIntegerMutationCaught(t *testing.T) {
-	opts := RunOptions{Knobs: NarrowKnobs(), Perturb: true}
+	for _, knobs := range [][]Knob{NarrowKnobs(), NarrowGenKnobs()[1:]} {
+		integerMutationCaught(t, RunOptions{Knobs: knobs, Perturb: true})
+	}
+}
+
+func integerMutationCaught(t *testing.T, opts RunOptions) {
 	for _, seed := range []int64{3, 159} {
 		sp := GenerateInteger(seed)
 		sp.Stages[len(sp.Stages)/2].Perturb = true

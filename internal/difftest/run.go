@@ -3,6 +3,7 @@ package difftest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/affine"
@@ -53,7 +54,7 @@ type Knob struct {
 	ROI bool
 	// NarrowTypes enables the bitwidth-inference pass, so stages with
 	// provably bounded integral intervals store as uint8/uint16/int32 and
-	// run on the integer row VM / integer stencil kernels. On float
+	// run in int64 generated kernels / on the integer row VM. On float
 	// pipelines the pass must be a no-op (the knob differentially checks
 	// that); on Integer specs it is the narrow side of the exactness
 	// oracle, diffed bit-for-bit against the float64 reference.
@@ -157,17 +158,20 @@ func DefaultKnobs() []Knob {
 }
 
 // NarrowKnobs is the sweep for the integer corpus: the narrow layout
-// across the scalar/row-VM/parallel/pooled/unfused axes plus one
-// float32-layout point, all of which must agree bit-for-bit with the
-// float64 reference on an Integer spec (Diff pins the zero-tolerance
-// oracle for those).
+// across the scalar/row-VM/parallel/pooled/unfused axes, one
+// float32-layout point and the auto-scheduled narrow-gen point, all of
+// which must agree bit-for-bit with the float64 reference on an Integer
+// spec (Diff pins the zero-tolerance oracle for those). The Fast knobs run
+// the gencorpus int64 kernels wherever a piece has one; narrow-fast-seq
+// pins them off, so the integer VM they displace stays in the sweep.
 func NarrowKnobs() []Knob {
 	return []Knob{
 		{Name: "narrow-scalar-seq", Tiles: []int64{8, 16}, Threads: 1, NarrowTypes: true},
-		{Name: "narrow-fast-seq", Tiles: []int64{8, 16}, Fast: true, Threads: 1, NarrowTypes: true},
+		{Name: "narrow-fast-seq", Tiles: []int64{8, 16}, Fast: true, Threads: 1, NarrowTypes: true, NoGenKernels: true},
 		{Name: "narrow-fast-par-pool", Tiles: []int64{16}, Fast: true, Threads: 4, ReuseBuffers: true, NarrowTypes: true},
 		{Name: "narrow-nofuse", Tiles: []int64{8, 8}, DisableFusion: true, Fast: true, Threads: 2, NarrowTypes: true},
 		{Name: "wide-fast-par", Tiles: []int64{16, 16}, Fast: true, Threads: 4},
+		NarrowGenKnobs()[1],
 	}
 }
 
@@ -571,6 +575,26 @@ func Compare(got, want *engine.Buffer, atol float64, maxULP uint32) string {
 		}
 		return fmt.Sprintf("data[%d] = %v, want %v (ulp=%d, checksum got=%x want=%x)",
 			i, g, w, ulpDiff(g, w), Checksum(got), Checksum(want))
+	}
+	return ""
+}
+
+// SameBits reports whether two buffers hold the same element type, length
+// and stored bits — the oracle between two execution tiers that must be
+// drop-in substitutes, where Compare's == would let ±0 and its budget a
+// rounding difference through. It returns "" or the first divergence.
+func SameBits(got, want *engine.Buffer) string {
+	if got == nil || got.Elem != want.Elem || got.Len() != want.Len() {
+		return "missing, or of another element type or length"
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			return fmt.Sprintf("data[%d] = %v, want %v", i, got.Data[i], want.Data[i])
+		}
+	}
+	// A narrow buffer holds its integers in the typed slice.
+	if !slices.Equal(got.U8, want.U8) || !slices.Equal(got.U16, want.U16) || !slices.Equal(got.I32, want.I32) {
+		return fmt.Sprintf("%s contents differ (checksum got=%x want=%x)", want.Elem, Checksum(got), Checksum(want))
 	}
 	return ""
 }

@@ -15,19 +15,18 @@ type Ctx struct {
 	pt   []int64
 	bufs []*Buffer
 
-	// ks is reusable scratch for the leaf kernels (stencil/intstencil). The
-	// kernels never nest within a worker, so one shared set keeps their hot
-	// paths allocation-free across calls, groups and runs.
+	// ks is reusable scratch for the stencil kernel. It never nests within a
+	// worker, so one shared set keeps its hot path allocation-free across
+	// calls, groups and runs.
 	ks kernelScratch
 }
 
-// kernelScratch holds the per-call slices the specialized kernels used to
+// kernelScratch holds the per-call slices the stencil kernel used to
 // allocate on every run call; workers persist, so the slices are grown once
 // and reused.
 type kernelScratch struct {
 	pt     []int64
 	tapOff []int64
-	iacc   []int64
 }
 
 // growI64 returns s resized to n elements, reallocating only on growth.

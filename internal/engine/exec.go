@@ -284,10 +284,6 @@ func (p *Program) computeRegion(w *worker, ls *loweredStage, region affine.Box, 
 			piece.sten.run(&w.ctx.Ctx, r, out)
 			continue
 		}
-		if piece.isten != nil {
-			piece.isten.run(&w.ctx.Ctx, r, out)
-			continue
-		}
 		if piece.vm != nil {
 			p.vmLoop(w, piece, r, out)
 			continue

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -24,8 +23,8 @@ import (
 // key of each eligible piece and binds on a hit, whatever the schedule,
 // stage names or image size. The registry is a pure accelerator: a miss,
 // ExecOptions.NoGenKernels, or an ineligible piece (predicated pieces,
-// accumulators, self-referencing or narrow stages, stages of rank above 3)
-// runs on the row VM / specialized kernels exactly as before.
+// accumulators, self-referencing stages, stages of rank above 3) runs on the
+// row VM / specialized kernels exactly as before.
 
 // genABI versions the generated-kernel calling convention and key layout.
 // It is folded into every key, so kernels emitted by an older emitter can
@@ -124,10 +123,10 @@ func (p *Program) genLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buf
 }
 
 // GenUnit describes one stage piece the emitter can generate a kernel for:
-// a plain (non-accumulator, non-self-referencing) float32 stage piece of
-// rank 1–3 with no residual predicate. Stage, Piece and Reads locate the
-// piece in this program; the remaining fields are the piece's shape — all
-// the emitter may read, and exactly what Key hashes.
+// a plain (non-accumulator, non-self-referencing) stage piece of rank 1–3
+// with no residual predicate, of any storage element type. Stage, Piece and
+// Reads locate the piece in this program; the remaining fields are the
+// piece's shape — all the emitter may read, and exactly what Key hashes.
 type GenUnit struct {
 	Stage string
 	Piece int
@@ -135,13 +134,17 @@ type GenUnit struct {
 	// the kernel's GenCtx.Bufs layout.
 	Reads []string
 	// Key is the content key a kernel for this shape registers under: a
-	// SHA-256 over genABI, Rank, Expr, Tier, F32, Sten and the element
-	// types of the output and the reads. Nothing about stage names,
-	// grouping, tile sizes, domains or the rest of the graph enters it,
-	// because none of that reaches the emitted code.
+	// SHA-256 over genABI, Rank, Expr, Tier, F32, Sten, Out and Elems.
+	// Nothing about stage names, grouping, tile sizes, domains or the rest
+	// of the graph enters it, because none of that reaches the emitted code.
 	Key string
 	// Rank is the stage domain's rank (1–3 supported).
 	Rank int
+	// Out and Elems are the storage element types of the output and of each
+	// read, in Reads order: the typed slice a kernel stores to and loads
+	// from (all ElemF32 unless ExecOptions.NarrowTypes narrowed a slot).
+	Out   Elem
+	Elems []Elem
 	// Expr is the piece's defining expression in canonical form: bound
 	// parameters folded (expr.FoldParams), read targets renamed to their
 	// GenCtx.Bufs position ("b0", "b1", …), every quasi-affine index
@@ -157,7 +160,11 @@ type GenUnit struct {
 	// would not match the tier it replaces.
 	F32 bool
 	// Tier names the evaluator the piece runs on without a generated
-	// kernel ("stencil", "rowvm", "scalar").
+	// kernel ("stencil", "rowvm", "int", "scalar"). "int" is the row VM's
+	// integer instruction set: every node of Expr is proven integral within
+	// ±2^24, and the kernel computes in int64 locals, which is exact there
+	// whatever the association — no mirror of the VM's fused instructions is
+	// needed.
 	Tier string
 	// Sten carries the engine's matched stencil plan when Tier is
 	// "stencil". The emitter must reproduce its arithmetic exactly
@@ -202,9 +209,6 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 		case ls.isAcc || ls.selfRef:
 			miss.AccOrSelfRef += max(len(ls.pieces), 1)
 			continue
-		case ls.elem != ElemF32:
-			miss.NarrowElem += len(ls.pieces)
-			continue
 		case rank < 1 || rank > 3:
 			miss.Irregular += len(ls.pieces)
 			continue
@@ -222,25 +226,30 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 				miss.Irregular++
 				continue
 			}
-			if slices.ContainsFunc(reads, func(r string) bool { return p.slotElem[p.slots[r]] != ElemF32 }) {
-				// Generated kernels load float32 rows.
-				miss.NarrowElem++
-				continue
+			u := GenUnit{Stage: name, Piece: pi, Reads: reads, Rank: rank, Expr: canon, Tier: "scalar",
+				Out: ls.elem, Elems: make([]Elem, len(reads))}
+			for i, r := range reads {
+				u.Elems[i] = p.slotElem[p.slots[r]]
 			}
-			u := GenUnit{Stage: name, Piece: pi, Reads: reads, Rank: rank, Expr: canon, Tier: "scalar"}
 			switch {
 			case piece.sten != nil:
 				k := piece.sten
 				u.Tier = "stencil"
 				u.F32 = k.f32
 				u.Sten = &GenSten{Factor: k.factor, Weights: k.weights, Offsets: k.offsets}
+			case piece.vm != nil && piece.vm.intOK:
+				if !genIntForm(canon) {
+					miss.NarrowElem++
+					continue
+				}
+				u.Tier = "int"
 			case piece.vm != nil:
 				u.Tier = "rowvm"
 				u.F32 = piece.vm.f32
 			}
-			kb = fmt.Appendf(kb[:0], "%s rank=%d tier=%s f32=%v out=%s reads=", genABI, rank, u.Tier, u.F32, ls.elem)
-			for _, r := range reads {
-				kb = fmt.Appendf(kb, "%s,", p.slotElem[p.slots[r]])
+			kb = fmt.Appendf(kb[:0], "%s rank=%d tier=%s f32=%v out=%s reads=", genABI, rank, u.Tier, u.F32, u.Out)
+			for _, el := range u.Elems {
+				kb = fmt.Appendf(kb, "%s,", el)
 			}
 			if s := u.Sten; s != nil {
 				kb = fmt.Appendf(kb, " sten=%v*%v@%v", s.Factor, s.Weights, s.Offsets)
@@ -252,6 +261,39 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 		}
 	}
 	return units, miss
+}
+
+// genIntForm reports whether the emitter's int64 body renders canonical
+// expression e: integral constants and the operations with exact integer
+// semantics. The integer VM's own gate (vmIntOK) works on instructions, after
+// constant folding and fusion; this is the same gate on the expression the
+// emitter is handed, so a disagreement leaves the piece on the VM
+// (GenMisses.NarrowElem) instead of failing the emitter.
+func genIntForm(e expr.Expr) bool {
+	ok := true
+	expr.Walk(e, func(x expr.Expr) bool {
+		switch n := x.(type) {
+		case expr.Const:
+			ok = ok && integralImm(n.V)
+		case expr.Access:
+			// Index arguments are integer index forms, not values.
+			return false
+		case expr.Binary:
+			switch n.Op {
+			case expr.Add, expr.Sub, expr.Mul, expr.Min, expr.Max, expr.FDiv, expr.Mod:
+			default:
+				ok = false
+			}
+		case expr.Unary:
+			switch n.Op {
+			case expr.Neg, expr.Abs, expr.Floor, expr.Ceil:
+			default:
+				ok = false
+			}
+		}
+		return ok
+	})
+	return ok
 }
 
 // genCanon brings a piece expression into the canonical form GenUnit.Expr

@@ -3,11 +3,13 @@ package engine
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/affine"
 	"repro/internal/dsl"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/schedule"
 )
@@ -220,17 +222,15 @@ func TestNarrowEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	elems := map[string]string{}
-	var sawIntStencil, sawVMInt bool
 	for _, sm := range prog.Stats().Stages {
 		elems[sm.Name] = sm.Elem
 		if !sm.IntExact {
 			t.Errorf("stage %s not intExact", sm.Name)
 		}
-		if sm.IntStencil > 0 {
-			sawIntStencil = true
-		}
-		if sm.VMInt {
-			sawVMInt = true
+		// No kernels are linked here: every piece, the stencil-shaped
+		// nrwBlurX included, runs the row VM's integer instruction set.
+		if sm.RowVM != 1 || !sm.VMInt || sm.IntStencil != 0 {
+			t.Errorf("stage %s: RowVM=%d VMInt=%v IntStencil=%d, want one integer-VM piece", sm.Name, sm.RowVM, sm.VMInt, sm.IntStencil)
 		}
 	}
 	if elems["nrwBlurX"] != "uint16" {
@@ -238,12 +238,6 @@ func TestNarrowEndToEnd(t *testing.T) {
 	}
 	if elems["nrwBlurY"] != "uint8" || elems["nrwSharp"] != "uint8" {
 		t.Errorf("blurY/sharp elems = %q/%q, want uint8/uint8", elems["nrwBlurY"], elems["nrwSharp"])
-	}
-	if !sawIntStencil {
-		t.Error("no stage lowered to the integer stencil kernel")
-	}
-	if !sawVMInt {
-		t.Error("no stage qualified for the integer VM")
 	}
 }
 
@@ -264,23 +258,39 @@ func TestNarrowInputValidation(t *testing.T) {
 	}
 }
 
-// TestNarrowGenKeys: a narrow stage or a narrow read yields no generated-
-// kernel unit (float32 kernels can never bind to it) and is counted under
-// GenMisses.NarrowElem, while an all-float32 program's piece keys are the
-// same with the option on or off (checked-in kernels stay bound).
+// TestNarrowGenKeys: a narrow program's pieces are generated-kernel units
+// of the integer tier whose keys differ from the same pipeline's float32
+// layout (a float32 kernel can never bind to a narrow slot, nor an int64
+// kernel to a float one), none is refused for its element type, and an
+// all-float32 program's piece keys are the same with the option on or off
+// (checked-in kernels stay bound).
 func TestNarrowGenKeys(t *testing.T) {
 	g, params, _ := narrowTestPipeline(t)
 	on := narrowCompile(t, g, params, ExecOptions{Fast: true, Threads: 1, NarrowTypes: true})
 	defer on.Close()
-	if units := on.GenUnits(); len(units) != 0 {
-		t.Errorf("narrowed program enumerated %d gen units, want 0", len(units))
+	off := narrowCompile(t, g, params, ExecOptions{Fast: true, Threads: 1})
+	defer off.Close()
+	units, wide := on.GenUnits(), genKeys(off)
+	if len(units) != 3 || len(wide) != 3 {
+		t.Fatalf("narrow layout enumerated %d gen units, float32 layout %d, want 3 and 3", len(units), len(wide))
 	}
-	pieces := 0
-	for _, sm := range on.Stats().Stages {
-		pieces += sm.IntStencil + sm.RowVM + sm.Scalar
+	seen := map[string]string{}
+	for at, key := range wide {
+		seen[key] = "float32-layout " + at
 	}
-	if m := on.Stats().GenMisses; m.NarrowElem == 0 || m.NoKernel != 0 || m.Total() != pieces {
-		t.Errorf("GenMisses = %+v over %d pieces, want every unpredicated plain piece under NarrowElem", m, pieces)
+	for _, u := range units {
+		if u.Tier != "int" || u.Out == ElemF32 || len(u.Elems) != len(u.Reads) || slices.Contains(u.Elems, ElemF32) {
+			t.Errorf("unit %s: tier %q out %s reads %v, want the integer tier over narrow slots", u.Stage, u.Tier, u.Out, u.Elems)
+		}
+		if other, dup := seen[u.Key]; dup {
+			t.Errorf("unit %s shares its key with %s", u.Stage, other)
+		}
+		seen[u.Key] = u.Stage
+	}
+	// No kernel is registered for this file's pipeline: each unit is a
+	// "no kernel for key" miss, none a narrow-element one.
+	if m, want := on.Stats().GenMisses, (obs.GenMisses{NoKernel: 3}); m != want {
+		t.Errorf("GenMisses = %+v, want %+v", m, want)
 	}
 
 	gf, paramsF, _ := genTestPipeline(t)

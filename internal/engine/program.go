@@ -52,20 +52,19 @@ type ExecOptions struct {
 	// values are provably integral and bounded within ±2^24 are stored as
 	// uint8/uint16/int32 instead of float32, cutting memory traffic on
 	// integer imaging pipelines, and UChar input images are expected as
-	// uint8 buffers. Inferred stages evaluate on the integer row VM (or its
-	// float64 instruction set, which is bit-identical on the provable subset);
-	// the float32 kernels and generated kernels are never used for them, so
-	// results are exactly equal to the default layout's. Off by default:
-	// with the flag clear no inference runs and every buffer keeps the
-	// historical float32 layout.
+	// uint8 buffers. Inferred stages evaluate in a generated kernel's int64
+	// body or on the integer row VM (or their float64 counterparts, which are
+	// bit-identical on the provable subset); the float32 bodies are never
+	// used for them, so results are exactly equal to the default layout's.
+	// Off by default: with the flag clear no inference runs and every buffer
+	// keeps the historical float32 layout.
 	NarrowTypes bool
 	// NoGenKernels disables dispatch to ahead-of-time generated Go kernels
 	// (cmd/polymage-gen): stage pieces run on the row VM / specialized
 	// kernels even when the process links a kernel for their shape.
 	// Generated kernels are a pure accelerator tier — with this knob, on
 	// any key miss, or for pieces no kernel can cover (predicated pieces,
-	// accumulators, narrow stages), execution falls back to the tier below
-	// unchanged.
+	// accumulators), execution falls back to the tier below unchanged.
 	NoGenKernels bool
 
 	// fleet overrides the process-wide scheduler this program's executor
@@ -86,18 +85,15 @@ func (o ExecOptions) threads() int {
 // binding: the sub-box where it applies, an optional residual predicate
 // (nil when the condition is exactly the box — Section 3.7's branch-free
 // splitting), and the compiled evaluators. Under Fast an unpredicated piece
-// carries exactly one of gen, sten, isten or vm (vm stays compiled under a
-// bound gen: it is what NoGenKernels and Stats().VMFalls read); every other
-// piece runs the scalar loop over eval.
+// carries exactly one of gen, sten or vm (vm stays compiled under a bound
+// gen: it is what NoGenKernels and Stats().VMFalls read); every other piece
+// runs the scalar loop over eval.
 type loweredPiece struct {
 	box  affine.Box
 	pred condFn
 	eval evalFn
 	vm   *rowVM
 	sten *stencilKernel
-	// isten is the integer stencil kernel: the narrow-type counterpart of
-	// sten, accumulating in int64 over narrow source rows (see intstencil.go).
-	isten *intStencilKernel
 	// gen is the ahead-of-time generated Go kernel bound to this piece
 	// (nil unless a kernel is registered under the piece's content key);
 	// it takes precedence over every interpreted tier.
@@ -502,10 +498,8 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 		if p.Opts.Fast && piece.pred == nil {
 			if !narrowed {
 				piece.sten = matchStencil(c.E, nd, cp)
-			} else if ls.intExact {
-				piece.isten = matchIntStencil(c.E, nd, cp)
 			}
-			if piece.sten == nil && piece.isten == nil {
+			if piece.sten == nil {
 				piece.vm, err = cp.compileRowVM(c.E, nd-1)
 				if err != nil {
 					return nil, err
@@ -621,8 +615,6 @@ func (p *Program) Stats() obs.ProgramStats {
 				sm.Gen++
 			case piece.sten != nil:
 				sm.Stencil++
-			case piece.isten != nil:
-				sm.IntStencil++
 			case piece.vm != nil:
 				sm.RowVM++
 				vmShape(piece.vm)

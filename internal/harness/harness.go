@@ -14,6 +14,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/cvlib"
+	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/schedule"
 )
@@ -44,19 +45,17 @@ const DefaultSeed = 42
 // ScaledParams divides the paper parameters by the scale, clamping at the
 // test-size parameters.
 func ScaledParams(app *apps.App, scale int64) map[string]int64 {
+	return scaleParams(app.PaperParams, app.TestParams, scale)
+}
+
+// scaleParams divides every parameter of full by scale, not below floor.
+func scaleParams(full, floor map[string]int64, scale int64) map[string]int64 {
 	if scale <= 1 {
-		return app.PaperParams
+		return full
 	}
-	out := make(map[string]int64, len(app.PaperParams))
-	for k, v := range app.PaperParams {
-		s := v / scale
-		if min := app.TestParams[k]; s < min {
-			s = min
-		}
-		if s < 1 {
-			s = 1
-		}
-		out[k] = s
+	out := make(map[string]int64, len(full))
+	for k, v := range full {
+		out[k] = max(v/scale, floor[k], 1)
 	}
 	return out
 }
@@ -72,8 +71,38 @@ type Prepared struct {
 
 // Prepare compiles the app under the variant's scheduling options.
 func Prepare(app *apps.App, v baseline.Variant, params map[string]int64, threads int, base schedule.Options, seed int64) (*Prepared, error) {
-	b, outs := app.Build()
-	inputs, err := app.Inputs(b, params, seed)
+	p, err := prepare(app.Build, app.Inputs, v, v.EngineOptions(threads), params, base, seed)
+	if err != nil {
+		return nil, err
+	}
+	p.App = app
+	return p, nil
+}
+
+// PrepareNarrow compiles a uint8 app (apps.AllNarrow) as Prepare compiles a
+// Table-2 app. narrowTypes selects the layout: bitwidth inference on, with
+// the app's uint8 inputs, or the float32 layout of the same pipeline, with
+// the inputs widened to match. Prepared.App stays nil.
+func PrepareNarrow(app *apps.NarrowApp, v baseline.Variant, narrowTypes bool, params map[string]int64, threads int, base schedule.Options, seed int64) (*Prepared, error) {
+	eo := v.EngineOptions(threads)
+	eo.NarrowTypes = narrowTypes
+	p, err := prepare(app.Build, app.Inputs, v, eo, params, base, seed)
+	if err != nil {
+		return nil, err
+	}
+	if !narrowTypes {
+		for name, in := range p.Inputs {
+			p.Inputs[name] = engine.ConvertBuffer(in, engine.ElemF32)
+		}
+	}
+	return p, nil
+}
+
+func prepare(build func() (*dsl.Builder, []string),
+	mkInputs func(*dsl.Builder, map[string]int64, int64) (map[string]*engine.Buffer, error),
+	v baseline.Variant, eo engine.ExecOptions, params map[string]int64, base schedule.Options, seed int64) (*Prepared, error) {
+	b, outs := build()
+	inputs, err := mkInputs(b, params, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +114,11 @@ func Prepare(app *apps.App, v baseline.Variant, params map[string]int64, threads
 	if err != nil {
 		return nil, err
 	}
-	prog, err := pl.Bind(params, v.EngineOptions(threads))
+	prog, err := pl.Bind(params, eo)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{App: app, Variant: v, Params: params, Prog: prog, Inputs: inputs}, nil
+	return &Prepared{Variant: v, Params: params, Prog: prog, Inputs: inputs}, nil
 }
 
 // Close releases the program's persistent executor (worker goroutines and

@@ -39,7 +39,7 @@ func TestMeasureApp(t *testing.T) {
 // trilinear taps are gather instructions, not fallbacks.
 func TestStatsGenMisses(t *testing.T) {
 	var buf bytes.Buffer
-	if err := statsVariant(&buf, "bilateral", tinyConfig()); err != nil {
+	if err := statsApp(&buf, "bilateral", tinyConfig()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

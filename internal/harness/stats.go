@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/baseline"
@@ -10,31 +11,42 @@ import (
 	"repro/internal/schedule"
 )
 
-// Stats compiles every benchmark app with executor metrics enabled, runs it
-// cfg.Runs times and renders a per-stage breakdown: kernel time, points and
-// tiles executed, and the measured recomputation fraction next to the
-// schedule model's overlap estimate. This is the observability layer's
-// human-readable front end (polymage-bench -stats).
+// Stats compiles every benchmark app — the Table-2 apps, then the uint8
+// apps under NarrowTypes — with executor metrics enabled, runs it cfg.Runs
+// times and renders a per-stage breakdown: storage element type, evaluator
+// tier, kernel time (total and per point), points and tiles executed, and
+// the measured recomputation fraction next to the schedule model's overlap
+// estimate. This is the observability layer's human-readable front end
+// (polymage-bench -stats).
 func Stats(w io.Writer, cfg Config) error {
-	v, err := baseline.Get("opt+vec")
-	if err != nil {
-		return err
-	}
-	for _, app := range apps.All() {
-		if err := statsApp(w, app, v, cfg); err != nil {
-			return fmt.Errorf("stats %s: %w", app.Name, err)
+	for _, name := range append(apps.Names(), apps.NarrowNames()...) {
+		if err := statsApp(w, name, cfg); err != nil {
+			return fmt.Errorf("stats %s: %w", name, err)
 		}
 	}
 	return nil
 }
 
-func statsApp(w io.Writer, app *apps.App, v baseline.Variant, cfg Config) error {
-	params := ScaledParams(app, cfg.Scale)
+// statsApp renders one app, Table-2 or uint8, by name.
+func statsApp(w io.Writer, name string, cfg Config) error {
+	v, err := baseline.Get("opt+vec")
+	if err != nil {
+		return err
+	}
 	// Scheduled as polymage-serve schedules by default: the searched
 	// grouping is what the search line and the per-group rows describe.
 	so := schedule.DefaultOptions()
 	so.Auto = true
-	p, err := Prepare(app, v, params, cfg.Threads, so, cfg.Seed)
+	var p *Prepared
+	if napp, nerr := apps.GetNarrow(name); nerr == nil {
+		p, err = PrepareNarrow(napp, v, true, scaleParams(napp.BenchParams, napp.TestParams, cfg.Scale), cfg.Threads, so, cfg.Seed)
+	} else {
+		var app *apps.App
+		if app, err = apps.Get(name); err != nil {
+			return err
+		}
+		p, err = Prepare(app, v, ScaledParams(app, cfg.Scale), cfg.Threads, so, cfg.Seed)
+	}
 	if err != nil {
 		return err
 	}
@@ -54,8 +66,34 @@ func statsApp(w io.Writer, app *apps.App, v baseline.Variant, cfg Config) error 
 		}
 		e.Recycle(out)
 	}
-	renderStats(w, app.Name, cfg, e.Snapshot(), p.Prog.Stats())
+	renderStats(w, name, cfg, e.Snapshot(), p.Prog.Stats())
 	return nil
+}
+
+// tierLabel names the evaluator tiers a stage's pieces lowered to, in
+// dispatch order ("gen", "gen+rowvm/int", …).
+func tierLabel(sm obs.StageModel) string {
+	var tiers []string
+	if sm.Gen > 0 {
+		tiers = append(tiers, "gen")
+	}
+	if sm.Stencil > 0 {
+		tiers = append(tiers, "stencil")
+	}
+	if sm.RowVM > 0 {
+		vm := "rowvm"
+		switch {
+		case sm.VMInt:
+			vm += "/int"
+		case sm.VMF32:
+			vm += "/f32"
+		}
+		tiers = append(tiers, vm)
+	}
+	if sm.Scalar > 0 {
+		tiers = append(tiers, "scalar")
+	}
+	return strings.Join(tiers, "+")
 }
 
 func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model obs.ProgramStats) {
@@ -75,23 +113,31 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 	fmt.Fprintf(w, "  arena    %d hits, %d misses, %d pooled (%.1f KB)\n",
 		snap.Arena.Hits, snap.Arena.Misses, snap.Arena.Pooled, float64(snap.Arena.PooledBytes)/1024.0)
 	fmt.Fprintf(w, "  pools    %.1f KB VM registers\n", float64(snap.TempPools.VMRegBytes)/1024.0)
-	fmt.Fprintf(w, "  %-22s %10s %6s %8s %12s %10s\n", "stage", "kernel ms", "%", "tiles", "points", "recompute")
+	fmt.Fprintf(w, "  %-22s %-7s %-16s %10s %6s %8s %8s %12s %10s\n", "stage", "elem", "tier", "kernel ms", "%", "ns/point", "tiles", "points", "recompute")
 	totalNanos := int64(0)
 	for _, st := range snap.Stages {
 		totalNanos += st.KernelNanos
 	}
+	lowered := make(map[string]obs.StageModel, len(model.Stages))
+	for _, sm := range model.Stages {
+		lowered[sm.Name] = sm
+	}
 	for _, st := range snap.Stages {
-		pct := 0.0
+		pct, perPoint := 0.0, 0.0
 		if totalNanos > 0 {
 			pct = 100 * float64(st.KernelNanos) / float64(totalNanos)
 		}
-		fmt.Fprintf(w, "  %-22s %10.2f %5.1f%% %8d %12d %9.1f%%\n",
-			st.Name, st.KernelMillis(), pct, st.Tiles, st.Points, 100*st.RecomputeFraction())
+		if st.Points > 0 {
+			perPoint = float64(st.KernelNanos) / float64(st.Points)
+		}
+		sm := lowered[st.Name]
+		fmt.Fprintf(w, "  %-22s %-7s %-16s %10.2f %5.1f%% %8.2f %8d %12d %9.1f%%\n",
+			st.Name, sm.Elem, tierLabel(sm), st.KernelMillis(), pct, perPoint, st.Tiles, st.Points, 100*st.RecomputeFraction())
 	}
 	gen, pieces := 0, 0
 	for _, sm := range model.Stages {
 		gen += sm.Gen
-		pieces += sm.Gen + sm.Stencil + sm.IntStencil + sm.RowVM + sm.Scalar
+		pieces += sm.Gen + sm.Stencil + sm.RowVM + sm.Scalar
 	}
 	m := model.GenMisses
 	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d accumulator/self-ref, %d narrow elem, %d irregular access\n",
@@ -133,17 +179,4 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 			g.Anchor, len(g.Members), g.PlannedTiles, modeled)
 	}
 	fmt.Fprintln(w)
-}
-
-// statsVariant exists so tests can drive one app without the full sweep.
-func statsVariant(w io.Writer, appName string, cfg Config) error {
-	app, err := apps.Get(appName)
-	if err != nil {
-		return err
-	}
-	v, err := baseline.Get("opt+vec")
-	if err != nil {
-		return err
-	}
-	return statsApp(w, app, v, cfg)
 }

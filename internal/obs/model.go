@@ -126,7 +126,7 @@ type GenMisses struct {
 	NoKernel     int `json:"no_kernel"`       // eligible, no kernel registered for its key
 	Predicated   int `json:"predicated"`      // residual per-point predicate
 	AccOrSelfRef int `json:"acc_or_self_ref"` // accumulator or self-referencing stage
-	NarrowElem   int `json:"narrow_elem"`     // narrow-typed stage or read
+	NarrowElem   int `json:"narrow_elem"`     // integer-VM piece whose expression has no int64 body form
 	Irregular    int `json:"irregular"`       // stage rank outside 1–3, an index offset the binding cannot evaluate, or a gather piece under Debug
 }
 
@@ -147,14 +147,14 @@ type StageModel struct {
 	// integer-VM eligibility bound).
 	Elem     string
 	IntExact bool
-	// Evaluator selection, counted per case piece. Comb and ClosureRow name
-	// tiers the engine no longer has and always read 0; they stay declared
-	// because bench/lib.go (a separate module, frozen by BENCHMARK.json)
-	// reads all seven fields.
+	// Evaluator selection, counted per case piece. Comb, IntStencil and
+	// ClosureRow name tiers the engine no longer has and always read 0; they
+	// stay declared because bench/lib.go (a separate module, frozen by
+	// BENCHMARK.json) reads all seven fields.
 	Gen        int // ahead-of-time generated Go kernel (polymage-gen)
 	Stencil    int // specialized stencil kernel
 	Comb       int
-	IntStencil int // integer stencil kernel (narrow-type pipelines)
+	IntStencil int
 	RowVM      int // row bytecode VM (incl. an accumulator swept by rows)
 	ClosureRow int
 	Scalar     int // per-point scalar loop (predicated pieces; accumulators without Fast)
