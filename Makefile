@@ -175,7 +175,7 @@ cover:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Engine microbenchmarks: stencil kernels, row-VM combinations, accumulators
+# Engine microbenchmarks: stencils and combinations on the row VM, accumulators
 # and the repeated-Run steady state of the persistent executor.
 bench-kernels:
 	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/

@@ -193,7 +193,8 @@ func TestGenNarrowAppsMatchVM(t *testing.T) {
 // user gets (auto-scheduler, Fast, pooled buffers, this package's kernels
 // linked; narrow types for the uint8 apps): every stage piece is counted in
 // exactly one evaluator tier, the scalar loop takes only predicated pieces
-// (an accumulator is swept by rows), the three removed tiers stay empty,
+// (an accumulator is swept by rows), the four removed tiers stay empty
+// (also under NoGenKernels, where every other piece is on the row VM),
 // every piece counted outside the generated tier has its reason in
 // GenMisses, and the Table-2 apps bind at least as many kernels as under the
 // hand schedule.
@@ -212,45 +213,58 @@ func TestTierAttribution(t *testing.T) {
 			t.Parallel()
 			bd := bind(t, p, params[p.name], true)
 			bd.requireSubstitution(t)
-			prog := bd.on
 			if !p.narrow {
 				hand := bind(t, p, params[p.name], false)
-				if got, want := genPieces(prog), genPieces(hand.on); got < want || got == 0 {
+				if got, want := genPieces(bd.on), genPieces(hand.on); got < want || got == 0 {
 					t.Errorf("auto schedule binds %d kernels, hand schedule %d", got, want)
 				}
 			}
-			total, gen := 0, 0
-			for _, sm := range prog.Stats().Stages {
-				st := prog.Graph.Stages[sm.Name]
-				pieces, scalar := len(st.Cases), 0
-				if st.IsAccumulator() {
-					pieces = 1
-					if sm.RowVM != 1 {
-						t.Errorf("%s: accumulator counts RowVM=%d, want its row sweep", sm.Name, sm.RowVM)
+			// Two tiers and the scalar loop: with kernels, a piece is on gen
+			// or the row VM; with NoGenKernels, every unpredicated piece —
+			// stencil-shaped ones included — counts as RowVM.
+			for _, tc := range []struct {
+				label string
+				prog  *engine.Program
+			}{{"gen", bd.on}, {"NoGenKernels", bd.off}} {
+				total, gen := 0, 0
+				for _, sm := range tc.prog.Stats().Stages {
+					st := tc.prog.Graph.Stages[sm.Name]
+					pieces, scalar := len(st.Cases), 0
+					if st.IsAccumulator() {
+						pieces = 1
+						if sm.RowVM != 1 {
+							t.Errorf("%s %s: accumulator counts RowVM=%d, want its row sweep", tc.label, sm.Name, sm.RowVM)
+						}
+					}
+					for _, c := range st.Cases {
+						if c.Cond == nil {
+							continue
+						}
+						if _, _, box := expr.CondToBox(c.Cond, len(st.Decl.Domain())); !box {
+							scalar++ // residual per-point predicate
+						}
+					}
+					if got := sm.Gen + sm.RowVM + sm.Scalar; got != pieces {
+						t.Errorf("%s %s: %d pieces counted in tiers, stage has %d (%+v)", tc.label, sm.Name, got, pieces, sm)
+					}
+					if sm.Scalar != scalar {
+						t.Errorf("%s %s: %d pieces on the scalar loop, want %d (predicated pieces only)", tc.label, sm.Name, sm.Scalar, scalar)
+					}
+					if tc.prog == bd.off && sm.RowVM != pieces-scalar {
+						t.Errorf("%s %s: RowVM=%d, want every unpredicated piece (%d) on the row VM", tc.label, sm.Name, sm.RowVM, pieces-scalar)
+					}
+					if sm.Stencil != 0 || sm.Comb != 0 || sm.IntStencil != 0 || sm.ClosureRow != 0 {
+						t.Errorf("%s %s: removed tiers report Stencil=%d Comb=%d IntStencil=%d ClosureRow=%d",
+							tc.label, sm.Name, sm.Stencil, sm.Comb, sm.IntStencil, sm.ClosureRow)
+					}
+					total += pieces
+					gen += sm.Gen
+				}
+				if tc.prog == bd.on {
+					if m := tc.prog.Stats().GenMisses; gen+m.Total() != total {
+						t.Errorf("%d pieces on generated kernels + misses %+v do not add up to %d pieces", gen, m, total)
 					}
 				}
-				for _, c := range st.Cases {
-					if c.Cond == nil {
-						continue
-					}
-					if _, _, box := expr.CondToBox(c.Cond, len(st.Decl.Domain())); !box {
-						scalar++ // residual per-point predicate
-					}
-				}
-				if got := sm.Gen + sm.Stencil + sm.RowVM + sm.Scalar; got != pieces {
-					t.Errorf("%s: %d pieces counted in tiers, stage has %d (%+v)", sm.Name, got, pieces, sm)
-				}
-				if sm.Scalar != scalar {
-					t.Errorf("%s: %d pieces on the scalar loop, want %d (predicated pieces only)", sm.Name, sm.Scalar, scalar)
-				}
-				if sm.Comb != 0 || sm.IntStencil != 0 || sm.ClosureRow != 0 {
-					t.Errorf("%s: removed tiers report Comb=%d IntStencil=%d ClosureRow=%d", sm.Name, sm.Comb, sm.IntStencil, sm.ClosureRow)
-				}
-				total += pieces
-				gen += sm.Gen
-			}
-			if m := prog.Stats().GenMisses; gen+m.Total() != total {
-				t.Errorf("%d pieces on generated kernels + misses %+v do not add up to %d pieces", gen, m, total)
 			}
 		})
 	}

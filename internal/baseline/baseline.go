@@ -20,7 +20,7 @@ type Variant struct {
 	// Schedule derives the scheduling options from the tuned base options
 	// (tile sizes / threshold chosen by the autotuner or defaults).
 	Schedule func(base schedule.Options) schedule.Options
-	// Fast enables the specialized kernels (the `+vec` axis).
+	// Fast enables generated kernels and the row VM (the `+vec` axis).
 	Fast bool
 }
 

@@ -14,19 +14,6 @@ import (
 type Ctx struct {
 	pt   []int64
 	bufs []*Buffer
-
-	// ks is reusable scratch for the stencil kernel. It never nests within a
-	// worker, so one shared set keeps its hot path allocation-free across
-	// calls, groups and runs.
-	ks kernelScratch
-}
-
-// kernelScratch holds the per-call slices the stencil kernel used to
-// allocate on every run call; workers persist, so the slices are grown once
-// and reused.
-type kernelScratch struct {
-	pt     []int64
-	tapOff []int64
 }
 
 // growI64 returns s resized to n elements, reallocating only on growth.

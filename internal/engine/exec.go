@@ -280,10 +280,6 @@ func (p *Program) computeRegion(w *worker, ls *loweredStage, region affine.Box, 
 			p.genLoop(w, piece, r, out)
 			continue
 		}
-		if piece.sten != nil {
-			piece.sten.run(&w.ctx.Ctx, r, out)
-			continue
-		}
 		if piece.vm != nil {
 			p.vmLoop(w, piece, r, out)
 			continue

@@ -15,8 +15,8 @@ import (
 // Ahead-of-time generated kernels (the paper's "hand the loop nest to the
 // optimizing compiler" tier). cmd/polymage-gen emits one Go function per
 // distinct stage-piece shape: a straight-line loop nest with the piece's
-// folded constants, access offsets and stencil weights baked in, compiled
-// by the Go toolchain ahead of time. Everything tile-shaped arrives at run
+// folded constants and access offsets baked in, compiled by the Go
+// toolchain ahead of time. Everything tile-shaped arrives at run
 // time (GenCtx.Region, the buffers' boxes and strides), so a kernel depends
 // only on the piece it computes and is registered here under a content key
 // of exactly what the emitter bakes in (GenUnit.Key). Lowering computes the
@@ -24,7 +24,7 @@ import (
 // stage names or image size. The registry is a pure accelerator: a miss,
 // ExecOptions.NoGenKernels, or an ineligible piece (predicated pieces,
 // accumulators, self-referencing stages, stages of rank above 3) runs on the
-// row VM / specialized kernels exactly as before.
+// row VM or the scalar loop exactly as before.
 
 // genABI versions the generated-kernel calling convention and key layout.
 // It is folded into every key, so kernels emitted by an older emitter can
@@ -134,7 +134,7 @@ type GenUnit struct {
 	// the kernel's GenCtx.Bufs layout.
 	Reads []string
 	// Key is the content key a kernel for this shape registers under: a
-	// SHA-256 over genABI, Rank, Expr, Tier, F32, Sten, Out and Elems.
+	// SHA-256 over genABI, Rank, Expr, Tier, F32, Out and Elems.
 	// Nothing about stage names, grouping, tile sizes, domains or the rest
 	// of the graph enters it, because none of that reaches the emitted code.
 	Key string
@@ -152,37 +152,18 @@ type GenUnit struct {
 	// variable it uses), data-dependent index arguments kept as canonical
 	// expressions of their own, variable names dropped.
 	Expr expr.Expr
-	// F32 reports that the evaluator this piece would otherwise run on
-	// computes in float32 (the stencil kernel's low-mass path, weighted
-	// mass ≤ 4, where the effective per-tap weight is
-	// float32(Factor·Weights[t]); or the row VM's float32 instruction set):
-	// the generated kernel must compute in float32 too, or its results
-	// would not match the tier it replaces.
+	// F32 reports that the row VM computes this piece with its float32
+	// instruction set (weighted mass ≤ 4, see vmFloat32OK): the generated
+	// kernel must compute in float32 too, or its results would not match
+	// the tier it replaces.
 	F32 bool
 	// Tier names the evaluator the piece runs on without a generated
-	// kernel ("stencil", "rowvm", "int", "scalar"). "int" is the row VM's
-	// integer instruction set: every node of Expr is proven integral within
-	// ±2^24, and the kernel computes in int64 locals, which is exact there
+	// kernel ("rowvm", "int", "scalar"). "int" is the row VM's integer
+	// instruction set: every node of Expr is proven integral within ±2^24,
+	// and the kernel computes in int64 locals, which is exact there
 	// whatever the association — no mirror of the VM's fused instructions is
 	// needed.
 	Tier string
-	// Sten carries the engine's matched stencil plan when Tier is
-	// "stencil". The emitter must reproduce its arithmetic exactly
-	// (pre-folded float32 weights, left-to-right accumulation), not the
-	// source expression's tree shape, so that a generated kernel is a
-	// bit-identical substitute for the tier it displaces.
-	Sten *GenSten
-}
-
-// GenSten is the emitter-facing form of the engine's specialized stencil
-// kernel: factor · Σ w_t · b0(x0+off_t0, …) over the piece's one producer.
-type GenSten struct {
-	// Factor and Weights are the peeled constant factor and per-tap
-	// weights.
-	Factor  float64
-	Weights []float64
-	// Offsets holds per tap the constant index offset in each dimension.
-	Offsets [][]int64
 }
 
 // GenUnits enumerates the pieces of this program eligible for ahead-of-time
@@ -232,11 +213,6 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 				u.Elems[i] = p.slotElem[p.slots[r]]
 			}
 			switch {
-			case piece.sten != nil:
-				k := piece.sten
-				u.Tier = "stencil"
-				u.F32 = k.f32
-				u.Sten = &GenSten{Factor: k.factor, Weights: k.weights, Offsets: k.offsets}
 			case piece.vm != nil && piece.vm.intOK:
 				if !genIntForm(canon) {
 					miss.NarrowElem++
@@ -250,9 +226,6 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 			kb = fmt.Appendf(kb[:0], "%s rank=%d tier=%s f32=%v out=%s reads=", genABI, rank, u.Tier, u.F32, u.Out)
 			for _, el := range u.Elems {
 				kb = fmt.Appendf(kb, "%s,", el)
-			}
-			if s := u.Sten; s != nil {
-				kb = fmt.Appendf(kb, " sten=%v*%v@%v", s.Factor, s.Weights, s.Offsets)
 			}
 			kb = appendExprKey(append(kb, '\n'), canon)
 			sum := sha256.Sum256(kb)

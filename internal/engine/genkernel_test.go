@@ -115,7 +115,7 @@ func TestGenKeyStable(t *testing.T) {
 		}
 	}
 	// The interpreted tier a kernel mirrors is part of its shape: without
-	// Fast no stencil/VM plan exists, and a kernel emitted for one must not
+	// Fast no VM plan exists, and a kernel emitted for one must not
 	// bind (non-Fast programs never consult the registry anyway).
 	if slow := mk(params, ExecOptions{Threads: 1}); slow["genregBlurY/0"] == base["genregBlurY/0"] {
 		t.Error("tier plan does not enter the key")

@@ -10,37 +10,37 @@ import (
 	"repro/internal/schedule"
 )
 
-// Microbenchmarks for the specialized kernels (stencil fast paths,
-// accumulators), the row VM (pointwise combinations, deep trees, selects) and
-// for the repeated-Run steady state of the
-// persistent Executor. Run with -benchmem; the repeated-Run benchmarks are
-// the ones whose allocs/op the runtime work targets.
+// Microbenchmarks for the row VM (stencils, pointwise combinations, deep
+// trees, selects), accumulators and the repeated-Run steady state of the
+// persistent Executor. No kernel package is linked here, so every piece runs
+// on the VM: these numbers are what a piece without a generated kernel pays.
+// Run with -benchmem; the repeated-Run benchmarks are the ones whose
+// allocs/op the runtime work targets.
 
-// stencilBench runs a single-stage stencil of the given shape: the form the
-// specialized stencil kernel claims.
+// stencilBench runs a single-stage stencil of the given shape on the row VM.
 func stencilBench(b *testing.B, weights [][]float64, factor float64) {
 	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		return dsl.Stencil(I, factor, weights, [2]any{x, y})
 	})
 }
 
-// 3-tap row stencil, normalized: float32 unrolled fast path.
+// 3-tap row stencil, normalized: the VM's float32 instruction set.
 func BenchmarkStencil3Tap(b *testing.B) {
 	stencilBench(b, [][]float64{{1, 2, 1}}, 1.0/4)
 }
 
-// 5-tap row stencil, normalized: float32 unrolled fast path.
+// 5-tap row stencil, normalized: the VM's float32 instruction set.
 func BenchmarkStencil5Tap(b *testing.B) {
 	stencilBench(b, [][]float64{{1, 4, 6, 4, 1}}, 1.0/16)
 }
 
-// 9-tap (3x3) stencil, normalized: float32 unrolled fast path.
+// 9-tap (3x3) stencil, normalized: the VM's float32 instruction set.
 func BenchmarkStencil9Tap(b *testing.B) {
 	stencilBench(b, [][]float64{{1, 2, 1}, {2, 4, 2}, {1, 2, 1}}, 1.0/16)
 }
 
-// 9-tap unnormalized box: weighted mass 9 exceeds the float32 gate, so this
-// measures the float64 path for comparison.
+// 9-tap unnormalized box: weighted mass 9 exceeds the float32 gate, so the
+// VM accumulates in float64.
 func BenchmarkStencil9TapF64(b *testing.B) {
 	stencilBench(b, [][]float64{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}}, 1)
 }
@@ -138,9 +138,7 @@ func BenchmarkAccumulator(b *testing.B) {
 
 // rowEvalBench compiles a single-stage pipeline whose expression is built
 // by mk and runs it b.N times through one Executor, recycling outputs so the
-// steady state exercises only the kernel. The BenchmarkRowEval* expressions
-// are shaped so that matchStencil does not claim the stage (a top-level
-// clamp/select defeats it), making them measurements of the row VM.
+// steady state exercises only the row VM (the stage's one piece).
 func rowEvalBench(b *testing.B, mk func(I *dsl.Image, x, y *dsl.Variable) expr.Expr) {
 	bl := dsl.NewBuilder()
 	R, C := bl.Param("R"), bl.Param("C")
@@ -201,29 +199,6 @@ func deepTreeExpr(I *dsl.Image, x, y *dsl.Variable, nTaps int, weight float64) e
 	return build(0, nTaps-1)
 }
 
-// stencil9Expr is a 3x3 normalized weighted sum wrapped in a clamp so the
-// specialized stencil kernel cannot claim it and the row VM runs.
-// The clamp hi bound participates in the VM's float32 mass gate, so the
-// normalized variant clamps to [0,1] (float32-eligible) and the
-// unnormalized one to [0,16] (float64 accumulation).
-func stencil9Expr(I *dsl.Image, x, y *dsl.Variable, factor, hi float64) expr.Expr {
-	w := []float64{1, 2, 1, 2, 4, 2, 1, 2, 1}
-	var e expr.Expr
-	k := 0
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			tap := dsl.Mul(w[k]*factor, I.At(dsl.Add(x, dx), dsl.Add(y, dy)))
-			if e == nil {
-				e = tap
-			} else {
-				e = dsl.Add(e, tap)
-			}
-			k++
-		}
-	}
-	return dsl.Min(dsl.Max(e, 0.0), hi)
-}
-
 // Deep arithmetic tree, float64 accumulation (mass 16 blocks the VM's f32
 // instruction set).
 func BenchmarkRowEvalDeepTreeF64(b *testing.B) {
@@ -237,21 +212,6 @@ func BenchmarkRowEvalDeepTreeF64(b *testing.B) {
 func BenchmarkRowEvalDeepTreeF32(b *testing.B) {
 	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		return dsl.Min(dsl.Max(deepTreeExpr(I, x, y, 16, 0.5), 0.0), 1.0)
-	})
-}
-
-// Normalized 9-tap stencil (clamped so the stencil kernel stands aside):
-// the VM's float32 path.
-func BenchmarkRowEvalStencil9F32(b *testing.B) {
-	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
-		return stencil9Expr(I, x, y, 1.0/16, 1.0)
-	})
-}
-
-// Unnormalized 9-tap stencil: the VM accumulates in float64.
-func BenchmarkRowEvalStencil9F64(b *testing.B) {
-	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
-		return stencil9Expr(I, x, y, 1.0, 16.0)
 	})
 }
 

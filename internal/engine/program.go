@@ -19,8 +19,8 @@ type ExecOptions struct {
 	// Threads is the number of worker goroutines (the paper's OpenMP
 	// thread count). 0 means GOMAXPROCS.
 	Threads int
-	// Fast enables the specialized kernels and array-at-a-time row
-	// evaluation — the stand-in for the paper's `+vec` axis.
+	// Fast enables generated kernels and array-at-a-time row evaluation
+	// (the row VM) — the stand-in for the paper's `+vec` axis.
 	Fast bool
 	// Debug enables bounds-checked buffer accesses.
 	Debug bool
@@ -85,15 +85,14 @@ func (o ExecOptions) threads() int {
 // binding: the sub-box where it applies, an optional residual predicate
 // (nil when the condition is exactly the box — Section 3.7's branch-free
 // splitting), and the compiled evaluators. Under Fast an unpredicated piece
-// carries exactly one of gen, sten or vm (vm stays compiled under a bound
-// gen: it is what NoGenKernels and Stats().VMFalls read); every other piece
-// runs the scalar loop over eval.
+// carries exactly one of gen or vm (vm stays compiled under a bound gen: it
+// is what NoGenKernels and Stats().VMFalls read); every other piece runs the
+// scalar loop over eval.
 type loweredPiece struct {
 	box  affine.Box
 	pred condFn
 	eval evalFn
 	vm   *rowVM
-	sten *stencilKernel
 	// gen is the ahead-of-time generated Go kernel bound to this piece
 	// (nil unless a kernel is registered under the piece's content key);
 	// it takes precedence over every interpreted tier.
@@ -488,27 +487,21 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 		if err != nil {
 			return nil, err
 		}
-		// Narrow-involved pieces (the stage stores a narrow type, or any
-		// access reads a narrow slot) stay off the float32 kernels: the
-		// stencil kernel and the f32 VM read float32 backing arrays
-		// directly, and their rounding would break the narrow layout's
-		// exact-equality guarantee. They run on the integer VM when the
-		// stage is provably integral, else on the VM's float64 loop.
-		narrowed := ls.elem != ElemF32 || cp.readsNarrow(c.E)
+		// Compile the row program. Narrow-involved pieces (the stage stores
+		// a narrow type, or any access reads a narrow slot) drop f32: the
+		// f32 VM reads float32 backing arrays directly, and its rounding
+		// would break the narrow layout's exact-equality guarantee. They run
+		// on the integer VM when the stage is provably integral, else on the
+		// VM's float64 loop.
 		if p.Opts.Fast && piece.pred == nil {
-			if !narrowed {
-				piece.sten = matchStencil(c.E, nd, cp)
+			piece.vm, err = cp.compileRowVM(c.E, nd-1)
+			if err != nil {
+				return nil, err
 			}
-			if piece.sten == nil {
-				piece.vm, err = cp.compileRowVM(c.E, nd-1)
-				if err != nil {
-					return nil, err
-				}
-				if narrowed {
-					piece.vm.f32 = false
-				}
-				piece.vm.intOK = piece.vm.intOK && ls.intExact
+			if ls.elem != ElemF32 || cp.readsNarrow(c.E) {
+				piece.vm.f32 = false
 			}
+			piece.vm.intOK = piece.vm.intOK && ls.intExact
 		}
 		ls.pieces = append(ls.pieces, piece)
 	}
@@ -613,8 +606,6 @@ func (p *Program) Stats() obs.ProgramStats {
 			switch {
 			case piece.gen != nil:
 				sm.Gen++
-			case piece.sten != nil:
-				sm.Stencil++
 			case piece.vm != nil:
 				sm.RowVM++
 				vmShape(piece.vm)

@@ -7,13 +7,16 @@ import (
 	"repro/internal/expr"
 )
 
-// The float32 instruction set. Mirrors the stencil kernel's accumulation-
-// width policy: a program qualifies for single-precision execution only
-// when every instruction is in the numerically tame subset (loads, +, -,
-// *, /constant, min/max/clamp, neg/abs/sqrt, the fused forms) AND a
-// conservative magnitude ("mass") analysis bounds the result by the same
-// <= 4 gate stencilKernel uses, so normalized blurs and interpolations run
-// in float32 while unnormalized sums keep float64 accumulation. Anything
+// The float32 instruction set and the engine's one accumulation-width
+// policy: a program qualifies for single-precision execution only when
+// every instruction is in the numerically tame subset (loads, +, -, *,
+// /constant, min/max/clamp, neg/abs/sqrt, the fused forms) AND a
+// conservative magnitude ("mass") analysis bounds the result by 4. A
+// float32 sum of n terms carries a relative error of about n·2⁻²⁴ scaled by
+// that mass, so normalized blurs, differences and interpolations run in
+// float32 well inside the engine's 1e-5 verification tolerance, while
+// unnormalized sums keep float64 accumulation. Generated kernels inherit
+// the split through GenUnit.F32. Anything
 // data-dependent in control flow (select/compare), transcendental (other
 // than sqrt), integer-semantics (mod, fdiv, int casts) or of unbounded
 // magnitude (iota, reg-reg division) disqualifies the program; those run

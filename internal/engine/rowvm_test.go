@@ -397,8 +397,7 @@ func TestRowVMFloat32Gate(t *testing.T) {
 	if vm := vmHarness(t, in, bufs, []int64{3, 2}, 30); !vm.f32 {
 		t.Fatal("normalized clamped blend should qualify for float32")
 	}
-	// Unnormalized 9x sum: mass 9 exceeds the gate (same policy as the
-	// stencil kernel's accumulation-width choice).
+	// Unnormalized 9x sum: mass 9 exceeds the gate.
 	big := expr.AddE(expr.MulE(expr.C(4.5), g(0)), expr.MulE(expr.C(4.5), g(1)))
 	if vm := vmHarness(t, big, bufs, []int64{3, 2}, 30); vm.f32 {
 		t.Fatal("mass-9 sum must keep float64 accumulation")
@@ -432,8 +431,7 @@ func TestRowVMEndToEnd(t *testing.T) {
 		dsl.Span(affine.Const(0), C.Affine().AddConst(1)),
 	}
 	inner := dsl.InBox([]*dsl.Variable{x, y}, []any{1, 1}, []any{dsl.Add(R, 0), dsl.Add(C, 0)})
-	// u: sqrt/abs keep matchStencil from claiming the stage, so it exercises
-	// the row VM.
+	// u: a normalized 3-tap stencil under sqrt/abs.
 	u := bl.Func("u", expr.Float, []*dsl.Variable{x, y}, dom)
 	u.Define(dsl.Case{Cond: inner, E: dsl.Sqrt(dsl.Abs(dsl.Add(
 		dsl.Mul(0.25, I.At(x, dsl.Sub(y, 1))),

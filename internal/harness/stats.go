@@ -77,9 +77,6 @@ func tierLabel(sm obs.StageModel) string {
 	if sm.Gen > 0 {
 		tiers = append(tiers, "gen")
 	}
-	if sm.Stencil > 0 {
-		tiers = append(tiers, "stencil")
-	}
 	if sm.RowVM > 0 {
 		vm := "rowvm"
 		switch {
@@ -137,7 +134,7 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 	gen, pieces := 0, 0
 	for _, sm := range model.Stages {
 		gen += sm.Gen
-		pieces += sm.Gen + sm.Stencil + sm.RowVM + sm.Scalar
+		pieces += sm.Gen + sm.RowVM + sm.Scalar
 	}
 	m := model.GenMisses
 	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d accumulator/self-ref, %d narrow elem, %d irregular access\n",

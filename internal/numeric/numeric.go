@@ -1,9 +1,9 @@
 // Package numeric defines the saturating, platform-independent float→int
 // conversion semantics used by every evaluator tier (expr.Eval, the engine
-// closures, the row VM, the specialized kernels and the generated-kernel
-// emitter). Go's native float→int conversion is implementation-defined for
-// NaN and out-of-range values ("the behavior is ... not specified", Go
-// spec), so each tier converting natively could silently disagree. The
+// closures, the row VM and the generated-kernel emitter). Go's native
+// float→int conversion is implementation-defined for NaN and out-of-range
+// values ("the behavior is ... not specified", Go spec), so each tier
+// converting natively could silently disagree. The
 // rules here are the ones common to saturating image arithmetic:
 //
 //	NaN          → 0

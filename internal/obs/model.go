@@ -147,12 +147,12 @@ type StageModel struct {
 	// integer-VM eligibility bound).
 	Elem     string
 	IntExact bool
-	// Evaluator selection, counted per case piece. Comb, IntStencil and
-	// ClosureRow name tiers the engine no longer has and always read 0; they
-	// stay declared because bench/lib.go (a separate module, frozen by
+	// Evaluator selection, counted per case piece. Stencil, Comb, IntStencil
+	// and ClosureRow name tiers the engine no longer has and always read 0;
+	// they stay declared because bench/lib.go (a separate module, frozen by
 	// BENCHMARK.json) reads all seven fields.
 	Gen        int // ahead-of-time generated Go kernel (polymage-gen)
-	Stencil    int // specialized stencil kernel
+	Stencil    int
 	Comb       int
 	IntStencil int
 	RowVM      int // row bytecode VM (incl. an accumulator swept by rows)

@@ -99,7 +99,7 @@ func TestServeSmoke(t *testing.T) {
 	for _, pm := range met.Programs {
 		pieces, gen := 0, 0
 		for _, sm := range pm.Stages {
-			pieces += sm.Gen + sm.Stencil + sm.RowVM + sm.Scalar
+			pieces += sm.Gen + sm.RowVM + sm.Scalar
 			gen += sm.Gen
 		}
 		if m := pm.GenMisses; pieces == 0 || gen+m.Total() != pieces {
