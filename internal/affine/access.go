@@ -127,12 +127,18 @@ func (a Access) RangeOver(varRange Range, params map[string]int64) (Range, error
 	if err != nil {
 		return Range{}, err
 	}
+	return a.RangeAt(off, varRange), nil
+}
+
+// RangeAt is RangeOver with the offset already evaluated (off = Off under
+// the binding), for callers that probe one access at many variable ranges.
+func (a Access) RangeAt(off int64, varRange Range) Range {
 	if a.Var < 0 {
 		v := FloorDiv(off, a.Div)
-		return Range{Lo: v, Hi: v}, nil
+		return Range{Lo: v, Hi: v}
 	}
 	if varRange.Empty() {
-		return Range{Lo: 0, Hi: -1}, nil
+		return Range{Lo: 0, Hi: -1}
 	}
 	// Guarded arithmetic: a pathological Coeff·bound or parameter product
 	// beyond ±2^62 saturates instead of wrapping (a wrapped product can
@@ -141,9 +147,9 @@ func (a Access) RangeOver(varRange Range, params map[string]int64) (Range, error
 	v1 := FloorDiv(satAdd64(satMul64(a.Coeff, varRange.Lo), satClamp64(off)), a.Div)
 	v2 := FloorDiv(satAdd64(satMul64(a.Coeff, varRange.Hi), satClamp64(off)), a.Div)
 	if v1 <= v2 {
-		return Range{Lo: v1, Hi: v2}, nil
+		return Range{Lo: v1, Hi: v2}
 	}
-	return Range{Lo: v2, Hi: v1}, nil
+	return Range{Lo: v2, Hi: v1}
 }
 
 // Rate returns the access's sampling rate Coeff/Div as a rational.

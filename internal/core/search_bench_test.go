@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	_ "repro/internal/apps/gen" // BenchmarkBind binds the generated kernels, as polymage-serve does
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/harness"
 )
 
@@ -13,7 +15,8 @@ var benchSink *core.Pipeline
 // BenchmarkSearch times core.Compile under the auto-scheduler for each
 // Table-2 app at scale 4 — what a program-cache miss of polymage-serve pays
 // before lowering (bench/'s schedule.group_ms rows, without bench/). The
-// search counters are those of the search whose graph was kept.
+// search counters are those of the search whose graph was kept;
+// uninlined_states counts the un-inlined graph's search whichever won.
 func BenchmarkSearch(b *testing.B) {
 	for _, app := range apps.All() {
 		b.Run(app.Name, func(b *testing.B) {
@@ -32,6 +35,36 @@ func BenchmarkSearch(b *testing.B) {
 			b.ReportMetric(float64(st.CostCacheHits), "cache_hits")
 			b.ReportMetric(float64(st.PerDimEvals), "perdim_evals")
 			b.ReportMetric(float64(st.EnumeratedEvals), "enumerated_evals")
+			if u := benchSink.Grouping.Uninlined; u != nil {
+				b.ReportMetric(float64(u.States), "uninlined_states")
+			}
+		})
+	}
+}
+
+// BenchmarkBind times the other half of a program-cache miss: Pipeline.Bind
+// of a searched Table-2 app at scale 4 under the options polymage-serve
+// binds with (Fast, ReuseBuffers, generated kernels linked) — stage
+// lowering, row-VM compilation, kernel lookup and tile planning.
+func BenchmarkBind(b *testing.B) {
+	for _, app := range apps.All() {
+		b.Run(app.Name, func(b *testing.B) {
+			bld, outs := app.Build()
+			params := harness.ScaledParams(app, 4)
+			pl, err := compileSearched(searchCase{app.Name, bld, outs, params})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eo := engine.ExecOptions{Fast: true, ReuseBuffers: true}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prog, err := pl.Bind(params, eo)
+				if err != nil {
+					b.Fatal(err)
+				}
+				prog.Close()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/bind")
 		})
 	}
 }

@@ -341,8 +341,9 @@ func canonIndex(a affine.Access, off int64) expr.Expr {
 
 // appendExprKey serializes a canonical expression injectively (prefix form,
 // operators by number, constants as shortest round-trip decimals).
-// Expr.String is not usable as key material: it prints constants to six
-// digits and Div and FDiv alike.
+// Expr.String is not usable as key material: it prints Div and FDiv alike.
+// Nor is an expr.Numbering: its numbers mean nothing outside the process
+// that assigned them, and a key must match the kernel emitted by another.
 func appendExprKey(b []byte, e expr.Expr) []byte {
 	switch n := e.(type) {
 	case expr.Const:

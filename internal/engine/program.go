@@ -571,6 +571,10 @@ func (p *Program) Stats() obs.ProgramStats {
 			st.SearchPerDimEvals = s.PerDimEvals
 			st.SearchEnumeratedEvals = s.EnumeratedEvals
 		}
+		if u := p.Grouping.Uninlined; u != nil {
+			st.UninlinedStates = u.States
+			st.UninlinedBounded = u.Bounded
+		}
 	}
 	st.Stages = make([]obs.StageModel, 0, len(p.stageNames))
 	for _, name := range p.stageNames {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -47,10 +46,6 @@ type RowCtx struct {
 	// runs).
 	vm vmRegs
 }
-
-// exprKey is the structural key used for value numbering (String is
-// unambiguous for the expression grammar).
-func exprKey(e expr.Expr) string { return e.String() }
 
 var errNoRowForm = errorString("engine: condition has no row form")
 
@@ -392,14 +387,18 @@ type vmValue struct {
 	isBool bool
 }
 
-// vmBuilder linearizes one piece expression.
+// vmBuilder linearizes one piece expression. Subtrees are value-numbered
+// by their expr.Numbering number (the k beside each expression below), so
+// a repeated subtree computes once per row; a subtree occurring more than
+// once is never absorbed into a fused instruction.
 type vmBuilder struct {
 	cp      *compiler
 	last    int // innermost dimension index of the stage domain
 	vals    []vmValue
-	memo    map[string]int // structural key -> value id (DAG sharing)
+	num     *expr.Numbering
+	memo    []int          // subtree number -> value id, -1 until emitted
+	idxMemo map[idxKey]int // index row -> value id
 	consts  map[uint64]int // float bits -> rConst value id
-	counts  map[string]int // subtree occurrence counts (fusion safety)
 	loads   []vmLoad
 	idxs    []vmIdx
 	gathers []vmGather
@@ -408,28 +407,40 @@ type vmBuilder struct {
 	fused   int
 }
 
+// idxKey identifies the index row of a quasi-affine argument.
+type idxKey struct {
+	v               int
+	coeff, off, div int64
+}
+
+func newVMBuilder(cp *compiler, last int) *vmBuilder {
+	return &vmBuilder{cp: cp, last: last, idxMemo: make(map[idxKey]int), consts: make(map[uint64]int)}
+}
+
 // compileRowVM lowers an expression to a row bytecode program. last is the
 // innermost dimension index of the stage's domain (its rank - 1). It is
 // total over row-evaluable stages: subtrees without a row form lower to
 // per-element fallback instructions.
 func (cp *compiler) compileRowVM(e expr.Expr, last int) (*rowVM, error) {
-	vb := &vmBuilder{
-		cp:     cp,
-		last:   last,
-		memo:   make(map[string]int),
-		consts: make(map[uint64]int),
-		counts: make(map[string]int),
+	vb := newVMBuilder(cp, last)
+	vb.num = expr.NewNumbering()
+	root := vb.num.Expr(e)
+	vb.memo = make([]int, vb.num.Len())
+	for i := range vb.memo {
+		vb.memo[i] = -1
 	}
-	expr.Walk(e, func(x expr.Expr) bool {
-		vb.counts[exprKey(x)]++
-		return true
-	})
-	res, err := vb.emit(e)
+	res, err := vb.emit(e, root)
 	if err != nil {
 		return nil, err
 	}
 	return vb.finish(res), nil
 }
+
+// kid is the number of operand i of the subtree numbered k.
+func (vb *vmBuilder) kid(k, i int) int { return vb.num.Operand(k, i) }
+
+// shared reports whether the subtree numbered k occurs more than once.
+func (vb *vmBuilder) shared(k int) bool { return vb.num.Uses(k) > 1 }
 
 // compileRowIdx lowers an index expression (an accumulator target) to a row
 // program whose float64 result converts to the index with int64(v): the
@@ -444,7 +455,7 @@ func (cp *compiler) compileRowIdx(e expr.Expr, last int) (*rowVM, error) {
 	if err != nil {
 		return nil, err
 	}
-	vb := &vmBuilder{cp: cp, last: last, memo: make(map[string]int)}
+	vb := newVMBuilder(cp, last)
 	return vb.finish(vb.emitIdx(aff, off)), nil
 }
 
@@ -483,20 +494,21 @@ func (vb *vmBuilder) lit(e expr.Expr) (float64, bool) {
 	return 0, false
 }
 
-func (vb *vmBuilder) emit(e expr.Expr) (int, error) {
-	key := exprKey(e)
-	if id, ok := vb.memo[key]; ok {
+// emit returns the value of e, the subtree numbered k, emitting it on
+// first use.
+func (vb *vmBuilder) emit(e expr.Expr, k int) (int, error) {
+	if id := vb.memo[k]; id >= 0 {
 		return id, nil
 	}
-	id, err := vb.emitNew(e)
+	id, err := vb.emitNew(e, k)
 	if err != nil {
 		return 0, err
 	}
-	vb.memo[key] = id
+	vb.memo[k] = id
 	return id, nil
 }
 
-func (vb *vmBuilder) emitNew(e expr.Expr) (int, error) {
+func (vb *vmBuilder) emitNew(e expr.Expr, k int) (int, error) {
 	if v, ok := vb.lit(e); ok {
 		return vb.pushConst(v), nil
 	}
@@ -513,11 +525,11 @@ func (vb *vmBuilder) emitNew(e expr.Expr) (int, error) {
 		// Unbound parameter (lit failed): mirror the scalar compiler.
 		return 0, errorString("engine: unbound parameter " + n.Name)
 	case expr.Access:
-		return vb.emitAccess(n)
+		return vb.emitAccess(n, k)
 	case expr.Binary:
-		return vb.emitBinary(n)
+		return vb.emitBinary(n, k)
 	case expr.Unary:
-		x, err := vb.emit(n.X)
+		x, err := vb.emit(n.X, vb.kid(k, 0))
 		if err != nil {
 			return 0, err
 		}
@@ -529,28 +541,28 @@ func (vb *vmBuilder) emitNew(e expr.Expr) (int, error) {
 	case expr.Select:
 		if bc, ok := n.Cond.(expr.BoolConst); ok {
 			if bc.V {
-				return vb.emit(n.Then)
+				return vb.emit(n.Then, vb.kid(k, 1))
 			}
-			return vb.emit(n.Else)
+			return vb.emit(n.Else, vb.kid(k, 2))
 		}
-		m, err := vb.emitCond(n.Cond)
+		m, err := vb.emitCond(n.Cond, vb.kid(k, 0))
 		if err != nil {
 			if err == errNoRowForm {
 				return vb.emitFallback(e, &vb.fallWhy.Cond)
 			}
 			return 0, err
 		}
-		th, err := vb.emit(n.Then)
+		th, err := vb.emit(n.Then, vb.kid(k, 1))
 		if err != nil {
 			return 0, err
 		}
-		el, err := vb.emit(n.Else)
+		el, err := vb.emit(n.Else, vb.kid(k, 2))
 		if err != nil {
 			return 0, err
 		}
 		return vb.push(vmValue{op: rSelect, a: th, b: el, m: m}), nil
 	case expr.Cast:
-		x, err := vb.emit(n.X)
+		x, err := vb.emit(n.X, vb.kid(k, 0))
 		if err != nil {
 			return 0, err
 		}
@@ -609,7 +621,8 @@ func foldBin(op expr.BinOp, a, b float64) float64 {
 	return math.NaN()
 }
 
-func (vb *vmBuilder) emitBinary(n expr.Binary) (int, error) {
+func (vb *vmBuilder) emitBinary(n expr.Binary, k int) (int, error) {
+	lk, rk := vb.kid(k, 0), vb.kid(k, 1)
 	lv, lok := vb.lit(n.L)
 	rv, rok := vb.lit(n.R)
 	if lok && rok {
@@ -617,96 +630,96 @@ func (vb *vmBuilder) emitBinary(n expr.Binary) (int, error) {
 	}
 	switch n.Op {
 	case expr.Add:
-		if id, ok, err := vb.tryMulAdd(n.L, n.R); ok || err != nil {
+		if id, ok, err := vb.tryMulAdd(n.L, lk, n.R, rk); ok || err != nil {
 			return id, err
 		}
-		if id, ok, err := vb.tryMulAdd(n.R, n.L); ok || err != nil {
+		if id, ok, err := vb.tryMulAdd(n.R, rk, n.L, lk); ok || err != nil {
 			return id, err
 		}
 		if rok {
-			return vb.emitRegImm(rAddI, n.L, rv)
+			return vb.emitRegImm(rAddI, n.L, lk, rv)
 		}
 		if lok {
-			return vb.emitRegImm(rAddI, n.R, lv)
+			return vb.emitRegImm(rAddI, n.R, rk, lv)
 		}
-		return vb.emitRegReg(rAdd, n.L, n.R)
+		return vb.emitRegReg(rAdd, n.L, lk, n.R, rk)
 	case expr.Sub:
 		if rok {
 			// a - c == a + (-c) bit-for-bit in IEEE arithmetic.
-			return vb.emitRegImm(rAddI, n.L, -rv)
+			return vb.emitRegImm(rAddI, n.L, lk, -rv)
 		}
 		if lok {
-			return vb.emitRegImm(rISub, n.R, lv)
+			return vb.emitRegImm(rISub, n.R, rk, lv)
 		}
-		return vb.emitRegReg(rSub, n.L, n.R)
+		return vb.emitRegReg(rSub, n.L, lk, n.R, rk)
 	case expr.Mul:
 		if rok {
-			return vb.emitMulI(n.L, rv)
+			return vb.emitMulI(n.L, lk, rv)
 		}
 		if lok {
-			return vb.emitMulI(n.R, lv)
+			return vb.emitMulI(n.R, rk, lv)
 		}
-		return vb.emitRegReg(rMul, n.L, n.R)
+		return vb.emitRegReg(rMul, n.L, lk, n.R, rk)
 	case expr.Div:
 		if rok {
-			return vb.emitRegImm(rDivI, n.L, rv)
+			return vb.emitRegImm(rDivI, n.L, lk, rv)
 		}
 		if lok {
-			return vb.emitRegImm(rIDiv, n.R, lv)
+			return vb.emitRegImm(rIDiv, n.R, rk, lv)
 		}
-		return vb.emitRegReg(rDiv, n.L, n.R)
+		return vb.emitRegReg(rDiv, n.L, lk, n.R, rk)
 	case expr.Mod:
 		if rok {
-			return vb.emitRegImm(rModI, n.L, rv)
+			return vb.emitRegImm(rModI, n.L, lk, rv)
 		}
-		return vb.emitRegReg(rMod, n.L, n.R)
+		return vb.emitRegReg(rMod, n.L, lk, n.R, rk)
 	case expr.Min:
-		if id, ok, err := vb.tryClamp(n); ok || err != nil {
+		if id, ok, err := vb.tryClamp(n, k); ok || err != nil {
 			return id, err
 		}
 		if rok {
-			return vb.emitRegImm(rMinI, n.L, rv)
+			return vb.emitRegImm(rMinI, n.L, lk, rv)
 		}
 		if lok {
-			return vb.emitRegImm(rMinI, n.R, lv)
+			return vb.emitRegImm(rMinI, n.R, rk, lv)
 		}
-		return vb.emitRegReg(rMin, n.L, n.R)
+		return vb.emitRegReg(rMin, n.L, lk, n.R, rk)
 	case expr.Max:
 		if rok {
-			return vb.emitRegImm(rMaxI, n.L, rv)
+			return vb.emitRegImm(rMaxI, n.L, lk, rv)
 		}
 		if lok {
-			return vb.emitRegImm(rMaxI, n.R, lv)
+			return vb.emitRegImm(rMaxI, n.R, rk, lv)
 		}
-		return vb.emitRegReg(rMax, n.L, n.R)
+		return vb.emitRegReg(rMax, n.L, lk, n.R, rk)
 	case expr.Pow:
 		if rok {
-			return vb.emitRegImm(rPowI, n.L, rv)
+			return vb.emitRegImm(rPowI, n.L, lk, rv)
 		}
-		return vb.emitRegReg(rPow, n.L, n.R)
+		return vb.emitRegReg(rPow, n.L, lk, n.R, rk)
 	case expr.FDiv:
 		if rok {
-			return vb.emitRegImm(rFDivI, n.L, rv)
+			return vb.emitRegImm(rFDivI, n.L, lk, rv)
 		}
-		return vb.emitRegReg(rFDiv, n.L, n.R)
+		return vb.emitRegReg(rFDiv, n.L, lk, n.R, rk)
 	}
 	return vb.emitFallback(n, &vb.fallWhy.Op)
 }
 
-func (vb *vmBuilder) emitRegReg(op rop, l, r expr.Expr) (int, error) {
-	a, err := vb.emit(l)
+func (vb *vmBuilder) emitRegReg(op rop, l expr.Expr, lk int, r expr.Expr, rk int) (int, error) {
+	a, err := vb.emit(l, lk)
 	if err != nil {
 		return 0, err
 	}
-	b, err := vb.emit(r)
+	b, err := vb.emit(r, rk)
 	if err != nil {
 		return 0, err
 	}
 	return vb.push(vmValue{op: op, a: a, b: b, m: -1}), nil
 }
 
-func (vb *vmBuilder) emitRegImm(op rop, x expr.Expr, imm float64) (int, error) {
-	a, err := vb.emit(x)
+func (vb *vmBuilder) emitRegImm(op rop, x expr.Expr, xk int, imm float64) (int, error) {
+	a, err := vb.emit(x, xk)
 	if err != nil {
 		return 0, err
 	}
@@ -715,53 +728,53 @@ func (vb *vmBuilder) emitRegImm(op rop, x expr.Expr, imm float64) (int, error) {
 
 // emitMulI emits x*imm, fusing a single-use unit load into rLoadMulI (the
 // first tap of a weighted stencil sum).
-func (vb *vmBuilder) emitMulI(x expr.Expr, imm float64) (int, error) {
-	if li, ok := vb.fuseLoad(x); ok {
+func (vb *vmBuilder) emitMulI(x expr.Expr, xk int, imm float64) (int, error) {
+	if li, ok := vb.fuseLoad(x, xk); ok {
 		vb.fused++
 		return vb.push(vmValue{op: rLoadMulI, a: -1, b: -1, m: -1, aux: int32(li), imm: imm}), nil
 	}
-	return vb.emitRegImm(rMulI, x, imm)
+	return vb.emitRegImm(rMulI, x, xk, imm)
 }
 
 // tryMulAdd fuses mulE + otherE when mulE is a single-use product:
 // rMadLoad for weight*load (the stencil-tap accumulate), rAxpy for
 // weight*x, rMulAdd for the general a*b + c shape.
-func (vb *vmBuilder) tryMulAdd(mulE, otherE expr.Expr) (int, bool, error) {
+func (vb *vmBuilder) tryMulAdd(mulE expr.Expr, mk int, otherE expr.Expr, otherK int) (int, bool, error) {
 	m, ok := mulE.(expr.Binary)
-	if !ok || m.Op != expr.Mul || vb.counts[exprKey(mulE)] > 1 {
+	if !ok || m.Op != expr.Mul || vb.shared(mk) {
 		return 0, false, nil
 	}
 	w, wok := vb.lit(m.L)
-	x := m.R
+	x, xk := m.R, vb.kid(mk, 1)
 	if !wok {
 		w, wok = vb.lit(m.R)
-		x = m.L
+		x, xk = m.L, vb.kid(mk, 0)
 	}
 	if wok {
-		other, err := vb.emit(otherE)
+		other, err := vb.emit(otherE, otherK)
 		if err != nil {
 			return 0, true, err
 		}
-		if li, lok := vb.fuseLoad(x); lok {
+		if li, lok := vb.fuseLoad(x, xk); lok {
 			vb.fused++
 			return vb.push(vmValue{op: rMadLoad, a: other, b: -1, m: -1, aux: int32(li), imm: w}), true, nil
 		}
-		xi, err := vb.emit(x)
+		xi, err := vb.emit(x, xk)
 		if err != nil {
 			return 0, true, err
 		}
 		vb.fused++
 		return vb.push(vmValue{op: rAxpy, a: xi, b: other, m: -1, imm: w}), true, nil
 	}
-	p, err := vb.emit(m.L)
+	p, err := vb.emit(m.L, vb.kid(mk, 0))
 	if err != nil {
 		return 0, true, err
 	}
-	q, err := vb.emit(m.R)
+	q, err := vb.emit(m.R, vb.kid(mk, 1))
 	if err != nil {
 		return 0, true, err
 	}
-	c, err := vb.emit(otherE)
+	c, err := vb.emit(otherE, otherK)
 	if err != nil {
 		return 0, true, err
 	}
@@ -772,32 +785,32 @@ func (vb *vmBuilder) tryMulAdd(mulE, otherE expr.Expr) (int, bool, error) {
 // tryClamp fuses min(max(x, lo), hi) with literal bounds (lo <= hi) into
 // one clamp instruction. The fused loop applies the same math.Max-then-
 // math.Min calls, so results are bit-identical.
-func (vb *vmBuilder) tryClamp(n expr.Binary) (int, bool, error) {
-	inner, hi, ok := n.L, 0.0, false
+func (vb *vmBuilder) tryClamp(n expr.Binary, k int) (int, bool, error) {
+	inner, ik, hi, ok := n.L, vb.kid(k, 0), 0.0, false
 	if v, lok := vb.lit(n.R); lok {
 		hi, ok = v, true
 	} else if v, lok := vb.lit(n.L); lok {
-		hi, ok, inner = v, true, n.R
+		hi, ok, inner, ik = v, true, n.R, vb.kid(k, 1)
 	}
 	if !ok {
 		return 0, false, nil
 	}
 	mx, isB := inner.(expr.Binary)
-	if !isB || mx.Op != expr.Max || vb.counts[exprKey(inner)] > 1 {
+	if !isB || mx.Op != expr.Max || vb.shared(ik) {
 		return 0, false, nil
 	}
-	lo, x := 0.0, mx.L
+	lo, x, xk := 0.0, mx.L, vb.kid(ik, 0)
 	if v, lok := vb.lit(mx.R); lok {
 		lo = v
 	} else if v, lok := vb.lit(mx.L); lok {
-		lo, x = v, mx.R
+		lo, x, xk = v, mx.R, vb.kid(ik, 1)
 	} else {
 		return 0, false, nil
 	}
 	if !(lo <= hi) {
 		return 0, false, nil
 	}
-	xi, err := vb.emit(x)
+	xi, err := vb.emit(x, xk)
 	if err != nil {
 		return 0, true, err
 	}
@@ -851,13 +864,13 @@ func (vb *vmBuilder) analyzeLoad(a expr.Access) (*vmLoad, rop, error) {
 	}
 }
 
-func (vb *vmBuilder) emitAccess(a expr.Access) (int, error) {
+func (vb *vmBuilder) emitAccess(a expr.Access, k int) (int, error) {
 	l, op, err := vb.analyzeLoad(a)
 	if err != nil {
 		return 0, err
 	}
 	if l == nil {
-		return vb.emitGather(a)
+		return vb.emitGather(a, k)
 	}
 	vb.loads = append(vb.loads, *l)
 	return vb.push(vmValue{op: op, a: -1, b: -1, m: -1, aux: int32(len(vb.loads) - 1)}), nil
@@ -867,7 +880,7 @@ func (vb *vmBuilder) emitAccess(a expr.Access) (int, error) {
 // that vary along the row become index rows — rIdx for quasi-affine ones,
 // the argument's own value row otherwise — and the rest stay affine in the
 // gather's row base.
-func (vb *vmBuilder) emitGather(a expr.Access) (int, error) {
+func (vb *vmBuilder) emitGather(a expr.Access, k int) (int, error) {
 	nd := len(a.Args)
 	g := vmGather{slot: vb.cp.slots[a.Target], target: a.Target, debug: vb.cp.debug,
 		regs: make([]int, nd), affs: make([]affine.Access, nd), offs: make([]int64, nd)}
@@ -876,7 +889,7 @@ func (vb *vmBuilder) emitGather(a expr.Access) (int, error) {
 		xs[d] = -1
 		aff, ok := expr.ToAffineAccess(arg)
 		if !ok {
-			id, err := vb.emit(arg)
+			id, err := vb.emit(arg, vb.kid(k, d))
 			if err != nil {
 				return 0, err
 			}
@@ -899,21 +912,21 @@ func (vb *vmBuilder) emitGather(a expr.Access) (int, error) {
 
 // emitIdx emits (or reuses) the index row of a quasi-affine argument.
 func (vb *vmBuilder) emitIdx(aff affine.Access, off int64) int {
-	key := fmt.Sprintf("\x00idx %d %d %d %d", aff.Var, aff.Coeff, off, aff.Div)
-	if id, ok := vb.memo[key]; ok {
+	key := idxKey{aff.Var, aff.Coeff, off, aff.Div}
+	if id, ok := vb.idxMemo[key]; ok {
 		return id
 	}
 	vb.idxs = append(vb.idxs, vmIdx{aff: aff, off: off})
 	id := vb.push(vmValue{op: rIdx, a: -1, b: -1, m: -1, aux: int32(len(vb.idxs) - 1)})
-	vb.memo[key] = id
+	vb.idxMemo[key] = id
 	return id
 }
 
 // fuseLoad returns a load-table index for e when it is a single-use
 // unit-step access, letting the caller absorb it into a fused instruction.
-func (vb *vmBuilder) fuseLoad(e expr.Expr) (int, bool) {
+func (vb *vmBuilder) fuseLoad(e expr.Expr, k int) (int, bool) {
 	a, ok := e.(expr.Access)
-	if !ok || vb.counts[exprKey(e)] > 1 {
+	if !ok || vb.shared(k) {
 		return 0, false
 	}
 	l, op, err := vb.analyzeLoad(a)
@@ -951,7 +964,7 @@ func flipCmp(op expr.CmpOp) expr.CmpOp {
 	return op // EQ, NE are symmetric
 }
 
-func (vb *vmBuilder) emitCond(c expr.Cond) (int, error) {
+func (vb *vmBuilder) emitCond(c expr.Cond, k int) (int, error) {
 	switch n := c.(type) {
 	case expr.BoolConst:
 		imm := 0.0
@@ -963,34 +976,34 @@ func (vb *vmBuilder) emitCond(c expr.Cond) (int, error) {
 		lv, lok := vb.lit(n.L)
 		rv, rok := vb.lit(n.R)
 		if rok {
-			a, err := vb.emit(n.L)
+			a, err := vb.emit(n.L, vb.kid(k, 0))
 			if err != nil {
 				return 0, err
 			}
 			return vb.push(vmValue{op: bCmpI, a: a, b: -1, m: -1, aux: int32(n.Op), imm: rv, isBool: true}), nil
 		}
 		if lok {
-			a, err := vb.emit(n.R)
+			a, err := vb.emit(n.R, vb.kid(k, 1))
 			if err != nil {
 				return 0, err
 			}
 			return vb.push(vmValue{op: bCmpI, a: a, b: -1, m: -1, aux: int32(flipCmp(n.Op)), imm: lv, isBool: true}), nil
 		}
-		a, err := vb.emit(n.L)
+		a, err := vb.emit(n.L, vb.kid(k, 0))
 		if err != nil {
 			return 0, err
 		}
-		b, err := vb.emit(n.R)
+		b, err := vb.emit(n.R, vb.kid(k, 1))
 		if err != nil {
 			return 0, err
 		}
 		return vb.push(vmValue{op: bCmp, a: a, b: b, m: -1, aux: int32(n.Op), isBool: true}), nil
 	case expr.And:
-		return vb.emitBoolPair(bAnd, n.A, n.B)
+		return vb.emitBoolPair(bAnd, n.A, n.B, k)
 	case expr.Or:
-		return vb.emitBoolPair(bOr, n.A, n.B)
+		return vb.emitBoolPair(bOr, n.A, n.B, k)
 	case expr.Not:
-		a, err := vb.emitCond(n.A)
+		a, err := vb.emitCond(n.A, vb.kid(k, 0))
 		if err != nil {
 			return 0, err
 		}
@@ -999,12 +1012,13 @@ func (vb *vmBuilder) emitCond(c expr.Cond) (int, error) {
 	return 0, errNoRowForm
 }
 
-func (vb *vmBuilder) emitBoolPair(op rop, l, r expr.Cond) (int, error) {
-	a, err := vb.emitCond(l)
+// emitBoolPair emits l op r, the operands of the condition numbered k.
+func (vb *vmBuilder) emitBoolPair(op rop, l, r expr.Cond, k int) (int, error) {
+	a, err := vb.emitCond(l, vb.kid(k, 0))
 	if err != nil {
 		return 0, err
 	}
-	b, err := vb.emitCond(r)
+	b, err := vb.emitCond(r, vb.kid(k, 1))
 	if err != nil {
 		return 0, err
 	}

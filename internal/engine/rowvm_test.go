@@ -159,6 +159,12 @@ func TestRowVMMatchesScalar(t *testing.T) {
 		}(),
 		// Select over a BoolConst condition folds to the taken branch.
 		expr.Select{Cond: expr.BoolConst{V: false}, Then: expr.C(1), Else: g(x, y)},
+		// Floor and float division of the same operands print alike but are
+		// different values: value numbering must keep them apart.
+		func() expr.Expr {
+			c := expr.Cast{To: expr.Int, X: expr.MulE(g(x, y), expr.C(100))}
+			return expr.SubE(expr.Binary{Op: expr.FDiv, L: c, R: expr.C(7)}, expr.DivE(c, expr.C(7)))
+		}(),
 	}
 	for _, e := range cases {
 		vmHarness(t, e, bufs, []int64{3, 2}, 30)
@@ -362,7 +368,7 @@ func TestRowVMFallback(t *testing.T) {
 		expr.Binary{Op: expr.FDiv, L: expr.MulE(expr.C(5), y), R: expr.C(3)}), bufs, []int64{3, 0}, 8)
 
 	cp := &compiler{slots: map[string]int{"g": 0}}
-	vb := &vmBuilder{cp: cp, last: 1, memo: map[string]int{}, consts: map[uint64]int{}, counts: map[string]int{}}
+	vb := newVMBuilder(cp, 1)
 	sub := expr.MulE(g(x, y), expr.C(2))
 	id, err := vb.emitFallback(sub, &vb.fallWhy.Op)
 	if err != nil {

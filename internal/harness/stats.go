@@ -99,10 +99,18 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 		fmt.Fprintf(w, "  compile  %s\n", model.Compile.String())
 	}
 	if model.AutoScheduled {
-		fmt.Fprintf(w, "  search   %d states (%d evaluated, %d from memo), %d pruned; tiles per dimension %d, tile by tile %d, extrapolated %d\n",
+		fmt.Fprintf(w, "  search   %d states (%d evaluated, %d from memo), %d pruned; tiles per dimension %d, tile by tile %d, extrapolated %d",
 			model.SearchStates, model.SearchCostEvals, model.SearchCostCacheHits, model.SearchPruned,
 			model.SearchPerDimEvals, model.SearchEnumeratedEvals,
 			model.SearchCostEvals-model.SearchPerDimEvals-model.SearchEnumeratedEvals)
+		if model.UninlinedStates > 0 {
+			stop := "ran to the end"
+			if model.UninlinedBounded {
+				stop = "stopped at the inlined cost"
+			}
+			fmt.Fprintf(w, "; uninlined graph %d states, %s", model.UninlinedStates, stop)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "  lower    %s\n", model.Bind.String())
 	fmt.Fprintf(w, "  run      %.2f ms wall, %d workers, %.0f%% utilization\n",

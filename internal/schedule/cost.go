@@ -509,21 +509,21 @@ func (tp *TilePlan) tileAxes() (mem, ext [][]int, ok bool) {
 	// accesses hand them on.
 	for i := len(tp.members) - 1; i >= 0; i-- {
 		for _, a := range tp.members[i].in {
-			if !a.ok {
+			if !a.OK {
 				return nil, nil, false
 			}
-			if a.acc.Var >= 0 {
-				mm[a.target][a.dim] |= mm[i][a.acc.Var]
+			if a.Acc.Var >= 0 {
+				mm[a.target][a.ProducerDim] |= mm[i][a.Acc.Var]
 			}
 		}
 		for _, a := range tp.members[i].out {
 			switch {
-			case !a.ok:
+			case !a.OK:
 				// Widened to the producer's whole extent on every tile.
-			case a.acc.Var >= len(mm[i]):
-				em[a.target][a.dim] |= all
-			case a.acc.Var >= 0:
-				em[a.target][a.dim] |= mm[i][a.acc.Var]
+			case a.Acc.Var >= len(mm[i]):
+				em[a.target][a.ProducerDim] |= all
+			case a.Acc.Var >= 0:
+				em[a.target][a.ProducerDim] |= mm[i][a.Acc.Var]
 			}
 		}
 	}

@@ -68,6 +68,11 @@ type Grouping struct {
 	Searched  bool
 	ModelCost float64
 	Search    *SearchStats
+	// Uninlined is the effort of the search core.Compile ran on the
+	// uninlined graph when inlining substituted stages, whichever graph it
+	// kept (the same counters as Search when the uninlined graph won); nil
+	// when no such search ran.
+	Uninlined *SearchStats
 }
 
 // Digest is a short hash of the schedule actually chosen — every group's
@@ -154,12 +159,25 @@ func (o Options) withDefaults() Options {
 
 // argAccess is one index expression of one access: which producer (a stage
 // or an input image) and which of its dimensions it indexes, and its
-// quasi-affine form (OK reports whether it has one).
+// quasi-affine form (OK reports whether it has one). Read through a
+// graphInfo, off is Acc.Off under the graph's binding, or offErr why it has
+// no value there; a tile plan probes the access at every tile with them.
 type argAccess struct {
 	Target      string
 	ProducerDim int
 	Acc         affine.Access
 	OK          bool
+	off         int64
+	offErr      error
+}
+
+// rangeOver is Acc.RangeOver(varRange, binding) with the offset evaluated
+// once; an unbound parameter errors here, at the probe, as RangeOver would.
+func (aa *argAccess) rangeOver(varRange affine.Range) (affine.Range, error) {
+	if aa.offErr != nil {
+		return affine.Range{}, aa.offErr
+	}
+	return aa.Acc.RangeAt(aa.off, varRange), nil
 }
 
 // stageAccesses lists every index expression of every access a stage makes
@@ -219,11 +237,17 @@ func newGraphInfo(g *pipeline.Graph, params map[string]int64) *graphInfo {
 	}
 }
 
-// accesses returns stageAccesses of a stage of the graph.
+// accesses returns stageAccesses of a stage of the graph, with the offsets
+// of the quasi-affine ones evaluated under the graph's binding.
 func (gi *graphInfo) accesses(stage string) []argAccess {
 	a, ok := gi.accs[stage]
 	if !ok {
 		a = stageAccesses(gi.g.Stages[stage])
+		for i := range a {
+			if a[i].OK {
+				a[i].off, a[i].offErr = a[i].Acc.Off.Eval(gi.params)
+			}
+		}
 		gi.accs[stage] = a
 	}
 	return a

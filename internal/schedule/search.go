@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -19,7 +20,8 @@ import (
 // below one knob, every candidate merge is priced (memory traffic saved vs
 // halo recompute and footprint added, parallelism lost) and the cheapest
 // partition wins. Inlining decisions ride on top in internal/core, which
-// compares the searched model cost of the inlined and uninlined graphs.
+// searches the uninlined graph below the inlined graph's searched cost
+// (SearchGroupsBelow) and keeps whichever models cheaper.
 
 // AutoOptions tunes the cost-model search. The zero value means "use the
 // defaults" field by field.
@@ -146,6 +148,10 @@ type SearchStats struct {
 	// rest of CostEvals extrapolated from one interior tile.
 	PerDimEvals     int
 	EnumeratedEvals int
+	// Bounded reports that SearchGroupsBelow stopped because nothing left
+	// could beat its incumbent, before the search would have run dry on
+	// its own; the grouping returned then costs at least the incumbent.
+	Bounded bool
 }
 
 // searchState is one partition of the stages into groups. Group objects
@@ -196,6 +202,18 @@ type searcher struct {
 // valid Grouping exactly like BuildGroups produces, with Searched,
 // ModelCost, Search and per-group Cost populated.
 func SearchGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Grouping, error) {
+	return SearchGroupsBelow(g, est, opts, math.Inf(1))
+}
+
+// SearchGroupsBelow is SearchGroups for a caller that already holds a
+// schedule of model cost incumbent (under the same weights) and only wants
+// this graph's if it is cheaper. Before each round, when no frontier
+// state's lower bound is below min(best so far, incumbent), nothing the
+// search can still reach beats both, and it stops (Search.Bounded records
+// a stop the incumbent caused). The per-state prune is unchanged, so the
+// result is SearchGroups' whenever that costs less than incumbent — same
+// grouping, cost and counters — and otherwise costs at least incumbent.
+func SearchGroupsBelow(g *pipeline.Graph, est map[string]int64, opts Options, incumbent float64) (*Grouping, error) {
 	opts = opts.withDefaults()
 	var ao AutoOptions
 	if opts.AutoOpts != nil {
@@ -223,6 +241,9 @@ func SearchGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Group
 	// Each round merges one more pair somewhere; a partition of N stages
 	// supports at most N-1 merges.
 	for round := 0; round < len(g.Order) && len(frontier) > 0; round++ {
+		if s.cannotWin(frontier, best.total, incumbent) {
+			break
+		}
 		var next []*searchState
 		for _, st := range frontier {
 			if st.lowerBound(s.w) >= best.total {
@@ -268,6 +289,27 @@ func SearchGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Group
 		return nil, err
 	}
 	return gr, nil
+}
+
+// cannotWin is SearchGroupsBelow's stop rule, checked before a round: every
+// frontier state's lower bound is at least min(best, incumbent). Every state
+// a later round could visit descends from this frontier, so costs at least
+// that much. On a stop the frontier counts as pruned, as a round that
+// pruned each state would count it, and Bounded records whether some state
+// was below best alone (the unbounded search would have gone on).
+func (s *searcher) cannotWin(frontier []*searchState, best, incumbent float64) bool {
+	cut := min(best, incumbent)
+	bounded := false
+	for _, st := range frontier {
+		lb := st.lowerBound(s.w)
+		if !(lb >= cut) { // written so a NaN keeps searching, as the prune does
+			return false
+		}
+		bounded = bounded || !(lb >= best)
+	}
+	s.stats.Pruned += len(frontier)
+	s.stats.Bounded = bounded
+	return true
 }
 
 // seedStates builds the search's starting partitions: the all-singleton

@@ -55,10 +55,8 @@ type planMember struct {
 // planAccess is an argAccess with its target resolved to a position in
 // TilePlan.members (planMember.in) or TilePlan.ext (planMember.out).
 type planAccess struct {
+	argAccess
 	target int
-	dim    int
-	acc    affine.Access
-	ok     bool
 }
 
 type planExt struct {
@@ -126,7 +124,7 @@ func newTilePlan(gi *graphInfo, grp *Group) (*TilePlan, error) {
 			tp.LiveOuts = append(tp.LiveOuts, m)
 		}
 		for _, aa := range gi.accesses(m) {
-			pa := planAccess{dim: aa.ProducerDim, acc: aa.Acc, ok: aa.OK}
+			pa := planAccess{argAccess: aa}
 			if t, in := tp.index[aa.Target]; in {
 				if t != i {
 					pa.target = t
@@ -229,7 +227,7 @@ func (tp *TilePlan) InGroupAccesses(m string) []MemberAccess {
 	}
 	var out []MemberAccess
 	for _, a := range tp.members[i].in {
-		out = append(out, MemberAccess{Target: tp.Group.Members[a.target], ProducerDim: a.dim, Acc: a.acc, OK: a.ok})
+		out = append(out, MemberAccess{Target: tp.Group.Members[a.target], ProducerDim: a.ProducerDim, Acc: a.Acc, OK: a.OK})
 	}
 	return out
 }
@@ -376,20 +374,22 @@ func (tp *TilePlan) requiredInto(idx []int64, req []affine.Box) error {
 		if crq.Empty() {
 			continue
 		}
-		for _, a := range tp.members[i].in {
-			if !a.ok {
+		in := tp.members[i].in
+		for k := range in {
+			a := &in[k]
+			if !a.OK {
 				return fmt.Errorf("schedule: non-affine in-group access %s -> %s", tp.Group.Members[i], tp.Group.Members[a.target])
 			}
 			var varRange affine.Range
-			if a.acc.Var >= 0 {
-				varRange = crq[a.acc.Var]
+			if a.Acc.Var >= 0 {
+				varRange = crq[a.Acc.Var]
 			}
-			rng, err := a.acc.RangeOver(varRange, tp.Params)
+			rng, err := a.rangeOver(varRange)
 			if err != nil {
 				return err
 			}
 			prq := req[a.target]
-			prq[a.dim] = prq[a.dim].Union(rng.Intersect(tp.members[a.target].dom[a.dim]))
+			prq[a.ProducerDim] = prq[a.ProducerDim].Union(rng.Intersect(tp.members[a.target].dom[a.ProducerDim]))
 		}
 	}
 	// Clip to domains (in place).
@@ -441,25 +441,27 @@ func (tp *TilePlan) externalInto(req, out []affine.Box) error {
 		if crq.Empty() {
 			continue
 		}
-		for _, a := range tp.members[i].out {
+		reads := tp.members[i].out
+		for k := range reads {
+			a := &reads[k]
 			edom := tp.ext[a.target].dom
 			erq := out[a.target]
-			if !a.ok || a.acc.Var >= len(crq) {
+			if !a.OK || a.Acc.Var >= len(crq) {
 				// Non-affine access, or one indexed by a variable outside
 				// the member's output domain (a reduction variable):
 				// widen to the producer's whole extent.
-				erq[a.dim] = erq[a.dim].Union(edom[a.dim])
+				erq[a.ProducerDim] = erq[a.ProducerDim].Union(edom[a.ProducerDim])
 				continue
 			}
 			var varRange affine.Range
-			if a.acc.Var >= 0 {
-				varRange = crq[a.acc.Var]
+			if a.Acc.Var >= 0 {
+				varRange = crq[a.Acc.Var]
 			}
-			rng, err := a.acc.RangeOver(varRange, tp.Params)
+			rng, err := a.rangeOver(varRange)
 			if err != nil {
 				return err
 			}
-			erq[a.dim] = erq[a.dim].Union(rng.Intersect(edom[a.dim]))
+			erq[a.ProducerDim] = erq[a.ProducerDim].Union(rng.Intersect(edom[a.ProducerDim]))
 		}
 	}
 	return nil

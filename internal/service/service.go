@@ -594,12 +594,14 @@ func (s *Service) Metrics() Metrics {
 		}
 		if stats.AutoScheduled {
 			pm.Search = &SearchMetrics{
-				States:          stats.SearchStates,
-				Pruned:          stats.SearchPruned,
-				CostEvals:       stats.SearchCostEvals,
-				CostCacheHits:   stats.SearchCostCacheHits,
-				PerDimEvals:     stats.SearchPerDimEvals,
-				EnumeratedEvals: stats.SearchEnumeratedEvals,
+				States:           stats.SearchStates,
+				Pruned:           stats.SearchPruned,
+				CostEvals:        stats.SearchCostEvals,
+				CostCacheHits:    stats.SearchCostCacheHits,
+				PerDimEvals:      stats.SearchPerDimEvals,
+				EnumeratedEvals:  stats.SearchEnumeratedEvals,
+				UninlinedStates:  stats.UninlinedStates,
+				UninlinedBounded: stats.UninlinedBounded,
 			}
 		}
 		m.Programs = append(m.Programs, pm)
