@@ -28,12 +28,14 @@ test: vet bench-vet bench-smoke gen rowvm-race fleet-race stream-race gen-race n
 	$(GO) test ./...
 
 # Race-checked run of the row bytecode VM suite (differential vs scalar,
-# fusion/regalloc shape, fallback, float32 gate, end-to-end VM-vs-scalar
-# pipeline) and of the gather/scatter table (internal/difftest: gather
-# instruction and row-swept accumulator vs the scalar tier, threads 1 and 2,
-# out-of-region faults).
+# fusion/regalloc shape, fallback, float32 gate, register gauge, end-to-end
+# VM-vs-scalar pipeline; the one dispatch loop's float64, float32 and int64
+# instantiations, the int64 one held to == with float64 over uint8 programs)
+# and of the gather/scatter table (internal/difftest: gather instruction and
+# row-swept accumulator vs the scalar tier, threads 1 and 2, out-of-region
+# faults).
 rowvm-race:
-	$(GO) test -race -run TestRowVM ./internal/engine/ ./internal/difftest/
+	$(GO) test -race -run 'TestRowVM|TestVMInt' ./internal/engine/ ./internal/difftest/
 
 # Race-checked saturation stress of the shared-fleet scheduler: concurrent
 # same-program runs, multi-program interleaving on shared workers,
@@ -108,9 +110,10 @@ gen-bce:
 	done
 
 # Race-checked run of the narrow-type suite: uint8/uint16 end-to-end
-# execution and input validation, interval/cast soundness, the integer
-# row-VM opcodes, the narrow golden-oracle apps, the uint8 apps on generated
-# kernels vs the integer VM vs the reference (TestGenNarrowAppsMatchVM), and
+# execution and input validation, interval/cast soundness, the row VM's
+# int64 opcodes, the narrow golden-oracle apps, the uint8 apps on generated
+# kernels vs the row VM on int64 registers vs the reference
+# (TestGenNarrowAppsMatchVM), and
 # a short slice of the integer differential corpus under the narrow knob
 # sweep, narrow-gen included (the full corpus runs race-free in
 # `go test ./...`).
@@ -175,10 +178,12 @@ cover:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Engine microbenchmarks: stencils and combinations on the row VM, accumulators
-# and the repeated-Run steady state of the persistent executor.
+# Engine microbenchmarks: stencils, combinations and non-stencil programs
+# (deep trees in float64 and float32, selects, a uint8 box sum on int64
+# registers) on the row VM, accumulators and the repeated-Run steady state of
+# the persistent executor.
 bench-kernels:
-	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/
+	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRowEval|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/
 
 serve:
 	$(GO) run ./cmd/polymage-bench -serve harris -requests 100

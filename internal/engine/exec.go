@@ -281,7 +281,7 @@ func (p *Program) computeRegion(w *worker, ls *loweredStage, region affine.Box, 
 			continue
 		}
 		if piece.vm != nil {
-			p.vmLoop(w, piece, r, out)
+			vmLoop(w, piece.vm, r, out)
 			continue
 		}
 		p.scalarLoop(w, piece, r, out)
@@ -302,10 +302,11 @@ func intersectInto(dst, a, b affine.Box) affine.Box {
 }
 
 // vmLoop drives the row bytecode program over a region: one program
-// execution per row, writing straight into the output buffer. There is no
-// per-row bookkeeping: the VM's register file is preallocated and value
-// numbering already shares repeated subtrees within the program.
-func (p *Program) vmLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buffer) {
+// execution per row, over the register type lowering chose, stored straight
+// into the output buffer. There is no per-row bookkeeping: the VM's register
+// file is preallocated and value numbering already shares repeated subtrees
+// within the program.
+func vmLoop(w *worker, vm *rowVM, r affine.Box, out *Buffer) {
 	nd := len(r)
 	last := nd - 1
 	c := &w.ctx
@@ -316,25 +317,16 @@ func (p *Program) vmLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buff
 	for d := 0; d < nd; d++ {
 		pt[d] = r[d].Lo
 	}
-	rowLen := int64(c.n)
-	vm := piece.vm
-	f32 := vm.f32 && p.Opts.Fast
-	narrow := out.Elem != ElemF32
 	for {
 		pt[last] = r[last].Lo
 		off := out.Offset(pt)
-		switch {
-		case narrow && vm.intOK:
-			storeRowI64(out, off, vm.evalInt(c))
-		case narrow:
-			storeRowF64(out, off, vm.eval64(c))
+		switch vm.set {
+		case setF32:
+			storeRow(out, off, evalRow[float32](vm, c))
+		case setInt:
+			storeRow(out, off, evalRow[int64](vm, c))
 		default:
-			dst := out.Data[off : off+rowLen]
-			if f32 {
-				vm.run32(c, dst)
-			} else {
-				vm.run(c, dst)
-			}
+			storeRow(out, off, evalRow[float64](vm, c))
 		}
 		d := last - 1
 		for ; d >= 0; d-- {
@@ -598,7 +590,7 @@ func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box,
 		}
 		for d, vm := range ls.accIdxVM {
 			lo, hi, stride := out.Box[d].Lo, out.Box[d].Hi, out.Stride[d]
-			for i, v := range vm.eval64(c) {
+			for i, v := range evalRow[float64](vm, c) {
 				x := int64(v)
 				switch {
 				case offs[i] < 0:
@@ -616,7 +608,7 @@ func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box,
 				}
 			}
 		}
-		for i, v := range ls.accValVM.eval64(c) {
+		for i, v := range evalRow[float64](ls.accValVM, c) {
 			if off := offs[i]; off >= 0 {
 				out.Data[off] = applyReduce(ls.accOp, out.Data[off], float32(v))
 			}

@@ -213,7 +213,7 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 				u.Elems[i] = p.slotElem[p.slots[r]]
 			}
 			switch {
-			case piece.vm != nil && piece.vm.intOK:
+			case piece.vm != nil && piece.vm.set == setInt:
 				if !genIntForm(canon) {
 					miss.NarrowElem++
 					continue
@@ -221,7 +221,7 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 				u.Tier = "int"
 			case piece.vm != nil:
 				u.Tier = "rowvm"
-				u.F32 = piece.vm.f32
+				u.F32 = piece.vm.set == setF32
 			}
 			kb = fmt.Appendf(kb[:0], "%s rank=%d tier=%s f32=%v out=%s reads=", genABI, rank, u.Tier, u.F32, u.Out)
 			for _, el := range u.Elems {

@@ -19,7 +19,7 @@ import (
 
 // stencilBench runs a single-stage stencil of the given shape on the row VM.
 func stencilBench(b *testing.B, weights [][]float64, factor float64) {
-	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
+	rowEvalBench(b, expr.Float, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		return dsl.Stencil(I, factor, weights, [2]any{x, y})
 	})
 }
@@ -138,11 +138,12 @@ func BenchmarkAccumulator(b *testing.B) {
 
 // rowEvalBench compiles a single-stage pipeline whose expression is built
 // by mk and runs it b.N times through one Executor, recycling outputs so the
-// steady state exercises only the row VM (the stage's one piece).
-func rowEvalBench(b *testing.B, mk func(I *dsl.Image, x, y *dsl.Variable) expr.Expr) {
+// steady state exercises only the row VM (the stage's one piece). A UChar
+// input image compiles under NarrowTypes and is fed as uint8.
+func rowEvalBench(b *testing.B, ty expr.Type, mk func(I *dsl.Image, x, y *dsl.Variable) expr.Expr) {
 	bl := dsl.NewBuilder()
 	R, C := bl.Param("R"), bl.Param("C")
-	I := bl.Image("I", expr.Float, R.Affine().AddConst(4), C.Affine().AddConst(4))
+	I := bl.Image("I", ty, R.Affine().AddConst(4), C.Affine().AddConst(4))
 	x, y := bl.Var("x"), bl.Var("y")
 	dom := []dsl.Interval{
 		dsl.Span(affine.Const(0), R.Affine().AddConst(3)),
@@ -160,19 +161,26 @@ func rowEvalBench(b *testing.B, mk func(I *dsl.Image, x, y *dsl.Variable) expr.E
 	if err != nil {
 		b.Fatal(err)
 	}
+	narrow := ty == expr.UChar
+	if narrow {
+		in = ConvertBuffer(in, ElemU8)
+	}
 	FillPattern(in, 23)
 	inputs := map[string]*Buffer{"I": in}
 	gr, err := schedule.BuildGroups(g, params, schedule.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1})
+	prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1, NarrowTypes: narrow})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer prog.Close()
+	if st := prog.Stats().Stages[0]; narrow && !st.VMInt {
+		b.Fatalf("stage %s does not run the integer instruction set", st.Name)
+	}
 	e := prog.Executor()
-	b.SetBytes(int64((params["R"] + 4) * (params["C"] + 4) * 4))
+	b.SetBytes((params["R"] + 4) * (params["C"] + 4) * in.Elem.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := e.Run(inputs)
@@ -202,7 +210,7 @@ func deepTreeExpr(I *dsl.Image, x, y *dsl.Variable, nTaps int, weight float64) e
 // Deep arithmetic tree, float64 accumulation (mass 16 blocks the VM's f32
 // instruction set).
 func BenchmarkRowEvalDeepTreeF64(b *testing.B) {
-	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
+	rowEvalBench(b, expr.Float, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		return dsl.Min(deepTreeExpr(I, x, y, 16, 1.0), 1e6)
 	})
 }
@@ -210,7 +218,7 @@ func BenchmarkRowEvalDeepTreeF64(b *testing.B) {
 // Deep arithmetic tree, normalized: the VM runs its float32 instruction
 // set.
 func BenchmarkRowEvalDeepTreeF32(b *testing.B) {
-	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
+	rowEvalBench(b, expr.Float, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		return dsl.Min(dsl.Max(deepTreeExpr(I, x, y, 16, 0.5), 0.0), 1.0)
 	})
 }
@@ -218,7 +226,7 @@ func BenchmarkRowEvalDeepTreeF32(b *testing.B) {
 // Select-heavy stage: data-dependent blend with compound conditions (the
 // VM's masked-select path; always float64 — selects disqualify f32).
 func BenchmarkRowEvalSelect(b *testing.B) {
-	rowEvalBench(b, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
+	rowEvalBench(b, expr.Float, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
 		c := I.At(x, y)
 		l := I.At(x, dsl.Sub(y, 1))
 		r := I.At(x, dsl.Add(y, 1))
@@ -226,6 +234,15 @@ func BenchmarkRowEvalSelect(b *testing.B) {
 		return dsl.Sel(dsl.Cond(edge, ">", 0.1),
 			dsl.Sel(dsl.Cond(c, ">", 0.5), dsl.Mul(c, 0.75), dsl.Add(c, 0.1)),
 			dsl.Mul(dsl.Add(dsl.Add(l, r), dsl.Mul(2.0, c)), 0.25))
+	})
+}
+
+// uint8 3x3 box sum floor-divided by 16 under NarrowTypes: the stage is
+// provably integral, so the VM runs its int64 instruction set.
+func BenchmarkRowEvalInt(b *testing.B) {
+	rowEvalBench(b, expr.UChar, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
+		box := [][]float64{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}}
+		return dsl.IDiv(dsl.Stencil(I, 1, box, [2]any{x, y}), 16)
 	})
 }
 

@@ -57,7 +57,7 @@ func (a iv) union(b iv) iv {
 	if !a.ok || !b.ok {
 		return ivBad()
 	}
-	return ivRange(min64(a.lo, b.lo), max64(a.hi, b.hi))
+	return ivRange(min(a.lo, b.lo), max(a.hi, b.hi))
 }
 
 // stageNarrow is the per-stage inference result.
@@ -246,11 +246,11 @@ func ivBin(op expr.BinOp, a, b iv) iv {
 		return ivRange(a.lo-b.hi, a.hi-b.lo)
 	case expr.Mul:
 		p1, p2, p3, p4 := a.lo*b.lo, a.lo*b.hi, a.hi*b.lo, a.hi*b.hi
-		return ivRange(min64(min64(p1, p2), min64(p3, p4)), max64(max64(p1, p2), max64(p3, p4)))
+		return ivRange(min(min(p1, p2), min(p3, p4)), max(max(p1, p2), max(p3, p4)))
 	case expr.Min:
-		return ivRange(min64(a.lo, b.lo), min64(a.hi, b.hi))
+		return ivRange(min(a.lo, b.lo), min(a.hi, b.hi))
 	case expr.Max:
-		return ivRange(max64(a.lo, b.lo), max64(a.hi, b.hi))
+		return ivRange(max(a.lo, b.lo), max(a.hi, b.hi))
 	case expr.FDiv:
 		// Floor division is exact and monotone in each operand when the
 		// divisor is a positive integer, so the extrema sit at interval
@@ -262,7 +262,7 @@ func ivBin(op expr.BinOp, a, b iv) iv {
 		q2 := affine.FloorDiv(a.lo, b.hi)
 		q3 := affine.FloorDiv(a.hi, b.lo)
 		q4 := affine.FloorDiv(a.hi, b.hi)
-		return ivRange(min64(min64(q1, q2), min64(q3, q4)), max64(max64(q1, q2), max64(q3, q4)))
+		return ivRange(min(min(q1, q2), min(q3, q4)), max(max(q1, q2), max(q3, q4)))
 	case expr.Mod:
 		// math.Mod on integers matches Go's % (result takes the dividend's
 		// sign, |result| < |divisor|); require a divisor interval that
@@ -270,9 +270,9 @@ func ivBin(op expr.BinOp, a, b iv) iv {
 		if b.lo <= 0 && b.hi >= 0 {
 			return ivBad()
 		}
-		m := max64(abs64i(b.lo), abs64i(b.hi)) - 1
-		lo := max64(-m, min64(a.lo, 0))
-		hi := min64(m, max64(a.hi, 0))
+		m := max(abs64i(b.lo), abs64i(b.hi)) - 1
+		lo := max(-m, min(a.lo, 0))
+		hi := min(m, max(a.hi, 0))
 		return ivRange(lo, hi)
 	}
 	// Div (true division), Pow: results are not integral in general.
@@ -293,7 +293,7 @@ func ivUn(op expr.UnOp, x iv) iv {
 		} else if x.hi < 0 {
 			lo = -x.hi
 		}
-		return ivRange(lo, max64(abs64i(x.lo), abs64i(x.hi)))
+		return ivRange(lo, max(abs64i(x.lo), abs64i(x.hi)))
 	case expr.Floor, expr.Ceil:
 		// Identity on an already-integral interval.
 		return x
@@ -346,20 +346,6 @@ func ivCast(to expr.Type, x iv, exact *bool) iv {
 		return ivRange(lo, hi)
 	}
 	return ivRange(clamp64(x.lo, lo, hi), clamp64(x.hi, lo, hi))
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func abs64i(a int64) int64 {

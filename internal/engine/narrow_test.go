@@ -306,40 +306,25 @@ func TestNarrowGenKeys(t *testing.T) {
 // TestVMIntOpcodes: vmIntOK accepts the integer subset and rejects
 // instructions whose results are not integral.
 func TestVMIntOpcodes(t *testing.T) {
-	mkVM := func(e expr.Expr, bufs map[string]*Buffer) *rowVM {
-		slots := map[string]int{}
-		var ctxBufs []*Buffer
-		for name, b := range bufs {
-			slots[name] = len(ctxBufs)
-			ctxBufs = append(ctxBufs, b)
-		}
-		cp := &compiler{slots: slots, params: map[string]int64{}}
-		vm, err := cp.compileRowVM(e, 0)
+	cp := &compiler{slots: map[string]int{"I": 0}, params: map[string]int64{}}
+	intSet := func(e expr.Expr) bool {
+		vm, err := cp.compileRowVM(e, 0, setInt)
 		if err != nil {
 			t.Fatalf("compileRowVM: %v", err)
 		}
-		_ = ctxBufs
-		return vm
+		return vm.set == setInt
 	}
-	box := affine.Box{{Lo: 0, Hi: 31}}
-	u8 := NewBufferElem(box, ElemU8)
-	x := expr.VarRef{Dim: 0}
-	acc := expr.Access{Target: "I", Args: []expr.Expr{x}}
-
-	intOK := mkVM(expr.Binary{Op: expr.Add, L: acc, R: expr.Const{V: 3}}, map[string]*Buffer{"I": u8})
-	if !intOK.intOK {
+	acc := expr.Access{Target: "I", Args: []expr.Expr{expr.VarRef{Dim: 0}}}
+	if !intSet(expr.Binary{Op: expr.Add, L: acc, R: expr.Const{V: 3}}) {
 		t.Error("integral add rejected by vmIntOK")
 	}
-	floatImm := mkVM(expr.Binary{Op: expr.Mul, L: acc, R: expr.Const{V: 0.5}}, map[string]*Buffer{"I": u8})
-	if floatImm.intOK {
+	if intSet(expr.Binary{Op: expr.Mul, L: acc, R: expr.Const{V: 0.5}}) {
 		t.Error("fractional immediate accepted by vmIntOK")
 	}
-	trueDiv := mkVM(expr.Binary{Op: expr.Div, L: acc, R: expr.Const{V: 2}}, map[string]*Buffer{"I": u8})
-	if trueDiv.intOK {
+	if intSet(expr.Binary{Op: expr.Div, L: acc, R: expr.Const{V: 2}}) {
 		t.Error("true division accepted by vmIntOK")
 	}
-	sqrt := mkVM(expr.Unary{Op: expr.Sqrt, X: acc}, map[string]*Buffer{"I": u8})
-	if sqrt.intOK {
+	if intSet(expr.Unary{Op: expr.Sqrt, X: acc}) {
 		t.Error("sqrt accepted by vmIntOK")
 	}
 }

@@ -1,48 +1,21 @@
 package engine
 
-// Row-granular widening loads and narrowing stores for narrow-typed
-// buffers. The element-type switch runs once per row; the inner loops are
-// monomorphic over the concrete element type, so the float64 row paths and
-// the integer VM pay one predictable branch per row when a pipeline mixes
-// element types (e.g. a float stage reading a uint8 input image).
+// Row-granular loads and stores between buffers of every element type and
+// row-VM registers of every type. The element-type switch runs once per row;
+// the inner loops are monomorphic over the element and register types, so a
+// pipeline that mixes element types (e.g. a float stage reading a uint8
+// input image) pays one predictable branch per row. Widening is exact for
+// every pairing lowering admits: integer elements into any register type,
+// float32 elements into float registers, and into int64 registers only on
+// stages proved integral within ±2^24.
 
-import "repro/internal/numeric"
-
-type narrowSrc interface {
-	~uint8 | ~uint16 | ~int32 | ~float32
+type elemNum interface {
+	uint8 | uint16 | int32 | float32
 }
 
-func widenRowT[T narrowSrc](t []float64, src []T, p, stride int64) {
-	if stride == 1 {
-		s := src[p : p+int64(len(t))]
-		for i := range t {
-			t[i] = float64(s[i])
-		}
-		return
-	}
-	for i := range t {
-		t[i] = float64(src[p])
-		p += stride
-	}
-}
-
-func madRowT[T narrowSrc](t, a []float64, w float64, src []T, p, stride int64) {
-	if stride == 1 {
-		s := src[p : p+int64(len(t))]
-		for i := range t {
-			t[i] = a[i] + w*float64(s[i])
-		}
-		return
-	}
-	for i := range t {
-		t[i] = a[i] + w*float64(src[p])
-		p += stride
-	}
-}
-
-// vmWidenRow reads len(t) elements starting at flat offset p with the given
-// stride, widened to float64.
-func vmWidenRow(t []float64, b *Buffer, p, stride int64) {
+// widenRow reads len(t) elements of b starting at flat offset p, stride
+// apart.
+func widenRow[T vmNum](t []T, b *Buffer, p, stride int64) {
 	switch b.Elem {
 	case ElemU8:
 		widenRowT(t, b.U8, p, stride)
@@ -55,9 +28,27 @@ func vmWidenRow(t []float64, b *Buffer, p, stride int64) {
 	}
 }
 
-// vmMadRowNarrow computes t[i] = a[i] + w·src[i] over a narrow source row;
-// safe when t aliases a.
-func vmMadRowNarrow(t, a []float64, w float64, b *Buffer, p, stride int64) {
+func widenRowT[T vmNum, E elemNum](t []T, src []E, p, stride int64) {
+	if stride == 1 {
+		s := src[p : p+int64(len(t))]
+		if same, ok := any(t).([]E); ok {
+			copy(same, s) // float32 registers from float32 data
+			return
+		}
+		for i := range t {
+			t[i] = T(s[i])
+		}
+		return
+	}
+	for i := range t {
+		t[i] = T(src[p])
+		p += stride
+	}
+}
+
+// madRow computes t[i] = a[i] + w·src[i] over the row widenRow would read,
+// or t[i] = w·src[i] when a is nil; t may alias a.
+func madRow[T vmNum](t, a []T, w T, b *Buffer, p, stride int64) {
 	switch b.Elem {
 	case ElemU8:
 		madRowT(t, a, w, b.U8, p, stride)
@@ -70,130 +61,93 @@ func vmMadRowNarrow(t, a []float64, w float64, b *Buffer, p, stride int64) {
 	}
 }
 
-// widenRowI64 reads len(t) elements at flat offset p with the given stride
-// into int64 registers (integer-VM loads; exact for every integer element
-// type, and for float32 sources holding integers within ±2^24 — which is
-// all the integer VM is ever dispatched on).
-func widenRowI64(t []int64, b *Buffer, p, stride int64) {
-	switch b.Elem {
-	case ElemU8:
-		if stride == 1 {
-			s := b.U8[p : p+int64(len(t))]
-			for i := range t {
-				t[i] = int64(s[i])
-			}
-		} else {
-			for i := range t {
-				t[i] = int64(b.U8[p])
-				p += stride
-			}
+func madRowT[T vmNum, E elemNum](t, a []T, w T, src []E, p, stride int64) {
+	switch {
+	case stride == 1 && a == nil:
+		s := src[p : p+int64(len(t))]
+		for i := range t {
+			t[i] = w * T(s[i])
 		}
-	case ElemU16:
-		if stride == 1 {
-			s := b.U16[p : p+int64(len(t))]
-			for i := range t {
-				t[i] = int64(s[i])
-			}
-		} else {
-			for i := range t {
-				t[i] = int64(b.U16[p])
-				p += stride
-			}
+	case stride == 1:
+		s, a := src[p:p+int64(len(t))], a[:len(t)]
+		for i := range t {
+			t[i] = a[i] + w*T(s[i])
 		}
-	case ElemI32:
-		if stride == 1 {
-			s := b.I32[p : p+int64(len(t))]
-			for i := range t {
-				t[i] = int64(s[i])
-			}
-		} else {
-			for i := range t {
-				t[i] = int64(b.I32[p])
-				p += stride
-			}
+	case a == nil:
+		for i := range t {
+			t[i] = w * T(src[p])
+			p += stride
 		}
 	default:
-		if stride == 1 {
-			s := b.Data[p : p+int64(len(t))]
-			for i := range t {
-				t[i] = int64(s[i])
-			}
-		} else {
-			for i := range t {
-				t[i] = int64(b.Data[p])
-				p += stride
-			}
+		a := a[:len(t)]
+		for i := range t {
+			t[i] = a[i] + w*T(src[p])
+			p += stride
 		}
 	}
 }
 
-// loadI64 reads one element at flat offset off as int64.
-func loadI64(b *Buffer, off int64) int64 {
+// gatherRow reads t[i] = b's element at flat offset offs[i].
+func gatherRow[T vmNum](t []T, b *Buffer, offs []int64) {
 	switch b.Elem {
 	case ElemU8:
-		return int64(b.U8[off])
+		gatherRowT(t, b.U8, offs)
 	case ElemU16:
-		return int64(b.U16[off])
+		gatherRowT(t, b.U16, offs)
 	case ElemI32:
-		return int64(b.I32[off])
+		gatherRowT(t, b.I32, offs)
+	default:
+		gatherRowT(t, b.Data, offs)
 	}
-	return int64(b.Data[off])
 }
 
-// storeRowF64 writes a float64 result row into out at flat offset off,
-// narrowing per the buffer's element type with the tier-shared saturating
-// semantics.
-func storeRowF64(out *Buffer, off int64, vals []float64) {
+func gatherRowT[T vmNum, E elemNum](t []T, src []E, offs []int64) {
+	offs = offs[:len(t)]
+	for i := range t {
+		t[i] = T(src[offs[i]])
+	}
+}
+
+// storeRow writes a result row into out at flat offset off, narrowing per
+// the buffer's element type.
+func storeRow[T vmNum](out *Buffer, off int64, vals []T) {
+	end := off + int64(len(vals))
 	switch out.Elem {
 	case ElemU8:
-		dst := out.U8[off : off+int64(len(vals))]
-		for i, v := range vals {
-			dst[i] = numeric.SatU8(v)
-		}
+		satRow(out.U8[off:end], vals, 0, 255)
 	case ElemU16:
-		dst := out.U16[off : off+int64(len(vals))]
-		for i, v := range vals {
-			dst[i] = numeric.SatU16(v)
-		}
+		satRow(out.U16[off:end], vals, 0, 65535)
 	case ElemI32:
-		dst := out.I32[off : off+int64(len(vals))]
-		for i, v := range vals {
-			dst[i] = numeric.SatI32(v)
-		}
+		satRow(out.I32[off:end], vals, -1<<31, 1<<31-1)
 	default:
-		dst := out.Data[off : off+int64(len(vals))]
+		dst := out.Data[off:end]
+		if same, ok := any(vals).([]float32); ok {
+			copy(dst, same)
+			return
+		}
 		for i, v := range vals {
 			dst[i] = float32(v)
 		}
 	}
 }
 
-// storeRowI64 writes an integer result row into out at flat offset off.
-// The integer VM only runs on stages whose inferred interval fits the
-// chosen element type, so the clamp below never fires on a sound program —
-// it keeps the saturating semantics anyway (cheap insurance, same contract
-// as StoreF64).
-func storeRowI64(out *Buffer, off int64, vals []int64) {
-	switch out.Elem {
-	case ElemU8:
-		dst := out.U8[off : off+int64(len(vals))]
-		for i, v := range vals {
-			dst[i] = uint8(clamp64(v, 0, 255))
-		}
-	case ElemU16:
-		dst := out.U16[off : off+int64(len(vals))]
-		for i, v := range vals {
-			dst[i] = uint16(clamp64(v, 0, 65535))
-		}
-	case ElemI32:
-		dst := out.I32[off : off+int64(len(vals))]
-		for i, v := range vals {
-			dst[i] = int32(clamp64(v, -1<<31, 1<<31-1))
-		}
-	default:
-		dst := out.Data[off : off+int64(len(vals))]
-		for i, v := range vals {
-			dst[i] = float32(v)
+// satRow narrows with internal/numeric's saturating rules: NaN → 0, beyond
+// a bound → the bound, else truncation toward zero (numeric.SatI32 tests
+// 2^31, but a float in [2^31-1, 2^31) truncates to hi either way). On the
+// int64 registers of a sound program the bounds never bind.
+func satRow[E uint8 | uint16 | int32, T vmNum](dst []E, vals []T, lo, hi int64) {
+	l, h := T(lo), T(hi)
+	dst = dst[:len(vals)]
+	for i, v := range vals {
+		switch {
+		case v < h && v >= l:
+			dst[i] = E(v)
+		case v >= h:
+			dst[i] = E(hi)
+		case v < l:
+			dst[i] = E(lo)
+		default: // NaN
+			dst[i] = 0
 		}
 	}
 }

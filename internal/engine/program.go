@@ -439,7 +439,7 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 				}
 				ls.accIdxVM = append(ls.accIdxVM, vm)
 			}
-			ls.accValVM, err = cp.compileRowVM(st.AccValue, last)
+			ls.accValVM, err = cp.compileRowVM(st.AccValue, last, setF64)
 			if err != nil {
 				return nil, err
 			}
@@ -487,21 +487,25 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 		if err != nil {
 			return nil, err
 		}
-		// Compile the row program. Narrow-involved pieces (the stage stores
-		// a narrow type, or any access reads a narrow slot) drop f32: the
-		// f32 VM reads float32 backing arrays directly, and its rounding
-		// would break the narrow layout's exact-equality guarantee. They run
-		// on the integer VM when the stage is provably integral, else on the
-		// VM's float64 loop.
+		// Compile the row program and pick its register type. A provably
+		// integral stage (which stores a narrow type) asks for int64.
+		// Narrow-involved pieces (the stage stores a narrow type, or any
+		// access reads a narrow slot) never get float32: its rounding would
+		// break the narrow layout's exact-equality guarantee. The rest ask
+		// for float32. compileRowVM falls back to float64 when the program
+		// fails the requested set's gate.
 		if p.Opts.Fast && piece.pred == nil {
-			piece.vm, err = cp.compileRowVM(c.E, nd-1)
+			want := setF64
+			switch {
+			case ls.intExact:
+				want = setInt
+			case ls.elem == ElemF32 && !cp.readsNarrow(c.E):
+				want = setF32
+			}
+			piece.vm, err = cp.compileRowVM(c.E, nd-1, want)
 			if err != nil {
 				return nil, err
 			}
-			if ls.elem != ElemF32 || cp.readsNarrow(c.E) {
-				piece.vm.f32 = false
-			}
-			piece.vm.intOK = piece.vm.intOK && ls.intExact
 		}
 		ls.pieces = append(ls.pieces, piece)
 	}
@@ -613,12 +617,8 @@ func (p *Program) Stats() obs.ProgramStats {
 			case piece.vm != nil:
 				sm.RowVM++
 				vmShape(piece.vm)
-				if piece.vm.f32 {
-					sm.VMF32 = true
-				}
-				if piece.vm.intOK {
-					sm.VMInt = true
-				}
+				sm.VMF32 = sm.VMF32 || piece.vm.set == setF32
+				sm.VMInt = sm.VMInt || piece.vm.set == setInt
 			default:
 				sm.Scalar++
 			}

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/affine"
 	"repro/internal/expr"
@@ -24,9 +25,10 @@ import (
 // file of reused row buffers, a peephole pass fuses adjacent ops into
 // superinstructions (mulAdd, axpy, shifted-load-accumulate for stencil
 // taps, clampSel, const folding), and one switch-dispatch loop per row
-// executes the program, so a deep tree runs in 3-6 live rows and a fused
-// stencil tap is one instruction instead of a load row, a scale row and an
-// add row. Indirect addressing has a row form too: an access with a
+// executes the program (evalRow, generic over the register type: float64,
+// float32 or int64, see vmSet), so a deep tree runs in 3-6 live rows and a
+// fused stencil tap is one instruction instead of a load row, a scale row
+// and an add row. Indirect addressing has a row form too: an access with a
 // data-dependent index argument (hist(I(x,y)), a trilinear grid tap), or with
 // several arguments varying along the row, compiles to a gather instruction
 // whose index arguments are ordinary value-numbered rows, so an index shared
@@ -242,7 +244,7 @@ func (g *vmGather) run(c *RowCtx, regs [][]float64, t []float64) {
 		}
 		base += (x - b.Box[d].Lo) * b.Stride[d]
 	}
-	offs := c.vm.ensureOffs(len(t))
+	offs := c.vm.offsRow(len(t))
 	first := true
 	for d, r := range g.regs {
 		if r < 0 {
@@ -268,32 +270,21 @@ func (g *vmGather) run(c *RowCtx, regs [][]float64, t []float64) {
 			}
 		}
 	}
-	if b.Elem != ElemF32 {
-		for i, off := range offs {
-			t[i] = b.LoadF64(off)
-		}
-		return
-	}
-	data := b.Data
-	for i, off := range offs {
-		t[i] = float64(data[off])
-	}
+	gatherRow(t, b, offs)
 }
 
-// rinstr is one encoded three-address row instruction. a/b are float
+// rinstr is one encoded three-address row instruction. a/b are value
 // register operands (bool registers for the bool-logic ops), m is the bool
-// operand of rSelect and the third float operand of rMulAdd. imm32/imm232
-// are the immediates pre-narrowed for the float32 dispatch loop.
+// operand of rSelect and the third value operand of rMulAdd. The immediates
+// convert to the register type where they are used.
 type rinstr struct {
-	op     rop
-	dst    uint16
-	a, b   uint16
-	m      uint16
-	aux    int32
-	imm    float64
-	imm2   float64
-	imm32  float32
-	imm232 float32
+	op   rop
+	dst  uint16
+	a, b uint16
+	m    uint16
+	aux  int32
+	imm  float64
+	imm2 float64
 }
 
 // rowVM is a compiled row program for one stage piece.
@@ -306,70 +297,82 @@ type rowVM struct {
 	// fallWhy counts falls by the reason no row instruction covered the
 	// subtree (Program.Stats).
 	fallWhy obs.VMFalls
-	nRegs   int    // float row registers (liveness high-water mark)
+	nRegs   int    // value row registers (liveness high-water mark)
 	nBool   int    // bool row registers
 	res     uint16 // register holding the finished row
 	fused   int    // superinstructions emitted by the peephole pass
-	f32     bool   // program qualifies for the float32 instruction set
-	// intOK: the program qualifies for the integer instruction set
-	// (rowvmint.go). Set only for stages bitwidth inference proved integral
-	// within ±2^24 (program.go masks the structural check with the
-	// stage-level proof), where int64 and float64 evaluation are
-	// bit-identical after the narrowing store.
-	intOK bool
+	set     vmSet  // register type the program executes over
 }
 
-// vmRegs is the per-worker register file backing rowVM execution; rows are
-// grown on demand and persist across rows, tiles and runs. gauge (shared
-// across an executor's workers) tracks the pinned bytes for
-// Executor.Snapshot; nil outside the executor.
+// vmSet names the register type a row program executes over; lowering
+// picks it once per piece (compileRowVM's want, confirmed by the program's
+// gate). float32 needs vmFloat32OK and a stage that neither stores nor reads
+// a narrow type. int64 needs vmIntOK and a stage bitwidth inference proved
+// integral within ±2^24 (loweredStage.intExact, which implies narrow
+// storage): there int64 and float64 evaluation are bit-identical after the
+// narrowing store. Every other program runs on float64.
+type vmSet uint8
+
+const (
+	setF64 vmSet = iota
+	setF32
+	setInt
+)
+
+// vmNum is the register type of one instantiation of the row VM.
+type vmNum interface{ float32 | float64 | int64 }
+
+// vmRegs is the per-worker register file backing rowVM execution, one row
+// set per register type; rows are grown on demand and persist across rows,
+// tiles and runs. gauge (shared across an executor's workers) tracks the
+// pinned bytes for Executor.Snapshot; nil outside the executor.
 type vmRegs struct {
-	f     [][]float64
+	f64   [][]float64
 	f32   [][]float32
-	i     [][]int64
+	i64   [][]int64
 	b     [][]bool
-	offs  []int64 // flat-offset row of the gather in flight
+	offs  []int64 // flat-offset row of the gather or divided load in flight
 	gauge *atomic.Int64
 }
 
-func (vr *vmRegs) ensureOffs(n int) []int64 {
-	if len(vr.offs) < n {
-		if vr.gauge != nil {
-			vr.gauge.Add(int64(n-len(vr.offs)) * 8)
-		}
-		vr.offs = make([]int64, n)
+// regFile returns the worker's rows of register type T.
+func regFile[T vmNum](vr *vmRegs) *[][]T {
+	var f any = &vr.f64
+	switch any(T(0)).(type) {
+	case float32:
+		f = &vr.f32
+	case int64:
+		f = &vr.i64
 	}
+	return f.(*[][]T)
+}
+
+// growRow returns row if it holds n elements, else a new n-element row,
+// adding the growth in bytes to gauge.
+func growRow[E any](row []E, n int, gauge *atomic.Int64) []E {
+	if len(row) >= n {
+		return row
+	}
+	if gauge != nil {
+		gauge.Add(int64(n-len(row)) * int64(unsafe.Sizeof(row[0])))
+	}
+	return make([]E, n)
+}
+
+// growRows grows the first nr rows to n elements each.
+func growRows[E any](rows [][]E, nr, n int, gauge *atomic.Int64) [][]E {
+	for len(rows) < nr {
+		rows = append(rows, nil)
+	}
+	for i := range rows[:nr] {
+		rows[i] = growRow(rows[i], n, gauge)
+	}
+	return rows
+}
+
+func (vr *vmRegs) offsRow(n int) []int64 {
+	vr.offs = growRow(vr.offs, n, vr.gauge)
 	return vr.offs[:n]
-}
-
-func (vr *vmRegs) ensureF(nr, n int) [][]float64 {
-	for len(vr.f) < nr {
-		vr.f = append(vr.f, nil)
-	}
-	for i := 0; i < nr; i++ {
-		if len(vr.f[i]) < n {
-			if vr.gauge != nil {
-				vr.gauge.Add(int64(n-len(vr.f[i])) * 8)
-			}
-			vr.f[i] = make([]float64, n)
-		}
-	}
-	return vr.f
-}
-
-func (vr *vmRegs) ensureB(nb, n int) [][]bool {
-	for len(vr.b) < nb {
-		vr.b = append(vr.b, nil)
-	}
-	for i := 0; i < nb; i++ {
-		if len(vr.b[i]) < n {
-			if vr.gauge != nil {
-				vr.gauge.Add(int64(n - len(vr.b[i])))
-			}
-			vr.b[i] = make([]bool, n)
-		}
-	}
-	return vr.b
 }
 
 // vmValue is one SSA value of the linearized program, before register
@@ -418,10 +421,12 @@ func newVMBuilder(cp *compiler, last int) *vmBuilder {
 }
 
 // compileRowVM lowers an expression to a row bytecode program. last is the
-// innermost dimension index of the stage's domain (its rank - 1). It is
-// total over row-evaluable stages: subtrees without a row form lower to
-// per-element fallback instructions.
-func (cp *compiler) compileRowVM(e expr.Expr, last int) (*rowVM, error) {
+// innermost dimension index of the stage's domain (its rank - 1); want is
+// the register type the stage permits (see vmSet), kept when the program
+// passes that type's gate, float64 otherwise. It is total over row-evaluable
+// stages: subtrees without a row form lower to per-element fallback
+// instructions.
+func (cp *compiler) compileRowVM(e expr.Expr, last int, want vmSet) (*rowVM, error) {
 	vb := newVMBuilder(cp, last)
 	vb.num = expr.NewNumbering()
 	root := vb.num.Expr(e)
@@ -433,7 +438,7 @@ func (cp *compiler) compileRowVM(e expr.Expr, last int) (*rowVM, error) {
 	if err != nil {
 		return nil, err
 	}
-	return vb.finish(res), nil
+	return vb.finish(res, want), nil
 }
 
 // kid is the number of operand i of the subtree numbered k.
@@ -449,14 +454,14 @@ func (vb *vmBuilder) shared(k int) bool { return vb.num.Uses(k) > 1 }
 func (cp *compiler) compileRowIdx(e expr.Expr, last int) (*rowVM, error) {
 	aff, ok := expr.ToAffineAccess(e)
 	if !ok {
-		return cp.compileRowVM(e, last)
+		return cp.compileRowVM(e, last, setF64)
 	}
 	off, err := aff.Off.Eval(cp.params)
 	if err != nil {
 		return nil, err
 	}
 	vb := newVMBuilder(cp, last)
-	return vb.finish(vb.emitIdx(aff, off)), nil
+	return vb.finish(vb.emitIdx(aff, off), setF64), nil
 }
 
 func (vb *vmBuilder) push(v vmValue) int {
@@ -1030,7 +1035,7 @@ func (vb *vmBuilder) emitBoolPair(op rop, l, r expr.Cond, k int) (int, error) {
 // last consumer executes — freeing happens before the consumer's own
 // destination is assigned, so elementwise ops may compute in place (every
 // op reads operand element i before writing destination element i).
-func (vb *vmBuilder) finish(res int) *rowVM {
+func (vb *vmBuilder) finish(res int, want vmSet) *rowVM {
 	n := len(vb.vals)
 	lastUse := make([]int, n)
 	for i := range lastUse {
@@ -1097,9 +1102,7 @@ func (vb *vmBuilder) finish(res int) *rowVM {
 
 	ins := make([]rinstr, n)
 	for i, v := range vb.vals {
-		in := rinstr{op: v.op, dst: uint16(reg[i]), aux: v.aux,
-			imm: v.imm, imm2: v.imm2,
-			imm32: float32(v.imm), imm232: float32(v.imm2)}
+		in := rinstr{op: v.op, dst: uint16(reg[i]), aux: v.aux, imm: v.imm, imm2: v.imm2}
 		if v.a >= 0 {
 			in.a = uint16(reg[v.a])
 		}
@@ -1121,162 +1124,69 @@ func (vb *vmBuilder) finish(res int) *rowVM {
 	vm := &rowVM{instrs: ins, loads: vb.loads, idxs: vb.idxs, gathers: vb.gathers,
 		falls: vb.falls, fallWhy: vb.fallWhy,
 		nRegs: nF, nBool: nB, res: uint16(reg[res]), fused: vb.fused}
-	vm.f32 = vmFloat32OK(vb.vals, res)
-	vm.intOK = vmIntOK(vb.vals)
+	if want == setF32 && vmFloat32OK(vb.vals, res) || want == setInt && vmIntOK(vb.vals) {
+		vm.set = want
+	}
 	return vm
 }
 
-// run evaluates the program for the current row (c.n, c.jLo, c.pt) and
-// writes the narrowed result into dst.
-func (vm *rowVM) run(c *RowCtx, dst []float32) {
-	res := vm.eval64(c)
-	for i := range dst {
-		dst[i] = float32(res[i])
-	}
-}
-
-// loadRow resolves a load's buffer, row pointer and stride for unit-form
-// loads (rLoadU, rLoadMulI, rMadLoad).
+// loadRow resolves a unit or strided load's buffer, first flat offset and
+// step along the row.
 func (l *vmLoad) loadRow(c *RowCtx) (*Buffer, int64, int64) {
 	b, base := l.rowBase(c)
-	stride := b.Stride[l.varDim]
-	p := base + (c.jLo+l.offs[l.varDim]-b.Box[l.varDim].Lo)*stride
-	return b, p, stride
+	coeff, stride := l.affs[l.varDim].Coeff, b.Stride[l.varDim]
+	return b, base + (coeff*c.jLo+l.offs[l.varDim]-b.Box[l.varDim].Lo)*stride, coeff * stride
 }
 
-// eval64 is the float64 dispatch loop: one switch per instruction, each
-// case a tight slice loop over the row.
-func (vm *rowVM) eval64(c *RowCtx) []float64 {
+// evalRow is the row VM's dispatch loop: it executes the program for the
+// current row (c.n, c.jLo, c.pt) over registers of type T and returns the
+// result row. One switch per instruction, each case a tight slice loop over
+// the row. A case written here means the same for every register type that
+// reaches it (vmIntOK keeps true division and sqrt off int64 registers);
+// the opcodes whose meaning depends on the type, and those only float64
+// implements, go to typedOp.
+func evalRow[T vmNum](vm *rowVM, c *RowCtx) []T {
 	n := c.n
-	regs := c.vm.ensureF(vm.nRegs, n)
-	var bregs [][]bool
-	if vm.nBool > 0 {
-		bregs = c.vm.ensureB(vm.nBool, n)
-	}
+	rf := regFile[T](&c.vm)
+	*rf = growRows(*rf, vm.nRegs, n, c.vm.gauge)
+	regs := *rf
+	c.vm.b = growRows(c.vm.b, vm.nBool, n, c.vm.gauge)
+	bregs := c.vm.b
 	for ii := range vm.instrs {
 		in := &vm.instrs[ii]
 		switch in.op {
 		case rConst:
-			t := regs[in.dst][:n]
-			v := in.imm
-			for i := range t {
-				t[i] = v
-			}
+			fill(regs[in.dst][:n], T(in.imm))
 		case rIota:
-			t := regs[in.dst][:n]
-			j := c.jLo
+			t, j := regs[in.dst][:n], c.jLo
 			for i := range t {
-				t[i] = float64(j + int64(i))
+				t[i] = T(j + int64(i))
 			}
 		case rVarB:
-			t := regs[in.dst][:n]
-			v := float64(c.pt[in.aux])
-			for i := range t {
-				t[i] = v
-			}
-		case rLoadU:
-			t := regs[in.dst][:n]
-			b, p, stride := vm.loads[in.aux].loadRow(c)
-			if b.Elem != ElemF32 {
-				vmWidenRow(t, b, p, stride)
-			} else if stride == 1 {
-				src := b.Data[p : p+int64(n)]
-				for i := range t {
-					t[i] = float64(src[i])
-				}
-			} else {
-				for i := range t {
-					t[i] = float64(b.Data[p])
-					p += stride
-				}
-			}
-		case rLoadS:
-			l := &vm.loads[in.aux]
-			b, base := l.rowBase(c)
-			aff := l.affs[l.varDim]
-			stride := b.Stride[l.varDim]
-			p := base + (aff.Coeff*c.jLo+l.offs[l.varDim]-b.Box[l.varDim].Lo)*stride
-			step := aff.Coeff * stride
-			t := regs[in.dst][:n]
-			if b.Elem != ElemF32 {
-				vmWidenRow(t, b, p, step)
-			} else {
-				for i := range t {
-					t[i] = float64(b.Data[p])
-					p += step
-				}
-			}
+			fill(regs[in.dst][:n], T(c.pt[in.aux]))
+		case rLoadU, rLoadS:
+			b, p, step := vm.loads[in.aux].loadRow(c)
+			widenRow(regs[in.dst][:n], b, p, step)
 		case rLoadDiv:
 			l := &vm.loads[in.aux]
 			b, base := l.rowBase(c)
-			aff := l.affs[l.varDim]
-			stride := b.Stride[l.varDim]
-			lo := b.Box[l.varDim].Lo
-			off := l.offs[l.varDim]
-			t := regs[in.dst][:n]
-			if b.Elem != ElemF32 {
-				for i := range t {
-					x := affine.FloorDiv(aff.Coeff*(c.jLo+int64(i))+off, aff.Div)
-					t[i] = b.LoadF64(base + (x-lo)*stride)
-				}
-			} else {
-				for i := range t {
-					x := affine.FloorDiv(aff.Coeff*(c.jLo+int64(i))+off, aff.Div)
-					t[i] = float64(b.Data[base+(x-lo)*stride])
-				}
+			aff, off := l.affs[l.varDim], l.offs[l.varDim]
+			lo, stride := b.Box[l.varDim].Lo, b.Stride[l.varDim]
+			offs := c.vm.offsRow(n)
+			for i := range offs {
+				x := affine.FloorDiv(aff.Coeff*(c.jLo+int64(i))+off, aff.Div)
+				offs[i] = base + (x-lo)*stride
 			}
+			gatherRow(regs[in.dst][:n], b, offs)
 		case rLoadB:
-			l := &vm.loads[in.aux]
-			b, base := l.rowBase(c)
-			v := b.LoadF64(base)
-			t := regs[in.dst][:n]
-			for i := range t {
-				t[i] = v
-			}
-		case rIdx:
-			vm.idxs[in.aux].row(c, regs[in.dst][:n])
-		case rGather:
-			vm.gathers[in.aux].run(c, regs, regs[in.dst][:n])
+			b, base := vm.loads[in.aux].rowBase(c)
+			fill(regs[in.dst][:n], T(b.LoadF64(base)))
 		case rLoadMulI:
-			t := regs[in.dst][:n]
-			w := in.imm
-			b, p, stride := vm.loads[in.aux].loadRow(c)
-			if b.Elem != ElemF32 {
-				vmWidenRow(t, b, p, stride)
-				for i := range t {
-					t[i] = w * t[i]
-				}
-			} else if stride == 1 {
-				src := b.Data[p : p+int64(n)]
-				for i := range t {
-					t[i] = w * float64(src[i])
-				}
-			} else {
-				for i := range t {
-					t[i] = w * float64(b.Data[p])
-					p += stride
-				}
-			}
+			b, p, step := vm.loads[in.aux].loadRow(c)
+			madRow(regs[in.dst][:n], nil, T(in.imm), b, p, step)
 		case rMadLoad:
-			t := regs[in.dst][:n]
-			a := regs[in.a][:n]
-			w := in.imm
-			b, p, stride := vm.loads[in.aux].loadRow(c)
-			if b.Elem != ElemF32 {
-				// t may alias a (in-place allocation), so accumulate
-				// per element instead of widening into t first.
-				vmMadRowNarrow(t, a, w, b, p, stride)
-			} else if stride == 1 {
-				src := b.Data[p : p+int64(n)]
-				for i := range t {
-					t[i] = a[i] + w*float64(src[i])
-				}
-			} else {
-				for i := range t {
-					t[i] = a[i] + w*float64(b.Data[p])
-					p += stride
-				}
-			}
+			b, p, step := vm.loads[in.aux].loadRow(c)
+			madRow(regs[in.dst][:n], regs[in.a][:n], T(in.imm), b, p, step)
 		case rAdd:
 			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
 			for i := range t {
@@ -1297,125 +1207,40 @@ func (vm *rowVM) eval64(c *RowCtx) []float64 {
 			for i := range t {
 				t[i] = a[i] / b[i]
 			}
-		case rMod:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = math.Mod(a[i], b[i])
-			}
-		case rMin:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = math.Min(a[i], b[i])
-			}
-		case rMax:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = math.Max(a[i], b[i])
-			}
-		case rPow:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = math.Pow(a[i], b[i])
-			}
-		case rFDiv:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = math.Floor(a[i] / b[i])
-			}
 		case rAddI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
+			t, a, v := regs[in.dst][:n], regs[in.a][:n], T(in.imm)
 			for i := range t {
 				t[i] = a[i] + v
 			}
 		case rISub:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
+			t, a, v := regs[in.dst][:n], regs[in.a][:n], T(in.imm)
 			for i := range t {
 				t[i] = v - a[i]
 			}
 		case rMulI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
+			t, a, v := regs[in.dst][:n], regs[in.a][:n], T(in.imm)
 			for i := range t {
 				t[i] = a[i] * v
 			}
 		case rDivI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
+			t, a, v := regs[in.dst][:n], regs[in.a][:n], T(in.imm)
 			for i := range t {
 				t[i] = a[i] / v
 			}
 		case rIDiv:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
+			t, a, v := regs[in.dst][:n], regs[in.a][:n], T(in.imm)
 			for i := range t {
 				t[i] = v / a[i]
-			}
-		case rMinI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
-			for i := range t {
-				t[i] = math.Min(a[i], v)
-			}
-		case rMaxI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
-			for i := range t {
-				t[i] = math.Max(a[i], v)
-			}
-		case rPowI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
-			for i := range t {
-				t[i] = math.Pow(a[i], v)
-			}
-		case rModI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
-			for i := range t {
-				t[i] = math.Mod(a[i], v)
-			}
-		case rFDivI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], in.imm
-			for i := range t {
-				t[i] = math.Floor(a[i] / v)
 			}
 		case rNeg:
 			t, a := regs[in.dst][:n], regs[in.a][:n]
 			for i := range t {
 				t[i] = -a[i]
 			}
-		case rAbs:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			for i := range t {
-				t[i] = math.Abs(a[i])
-			}
 		case rSqrt:
 			t, a := regs[in.dst][:n], regs[in.a][:n]
 			for i := range t {
-				t[i] = math.Sqrt(a[i])
-			}
-		case rExp:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			for i := range t {
-				t[i] = math.Exp(a[i])
-			}
-		case rLog:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			for i := range t {
-				t[i] = math.Log(a[i])
-			}
-		case rSin:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			for i := range t {
-				t[i] = math.Sin(a[i])
-			}
-		case rCos:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			for i := range t {
-				t[i] = math.Cos(a[i])
-			}
-		case rFloor:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			for i := range t {
-				t[i] = math.Floor(a[i])
-			}
-		case rCeil:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			for i := range t {
-				t[i] = math.Ceil(a[i])
+				t[i] = T(math.Sqrt(float64(a[i])))
 			}
 		case rMulAdd:
 			t, a, b, cc := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], regs[in.m][:n]
@@ -1423,20 +1248,9 @@ func (vm *rowVM) eval64(c *RowCtx) []float64 {
 				t[i] = a[i]*b[i] + cc[i]
 			}
 		case rAxpy:
-			t, a, b, v := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], in.imm
+			t, a, b, v := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], T(in.imm)
 			for i := range t {
 				t[i] = v*a[i] + b[i]
-			}
-		case rClampI:
-			t, a, lo, hi := regs[in.dst][:n], regs[in.a][:n], in.imm, in.imm2
-			for i := range t {
-				t[i] = math.Min(math.Max(a[i], lo), hi)
-			}
-		case rCast:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			to := expr.Type(in.aux)
-			for i := range t {
-				t[i] = expr.ApplyCast(to, a[i])
 			}
 		case rSelect:
 			t, a, b, m := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], bregs[in.m][:n]
@@ -1447,27 +1261,12 @@ func (vm *rowVM) eval64(c *RowCtx) []float64 {
 					t[i] = b[i]
 				}
 			}
-		case rFall:
-			t := regs[in.dst][:n]
-			f := vm.falls[in.aux]
-			saved := c.pt[c.last]
-			for i := range t {
-				c.pt[c.last] = c.jLo + int64(i)
-				t[i] = f(&c.Ctx)
-			}
-			c.pt[c.last] = saved
 		case bConst:
-			t := bregs[in.dst][:n]
-			v := in.imm != 0
-			for i := range t {
-				t[i] = v
-			}
+			fill(bregs[in.dst][:n], in.imm != 0)
 		case bCmp:
-			t, a, b := bregs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			cmpRows64(t, a, b, expr.CmpOp(in.aux))
+			cmpRow(bregs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], expr.CmpOp(in.aux))
 		case bCmpI:
-			t, a := bregs[in.dst][:n], regs[in.a][:n]
-			cmpRowImm64(t, a, in.imm, expr.CmpOp(in.aux))
+			cmpRowImm(bregs[in.dst][:n], regs[in.a][:n], T(in.imm), expr.CmpOp(in.aux))
 		case bAnd:
 			t, a, b := bregs[in.dst][:n], bregs[in.a][:n], bregs[in.b][:n]
 			for i := range t {
@@ -1483,12 +1282,134 @@ func (vm *rowVM) eval64(c *RowCtx) []float64 {
 			for i := range t {
 				t[i] = !a[i]
 			}
+		default:
+			typedOp(vm, c, in, regs)
 		}
 	}
 	return regs[vm.res][:n]
 }
 
-func cmpRows64(t []bool, a, b []float64, op expr.CmpOp) {
+func fill[E any](t []E, v E) {
+	for i := range t {
+		t[i] = v
+	}
+}
+
+// typedOp evaluates an instruction whose meaning depends on the register
+// type, switching on the type once per row.
+func typedOp[T vmNum](vm *rowVM, c *RowCtx, in *rinstr, regs [][]T) {
+	switch r := any(regs).(type) {
+	case [][]float64:
+		vm.op64(c, in, r)
+	case [][]float32:
+		op32(in, r, c.n)
+	case [][]int64:
+		opInt(in, r, c.n)
+	}
+}
+
+// op64 evaluates the float64 forms of the typed opcodes, and the opcodes only
+// the float64 set implements: pow, the transcendentals, index rows, gathers
+// and the scalar fallback.
+func (vm *rowVM) op64(c *RowCtx, in *rinstr, regs [][]float64) {
+	n, v := c.n, in.imm
+	t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
+	switch in.op {
+	case rMod:
+		for i := range t {
+			t[i] = math.Mod(a[i], b[i])
+		}
+	case rModI:
+		for i := range t {
+			t[i] = math.Mod(a[i], v)
+		}
+	case rMin:
+		for i := range t {
+			t[i] = math.Min(a[i], b[i])
+		}
+	case rMax:
+		for i := range t {
+			t[i] = math.Max(a[i], b[i])
+		}
+	case rMinI:
+		for i := range t {
+			t[i] = math.Min(a[i], v)
+		}
+	case rMaxI:
+		for i := range t {
+			t[i] = math.Max(a[i], v)
+		}
+	case rClampI:
+		hi := in.imm2
+		for i := range t {
+			t[i] = math.Min(math.Max(a[i], v), hi)
+		}
+	case rFDiv:
+		for i := range t {
+			t[i] = math.Floor(a[i] / b[i])
+		}
+	case rFDivI:
+		for i := range t {
+			t[i] = math.Floor(a[i] / v)
+		}
+	case rPow:
+		for i := range t {
+			t[i] = math.Pow(a[i], b[i])
+		}
+	case rPowI:
+		for i := range t {
+			t[i] = math.Pow(a[i], v)
+		}
+	case rAbs:
+		for i := range t {
+			t[i] = math.Abs(a[i])
+		}
+	case rExp:
+		for i := range t {
+			t[i] = math.Exp(a[i])
+		}
+	case rLog:
+		for i := range t {
+			t[i] = math.Log(a[i])
+		}
+	case rSin:
+		for i := range t {
+			t[i] = math.Sin(a[i])
+		}
+	case rCos:
+		for i := range t {
+			t[i] = math.Cos(a[i])
+		}
+	case rFloor:
+		for i := range t {
+			t[i] = math.Floor(a[i])
+		}
+	case rCeil:
+		for i := range t {
+			t[i] = math.Ceil(a[i])
+		}
+	case rCast:
+		to := expr.Type(in.aux)
+		for i := range t {
+			t[i] = expr.ApplyCast(to, a[i])
+		}
+	case rIdx:
+		vm.idxs[in.aux].row(c, t)
+	case rGather:
+		vm.gathers[in.aux].run(c, regs, t)
+	case rFall:
+		f := vm.falls[in.aux]
+		saved := c.pt[c.last]
+		for i := range t {
+			c.pt[c.last] = c.jLo + int64(i)
+			t[i] = f(&c.Ctx)
+		}
+		c.pt[c.last] = saved
+	}
+}
+
+// cmpRow sets t[i] = a[i] <op> b[i].
+func cmpRow[T vmNum](t []bool, a, b []T, op expr.CmpOp) {
 	switch op {
 	case expr.LT:
 		for i := range t {
@@ -1517,7 +1438,8 @@ func cmpRows64(t []bool, a, b []float64, op expr.CmpOp) {
 	}
 }
 
-func cmpRowImm64(t []bool, a []float64, v float64, op expr.CmpOp) {
+// cmpRowImm sets t[i] = a[i] <op> v.
+func cmpRowImm[T vmNum](t []bool, a []T, v T, op expr.CmpOp) {
 	switch op {
 	case expr.LT:
 		for i := range t {

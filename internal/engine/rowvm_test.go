@@ -14,22 +14,32 @@ import (
 // vmHarness compiles an expression with the scalar compiler and the row VM
 // and evaluates both over one row, comparing element-wise. It returns the
 // compiled program so callers can assert on its shape (instruction mix,
-// register counts, fallbacks). When the program qualifies for the float32
-// instruction set, run32 is checked against the float64 result too.
+// register counts, fallbacks). The float64 instantiation runs every program;
+// the program also asks for the float32 set, or for the int64 set when every
+// buffer is integer-typed, and when it gets it that instantiation is checked
+// against the float64 result too: within float32 rounding, or exactly.
 func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n int) *rowVM {
 	t.Helper()
 	slots := map[string]int{}
 	ctxBufs := []*Buffer{}
+	var elems []Elem
+	integral := true
 	for name, b := range bufs {
 		slots[name] = len(ctxBufs)
 		ctxBufs = append(ctxBufs, b)
+		elems = append(elems, b.Elem)
+		integral = integral && b.Elem != ElemF32
 	}
-	cp := &compiler{slots: slots, params: map[string]int64{"P": 3}}
+	cp := &compiler{slots: slots, params: map[string]int64{"P": 3}, elems: elems}
 	scalar, err := cp.compile(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := cp.compileRowVM(e, len(pt)-1)
+	want := setF32
+	if integral {
+		want = setInt
+	}
+	vm, err := cp.compileRowVM(e, len(pt)-1, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +49,7 @@ func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n
 	rc.last = len(pt) - 1
 	rc.jLo = pt[len(pt)-1]
 	rc.n = n
-	got := vm.eval64(rc)
+	got := append([]float64(nil), evalRow[float64](vm, rc)...)
 
 	sc := &Ctx{pt: append([]int64(nil), pt...), bufs: ctxBufs}
 	for i := 0; i < n; i++ {
@@ -49,14 +59,17 @@ func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n
 			t.Fatalf("vm[%d] = %v, scalar = %v (expr %v)", i, got[i], want, e)
 		}
 	}
-	if vm.f32 {
-		dst := make([]float32, n)
-		vm.run32(rc, dst)
-		ref := vm.eval64(rc)
-		for i := 0; i < n; i++ {
-			d := math.Abs(float64(dst[i]) - ref[i])
-			if d > 1e-5+1e-5*math.Abs(ref[i]) {
-				t.Fatalf("f32[%d] = %v, f64 = %v (expr %v)", i, dst[i], ref[i], e)
+	switch vm.set {
+	case setF32:
+		for i, v := range evalRow[float32](vm, rc) {
+			if d := math.Abs(float64(v) - got[i]); d > 1e-5+1e-5*math.Abs(got[i]) {
+				t.Fatalf("f32[%d] = %v, f64 = %v (expr %v)", i, v, got[i], e)
+			}
+		}
+	case setInt:
+		for i, v := range evalRow[int64](vm, rc) {
+			if float64(v) != got[i] {
+				t.Fatalf("int[%d] = %v, f64 = %v (expr %v)", i, v, got[i], e)
 			}
 		}
 	}
@@ -234,8 +247,8 @@ func TestRowVMMatchesScalar(t *testing.T) {
 		{"products", products(1), true},
 		{"products-unnormalized", products(2), false},
 	} {
-		if vm := vmHarness(t, c.e, bufs, []int64{3, 2}, 30); vm.f32 != c.f32 {
-			t.Errorf("%s: float32 instruction set = %v, want %v", c.name, vm.f32, c.f32)
+		if vm := vmHarness(t, c.e, bufs, []int64{3, 2}, 30); (vm.set == setF32) != c.f32 {
+			t.Errorf("%s: float32 instruction set = %v, want %v", c.name, vm.set == setF32, c.f32)
 		}
 	}
 }
@@ -286,7 +299,7 @@ func TestRowVMFusion(t *testing.T) {
 	if loadMul != 1 || madLoad != 8 {
 		t.Fatalf("got %d loadMul + %d madLoad, want 1 + 8", loadMul, madLoad)
 	}
-	if !vm.f32 {
+	if vm.set != setF32 {
 		t.Fatal("normalized 9-tap sum should qualify for the float32 instruction set")
 	}
 }
@@ -354,7 +367,7 @@ func TestRowVMFallback(t *testing.T) {
 	if len(vm.falls) != 0 || count(vm, rGather) != 2 || count(vm, rCast) != 1 {
 		t.Fatalf("two-tap gather: %d falls, %d gathers, %d casts; want 0, 2, 1", len(vm.falls), count(vm, rGather), count(vm, rCast))
 	}
-	if vm.f32 || vm.intOK {
+	if vm.set != setF64 {
 		t.Fatal("a program with a gather must stay on the float64 instruction set")
 	}
 	// A diagonal access g(y/4, y) varies two producer dims along the row:
@@ -374,13 +387,13 @@ func TestRowVMFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hatch := vb.finish(vb.push(vmValue{op: rAddI, a: id, b: -1, m: -1, imm: 1}))
-	if len(hatch.falls) != 1 || hatch.fallWhy.Op != 1 || hatch.fallWhy.Total() != 1 || hatch.f32 || hatch.intOK {
-		t.Fatalf("escape hatch: falls=%d why=%+v f32=%v int=%v", len(hatch.falls), hatch.fallWhy, hatch.f32, hatch.intOK)
+	hatch := vb.finish(vb.push(vmValue{op: rAddI, a: id, b: -1, m: -1, imm: 1}), setF32)
+	if len(hatch.falls) != 1 || hatch.fallWhy.Op != 1 || hatch.fallWhy.Total() != 1 || hatch.set != setF64 || vmIntOK(vb.vals) {
+		t.Fatalf("escape hatch: falls=%d why=%+v set=%v int=%v", len(hatch.falls), hatch.fallWhy, hatch.set, vmIntOK(vb.vals))
 	}
 	rc := &RowCtx{n: 12, last: 1, jLo: 5}
 	rc.pt, rc.bufs = []int64{3, 5}, []*Buffer{src}
-	for i, v := range hatch.eval64(rc) {
+	for i, v := range evalRow[float64](hatch, rc) {
 		if want := float64(src.At(3, 5+int64(i)))*2 + 1; v != want {
 			t.Fatalf("escape hatch [%d] = %v, want %v", i, v, want)
 		}
@@ -400,27 +413,101 @@ func TestRowVMFloat32Gate(t *testing.T) {
 	}
 	// Normalized blend, clamped: mass 1, fully in the f32 subset.
 	in := expr.MinE(expr.MaxE(expr.AddE(expr.MulE(expr.C(0.25), g(0)), expr.MulE(expr.C(0.75), g(1))), expr.C(0)), expr.C(1))
-	if vm := vmHarness(t, in, bufs, []int64{3, 2}, 30); !vm.f32 {
+	if vm := vmHarness(t, in, bufs, []int64{3, 2}, 30); vm.set != setF32 {
 		t.Fatal("normalized clamped blend should qualify for float32")
 	}
 	// Unnormalized 9x sum: mass 9 exceeds the gate.
 	big := expr.AddE(expr.MulE(expr.C(4.5), g(0)), expr.MulE(expr.C(4.5), g(1)))
-	if vm := vmHarness(t, big, bufs, []int64{3, 2}, 30); vm.f32 {
+	if vm := vmHarness(t, big, bufs, []int64{3, 2}, 30); vm.set == setF32 {
 		t.Fatal("mass-9 sum must keep float64 accumulation")
 	}
 	// Transcendentals and loop-variable rows stay in float64.
-	if vm := vmHarness(t, expr.Unary{Op: expr.Exp, X: g(0)}, bufs, []int64{3, 2}, 30); vm.f32 {
+	if vm := vmHarness(t, expr.Unary{Op: expr.Exp, X: g(0)}, bufs, []int64{3, 2}, 30); vm.set == setF32 {
 		t.Fatal("exp must disqualify the float32 path")
 	}
-	if vm := vmHarness(t, expr.AddE(y, g(0)), bufs, []int64{3, 2}, 30); vm.f32 {
+	if vm := vmHarness(t, expr.AddE(y, g(0)), bufs, []int64{3, 2}, 30); vm.set == setF32 {
 		t.Fatal("iota rows must disqualify the float32 path")
 	}
 	// Integer-semantics cast disqualifies; cast to Float is the identity.
-	if vm := vmHarness(t, expr.Cast{To: expr.Int, X: g(0)}, bufs, []int64{3, 2}, 30); vm.f32 {
+	if vm := vmHarness(t, expr.Cast{To: expr.Int, X: g(0)}, bufs, []int64{3, 2}, 30); vm.set == setF32 {
 		t.Fatal("int cast must disqualify the float32 path")
 	}
-	if vm := vmHarness(t, expr.Cast{To: expr.Float, X: expr.MulE(expr.C(0.5), g(0))}, bufs, []int64{3, 2}, 30); !vm.f32 {
+	if vm := vmHarness(t, expr.Cast{To: expr.Float, X: expr.MulE(expr.C(0.5), g(0))}, bufs, []int64{3, 2}, 30); vm.set != setF32 {
 		t.Fatal("float cast is the identity in float32 registers and should qualify")
+	}
+}
+
+// TestVMIntMatchesFloat64 runs uint8-buffer programs through vmHarness, which
+// requires the integer instruction set to equal the float64 one exactly, and
+// checks that together they reach every opcode vmIntOK accepts: floor
+// division and modulo on negative numerators, clamps, saturating casts,
+// masks and selects, every load form and the fused forms.
+func TestVMIntMatchesFloat64(t *testing.T) {
+	box := affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 79}}
+	I, J := NewBufferElem(box, ElemU8), NewBufferElem(box, ElemU8)
+	FillPattern(I, 3)
+	FillPattern(J, 8)
+	bufs := map[string]*Buffer{"I": I, "J": J}
+	x := expr.VarRef{Dim: 0, Name: "x"}
+	y := expr.VarRef{Dim: 1, Name: "y"}
+	at := func(name string, a, b expr.Expr) expr.Expr {
+		return expr.Access{Target: name, Args: []expr.Expr{a, b}}
+	}
+	i, j := at("I", x, y), at("J", x, y)
+	fdiv := func(l, r expr.Expr) expr.Expr { return expr.Binary{Op: expr.FDiv, L: l, R: r} }
+	mod := func(l, r expr.Expr) expr.Expr { return expr.Binary{Op: expr.Mod, L: l, R: r} }
+	neg := expr.SubE(i, expr.C(200)) // numerators in [-200, 55]
+	big := expr.MulE(expr.MulE(expr.MulE(i, i), expr.MulE(i, i)), expr.SubE(j, expr.C(128)))
+	cases := []expr.Expr{
+		fdiv(neg, expr.C(8)),
+		fdiv(neg, expr.C(3)),
+		mod(neg, expr.C(7)),
+		fdiv(neg, expr.AddE(j, expr.C(1))),
+		mod(neg, expr.AddE(j, expr.C(1))),
+		expr.MinE(expr.MaxE(expr.SubE(expr.MulE(expr.C(3), i), expr.C(300)), expr.C(0)), expr.C(255)),
+		expr.Cast{To: expr.Char, X: expr.SubE(expr.MulE(i, expr.C(300)), expr.C(40000))},
+		expr.Cast{To: expr.UChar, X: expr.SubE(expr.MulE(i, expr.C(3)), expr.C(200))},
+		expr.Cast{To: expr.Short, X: expr.SubE(expr.MulE(i, expr.C(300)), expr.C(40000))},
+		expr.Cast{To: expr.Int, X: big},
+		expr.Cast{To: expr.UInt, X: big},
+		expr.Select{
+			Cond: expr.And{
+				A: expr.Cmp{Op: expr.GT, L: i, R: j},
+				B: expr.Not{A: expr.Cmp{Op: expr.LE, L: i, R: expr.C(100)}},
+			},
+			Then: i,
+			Else: expr.Select{
+				Cond: expr.Or{A: expr.Cmp{Op: expr.EQ, L: j, R: expr.C(3)}, B: expr.BoolConst{V: true}},
+				Then: expr.SubE(j, i),
+				Else: expr.C(7),
+			},
+		},
+		expr.Select{Cond: expr.Cmp{Op: expr.NE, L: expr.C(9), R: i}, Then: expr.C(7), Else: j},
+		expr.AddE(expr.AddE(at("I", x, expr.MulE(expr.C(2), y)), at("J", x, fdiv(y, expr.C(2)))), at("I", x, expr.C(5))),
+		expr.AddE(expr.AddE(expr.MulE(expr.C(3), at("I", x, expr.SubE(y, expr.C(1)))), expr.MulE(expr.C(2), i)),
+			expr.MulE(expr.C(5), at("I", x, expr.AddE(y, expr.C(1))))),
+		expr.AddE(expr.MulE(i, j), fdiv(i, expr.C(2))),
+		expr.AddE(expr.MulE(expr.C(3), expr.Unary{Op: expr.Abs, X: neg}), j),
+		expr.AddE(expr.MulE(x, y), expr.SubE(expr.C(10), i)),
+		expr.AddE(expr.MinE(i, j), expr.MaxE(expr.MinE(i, expr.C(100)), expr.MaxE(j, expr.C(50)))),
+		expr.SubE(expr.Unary{Op: expr.Neg, X: expr.Unary{Op: expr.Floor, X: i}}, expr.Unary{Op: expr.Ceil, X: j}),
+		expr.AddE(i, expr.MulE(j, j)),
+		expr.MulE(expr.SubE(i, j), expr.C(-3)),
+	}
+	reached := map[rop]bool{}
+	for _, e := range cases {
+		vm := vmHarness(t, e, bufs, []int64{3, 2}, 30)
+		if vm.set != setInt {
+			t.Fatalf("%v: not in the integer instruction set", e)
+		}
+		for _, in := range vm.instrs {
+			reached[in.op] = true
+		}
+	}
+	for op := rNop; op <= bNot; op++ {
+		if vmIntOK([]vmValue{{op: op, a: -1, b: -1, m: -1, imm: 1, imm2: 1}}) && !reached[op] {
+			t.Errorf("opcode %d is in the integer instruction set but no case reaches it", op)
+		}
 	}
 }
 
@@ -496,8 +583,83 @@ func TestRowVMEndToEnd(t *testing.T) {
 	if vmPieces < 2 || vmInstrs == 0 {
 		t.Fatalf("expected >= 2 VM-lowered pieces with instructions, got %d pieces / %d instrs", vmPieces, vmInstrs)
 	}
-	// The executor snapshot must expose the register-file gauge.
-	if snap := vmProg.Executor().Snapshot(); snap.TempPools.VMRegBytes <= 0 {
-		t.Fatalf("VMRegBytes = %d, want > 0 after a VM run", snap.TempPools.VMRegBytes)
+}
+
+// TestRowVMRegisterGauge pins Executor.Snapshot's register-file gauge: after
+// one run of a one-stage program on a fresh executor it equals the program's
+// register rows × the row length × the element width (4 for float32, 8 for
+// float64 and int64, 1 for bool rows), plus 8 per element of the offset row
+// a gather or divided load uses. Each register type's program runs once.
+func TestRowVMRegisterGauge(t *testing.T) {
+	const rows, cols = 12, 40
+	for _, c := range []struct {
+		name string
+		ty   expr.Type
+		set  vmSet
+		mk   func(I *dsl.Image, x, y *dsl.Variable) expr.Expr
+	}{
+		{"float32", expr.Float, setF32, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
+			return dsl.Add(dsl.Mul(0.25, I.At(x, dsl.Sub(y, 1))), dsl.Mul(0.75, I.At(x, y)))
+		}},
+		// A mask and a data-dependent gather: bool rows and the offset row.
+		{"float64", expr.Float, setF64, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
+			idx := dsl.Cast(expr.Int, dsl.Mul(I.At(x, y), 30))
+			return dsl.Sel(dsl.Cond(I.At(x, y), ">", 0.5), I.At(x, idx), dsl.Sub(1.0, I.At(x, y)))
+		}},
+		{"int64", expr.UChar, setInt, func(I *dsl.Image, x, y *dsl.Variable) expr.Expr {
+			return dsl.IDiv(dsl.Add(I.At(x, dsl.Sub(y, 1)), dsl.Mul(2, I.At(x, y))), 4)
+		}},
+	} {
+		bl := dsl.NewBuilder()
+		R, C := bl.Param("R"), bl.Param("C")
+		I := bl.Image("I", c.ty, R.Affine().AddConst(2), C.Affine().AddConst(2))
+		x, y := bl.Var("x"), bl.Var("y")
+		f := bl.Func("f", expr.Float, []*dsl.Variable{x, y},
+			[]dsl.Interval{dsl.Span(affine.Const(1), R.Affine()), dsl.Span(affine.Const(1), C.Affine())})
+		f.Define(dsl.Case{E: c.mk(I, x, y)})
+		g, err := pipeline.Build(bl, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := map[string]int64{"R": rows, "C": cols}
+		in, err := NewBufferForDomain(I.Domain(), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrow := c.ty == expr.UChar
+		if narrow {
+			in = ConvertBuffer(in, ElemU8)
+		}
+		FillPattern(in, 5)
+		gr, err := schedule.BuildGroups(g, params, schedule.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1, NarrowTypes: narrow, NoGenKernels: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(prog.Close)
+		if _, err := prog.Run(map[string]*Buffer{"I": in}); err != nil {
+			t.Fatal(err)
+		}
+		vm := prog.stages["f"].pieces[0].vm
+		if vm.set != c.set {
+			t.Fatalf("%s: program runs on set %d, want %d", c.name, vm.set, c.set)
+		}
+		width := map[vmSet]int64{setF32: 4, setF64: 8, setInt: 8}[vm.set]
+		want := int64(vm.nRegs)*cols*width + int64(vm.nBool)*cols
+		for _, in := range vm.instrs {
+			if in.op == rGather || in.op == rLoadDiv {
+				want += cols * 8
+				break
+			}
+		}
+		if c.set == setF64 && (vm.nBool == 0 || len(vm.gathers) == 0) {
+			t.Fatalf("%s: %d bool registers, %d gathers; the case needs both", c.name, vm.nBool, len(vm.gathers))
+		}
+		if got := prog.Executor().Snapshot().TempPools.VMRegBytes; got != want {
+			t.Errorf("%s: VMRegBytes = %d, want %d (%d registers, %d bool)", c.name, got, want, vm.nRegs, vm.nBool)
+		}
 	}
 }

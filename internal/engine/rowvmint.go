@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/bits"
+
 	"repro/internal/affine"
 	"repro/internal/expr"
 )
@@ -9,16 +11,16 @@ import (
 // integral within ±2^24 (loweredStage.intExact) may execute their row
 // programs over int64 registers instead of float64 ones: on that value
 // range every float64 operation the program contains is exact, so the two
-// dispatch loops produce identical integers and the narrowed store writes
-// identical bytes. The win is pure bandwidth and ALU: narrow loads widen
-// straight to int64 without the float round-trip, and integer adds/muls
-// replace float ops on machines where that matters.
+// instantiations of the dispatch loop produce identical integers and the
+// narrowed store writes identical bytes. The win is pure bandwidth and ALU:
+// narrow loads widen straight to int64 without the float round-trip, and
+// integer adds/muls replace float ops on machines where that matters.
 //
 // Eligibility is decided in two parts: vmIntOK is the structural check over
 // the value list (only opcodes with exact integer semantics, only integral
-// immediates, division shapes that cannot fault), and program.go masks it
-// with the stage-level interval proof — a structurally clean program over
-// unbounded float data must still run on the float64 loop.
+// immediates, division shapes that cannot fault), and lowering asks for the
+// integer set only for stages with the interval proof — a structurally clean
+// program over unbounded float data must still run over float64 registers.
 
 // integralImm reports whether a compile-time immediate is an integer
 // representable within the provable range.
@@ -70,21 +72,6 @@ func vmIntOK(vals []vmValue) bool {
 	return true
 }
 
-func (vr *vmRegs) ensureI(nr, n int) [][]int64 {
-	for len(vr.i) < nr {
-		vr.i = append(vr.i, nil)
-	}
-	for k := 0; k < nr; k++ {
-		if len(vr.i[k]) < n {
-			if vr.gauge != nil {
-				vr.gauge.Add(int64(n-len(vr.i[k])) * 8)
-			}
-			vr.i[k] = make([]int64, n)
-		}
-	}
-	return vr.i
-}
-
 // castI64 applies the saturating cast semantics to an already-integral
 // value: identical to expr.ApplyCast composed with the float64 widening on
 // the integer VM's value range.
@@ -105,350 +92,69 @@ func castI64(to expr.Type, v int64) int64 {
 	return v
 }
 
-// evalInt is the integer dispatch loop, the int64 twin of eval64. Dispatch
-// requires vmIntOK (callers check vm.intOK); opcodes outside the integer
-// set panic.
-func (vm *rowVM) evalInt(c *RowCtx) []int64 {
-	n := c.n
-	regs := c.vm.ensureI(vm.nRegs, n)
-	var bregs [][]bool
-	if vm.nBool > 0 {
-		bregs = c.vm.ensureB(vm.nBool, n)
-	}
-	for ii := range vm.instrs {
-		in := &vm.instrs[ii]
-		switch in.op {
-		case rConst:
-			t := regs[in.dst][:n]
-			v := int64(in.imm)
-			for i := range t {
-				t[i] = v
-			}
-		case rIota:
-			t := regs[in.dst][:n]
-			j := c.jLo
-			for i := range t {
-				t[i] = j + int64(i)
-			}
-		case rVarB:
-			t := regs[in.dst][:n]
-			v := c.pt[in.aux]
-			for i := range t {
-				t[i] = v
-			}
-		case rLoadU:
-			t := regs[in.dst][:n]
-			b, p, stride := vm.loads[in.aux].loadRow(c)
-			widenRowI64(t, b, p, stride)
-		case rLoadS:
-			l := &vm.loads[in.aux]
-			b, base := l.rowBase(c)
-			aff := l.affs[l.varDim]
-			stride := b.Stride[l.varDim]
-			p := base + (aff.Coeff*c.jLo+l.offs[l.varDim]-b.Box[l.varDim].Lo)*stride
-			widenRowI64(regs[in.dst][:n], b, p, aff.Coeff*stride)
-		case rLoadDiv:
-			l := &vm.loads[in.aux]
-			b, base := l.rowBase(c)
-			aff := l.affs[l.varDim]
-			stride := b.Stride[l.varDim]
-			lo := b.Box[l.varDim].Lo
-			off := l.offs[l.varDim]
-			t := regs[in.dst][:n]
-			for i := range t {
-				x := affine.FloorDiv(aff.Coeff*(c.jLo+int64(i))+off, aff.Div)
-				t[i] = loadI64(b, base+(x-lo)*stride)
-			}
-		case rLoadB:
-			l := &vm.loads[in.aux]
-			b, base := l.rowBase(c)
-			v := loadI64(b, base)
-			t := regs[in.dst][:n]
-			for i := range t {
-				t[i] = v
-			}
-		case rLoadMulI:
-			t := regs[in.dst][:n]
-			w := int64(in.imm)
-			b, p, stride := vm.loads[in.aux].loadRow(c)
-			widenRowI64(t, b, p, stride)
-			for i := range t {
-				t[i] = w * t[i]
-			}
-		case rMadLoad:
-			t := regs[in.dst][:n]
-			a := regs[in.a][:n]
-			w := int64(in.imm)
-			b, p, stride := vm.loads[in.aux].loadRow(c)
-			madRowI64(t, a, w, b, p, stride)
-		case rAdd:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = a[i] + b[i]
-			}
-		case rSub:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = a[i] - b[i]
-			}
-		case rMul:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = a[i] * b[i]
-			}
-		case rMod:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = a[i] % b[i]
-			}
-		case rMin:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = min64(a[i], b[i])
-			}
-		case rMax:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = max64(a[i], b[i])
-			}
-		case rFDiv:
-			t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			for i := range t {
-				t[i] = affine.FloorDiv(a[i], b[i])
-			}
-		case rAddI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], int64(in.imm)
-			for i := range t {
-				t[i] = a[i] + v
-			}
-		case rISub:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], int64(in.imm)
-			for i := range t {
-				t[i] = v - a[i]
-			}
-		case rMulI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], int64(in.imm)
-			for i := range t {
-				t[i] = a[i] * v
-			}
-		case rMinI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], int64(in.imm)
-			for i := range t {
-				t[i] = min64(a[i], v)
-			}
-		case rMaxI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], int64(in.imm)
-			for i := range t {
-				t[i] = max64(a[i], v)
-			}
-		case rModI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], int64(in.imm)
-			for i := range t {
-				t[i] = a[i] % v
-			}
-		case rFDivI:
-			t, a, v := regs[in.dst][:n], regs[in.a][:n], int64(in.imm)
-			if v&(v-1) == 0 {
-				// Power-of-two floor division is an arithmetic shift.
-				sh := uint(0)
-				for 1<<sh < v {
-					sh++
-				}
-				for i := range t {
-					t[i] = a[i] >> sh
-				}
-			} else {
-				for i := range t {
-					t[i] = affine.FloorDiv(a[i], v)
-				}
-			}
-		case rNeg:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			for i := range t {
-				t[i] = -a[i]
-			}
-		case rAbs:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			for i := range t {
-				t[i] = abs64i(a[i])
-			}
-		case rFloor, rCeil:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			copy(t, a)
-		case rMulAdd:
-			t, a, b, cc := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], regs[in.m][:n]
-			for i := range t {
-				t[i] = a[i]*b[i] + cc[i]
-			}
-		case rAxpy:
-			t, a, b, v := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], int64(in.imm)
-			for i := range t {
-				t[i] = v*a[i] + b[i]
-			}
-		case rClampI:
-			t, a, lo, hi := regs[in.dst][:n], regs[in.a][:n], int64(in.imm), int64(in.imm2)
-			for i := range t {
-				t[i] = max64(a[i], lo)
-				t[i] = min64(t[i], hi)
-			}
-		case rCast:
-			t, a := regs[in.dst][:n], regs[in.a][:n]
-			to := expr.Type(in.aux)
-			for i := range t {
-				t[i] = castI64(to, a[i])
-			}
-		case rSelect:
-			t, a, b, m := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], bregs[in.m][:n]
-			for i := range t {
-				if m[i] {
-					t[i] = a[i]
-				} else {
-					t[i] = b[i]
-				}
-			}
-		case bConst:
-			t := bregs[in.dst][:n]
-			v := in.imm != 0
-			for i := range t {
-				t[i] = v
-			}
-		case bCmp:
-			t, a, b := bregs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
-			cmpRowsI64(t, a, b, expr.CmpOp(in.aux))
-		case bCmpI:
-			t, a := bregs[in.dst][:n], regs[in.a][:n]
-			cmpRowImmI64(t, a, int64(in.imm), expr.CmpOp(in.aux))
-		case bAnd:
-			t, a, b := bregs[in.dst][:n], bregs[in.a][:n], bregs[in.b][:n]
-			for i := range t {
-				t[i] = a[i] && b[i]
-			}
-		case bOr:
-			t, a, b := bregs[in.dst][:n], bregs[in.a][:n], bregs[in.b][:n]
-			for i := range t {
-				t[i] = a[i] || b[i]
-			}
-		case bNot:
-			t, a := bregs[in.dst][:n], bregs[in.a][:n]
-			for i := range t {
-				t[i] = !a[i]
-			}
-		default:
-			panic("engine: opcode outside the integer instruction set")
+// opInt evaluates the int64 forms of the typed opcodes the integer set
+// admits.
+func opInt(in *rinstr, regs [][]int64, n int) {
+	v := int64(in.imm)
+	t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
+	switch in.op {
+	case rMod:
+		for i := range t {
+			t[i] = a[i] % b[i]
 		}
-	}
-	return regs[vm.res][:n]
-}
-
-// madRowI64 computes t[i] = a[i] + w·src[i] over int64 registers; safe when
-// t aliases a.
-func madRowI64(t, a []int64, w int64, b *Buffer, p, stride int64) {
-	switch b.Elem {
-	case ElemU8:
-		if stride == 1 {
-			s := b.U8[p : p+int64(len(t))]
+	case rModI:
+		for i := range t {
+			t[i] = a[i] % v
+		}
+	case rMin:
+		for i := range t {
+			t[i] = min(a[i], b[i])
+		}
+	case rMax:
+		for i := range t {
+			t[i] = max(a[i], b[i])
+		}
+	case rMinI:
+		for i := range t {
+			t[i] = min(a[i], v)
+		}
+	case rMaxI:
+		for i := range t {
+			t[i] = max(a[i], v)
+		}
+	case rClampI:
+		hi := int64(in.imm2)
+		for i := range t {
+			t[i] = min(max(a[i], v), hi)
+		}
+	case rFDiv:
+		for i := range t {
+			t[i] = affine.FloorDiv(a[i], b[i])
+		}
+	case rFDivI:
+		if v&(v-1) == 0 {
+			// Power-of-two floor division is an arithmetic shift.
+			sh := uint(bits.TrailingZeros64(uint64(v)))
 			for i := range t {
-				t[i] = a[i] + w*int64(s[i])
+				t[i] = a[i] >> sh
 			}
 			return
 		}
 		for i := range t {
-			t[i] = a[i] + w*int64(b.U8[p])
-			p += stride
+			t[i] = affine.FloorDiv(a[i], v)
 		}
-	case ElemU16:
-		if stride == 1 {
-			s := b.U16[p : p+int64(len(t))]
-			for i := range t {
-				t[i] = a[i] + w*int64(s[i])
-			}
-			return
-		}
+	case rAbs:
 		for i := range t {
-			t[i] = a[i] + w*int64(b.U16[p])
-			p += stride
+			t[i] = abs64i(a[i])
 		}
-	case ElemI32:
-		if stride == 1 {
-			s := b.I32[p : p+int64(len(t))]
-			for i := range t {
-				t[i] = a[i] + w*int64(s[i])
-			}
-			return
-		}
+	case rFloor, rCeil:
+		copy(t, a)
+	case rCast:
+		to := expr.Type(in.aux)
 		for i := range t {
-			t[i] = a[i] + w*int64(b.I32[p])
-			p += stride
+			t[i] = castI64(to, a[i])
 		}
 	default:
-		if stride == 1 {
-			s := b.Data[p : p+int64(len(t))]
-			for i := range t {
-				t[i] = a[i] + w*int64(s[i])
-			}
-			return
-		}
-		for i := range t {
-			t[i] = a[i] + w*int64(b.Data[p])
-			p += stride
-		}
-	}
-}
-
-func cmpRowsI64(t []bool, a, b []int64, op expr.CmpOp) {
-	switch op {
-	case expr.LT:
-		for i := range t {
-			t[i] = a[i] < b[i]
-		}
-	case expr.LE:
-		for i := range t {
-			t[i] = a[i] <= b[i]
-		}
-	case expr.GT:
-		for i := range t {
-			t[i] = a[i] > b[i]
-		}
-	case expr.GE:
-		for i := range t {
-			t[i] = a[i] >= b[i]
-		}
-	case expr.EQ:
-		for i := range t {
-			t[i] = a[i] == b[i]
-		}
-	case expr.NE:
-		for i := range t {
-			t[i] = a[i] != b[i]
-		}
-	}
-}
-
-func cmpRowImmI64(t []bool, a []int64, v int64, op expr.CmpOp) {
-	switch op {
-	case expr.LT:
-		for i := range t {
-			t[i] = a[i] < v
-		}
-	case expr.LE:
-		for i := range t {
-			t[i] = a[i] <= v
-		}
-	case expr.GT:
-		for i := range t {
-			t[i] = a[i] > v
-		}
-	case expr.GE:
-		for i := range t {
-			t[i] = a[i] >= v
-		}
-	case expr.EQ:
-		for i := range t {
-			t[i] = a[i] == v
-		}
-	case expr.NE:
-		for i := range t {
-			t[i] = a[i] != v
-		}
+		panic("engine: opcode outside the integer instruction set")
 	}
 }

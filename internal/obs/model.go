@@ -170,6 +170,6 @@ type StageModel struct {
 	VMFallbacks int  // per-subtree scalar fallback instructions
 	VMRegs      int  // float row-register high-water mark (max over pieces)
 	VMBoolRegs  int  // bool row-register high-water mark
-	VMF32       bool // some piece qualifies for the float32 instruction set
-	VMInt       bool // some piece qualifies for the integer instruction set
+	VMF32       bool // some piece runs the row VM on float32 registers
+	VMInt       bool // some piece runs the row VM on int64 registers
 }
