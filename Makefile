@@ -74,19 +74,19 @@ bench-smoke:
 	cd bench && $(GO) test ./...
 
 # Verify the checked-in ahead-of-time kernel packages (internal/apps/gen,
-# internal/difftest/gencorpus) are byte-identical to what the emitter
-# produces today — fails on any drift, so generated kernels can never fall
-# out of sync with internal/codegen. Kernels are keyed by stage-piece
-# shape, not by schedule: regenerate after a deliberate change to the
-# emitter, to an evaluator a kernel mirrors, to an app's stage definitions
-# or to the inlining decisions, not after a scheduler change:
+# internal/difftest/gencorpus) are byte-identical to what the printer
+# (engine.EmitGo) produces today — fails on any drift, so generated kernels
+# can never fall out of sync with the row VM's lowering. Kernels are keyed
+# by stage-piece shape, not by schedule: regenerate after a deliberate
+# change to the printer, to the row VM's lowering, to an app's stage
+# definitions or to the inlining decisions, not after a scheduler change:
 #   go run ./cmd/polymage-gen
 gen:
 	$(GO) run ./cmd/polymage-gen -check
 
 # Race-checked run of the generated-kernel suite: piece-key stability,
-# registry dispatch/fallback matrix, golden emitter structure, purity and the
-# typed bodies' text, and the apps/gen parity tests (generated kernels vs
+# registry dispatch/fallback matrix, a printer case for every row-VM opcode,
+# golden emitter structure, purity and the typed bodies' text, and the apps/gen parity tests (generated kernels vs
 # interpreted tiers on every Table-2 app and both uint8 apps under the hand
 # and the auto schedule), plus the generated leg of the hand-written tables
 # (kernels for data-dependent and cross-dimension indices, and for the
@@ -102,11 +102,16 @@ gen-race:
 # internal/apps/gen read 0 in the inner loop; float bodies read one per inner
 # loop, on the first row read (ROADMAP item 3 a), and a kernel with
 # per-element indexed loads (gathers, strided reads) keeps one per such load
-# by design.
+# by design. The target fails when a body kind's inner-loop total rises
+# above its pin below (float64, float32, int64 bodies per package); lower a
+# pin when a change removes checks.
+BCE_PINS_APPS   = float64=74,float32=140,int64=0
+BCE_PINS_CORPUS = float64=23,float32=70,int64=13
 gen-bce:
-	@for d in internal/apps/gen internal/difftest/gencorpus; do \
+	@for spec in internal/apps/gen:$(BCE_PINS_APPS) internal/difftest/gencorpus:$(BCE_PINS_CORPUS); do \
+		d=$${spec%%:*}; \
 		echo "$$d/kernels_gen.go"; \
-		$(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./$$d/ 2>&1 | awk -f internal/codegen/bce.awk $$d/kernels_gen.go - || exit 1; \
+		$(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./$$d/ 2>&1 | awk -v pins=$${spec#*:} -f cmd/polymage-gen/bce.awk $$d/kernels_gen.go - || exit 1; \
 	done
 
 # Race-checked run of the narrow-type suite: uint8/uint16 end-to-end
@@ -181,9 +186,12 @@ bench:
 # Engine microbenchmarks: stencils, combinations and non-stencil programs
 # (deep trees in float64 and float32, selects, a uint8 box sum on int64
 # registers) on the row VM, accumulators and the repeated-Run steady state of
-# the persistent executor.
+# the persistent executor; then BenchmarkGather, the one micro benchmark that
+# times the generated tier (two data-dependent stages on the scalar, VM and
+# generated tiers).
 bench-kernels:
 	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRowEval|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/
+	$(GO) test -bench 'BenchmarkGather' -benchmem -run '^$$' ./internal/apps/gen/
 
 serve:
 	$(GO) run ./cmd/polymage-bench -serve harris -requests 100

@@ -1,7 +1,8 @@
 // Command polymage-gen is the ahead-of-time kernel generator: it compiles
 // pipelines, gathers every stage piece eligible for a generated kernel
 // (engine.Program.GenUnits) and writes one Go function per distinct piece
-// shape (internal/codegen.EmitGo), registered with the execution engine
+// shape (engine.EmitGo, a printing of the row VM's program for the piece),
+// registered with the execution engine
 // under the shape's content key. A kernel binds to any piece with that key
 // — any schedule, any image size, any pipeline — so each target compiles
 // its pipelines under both the hand and the auto schedule only to collect
@@ -34,7 +35,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/baseline"
-	"repro/internal/codegen"
 	"repro/internal/difftest"
 	"repro/internal/engine"
 	"repro/internal/harness"
@@ -52,7 +52,7 @@ func main() {
 
 	drift := 0
 	emit := func(pkgDir, pkg string, units []engine.GenUnit) {
-		src, err := codegen.EmitGo(pkg, units)
+		src, err := engine.EmitGo(pkg, units)
 		if err != nil {
 			fatal(err)
 		}
@@ -73,8 +73,8 @@ func main() {
 	gather := func(name string, prog *engine.Program) {
 		for _, u := range prog.GenUnits() {
 			if *verbose {
-				fmt.Printf("  %s/%s piece %d: rank %d f32=%v tier=%s out=%s reads=%v key=%.12s\n",
-					name, u.Stage, u.Piece, u.Rank, u.F32, u.Tier, u.Out, u.Elems, u.Key)
+				fmt.Printf("  %s/%s piece %d: rank %d set=%s out=%s reads=%v key=%.12s\n",
+					name, u.Stage, u.Piece, u.Rank, u.Set(), u.Out, u.Elems, u.Key)
 			}
 			units = append(units, u)
 		}

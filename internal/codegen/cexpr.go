@@ -58,7 +58,7 @@ func (e *emitter) expr(x expr.Expr, grp *schedule.Group, tp *schedule.TilePlan) 
 		case expr.Pow:
 			return fmt.Sprintf("powf(%s, %s)", l, r)
 		case expr.FDiv:
-			return fmt.Sprintf("((%s) / (%s))", l, r) // indices are non-negative here
+			return fmt.Sprintf("floorf(%s / %s)", l, r)
 		}
 	case expr.Unary:
 		a := e.expr(n.X, grp, tp)
@@ -91,8 +91,10 @@ func (e *emitter) expr(x expr.Expr, grp *schedule.Group, tp *schedule.TilePlan) 
 	return "/*?*/0"
 }
 
-// iexpr renders an index expression with integer literals and integer
-// division (the generated code's loop indices and array subscripts).
+// iexpr renders an index expression with integer literals and floor
+// division (the generated code's loop indices and array subscripts; mirrored
+// and boundary accesses reach negative numerators, where C's `/` truncates
+// toward zero).
 func (e *emitter) iexpr(x expr.Expr, grp *schedule.Group, tp *schedule.TilePlan) string {
 	switch n := x.(type) {
 	case expr.Const:
@@ -113,7 +115,8 @@ func (e *emitter) iexpr(x expr.Expr, grp *schedule.Group, tp *schedule.TilePlan)
 		case expr.Mul:
 			return fmt.Sprintf("(%s * %s)", l, r)
 		case expr.FDiv:
-			return fmt.Sprintf("((%s) / (%s))", l, r)
+			e.floorDiv = true
+			return fmt.Sprintf("floord(%s, %s)", l, r)
 		case expr.Min:
 			return fmt.Sprintf("std::min(%s, %s)", l, r)
 		case expr.Max:

@@ -34,7 +34,17 @@ type emitter struct {
 	est map[string]int64
 	b   strings.Builder
 	ind int
+	// floorDiv records that an index uses floord, emitted ahead of the
+	// function.
+	floorDiv bool
 }
+
+const floordSrc = `static inline int floord(int a, int b) {
+  int q = a / b;
+  return (a % b != 0 && ((a < 0) != (b < 0))) ? q - 1 : q;
+}
+
+`
 
 func (e *emitter) printf(format string, args ...any) {
 	e.b.WriteString(strings.Repeat("  ", e.ind))
@@ -88,6 +98,9 @@ func (e *emitter) emit(name string) (string, error) {
 	}
 	e.ind--
 	e.printf("}")
+	if e.floorDiv {
+		return floordSrc + e.b.String(), nil
+	}
 	return e.b.String(), nil
 }
 
@@ -380,7 +393,12 @@ func (e *emitter) emitAccumulator(name string) error {
 	st := g.Stages[name]
 	acc := st.Decl.(*dsl.Accumulator)
 	e.printf("/* Reduction: %s */", name)
-	e.printf("memset(%s, 0, sizeof(float) * %s);", name, e.domSize(acc.Domain()))
+	init := map[dsl.ReduceOp]string{dsl.MinOp: "INFINITY", dsl.MaxOp: "-INFINITY", dsl.MulOp: "1.0f"}[st.AccOp]
+	if init == "" {
+		e.printf("memset(%s, 0, sizeof(float) * %s);", name, e.domSize(acc.Domain()))
+	} else {
+		e.printf("std::fill_n(%s, %s, %s);", name, e.domSize(acc.Domain()), init)
+	}
 	red := acc.ReductionDomain()
 	names := acc.RedVarNames()
 	for d := range red {
@@ -389,20 +407,22 @@ func (e *emitter) emitAccumulator(name string) error {
 	}
 	var idx []string
 	for _, t := range st.AccTarget {
-		idx = append(idx, e.expr(t, nil, nil))
+		idx = append(idx, e.iexpr(t, nil, nil))
 	}
-	op := "+="
-	if st.AccOp != dsl.SumOp {
-		op = "/*" + st.AccOp.String() + "*/="
+	lv, v := fmt.Sprintf("%s[%s]", name, e.flatIndex(name, idx)), e.expr(st.AccValue, nil, nil)
+	switch st.AccOp {
+	case dsl.MinOp:
+		e.printf("%s = std::min(%s, %s);", lv, lv, v)
+	case dsl.MaxOp:
+		e.printf("%s = std::max(%s, %s);", lv, lv, v)
+	case dsl.MulOp:
+		e.printf("%s *= %s;", lv, v)
+	default:
+		e.printf("%s += %s;", lv, v)
 	}
-	e.printf("%s[%s] %s %s;", name, e.flatIndexExprs(name, idx), op, e.expr(st.AccValue, nil, nil))
 	for range red {
 		e.ind--
 		e.printf("}")
 	}
 	return nil
-}
-
-func (e *emitter) flatIndexExprs(target string, idx []string) string {
-	return e.flatIndex(target, idx)
 }

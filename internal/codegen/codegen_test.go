@@ -4,8 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/affine"
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/dsl"
+	"repro/internal/expr"
 )
 
 func compileApp(t *testing.T, name string) *core.Pipeline {
@@ -111,5 +114,43 @@ func TestEmitAllApps(t *testing.T) {
 		if !strings.Contains(code, "#pragma omp parallel for") {
 			t.Errorf("%s: no parallel loops emitted", app.Name)
 		}
+	}
+}
+
+// TestEmitFloorDivAndReductions: floor division renders as floor division
+// in both contexts — floorf in a value, the floord helper in an index, whose
+// numerator (x-1) is negative at x = 0 where C's `/` would truncate toward
+// zero — and a max reduction starts from its identity and updates through
+// std::max.
+func TestEmitFloorDivAndReductions(t *testing.T) {
+	b := dsl.NewBuilder()
+	N := b.Param("N")
+	I := b.Image("I", expr.Float, N.Affine().AddConst(1), affine.Const(2))
+	x, y, r, v := b.Var("x"), b.Var("y"), b.Var("r"), b.Var("v")
+	up := b.Func("up", expr.Float, []*dsl.Variable{x, y}, []dsl.Interval{dsl.Span(affine.Const(0), N.Affine()), dsl.ConstSpan(0, 1)})
+	up.Define(dsl.Case{E: dsl.Add(I.At(dsl.Add(dsl.IDiv(dsl.Sub(x, 1), 2), 1), y), dsl.IDiv(I.At(x, y), 2))})
+	mx := b.Accum("mx", expr.Float, []*dsl.Variable{r}, []dsl.Interval{dsl.Span(affine.Const(0), N.Affine())}, []*dsl.Variable{v}, []dsl.Interval{dsl.ConstSpan(0, 0)})
+	mx.Define([]any{0}, I.At(r, 0), dsl.MaxOp)
+	pl, err := core.Compile(b, []string{"up", "mx"}, core.Options{Estimates: map[string]int64{"N": 64}, AllowUnproven: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := Emit(pl, "floordiv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"static inline int floord(int a, int b)",
+		"floord((x - 1), 2)",
+		"floorf(I[",
+		"std::fill_n(mx, (1), -INFINITY);",
+		"mx[0] = std::max(mx[0], I[",
+	} {
+		if !strings.Contains(code, want) {
+			t.Errorf("generated code missing %q\n---\n%s", want, code)
+		}
+	}
+	if strings.Contains(code, "*/=") {
+		t.Errorf("reduction update is not C++:\n%s", code)
 	}
 }

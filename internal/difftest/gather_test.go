@@ -123,11 +123,11 @@ func TestGenGatherTable(t *testing.T) {
 	})
 }
 
-// TestGenIntBodyTable: the typed emitter's int64 and float64-over-narrow
-// bodies against the integer VM, the scalar tier and the reference
-// interpreter, exactly. Every piece binds a checked-in kernel; each case's
-// units are of the tier its name says, and its live-outs of the element
-// types it was written to store.
+// TestGenIntBodyTable: the generated int64 and float64-over-narrow bodies
+// against the integer VM, the scalar tier and the reference interpreter,
+// exactly. Every piece binds a checked-in kernel; each case's units are of
+// the register type its name says, and its live-outs of the element types
+// it was written to store.
 func TestGenIntBodyTable(t *testing.T) {
 	wantElems := map[string]string{
 		"negdiv": "int32 int32 int32", "select": "int32 uint8",
@@ -153,8 +153,8 @@ func TestGenIntBodyTable(t *testing.T) {
 			t.Errorf("live-out element types %q, want %q", got, wantElems[gc.Name])
 		}
 		for _, u := range prog.GenUnits() {
-			if (u.Tier == "int") == (gc.Name == "f64narrow" && u.Stage != "wide") {
-				t.Errorf("stage %s is a %q unit", u.Stage, u.Tier)
+			if (u.Set() == "int64") == (gc.Name == "f64narrow" && u.Stage != "wide") {
+				t.Errorf("stage %s is a %s unit", u.Stage, u.Set())
 			}
 		}
 	})

@@ -37,8 +37,8 @@ func TestIntegerSeedCorpus(t *testing.T) {
 // TestIntegerCorpusBindsKernels is TestGenKnobCorpus's coverage guard for
 // the integer corpus: under both NarrowGenKnobs every seed runs generated
 // kernels, no eligible piece lacks a checked-in one, and none is refused for
-// its element type — so the narrow knobs of the sweep above do execute the
-// typed emitter's output.
+// a per-element fallback — so the narrow knobs of the sweep above do execute
+// the int64 kernels.
 func TestIntegerCorpusBindsKernels(t *testing.T) {
 	for _, k := range NarrowGenKnobs() {
 		intPieces := 0
@@ -50,12 +50,12 @@ func TestIntegerCorpusBindsKernels(t *testing.T) {
 			}
 			st := prog.Stats()
 			for _, u := range prog.GenUnits() {
-				if u.Tier == "int" {
+				if u.Set() == "int64" {
 					intPieces++
 				}
 			}
 			prog.Close()
-			if m := st.GenMisses; m.NoKernel != 0 || m.NarrowElem != 0 {
+			if m := st.GenMisses; m.NoKernel != 0 || m.VMFall != 0 {
 				t.Errorf("seed %d under %s: %+v (rerun go run ./cmd/polymage-gen)", seed, k.Name, m)
 			}
 			gen := 0

@@ -141,57 +141,63 @@ func (e *Executor) runTiled(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 				return
 			}
 			tp.TileIndex(t, idx)
-			var err error
-			w.req, err = tp.Required(idx, w.req)
-			if err != nil {
+			if err := e.runTile(w, ge, tp, idx, outputs); err != nil {
 				fe.set(err)
 				return
 			}
-			if w.shard != nil {
-				w.shard.Tile(ge.id)
-			}
-			for i, ls := range ge.members {
-				box := w.req[ls.name]
-				if box == nil || box.Empty() {
-					continue
-				}
-				isAnchor := ls.name == ge.grp.Anchor
-				var out *Buffer
-				switch {
-				case isAnchor:
-					// The anchor's required region is exactly its owned
-					// tile: write the full buffer directly.
-					out = outputs[ls.name]
-				default:
-					sc, ok := w.scratch[ls.name]
-					if !ok {
-						sc = &Buffer{}
-						w.scratch[ls.name] = sc
-					}
-					sc.ResetElem(box, ls.elem)
-					out = sc
-				}
-				w.ctx.bufs[ls.slot] = out
-				if w.shard == nil {
-					e.p.computeStage(w, ls, box, out)
-				} else {
-					var recPts, recRows int64
-					if !isAnchor {
-						// The anchor writes exactly its owned tile; other
-						// members recompute the halo outside their owned box.
-						recPts, recRows = w.recomputed(tp, ls.name, idx, box)
-					}
-					e.p.computeStageObs(w, ls, box, out, recPts, recRows)
-				}
-				if ge.liveOut[i] && !isAnchor {
-					owned := tp.OwnedBox(ls.name, idx).Intersect(box)
-					if !owned.Empty() {
-						outputs[ls.name].CopyRegion(out, owned)
-					}
-				}
-			}
 		}
 	})
+}
+
+// runTile computes tile idx of plan tp: every member over its required
+// region, the anchor straight into its full buffer (its required region is
+// exactly its owned tile), the others into the worker's scratchpads, from
+// which live-outs copy their owned boxes.
+func (e *Executor) runTile(w *worker, ge *groupExec, tp *schedule.TilePlan, idx []int64, outputs map[string]*Buffer) error {
+	var err error
+	w.req, err = tp.Required(idx, w.req)
+	if err != nil {
+		return err
+	}
+	if w.shard != nil {
+		w.shard.Tile(ge.id)
+	}
+	for i, ls := range ge.members {
+		box := w.req[ls.name]
+		if box == nil || box.Empty() {
+			continue
+		}
+		isAnchor := ls.name == ge.grp.Anchor
+		out := outputs[ls.name]
+		if !isAnchor {
+			sc, ok := w.scratch[ls.name]
+			if !ok {
+				sc = &Buffer{}
+				w.scratch[ls.name] = sc
+			}
+			sc.ResetElem(box, ls.elem)
+			out = sc
+		}
+		w.ctx.bufs[ls.slot] = out
+		if w.shard == nil {
+			e.p.computeStage(w, ls, box, out)
+		} else {
+			var recPts, recRows int64
+			if !isAnchor {
+				// Members other than the anchor recompute the halo outside
+				// their owned box.
+				recPts, recRows = w.recomputed(tp, ls.name, idx, box)
+			}
+			e.p.computeStageObs(w, ls, box, out, recPts, recRows)
+		}
+		if ge.liveOut[i] && !isAnchor {
+			owned := tp.OwnedBox(ls.name, idx).Intersect(box)
+			if !owned.Empty() {
+				outputs[ls.name].CopyRegion(out, owned)
+			}
+		}
+	}
+	return nil
 }
 
 // computeStage evaluates a stage over region, attributing CPU samples to

@@ -103,11 +103,6 @@ func defaultFleet() *fleet {
 	return procFleet
 }
 
-// FleetSize reports the size of the process-wide worker fleet: the hard
-// ceiling on any program's effective parallelism, whatever its Threads
-// option says.
-func FleetSize() int { return defaultFleet().size }
-
 // start spawns the worker goroutines, once; a process that never runs a
 // parallel section never spawns any.
 func (f *fleet) start() {

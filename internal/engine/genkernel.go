@@ -28,10 +28,10 @@ import (
 
 // genABI versions the generated-kernel calling convention and key layout.
 // It is folded into every key, so kernels emitted by an older emitter can
-// never bind to a piece lowered by a newer engine. Version 4: index
-// arguments may be affine in any loop variable or data-dependent (version 3
-// admitted only arguments affine in their own dimension's variable).
-const genABI = "polymage-genabi/4"
+// never bind to a piece lowered by a newer engine. Version 5: a kernel is a
+// printing of the row VM's program for the piece, keyed by its register type
+// (version 4 re-derived the body from the expression, keyed by tier).
+const genABI = "polymage-genabi/5"
 
 // GenCtx is the context a generated kernel receives: the region to
 // compute, the output buffer, and the input buffers of the kernel's
@@ -124,9 +124,10 @@ func (p *Program) genLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buf
 
 // GenUnit describes one stage piece the emitter can generate a kernel for:
 // a plain (non-accumulator, non-self-referencing) stage piece of rank 1–3
-// with no residual predicate, of any storage element type. Stage, Piece and
-// Reads locate the piece in this program; the remaining fields are the
-// piece's shape — all the emitter may read, and exactly what Key hashes.
+// with no residual predicate, of any storage element type, whose row program
+// has no per-element fallback. Stage, Piece and Reads locate the piece in
+// this program; the remaining fields are the piece's shape — all the emitter
+// may read, and exactly what Key hashes.
 type GenUnit struct {
 	Stage string
 	Piece int
@@ -134,7 +135,8 @@ type GenUnit struct {
 	// the kernel's GenCtx.Bufs layout.
 	Reads []string
 	// Key is the content key a kernel for this shape registers under: a
-	// SHA-256 over genABI, Rank, Expr, Tier, F32, Out and Elems.
+	// SHA-256 over genABI, Rank, the register type, Out, Elems and Expr,
+	// which together determine the program the emitter prints.
 	// Nothing about stage names, grouping, tile sizes, domains or the rest
 	// of the graph enters it, because none of that reaches the emitted code.
 	Key string
@@ -152,25 +154,38 @@ type GenUnit struct {
 	// variable it uses), data-dependent index arguments kept as canonical
 	// expressions of their own, variable names dropped.
 	Expr expr.Expr
-	// F32 reports that the row VM computes this piece with its float32
-	// instruction set (weighted mass ≤ 4, see vmFloat32OK): the generated
-	// kernel must compute in float32 too, or its results would not match
-	// the tier it replaces.
-	F32 bool
-	// Tier names the evaluator the piece runs on without a generated
-	// kernel ("rowvm", "int", "scalar"). "int" is the row VM's integer
-	// instruction set: every node of Expr is proven integral within ±2^24,
-	// and the kernel computes in int64 locals, which is exact there
-	// whatever the association — no mirror of the VM's fused instructions is
-	// needed.
-	Tier string
+	// prog is Expr lowered by the row VM's builder with read position i as
+	// buffer slot i, res its result value and set the register type it runs
+	// over — the piece's own: the program EmitGo prints.
+	prog *vmBuilder
+	res  int
+	set  vmSet
+}
+
+// Set names the register type the unit's kernel computes in, the one the
+// row VM runs the piece over: "float64", "float32" or "int64".
+func (u GenUnit) Set() string { return u.set.String() }
+
+// lower lowers u.Expr with the row VM's builder, read position i as buffer
+// slot i, and picks the register type as compileRowVM does for want.
+func (u *GenUnit) lower(want vmSet) error {
+	slots := make(map[string]int, len(u.Elems))
+	for i := range u.Elems {
+		slots["b"+strconv.Itoa(i)] = i
+	}
+	vb, res, err := (&compiler{slots: slots}).lowerRow(u.Expr, u.Rank-1)
+	if err != nil {
+		return err
+	}
+	u.prog, u.res, u.set = vb, res, vb.pickSet(res, want)
+	return nil
 }
 
 // GenUnits enumerates the pieces of this program eligible for ahead-of-time
 // kernel generation, in deterministic (stage topological, piece
-// declaration) order. The emitter in internal/codegen renders one kernel
-// per distinct key; pieces not enumerated here run on the interpreted
-// tiers.
+// declaration) order. EmitGo renders one kernel per distinct key; pieces
+// not enumerated here run on the interpreted tiers. Only a Fast program has
+// row programs, so only a Fast program has units.
 func (p *Program) GenUnits() []GenUnit {
 	units, _ := p.genUnits()
 	return units
@@ -196,8 +211,11 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 		}
 		for pi := range ls.pieces {
 			piece := &ls.pieces[pi]
-			if piece.pred != nil {
+			switch {
+			case piece.pred != nil:
 				miss.Predicated++
+				continue
+			case piece.vm == nil:
 				continue
 			}
 			canon, reads, gather, ok := genCanon(piece.src, p.slots, p.Params)
@@ -207,23 +225,23 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 				miss.Irregular++
 				continue
 			}
-			u := GenUnit{Stage: name, Piece: pi, Reads: reads, Rank: rank, Expr: canon, Tier: "scalar",
+			u := GenUnit{Stage: name, Piece: pi, Reads: reads, Rank: rank, Expr: canon,
 				Out: ls.elem, Elems: make([]Elem, len(reads))}
 			for i, r := range reads {
 				u.Elems[i] = p.slotElem[p.slots[r]]
 			}
-			switch {
-			case piece.vm != nil && piece.vm.set == setInt:
-				if !genIntForm(canon) {
-					miss.NarrowElem++
-					continue
-				}
-				u.Tier = "int"
-			case piece.vm != nil:
-				u.Tier = "rowvm"
-				u.F32 = piece.vm.set == setF32
+			// The canonical expression lowers to the piece's own program up
+			// to slot numbers; a kernel is printed only from a program the VM
+			// would run with no per-element fallback.
+			if err := u.lower(piece.vm.set); err != nil || u.set != piece.vm.set {
+				miss.Irregular++
+				continue
 			}
-			kb = fmt.Appendf(kb[:0], "%s rank=%d tier=%s f32=%v out=%s reads=", genABI, rank, u.Tier, u.F32, u.Out)
+			if len(u.prog.falls) > 0 {
+				miss.VMFall++
+				continue
+			}
+			kb = fmt.Appendf(kb[:0], "%s rank=%d set=%s out=%s reads=", genABI, rank, u.set, u.Out)
 			for _, el := range u.Elems {
 				kb = fmt.Appendf(kb, "%s,", el)
 			}
@@ -234,39 +252,6 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 		}
 	}
 	return units, miss
-}
-
-// genIntForm reports whether the emitter's int64 body renders canonical
-// expression e: integral constants and the operations with exact integer
-// semantics. The integer VM's own gate (vmIntOK) works on instructions, after
-// constant folding and fusion; this is the same gate on the expression the
-// emitter is handed, so a disagreement leaves the piece on the VM
-// (GenMisses.NarrowElem) instead of failing the emitter.
-func genIntForm(e expr.Expr) bool {
-	ok := true
-	expr.Walk(e, func(x expr.Expr) bool {
-		switch n := x.(type) {
-		case expr.Const:
-			ok = ok && integralImm(n.V)
-		case expr.Access:
-			// Index arguments are integer index forms, not values.
-			return false
-		case expr.Binary:
-			switch n.Op {
-			case expr.Add, expr.Sub, expr.Mul, expr.Min, expr.Max, expr.FDiv, expr.Mod:
-			default:
-				ok = false
-			}
-		case expr.Unary:
-			switch n.Op {
-			case expr.Neg, expr.Abs, expr.Floor, expr.Ceil:
-			default:
-				ok = false
-			}
-		}
-		return ok
-	})
-	return ok
 }
 
 // genCanon brings a piece expression into the canonical form GenUnit.Expr

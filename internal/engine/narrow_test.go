@@ -259,7 +259,7 @@ func TestNarrowInputValidation(t *testing.T) {
 }
 
 // TestNarrowGenKeys: a narrow program's pieces are generated-kernel units
-// of the integer tier whose keys differ from the same pipeline's float32
+// on int64 registers whose keys differ from the same pipeline's float32
 // layout (a float32 kernel can never bind to a narrow slot, nor an int64
 // kernel to a float one), none is refused for its element type, and an
 // all-float32 program's piece keys are the same with the option on or off
@@ -279,8 +279,8 @@ func TestNarrowGenKeys(t *testing.T) {
 		seen[key] = "float32-layout " + at
 	}
 	for _, u := range units {
-		if u.Tier != "int" || u.Out == ElemF32 || len(u.Elems) != len(u.Reads) || slices.Contains(u.Elems, ElemF32) {
-			t.Errorf("unit %s: tier %q out %s reads %v, want the integer tier over narrow slots", u.Stage, u.Tier, u.Out, u.Elems)
+		if u.Set() != "int64" || u.Out == ElemF32 || len(u.Elems) != len(u.Reads) || slices.Contains(u.Elems, ElemF32) {
+			t.Errorf("unit %s: set %s out %s reads %v, want int64 registers over narrow slots", u.Stage, u.Set(), u.Out, u.Elems)
 		}
 		if other, dup := seen[u.Key]; dup {
 			t.Errorf("unit %s shares its key with %s", u.Stage, other)

@@ -319,6 +319,9 @@ const (
 	setInt
 )
 
+// String names the set by its register type.
+func (s vmSet) String() string { return [...]string{"float64", "float32", "int64"}[s] }
+
 // vmNum is the register type of one instantiation of the row VM.
 type vmNum interface{ float32 | float64 | int64 }
 
@@ -427,6 +430,17 @@ func newVMBuilder(cp *compiler, last int) *vmBuilder {
 // stages: subtrees without a row form lower to per-element fallback
 // instructions.
 func (cp *compiler) compileRowVM(e expr.Expr, last int, want vmSet) (*rowVM, error) {
+	vb, res, err := cp.lowerRow(e, last)
+	if err != nil {
+		return nil, err
+	}
+	return vb.finish(res, want), nil
+}
+
+// lowerRow linearizes e into the builder's SSA values and returns the id of
+// the result: the program before register allocation, which finish encodes
+// for the VM and EmitGo prints as a generated kernel.
+func (cp *compiler) lowerRow(e expr.Expr, last int) (*vmBuilder, int, error) {
 	vb := newVMBuilder(cp, last)
 	vb.num = expr.NewNumbering()
 	root := vb.num.Expr(e)
@@ -435,10 +449,16 @@ func (cp *compiler) compileRowVM(e expr.Expr, last int, want vmSet) (*rowVM, err
 		vb.memo[i] = -1
 	}
 	res, err := vb.emit(e, root)
-	if err != nil {
-		return nil, err
+	return vb, res, err
+}
+
+// pickSet is the register type the program runs over: want when the
+// program passes that type's gate, float64 otherwise.
+func (vb *vmBuilder) pickSet(res int, want vmSet) vmSet {
+	if want == setF32 && vmFloat32OK(vb.vals, res) || want == setInt && vmIntOK(vb.vals) {
+		return want
 	}
-	return vb.finish(res, want), nil
+	return setF64
 }
 
 // kid is the number of operand i of the subtree numbered k.
@@ -1121,13 +1141,9 @@ func (vb *vmBuilder) finish(res int, want vmSet) *rowVM {
 		}
 		ins[i] = in
 	}
-	vm := &rowVM{instrs: ins, loads: vb.loads, idxs: vb.idxs, gathers: vb.gathers,
+	return &rowVM{instrs: ins, loads: vb.loads, idxs: vb.idxs, gathers: vb.gathers,
 		falls: vb.falls, fallWhy: vb.fallWhy,
-		nRegs: nF, nBool: nB, res: uint16(reg[res]), fused: vb.fused}
-	if want == setF32 && vmFloat32OK(vb.vals, res) || want == setInt && vmIntOK(vb.vals) {
-		vm.set = want
-	}
-	return vm
+		nRegs: nF, nBool: nB, res: uint16(reg[res]), fused: vb.fused, set: vb.pickSet(res, want)}
 }
 
 // loadRow resolves a unit or strided load's buffer, first flat offset and

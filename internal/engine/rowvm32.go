@@ -14,8 +14,8 @@ import (
 // float32 sum of n terms carries a relative error of about n·2⁻²⁴ scaled by
 // that mass, so normalized blurs, differences and interpolations run in
 // float32 well inside the engine's 1e-5 verification tolerance, while
-// unnormalized sums keep float64 accumulation. Generated kernels inherit
-// the split through GenUnit.F32. Anything
+// unnormalized sums keep float64 accumulation. Generated kernels print
+// the same program, so they inherit the split. Anything
 // data-dependent in control flow (select/compare), transcendental (other
 // than sqrt), integer-semantics (mod, fdiv, int casts) or of unbounded
 // magnitude (iota, reg-reg division) disqualifies the program; those run

@@ -589,50 +589,9 @@ func (e *Executor) runTiledDirty(rc *runCtx, ge *groupExec, outputs map[string]*
 				continue
 			}
 			fc.executed.Add(1)
-			var err error
-			w.req, err = tp.Required(idx, w.req)
-			if err != nil {
+			if err := e.runTile(w, ge, tp, idx, outputs); err != nil {
 				fe.set(err)
 				return
-			}
-			if w.shard != nil {
-				w.shard.Tile(ge.id)
-			}
-			for i, ls := range ge.members {
-				box := w.req[ls.name]
-				if box == nil || box.Empty() {
-					continue
-				}
-				isAnchor := ls.name == ge.grp.Anchor
-				var out *Buffer
-				switch {
-				case isAnchor:
-					out = outputs[ls.name]
-				default:
-					sc, ok := w.scratch[ls.name]
-					if !ok {
-						sc = &Buffer{}
-						w.scratch[ls.name] = sc
-					}
-					sc.ResetElem(box, ls.elem)
-					out = sc
-				}
-				w.ctx.bufs[ls.slot] = out
-				if w.shard == nil {
-					e.p.computeStage(w, ls, box, out)
-				} else {
-					var recPts, recRows int64
-					if !isAnchor {
-						recPts, recRows = w.recomputed(tp, ls.name, idx, box)
-					}
-					e.p.computeStageObs(w, ls, box, out, recPts, recRows)
-				}
-				if ge.liveOut[i] && !isAnchor {
-					owned := tp.OwnedBox(ls.name, idx).Intersect(box)
-					if !owned.Empty() {
-						outputs[ls.name].CopyRegion(out, owned)
-					}
-				}
 			}
 		}
 	})

@@ -1,7 +1,5 @@
 package expr
 
-import "math"
-
 // Simplify performs constant folding and algebraic identity cleanup on an
 // expression tree. It is applied after inlining (which can produce trees
 // like 0·x + e) and before kernel compilation.
@@ -205,15 +203,4 @@ func foldParamsCond(c Cond, params map[string]int64) Cond {
 		return Not{A: foldParamsCond(n.A, params)}
 	}
 	return c
-}
-
-// IsConstExpr reports whether the expression folds to a constant, returning
-// its value.
-func IsConstExpr(e Expr) (float64, bool) {
-	if c, ok := Simplify(e).(Const); ok {
-		if !math.IsNaN(c.V) {
-			return c.V, true
-		}
-	}
-	return 0, false
 }

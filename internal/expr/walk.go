@@ -122,13 +122,3 @@ func SubstVars(e Expr, subs []Expr) Expr {
 		return nil
 	})
 }
-
-// SubstVarsCond is SubstVars for condition trees.
-func SubstVarsCond(c Cond, subs []Expr) Cond {
-	return TransformCond(c, func(x Expr) Expr {
-		if v, ok := x.(VarRef); ok && v.Dim >= 0 && v.Dim < len(subs) && subs[v.Dim] != nil {
-			return subs[v.Dim]
-		}
-		return nil
-	})
-}

@@ -43,7 +43,7 @@ func TestStatsGenMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"gen      0/9 pieces; misses: 7 no kernel for key, 0 predicated, 2 accumulator/self-ref, 0 narrow elem, 0 irregular access",
+		"gen      0/9 pieces; misses: 7 no kernel for key, 0 predicated, 2 accumulator/self-ref, 0 vm fall, 0 irregular access",
 		"vm falls 0; reasons: 0 no row op, 0 condition, 0 other",
 		"tile by tile 0, extrapolated 0",
 	} {

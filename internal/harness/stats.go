@@ -145,8 +145,8 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 		pieces += sm.Gen + sm.RowVM + sm.Scalar
 	}
 	m := model.GenMisses
-	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d accumulator/self-ref, %d narrow elem, %d irregular access\n",
-		gen, pieces, m.NoKernel, m.Predicated, m.AccOrSelfRef, m.NarrowElem, m.Irregular)
+	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d accumulator/self-ref, %d vm fall, %d irregular access\n",
+		gen, pieces, m.NoKernel, m.Predicated, m.AccOrSelfRef, m.VMFall, m.Irregular)
 	f := model.VMFalls
 	fmt.Fprintf(w, "  vm falls %d; reasons: %d no row op, %d condition, %d other\n", f.Total(), f.Op, f.Cond, f.Other)
 	hasVM := false

@@ -132,14 +132,14 @@ type GenMisses struct {
 	NoKernel     int `json:"no_kernel"`       // eligible, no kernel registered for its key
 	Predicated   int `json:"predicated"`      // residual per-point predicate
 	AccOrSelfRef int `json:"acc_or_self_ref"` // accumulator or self-referencing stage
-	NarrowElem   int `json:"narrow_elem"`     // integer-VM piece whose expression has no int64 body form
-	Irregular    int `json:"irregular"`       // stage rank outside 1–3, an index offset the binding cannot evaluate, or a gather piece under Debug
+	VMFall       int `json:"vm_fall"`         // row program keeps a per-element fallback
+	Irregular    int `json:"irregular"`       // stage rank outside 1–3, an index offset the binding cannot evaluate, a gather piece under Debug, or a canonical expression that does not lower to the piece's own register type
 }
 
 // Total is the number of pieces without a generated kernel; with the Gen
 // counts of the program's stages it adds up to the program's pieces.
 func (m GenMisses) Total() int {
-	return m.NoKernel + m.Predicated + m.AccOrSelfRef + m.NarrowElem + m.Irregular
+	return m.NoKernel + m.Predicated + m.AccOrSelfRef + m.VMFall + m.Irregular
 }
 
 // StageModel describes how one stage's case pieces were lowered: the

@@ -182,25 +182,6 @@ func (tp *TilePlan) TileIndex(flat int64, idx []int64) []int64 {
 	return idx
 }
 
-// TileBox returns the anchor-domain box of the tile at the given index
-// (clamped to the anchor domain).
-func (tp *TilePlan) TileBox(idx []int64) affine.Box {
-	b := make(affine.Box, len(tp.AnchorBox))
-	for d, r := range tp.AnchorBox {
-		if tp.TileSizes[d] == 0 {
-			b[d] = r
-			continue
-		}
-		lo := r.Lo + idx[d]*tp.TileSizes[d]
-		hi := lo + tp.TileSizes[d] - 1
-		if hi > r.Hi {
-			hi = r.Hi
-		}
-		b[d] = affine.Range{Lo: lo, Hi: hi}
-	}
-	return b
-}
-
 // MemberDomain returns a member's concrete domain (nil for a non-member).
 func (tp *TilePlan) MemberDomain(m string) affine.Box {
 	if i, ok := tp.index[m]; ok {
