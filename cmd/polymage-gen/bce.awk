@@ -1,17 +1,18 @@
 # bce.awk joins the compiler's bounds-check report with the kernels of a
 # generated file (`make gen-bce`):
 #
-#	go build -gcflags=-d=ssa/check_bce/debug=1 ./PKG/ 2>&1 | awk -v pins=float64=74,float32=140,int64=0 -f bce.awk PKG/kernels_gen.go -
+#	go build -gcflags=-d=ssa/check_bce/debug=1 ./PKG/ 2>&1 | awk -v pins=float64=42,float32=140,int64=0 -f bce.awk PKG/kernels_gen.go -
 #
 # Pass 1, the generated source: which kernel each line belongs to, its body
-# kind, and the lines of its inner `for i := 0; i < n; i++` loop. Pass 2, the
+# kind, and the lines of its inner loop (`for i := 0; i < n; i++`, or a phase
+# loop's `for m := 0; m < cnt; m++`). Pass 2, the
 # report: the IsInBounds checks that survived, per kernel, and how many of
 # them sit in the inner loop; then the inner-loop total per body kind, and a
 # failing exit status when a total rises above its pin.
 FNR == NR {
-	if ($0 ~ /^\/\/ k_[0-9a-f]+ computes .*\((float32|float64|int64) body\)/) {
+	if ($0 ~ /^\/\/ k_[0-9a-f]+ computes .*\((float32|float64|int64) body[,)]/) {
 		kind = $0
-		sub(/ body\).*/, "", kind)
+		sub(/ body[,)].*/, "", kind)
 		sub(/.*\(/, "", kind)
 		body[$2] = kind
 	}
@@ -20,8 +21,8 @@ FNR == NR {
 		order[++nk] = cur
 	}
 	if ($0 ~ /^}/) cur = ""
-	if (match($0, /^\t+for i := 0; i < n; i\+\+ \{$/)) {
-		depth = RLENGTH - length("for i := 0; i < n; i++ {")
+	if (match($0, /^\t+for (i := 0; i < n; i|m := 0; m < cnt; m)\+\+ \{$/)) {
+		depth = match($0, /[^\t]/) - 1
 		inner = 1
 		next
 	}

@@ -270,36 +270,40 @@ func TestTierAttribution(t *testing.T) {
 	}
 }
 
-// BenchmarkGather times the two data-dependent stages the benchmark's worst
-// rows sat in — bilateral's trilinear slice `out` and local Laplacian's
-// level interpolation `outL0` — on each tier at scale 4, hand schedule, one
-// thread, and reports the stage's own kernel time per domain point, so the
-// per-layer number is reproducible without bench/. It lives here, not in
-// internal/engine, because only a test binary that links this package's
-// kernels has a generated tier to time.
-func BenchmarkGather(b *testing.B) {
-	tiers := []struct {
-		name string
-		opts engine.ExecOptions
-	}{
-		{"scalar", engine.ExecOptions{}},
-		{"vm", engine.ExecOptions{Fast: true, NoGenKernels: true}},
-		{"gen", engine.ExecOptions{Fast: true}},
-	}
-	for _, c := range []struct{ app, stage string }{{"bilateral", "out"}, {"laplacian", "outL0"}} {
+// stageRow is one stage a micro benchmark times: the app, the stage and the
+// tiers it runs on.
+type stageRow struct {
+	app, stage string
+	tiers      []string
+}
+
+// benchTiers are the execution tiers a stage can be timed on.
+var benchTiers = map[string]engine.ExecOptions{
+	"scalar": {},
+	"vm":     {Fast: true, NoGenKernels: true},
+	"gen":    {Fast: true},
+}
+
+// benchStages times each row's stage on each of its tiers at scale 4, hand
+// schedule, one thread, and reports the stage's own kernel time per domain
+// point, so a per-layer number is reproducible without bench/. It lives
+// here, not in internal/engine, because only a test binary that links this
+// package's kernels has a generated tier to time.
+func benchStages(b *testing.B, rows []stageRow) {
+	for _, c := range rows {
 		app, err := apps.Get(c.app)
 		if err != nil {
 			b.Fatal(err)
 		}
 		params := harness.ScaledParams(app, 4)
-		for _, tier := range tiers {
-			b.Run(c.app+"/"+c.stage+"/"+tier.name, func(b *testing.B) {
+		for _, tier := range c.tiers {
+			b.Run(c.app+"/"+c.stage+"/"+tier, func(b *testing.B) {
 				bl, outs := app.Build()
 				pl, err := core.Compile(bl, outs, core.Options{Estimates: params, Schedule: schedule.DefaultOptions(), AllowUnproven: true})
 				if err != nil {
 					b.Fatal(err)
 				}
-				opts := tier.opts
+				opts := benchTiers[tier]
 				opts.Threads, opts.ReuseBuffers, opts.Metrics = 1, true, true
 				prog, err := pl.Bind(params, opts)
 				if err != nil {
@@ -327,4 +331,22 @@ func BenchmarkGather(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkGather times the two data-dependent stages the benchmark's worst
+// rows sat in — bilateral's trilinear slice `out` and local Laplacian's
+// level interpolation `outL0` — on the scalar, VM and generated tiers.
+func BenchmarkGather(b *testing.B) {
+	all := []string{"scalar", "vm", "gen"}
+	benchStages(b, []stageRow{{"bilateral", "out", all}, {"laplacian", "outL0", all}})
+}
+
+// BenchmarkUpsample times the up-sampling and demosaic stages whose
+// generated kernels run as phase loops — local Laplacian's `gUp0`,
+// pyramid blending's `colUp0`, interpolation's `up0` and the camera
+// pipeline's `rFull` — on the VM and generated tiers.
+func BenchmarkUpsample(b *testing.B) {
+	tiers := []string{"gen", "vm"}
+	benchStages(b, []stageRow{{"laplacian", "gUp0", tiers}, {"pyramid", "colUp0", tiers},
+		{"interpolate", "up0", tiers}, {"camera", "rFull", tiers}})
 }

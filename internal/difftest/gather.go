@@ -10,11 +10,12 @@ import (
 )
 
 // GatherCase is one hand-written pipeline of the differential tables in
-// gather_test.go: the indirect addressing shapes (GatherCases) and the
-// int64-body forms (IntBodyCases) the generated corpora do not draw. It
-// lives here, not in a test file, because cmd/polymage-gen compiles every
-// case too, so the gencorpus package holds the kernels the tables' Fast leg
-// binds.
+// gather_test.go and phase_test.go: the indirect addressing shapes
+// (GatherCases), the int64-body forms (IntBodyCases), the phase loops
+// (PhaseCases) and a NaN through min (MinMaxNaNCase), which the generated
+// corpora do not draw. It lives here, not in a test file, because
+// cmd/polymage-gen compiles every case too, so the gencorpus package holds
+// the kernels the tables' Fast leg binds.
 type GatherCase struct {
 	Name string
 	// Narrow compiles with NarrowTypes; the input image is uint8.
@@ -23,17 +24,24 @@ type GatherCase struct {
 	// Params is the binding the table runs; Fault, where set, shrinks the
 	// gathered stage so the same piece (and kernel) indexes outside it.
 	Params, Fault map[string]int64
+	// Tiles overrides the 16×16 tile sizes.
+	Tiles []int64
 }
 
 // Compile lowers the case as the engine tests lower pipelines: no inlining
-// (each stage keeps the access shape it was written with) and 16×16 tiles.
+// (each stage keeps the access shape it was written with) and 16×16 tiles
+// unless the case sets its own.
 func (gc GatherCase) Compile(params map[string]int64, opts engine.ExecOptions) (*engine.Program, error) {
 	b, outs := gc.Build()
 	g, err := pipeline.Build(b, outs...)
 	if err != nil {
 		return nil, err
 	}
-	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: []int64{16, 16}})
+	tiles := gc.Tiles
+	if tiles == nil {
+		tiles = []int64{16, 16}
+	}
+	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: tiles})
 	if err != nil {
 		return nil, err
 	}

@@ -149,3 +149,56 @@ func TestGenGoTypedBodies(t *testing.T) {
 		}
 	}
 }
+
+// TestGenPhasePlan pins when a kernel's inner loop runs as phase loops and
+// how many: every read varying along the row a divided innermost index, D
+// the least common multiple of d/gcd(c, d), at most maxPhases, and no
+// phase-header value computed from one of the inner loop's. What the phase
+// kernels compute is held to the interpreted tiers by difftest's
+// TestGenPhaseLoops.
+func TestGenPhasePlan(t *testing.T) {
+	x0, x1 := expr.VarRef{Dim: 0}, expr.VarRef{Dim: 1}
+	c := func(v float64) expr.Expr { return expr.Const{V: v} }
+	div := func(e expr.Expr, d float64) expr.Expr { return expr.Binary{Op: expr.FDiv, L: e, R: c(d)} }
+	at := func(a, b expr.Expr) expr.Expr { return expr.Access{Target: "b0", Args: []expr.Expr{a, b}} }
+	v := expr.AddE(x1, c(1))
+	cases := []struct {
+		name   string
+		e      expr.Expr
+		phases int
+		want   []string
+	}{
+		{"div2", at(x0, div(x1, 2)), 2, []string{"for p := 0; p < 2 && p < n; p++ {", "cnt := (n - p + 1) / 2",
+			"j1 := floorDiv(xl, 2)", "r0 := b0.Data[q0:][:cnt]", "o[2*m] = float32(float64(r0[m]))"}},
+		{"div2-div3", expr.AddE(at(x0, div(expr.AddE(x1, c(1)), 3)), at(x0, div(x1, 2))), 6, []string{"o[6*m] = ", "r0[2*m]", "r1[3*m]"}},
+		{"coeff3", at(x0, div(expr.MulE(c(3), x1), 2)), 2, []string{"r0 := b0.Data[q0:][:3*(cnt-1)+1]", "r0[3*m]"}},
+		{"coordinate-per-element", expr.MulE(at(x0, div(x1, 2)), x1), 2, []string{"xm := xl + int64(2*m)", "float64(xm)"}},
+		{"div3-div4", expr.AddE(at(x0, div(x1, 3)), at(x0, div(x1, 4))), 1, nil},
+		{"unit-beside-divided", expr.AddE(at(x0, x1), at(x0, div(x1, 2))), 1, nil},
+		{"divided-outer-index", at(div(x1, 2), x0), 1, nil},
+		{"gather", at(x0, expr.Cast{To: expr.Int, X: at(x0, div(x1, 2))}), 1, nil},
+		{"row-invariant", at(x0, c(3)), 1, nil},
+		// x1+1 feeds the phase-invariant residue and a per-element product:
+		// the header would read an inner-loop value.
+		{"shared-chain", expr.AddE(expr.SubE(v, expr.MulE(c(2), div(v, 2))), expr.MulE(v, at(x0, div(x1, 2)))), 1, nil},
+	}
+	for _, tc := range cases {
+		u := genUnitOf(t, tc.e, 2, setF64, ElemF32, ElemF32)
+		if got := u.Phases(); got != tc.phases {
+			t.Errorf("%s: %d phases, want %d", tc.name, got, tc.phases)
+		}
+		src, err := EmitGo("gen", []GenUnit{u})
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if (tc.phases > 1) != bytes.Contains(src, []byte(" phases) over c.Region")) {
+			t.Errorf("%s: doc comment does not say %d phases:\n%s", tc.name, tc.phases, src)
+		}
+		for _, w := range tc.want {
+			if !bytes.Contains(src, []byte(w)) {
+				t.Errorf("%s: emitted kernel lacks %q:\n%s", tc.name, w, src)
+			}
+		}
+	}
+}

@@ -166,6 +166,10 @@ type GenUnit struct {
 // row VM runs the piece over: "float64", "float32" or "int64".
 func (u GenUnit) Set() string { return u.set.String() }
 
+// Phases is the number of phase loops the unit's kernel runs its inner loop
+// as (EmitGo), 1 for the plain loop.
+func (u GenUnit) Phases() int { return int(newKernelPrinter(&goPrinter{}, u).d) }
+
 // lower lowers u.Expr with the row VM's builder, read position i as buffer
 // slot i, and picks the register type as compileRowVM does for want.
 func (u *GenUnit) lower(want vmSet) error {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/affine"
 	"repro/internal/expr"
+	"repro/internal/numeric"
 	"repro/internal/obs"
 )
 
@@ -808,8 +809,8 @@ func (vb *vmBuilder) tryMulAdd(mulE expr.Expr, mk int, otherE expr.Expr, otherK 
 }
 
 // tryClamp fuses min(max(x, lo), hi) with literal bounds (lo <= hi) into
-// one clamp instruction. The fused loop applies the same math.Max-then-
-// math.Min calls, so results are bit-identical.
+// one clamp instruction. The fused loop applies the same max-then-min, so
+// results are bit-identical.
 func (vb *vmBuilder) tryClamp(n expr.Binary, k int) (int, bool, error) {
 	inner, ik, hi, ok := n.L, vb.kid(k, 0), 0.0, false
 	if v, lok := vb.lit(n.R); lok {
@@ -1326,7 +1327,8 @@ func typedOp[T vmNum](vm *rowVM, c *RowCtx, in *rinstr, regs [][]T) {
 
 // op64 evaluates the float64 forms of the typed opcodes, and the opcodes only
 // the float64 set implements: pow, the transcendentals, index rows, gathers
-// and the scalar fallback.
+// and the scalar fallback. min and max are math.Min and math.Max, through
+// their inlinable forms numeric.Min64/Max64.
 func (vm *rowVM) op64(c *RowCtx, in *rinstr, regs [][]float64) {
 	n, v := c.n, in.imm
 	t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
@@ -1341,24 +1343,24 @@ func (vm *rowVM) op64(c *RowCtx, in *rinstr, regs [][]float64) {
 		}
 	case rMin:
 		for i := range t {
-			t[i] = math.Min(a[i], b[i])
+			t[i] = numeric.Min64(a[i], b[i])
 		}
 	case rMax:
 		for i := range t {
-			t[i] = math.Max(a[i], b[i])
+			t[i] = numeric.Max64(a[i], b[i])
 		}
 	case rMinI:
 		for i := range t {
-			t[i] = math.Min(a[i], v)
+			t[i] = numeric.Min64(a[i], v)
 		}
 	case rMaxI:
 		for i := range t {
-			t[i] = math.Max(a[i], v)
+			t[i] = numeric.Max64(a[i], v)
 		}
 	case rClampI:
 		hi := in.imm2
 		for i := range t {
-			t[i] = math.Min(math.Max(a[i], v), hi)
+			t[i] = numeric.Min64(numeric.Max64(a[i], v), hi)
 		}
 	case rFDiv:
 		for i := range t {

@@ -91,62 +91,33 @@ func vmFloat32OK(vals []vmValue, res int) bool {
 	return mass[res] <= 4
 }
 
-// min32/max32 follow math.Min/math.Max semantics (NaN propagates, signed
-// zeros ordered) so the float32 set stays within the differential-test
-// ULP budget of the reference on edge inputs.
-func min32(x, y float32) float32 {
-	switch {
-	case x != x || y != y:
-		return float32(math.NaN())
-	case x < y:
-		return x
-	case y < x:
-		return y
-	case x == 0 && y == 0 && math.Signbit(float64(x)):
-		return x
-	}
-	return y
-}
-
-func max32(x, y float32) float32 {
-	switch {
-	case x != x || y != y:
-		return float32(math.NaN())
-	case x > y:
-		return x
-	case y > x:
-		return y
-	case x == 0 && y == 0 && !math.Signbit(float64(x)):
-		return x
-	}
-	return y
-}
-
 // op32 evaluates the float32 forms of the typed opcodes the float32 set
-// admits.
+// admits. min and max are the builtins, as the generated float32 bodies
+// print them: math.Min/math.Max whenever no operand is NaN (signed zeros
+// ordered), and a NaN carrying an operand's bits whenever one is.
 func op32(in *rinstr, regs [][]float32, n int) {
 	v, v2 := float32(in.imm), float32(in.imm2)
 	t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]
 	switch in.op {
 	case rMin:
 		for i := range t {
-			t[i] = min32(a[i], b[i])
+			t[i] = min(a[i], b[i])
 		}
 	case rMax:
 		for i := range t {
-			t[i] = max32(a[i], b[i])
+			t[i] = max(a[i], b[i])
 		}
 	case rMinI:
 		for i := range t {
-			t[i] = min32(a[i], v)
+			t[i] = min(a[i], v)
 		}
 	case rMaxI:
 		for i := range t {
-			t[i] = max32(a[i], v)
+			t[i] = max(a[i], v)
 		}
 	case rClampI:
 		for i := range t {
-			t[i] = min32(max32(a[i], v), v2)
+			t[i] = min(max(a[i], v), v2)
 		}
 	case rAbs:
 		for i := range t {

@@ -13,7 +13,39 @@
 //
 // The comparisons are written so every in-range value takes the final
 // truncating conversion, which all platforms define identically.
+//
+// Min64 and Max64 are math.Min and math.Max, bit for bit, in a form the
+// compiler inlines (math's are assembly on amd64, one call per element).
 package numeric
+
+import "math"
+
+// Min64 is math.Min(x, y). The builtin min agrees with it on every non-NaN
+// result (−0 < +0 included); a NaN result, where the builtin keeps an
+// operand's payload and math.Min(−Inf, NaN) is −Inf, takes math.Min itself.
+func Min64(x, y float64) float64 {
+	if r := min(x, y); r == r {
+		return r
+	}
+	return mathMin(x, y)
+}
+
+// Max64 is math.Max(x, y), as Min64 is math.Min.
+func Max64(x, y float64) float64 {
+	if r := max(x, y); r == r {
+		return r
+	}
+	return mathMax(x, y)
+}
+
+// mathMin and mathMax keep the NaN path out of line, so Min64 and Max64
+// stay within the inlining budget.
+//
+//go:noinline
+func mathMin(x, y float64) float64 { return math.Min(x, y) }
+
+//go:noinline
+func mathMax(x, y float64) float64 { return math.Max(x, y) }
 
 // SatI8 converts v to int8 with saturation.
 func SatI8(v float64) int8 {

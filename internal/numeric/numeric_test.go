@@ -5,6 +5,29 @@ import (
 	"testing"
 )
 
+// TestMinMax64MatchesMath holds Min64/Max64 to math.Min/math.Max bit for bit
+// on every ordered pair of the special values: signed zeros, infinities,
+// NaNs of both signs and several payloads, subnormals and the extremes.
+func TestMinMax64MatchesMath(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff0000000000001),
+		math.Float64frombits(0xfff4000000000abc), math.Float64frombits(0x7ff8dead00000000),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+		-math.Float64frombits(0x000fffffffffffff), math.MaxFloat64, -math.MaxFloat64, 1, -1, 0.5,
+	}
+	for _, x := range vals {
+		for _, y := range vals {
+			if got, want := math.Float64bits(Min64(x, y)), math.Float64bits(math.Min(x, y)); got != want {
+				t.Errorf("Min64(%#x, %#x) = %#x, math.Min = %#x", math.Float64bits(x), math.Float64bits(y), got, want)
+			}
+			if got, want := math.Float64bits(Max64(x, y)), math.Float64bits(math.Max(x, y)); got != want {
+				t.Errorf("Max64(%#x, %#x) = %#x, math.Max = %#x", math.Float64bits(x), math.Float64bits(y), got, want)
+			}
+		}
+	}
+}
+
 // TestSaturatingCasts pins the platform-independent float→int rules every
 // evaluator tier shares: NaN → 0, out-of-range (±Inf included) saturates
 // to the type bounds, in-range values truncate toward zero.
