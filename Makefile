@@ -28,9 +28,10 @@ test: vet bench-vet bench-smoke gen rowvm-race fleet-race stream-race gen-race n
 	$(GO) test ./...
 
 # Race-checked run of the row bytecode VM suite (differential vs scalar,
-# fusion/regalloc shape, fallback, float32 gate, register gauge, end-to-end
-# VM-vs-scalar pipeline; the one dispatch loop's float64, float32 and int64
-# instantiations, the int64 one held to == with float64 over uint8 programs)
+# fusion/regalloc shape, every IR form lowered, float32 gate, register
+# gauge, end-to-end VM-vs-scalar pipeline; the one dispatch loop's float64,
+# float32 and int64 instantiations, the int64 one held to == with float64
+# over uint8 programs)
 # and of the gather/scatter table (internal/difftest: gather instruction and
 # row-swept accumulator vs the scalar tier, threads 1 and 2, out-of-region
 # faults).
@@ -39,8 +40,9 @@ rowvm-race:
 
 # Race-checked saturation stress of the shared-fleet scheduler: concurrent
 # same-program runs, multi-program interleaving on shared workers,
-# Close-during-Run / Recycle-after-Close lifecycle, batching, and service
-# cache eviction under concurrent multi-program load. POLYMAGE_FLEET=4
+# Close-during-Run / Recycle-after-Close lifecycle, service cache eviction
+# under concurrent multi-program load, and a lone caller's back-to-back
+# requests finding their admission slot free. POLYMAGE_FLEET=4
 # forces a multi-worker fleet so the deque/steal/park paths are exercised
 # even on single-core CI machines.
 fleet-race:

@@ -7,15 +7,13 @@
 // it measures a grid of schedules, ranks them by the model's predicted
 // cost, and reports whether the predicted best matches the measured best
 // (top-1 hit) plus the Spearman rank correlation, alongside the searched
-// schedule's own measurement. -fit regresses the model coefficients
-// against a fresh sweep of every app and prints them.
+// schedule's own measurement.
 //
 // Usage:
 //
 //	polymage-tune -app camera [-scale 4] [-scatter] [-full-space]
 //	              [-random-trials 5]
-//	polymage-tune -auto [-app camera] [-scale 4]
-//	polymage-tune -fit [-scale 4] [-runs 3]
+//	polymage-tune -auto [-app camera] [-scale 4] [-runs 3]
 package main
 
 import (
@@ -39,14 +37,8 @@ func main() {
 	fullSpace := flag.Bool("full-space", false, "use the paper's full 147-point space")
 	randomTrials := flag.Int("random-trials", 5, "trials for the OpenTuner-style random search (0 = skip)")
 	autoEval := flag.Bool("auto", false, "validate the auto-scheduler's cost model: predicted vs measured schedule ranking on -app")
-	fit := flag.Bool("fit", false, "fit the cost-model coefficients against a fresh sweep of every app and print them")
-	runs := flag.Int("runs", 3, "timed runs per measured schedule for -auto / -fit")
+	runs := flag.Int("runs", 3, "timed runs per measured schedule for -auto")
 	flag.Parse()
-
-	if *fit {
-		fitMain(*scale, *runs)
-		return
-	}
 
 	app, err := apps.Get(*appName)
 	fatal(err)
@@ -118,21 +110,6 @@ func autoMain(app *apps.App, params map[string]int64, runs int) {
 		}
 	}
 	fmt.Printf("searched schedule: %.2f ms (grid-measured best %.2f ms, ratio %.3f)\n", ms, best, ms/best)
-}
-
-// fitMain regresses the model coefficients against a fresh sweep.
-func fitMain(scale int64, runs int) {
-	fmt.Printf("sweeping %d apps at scale %d for fit samples...\n", len(apps.Names()), scale)
-	samples, err := autotune.SweepSamples(scale, runs, 42)
-	fatal(err)
-	rep, err := autotune.Report(samples)
-	fatal(err)
-	fmt.Printf("fitted over %d samples (R² = %.3f):\n", rep.Samples, rep.R2)
-	fmt.Printf("  compute=%.4g recompute=%.4g traffic=%.4g parallel=%.4g footprint=%.4g\n",
-		rep.Weights.Compute, rep.Weights.Recompute, rep.Weights.Traffic, rep.Weights.Parallel, rep.Weights.Footprint)
-	d := schedule.DefaultCostWeights()
-	fmt.Printf("  (defaults: compute=%g recompute=%g traffic=%g parallel=%g footprint=%g)\n",
-		d.Compute, d.Recompute, d.Traffic, d.Parallel, d.Footprint)
 }
 
 func fatal(err error) {

@@ -21,35 +21,6 @@ type Access struct {
 	Div   int64 // positive divisor d (floor division)
 }
 
-// ConstAccess builds a var-free access with the given affine index.
-func ConstAccess(off Expr) Access {
-	return Access{Var: -1, Coeff: 0, Off: off, Div: 1}
-}
-
-// VarAccess builds the access (coeff·x_var + off)/div.
-func VarAccess(v int, coeff int64, off Expr, div int64) Access {
-	if div <= 0 {
-		panic("affine: access divisor must be positive")
-	}
-	return Access{Var: v, Coeff: coeff, Off: off, Div: div}
-}
-
-// IsIdentity reports whether the access is exactly x_var (used by the
-// point-wise inlining criterion).
-func (a Access) IsIdentity() bool {
-	off, ok := a.Off.ConstVal()
-	return a.Var >= 0 && a.Coeff == 1 && a.Div == 1 && ok && off == 0
-}
-
-// IsConstOffset reports whether the access is x_var + c, returning c.
-func (a Access) IsConstOffset() (int64, bool) {
-	off, ok := a.Off.ConstVal()
-	if a.Var >= 0 && a.Coeff == 1 && a.Div == 1 && ok {
-		return off, true
-	}
-	return 0, false
-}
-
 // rangeSat is the saturation bound of the guarded index arithmetic below —
 // the same magnitude InverseRange already uses as its "unbounded in x"
 // sentinel, so a saturated bound is indistinguishable from (and as sound
@@ -119,19 +90,10 @@ func (a Access) At(pt []int64, params map[string]int64) int64 {
 	return FloorDiv(v, a.Div)
 }
 
-// RangeOver returns the exact range of produced indices when the consumer
-// variable sweeps varRange. For var-free accesses varRange is ignored. An
-// empty varRange yields an empty result for variable accesses.
-func (a Access) RangeOver(varRange Range, params map[string]int64) (Range, error) {
-	off, err := a.Off.Eval(params)
-	if err != nil {
-		return Range{}, err
-	}
-	return a.RangeAt(off, varRange), nil
-}
-
-// RangeAt is RangeOver with the offset already evaluated (off = Off under
-// the binding), for callers that probe one access at many variable ranges.
+// RangeAt returns the exact range of produced indices when the consumer
+// variable sweeps varRange, with the offset already evaluated (off = Off
+// under the binding). For var-free accesses varRange is ignored. An empty
+// varRange yields an empty result for variable accesses.
 func (a Access) RangeAt(off int64, varRange Range) Range {
 	if a.Var < 0 {
 		v := FloorDiv(off, a.Div)
@@ -253,17 +215,11 @@ func (r Rational) Mul(o Rational) Rational {
 // Float returns the rational as a float64.
 func (r Rational) Float() float64 { return float64(r.Num) / float64(r.Den) }
 
-// IsZero reports whether the rational is 0.
-func (r Rational) IsZero() bool { return r.Num == 0 }
-
 // Equal reports exact equality (both are in lowest terms).
 func (r Rational) Equal(o Rational) bool { return r.Num == o.Num && r.Den == o.Den }
 
 // ScaleFloor returns floor(r·v).
 func (r Rational) ScaleFloor(v int64) int64 { return FloorDiv(r.Num*v, r.Den) }
-
-// ScaleCeil returns ceil(r·v).
-func (r Rational) ScaleCeil(v int64) int64 { return CeilDiv(r.Num*v, r.Den) }
 
 func (r Rational) String() string {
 	if r.Den == 1 {

@@ -6,69 +6,70 @@ import (
 	"testing/quick"
 )
 
+// varAccess builds the access (coeff·x_v + off)/div.
+func varAccess(v int, coeff int64, off Expr, div int64) Access {
+	return Access{Var: v, Coeff: coeff, Off: off, Div: div}
+}
+
+// rangeOver evaluates a's offset under params and returns the range of
+// indices it produces as its variable sweeps varRange.
+func rangeOver(a Access, varRange Range, params map[string]int64) (Range, error) {
+	off, err := a.Off.Eval(params)
+	if err != nil {
+		return Range{}, err
+	}
+	return a.RangeAt(off, varRange), nil
+}
+
 func TestAccessForms(t *testing.T) {
-	id := VarAccess(0, 1, Const(0), 1)
-	if !id.IsIdentity() {
-		t.Error("identity access not recognized")
-	}
-	sh := VarAccess(1, 1, Const(-2), 1)
-	if off, ok := sh.IsConstOffset(); !ok || off != -2 {
-		t.Errorf("IsConstOffset = %d,%v", off, ok)
-	}
-	up := VarAccess(0, 1, Const(1), 2) // (x+1)/2
-	if up.IsIdentity() {
-		t.Error("upsample access is not identity")
-	}
-	if _, ok := up.IsConstOffset(); ok {
-		t.Error("upsample access is not a constant offset")
-	}
-	down := VarAccess(0, 2, Const(-1), 1) // 2x-1
+	up := varAccess(0, 1, Const(1), 2)    // (x+1)/2
+	down := varAccess(0, 2, Const(-1), 1) // 2x-1
 	if got := down.At([]int64{5}, nil); got != 9 {
 		t.Errorf("down.At(5) = %d, want 9", got)
 	}
 	if got := up.At([]int64{5}, nil); got != 3 {
 		t.Errorf("up.At(5) = %d, want 3", got)
 	}
-	c := ConstAccess(Param("K"))
+	c := Access{Var: -1, Off: Param("K"), Div: 1}
 	if got := c.At(nil, map[string]int64{"K": 7}); got != 7 {
 		t.Errorf("const access = %d", got)
 	}
 }
 
 func TestAccessRangeOver(t *testing.T) {
-	up := VarAccess(0, 1, Const(1), 2)
-	r, err := up.RangeOver(Range{Lo: 0, Hi: 9}, nil)
+	up := varAccess(0, 1, Const(1), 2)
+	r, err := rangeOver(up, Range{Lo: 0, Hi: 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r != (Range{Lo: 0, Hi: 5}) {
 		t.Errorf("up range = %v", r)
 	}
-	down := VarAccess(0, 2, Const(1), 1)
-	r, _ = down.RangeOver(Range{Lo: 0, Hi: 9}, nil)
+	down := varAccess(0, 2, Const(1), 1)
+	r, _ = rangeOver(down, Range{Lo: 0, Hi: 9}, nil)
 	if r != (Range{Lo: 1, Hi: 19}) {
 		t.Errorf("down range = %v", r)
 	}
-	neg := VarAccess(0, -1, Const(10), 1) // 10 - x
-	r, _ = neg.RangeOver(Range{Lo: 0, Hi: 4}, nil)
+	neg := varAccess(0, -1, Const(10), 1) // 10 - x
+	r, _ = rangeOver(neg, Range{Lo: 0, Hi: 4}, nil)
 	if r != (Range{Lo: 6, Hi: 10}) {
 		t.Errorf("neg range = %v", r)
 	}
 	// Empty variable range yields empty result.
-	r, _ = up.RangeOver(Range{Lo: 5, Hi: 4}, nil)
+	r, _ = rangeOver(up, Range{Lo: 5, Hi: 4}, nil)
 	if !r.Empty() {
 		t.Errorf("expected empty, got %v", r)
 	}
 }
 
-// Property: RangeOver soundly and tightly bounds pointwise evaluation.
+// Property: RangeAt soundly and tightly bounds pointwise evaluation.
 func TestAccessRangeSound(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	f := func() bool {
-		a := VarAccess(0, r.Int63n(9)-4, Const(r.Int63n(21)-10), r.Int63n(4)+1)
+		a := varAccess(0, r.Int63n(9)-4, Const(r.Int63n(21)-10), r.Int63n(4)+1)
 		lo := r.Int63n(41) - 20
 		vr := Range{Lo: lo, Hi: lo + r.Int63n(30)}
-		got, err := a.RangeOver(vr, nil)
+		got, err := rangeOver(a, vr, nil)
 		if err != nil {
 			return false
 		}
@@ -110,9 +111,6 @@ func TestRational(t *testing.T) {
 	if NewRational(3, 2).ScaleFloor(5) != 7 {
 		t.Error("ScaleFloor wrong")
 	}
-	if NewRational(3, 2).ScaleCeil(5) != 8 {
-		t.Error("ScaleCeil wrong")
-	}
 	if !One.Equal(NewRational(7, 7)) {
 		t.Error("One wrong")
 	}
@@ -126,7 +124,7 @@ func TestAccessInverseRange(t *testing.T) {
 		if coeff == 0 {
 			coeff = 1
 		}
-		a := VarAccess(0, coeff, Const(r.Int63n(21)-10), r.Int63n(3)+1)
+		a := varAccess(0, coeff, Const(r.Int63n(21)-10), r.Int63n(3)+1)
 		lo := r.Int63n(41) - 20
 		target := Range{Lo: lo, Hi: lo + r.Int63n(20)}
 		inv, _, err := a.InverseRange(target, nil)
@@ -142,7 +140,7 @@ func TestAccessInverseRange(t *testing.T) {
 		}
 	}
 	// Var-free accesses.
-	c := ConstAccess(Const(5))
+	c := Access{Var: -1, Off: Const(5), Div: 1}
 	if _, ok, _ := c.InverseRange(Range{Lo: 0, Hi: 10}, nil); !ok {
 		t.Error("constant 5 is inside [0,10]")
 	}
@@ -150,7 +148,7 @@ func TestAccessInverseRange(t *testing.T) {
 		t.Error("constant 5 is outside [6,10]")
 	}
 	// Empty target.
-	inv, _, _ := VarAccess(0, 1, Const(0), 1).InverseRange(Range{Lo: 1, Hi: 0}, nil)
+	inv, _, _ := varAccess(0, 1, Const(0), 1).InverseRange(Range{Lo: 1, Hi: 0}, nil)
 	if !inv.Empty() {
 		t.Error("empty target must give empty inverse")
 	}

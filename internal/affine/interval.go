@@ -11,11 +11,6 @@ type Interval struct {
 	Lo, Hi Expr
 }
 
-// NewInterval builds an interval from constant bounds.
-func NewInterval(lo, hi int64) Interval {
-	return Interval{Lo: Const(lo), Hi: Const(hi)}
-}
-
 // Eval binds parameters, producing a concrete interval.
 func (iv Interval) Eval(params map[string]int64) (Range, error) {
 	lo, err := iv.Lo.Eval(params)
@@ -77,12 +72,6 @@ func (r Range) Size() int64 {
 // Contains reports whether v lies in the range.
 func (r Range) Contains(v int64) bool { return v >= r.Lo && v <= r.Hi }
 
-// ContainsRange reports whether o is a subset of r (empty o is always a
-// subset).
-func (r Range) ContainsRange(o Range) bool {
-	return o.Empty() || (o.Lo >= r.Lo && o.Hi <= r.Hi)
-}
-
 // Intersect returns the intersection of the two ranges.
 func (r Range) Intersect(o Range) Range {
 	return Range{Lo: max64(r.Lo, o.Lo), Hi: min64(r.Hi, o.Hi)}
@@ -98,11 +87,6 @@ func (r Range) Union(o Range) Range {
 		return r
 	}
 	return Range{Lo: min64(r.Lo, o.Lo), Hi: max64(r.Hi, o.Hi)}
-}
-
-// Expand widens the range by lo on the left and hi on the right.
-func (r Range) Expand(lo, hi int64) Range {
-	return Range{Lo: r.Lo - lo, Hi: r.Hi + hi}
 }
 
 func (r Range) String() string {
@@ -188,22 +172,6 @@ func (b Box) Contains(pt []int64) bool {
 	}
 	for i, r := range b {
 		if !r.Contains(pt[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsBox reports whether o ⊆ b (an empty o is always contained).
-func (b Box) ContainsBox(o Box) bool {
-	if o.Empty() {
-		return true
-	}
-	if len(b) != len(o) {
-		return false
-	}
-	for i := range b {
-		if !b[i].ContainsRange(o[i]) {
 			return false
 		}
 	}

@@ -9,9 +9,9 @@ import "testing"
 // silently under-allocating the producer region.
 func TestRangeOverOverflowSaturates(t *testing.T) {
 	big := int64(1) << 40
-	a := VarAccess(0, big, Const(0), 1)
+	a := varAccess(0, big, Const(0), 1)
 	// big·big = 2^80 wraps int64; the guard saturates both ends to ±2^62.
-	r, err := a.RangeOver(Range{Lo: -big, Hi: big}, nil)
+	r, err := rangeOver(a, Range{Lo: -big, Hi: big}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +22,8 @@ func TestRangeOverOverflowSaturates(t *testing.T) {
 		t.Errorf("saturated range inverted: %v", r)
 	}
 	// A huge negative coefficient saturates with the correct orientation.
-	neg := VarAccess(0, -big, Const(0), 1)
-	r, err = neg.RangeOver(Range{Lo: 1, Hi: big}, nil)
+	neg := varAccess(0, -big, Const(0), 1)
+	r, err = rangeOver(neg, Range{Lo: 1, Hi: big}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,8 @@ func TestRangeOverOverflowSaturates(t *testing.T) {
 	}
 	// Exactly at the boundary: products of magnitude 2^62 pass through
 	// unclamped.
-	edge := VarAccess(0, 1<<31, Const(0), 1)
-	r, err = edge.RangeOver(Range{Lo: 0, Hi: 1 << 31}, nil)
+	edge := varAccess(0, 1<<31, Const(0), 1)
+	r, err = rangeOver(edge, Range{Lo: 0, Hi: 1 << 31}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func TestRangeOverOverflowSaturates(t *testing.T) {
 		t.Errorf("boundary product = %v, want Hi exactly 2^62", r)
 	}
 	// One past the boundary saturates rather than exceeding the sentinel.
-	over := VarAccess(0, 1<<31, Const(1), 1)
-	r, err = over.RangeOver(Range{Lo: 0, Hi: 1 << 31}, nil)
+	over := varAccess(0, 1<<31, Const(1), 1)
+	r, err = rangeOver(over, Range{Lo: 0, Hi: 1 << 31}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +50,8 @@ func TestRangeOverOverflowSaturates(t *testing.T) {
 		t.Errorf("past-boundary product = %v, want Hi clamped to 2^62", r)
 	}
 	// Ordinary accesses are untouched by the guards.
-	small := VarAccess(0, 2, Const(-1), 1)
-	r, _ = small.RangeOver(Range{Lo: 3, Hi: 5}, nil)
+	small := varAccess(0, 2, Const(-1), 1)
+	r, _ = rangeOver(small, Range{Lo: 3, Hi: 5}, nil)
 	if r.Lo != 5 || r.Hi != 9 {
 		t.Errorf("small RangeOver = %v, want [5, 9]", r)
 	}
@@ -61,7 +61,7 @@ func TestRangeOverOverflowSaturates(t *testing.T) {
 // the unbounded sentinel would wrap when multiplied, flipping the derived
 // consumer bounds.
 func TestInverseRangeOverflowSaturates(t *testing.T) {
-	a := VarAccess(0, 1, Const(0), 4)
+	a := varAccess(0, 1, Const(0), 4)
 	// The unbounded sentinel itself as a target: 2^62·4 wraps int64
 	// without the guard.
 	r, ok, err := a.InverseRange(Range{Lo: -rangeSat, Hi: rangeSat}, nil)
@@ -78,7 +78,7 @@ func TestInverseRangeOverflowSaturates(t *testing.T) {
 		t.Errorf("saturated inverse range reads as empty: %v", r)
 	}
 	// Negative coefficient with a saturating target keeps orientation.
-	neg := VarAccess(0, -2, Const(0), 1)
+	neg := varAccess(0, -2, Const(0), 1)
 	r, ok, err = neg.InverseRange(Range{Lo: 0, Hi: rangeSat}, nil)
 	if err != nil || !ok {
 		t.Fatalf("InverseRange err=%v ok=%v", err, ok)
@@ -87,7 +87,7 @@ func TestInverseRangeOverflowSaturates(t *testing.T) {
 		t.Errorf("negative-coeff saturated inverse empty: %v", r)
 	}
 	// Ordinary targets still invert exactly.
-	up := VarAccess(0, 1, Const(1), 2) // (x+1)/2
+	up := varAccess(0, 1, Const(1), 2) // (x+1)/2
 	r, ok, _ = up.InverseRange(Range{Lo: 2, Hi: 3}, nil)
 	if !ok || r.Lo != 3 || r.Hi != 6 {
 		t.Errorf("exact InverseRange = %v ok=%v, want [3, 6]", r, ok)

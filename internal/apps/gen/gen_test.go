@@ -99,13 +99,9 @@ func (bd bound) requireSubstitution(t *testing.T) map[string]*engine.Buffer {
 		t.Errorf("%d eligible pieces have no checked-in kernel (rerun go run ./cmd/polymage-gen): %+v", m.NoKernel, m)
 	}
 	// Gathers and cross-dimension indices have kernels and a row
-	// instruction: no piece of these pipelines is irregular, none falls back
-	// to a per-element closure.
+	// instruction: no piece of these pipelines is irregular.
 	if m := st.GenMisses; m.Irregular != 0 {
 		t.Errorf("%d pieces counted irregular: %+v", m.Irregular, m)
-	}
-	if f := st.VMFalls; f.Total() != 0 {
-		t.Errorf("row-VM code still holds fallback instructions: %+v", f)
 	}
 	if n := genPieces(bd.off); n != 0 {
 		t.Fatalf("NoGenKernels binding still attached %d kernels", n)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/buffer"
 	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/expr"
@@ -98,7 +99,7 @@ func TestBindAndRunAtDifferentSizes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("W=%d: %v", w, err)
 		}
-		buf, err := engine.NewBufferForDomain(in.Domain(), params)
+		buf, err := buffer.NewForDomain(in.Domain(), params)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,18 @@ import (
 	"repro/internal/expr"
 )
 
+// accesses returns every Access node in e, in visit order.
+func accesses(e expr.Expr) []expr.Access {
+	var out []expr.Access
+	expr.Walk(e, func(x expr.Expr) bool {
+		if a, ok := x.(expr.Access); ok {
+			out = append(out, a)
+		}
+		return true
+	})
+	return out
+}
+
 func TestParameterAndImage(t *testing.T) {
 	b := NewBuilder()
 	R := b.Param("R")
@@ -69,7 +81,7 @@ func TestFunctionDefineResolvesVars(t *testing.T) {
 	if len(cs) != 1 {
 		t.Fatal("cases")
 	}
-	acc := expr.Accesses(cs[0].E)
+	acc := accesses(cs[0].E)
 	if len(acc) != 1 || acc[0].Target != "g" {
 		t.Fatalf("accesses = %v", acc)
 	}
@@ -189,10 +201,10 @@ func TestSeparableStencils(t *testing.T) {
 	x, y := b.Var("x"), b.Var("y")
 	ex := SeparableX(g, 0.25, []float64{1, 2, 1}, [2]any{x, y})
 	ey := SeparableY(g, 0.25, []float64{1, 2, 1}, [2]any{x, y})
-	if got := len(expr.Accesses(ex)); got != 3 {
+	if got := len(accesses(ex)); got != 3 {
 		t.Errorf("SeparableX accesses = %d", got)
 	}
-	if got := len(expr.Accesses(ey)); got != 3 {
+	if got := len(accesses(ey)); got != 3 {
 		t.Errorf("SeparableY accesses = %d", got)
 	}
 	if ex.String() == ey.String() {

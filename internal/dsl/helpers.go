@@ -2,7 +2,6 @@ package dsl
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/affine"
 	"repro/internal/expr"
@@ -236,12 +235,4 @@ func FromAffine(a affine.Expr) expr.Expr {
 		return expr.Const{V: 0}
 	}
 	return e
-}
-
-// IntConst reports whether e is an integral constant.
-func IntConst(e expr.Expr) (int64, bool) {
-	if c, ok := e.(expr.Const); ok && c.V == math.Trunc(c.V) {
-		return int64(c.V), true
-	}
-	return 0, false
 }

@@ -38,12 +38,6 @@ func NewBufferElem(box affine.Box, elem Elem) *Buffer { return buffer.NewElem(bo
 // widened or saturated per element).
 func ConvertBuffer(src *Buffer, elem Elem) *Buffer { return buffer.Convert(src, elem) }
 
-// NewBufferForDomain evaluates a parametric domain and allocates a buffer
-// covering it.
-func NewBufferForDomain(dom affine.Domain, params map[string]int64) (*Buffer, error) {
-	return buffer.NewForDomain(dom, params)
-}
-
 // FillPattern writes a deterministic pseudo-random pattern into a buffer
 // (used by tests and synthetic workloads).
 func FillPattern(b *Buffer, seed int64) { buffer.FillPattern(b, seed) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/buffer"
 	"repro/internal/dsl"
 	"repro/internal/expr"
 	"repro/internal/inline"
@@ -108,7 +109,7 @@ func harrisPipeline(t testing.TB) (*pipeline.Graph, map[string]int64, map[string
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 93, "C": 121}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestUpDownSamplePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 40}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestHistogramEqualization(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 64}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestSelfReferenceTimeIteration(t *testing.T) {
 		t.Fatal("self reference not detected")
 	}
 	params := map[string]int64{"R": 33}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestMultipleLiveOuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 200}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestMidGroupLiveOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 300}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func TestAccumulatorOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		params := map[string]int64{"R": 256}
-		in, err := NewBufferForDomain(I.Domain(), params)
+		in, err := buffer.NewForDomain(I.Domain(), params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +458,7 @@ func TestDebugPanicBecomesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 128}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

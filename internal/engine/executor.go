@@ -414,52 +414,6 @@ func (e *Executor) Run(inputs map[string]*Buffer) (map[string]*Buffer, error) {
 	return out, err
 }
 
-// RunBatch executes several input sets through the shared fleet in one
-// call and returns their outputs in order. Members run concurrently: each
-// gets its own run context, and because every member's tile tasks feed the
-// same fleet, one member's per-group barrier stall is filled with another
-// member's tiles — the same-program batching that amortizes group setup
-// idle time across queued requests. On error the successful members'
-// outputs are recycled and only the first error is returned.
-func (e *Executor) RunBatch(inputs []map[string]*Buffer) ([]map[string]*Buffer, error) {
-	outs := make([]map[string]*Buffer, len(inputs))
-	if len(inputs) == 0 {
-		return outs, nil
-	}
-	if len(inputs) == 1 {
-		out, err := e.Run(inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		outs[0] = out
-		return outs, nil
-	}
-	var fe firstErr
-	var wg sync.WaitGroup
-	for i := range inputs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := e.Run(inputs[i])
-			if err != nil {
-				fe.set(err)
-				return
-			}
-			outs[i] = out
-		}(i)
-	}
-	wg.Wait()
-	if err := fe.get(); err != nil {
-		for _, out := range outs {
-			if out != nil {
-				e.Recycle(out)
-			}
-		}
-		return nil, err
-	}
-	return outs, nil
-}
-
 // run is Run's body; the caller has registered the run and owns rc.
 func (e *Executor) run(rc *runCtx, inputs map[string]*Buffer) (map[string]*Buffer, error) {
 	p := e.p

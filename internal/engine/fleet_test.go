@@ -204,43 +204,6 @@ func TestFleetMultiProgram(t *testing.T) {
 	}
 }
 
-// TestFleetRunBatch: batched same-program runs return per-member outputs
-// in order, all correct; an all-success batch leaves nothing recycled out
-// from under the caller.
-func TestFleetRunBatch(t *testing.T) {
-	f := newFleet(4)
-	prog, inputs, ref := compileHarris(t, ExecOptions{Fast: true, Threads: 4, ReuseBuffers: true, fleet: f})
-	defer prog.Close()
-	e := prog.Executor()
-
-	batch := make([]map[string]*Buffer, 5)
-	for i := range batch {
-		batch[i] = inputs
-	}
-	outs, err := e.RunBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(batch) {
-		t.Fatalf("RunBatch returned %d outputs, want %d", len(outs), len(batch))
-	}
-	for i, out := range outs {
-		if eq, msg := out["harris"].Equal(ref["harris"], 1e-5); !eq {
-			t.Fatalf("batch member %d differs: %s", i, msg)
-		}
-		e.Recycle(out)
-	}
-	if outs, err := e.RunBatch(nil); err != nil || len(outs) != 0 {
-		t.Fatalf("empty batch: outs=%v err=%v", outs, err)
-	}
-
-	// A failing member (bad inputs) fails the whole batch with one error.
-	bad := []map[string]*Buffer{inputs, {"I": nil}}
-	if _, err := e.RunBatch(bad); !errors.Is(err, ErrNilInput) {
-		t.Fatalf("batch with bad member: err = %v, want ErrNilInput", err)
-	}
-}
-
 // TestFleetSnapshotSizes: Snapshot reports the process fleet size and the
 // program's effective (clamped) parallelism.
 func TestFleetSnapshotSizes(t *testing.T) {

@@ -21,7 +21,7 @@ func genUnitOf(t *testing.T, e expr.Expr, rank int, want vmSet, out Elem, elems 
 	return u
 }
 
-// TestGenPrintsEveryOpcode: for every row-VM opcode but rNop and rFall, a
+// TestGenPrintsEveryOpcode: for every row-VM opcode but rNop, a
 // one-opcode expression lowers to that opcode, and under every register
 // type whose gate admits the program EmitGo prints it. An opcode added to
 // the VM fails here until it has an expression below and a printer case.
@@ -55,9 +55,6 @@ func TestGenPrintsEveryOpcode(t *testing.T) {
 		bOr: sel(expr.Or{A: lt, B: lt}), bNot: sel(expr.Not{A: lt}),
 	}
 	for op := rConst; op <= bNot; op++ {
-		if op == rFall {
-			continue
-		}
 		e, ok := cases[op]
 		if !ok {
 			t.Errorf("opcode %d: no expression lowers to it here", op)

@@ -235,14 +235,9 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 				u.Elems[i] = p.slotElem[p.slots[r]]
 			}
 			// The canonical expression lowers to the piece's own program up
-			// to slot numbers; a kernel is printed only from a program the VM
-			// would run with no per-element fallback.
+			// to slot numbers.
 			if err := u.lower(piece.vm.set); err != nil || u.set != piece.vm.set {
 				miss.Irregular++
-				continue
-			}
-			if len(u.prog.falls) > 0 {
-				miss.VMFall++
 				continue
 			}
 			kb = fmt.Appendf(kb[:0], "%s rank=%d set=%s out=%s reads=", genABI, rank, u.set, u.Out)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/buffer"
 	"repro/internal/dsl"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -45,7 +46,7 @@ func genTestPipeline(t testing.TB) (*pipeline.Graph, map[string]int64, map[strin
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 64, "C": 64}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestGenDispatchAndFallback(t *testing.T) {
 	// Key hit under a tile plan and an image size the key never saw: the
 	// later sentinel computes the live-out.
 	big := map[string]int64{"R": 96, "C": 80}
-	bigIn, err := NewBufferForDomain(g.Images["I"].Domain(), big)
+	bigIn, err := buffer.NewForDomain(g.Images["I"].Domain(), big)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/buffer"
 	"repro/internal/dsl"
 	"repro/internal/expr"
 	"repro/internal/pipeline"
@@ -67,7 +68,7 @@ func BenchmarkCombination(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := map[string]int64{"R": 512, "C": 512}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func BenchmarkAccumulator(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := map[string]int64{"R": 1 << 18}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func rowEvalBench(b *testing.B, ty expr.Type, mk func(I *dsl.Image, x, y *dsl.Va
 		b.Fatal(err)
 	}
 	params := map[string]int64{"R": 512, "C": 512}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		b.Fatal(err)
 	}

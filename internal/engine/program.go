@@ -85,9 +85,9 @@ func (o ExecOptions) threads() int {
 // binding: the sub-box where it applies, an optional residual predicate
 // (nil when the condition is exactly the box — Section 3.7's branch-free
 // splitting), and the compiled evaluators. Under Fast an unpredicated piece
-// carries exactly one of gen or vm (vm stays compiled under a bound gen: it
-// is what NoGenKernels and Stats().VMFalls read); every other piece runs the
-// scalar loop over eval.
+// runs gen when one is bound and vm otherwise (vm stays compiled under a
+// bound gen: Program.GenUnits reads its register type); every other piece
+// runs the scalar loop over eval.
 type loweredPiece struct {
 	box  affine.Box
 	pred condFn
@@ -588,7 +588,6 @@ func (p *Program) Stats() obs.ProgramStats {
 		vmShape := func(vm *rowVM) {
 			sm.VMInstrs += len(vm.instrs)
 			sm.VMFusedOps += vm.fused
-			sm.VMFallbacks += len(vm.falls)
 			sm.VMRegs = max(sm.VMRegs, vm.nRegs)
 			sm.VMBoolRegs = max(sm.VMBoolRegs, vm.nBool)
 		}
@@ -599,18 +598,13 @@ func (p *Program) Stats() obs.ProgramStats {
 			sm.RowVM++
 			for _, vm := range ls.accIdxVM {
 				vmShape(vm)
-				st.VMFalls.Add(vm.fallWhy)
 			}
 			vmShape(ls.accValVM)
-			st.VMFalls.Add(ls.accValVM.fallWhy)
 		case ls.isAcc:
 			sm.Scalar++
 		}
 		for pi := range ls.pieces {
 			piece := &ls.pieces[pi]
-			if piece.vm != nil {
-				st.VMFalls.Add(piece.vm.fallWhy)
-			}
 			switch {
 			case piece.gen != nil:
 				sm.Gen++

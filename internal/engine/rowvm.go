@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"unsafe"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/affine"
 	"repro/internal/expr"
 	"repro/internal/numeric"
-	"repro/internal/obs"
 )
 
 // The row VM lowers an expression to array-at-a-time evaluation: each
@@ -50,11 +50,16 @@ type RowCtx struct {
 	vm vmRegs
 }
 
-var errNoRowForm = errorString("engine: condition has no row form")
-
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// noRowForm is the lowering error for a node with no row instruction. The
+// expression IR is sealed and every kind, operator and condition has one,
+// so only a new IR form without a lowering here reaches it.
+func noRowForm(n fmt.Stringer) error {
+	return errorString("engine: no row instruction for " + n.String())
+}
 
 // rop is a row-VM opcode. Opcodes prefixed b produce bool rows (masks) in
 // the separate bool register file.
@@ -116,7 +121,6 @@ const (
 	// Other.
 	rCast   // dst = ApplyCast(Type(aux), a)
 	rSelect // dst[i] = bool[m][i] ? a[i] : b[i]
-	rFall   // dst[i] = falls[aux] evaluated per element (scalar closure)
 	// Bool-producing ops; dst (and a/b for bAnd/bOr/bNot) index the bool
 	// register file. aux carries the expr.CmpOp for comparisons.
 	bConst // dst[i] = (imm != 0)
@@ -294,10 +298,6 @@ type rowVM struct {
 	loads   []vmLoad
 	idxs    []vmIdx
 	gathers []vmGather
-	falls   []evalFn
-	// fallWhy counts falls by the reason no row instruction covered the
-	// subtree (Program.Stats).
-	fallWhy obs.VMFalls
 	nRegs   int    // value row registers (liveness high-water mark)
 	nBool   int    // bool row registers
 	res     uint16 // register holding the finished row
@@ -409,8 +409,6 @@ type vmBuilder struct {
 	loads   []vmLoad
 	idxs    []vmIdx
 	gathers []vmGather
-	falls   []evalFn
-	fallWhy obs.VMFalls
 	fused   int
 }
 
@@ -427,9 +425,8 @@ func newVMBuilder(cp *compiler, last int) *vmBuilder {
 // compileRowVM lowers an expression to a row bytecode program. last is the
 // innermost dimension index of the stage's domain (its rank - 1); want is
 // the register type the stage permits (see vmSet), kept when the program
-// passes that type's gate, float64 otherwise. It is total over row-evaluable
-// stages: subtrees without a row form lower to per-element fallback
-// instructions.
+// passes that type's gate, float64 otherwise. It is total over the
+// expression IR: every node lowers to row instructions.
 func (cp *compiler) compileRowVM(e expr.Expr, last int, want vmSet) (*rowVM, error) {
 	vb, res, err := cp.lowerRow(e, last)
 	if err != nil {
@@ -561,7 +558,7 @@ func (vb *vmBuilder) emitNew(e expr.Expr, k int) (int, error) {
 		}
 		op, ok := unaryOp(n.Op)
 		if !ok {
-			return vb.emitFallback(e, &vb.fallWhy.Op)
+			return 0, noRowForm(e)
 		}
 		return vb.push(vmValue{op: op, a: x, b: -1, m: -1}), nil
 	case expr.Select:
@@ -573,9 +570,6 @@ func (vb *vmBuilder) emitNew(e expr.Expr, k int) (int, error) {
 		}
 		m, err := vb.emitCond(n.Cond, vb.kid(k, 0))
 		if err != nil {
-			if err == errNoRowForm {
-				return vb.emitFallback(e, &vb.fallWhy.Cond)
-			}
 			return 0, err
 		}
 		th, err := vb.emit(n.Then, vb.kid(k, 1))
@@ -594,7 +588,7 @@ func (vb *vmBuilder) emitNew(e expr.Expr, k int) (int, error) {
 		}
 		return vb.push(vmValue{op: rCast, a: x, b: -1, m: -1, aux: int32(n.To)}), nil
 	}
-	return vb.emitFallback(e, &vb.fallWhy.Other)
+	return 0, noRowForm(e)
 }
 
 func unaryOp(op expr.UnOp) (rop, bool) {
@@ -729,7 +723,7 @@ func (vb *vmBuilder) emitBinary(n expr.Binary, k int) (int, error) {
 		}
 		return vb.emitRegReg(rFDiv, n.L, lk, n.R, rk)
 	}
-	return vb.emitFallback(n, &vb.fallWhy.Op)
+	return 0, noRowForm(n)
 }
 
 func (vb *vmBuilder) emitRegReg(op rop, l expr.Expr, lk int, r expr.Expr, rk int) (int, error) {
@@ -963,19 +957,6 @@ func (vb *vmBuilder) fuseLoad(e expr.Expr, k int) (int, bool) {
 	return len(vb.loads) - 1, true
 }
 
-// emitFallback compiles the subtree with the scalar compiler and emits a
-// per-element fallback instruction — the escape hatch for a node the VM has
-// no row instruction for; why counts it by reason.
-func (vb *vmBuilder) emitFallback(e expr.Expr, why *int) (int, error) {
-	f, err := vb.cp.compile(e)
-	if err != nil {
-		return 0, err
-	}
-	*why++
-	vb.falls = append(vb.falls, f)
-	return vb.push(vmValue{op: rFall, a: -1, b: -1, m: -1, aux: int32(len(vb.falls) - 1)}), nil
-}
-
 func flipCmp(op expr.CmpOp) expr.CmpOp {
 	switch op {
 	case expr.LT:
@@ -1035,7 +1016,7 @@ func (vb *vmBuilder) emitCond(c expr.Cond, k int) (int, error) {
 		}
 		return vb.push(vmValue{op: bNot, a: a, b: -1, m: -1, isBool: true}), nil
 	}
-	return 0, errNoRowForm
+	return 0, noRowForm(c)
 }
 
 // emitBoolPair emits l op r, the operands of the condition numbered k.
@@ -1143,7 +1124,6 @@ func (vb *vmBuilder) finish(res int, want vmSet) *rowVM {
 		ins[i] = in
 	}
 	return &rowVM{instrs: ins, loads: vb.loads, idxs: vb.idxs, gathers: vb.gathers,
-		falls: vb.falls, fallWhy: vb.fallWhy,
 		nRegs: nF, nBool: nB, res: uint16(reg[res]), fused: vb.fused, set: vb.pickSet(res, want)}
 }
 
@@ -1415,14 +1395,6 @@ func (vm *rowVM) op64(c *RowCtx, in *rinstr, regs [][]float64) {
 		vm.idxs[in.aux].row(c, t)
 	case rGather:
 		vm.gathers[in.aux].run(c, regs, t)
-	case rFall:
-		f := vm.falls[in.aux]
-		saved := c.pt[c.last]
-		for i := range t {
-			c.pt[c.last] = c.jLo + int64(i)
-			t[i] = f(&c.Ctx)
-		}
-		c.pt[c.last] = saved
 	}
 }
 

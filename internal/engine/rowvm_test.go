@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/buffer"
 	"repro/internal/dsl"
 	"repro/internal/expr"
 	"repro/internal/pipeline"
@@ -335,12 +336,9 @@ func TestRowVMRegisterAllocation(t *testing.T) {
 	}
 }
 
-// TestRowVMFallback pins what is left of the per-subtree escape hatch.
-// Data-dependent gathers and diagonal accesses no longer reach it: each is
-// one gather instruction whose index rows are shared VM values. The hatch
-// itself — a node without a row instruction evaluates through its scalar
-// closure, counted by reason — is driven through the builder, because no
-// expression form reaches it today.
+// TestRowVMFallback pins the forms that once fell back to per-element
+// evaluation: a data-dependent gather and a diagonal access are each one
+// gather instruction whose index rows are shared VM values.
 func TestRowVMFallback(t *testing.T) {
 	src := NewBuffer(affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 39}})
 	FillPattern(src, 9)
@@ -364,8 +362,8 @@ func TestRowVMFallback(t *testing.T) {
 	// once, each tap is one gather.
 	e := expr.AddE(expr.MulE(g(x, idx), expr.C(0.5)), g(expr.AddE(x, expr.C(1)), idx))
 	vm := vmHarness(t, e, bufs, []int64{3, 2}, 30)
-	if len(vm.falls) != 0 || count(vm, rGather) != 2 || count(vm, rCast) != 1 {
-		t.Fatalf("two-tap gather: %d falls, %d gathers, %d casts; want 0, 2, 1", len(vm.falls), count(vm, rGather), count(vm, rCast))
+	if count(vm, rGather) != 2 || count(vm, rCast) != 1 {
+		t.Fatalf("two-tap gather: %d gathers, %d casts; want 2, 1", count(vm, rGather), count(vm, rCast))
 	}
 	if vm.set != setF64 {
 		t.Fatal("a program with a gather must stay on the float64 instruction set")
@@ -373,30 +371,59 @@ func TestRowVMFallback(t *testing.T) {
 	// A diagonal access g(y/4, y) varies two producer dims along the row:
 	// two affine index rows feed one gather.
 	diag := vmHarness(t, g(expr.Binary{Op: expr.FDiv, L: y, R: expr.C(4)}, y), bufs, []int64{3, 2}, 18)
-	if len(diag.falls) != 0 || count(diag, rGather) != 1 || count(diag, rIdx) != 2 {
-		t.Fatalf("diagonal access: %d falls, %d gathers, %d index rows; want 0, 1, 2", len(diag.falls), count(diag, rGather), count(diag, rIdx))
+	if count(diag, rGather) != 1 || count(diag, rIdx) != 2 {
+		t.Fatalf("diagonal access: %d gathers, %d index rows; want 1, 2", count(diag, rGather), count(diag, rIdx))
 	}
 	// Negative and non-unit coefficients step the divided index exactly.
 	vmHarness(t, g(expr.Binary{Op: expr.FDiv, L: expr.SubE(expr.C(57), expr.MulE(expr.C(3), y)), R: expr.C(4)},
 		expr.Binary{Op: expr.FDiv, L: expr.MulE(expr.C(5), y), R: expr.C(3)}), bufs, []int64{3, 0}, 8)
+}
 
-	cp := &compiler{slots: map[string]int{"g": 0}}
-	vb := newVMBuilder(cp, 1)
-	sub := expr.MulE(g(x, y), expr.C(2))
-	id, err := vb.emitFallback(sub, &vb.fallWhy.Op)
-	if err != nil {
-		t.Fatal(err)
+// TestRowVMCoversIR pins why the row VM needs no per-element escape hatch:
+// the expression IR is sealed (expr's unexported isExpr/isCond), and every
+// Expr kind, BinOp, UnOp, CmpOp, Cond kind and cast Type lowers to row
+// instructions. Each form compiles with no error and matches the scalar
+// closure over a row on float64 registers and, where the gates admit it,
+// on float32 (a float32 buffer) and int64 (a uint8 buffer).
+func TestRowVMCoversIR(t *testing.T) {
+	box := affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 39}}
+	f32, u8 := NewBuffer(box), NewBufferElem(box, ElemU8)
+	FillPattern(f32, 5)
+	FillPattern(u8, 5)
+	x := expr.VarRef{Dim: 0, Name: "x"}
+	y := expr.VarRef{Dim: 1, Name: "y"}
+	a := expr.Access{Target: "g", Args: []expr.Expr{x, y}}
+	b := expr.AddE(expr.Access{Target: "g", Args: []expr.Expr{x, expr.AddE(y, expr.C(1))}}, expr.C(1))
+	lt := expr.Cmp{Op: expr.LT, L: a, R: b}
+	sel := func(c expr.Cond) expr.Expr { return expr.Select{Cond: c, Then: a, Else: b} }
+	cases := []expr.Expr{
+		expr.C(2.5), expr.ParamRef{Name: "P"}, x, y, a,
+		sel(expr.And{A: lt, B: expr.Cmp{Op: expr.GT, L: a, R: expr.C(0.5)}}),
+		sel(expr.Or{A: lt, B: expr.Cmp{Op: expr.EQ, L: a, R: expr.C(0)}}),
+		sel(expr.Not{A: lt}),
+		sel(expr.And{A: expr.BoolConst{V: true}, B: lt}),
+		sel(expr.BoolConst{V: false}),
 	}
-	hatch := vb.finish(vb.push(vmValue{op: rAddI, a: id, b: -1, m: -1, imm: 1}), setF32)
-	if len(hatch.falls) != 1 || hatch.fallWhy.Op != 1 || hatch.fallWhy.Total() != 1 || hatch.set != setF64 || vmIntOK(vb.vals) {
-		t.Fatalf("escape hatch: falls=%d why=%+v set=%v int=%v", len(hatch.falls), hatch.fallWhy, hatch.set, vmIntOK(vb.vals))
+	for op := expr.Add; op <= expr.FDiv; op++ {
+		cases = append(cases, expr.Binary{Op: op, L: a, R: b})
 	}
-	rc := &RowCtx{n: 12, last: 1, jLo: 5}
-	rc.pt, rc.bufs = []int64{3, 5}, []*Buffer{src}
-	for i, v := range evalRow[float64](hatch, rc) {
-		if want := float64(src.At(3, 5+int64(i)))*2 + 1; v != want {
-			t.Fatalf("escape hatch [%d] = %v, want %v", i, v, want)
+	for op := expr.Neg; op <= expr.Ceil; op++ {
+		cases = append(cases, expr.Unary{Op: op, X: a})
+	}
+	for op := expr.LT; op <= expr.NE; op++ {
+		cases = append(cases, sel(expr.Cmp{Op: op, L: a, R: b}))
+	}
+	for to := expr.Float; to <= expr.Short; to++ {
+		cases = append(cases, expr.Cast{To: to, X: expr.SubE(expr.MulE(a, expr.C(300)), expr.C(100))})
+	}
+	sets := map[vmSet]int{}
+	for _, e := range cases {
+		for _, buf := range []*Buffer{f32, u8} {
+			sets[vmHarness(t, e, map[string]*Buffer{"g": buf}, []int64{3, 2}, 30).set]++
 		}
+	}
+	if sets[setF32] == 0 || sets[setInt] == 0 {
+		t.Errorf("programs per register type %v: the float32 and int64 sets must each be reached", sets)
 	}
 }
 
@@ -539,7 +566,7 @@ func TestRowVMEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 96, "C": 96}
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +649,7 @@ func TestRowVMRegisterGauge(t *testing.T) {
 			t.Fatal(err)
 		}
 		params := map[string]int64{"R": rows, "C": cols}
-		in, err := NewBufferForDomain(I.Domain(), params)
+		in, err := buffer.NewForDomain(I.Domain(), params)
 		if err != nil {
 			t.Fatal(err)
 		}

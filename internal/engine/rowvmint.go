@@ -63,9 +63,8 @@ func vmIntOK(vals []vmValue) bool {
 			// casts are the identity on |v| <= 2^24. rFloor/rCeil are the
 			// identity on integers.
 		default:
-			// rDiv/rDivI/rIDiv (true division), rPow/rPowI, the
-			// transcendentals and rFall (scalar float closures) have no
-			// integer form.
+			// rDiv/rDivI/rIDiv (true division), rPow/rPowI and the
+			// transcendentals have no integer form.
 			return false
 		}
 	}

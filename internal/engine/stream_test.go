@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/buffer"
 	"repro/internal/dsl"
 	"repro/internal/expr"
 	"repro/internal/pipeline"
@@ -174,12 +175,12 @@ func blendPipeline(t testing.TB) (*pipeline.Graph, map[string]int64, map[string]
 		t.Fatal(err)
 	}
 	params := map[string]int64{"R": 128, "C": 160}
-	seed, err := NewBufferForDomain(S.Domain(), params)
+	seed, err := buffer.NewForDomain(S.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	FillPattern(seed, 3)
-	in, err := NewBufferForDomain(I.Domain(), params)
+	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

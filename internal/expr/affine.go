@@ -180,15 +180,6 @@ func (l linForm) add(o linForm) (linForm, bool) {
 	return r, true
 }
 
-// AffineCond describes one conjunct of a piecewise-case condition in the
-// normalized form  x_Var ≥ Bound  or  x_Var ≤ Bound  (Bound affine in the
-// parameters), or a parameter-only comparison.
-type AffineCond struct {
-	Var     int  // dimension index, or -1 for a variable-free condition
-	IsLower bool // true: x ≥ Bound; false: x ≤ Bound
-	Bound   affine.Expr
-}
-
 // CondToBox attempts to turn a condition into per-dimension bounds over the
 // given number of dimensions: a conjunction of affine comparisons each
 // involving at most one variable. On success it returns, for each dimension,

@@ -86,9 +86,15 @@ func TestSizeAndAccesses(t *testing.T) {
 	if Size(e) != 5 {
 		t.Errorf("Size = %d, want 5", Size(e))
 	}
-	acc := Accesses(e)
-	if len(acc) != 2 || acc[0].Target != "g" || acc[1].Target != "h" {
-		t.Errorf("Accesses = %v", acc)
+	var acc []string
+	Walk(e, func(x Expr) bool {
+		if a, ok := x.(Access); ok {
+			acc = append(acc, a.Target)
+		}
+		return true
+	})
+	if len(acc) != 2 || acc[0] != "g" || acc[1] != "h" {
+		t.Errorf("accesses in visit order = %v", acc)
 	}
 }
 

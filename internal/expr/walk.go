@@ -51,18 +51,6 @@ func Size(e Expr) int {
 	return n
 }
 
-// Accesses returns every Access node in the expression, in visit order.
-func Accesses(e Expr) []Access {
-	var out []Access
-	Walk(e, func(x Expr) bool {
-		if a, ok := x.(Access); ok {
-			out = append(out, a)
-		}
-		return true
-	})
-	return out
-}
-
 // Transform rewrites an expression bottom-up: children are transformed
 // first, then fn is applied to the rebuilt node. fn returning nil keeps the
 // rebuilt node.

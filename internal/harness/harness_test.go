@@ -32,19 +32,16 @@ func TestMeasureApp(t *testing.T) {
 }
 
 // TestStatsGenMisses: polymage-bench -stats says how many pieces run on
-// generated kernels and why the rest do not, and how many per-element
-// fallbacks the row VM keeps and why. This binary links no kernel package,
-// so bilateral's seven eligible pieces — the data-dependent slice among
-// them — read "no kernel for key" beside its two accumulators, and its 16
-// trilinear taps are gather instructions, not fallbacks.
+// generated kernels and why the rest do not. This binary links no kernel
+// package, so bilateral's seven eligible pieces — the data-dependent slice
+// among them — read "no kernel for key" beside its two accumulators.
 func TestStatsGenMisses(t *testing.T) {
 	var buf bytes.Buffer
 	if err := statsApp(&buf, "bilateral", tinyConfig()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"gen      0/9 pieces; misses: 7 no kernel for key, 0 predicated, 2 accumulator/self-ref, 0 vm fall, 0 irregular access",
-		"vm falls 0; reasons: 0 no row op, 0 condition, 0 other",
+		"gen      0/9 pieces; misses: 7 no kernel for key, 0 predicated, 2 accumulator/self-ref, 0 irregular access",
 		"tile by tile 0, extrapolated 0",
 	} {
 		if !strings.Contains(buf.String(), want) {

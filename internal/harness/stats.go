@@ -145,10 +145,8 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 		pieces += sm.Gen + sm.RowVM + sm.Scalar
 	}
 	m := model.GenMisses
-	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d accumulator/self-ref, %d vm fall, %d irregular access\n",
-		gen, pieces, m.NoKernel, m.Predicated, m.AccOrSelfRef, m.VMFall, m.Irregular)
-	f := model.VMFalls
-	fmt.Fprintf(w, "  vm falls %d; reasons: %d no row op, %d condition, %d other\n", f.Total(), f.Op, f.Cond, f.Other)
+	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d accumulator/self-ref, %d irregular access\n",
+		gen, pieces, m.NoKernel, m.Predicated, m.AccOrSelfRef, m.Irregular)
 	hasVM := false
 	for _, sm := range model.Stages {
 		if sm.RowVM > 0 {
@@ -157,8 +155,8 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 		}
 	}
 	if hasVM {
-		fmt.Fprintf(w, "  %-22s %6s %7s %6s %6s %5s %5s %4s\n",
-			"row VM", "pieces", "instrs", "fused", "falls", "regs", "bools", "f32")
+		fmt.Fprintf(w, "  %-22s %6s %7s %6s %5s %5s %4s\n",
+			"row VM", "pieces", "instrs", "fused", "regs", "bools", "f32")
 		for _, sm := range model.Stages {
 			if sm.RowVM == 0 {
 				continue
@@ -167,8 +165,8 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 			if sm.VMF32 {
 				f32 = "yes"
 			}
-			fmt.Fprintf(w, "  %-22s %6d %7d %6d %6d %5d %5d %4s\n",
-				sm.Name, sm.RowVM, sm.VMInstrs, sm.VMFusedOps, sm.VMFallbacks,
+			fmt.Fprintf(w, "  %-22s %6d %7d %6d %5d %5d %4s\n",
+				sm.Name, sm.RowVM, sm.VMInstrs, sm.VMFusedOps,
 				sm.VMRegs, sm.VMBoolRegs, f32)
 		}
 	}

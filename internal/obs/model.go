@@ -99,29 +99,6 @@ type ProgramStats struct {
 	// ahead-of-time generated kernel. Zero unless the program was compiled
 	// Fast with generated kernels enabled.
 	GenMisses GenMisses
-	// VMFalls counts, per reason, the per-element fallback instructions
-	// left in the program's row-VM code (pieces and accumulators, whether or
-	// not a generated kernel displaced the piece). Zero unless compiled Fast.
-	VMFalls VMFalls
-}
-
-// VMFalls says why row-VM subtrees still evaluate through the per-element
-// scalar closure instead of a row instruction. Data-dependent gathers are
-// not among the reasons: they have a row instruction of their own.
-type VMFalls struct {
-	Op    int `json:"op"`    // operator with no row instruction
-	Cond  int `json:"cond"`  // Select condition with no row form
-	Other int `json:"other"` // expression node the VM does not know
-}
-
-// Total is the number of fallback instructions in the program.
-func (f VMFalls) Total() int { return f.Op + f.Cond + f.Other }
-
-// Add accumulates another program's (or piece's) counts.
-func (f *VMFalls) Add(g VMFalls) {
-	f.Op += g.Op
-	f.Cond += g.Cond
-	f.Other += g.Other
 }
 
 // GenMisses says why stage pieces run on an interpreted tier instead of a
@@ -132,14 +109,13 @@ type GenMisses struct {
 	NoKernel     int `json:"no_kernel"`       // eligible, no kernel registered for its key
 	Predicated   int `json:"predicated"`      // residual per-point predicate
 	AccOrSelfRef int `json:"acc_or_self_ref"` // accumulator or self-referencing stage
-	VMFall       int `json:"vm_fall"`         // row program keeps a per-element fallback
 	Irregular    int `json:"irregular"`       // stage rank outside 1–3, an index offset the binding cannot evaluate, a gather piece under Debug, or a canonical expression that does not lower to the piece's own register type
 }
 
 // Total is the number of pieces without a generated kernel; with the Gen
 // counts of the program's stages it adds up to the program's pieces.
 func (m GenMisses) Total() int {
-	return m.NoKernel + m.Predicated + m.AccOrSelfRef + m.VMFall + m.Irregular
+	return m.NoKernel + m.Predicated + m.AccOrSelfRef + m.Irregular
 }
 
 // StageModel describes how one stage's case pieces were lowered: the
@@ -165,11 +141,10 @@ type StageModel struct {
 	ClosureRow int
 	Scalar     int // per-point scalar loop (predicated pieces; accumulators without Fast)
 	// Row-VM program shape (zero when RowVM == 0).
-	VMInstrs    int  // instructions across the stage's VM programs
-	VMFusedOps  int  // superinstructions emitted by the peephole pass
-	VMFallbacks int  // per-subtree scalar fallback instructions
-	VMRegs      int  // float row-register high-water mark (max over pieces)
-	VMBoolRegs  int  // bool row-register high-water mark
-	VMF32       bool // some piece runs the row VM on float32 registers
-	VMInt       bool // some piece runs the row VM on int64 registers
+	VMInstrs   int  // instructions across the stage's VM programs
+	VMFusedOps int  // superinstructions emitted by the peephole pass
+	VMRegs     int  // float row-register high-water mark (max over pieces)
+	VMBoolRegs int  // bool row-register high-water mark
+	VMF32      bool // some piece runs the row VM on float32 registers
+	VMInt      bool // some piece runs the row VM on int64 registers
 }

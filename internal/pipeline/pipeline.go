@@ -290,17 +290,6 @@ func (g *Graph) Recompute() error {
 	return nil
 }
 
-// MaxLevel returns the maximum topological level in the graph.
-func (g *Graph) MaxLevel() int {
-	m := 0
-	for _, s := range g.Stages {
-		if s.Level > m {
-			m = s.Level
-		}
-	}
-	return m
-}
-
 // ParamNames returns the names of all declared parameters, sorted.
 func (g *Graph) ParamNames() []string {
 	names := make([]string, 0, len(g.Builder.Params()))

@@ -51,8 +51,8 @@ func TestBuildChain(t *testing.T) {
 	if len(a.Consumers) != 2 { // b and out both read a
 		t.Errorf("a.Consumers = %v", a.Consumers)
 	}
-	if g.MaxLevel() != 2 {
-		t.Errorf("MaxLevel = %d", g.MaxLevel())
+	if lv := g.Stages["out"].Level; lv != 2 {
+		t.Errorf("out.Level = %d, want 2", lv)
 	}
 }
 

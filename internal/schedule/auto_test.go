@@ -214,33 +214,3 @@ func TestAutoStatsSurface(t *testing.T) {
 	}
 	var _ obs.GroupCostModel // the surface under test
 }
-
-// TestAutoOptionsDigest pins digest sensitivity: any knob or weight change
-// must change the digest (the service keys compiled programs on it).
-func TestAutoOptionsDigest(t *testing.T) {
-	base := schedule.DefaultAutoOptions()
-	d0 := base.Digest()
-	if d0 != schedule.DefaultAutoOptions().Digest() {
-		t.Fatal("digest not stable")
-	}
-	mut := []func(*schedule.AutoOptions){
-		func(o *schedule.AutoOptions) { o.BeamWidth = 9 },
-		func(o *schedule.AutoOptions) { o.TileCandidates = [][]int64{{4, 4}} },
-		func(o *schedule.AutoOptions) { o.FleetWidth = 99 },
-		func(o *schedule.AutoOptions) { o.ExactTileCap = 7 },
-		func(o *schedule.AutoOptions) { o.CacheBudgetBytes = 1 << 10 },
-		func(o *schedule.AutoOptions) { o.RowOverheadPoints = 7 },
-		func(o *schedule.AutoOptions) { o.MaxStates = 3 },
-		func(o *schedule.AutoOptions) { w := schedule.DefaultCostWeights(); w.Traffic = 17; o.Weights = &w },
-	}
-	seen := map[string]bool{d0: true}
-	for i, m := range mut {
-		o := schedule.DefaultAutoOptions()
-		m(&o)
-		d := o.Digest()
-		if seen[d] {
-			t.Errorf("mutation %d did not change the digest", i)
-		}
-		seen[d] = true
-	}
-}

@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -15,14 +14,29 @@ import (
 // are still resident in cache.
 const rereadDiscount = 0.25
 
+// The model's fixed sizes. exactTileCap bounds exact per-tile enumeration:
+// a group with more tiles extrapolates from its interior tile (sumTiles).
+// cacheBudgetBytes is the per-tile working set before the footprint term
+// starts charging (a per-core L2). rowOverheadPoints is the fixed dispatch
+// cost of one row segment in point-equivalents, folded into the Compute
+// term; calibrated against the measured square-vs-wide tile gap on the
+// Table-2 stencil apps (~25 points per row). An integer, so the
+// per-dimension sums stay exact (perDimSums).
+const (
+	exactTileCap      = 4096
+	cacheBudgetBytes  = 1 << 20
+	rowOverheadPoints = 24
+	budgetPts         = cacheBudgetBytes / 4 // in float32 elements
+)
+
 // trafficFactor scales a buffer's traffic price by how much of it can stay
 // cache-resident: a buffer far smaller than the cache budget is read and
 // written at hot-cache rates (the re-read discount), one at or beyond the
 // budget at full cold price, with a linear ramp between. Without this,
 // small-domain pipelines (coarse pyramid levels) over-reward fusion whose
 // halo overhead the cache-resident buffers never pay back.
-func trafficFactor(pts, budgetPts float64) float64 {
-	if budgetPts <= 0 || pts >= budgetPts {
+func trafficFactor(pts float64) float64 {
+	if pts >= budgetPts {
 		return 1
 	}
 	return rereadDiscount + (1-rereadDiscount)*pts/budgetPts
@@ -35,16 +49,14 @@ func trafficFactor(pts, budgetPts float64) float64 {
 // so on small tile counts the model's numbers are not estimates but the
 // exact quantities the executor will later measure (obs.StageStats
 // RecomputedPoints, GroupStats.Tiles). The weighted sum of the terms is
-// what the beam search in search.go minimizes; the weights are fitted from
-// benchmark history by internal/autotune.
+// what the beam search in search.go minimizes.
 
 // CostWeights are the model's coefficients: the relative price of one
-// point of each term. Only ratios matter to the search; autotune fits them
-// (in ms/point) against measured wall clocks.
+// point of each term. Only ratios matter to the search.
 type CostWeights struct {
 	// Compute prices every evaluated point, halo recompute included, plus
-	// the per-row-segment dispatch overhead (AutoOptions.RowOverheadPoints
-	// per segment): the engine executes row-major, so a tile's inner extent
+	// the per-row-segment dispatch overhead (rowOverheadPoints per
+	// segment): the engine executes row-major, so a tile's inner extent
 	// sets how much fixed row setup cost is amortized per point. This is
 	// what makes wide-inner tiles (32×256) beat square ones (64×64) on
 	// stencil groups even when squares have marginally less halo.
@@ -69,9 +81,8 @@ type CostWeights struct {
 // DefaultCostWeights returns the built-in coefficients, calibrated by
 // hand against measured tile-size/fusion sweeps of the Table-2 apps until
 // the model's ranking matched the measured one (cmd/polymage-tune -auto
-// re-checks that ranking). cmd/polymage-tune -fit re-derives machine-local
-// coefficients via internal/autotune FitWeights. Units are arbitrary —
-// the search only compares sums.
+// re-checks that ranking). Units are arbitrary — the search only compares
+// sums.
 func DefaultCostWeights() CostWeights {
 	return CostWeights{Compute: 1, Recompute: 1.25, Traffic: 5, Parallel: 2, Footprint: 3}
 }
@@ -94,7 +105,7 @@ func (w CostWeights) Total(c GroupCost) float64 { return w.Dot(c.Vector()) }
 // points (Vector gives them in canonical order).
 type GroupCost struct {
 	// Compute is the number of points evaluated per run, halos included,
-	// plus RowOverheadPoints per executed row segment (row-major dispatch
+	// plus rowOverheadPoints per executed row segment (row-major dispatch
 	// cost, amortized by the tile's inner extent).
 	Compute float64
 	// Recompute is the subset of Compute outside tile-owned regions — the
@@ -120,21 +131,9 @@ type GroupCost struct {
 	// Tiles is the tile count (1 for untiled groups).
 	Tiles int64
 	// Exact reports per-tile enumeration: every tile's required regions
-	// were computed exactly. False when Tiles exceeded AutoOptions'
-	// ExactTileCap and the interior tile was extrapolated instead.
+	// were computed exactly. False when Tiles exceeded exactTileCap and
+	// the interior tile was extrapolated instead.
 	Exact bool
-}
-
-// EvalGroupCost prices one group at the parameter estimates. The group
-// must be well-formed (members topologically ordered, scales populated for
-// multi-stage groups) — exactly what BuildGroups/the search construct.
-func EvalGroupCost(g *pipeline.Graph, grp *Group, est map[string]int64, ao AutoOptions) (GroupCost, error) {
-	tp, err := NewTilePlan(g, grp, est)
-	if err != nil {
-		return GroupCost{}, err
-	}
-	c, _, err := evalGroupCost(tp, ao.withDefaults(), true)
-	return c, err
 }
 
 // tileSums are a group's per-tile cost terms summed over its tiles.
@@ -150,11 +149,10 @@ type tileSums struct {
 // where it applies; without it every exact evaluation walks every tile, the
 // reference the fast path is held to bit for bit. usedPerDim reports that
 // the group's tiles were enumerated per dimension (perDimSums) rather than
-// one by one or, beyond ExactTileCap, extrapolated (sumTiles).
+// one by one or, beyond exactTileCap, extrapolated (sumTiles).
 func evalGroupCost(tp *TilePlan, ao AutoOptions, perDim bool) (c GroupCost, usedPerDim bool, err error) {
 	grp, g := tp.Group, tp.Graph
 	c = GroupCost{Tiles: tp.NumTiles()}
-	budgetPts := float64(ao.CacheBudgetBytes) / 4 // float32 scratch elements
 
 	// Live-out writes are tile-independent: each live-out's full domain is
 	// written exactly once per run (tiles own disjoint regions).
@@ -163,7 +161,7 @@ func evalGroupCost(tp *TilePlan, ao AutoOptions, perDim bool) (c GroupCost, used
 			continue
 		}
 		size := float64(tp.members[i].dom.Size())
-		priced := size * trafficFactor(size, budgetPts)
+		priced := size * trafficFactor(size)
 		c.Traffic += priced
 		if !g.Stages[grp.Members[i]].LiveOut {
 			c.ReducibleTraffic += priced
@@ -172,13 +170,13 @@ func evalGroupCost(tp *TilePlan, ao AutoOptions, perDim bool) (c GroupCost, used
 
 	// Per-tile terms: exact when the tile count is within the cap,
 	// interior-tile extrapolation beyond it.
-	c.Exact = c.Tiles <= ao.ExactTileCap
+	c.Exact = c.Tiles <= exactTileCap
 	var sums tileSums
 	if c.Exact && perDim {
-		sums, usedPerDim = tp.perDimSums(ao.RowOverheadPoints, budgetPts)
+		sums, usedPerDim = tp.perDimSums()
 	}
 	if !usedPerDim {
-		if sums, err = tp.sumTiles(ao.RowOverheadPoints, budgetPts, c.Exact); err != nil {
+		if sums, err = tp.sumTiles(c.Exact); err != nil {
 			return GroupCost{}, false, err
 		}
 	}
@@ -197,7 +195,7 @@ func evalGroupCost(tp *TilePlan, ao AutoOptions, perDim bool) (c GroupCost, used
 		if d := float64(tp.ext[e].dom.Size()); d < distinct {
 			distinct = d
 		}
-		priced := distinct*trafficFactor(distinct, budgetPts) + rereadDiscount*(sum-distinct)
+		priced := distinct*trafficFactor(distinct) + rereadDiscount*(sum-distinct)
 		c.Traffic += priced
 		if _, isImage := g.Images[tp.ext[e].name]; !isImage {
 			c.ReducibleTraffic += priced
@@ -224,7 +222,7 @@ func evalGroupCost(tp *TilePlan, ao AutoOptions, perDim bool) (c GroupCost, used
 
 // sumTiles probes tiles one by one: every tile when exact, else the
 // interior tile alone, its terms scaled by the tile count.
-func (tp *TilePlan) sumTiles(rowOverhead, budgetPts float64, exact bool) (tileSums, error) {
+func (tp *TilePlan) sumTiles(exact bool) (tileSums, error) {
 	sums := tileSums{ext: make([]float64, len(tp.ext))}
 	n, scale := tp.NumTiles(), 1.0
 	idx := make([]int64, len(tp.TileCounts))
@@ -252,7 +250,7 @@ func (tp *TilePlan) sumTiles(rowOverhead, budgetPts float64, exact bool) (tileSu
 			if inner := float64(b[len(b)-1].Size()); inner > 0 {
 				rows = size / inner
 			}
-			sums.compute += (size + rowOverhead*rows) * scale
+			sums.compute += (size + rowOverheadPoints*rows) * scale
 			// Recomputed points: required minus the tile-owned region —
 			// the same quantity the executor's metrics path measures into
 			// StageStats.RecomputedPoints.
@@ -313,16 +311,13 @@ const exactBelow = float64(1 << 50)
 //
 // ok is false — and the caller walks every tile — when the structure or a
 // probe rules the table out, when a probe fails (sumTiles reports the
-// error), or when the sums could leave the range in which float64 is exact
-// for them (a fractional row overhead, or more than 2^50 points): inside
-// it, re-associating the sums cannot change a bit of the result.
-func (tp *TilePlan) perDimSums(rowOverhead, budgetPts float64) (sums tileSums, ok bool) {
-	if rowOverhead != math.Trunc(rowOverhead) {
-		return sums, false
-	}
+// error), or when the sums could reach 2^50 points, beyond the range in
+// which float64 is exact for them: inside it, re-associating the sums
+// cannot change a bit of the result.
+func (tp *TilePlan) perDimSums() (sums tileSums, ok bool) {
 	bound := 0.0
 	for i := range tp.members {
-		bound += (1 + rowOverhead) * boxPoints(tp.members[i].dom)
+		bound += (1 + rowOverheadPoints) * boxPoints(tp.members[i].dom)
 	}
 	for _, e := range tp.ext {
 		bound += boxPoints(e.dom)
@@ -430,7 +425,7 @@ func (tp *TilePlan) perDimSums(rowOverhead, budgetPts float64) (sums tileSums, o
 		work := 0.0
 		for i := 0; i < nM; i++ {
 			size, rows, in := cur[3*i], cur[3*i+1], cur[3*i+2]
-			sums.compute += (float64(size) + rowOverhead*float64(rows)) * tiles
+			sums.compute += (float64(size) + rowOverheadPoints*float64(rows)) * tiles
 			sums.recompute += float64(size-in) * tiles
 			work += float64(size)
 		}
@@ -571,13 +566,13 @@ func pipelineCosts(g *pipeline.Graph, groups []*Group, est map[string]int64, ao 
 }
 
 // PipelineCost prices a whole grouping: per-group breakdowns plus the
-// weighted total under the AutoOptions' weights.
+// weighted total under DefaultCostWeights.
 func PipelineCost(g *pipeline.Graph, groups []*Group, est map[string]int64, ao AutoOptions) (float64, []GroupCost, error) {
 	costs, err := pipelineCosts(g, groups, est, ao)
 	if err != nil {
 		return 0, nil, err
 	}
-	w := ao.weights()
+	w := DefaultCostWeights()
 	total := 0.0
 	for _, c := range costs {
 		total += w.Total(c)
@@ -585,9 +580,8 @@ func PipelineCost(g *pipeline.Graph, groups []*Group, est map[string]int64, ao A
 	return total, costs, nil
 }
 
-// PipelineTerms sums the model's term vector over a grouping — the feature
-// vector internal/autotune regresses against measured wall clocks when
-// fitting CostWeights.
+// PipelineTerms sums the model's term vector over a grouping — what
+// internal/autotune ranks schedules by against measured wall clocks.
 func PipelineTerms(gr *Grouping, ao AutoOptions) ([5]float64, error) {
 	var v [5]float64
 	costs, err := pipelineCosts(gr.Graph, gr.Groups, gr.Est, ao)

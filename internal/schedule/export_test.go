@@ -3,9 +3,9 @@ package schedule
 import "repro/internal/pipeline"
 
 // EvalGroupCostBothWays prices one group twice for the external tests: with
-// the per-dimension enumeration permitted (what EvalGroupCost and the search
-// do) and with every tile walked (the reference loop). perDim reports
-// whether the first evaluation took the per-dimension path.
+// the per-dimension enumeration permitted (what the search does) and with
+// every tile walked (the reference loop). perDim reports whether the first
+// evaluation took the per-dimension path.
 func EvalGroupCostBothWays(g *pipeline.Graph, grp *Group, est map[string]int64, ao AutoOptions) (fast, ref GroupCost, perDim bool, err error) {
 	tp, err := NewTilePlan(g, grp, est)
 	if err != nil {

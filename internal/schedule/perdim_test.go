@@ -251,11 +251,4 @@ func TestEvalGroupCostPerDimFallback(t *testing.T) {
 			}
 		})
 	}
-	// A fractional row overhead leaves the exact-integer range the
-	// re-association argument needs: the loop prices it.
-	g, grp := cases[0].build()
-	_, _, perDim, err := schedule.EvalGroupCostBothWays(g, grp, map[string]int64{}, schedule.AutoOptions{RowOverheadPoints: 24.3})
-	if err != nil || perDim {
-		t.Errorf("fractional row overhead: per-dimension %v, err %v", perDim, err)
-	}
 }

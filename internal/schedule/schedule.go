@@ -121,8 +121,8 @@ type Options struct {
 	// OverlapThreshold is ignored when set; the other knobs (MinSize,
 	// MinTileExtent, MaxUnalignedExtent, DisableFusion) still apply.
 	Auto bool
-	// AutoOpts tunes the search (beam width, tile candidates, fitted cost
-	// weights); nil uses DefaultAutoOptions.
+	// AutoOpts tunes the search (beam width, tile candidates, fleet width,
+	// state cap); nil uses DefaultAutoOptions.
 	AutoOpts *AutoOptions
 }
 

@@ -14,6 +14,11 @@ import (
 
 var est = map[string]int64{"R": 512, "C": 512}
 
+// rangeCovers reports whether o is a subset of r (an empty o always is).
+func rangeCovers(r, o affine.Range) bool {
+	return o.Empty() || (o.Lo >= r.Lo && o.Hi <= r.Hi)
+}
+
 // harrisGraph builds the (inlined) Harris pipeline: Ix, Iy, Sxx, Sxy, Syy,
 // harris — the stage structure of Figure 7.
 func harrisGraph(t *testing.T) *pipeline.Graph {
@@ -323,13 +328,13 @@ func checkTilePlanInvariants(t *testing.T, tp *TilePlan, params map[string]int64
 				if aa.Acc.Var >= 0 {
 					vr = crq[aa.Acc.Var]
 				}
-				rng, err := aa.Acc.RangeOver(vr, params)
+				off, err := aa.Acc.Off.Eval(params)
 				if err != nil {
 					t.Fatal(err)
 				}
-				need := rng.Intersect(tp.MemberDomain(aa.Target)[aa.ProducerDim])
+				need := aa.Acc.RangeAt(off, vr).Intersect(tp.MemberDomain(aa.Target)[aa.ProducerDim])
 				have := req[aa.Target][aa.ProducerDim]
-				if !have.ContainsRange(need) {
+				if !rangeCovers(have, need) {
 					t.Fatalf("tile %v: %s needs %s of %s dim %d but tile computes %s",
 						idx, cname, need, aa.Target, aa.ProducerDim, have)
 				}
@@ -342,8 +347,10 @@ func checkTilePlanInvariants(t *testing.T, tp *TilePlan, params map[string]int64
 				continue
 			}
 			req2 := req[lo]
-			if !req2.ContainsBox(owned) {
-				t.Fatalf("tile %v: owned box %v of %s not computed (%v)", idx, owned, lo, req2)
+			for d := range owned {
+				if !rangeCovers(req2[d], owned[d]) {
+					t.Fatalf("tile %v: owned box %v of %s not computed (%v)", idx, owned, lo, req2)
+				}
 			}
 			if covers[lo] == nil {
 				covers[lo] = make([][]cover, len(owned))

@@ -1,8 +1,6 @@
 package schedule
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
@@ -33,23 +31,9 @@ type AutoOptions struct {
 	// Options.TileSizes: outermost first, last entry repeating). The
 	// deterministic argmin under the model picks one per merged group.
 	TileCandidates [][]int64
-	// Weights are the model coefficients; nil uses DefaultCostWeights
-	// (the fitted values baked in from benchmark history).
-	Weights *CostWeights
 	// FleetWidth is the worker count the parallelism term assumes;
 	// 0 uses runtime.GOMAXPROCS (the engine fleet's own default).
 	FleetWidth int
-	// ExactTileCap bounds exact per-tile cost enumeration; groups with
-	// more tiles extrapolate from the interior tile (cost.go).
-	ExactTileCap int64
-	// CacheBudgetBytes is the per-tile scratch budget before the
-	// footprint term starts charging (default 1 MiB — a per-core L2).
-	CacheBudgetBytes int64
-	// RowOverheadPoints is the fixed dispatch cost of one row segment,
-	// expressed in point-equivalents and folded into the Compute term.
-	// Calibrated against the measured square-vs-wide tile gap on the
-	// Table-2 stencil apps (~25 points per row).
-	RowOverheadPoints float64
 	// MaxStates caps the number of cost-model evaluations per search; the
 	// search stops expanding (keeping the best partition found) beyond
 	// it. A backstop for adversarial difftest pipelines, far above what
@@ -64,11 +48,8 @@ func DefaultAutoOptions() AutoOptions {
 		TileCandidates: [][]int64{
 			{32, 256}, {64, 64}, {128, 128}, {32, 32}, {16, 16}, {8, 8},
 		},
-		FleetWidth:        runtime.GOMAXPROCS(0),
-		ExactTileCap:      4096,
-		CacheBudgetBytes:  1 << 20,
-		RowOverheadPoints: 24,
-		MaxStates:         512,
+		FleetWidth: runtime.GOMAXPROCS(0),
+		MaxStates:  512,
 	}
 }
 
@@ -83,44 +64,10 @@ func (ao AutoOptions) withDefaults() AutoOptions {
 	if ao.FleetWidth <= 0 {
 		ao.FleetWidth = d.FleetWidth
 	}
-	if ao.ExactTileCap <= 0 {
-		ao.ExactTileCap = d.ExactTileCap
-	}
-	if ao.CacheBudgetBytes <= 0 {
-		ao.CacheBudgetBytes = d.CacheBudgetBytes
-	}
-	if ao.RowOverheadPoints <= 0 {
-		ao.RowOverheadPoints = d.RowOverheadPoints
-	}
 	if ao.MaxStates <= 0 {
 		ao.MaxStates = d.MaxStates
 	}
 	return ao
-}
-
-// weights resolves the model coefficients.
-func (ao AutoOptions) weights() CostWeights {
-	if ao.Weights != nil {
-		return *ao.Weights
-	}
-	return DefaultCostWeights()
-}
-
-// Digest returns a short stable hash of everything that can change the
-// search's outcome — knobs and resolved weights. The service includes it
-// in compiled-program cache keys: the search is deterministic, so equal
-// digests (plus app/params) imply equal schedules.
-func (ao AutoOptions) Digest() string {
-	ao = ao.withDefaults()
-	w := ao.weights()
-	h := sha256.New()
-	fmt.Fprintf(h, "beam=%d;fleet=%d;cap=%d;budget=%d;row=%g;max=%d;",
-		ao.BeamWidth, ao.FleetWidth, ao.ExactTileCap, ao.CacheBudgetBytes, ao.RowOverheadPoints, ao.MaxStates)
-	for _, tc := range ao.TileCandidates {
-		fmt.Fprintf(h, "t=%v;", tc)
-	}
-	fmt.Fprintf(h, "w=%g,%g,%g,%g,%g", w.Compute, w.Recompute, w.Traffic, w.Parallel, w.Footprint)
-	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // SearchStats counts the search's effort.
@@ -221,7 +168,7 @@ func SearchGroupsBelow(g *pipeline.Graph, est map[string]int64, opts Options, in
 	}
 	ao = ao.withDefaults()
 	s := &searcher{
-		g: g, est: est, opts: opts, ao: ao, w: ao.weights(),
+		g: g, est: est, opts: opts, ao: ao, w: DefaultCostWeights(),
 		gi: newGraphInfo(g, est), memo: make(map[string]candidatePrice),
 		nextID: len(g.Order) + 1,
 	}

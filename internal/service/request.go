@@ -10,7 +10,6 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/schedule"
 )
 
 // Streaming request validation sentinels: wrapped into the 400 *Error so
@@ -177,10 +176,10 @@ func (r *RunRequest) cacheKey(eo engine.ExecOptions, tiles []int64, auto bool) s
 	}
 	fmt.Fprintf(h, "threads=%d;fast=%v;metrics=%v;tiles=%v", eo.Threads, eo.Fast, eo.Metrics, tiles)
 	if auto {
-		// The search digest covers every knob and weight that can change
-		// the searched schedule; the search itself is deterministic, so
-		// app + params + digest fully identify the compiled artifact.
-		fmt.Fprintf(h, ";auto=%s", schedule.DefaultAutoOptions().Digest())
+		// The search is deterministic and its options are fixed within a
+		// process, so app + params + this marker identify the compiled
+		// artifact.
+		fmt.Fprint(h, ";auto")
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
@@ -293,9 +292,6 @@ type ProgramMetrics struct {
 	// ahead-of-time generated kernel (obs.GenMisses); no_kernel > 0 means
 	// the linked kernel package is stale for this pipeline.
 	GenMisses obs.GenMisses `json:"gen_misses"`
-	// VMFalls counts, per reason, the per-element fallback instructions
-	// left in the program's row-VM code (obs.VMFalls).
-	VMFalls obs.VMFalls `json:"vm_falls"`
 	// Search is what the auto-scheduler's search did to produce this
 	// program's schedule; absent for a hand-scheduled program.
 	Search *SearchMetrics `json:"search,omitempty"`

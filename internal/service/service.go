@@ -243,7 +243,9 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 	// Execute on a separate goroutine so the request can time out without
 	// abandoning slot accounting: the goroutine owns the admission slot
 	// and the shutdown waitgroup until the run actually finishes, and on
-	// timeout a drain goroutine recycles the late result.
+	// timeout a drain goroutine recycles the late result. The slot is freed
+	// before the result is handed over, panic included, so the caller's
+	// next request never finds its own finished run still holding it.
 	type runResult struct {
 		out map[string]*engine.Buffer
 		err error
@@ -255,20 +257,22 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 	handedOff = true
 	go func() {
 		defer s.wg.Done()
-		defer s.inflight.Add(-1)
-		defer release()
+		var res runResult
 		defer func() {
 			if r := recover(); r != nil {
 				s.panics.Add(1)
-				ch <- runResult{err: errf(500, "execution panicked: %v", r)}
+				res = runResult{err: errf(500, "execution panicked: %v", r)}
 			}
+			s.inflight.Add(-1)
+			release()
+			ch <- res
 		}()
 		if s.beforeRun != nil {
 			s.beforeRun(req)
 		}
 		t0 := time.Now()
 		out, rerr := e.res.prog.Run(inputs)
-		ch <- runResult{out: out, err: rerr, dur: time.Since(t0)}
+		res = runResult{out: out, err: rerr, dur: time.Since(t0)}
 	}()
 
 	var r runResult
@@ -590,7 +594,6 @@ func (s *Service) Metrics() Metrics {
 			Snapshot:  snap,
 			Stages:    stats.Stages,
 			GenMisses: stats.GenMisses,
-			VMFalls:   stats.VMFalls,
 		}
 		if stats.AutoScheduled {
 			pm.Search = &SearchMetrics{

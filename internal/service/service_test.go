@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -525,5 +526,51 @@ func TestFleetServiceEvictionUnderLoad(t *testing.T) {
 	}
 	if got := svc.cache.len(); got > 2 {
 		t.Fatalf("cache holds %d entries after idle insert, capacity 2", got)
+	}
+}
+
+// TestFleetAdmissionReleasedBeforeReply: a finished request has freed its
+// admission slot by the time its caller holds the answer, a panicked run's
+// 500 included. One caller, one slot and no queue: every back-to-back
+// request must be admitted, through Do and through DoStream, or the
+// caller's next request finds its own old slot taken and is refused. No
+// output payload keeps the caller's own work after the run short, and
+// -race widens the window.
+func TestFleetAdmissionReleasedBeforeReply(t *testing.T) {
+	svc := New(Config{MaxInFlight: 1, MaxQueue: -1})
+	defer svc.Close(context.Background())
+	const panicSeed = 13
+	svc.beforeRun = func(r *RunRequest) {
+		if r.Seed == panicSeed {
+			panic("probe")
+		}
+	}
+	ctx := context.Background()
+	spec := testSpec()
+	refused := 0
+	for i := 0; i < 800; i++ {
+		req := &RunRequest{Spec: spec, Output: OutputNone}
+		if i%4 == 3 {
+			req.Seed = panicSeed
+		}
+		var err error
+		if i < 600 {
+			_, err = svc.Do(ctx, req)
+		} else {
+			req.Frames = 1
+			err = svc.DoStream(ctx, req, func(*FrameResult) error { return nil })
+		}
+		var e *Error
+		switch {
+		case errors.As(err, &e) && e.Status == 429:
+			refused++
+		case req.Seed == panicSeed && (e == nil || e.Status != 500):
+			t.Fatalf("request %d: a panicked run answered %v, want a 500", i, err)
+		case req.Seed != panicSeed && err != nil:
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if refused > 0 {
+		t.Errorf("a lone caller was refused %d of 800 requests (600 runs, then 200 streams)", refused)
 	}
 }

@@ -148,7 +148,9 @@ func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*Fram
 	// Frames execute on their own goroutine so the request can time out
 	// (or the client disconnect) without abandoning slot accounting: the
 	// goroutine owns the admission slot, the shutdown waitgroup and the
-	// program-cache reference until the stream actually winds down.
+	// program-cache reference until the stream actually winds down. It
+	// frees them before it sends a final error or closes ch, panic
+	// included, so the caller's next request never finds them still held.
 	type frameMsg struct {
 		fr  *FrameResult
 		err error
@@ -161,19 +163,23 @@ func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*Fram
 	cacheHeld = false
 	go func() {
 		defer s.wg.Done()
-		defer s.inflight.Add(-1)
-		defer release()
-		defer s.cache.release(e)
-		defer st.Close()
-		defer close(ch)
+		var final error // the error that ends the stream early, if any
 		defer func() {
 			if r := recover(); r != nil {
 				s.panics.Add(1)
+				final = errf(500, "execution panicked: %v", r)
+			}
+			st.Close()
+			s.cache.release(e)
+			s.inflight.Add(-1)
+			release()
+			if final != nil {
 				select {
-				case ch <- frameMsg{err: errf(500, "execution panicked: %v", r)}:
+				case ch <- frameMsg{err: final}:
 				case <-done:
 				}
 			}
+			close(ch)
 		}()
 		tmp := &engine.Buffer{}
 		var prev engine.StreamStats
@@ -194,10 +200,7 @@ func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*Fram
 			t0 := time.Now()
 			out, rerr := st.RunFrame(inputs, frameROI)
 			if rerr != nil {
-				select {
-				case ch <- frameMsg{err: rerr}:
-				case <-done:
-				}
+				final = rerr
 				return
 			}
 			dur := time.Since(t0)

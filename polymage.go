@@ -155,13 +155,15 @@ type InlineOptions = inline.Options
 
 // AutoScheduleOptions tunes the cost-model auto-scheduler's beam search
 // (ScheduleOptions.Auto / ScheduleOptions.AutoOpts): beam width, tile-size
-// candidates, cache budget and the model coefficients.
+// candidates, the worker count the model assumes and a cap on priced
+// states.
 type AutoScheduleOptions = schedule.AutoOptions
 
 // CostWeights are the auto-scheduler's model coefficients — the relative
 // price of compute, halo recompute, memory traffic, idle parallelism and
-// cache-footprint excess. internal/autotune (cmd/polymage-tune -fit) fits
-// them from measured schedule sweeps.
+// cache-footprint excess. The search prices with fixed built-in values;
+// cmd/polymage-tune -auto checks the ranking they give against measured
+// schedule sweeps.
 type CostWeights = schedule.CostWeights
 
 // ScheduleAuto returns ScheduleOptions with the cost-model auto-scheduler
