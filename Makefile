@@ -7,14 +7,14 @@ COVER_FLOOR_SCHEDULE ?= 75.0
 COVER_FLOOR_SERVICE  ?= 80.0
 COVER_FLOOR_DIFFTEST ?= 80.0
 
-.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race gen-bce narrow-race auto-race bench-vet bench-smoke fuzz cover bench bench-kernels serve serve-smoke serve-http stats clean
+.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race gen-bce fma-check narrow-race auto-race bench-vet bench-smoke fuzz cover bench bench-kernels serve serve-smoke serve-http stats clean
 
 all: build test
 
 # `test` is tier 1 and includes the difftest seed corpus (TestSeedCorpus:
 # 200 random DAGs through the full schedule/execution knob sweep, which
 # covers the row bytecode VM and the concurrent fleet knob), the
-# generated-kernel drift check (gen), the race-checked suites (rowvm-race,
+# generated-kernel drift check (gen), the no-FMA check (fma-check), the race-checked suites (rowvm-race,
 # fleet-race, stream-race, gen-race, narrow-race, auto-race), the
 # serving-layer smoke test (serve-smoke), `go vet` and gofmt here (vet),
 # the benchmark's own module vetted and run at test size (bench-vet,
@@ -24,7 +24,7 @@ all: build test
 build:
 	$(GO) build ./...
 
-test: vet bench-vet bench-smoke gen rowvm-race fleet-race stream-race gen-race narrow-race auto-race serve-smoke
+test: vet bench-vet bench-smoke gen fma-check rowvm-race fleet-race stream-race gen-race narrow-race auto-race serve-smoke
 	$(GO) test ./...
 
 # Race-checked run of the row bytecode VM suite (differential vs scalar,
@@ -92,31 +92,49 @@ gen:
 # interpreted tiers on every Table-2 app and both uint8 apps under the hand
 # and the auto schedule), plus the generated leg of the hand-written tables
 # (kernels for data-dependent and cross-dimension indices, for the
-# int64-body forms and for phase loops, vs the VM and the scalar tier, and a
-# NaN through float32 min).
+# int64-body forms, for phase loops, for values carried across iterations
+# and for accumulators, vs the VM and the scalar tier, and a NaN through
+# float32 min).
 gen-race:
 	$(GO) test -race -run TestGen ./internal/engine/ ./internal/codegen/ ./internal/apps/gen/ -count=1
-	$(GO) test -race -run 'TestGenGatherTable|TestGenIntBodyTable|TestGenPhaseLoops|TestGenMinMaxNaN' ./internal/difftest/ -count=1
+	$(GO) test -race -run 'TestGenGatherTable|TestGenIntBodyTable|TestGenPhaseLoops|TestGenCarry|TestGenAccumTable|TestGenMinMaxNaN' ./internal/difftest/ -count=1
 
 # Bounds checks the compiler could not eliminate in the checked-in kernels,
 # per kernel and in its inner loop, `for i := 0; i < n; i++` or a phase
 # loop's `for m := 0; m < cnt; m++` (the compiler's check_bce report joined
 # with the kernel each reported line belongs to). The int64 bodies of
 # internal/apps/gen read 0 in the inner loop; float bodies read one per inner
-# loop, on the first row read (ROADMAP item 3 a); a phase loop keeps one on
-# its store o[D*m] (and one per read stepping by more than 1); and a kernel
-# with per-element indexed loads (gathers, strided reads) keeps one per such
-# load by design. The target fails when a body kind's inner-loop total rises
-# above its pin below (float64, float32, int64 bodies per package); lower a
-# pin when a change removes checks.
-BCE_PINS_APPS   = float64=42,float32=140,int64=0
-BCE_PINS_CORPUS = float64=28,float32=80,int64=16
+# loop, on the first row read (ROADMAP item 3 a), carried values or not; a
+# phase loop keeps one on its store o[D*m] (and one per read stepping by more
+# than 1); a kernel with per-element indexed loads (gathers, strided reads)
+# keeps one per such load by design, and an accumulator's one on its scatter
+# od[o]. The target fails when a body kind's inner-loop total rises above its
+# pin below (float64, float32, int64 bodies per package); lower a pin when a
+# change removes checks.
+BCE_PINS_APPS   = float64=46,float32=140,int64=0
+BCE_PINS_CORPUS = float64=48,float32=82,int64=16
 gen-bce:
 	@for spec in internal/apps/gen:$(BCE_PINS_APPS) internal/difftest/gencorpus:$(BCE_PINS_CORPUS); do \
 		d=$${spec%%:*}; \
 		echo "$$d/kernels_gen.go"; \
 		$(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./$$d/ 2>&1 | awk -v pins=$${spec#*:} -f cmd/polymage-gen/bce.awk $$d/kernels_gen.go - || exit 1; \
 	done
+
+# No fused multiply-add where the row VM and the generated kernels must agree
+# bit for bit. The Go spec lets a compiler fuse x*y + z into one rounding,
+# even across statements, unless an explicit conversion rounds the product;
+# amd64 never fuses, arm64 (like ppc64le, s390x and riscv64) does. So the VM
+# and EmitGo round every product with a conversion, and this target
+# cross-compiles the engine and both kernel packages for arm64 and fails on
+# any FMADD/FMSUB/FNMADD/FNMSUB the compiler emitted. It needs only the
+# installed toolchain.
+FMA_PKGS = ./internal/engine ./internal/apps/gen ./internal/difftest/gencorpus
+fma-check:
+	@out="$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1)" || { echo "$$out" | tail -20; exit 1; }; \
+	if ! echo "$$out" | grep -q ' STEXT '; then echo "fma-check: no assembly listing"; exit 1; fi; \
+	fused="$$(echo "$$out" | grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)[SD]\b')"; \
+	if [ -n "$$fused" ]; then echo "fused multiply-adds on arm64:"; echo "$$fused"; exit 1; fi; \
+	echo "fma-check: no fused multiply-add in $(FMA_PKGS) on arm64"
 
 # Race-checked run of the narrow-type suite: uint8/uint16 end-to-end
 # execution and input validation, interval/cast soundness, the row VM's
@@ -192,11 +210,14 @@ bench:
 # registers) on the row VM, accumulators and the repeated-Run steady state of
 # the persistent executor; then the micro benchmarks that time the generated
 # tier: BenchmarkGather (two data-dependent stages on the scalar, VM and
-# generated tiers) and BenchmarkUpsample (four up-sampling and demosaic
-# stages whose kernels run as phase loops, on the VM and generated tiers).
+# generated tiers), BenchmarkUpsample (four up-sampling and demosaic stages
+# whose kernels run as phase loops), BenchmarkBoxSum (harris's box sums,
+# whose kernels carry values across iterations) and BenchmarkAccumulate
+# (bilateral's grid accumulators), the last three on the generated and VM
+# tiers.
 bench-kernels:
 	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRowEval|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/
-	$(GO) test -bench 'BenchmarkGather|BenchmarkUpsample' -benchmem -run '^$$' ./internal/apps/gen/
+	$(GO) test -bench 'BenchmarkGather|BenchmarkUpsample|BenchmarkBoxSum|BenchmarkAccumulate' -benchmem -run '^$$' ./internal/apps/gen/
 
 serve:
 	$(GO) run ./cmd/polymage-bench -serve harris -requests 100

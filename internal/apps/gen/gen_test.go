@@ -189,7 +189,8 @@ func TestGenNarrowAppsMatchVM(t *testing.T) {
 // user gets (auto-scheduler, Fast, pooled buffers, this package's kernels
 // linked; narrow types for the uint8 apps): every stage piece is counted in
 // exactly one evaluator tier, the scalar loop takes only predicated pieces
-// (an accumulator is swept by rows), the four removed tiers stay empty
+// (an accumulator runs its kernel, or its row sweep under NoGenKernels), the
+// four removed tiers stay empty
 // (also under NoGenKernels, where every other piece is on the row VM),
 // every piece counted outside the generated tier has its reason in
 // GenMisses, and the Table-2 apps bind at least as many kernels as under the
@@ -228,8 +229,9 @@ func TestTierAttribution(t *testing.T) {
 					pieces, scalar := len(st.Cases), 0
 					if st.IsAccumulator() {
 						pieces = 1
-						if sm.RowVM != 1 {
-							t.Errorf("%s %s: accumulator counts RowVM=%d, want its row sweep", tc.label, sm.Name, sm.RowVM)
+						if tier := map[bool]int{true: sm.Gen, false: sm.RowVM}[tc.prog == bd.on]; tier != 1 {
+							t.Errorf("%s %s: accumulator counts Gen=%d RowVM=%d, want its generated kernel, or its row sweep under NoGenKernels",
+								tc.label, sm.Name, sm.Gen, sm.RowVM)
 						}
 					}
 					for _, c := range st.Cases {
@@ -345,4 +347,19 @@ func BenchmarkUpsample(b *testing.B) {
 	tiers := []string{"gen", "vm"}
 	benchStages(b, []stageRow{{"laplacian", "gUp0", tiers}, {"pyramid", "colUp0", tiers},
 		{"interpolate", "up0", tiers}, {"camera", "rFull", tiers}})
+}
+
+// BenchmarkBoxSum times harris's 3×3 box sums of products `Sxx`, `Sxy` and
+// `Syy`, whose kernels carry the six products each output shares with the
+// two to its left, on the generated and VM tiers.
+func BenchmarkBoxSum(b *testing.B) {
+	tiers := []string{"gen", "vm"}
+	benchStages(b, []stageRow{{"harris", "Sxx", tiers}, {"harris", "Sxy", tiers}, {"harris", "Syy", tiers}})
+}
+
+// BenchmarkAccumulate times bilateral's grid construction, the accumulators
+// `gridV` and `gridW`, on the generated tier and on the row VM's sweep.
+func BenchmarkAccumulate(b *testing.B) {
+	tiers := []string{"gen", "vm"}
+	benchStages(b, []stageRow{{"bilateral", "gridV", tiers}, {"bilateral", "gridW", tiers}})
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bounds"
 	"repro/internal/dsl"
@@ -31,6 +32,23 @@ type Options struct {
 	// not provable for all parameter values (the generated implementation
 	// is still checked dynamically in debug builds).
 	AllowUnproven bool
+}
+
+// ServeOptions is the configuration polymage-serve compiles and binds a
+// request in, from what the request and the server fix of it: hand tile
+// sizes (nil for the default ones), the auto-scheduler, the worker count,
+// Fast (row programs and generated kernels) and executor metrics. Buffers
+// are pooled and accesses unproven for every parameter value are accepted;
+// the caller sets Estimates. difftest's serve-default knobs run the same
+// function, so the sweep checks what the service runs.
+func ServeOptions(tiles []int64, auto bool, threads int, fast, metrics bool) (Options, engine.ExecOptions) {
+	so := schedule.DefaultOptions()
+	if len(tiles) > 0 {
+		so.TileSizes = slices.Clone(tiles)
+	}
+	so.Auto = auto
+	return Options{Schedule: so, AllowUnproven: true},
+		engine.ExecOptions{Threads: threads, Fast: fast, ReuseBuffers: true, Metrics: metrics}
 }
 
 // Pipeline is a compiled pipeline: analysis and scheduling are done; Bind

@@ -265,7 +265,8 @@ func TestSpecLiteralRoundTrips(t *testing.T) {
 }
 
 // streamKnobs returns the streaming subset of the default sweep (the
-// frame-sequence knob and the dirty-rectangle knob).
+// frame-sequence knob, the dirty-rectangle knob and the serve-default
+// dirty-rectangle stream).
 func streamKnobs(t *testing.T) []Knob {
 	t.Helper()
 	var out []Knob
@@ -274,8 +275,8 @@ func streamKnobs(t *testing.T) []Knob {
 			out = append(out, k)
 		}
 	}
-	if len(out) != 2 {
-		t.Fatalf("default sweep has %d streaming knobs, want 2", len(out))
+	if len(out) != 3 {
+		t.Fatalf("default sweep has %d streaming knobs, want 3", len(out))
 	}
 	return out
 }
@@ -323,5 +324,22 @@ func TestKnobLiteralPreservesStreaming(t *testing.T) {
 	// The frames-only knob must not render ROI.
 	if lit := KnobLiteral(ks[0]); strings.Contains(lit, "ROI") {
 		t.Errorf("frames knob literal should not mention ROI: %s", lit)
+	}
+}
+
+// TestServeKnobsMutationCaught: the production combination is a point of
+// the sweep, not a label — each serve-default knob alone catches a
+// perturbed kernel.
+func TestServeKnobsMutationCaught(t *testing.T) {
+	for _, k := range ServeKnobs() {
+		sp := Generate(3)
+		sp.Stages[len(sp.Stages)/2].Perturb = true
+		m, err := Diff(sp, RunOptions{Knobs: []Knob{k}, Perturb: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m == nil {
+			t.Errorf("%s: perturbed kernel not caught", k.Name)
+		}
 	}
 }

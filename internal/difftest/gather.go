@@ -58,7 +58,11 @@ func GatherCases() []GatherCase {
 		{Name: "trilinear", Build: gatherTrilinear, Params: map[string]int64{"R": 48, "C": 40}},
 		{Name: "selectarm", Build: gatherSelectArm, Params: map[string]int64{"R": 24, "C": 72}},
 		{Name: "u8slot", Narrow: true, Build: gatherU8Slot, Params: map[string]int64{"R": 20, "C": 50}},
-		{Name: "hist", Build: gatherHist, Params: map[string]int64{"R": 64, "C": 48}},
+		// A histogram whose bin index leaves the output box on both sides
+		// (such updates are dropped), adding a small integer so that sums
+		// are exact whatever the order the private per-worker copies merge
+		// in.
+		{Name: "hist", Build: histPipeline(dsl.SumOp, false, small), Params: map[string]int64{"R": 64, "C": 48}},
 	}
 }
 
@@ -169,21 +173,4 @@ func gatherU8Slot() (*dsl.Builder, []string) {
 	col := dsl.Clamp(dsl.IDiv(I.At(x, y), 4), 0, dsl.Sub(C, 1))
 	out.Define(dsl.Case{E: dsl.Add(dsl.Mul(0.5, I.At(x, col)), I.At(x, y))})
 	return b, []string{"out"}
-}
-
-// hist: a 3-D histogram whose bin index leaves the output box on both sides
-// (such updates are dropped). The value is a small integer so sums are exact
-// whatever the order the private per-worker copies merge in.
-func gatherHist() (*dsl.Builder, []string) {
-	b := dsl.NewBuilder()
-	R, C := b.Param("R"), b.Param("C")
-	I := b.Image("I", expr.Float, R.Affine(), C.Affine())
-	x, y := b.Var("x"), b.Var("y")
-	hx, hy, bin := b.Var("hx"), b.Var("hy"), b.Var("bin")
-	hist := b.Accum("hist", expr.Float,
-		[]*dsl.Variable{x, y}, []dsl.Interval{span(R.Affine()), span(C.Affine())},
-		[]*dsl.Variable{hx, hy, bin}, []dsl.Interval{dsl.ConstSpan(0, 7), dsl.ConstSpan(0, 11), dsl.ConstSpan(0, 31)})
-	target := dsl.Sub(dsl.Cast(expr.Int, dsl.Mul(I.At(x, y), 40.0)), 4)
-	hist.Define([]any{dsl.IDiv(x, 8), dsl.IDiv(y, 4), target}, dsl.Cast(expr.Int, dsl.Mul(I.At(x, y), 8.0)), dsl.SumOp)
-	return b, []string{"hist"}
 }

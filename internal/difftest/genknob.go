@@ -44,14 +44,10 @@ func BuildProgram(sp PipelineSpec, k Knob) (*engine.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl, err := core.Compile(b.Graph.Builder, b.LiveOuts, core.Options{
-		Estimates:     b.Params,
-		Schedule:      k.schedOptions(),
-		Inline:        k.inlineOptions(),
-		AllowUnproven: true,
-	})
+	co, eo := k.options(b.Params)
+	pl, err := core.Compile(b.Graph.Builder, b.LiveOuts, co)
 	if err != nil {
 		return nil, err
 	}
-	return pl.Bind(b.Params, k.engineOptions())
+	return pl.Bind(b.Params, eo)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/affine"
-	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -82,20 +81,7 @@ func TestIntegerCorpusNarrows(t *testing.T) {
 	const n = 24
 	for i := 0; i < n; i++ {
 		sp := GenerateInteger(int64(IntegerCorpusBase + i))
-		b, err := sp.Build(false)
-		if err != nil {
-			t.Fatalf("seed %d: %v", sp.Seed, err)
-		}
-		pl, err := core.Compile(b.Graph.Builder, b.LiveOuts, core.Options{
-			Estimates:     b.Params,
-			Schedule:      k.schedOptions(),
-			Inline:        k.inlineOptions(),
-			AllowUnproven: true,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", sp.Seed, err)
-		}
-		prog, err := pl.Bind(b.Params, k.engineOptions())
+		prog, err := BuildProgram(sp, k)
 		if err != nil {
 			t.Fatalf("seed %d: %v", sp.Seed, err)
 		}

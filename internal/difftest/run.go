@@ -72,6 +72,12 @@ type Knob struct {
 	// tiling, streaming and concurrency axis; this knob keeps the
 	// interpreted tiers those kernels displace in the sweep too.
 	NoGenKernels bool
+	// Serve compiles and binds with core.ServeOptions, the configuration
+	// polymage-serve runs a request in: the auto-scheduler at its default
+	// options, Fast with generated kernels, pooled buffers, every thread,
+	// metrics on and no Debug. Beside it only Concurrent, Frames and ROI
+	// apply.
+	Serve bool
 }
 
 func (k Knob) String() string {
@@ -89,7 +95,21 @@ func (k Knob) String() string {
 	if k.NoGenKernels {
 		s += " gen=false"
 	}
+	if k.Serve {
+		s += " serve=true"
+	}
 	return s + "}"
+}
+
+// options is how the knob compiles (estimates set) and binds a pipeline.
+func (k Knob) options(estimates map[string]int64) (core.Options, engine.ExecOptions) {
+	if k.Serve {
+		co, eo := core.ServeOptions(nil, true, k.Threads, true, true)
+		co.Estimates = estimates
+		return co, eo
+	}
+	return core.Options{Estimates: estimates, Schedule: k.schedOptions(), Inline: k.inlineOptions(), AllowUnproven: true},
+		k.engineOptions()
 }
 
 // schedOptions maps the knob to scheduling options scaled for the small
@@ -129,11 +149,12 @@ func (k Knob) engineOptions() engine.ExecOptions {
 		NarrowTypes: k.NarrowTypes, NoGenKernels: k.NoGenKernels}
 }
 
-// DefaultKnobs is the standard sweep: 17 combinations covering every axis
+// DefaultKnobs is the standard sweep: 20 combinations covering every axis
 // (tile sizes incl. degenerate and asymmetric, fusion on/off, inlining
 // on/off, fast float32 path on/off, 1 vs N threads, pooling on/off, the
 // alternative tiling strategies of Figure 5, concurrent runs, frame
-// streams, narrow types, generated kernels and the auto-scheduler). The
+// streams, narrow types, generated kernels and the auto-scheduler), then
+// the configuration polymage-serve runs a request in (ServeKnobs). The
 // Fast knobs run generated kernels where the binary links one for a piece
 // and the row bytecode VM elsewhere; fast-seq pins the kernels off, so both
 // are differentially tested against the reference on every seed.
@@ -154,7 +175,19 @@ func DefaultKnobs() []Knob {
 		{Name: "frames-stream", Tiles: []int64{16, 16}, Fast: true, Threads: 4, Frames: 3},
 		{Name: "roi-dirty", Tiles: []int64{8, 8}, Fast: true, Threads: 2, Frames: 3, ROI: true},
 		{Name: "narrow-fast-par", Tiles: []int64{16, 16}, Fast: true, Threads: 4, NarrowTypes: true},
-	}, GenKnobs()...)
+	}, append(GenKnobs(), ServeKnobs()...)...)
+}
+
+// ServeKnobs run the production combination, built by the function the
+// service builds its options with (Knob.Serve): single, from four
+// goroutines at once on the shared fleet, and as a 3-frame stream with a
+// dirty rectangle.
+func ServeKnobs() []Knob {
+	return []Knob{
+		{Name: "serve-default", Serve: true},
+		{Name: "serve-default-concurrent", Serve: true, Concurrent: 4},
+		{Name: "serve-default-roi", Serve: true, Frames: 3, ROI: true},
+	}
 }
 
 // NarrowKnobs is the sweep for the integer corpus: the narrow layout
@@ -277,16 +310,12 @@ func diffOne(sp PipelineSpec, k Knob, opts RunOptions, refB *built, ref map[stri
 	if err != nil {
 		return fail("", fmt.Sprintf("build: %v", err))
 	}
-	pl, err := core.Compile(optB.Graph.Builder, optB.LiveOuts, core.Options{
-		Estimates:     optB.Params,
-		Schedule:      k.schedOptions(),
-		Inline:        k.inlineOptions(),
-		AllowUnproven: true,
-	})
+	co, eo := k.options(optB.Params)
+	pl, err := core.Compile(optB.Graph.Builder, optB.LiveOuts, co)
 	if err != nil {
 		return fail("", fmt.Sprintf("compile: %v", err))
 	}
-	prog, err := pl.Bind(optB.Params, k.engineOptions())
+	prog, err := pl.Bind(optB.Params, eo)
 	if err != nil {
 		return fail("", fmt.Sprintf("bind: %v", err))
 	}

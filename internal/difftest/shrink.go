@@ -217,6 +217,9 @@ func KnobLiteral(k Knob) string {
 	if k.ROI {
 		b.WriteString(", ROI: true")
 	}
+	if k.Serve {
+		b.WriteString(", Serve: true")
+	}
 	b.WriteString("}")
 	return b.String()
 }

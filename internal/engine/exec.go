@@ -283,7 +283,7 @@ func (p *Program) computeRegion(w *worker, ls *loweredStage, region affine.Box, 
 			continue
 		}
 		if piece.gen != nil {
-			p.genLoop(w, piece, r, out)
+			p.genLoop(w, piece.gen, r, out)
 			continue
 		}
 		if piece.vm != nil {
@@ -524,7 +524,11 @@ func (p *Program) accumulateStage(w *worker, ls *loweredStage, region affine.Box
 }
 
 func (p *Program) accumulateRegion(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
-	if ls.accValVM != nil {
+	switch {
+	case ls.accGen != nil:
+		p.genLoop(w, ls.accGen, region, out)
+		return
+	case ls.accValVM != nil:
 		p.accumulateRows(w, ls, region, out)
 		return
 	}

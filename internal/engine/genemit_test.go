@@ -83,8 +83,9 @@ func TestGenPrintsEveryOpcode(t *testing.T) {
 // the int64 body's operations (floor division is an arithmetic shift or
 // floorDiv, never Go's truncating `/`), its clamp on store per output type,
 // the typed row slices of both bodies, and the float64 body's saturating
-// stores. What the rendered kernels compute is held to the interpreted
-// tiers by difftest's TestGenIntBodyTable.
+// stores, and every float product or division by a constant rounded by a
+// conversion (no FMA), none on int64. What the rendered kernels compute is
+// held to the interpreted tiers by difftest's TestGenIntBodyTable.
 func TestGenGoTypedBodies(t *testing.T) {
 	x := expr.VarRef{Dim: 0}
 	b := func(i int) expr.Expr { return expr.Access{Target: fmt.Sprintf("b%d", i), Args: []expr.Expr{x}} }
@@ -117,13 +118,13 @@ func TestGenGoTypedBodies(t *testing.T) {
 		{"int-over-float32-slot", setInt, bin(expr.Mul, b(0), c(3)), u16, []Elem{f32},
 			[]string{"r0 := b0.Data[q0:][:n]", "v0 := 3 * int64(r0[i])", "orow := out.U16[oq:][:n]"}},
 		{"float64-over-narrow", setF64, bin(expr.Add, bin(expr.Mul, c(0.5), b(0)), b(1)), f32, []Elem{u8, u16},
-			[]string{"r0 := b1.U16[q0 : q0+int64(n)]", "r1 := b0.U8[q1 : q1+int64(n)]", "v0 := float64(r0[i]) + 0.5*float64(r1[i])", "orow := out.Data[oq : oq+int64(n)]", "orow[i] = float32(v0)"}},
+			[]string{"r0 := b1.U16[q0 : q0+int64(n)]", "r1 := b0.U8[q1 : q1+int64(n)]", "v0 := float64(r0[i]) + float64(0.5*float64(r1[i]))", "orow := out.Data[oq : oq+int64(n)]", "orow[i] = float32(v0)"}},
 		{"float64-narrow-store", setF64, bin(expr.Mul, c(0.5), b(0)), u16, []Elem{f32},
-			[]string{"orow := out.U16[oq : oq+int64(n)]", "v0 := 0.5 * float64(r0[i])", "orow[i] = numeric.SatU16(v0)", `"repro/internal/numeric"`}},
+			[]string{"orow := out.U16[oq : oq+int64(n)]", "v0 := float64(0.5 * float64(r0[i]))", "orow[i] = numeric.SatU16(v0)", `"repro/internal/numeric"`}},
 		// Floor and float division of the same operands are two values, not
 		// one value-numbered local.
 		{"floordiv-beside-div", setF64, bin(expr.Sub, bin(expr.FDiv, b(0), c(7)), bin(expr.Div, b(0), c(7))), f32, []Elem{f32},
-			[]string{"v0 := math.Floor(float64(r0[i]) / 7)", "v1 := float64(r0[i]) / 7", "v2 := v0 - v1"}},
+			[]string{"v0 := math.Floor(float64(r0[i]) / 7)", "v1 := float64(float64(r0[i]) / 7)", "v2 := v0 - v1"}},
 	}
 	for _, tc := range cases {
 		u := genUnitOf(t, tc.e, 1, tc.set, tc.out, tc.elems...)
@@ -166,7 +167,8 @@ func TestGenPhasePlan(t *testing.T) {
 		want   []string
 	}{
 		{"div2", at(x0, div(x1, 2)), 2, []string{"for p := 0; p < 2 && p < n; p++ {", "cnt := (n - p + 1) / 2",
-			"j1 := floorDiv(xl, 2)", "r0 := b0.Data[q0:][:cnt]", "o[2*m] = float32(float64(r0[m]))"}},
+			"j1 := xl >> 1", "r0 := b0.Data[q0:][:cnt]", "o[2*m] = float32(float64(r0[m]))"}},
+		{"div3", at(x0, div(x1, 3)), 3, []string{"j1 := floorDiv(xl, 3)"}},
 		{"div2-div3", expr.AddE(at(x0, div(expr.AddE(x1, c(1)), 3)), at(x0, div(x1, 2))), 6, []string{"o[6*m] = ", "r0[2*m]", "r1[3*m]"}},
 		{"coeff3", at(x0, div(expr.MulE(c(3), x1), 2)), 2, []string{"r0 := b0.Data[q0:][:3*(cnt-1)+1]", "r0[3*m]"}},
 		{"coordinate-per-element", expr.MulE(at(x0, div(x1, 2)), x1), 2, []string{"xm := xl + int64(2*m)", "float64(xm)"}},

@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
 	"repro/internal/affine"
+	"repro/internal/dsl"
 	"repro/internal/expr"
 	"repro/internal/obs"
 )
@@ -23,8 +25,8 @@ import (
 // key of each eligible piece and binds on a hit, whatever the schedule,
 // stage names or image size. The registry is a pure accelerator: a miss,
 // ExecOptions.NoGenKernels, or an ineligible piece (predicated pieces,
-// accumulators, self-referencing stages, stages of rank above 3) runs on the
-// row VM or the scalar loop exactly as before.
+// self-referencing stages, stages of rank above 3, and under Debug gathers
+// and accumulators) runs on the row VM or the scalar loop exactly as before.
 
 // genABI versions the generated-kernel calling convention and key layout.
 // It is folded into every key, so kernels emitted by an older emitter can
@@ -98,17 +100,21 @@ func (p *Program) attachGenKernels() {
 		for i, r := range u.Reads {
 			slots[i] = p.slots[r]
 		}
-		p.stages[u.Stage].pieces[u.Piece].gen = &genBound{fn: fn, slots: slots}
+		gb := &genBound{fn: fn, slots: slots}
+		if ls := p.stages[u.Stage]; u.Targets != nil {
+			ls.accGen = gb
+		} else {
+			ls.pieces[u.Piece].gen = gb
+		}
 	}
 	p.genMiss = miss
 }
 
-// genLoop dispatches a piece to its bound generated kernel: resolve the
-// kernel's reads against the worker's current slot bindings and run the
-// compiled loop nest over the region. The GenCtx and Bufs slice live on
-// the worker, so the steady state allocates nothing.
-func (p *Program) genLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buffer) {
-	gb := piece.gen
+// genLoop runs a bound generated kernel: resolve the kernel's reads against
+// the worker's current slot bindings and run the compiled loop nest over the
+// region. The GenCtx and Bufs slice live on the worker, so the steady state
+// allocates nothing.
+func (p *Program) genLoop(w *worker, gb *genBound, r affine.Box, out *Buffer) {
 	if cap(w.genBufs) < len(gb.slots) {
 		w.genBufs = make([]*Buffer, len(gb.slots))
 	}
@@ -122,12 +128,12 @@ func (p *Program) genLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buf
 	gb.fn(&w.genCtx)
 }
 
-// GenUnit describes one stage piece the emitter can generate a kernel for:
-// a plain (non-accumulator, non-self-referencing) stage piece of rank 1–3
-// with no residual predicate, of any storage element type, whose row program
-// has no per-element fallback. Stage, Piece and Reads locate the piece in
-// this program; the remaining fields are the piece's shape — all the emitter
-// may read, and exactly what Key hashes.
+// GenUnit describes one stage piece the emitter can generate a kernel for: a
+// stage piece of rank 1–3 with no residual predicate, of any storage element
+// type, or an accumulator swept by rows (not under Debug); never a
+// self-referencing stage. Stage, Piece and Reads locate the piece in this
+// program; the remaining fields are the piece's shape — all the emitter may
+// read, and exactly what Key hashes.
 type GenUnit struct {
 	Stage string
 	Piece int
@@ -135,12 +141,14 @@ type GenUnit struct {
 	// the kernel's GenCtx.Bufs layout.
 	Reads []string
 	// Key is the content key a kernel for this shape registers under: a
-	// SHA-256 over genABI, Rank, the register type, Out, Elems and Expr,
-	// which together determine the program the emitter prints.
+	// SHA-256 over genABI, Rank, the register type, Out, Elems and Expr (and
+	// for an accumulator a marker, Op and Targets), which together determine
+	// the program the emitter prints.
 	// Nothing about stage names, grouping, tile sizes, domains or the rest
 	// of the graph enters it, because none of that reaches the emitted code.
 	Key string
-	// Rank is the stage domain's rank (1–3 supported).
+	// Rank is the stage domain's rank, or an accumulator's reduction
+	// domain's (1–3 supported).
 	Rank int
 	// Out and Elems are the storage element types of the output and of each
 	// read, in Reads order: the typed slice a kernel stores to and loads
@@ -154,12 +162,20 @@ type GenUnit struct {
 	// variable it uses), data-dependent index arguments kept as canonical
 	// expressions of their own, variable names dropped.
 	Expr expr.Expr
+	// Targets, for an accumulator, are its target indices in Expr's
+	// canonical form and Op its reduction; Expr is then its update value.
+	// Both are nil and zero for any other piece.
+	Targets []expr.Expr
+	Op      dsl.ReduceOp
 	// prog is Expr lowered by the row VM's builder with read position i as
 	// buffer slot i, res its result value and set the register type it runs
-	// over — the piece's own: the program EmitGo prints.
+	// over — the piece's own: the program EmitGo prints. An accumulator's
+	// program computes its targets too, lowered first: tres are their values
+	// (lowerAcc).
 	prog *vmBuilder
 	res  int
 	set  vmSet
+	tres []int
 }
 
 // Set names the register type the unit's kernel computes in, the one the
@@ -170,6 +186,10 @@ func (u GenUnit) Set() string { return u.set.String() }
 // as (EmitGo), 1 for the plain loop.
 func (u GenUnit) Phases() int { return int(newKernelPrinter(&goPrinter{}, u).d) }
 
+// Carried is the number of values the unit's kernel carries from one
+// iteration of its plain inner loop to the next (gencarry.go), 0 for none.
+func (u GenUnit) Carried() int { return newKernelPrinter(&goPrinter{}, u).carry.carried() }
+
 // lower lowers u.Expr with the row VM's builder, read position i as buffer
 // slot i, and picks the register type as compileRowVM does for want.
 func (u *GenUnit) lower(want vmSet) error {
@@ -177,7 +197,16 @@ func (u *GenUnit) lower(want vmSet) error {
 	for i := range u.Elems {
 		slots["b"+strconv.Itoa(i)] = i
 	}
-	vb, res, err := (&compiler{slots: slots}).lowerRow(u.Expr, u.Rank-1)
+	cp := &compiler{slots: slots}
+	if u.Targets != nil {
+		vb, tres, res, err := cp.lowerAcc(u.Targets, u.Expr, u.Rank-1)
+		if err != nil {
+			return err
+		}
+		u.prog, u.tres, u.res, u.set = vb, tres, res, setF64
+		return nil
+	}
+	vb, res, err := cp.lowerRow(u.Expr, u.Rank-1)
 	if err != nil {
 		return err
 	}
@@ -202,12 +231,42 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 	var units []GenUnit
 	var miss obs.GenMisses
 	var kb []byte // key material, reused across pieces
+	unit := func(u GenUnit, want vmSet) {
+		for i, r := range u.Reads {
+			u.Elems[i] = p.slotElem[p.slots[r]]
+		}
+		// The canonical expression lowers to the piece's own program up to
+		// slot numbers.
+		if err := u.lower(want); err != nil || u.set != want {
+			miss.Irregular++
+			return
+		}
+		kb = fmt.Appendf(kb[:0], "%s ", genABI)
+		if u.Targets != nil {
+			kb = fmt.Appendf(kb, "acc=%s outrank=%d ", u.Op, len(u.Targets))
+		}
+		kb = fmt.Appendf(kb, "rank=%d set=%s out=%s reads=", u.Rank, u.set, u.Out)
+		for _, el := range u.Elems {
+			kb = fmt.Appendf(kb, "%s,", el)
+		}
+		kb = append(kb, '\n')
+		for _, t := range u.Targets {
+			kb = appendExprKey(kb, t)
+		}
+		kb = appendExprKey(kb, u.Expr)
+		sum := sha256.Sum256(kb)
+		u.Key = hex.EncodeToString(sum[:])
+		units = append(units, u)
+	}
 	for _, name := range p.stageNames {
 		ls := p.stages[name]
 		rank := len(ls.dom)
 		switch {
-		case ls.isAcc || ls.selfRef:
-			miss.AccOrSelfRef += max(len(ls.pieces), 1)
+		case ls.selfRef:
+			miss.SelfRef += max(len(ls.pieces), 1)
+			continue
+		case ls.isAcc:
+			p.accUnit(name, ls, &miss, unit)
 			continue
 		case rank < 1 || rank > 3:
 			miss.Irregular += len(ls.pieces)
@@ -222,49 +281,61 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 			case piece.vm == nil:
 				continue
 			}
-			canon, reads, gather, ok := genCanon(piece.src, p.slots, p.Params)
+			canon, reads, gather, ok := genCanon([]expr.Expr{piece.src}, p.slots, p.Params)
 			if !ok || (gather && p.Opts.Debug) {
 				// Under Debug a gather keeps the per-dimension region
 				// check, which only the interpreted tiers carry.
 				miss.Irregular++
 				continue
 			}
-			u := GenUnit{Stage: name, Piece: pi, Reads: reads, Rank: rank, Expr: canon,
-				Out: ls.elem, Elems: make([]Elem, len(reads))}
-			for i, r := range reads {
-				u.Elems[i] = p.slotElem[p.slots[r]]
-			}
-			// The canonical expression lowers to the piece's own program up
-			// to slot numbers.
-			if err := u.lower(piece.vm.set); err != nil || u.set != piece.vm.set {
-				miss.Irregular++
-				continue
-			}
-			kb = fmt.Appendf(kb[:0], "%s rank=%d set=%s out=%s reads=", genABI, rank, u.set, u.Out)
-			for _, el := range u.Elems {
-				kb = fmt.Appendf(kb, "%s,", el)
-			}
-			kb = appendExprKey(append(kb, '\n'), canon)
-			sum := sha256.Sum256(kb)
-			u.Key = hex.EncodeToString(sum[:])
-			units = append(units, u)
+			unit(GenUnit{Stage: name, Piece: pi, Reads: reads, Rank: rank, Expr: canon[0],
+				Out: ls.elem, Elems: make([]Elem, len(reads))}, piece.vm.set)
 		}
 	}
 	return units, miss
 }
 
-// genCanon brings a piece expression into the canonical form GenUnit.Expr
-// documents and returns the accessed targets in first-use order, and
+// accUnit hands an accumulator swept by rows (a Fast program's) to unit,
+// or counts why it is not eligible. Under Debug the sweep keeps its
+// out-of-box panic, which only the interpreted tiers carry.
+func (p *Program) accUnit(name string, ls *loweredStage, miss *obs.GenMisses, unit func(GenUnit, vmSet)) {
+	if ls.accValVM == nil {
+		return
+	}
+	st := p.Graph.Stages[name]
+	n := len(st.AccTarget)
+	canon, reads, _, ok := genCanon(append(slices.Clone(st.AccTarget), st.AccValue), p.slots, p.Params)
+	if rank := len(ls.redDom); !ok || p.Opts.Debug || rank < 1 || rank > 3 {
+		miss.Irregular++
+		return
+	}
+	for d := range n {
+		// A quasi-affine target in the smallest form that lowers to it.
+		if aff, affOK := expr.ToAffineAccess(canon[d]); affOK {
+			off, err := aff.Off.Eval(p.Params)
+			if err != nil || aff.Div < 1 {
+				miss.Irregular++
+				return
+			}
+			canon[d] = canonIndex(aff, off)
+		}
+	}
+	unit(GenUnit{Stage: name, Reads: reads, Rank: len(ls.redDom), Expr: canon[n], Targets: canon[:n],
+		Op: ls.accOp, Out: ls.elem, Elems: make([]Elem, len(reads))}, setF64)
+}
+
+// genCanon brings piece expressions into the canonical form GenUnit.Expr
+// documents and returns the targets they access in first-use order, and
 // whether some index argument is data-dependent (a gather: hist(I(x,y))).
 // Index arguments may be quasi-affine in any one loop variable — their own
 // dimension's, another's (blend(c,x,y) reading mask(x,y)) or the same one
 // twice (f(x, x)) — or arbitrary expressions, canonicalised recursively. It
 // fails only on an unknown target or an affine offset the binding cannot
 // evaluate.
-func genCanon(e expr.Expr, slots map[string]int, params map[string]int64) (canon expr.Expr, reads []string, gather, ok bool) {
+func genCanon(es []expr.Expr, slots map[string]int, params map[string]int64) (canon []expr.Expr, reads []string, gather, ok bool) {
 	pos := map[string]int{}
 	ok = true
-	canon = expr.Transform(expr.FoldParams(e, params), func(x expr.Expr) expr.Expr {
+	f := func(x expr.Expr) expr.Expr {
 		switch n := x.(type) {
 		case expr.VarRef:
 			return expr.VarRef{Dim: n.Dim}
@@ -300,7 +371,10 @@ func genCanon(e expr.Expr, slots map[string]int, params map[string]int64) (canon
 			return expr.Access{Target: "b" + strconv.Itoa(i), Args: args}
 		}
 		return nil
-	})
+	}
+	for _, e := range es {
+		canon = append(canon, expr.Transform(expr.FoldParams(e, params), f))
+	}
 	return canon, reads, gather, ok
 }
 

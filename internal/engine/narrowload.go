@@ -47,7 +47,9 @@ func widenRowT[T vmNum, E elemNum](t []T, src []E, p, stride int64) {
 }
 
 // madRow computes t[i] = a[i] + w·src[i] over the row widenRow would read,
-// or t[i] = w·src[i] when a is nil; t may alias a.
+// or t[i] = w·src[i] when a is nil; t may alias a. The product is rounded
+// before the add on every GOARCH: the conversion forbids the compiler to
+// fuse the two into one FMA, as `make fma-check` verifies.
 func madRow[T vmNum](t, a []T, w T, b *Buffer, p, stride int64) {
 	switch b.Elem {
 	case ElemU8:
@@ -71,7 +73,7 @@ func madRowT[T vmNum, E elemNum](t, a []T, w T, src []E, p, stride int64) {
 	case stride == 1:
 		s, a := src[p:p+int64(len(t))], a[:len(t)]
 		for i := range t {
-			t[i] = a[i] + w*T(s[i])
+			t[i] = a[i] + T(w*T(s[i]))
 		}
 	case a == nil:
 		for i := range t {
@@ -81,7 +83,7 @@ func madRowT[T vmNum, E elemNum](t, a []T, w T, src []E, p, stride int64) {
 	default:
 		a := a[:len(t)]
 		for i := range t {
-			t[i] = a[i] + w*T(src[p])
+			t[i] = a[i] + T(w*T(src[p]))
 			p += stride
 		}
 	}

@@ -64,7 +64,8 @@ type ExecOptions struct {
 	// kernels even when the process links a kernel for their shape.
 	// Generated kernels are a pure accelerator tier — with this knob, on
 	// any key miss, or for pieces no kernel can cover (predicated pieces,
-	// accumulators), execution falls back to the tier below unchanged.
+	// self-referencing stages), execution falls back to the tier below
+	// unchanged.
 	NoGenKernels bool
 
 	// fleet overrides the process-wide scheduler this program's executor
@@ -130,6 +131,9 @@ type loweredStage struct {
 	// scattered in the scalar sweep's order.
 	accIdxVM []*rowVM
 	accValVM *rowVM
+	// accGen is the generated kernel bound to the accumulator (nil unless one
+	// is registered under its key); it takes precedence over the row sweep.
+	accGen *genBound
 }
 
 // groupExec pairs a schedule group with its tile plan and lowered members.
@@ -592,6 +596,8 @@ func (p *Program) Stats() obs.ProgramStats {
 			sm.VMBoolRegs = max(sm.VMBoolRegs, vm.nBool)
 		}
 		switch {
+		case ls.accGen != nil:
+			sm.Gen++
 		case ls.accValVM != nil:
 			// An accumulator is one piece; under Fast its targets and value
 			// are row programs (accumulateRows).

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -115,8 +116,8 @@ const (
 	rFloor
 	rCeil
 	// Fused arithmetic.
-	rMulAdd // dst = a*b + m (three-address FMA shape)
-	rAxpy   // dst = imm*a + b
+	rMulAdd // dst = a*b + m, the product rounded before the add (no FMA)
+	rAxpy   // dst = imm*a + b, likewise
 	rClampI // dst = min(max(a, imm), imm2)
 	// Other.
 	rCast   // dst = ApplyCast(Type(aux), a)
@@ -448,6 +449,47 @@ func (cp *compiler) lowerRow(e expr.Expr, last int) (*vmBuilder, int, error) {
 	}
 	res, err := vb.emit(e, root)
 	return vb, res, err
+}
+
+// lowerAcc linearizes an accumulator's target indices and update value into
+// one builder, lowering each as accumulateRows' programs do (compileRowIdx,
+// compileRowVM): a quasi-affine target as an index row, any other target and
+// the value as value rows. Value numbering spans all of them, so a read both
+// a target and the value make is made once. It returns the targets' values
+// and the update value's; the targets are lowered first.
+func (cp *compiler) lowerAcc(targets []expr.Expr, value expr.Expr, last int) (vb *vmBuilder, tres []int, res int, err error) {
+	vb = newVMBuilder(cp, last)
+	vb.num = expr.NewNumbering()
+	exprs := append(slices.Clone(targets), value)
+	affs := make([]*affine.Access, len(exprs))
+	ks := make([]int, len(exprs))
+	for i, e := range exprs {
+		if aff, ok := expr.ToAffineAccess(e); ok && i < len(targets) {
+			affs[i] = &aff
+			continue
+		}
+		ks[i] = vb.num.Expr(e)
+	}
+	vb.memo = make([]int, vb.num.Len())
+	for i := range vb.memo {
+		vb.memo[i] = -1
+	}
+	for i, e := range exprs {
+		id := 0
+		if aff := affs[i]; aff != nil {
+			var off int64
+			if off, err = aff.Off.Eval(cp.params); err == nil {
+				id = vb.emitIdx(*aff, off)
+			}
+		} else {
+			id, err = vb.emit(e, ks[i])
+		}
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		tres = append(tres, id)
+	}
+	return vb, tres[:len(targets)], tres[len(targets)], nil
 }
 
 // pickSet is the register type the program runs over: want when the
@@ -1242,12 +1284,12 @@ func evalRow[T vmNum](vm *rowVM, c *RowCtx) []T {
 		case rMulAdd:
 			t, a, b, cc := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], regs[in.m][:n]
 			for i := range t {
-				t[i] = a[i]*b[i] + cc[i]
+				t[i] = T(a[i]*b[i]) + cc[i]
 			}
 		case rAxpy:
 			t, a, b, v := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], T(in.imm)
 			for i := range t {
-				t[i] = v*a[i] + b[i]
+				t[i] = T(v*a[i]) + b[i]
 			}
 		case rSelect:
 			t, a, b, m := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n], bregs[in.m][:n]

@@ -71,9 +71,9 @@ func vmFloat32OK(vals []vmValue, res int) bool {
 		case rSqrt:
 			mass[i] = math.Max(ma, 1)
 		case rMulAdd:
-			mass[i] = ma*mb + mm
+			mass[i] = float64(ma*mb) + mm
 		case rAxpy:
-			mass[i] = math.Abs(v.imm)*ma + mb
+			mass[i] = float64(math.Abs(v.imm)*ma) + mb
 		case rCast:
 			// Cast to Float is the identity in float32 registers; every
 			// other cast has integer semantics.

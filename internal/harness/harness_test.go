@@ -33,19 +33,63 @@ func TestMeasureApp(t *testing.T) {
 
 // TestStatsGenMisses: polymage-bench -stats says how many pieces run on
 // generated kernels and why the rest do not. This binary links no kernel
-// package, so bilateral's seven eligible pieces — the data-dependent slice
-// among them — read "no kernel for key" beside its two accumulators.
+// package, so all nine of bilateral's pieces — the data-dependent slice and
+// the two accumulators among them — read "no kernel for key".
 func TestStatsGenMisses(t *testing.T) {
 	var buf bytes.Buffer
 	if err := statsApp(&buf, "bilateral", tinyConfig()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"gen      0/9 pieces; misses: 7 no kernel for key, 0 predicated, 2 accumulator/self-ref, 0 irregular access",
+		"gen      0/9 pieces; misses: 9 no kernel for key, 0 predicated, 0 self-ref, 0 irregular access",
 		"tile by tile 0, extrapolated 0",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("stats output lacks %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestStatsDiscardsWarmup: -stats' per-stage rows describe the runs after
+// the first, which it reports on a line of its own: over 3 runs a stage's
+// points are two runs' worth, and the run count says 2.
+func TestStatsDiscardsWarmup(t *testing.T) {
+	cfg := tinyConfig()
+	var one, three bytes.Buffer
+	if err := statsApp(&one, "harris", cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Runs = 3
+	if err := statsApp(&three, "harris", cfg); err != nil {
+		t.Fatal(err)
+	}
+	points := func(out string) map[string]int64 {
+		pts := map[string]int64{}
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			if len(f) == 9 && strings.HasSuffix(f[8], "%") {
+				if n, err := strconv.ParseInt(f[7], 10, 64); err == nil {
+					pts[f[0]] = n
+				}
+			}
+		}
+		return pts
+	}
+	p1, p3 := points(one.String()), points(three.String())
+	if len(p1) == 0 || len(p1) != len(p3) {
+		t.Fatalf("stage rows: %v after 1 run, %v after 3", p1, p3)
+	}
+	for stage, n := range p1 {
+		if p3[stage] != 2*n {
+			t.Errorf("%s: %d points over 3 runs, want 2 runs' worth (%d)", stage, p3[stage], 2*n)
+		}
+	}
+	if strings.Contains(one.String(), "first run") {
+		t.Errorf("a single run has no warm-up to report:\n%s", one.String())
+	}
+	for _, want := range []string{"[scale 1/1048576, 2 runs,", "  first    first run "} {
+		if !strings.Contains(three.String(), want) {
+			t.Errorf("3-run stats lack %q:\n%s", want, three.String())
 		}
 	}
 }

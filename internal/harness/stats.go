@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/apps"
@@ -16,8 +17,10 @@ import (
 // times and renders a per-stage breakdown: storage element type, evaluator
 // tier, kernel time (total and per point), points and tiles executed, and
 // the measured recomputation fraction next to the schedule model's overlap
-// estimate. This is the observability layer's human-readable front end
-// (polymage-bench -stats).
+// estimate. With more than one run the first is a warm-up, as for Table 2:
+// it is reported on its own line (a new program's first run allocates every
+// buffer it touches) and left out of the per-stage rows. This is the
+// observability layer's human-readable front end (polymage-bench -stats).
 func Stats(w io.Writer, cfg Config) error {
 	for _, name := range append(apps.Names(), apps.NarrowNames()...) {
 		if err := statsApp(w, name, cfg); err != nil {
@@ -59,15 +62,55 @@ func statsApp(w io.Writer, name string, cfg Config) error {
 		runs = 1
 	}
 	e := p.Prog.Executor()
-	for i := 0; i < runs; i++ {
+	var first, snap obs.Snapshot
+	walls := make([]float64, runs) // ms per run
+	for i := range walls {
 		out, err := e.Run(p.Inputs)
 		if err != nil {
 			return err
 		}
 		e.Recycle(out)
+		s := e.Snapshot()
+		walls[i] = float64(s.WallNanos-snap.WallNanos) / 1e6
+		if i == 0 {
+			first = s
+		}
+		snap = s
 	}
-	renderStats(w, name, cfg, e.Snapshot(), p.Prog.Stats())
+	if runs > 1 {
+		snap = steady(snap, first)
+	}
+	renderStats(w, name, cfg, snap, p.Prog.Stats(), walls)
 	return nil
+}
+
+// steady is the part of snapshot all that came after snapshot first: every
+// run counter and per-stage and per-group total less first's, utilization
+// recomputed over what remains.
+func steady(all, first obs.Snapshot) obs.Snapshot {
+	s := all
+	s.Runs -= first.Runs
+	s.WallNanos -= first.WallNanos
+	s.Stages = slices.Clone(all.Stages)
+	for i := range s.Stages {
+		st, f := &s.Stages[i], first.Stages[i]
+		st.KernelNanos -= f.KernelNanos
+		st.Points -= f.Points
+		st.Rows -= f.Rows
+		st.RecomputedPoints -= f.RecomputedPoints
+		st.RecomputedRows -= f.RecomputedRows
+		st.Tiles -= f.Tiles
+	}
+	s.Groups = slices.Clone(all.Groups)
+	for i := range s.Groups {
+		s.Groups[i].Tiles -= first.Groups[i].Tiles
+		s.Groups[i].TilesSkipped -= first.Groups[i].TilesSkipped
+	}
+	s.Workers.BusyNanos -= first.Workers.BusyNanos
+	if s.WallNanos > 0 && s.Workers.Workers > 0 {
+		s.Workers.Utilization = float64(s.Workers.BusyNanos) / (float64(s.WallNanos) * float64(s.Workers.Workers))
+	}
+	return s
 }
 
 // tierLabel names the evaluator tiers a stage's pieces lowered to, in
@@ -93,7 +136,9 @@ func tierLabel(sm obs.StageModel) string {
 	return strings.Join(tiers, "+")
 }
 
-func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model obs.ProgramStats) {
+// renderStats prints one app's report: snap holds the runs the rows describe
+// and walls every run's wall time, the warm-up first.
+func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model obs.ProgramStats, walls []float64) {
 	fmt.Fprintf(w, "stats %s [scale 1/%d, %d runs, opt+vec, auto-scheduled]\n", name, cfg.Scale, snap.Runs)
 	if model.Compile != nil {
 		fmt.Fprintf(w, "  compile  %s\n", model.Compile.String())
@@ -113,6 +158,10 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "  lower    %s\n", model.Bind.String())
+	if len(walls) > 1 {
+		fmt.Fprintf(w, "  first    first run %.2f ms, steady median %.2f ms (the first run is left out below)\n",
+			walls[0], median(walls[1:]))
+	}
 	fmt.Fprintf(w, "  run      %.2f ms wall, %d workers, %.0f%% utilization\n",
 		snap.WallMillis(), snap.Workers.Workers, snap.Workers.Utilization*100)
 	fmt.Fprintf(w, "  arena    %d hits, %d misses, %d pooled (%.1f KB)\n",
@@ -145,8 +194,8 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 		pieces += sm.Gen + sm.RowVM + sm.Scalar
 	}
 	m := model.GenMisses
-	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d accumulator/self-ref, %d irregular access\n",
-		gen, pieces, m.NoKernel, m.Predicated, m.AccOrSelfRef, m.Irregular)
+	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d self-ref, %d irregular access\n",
+		gen, pieces, m.NoKernel, m.Predicated, m.SelfRef, m.Irregular)
 	hasVM := false
 	for _, sm := range model.Stages {
 		if sm.RowVM > 0 {
@@ -182,4 +231,15 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 			g.Anchor, len(g.Members), g.PlannedTiles, modeled)
 	}
 	fmt.Fprintln(w)
+}
+
+// median is the middle of xs (the mean of the two middle values for an even
+// count).
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	if n := len(s); n%2 == 0 {
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+	return s[len(s)/2]
 }

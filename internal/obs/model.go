@@ -106,16 +106,16 @@ type ProgramStats struct {
 // reason regenerating fixes: the piece is eligible but no linked package
 // holds a kernel for its key.
 type GenMisses struct {
-	NoKernel     int `json:"no_kernel"`       // eligible, no kernel registered for its key
-	Predicated   int `json:"predicated"`      // residual per-point predicate
-	AccOrSelfRef int `json:"acc_or_self_ref"` // accumulator or self-referencing stage
-	Irregular    int `json:"irregular"`       // stage rank outside 1–3, an index offset the binding cannot evaluate, a gather piece under Debug, or a canonical expression that does not lower to the piece's own register type
+	NoKernel   int `json:"no_kernel"`  // eligible, no kernel registered for its key
+	Predicated int `json:"predicated"` // residual per-point predicate
+	SelfRef    int `json:"self_ref"`   // self-referencing stage
+	Irregular  int `json:"irregular"`  // stage rank outside 1–3, an index offset the binding cannot evaluate, a gather piece or an accumulator under Debug, or a canonical expression that does not lower to the piece's own register type
 }
 
 // Total is the number of pieces without a generated kernel; with the Gen
 // counts of the program's stages it adds up to the program's pieces.
 func (m GenMisses) Total() int {
-	return m.NoKernel + m.Predicated + m.AccOrSelfRef + m.Irregular
+	return m.NoKernel + m.Predicated + m.SelfRef + m.Irregular
 }
 
 // StageModel describes how one stage's case pieces were lowered: the

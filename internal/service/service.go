@@ -30,7 +30,6 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/schedule"
 )
 
 // defaultSeed matches the harness's default synthetic-input seed.
@@ -209,25 +208,11 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 		}
 	}()
 
-	eo := engine.ExecOptions{
-		Threads:      req.Threads,
-		Fast:         req.Fast == nil || *req.Fast,
-		ReuseBuffers: true,
-		Metrics:      !s.cfg.DisableMetrics,
-	}
-	if eo.Threads == 0 {
-		eo.Threads = s.cfg.Threads
-	}
-	if max := runtime.GOMAXPROCS(0); eo.Threads > max {
-		// Clamp before the cache key is built so "Threads: 64" and
-		// "Threads: 128" on a 8-core box share one compiled program.
-		eo.Threads = max
-	}
-	auto := s.autoFor(req)
+	co, eo, auto := s.options(req)
 	key := req.cacheKey(eo, req.Tiles, auto)
 	t0 = s.phases.now()
 	e, cached, cerr := s.cache.acquire(ctx, key, func() (compiled, error) {
-		return s.build(req, eo, auto)
+		return s.build(req, co, eo)
 	})
 	s.phases.since(phaseCompile, t0)
 	if cerr != nil {
@@ -358,6 +343,21 @@ func (s *Service) admit(ctx context.Context) (func(), *Error) {
 	}
 }
 
+// options is the configuration req runs in (core.ServeOptions): the
+// server's worker count unless the request names its own, clamped to
+// GOMAXPROCS before the cache key is built so that "Threads: 64" and
+// "Threads: 128" on an 8-core box share one compiled program; Fast unless
+// the request opts out; its schedule (autoFor).
+func (s *Service) options(req *RunRequest) (co core.Options, eo engine.ExecOptions, auto bool) {
+	threads := req.Threads
+	if threads == 0 {
+		threads = s.cfg.Threads
+	}
+	auto = s.autoFor(req)
+	co, eo = core.ServeOptions(req.Tiles, auto, min(threads, runtime.GOMAXPROCS(0)), req.Fast == nil || *req.Fast, !s.cfg.DisableMetrics)
+	return co, eo, auto
+}
+
 // autoFor resolves a request's effective auto-schedule decision: the
 // request's explicit Auto wins, then the server default; explicit Tiles
 // always pin the hand-specified schedule (validate rejects the
@@ -374,18 +374,13 @@ func (s *Service) autoFor(req *RunRequest) bool {
 
 // build compiles the request's pipeline (app or spec) behind the
 // compile-barrier: any panic becomes a 500-classed error.
-func (s *Service) build(req *RunRequest, eo engine.ExecOptions, auto bool) (c compiled, err error) {
+func (s *Service) build(req *RunRequest, co core.Options, eo engine.ExecOptions) (c compiled, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			c, err = compiled{}, errf(500, "compile panicked: %v", r)
 		}
 	}()
-	so := schedule.DefaultOptions()
-	if len(req.Tiles) > 0 {
-		so.TileSizes = append([]int64(nil), req.Tiles...)
-	}
-	so.Auto = auto
 	t0 := time.Now()
 	if req.App != "" {
 		app, aerr := apps.Get(req.App)
@@ -393,11 +388,8 @@ func (s *Service) build(req *RunRequest, eo engine.ExecOptions, auto bool) (c co
 			return c, errf(404, "%v", aerr)
 		}
 		b, outs := app.Build()
-		pl, perr := core.Compile(b, outs, core.Options{
-			Estimates:     req.Params,
-			Schedule:      so,
-			AllowUnproven: true,
-		})
+		co.Estimates = req.Params
+		pl, perr := core.Compile(b, outs, co)
 		if perr != nil {
 			return c, toError(perr)
 		}
@@ -411,11 +403,8 @@ func (s *Service) build(req *RunRequest, eo engine.ExecOptions, auto bool) (c co
 		if berr != nil {
 			return c, errf(400, "spec: %v", berr)
 		}
-		pl, perr := core.Compile(rb.Graph.Builder, rb.LiveOuts, core.Options{
-			Estimates:     rb.Params,
-			Schedule:      so,
-			AllowUnproven: true,
-		})
+		co.Estimates = rb.Params
+		pl, perr := core.Compile(rb.Graph.Builder, rb.LiveOuts, co)
 		if perr != nil {
 			return c, toError(perr)
 		}

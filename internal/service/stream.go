@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -75,25 +74,13 @@ func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*Fram
 		}
 	}()
 
-	eo := engine.ExecOptions{
-		Threads:      req.Threads,
-		Fast:         req.Fast == nil || *req.Fast,
-		ReuseBuffers: true,
-		Metrics:      !s.cfg.DisableMetrics,
-	}
-	if eo.Threads == 0 {
-		eo.Threads = s.cfg.Threads
-	}
-	if max := runtime.GOMAXPROCS(0); eo.Threads > max {
-		eo.Threads = max
-	}
 	// Frames and ROI are deliberately absent from the key: a stream runs
 	// the same compiled program single-shot requests share.
-	auto := s.autoFor(req)
+	co, eo, auto := s.options(req)
 	key := req.cacheKey(eo, req.Tiles, auto)
 	t0 = s.phases.now()
 	e, cached, cerr := s.cache.acquire(ctx, key, func() (compiled, error) {
-		return s.build(req, eo, auto)
+		return s.build(req, co, eo)
 	})
 	s.phases.since(phaseCompile, t0)
 	if cerr != nil {
