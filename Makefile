@@ -7,7 +7,7 @@ COVER_FLOOR_SCHEDULE ?= 75.0
 COVER_FLOOR_SERVICE  ?= 80.0
 COVER_FLOOR_DIFFTEST ?= 80.0
 
-.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race gen-bce fma-check narrow-race auto-race bench-vet bench-smoke fuzz cover bench bench-kernels serve serve-smoke serve-http stats clean
+.PHONY: all build test vet api race rowvm-race fleet-race stream-race gen gen-race gen-bce fma-check narrow-race auto-race bench-vet bench-smoke fuzz cover bench bench-kernels serve-smoke serve-http stats clean
 
 all: build test
 
@@ -41,8 +41,10 @@ rowvm-race:
 # Race-checked saturation stress of the shared-fleet scheduler: concurrent
 # same-program runs, multi-program interleaving on shared workers,
 # Close-during-Run / Recycle-after-Close lifecycle, service cache eviction
-# under concurrent multi-program load, and a lone caller's back-to-back
-# requests finding their admission slot free. POLYMAGE_FLEET=4
+# under concurrent multi-program load, and the request lifecycle Do and
+# DoStream share: a lone caller's back-to-back requests finding their
+# admission slot free, a run abandoned at its deadline keeping its program
+# out of eviction, and the same refusals through both. POLYMAGE_FLEET=4
 # forces a multi-worker fleet so the deque/steal/park paths are exercised
 # even on single-core CI machines.
 fleet-race:
@@ -50,8 +52,9 @@ fleet-race:
 
 # Race-checked run of the streaming / dirty-rectangle suite: frame
 # sequences with feedback, partial-recompute correctness against
-# whole-frame execution, stream-vs-Close lifecycle, mid-stream deadline
-# abandonment and the ndjson serving surface.
+# whole-frame execution, stream-vs-Close lifecycle, and DoStream on the
+# service's shared request lifecycle: validation, mid-stream deadline
+# abandonment, emit abort and the ndjson serving surface.
 stream-race:
 	POLYMAGE_FLEET=4 $(GO) test -race -run TestStream ./internal/engine/ ./internal/service/ -count=1
 
@@ -218,9 +221,6 @@ bench:
 bench-kernels:
 	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRowEval|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/
 	$(GO) test -bench 'BenchmarkGather|BenchmarkUpsample|BenchmarkBoxSum|BenchmarkAccumulate' -benchmem -run '^$$' ./internal/apps/gen/
-
-serve:
-	$(GO) run ./cmd/polymage-bench -serve harris -requests 100
 
 # Run the pipeline-as-a-service HTTP server (POST /run, GET /healthz,
 # GET /metrics, GET /apps).

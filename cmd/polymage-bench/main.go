@@ -7,7 +7,6 @@
 //	polymage-bench -table2 [-scale 4] [-runs 3]
 //	polymage-bench -figure10 [-cores 1,2,4]
 //	polymage-bench -figure9 [-full-space]
-//	polymage-bench -serve harris [-requests 100]
 //	polymage-bench -stats
 //	polymage-bench -all
 package main
@@ -37,8 +36,6 @@ func main() {
 	fullSpace := flag.Bool("full-space", false, "Figure 9: use the paper's full 147-point space (slow)")
 	tune := flag.Bool("tune", false, "autotune tile sizes for the opt variants before measuring")
 	csvOut := flag.Bool("csv", false, "emit Figure 9/10 data as CSV instead of tables")
-	serve := flag.String("serve", "", "steady-state serving mode: compile the named app once, time repeated requests")
-	requests := flag.Int("requests", 100, "number of requests for -serve")
 	stats := flag.Bool("stats", false, "run every app with executor metrics on and print per-stage breakdowns")
 	seed := flag.Int64("seed", harness.DefaultSeed, "seed for synthetic benchmark inputs")
 	flag.Parse()
@@ -46,13 +43,6 @@ func main() {
 	if *stats {
 		cfg := harness.Config{Scale: *scale, Runs: *runs, Threads: *threads, Seed: *seed}
 		if err := harness.Stats(os.Stdout, cfg); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *serve != "" {
-		cfg := harness.Config{Scale: *scale, Runs: *runs, Threads: *threads, Seed: *seed}
-		if err := harness.Serve(os.Stdout, *serve, *requests, cfg); err != nil {
 			fatal(err)
 		}
 		return

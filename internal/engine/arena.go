@@ -111,12 +111,6 @@ func (a *arena) put(b *Buffer) {
 	a.mu.Unlock()
 }
 
-func (a *arena) stats() (hits, misses int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.hits, a.misses
-}
-
 // gauge reports hit/miss counters plus how many buffers (and how much
 // backing storage, in bytes) are currently parked awaiting reuse.
 func (a *arena) gauge() (hits, misses, pooled, pooledBytes int64) {

@@ -39,7 +39,7 @@ const extShards = 4
 // sections feed the shared fleet, so several runs of one program make
 // progress together on an idle machine. Output buffers returned by Run are
 // owned by the caller and are never reused by the Executor until (and
-// unless) returned with Recycle; Recycle, Snapshot and ArenaStats are safe
+// unless) returned with Recycle; Recycle and Snapshot are safe
 // to call concurrently with Run. Close marks the executor closed (further
 // Run calls fail with ErrClosed) and waits for every in-flight run to
 // drain before returning.
@@ -349,14 +349,6 @@ func (e *Executor) Recycle(outputs map[string]*Buffer) {
 		}
 	}
 }
-
-// ArenaStats reports how many full-buffer allocations were served from
-// recycled storage (hits) versus fresh make calls (misses) since the
-// executor was created.
-//
-// Deprecated: use Snapshot, which folds the arena counters into one
-// consistent view alongside the per-stage metrics.
-func (e *Executor) ArenaStats() (hits, misses int64) { return e.arena.stats() }
 
 // Snapshot returns a consistent merged view of the executor's metrics:
 // per-stage kernel time/points/recomputation, per-group tiles against the

@@ -88,7 +88,7 @@ func TestExecutorSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.Recycle(out)
-			_, missesAfterWarmup := e.ArenaStats()
+			missesAfterWarmup := e.Snapshot().Arena.Misses
 			for i := 0; i < 5; i++ {
 				out, err := e.Run(inputs)
 				if err != nil {
@@ -99,7 +99,7 @@ func TestExecutorSteadyState(t *testing.T) {
 				}
 				e.Recycle(out)
 			}
-			_, misses := e.ArenaStats()
+			misses := e.Snapshot().Arena.Misses
 			if misses != missesAfterWarmup {
 				t.Errorf("steady-state runs allocated %d fresh buffers, want 0", misses-missesAfterWarmup)
 			}
@@ -161,7 +161,7 @@ func TestArenaSizeClasses(t *testing.T) {
 		t.Errorf("expected reuse of the 1000-element buffer, got cap %d", cap(g2.Data))
 	}
 	// Nothing left: fresh allocation.
-	hits, misses := a.stats()
+	hits, misses, _, _ := a.gauge()
 	if hits != 2 {
 		t.Errorf("hits = %d, want 2", hits)
 	}

@@ -62,11 +62,11 @@ func TestRecycleAfterClose(t *testing.T) {
 	prog.Close()
 	prog.Close() // double Close stays idempotent
 	e.Recycle(out)
-	hits, _ := e.ArenaStats()
+	hits := e.Snapshot().Arena.Hits
 	if _, err := prog.Run(inputs); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Run after Close: err = %v, want ErrClosed", err)
 	}
-	if h, _ := e.ArenaStats(); h != hits {
+	if e.Snapshot().Arena.Hits != hits {
 		t.Fatal("closed executor served arena buffers")
 	}
 }

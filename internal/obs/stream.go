@@ -2,29 +2,27 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
 )
 
 // StreamSnapshots periodically emits the source's snapshot as one
-// JSON-encoded line — "<prefix><json>\n" — the shape a sidecar scraper
-// consumes. It owns the ticker goroutine and the final-flush dance that
-// used to be open-coded in the harness's serve mode; the serving layer's
-// /metrics endpoint and harness.Serve both stream through it.
+// JSON-encoded line — the shape a sidecar scraper consumes. It owns the
+// ticker goroutine and the final flush; the serving layer's
+// /metrics?stream endpoint streams through it.
 //
 // The returned stop function halts the stream, emits one final snapshot
 // (so runs shorter than the interval still produce a line) and waits for
 // the goroutine to exit before returning. It is safe to call more than
 // once; calls after the first are no-ops.
-func StreamSnapshots(w io.Writer, prefix string, interval time.Duration, source func() Snapshot) (stop func()) {
+func StreamSnapshots(w io.Writer, interval time.Duration, source func() Snapshot) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	emit := func() {
 		if b, err := json.Marshal(source()); err == nil {
-			fmt.Fprintf(w, "%s%s\n", prefix, b)
+			w.Write(append(b, '\n')) // a failed write means the reader is gone; stop ends the stream
 		}
 	}
 	quit := make(chan struct{})

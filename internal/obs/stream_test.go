@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// TestStreamSnapshots: lines are prefixed JSON snapshots, stop emits a
+// TestStreamSnapshots: lines are JSON snapshots, stop emits a
 // final one even when the run is shorter than the interval, and stop is
 // idempotent.
 func TestStreamSnapshots(t *testing.T) {
@@ -25,7 +25,7 @@ func TestStreamSnapshots(t *testing.T) {
 		calls++
 		return Snapshot{Enabled: true, Runs: int64(calls)}
 	}
-	stop := StreamSnapshots(w, "snapshot ", time.Hour, source)
+	stop := StreamSnapshots(w, time.Hour, source)
 	stop()
 	stop() // idempotent
 
@@ -34,11 +34,8 @@ func TestStreamSnapshots(t *testing.T) {
 	if len(lines) != 1 {
 		t.Fatalf("got %d lines, want exactly the final flush:\n%s", len(lines), out)
 	}
-	if !strings.HasPrefix(lines[0], "snapshot ") {
-		t.Fatalf("line missing prefix: %q", lines[0])
-	}
 	var s Snapshot
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(lines[0], "snapshot ")), &s); err != nil {
+	if err := json.Unmarshal([]byte(lines[0]), &s); err != nil {
 		t.Fatalf("line is not snapshot JSON: %v", err)
 	}
 	if s.Runs != 1 || !s.Enabled {
@@ -47,7 +44,7 @@ func TestStreamSnapshots(t *testing.T) {
 
 	// With a short interval the ticker emits periodically too.
 	buf.Reset()
-	stop = StreamSnapshots(w, "", time.Millisecond, source)
+	stop = StreamSnapshots(w, time.Millisecond, source)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		mu.Lock()

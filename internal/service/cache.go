@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/apps"
 	"repro/internal/difftest"
@@ -42,7 +43,7 @@ type entry struct {
 	evicted bool
 
 	// requests counts requests served by this entry (metrics only).
-	requests int64
+	requests atomic.Int64
 
 	// Synthetic inputs are memoized per seed so warm requests skip buffer
 	// allocation and filling entirely (bounded; see inputsFor).
@@ -120,7 +121,7 @@ func (c *programCache) acquire(ctx context.Context, key string, build func() (co
 			c.release(e)
 			return nil, false, e.err
 		}
-		e.countRequest()
+		e.requests.Add(1)
 		return e, true, nil
 	}
 	e = &entry{key: key, ready: make(chan struct{}), refs: 1}
@@ -144,16 +145,8 @@ func (c *programCache) acquire(ctx context.Context, key string, build func() (co
 		c.release(e)
 		return nil, false, e.err
 	}
-	e.countRequest()
+	e.requests.Add(1)
 	return e, false, nil
-}
-
-func (e *entry) countRequest() {
-	// Guarded by imu rather than the cache mutex: it is touched only here
-	// and in stats(), never on the eviction path.
-	e.imu.Lock()
-	e.requests++
-	e.imu.Unlock()
 }
 
 // release drops one reference; the last release of an evicted entry

@@ -204,7 +204,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(200)
 	fl.Flush()
-	stop := obs.StreamSnapshots(flushWriter{w, fl}, "", interval, s.Snapshot)
+	stop := obs.StreamSnapshots(flushWriter{w, fl}, interval, s.Snapshot)
 	<-r.Context().Done()
 	stop()
 }

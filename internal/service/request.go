@@ -67,7 +67,8 @@ type RunRequest struct {
 	// Inputs optionally supplies raw input data per image, row-major over
 	// the image's domain box.
 	Inputs map[string][]float32 `json:"inputs,omitempty"`
-	// Threads overrides the per-program worker count (0 = server default).
+	// Threads overrides the per-program worker count (0 = server default;
+	// negative is a 400).
 	Threads int `json:"threads,omitempty"`
 	// Fast selects the specialized float32 kernels (default true).
 	Fast *bool `json:"fast,omitempty"`
@@ -134,6 +135,9 @@ func (r *RunRequest) validate() *Error {
 			return errf(400, "verify is not supported with frames; the difftest streaming knobs cover frame sequences")
 		}
 	}
+	if r.Threads < 0 {
+		return errf(400, "threads must be 0 (the server default) or positive, got %d", r.Threads)
+	}
 	if r.Auto != nil && *r.Auto && len(r.Tiles) > 0 {
 		return errf(400, "auto and tiles are mutually exclusive: explicit tiles pin a hand-specified schedule")
 	}
@@ -154,25 +158,26 @@ func (r *RunRequest) validate() *Error {
 }
 
 // cacheKey derives the compiled-program cache key: a hash over the
-// pipeline identity (app name or full spec JSON plus the perturb flag),
-// the parameter binding and every schedule/execution option that changes
-// the compiled artifact. Requests that differ only in inputs, seed or
-// output mode share a program.
+// pipeline identity (app name and parameter binding, or full spec JSON
+// plus the perturb flag — a spec carries its own extent and ignores
+// Params) and every schedule/execution option that changes the compiled
+// artifact, eo.Threads already resolved by Service.options. Requests that
+// differ only in inputs, seed or output mode share a program.
 func (r *RunRequest) cacheKey(eo engine.ExecOptions, tiles []int64, auto bool) string {
 	h := sha256.New()
 	if r.App != "" {
 		fmt.Fprintf(h, "app=%s;", r.App)
+		names := make([]string, 0, len(r.Params))
+		for n := range r.Params {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			fmt.Fprintf(h, "%s=%d;", n, r.Params[n])
+		}
 	} else {
 		b, _ := json.Marshal(r.Spec)
 		fmt.Fprintf(h, "spec=%s;perturb=%v;", b, r.Perturb)
-	}
-	names := make([]string, 0, len(r.Params))
-	for n := range r.Params {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(h, "%s=%d;", n, r.Params[n])
 	}
 	fmt.Fprintf(h, "threads=%d;fast=%v;metrics=%v;tiles=%v", eo.Threads, eo.Fast, eo.Metrics, tiles)
 	if auto {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/difftest"
+	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -60,7 +61,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// Threads is the default per-program worker count (0 = GOMAXPROCS);
 	// requests may override it. Values above GOMAXPROCS are clamped — the
-	// shared fleet never runs more workers than the machine has cores.
+	// shared fleet never runs more workers than the machine has cores —
+	// and resolved before the program-cache key is built.
 	Threads int
 	// AutoSchedule makes the cost-model auto-scheduler
 	// (schedule.Options.Auto) the default for requests that do not pin a
@@ -99,15 +101,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
-	if max := runtime.GOMAXPROCS(0); c.Threads > max {
+	if max := runtime.GOMAXPROCS(0); c.Threads <= 0 || c.Threads > max {
 		c.Threads = max
 	}
 	return c
 }
 
 // Service executes pipeline requests against a compiled-program cache.
-// Create with New, serve HTTP through Handler, or call Do directly
-// (harness.Serve does); Close drains and releases everything.
+// Create with New, serve HTTP through Handler, or call Do and DoStream
+// directly; Close drains and releases everything.
 type Service struct {
 	cfg   Config
 	cache *programCache
@@ -152,16 +154,78 @@ func New(cfg Config) *Service {
 }
 
 // Do executes one request: admission, program-cache resolution (compiling
-// on a miss), input synthesis, execution, optional verification, and
-// response encoding. Failures are returned as *Error with an HTTP status;
-// panics anywhere on the path are recovered into a 500. Do is safe for
-// concurrent use.
+// on a miss), input synthesis, one pooled Program.Run, optional
+// verification, and the RunResponse. Failures are returned as *Error with
+// an HTTP status; panics anywhere on the path are recovered into a 500. Do
+// is safe for concurrent use.
 func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, err error) {
+	err = s.lifecycle(ctx, req, false, (*flight).runOnce, func(f *flight, h handoff) (err error) {
+		resp, err = f.respond(h)
+		return err
+	})
+	return resp, err
+}
+
+// flight is one admitted request on its program: what the executor
+// goroutine and the caller's goroutine share.
+type flight struct {
+	s      *Service
+	ctx    context.Context // the request deadline; done once the caller has returned
+	req    *RunRequest
+	e      *entry
+	cached bool
+	seed   int64
+	inputs map[string]*engine.Buffer // memoized per seed and shared: read-only
+	exec   func(*flight) handoff
+	ch     chan handoff
+}
+
+// handoff is one result the executor goroutine passes to the caller: a
+// run's outputs (Do), a streamed frame (DoStream), or the error that ends
+// the request. last marks the final one, sent after the goroutine has
+// freed everything it held.
+type handoff struct {
+	out   map[string]*engine.Buffer
+	dur   time.Duration
+	frame *FrameResult
+	err   error
+	last  bool
+}
+
+// send hands h to the caller. It reports false once the request's context
+// is done — the deadline passed or the caller returned — and h then stays
+// the sender's to dispose of.
+func (f *flight) send(h handoff) bool {
+	if f.ctx.Err() != nil {
+		return false
+	}
+	select {
+	case f.ch <- h:
+		return true
+	case <-f.ctx.Done():
+		return false
+	}
+}
+
+// lifecycle is the request path Do and DoStream share: counters and the
+// recover barrier; validation, drain registration, the deadline and
+// admission; the program cache; then the request on one executor
+// goroutine. exec runs there and returns the final hand-off (it may send
+// earlier ones itself); accept runs on the caller's goroutine for each
+// hand-off that carries outputs or a frame.
+//
+// The executor goroutine owns the admission slot, a shutdown-waitgroup
+// count and the program's cache reference, and frees all three before its
+// last hand-off, panic included: the caller's next request never finds
+// them still held, and a run abandoned at the deadline keeps its program
+// out of eviction until it finishes, then recycles its late outputs.
+func (s *Service) lifecycle(ctx context.Context, req *RunRequest, stream bool,
+	exec func(*flight) handoff, accept func(*flight, handoff) error) (err error) {
 	s.requests.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			resp, err = nil, errf(500, "internal error: %v", r)
+			err = errf(500, "internal error: %v", r)
 		}
 		if err != nil {
 			s.errs.Add(1)
@@ -169,13 +233,16 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 	}()
 
 	if verr := req.validate(); verr != nil {
-		return nil, verr
+		return verr
 	}
-	if req.Frames > 1 {
-		return nil, errSentinel(400, ErrInvalidFrames, "frames > 1 must use the streaming path (POST /run?frames=N or DoStream)")
+	switch {
+	case stream && req.Frames < 1:
+		return errSentinel(400, ErrInvalidFrames, "streaming requires frames >= 1, got %d", req.Frames)
+	case !stream && req.Frames > 1:
+		return errSentinel(400, ErrInvalidFrames, "frames > 1 must use the streaming path (POST /run?frames=N or DoStream)")
 	}
 	if req.Spec != nil && s.cfg.DisableSpecs {
-		return nil, errf(403, "inline specs are disabled on this server")
+		return errf(403, "inline specs are disabled on this server")
 	}
 
 	// Track the request for graceful shutdown before anything else; after
@@ -183,7 +250,7 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, &Error{Status: 503, Msg: "server is shutting down", RetryAfterSec: 1}
+		return &Error{Status: 503, Msg: "server is shutting down", RetryAfterSec: 1}
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -196,180 +263,180 @@ func (s *Service) Do(ctx context.Context, req *RunRequest) (resp *RunResponse, e
 	// The slot covers compilation too — a cold-cache stampede compiles at
 	// most MaxInFlight programs at once.
 	t0 := s.phases.now()
-	release, aerr := s.admit(ctx)
+	aerr := s.admit(ctx)
 	s.phases.since(phaseQueue, t0)
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
-	handedOff := false
-	defer func() {
-		if !handedOff {
-			release()
-		}
-	}()
 
-	co, eo, auto := s.options(req)
-	key := req.cacheKey(eo, req.Tiles, auto)
+	// Frames and ROI are deliberately absent from the key: a stream runs
+	// the same compiled program single-shot requests share.
+	co, eo := s.options(req)
 	t0 = s.phases.now()
-	e, cached, cerr := s.cache.acquire(ctx, key, func() (compiled, error) {
+	e, cached, cerr := s.cache.acquire(ctx, req.cacheKey(eo, req.Tiles, co.Schedule.Auto), func() (compiled, error) {
 		return s.build(req, co, eo)
 	})
 	s.phases.since(phaseCompile, t0)
 	if cerr != nil {
-		return nil, toError(cerr)
+		<-s.sem
+		return toError(cerr)
 	}
-	defer s.cache.release(e)
-
-	inputs, ierr := s.inputsFor(e, req)
-	if ierr != nil {
-		return nil, ierr
+	f := &flight{s: s, ctx: ctx, req: req, e: e, cached: cached, seed: req.Seed, exec: exec, ch: make(chan handoff)}
+	if f.seed == 0 {
+		f.seed = defaultSeed
+		if e.res.spec != nil {
+			f.seed = e.res.spec.Seed
+		}
 	}
-
-	// Execute on a separate goroutine so the request can time out without
-	// abandoning slot accounting: the goroutine owns the admission slot
-	// and the shutdown waitgroup until the run actually finishes, and on
-	// timeout a drain goroutine recycles the late result. The slot is freed
-	// before the result is handed over, panic included, so the caller's
-	// next request never finds its own finished run still holding it.
-	type runResult struct {
-		out map[string]*engine.Buffer
-		err error
-		dur time.Duration
-	}
-	ch := make(chan runResult, 1)
 	s.wg.Add(1) // safe: our own wg.Add(1) above is still held
 	s.inflight.Add(1)
-	handedOff = true
-	go func() {
-		defer s.wg.Done()
-		var res runResult
-		defer func() {
-			if r := recover(); r != nil {
-				s.panics.Add(1)
-				res = runResult{err: errf(500, "execution panicked: %v", r)}
+	go f.execute()
+
+	for {
+		select {
+		case h := <-f.ch:
+			if h.err != nil {
+				return toError(h.err)
 			}
-			s.inflight.Add(-1)
-			release()
-			ch <- res
-		}()
-		if s.beforeRun != nil {
-			s.beforeRun(req)
+			if h.out != nil || h.frame != nil {
+				if herr := accept(f, h); herr != nil {
+					return herr
+				}
+			}
+			if h.last {
+				return nil
+			}
+		case <-ctx.Done():
+			s.slows.Add(1)
+			return &Error{Status: 503, Msg: "deadline exceeded while executing; retry with a longer deadline", RetryAfterSec: 2}
 		}
-		t0 := time.Now()
-		out, rerr := e.res.prog.Run(inputs)
-		res = runResult{out: out, err: rerr, dur: time.Since(t0)}
+	}
+}
+
+// execute is the executor goroutine: the request's inputs, then its exec
+// body; then it frees the slot, the waitgroup count and the cache
+// reference, and makes the last hand-off.
+func (f *flight) execute() {
+	s := f.s
+	var h handoff
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			h = handoff{err: errf(500, "execution panicked: %v", r)}
+		}
+		s.cache.release(f.e)
+		s.inflight.Add(-1)
+		<-s.sem
+		s.wg.Done()
+		h.last = true
+		if !f.send(h) && h.out != nil {
+			// The kernel cannot be interrupted mid-run, so a request past
+			// its deadline leaves the run to finish here.
+			f.e.res.prog.Executor().Recycle(h.out)
+		}
 	}()
-
-	var r runResult
-	select {
-	case r = <-ch:
-	case <-ctx.Done():
-		// The kernel cannot be interrupted mid-run; abandon it. Its slot
-		// frees and its outputs recycle when it completes.
-		s.slows.Add(1)
-		prog := e.res.prog
-		go func() {
-			if late := <-ch; late.out != nil {
-				prog.Executor().Recycle(late.out)
-			}
-		}()
-		return nil, &Error{Status: 503, Msg: "deadline exceeded while executing; retry with a longer deadline", RetryAfterSec: 2}
+	var ierr *Error
+	if f.inputs, ierr = s.inputsFor(f.e, f.req, f.seed); ierr != nil {
+		h.err = ierr
+		return
 	}
-	if r.err != nil {
-		return nil, toError(r.err)
-	}
-	s.phases.add(phaseRun, r.dur)
+	h = f.exec(f)
+}
 
-	recycle := func() { e.res.prog.Executor().Recycle(r.out) }
-	if req.Verify {
-		ref, rerr := e.reference()
-		if rerr != nil {
-			recycle()
-			return nil, errf(500, "reference execution: %v", rerr)
+// runOnce is Do's executor-side body: one pooled Program.Run.
+func (f *flight) runOnce() handoff {
+	if f.s.beforeRun != nil {
+		f.s.beforeRun(f.req)
+	}
+	t0 := time.Now()
+	out, err := f.e.res.prog.Run(f.inputs)
+	return handoff{out: out, dur: time.Since(t0), err: err}
+}
+
+// respond is Do's caller-side body: verify the run's outputs when asked,
+// build the RunResponse, and recycle the outputs. The executor goroutine
+// has already given back the cache reference, so respond reads only what
+// a closed program keeps (graph, grouping), and Recycle into a program
+// evicted meanwhile drops the buffers.
+func (f *flight) respond(h handoff) (*RunResponse, error) {
+	prog := f.e.res.prog
+	defer prog.Executor().Recycle(h.out)
+	f.s.phases.add(phaseRun, h.dur)
+	if f.req.Verify {
+		ref, err := f.e.reference()
+		if err != nil {
+			return nil, errf(500, "reference execution: %v", err)
 		}
-		for _, lo := range e.res.prog.Graph.LiveOuts {
-			if detail := difftest.Compare(r.out[lo], ref[lo], 1e-5, 32); detail != "" {
-				recycle()
+		for _, lo := range prog.Graph.LiveOuts {
+			if detail := difftest.Compare(h.out[lo], ref[lo], 1e-5, 32); detail != "" {
 				return nil, errf(500, "verification failed: output %q: %s", lo, detail)
 			}
 		}
 	}
-
-	resp = &RunResponse{
-		Pipeline:  e.res.label,
-		Key:       key,
-		Cached:    cached,
-		RunMillis: float64(r.dur.Nanoseconds()) / 1e6,
-		Verified:  req.Verify,
+	resp := &RunResponse{
+		Pipeline:       f.e.res.label,
+		Key:            f.e.key,
+		Cached:         f.cached,
+		RunMillis:      float64(h.dur.Nanoseconds()) / 1e6,
+		Verified:       f.req.Verify,
+		AutoScheduled:  prog.Grouping.Searched,
+		ScheduleDigest: prog.Grouping.Digest(),
 	}
-	resp.AutoScheduled = e.res.prog.Grouping.Searched
-	resp.ScheduleDigest = e.res.prog.Grouping.Digest()
-	if !cached {
-		resp.CompileMillis = e.res.compileMillis
+	if !f.cached {
+		resp.CompileMillis = f.e.res.compileMillis
 	}
-	if req.Output != OutputNone {
-		resp.Outputs = outputResults(e.res.prog, r.out, req.Output)
+	if f.req.Output != OutputNone {
+		resp.Outputs = outputResults(prog, h.out, f.req.Output)
 	}
-	recycle()
 	return resp, nil
 }
 
 // admit acquires an execution slot, queueing briefly when saturated. The
-// returned release func must be called exactly once.
-func (s *Service) admit(ctx context.Context) (func(), *Error) {
-	release := func() { <-s.sem }
+// caller frees the slot exactly once, with <-s.sem.
+func (s *Service) admit(ctx context.Context) *Error {
 	select {
 	case s.sem <- struct{}{}:
-		return release, nil
+		return nil
 	default:
 	}
 	if q := s.queued.Add(1); q > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
 		s.rejected429.Add(1)
-		return nil, &Error{Status: 429, Msg: "server at capacity: in-flight limit reached and queue full", RetryAfterSec: 1}
+		return &Error{Status: 429, Msg: "server at capacity: in-flight limit reached and queue full", RetryAfterSec: 1}
 	}
 	defer s.queued.Add(-1)
 	t := time.NewTimer(s.cfg.QueueTimeout)
 	defer t.Stop()
 	select {
 	case s.sem <- struct{}{}:
-		return release, nil
+		return nil
 	case <-t.C:
 		s.rejected503.Add(1)
-		return nil, &Error{Status: 503, Msg: "timed out waiting for an execution slot", RetryAfterSec: 2}
+		return &Error{Status: 503, Msg: "timed out waiting for an execution slot", RetryAfterSec: 2}
 	case <-ctx.Done():
 		s.rejected503.Add(1)
-		return nil, &Error{Status: 503, Msg: "request deadline expired while queued", RetryAfterSec: 2}
+		return &Error{Status: 503, Msg: "request deadline expired while queued", RetryAfterSec: 2}
 	}
 }
 
 // options is the configuration req runs in (core.ServeOptions): the
 // server's worker count unless the request names its own, clamped to
-// GOMAXPROCS before the cache key is built so that "Threads: 64" and
-// "Threads: 128" on an 8-core box share one compiled program; Fast unless
-// the request opts out; its schedule (autoFor).
-func (s *Service) options(req *RunRequest) (co core.Options, eo engine.ExecOptions, auto bool) {
+// GOMAXPROCS before the cache key is built, so that every request running
+// the same number of workers shares one compiled program ("threads": 0,
+// "threads": GOMAXPROCS and "threads": 128 on a smaller box); Fast unless
+// the request opts out; the auto-scheduler per the request's Auto, else
+// the server default, but never with explicit Tiles, which pin the
+// hand-specified schedule (validate rejects Auto=true with Tiles).
+func (s *Service) options(req *RunRequest) (core.Options, engine.ExecOptions) {
 	threads := req.Threads
 	if threads == 0 {
 		threads = s.cfg.Threads
 	}
-	auto = s.autoFor(req)
-	co, eo = core.ServeOptions(req.Tiles, auto, min(threads, runtime.GOMAXPROCS(0)), req.Fast == nil || *req.Fast, !s.cfg.DisableMetrics)
-	return co, eo, auto
-}
-
-// autoFor resolves a request's effective auto-schedule decision: the
-// request's explicit Auto wins, then the server default; explicit Tiles
-// always pin the hand-specified schedule (validate rejects the
-// contradictory Auto=true + Tiles combination up front).
-func (s *Service) autoFor(req *RunRequest) bool {
-	if len(req.Tiles) > 0 {
-		return false
-	}
+	auto := s.cfg.AutoSchedule
 	if req.Auto != nil {
-		return *req.Auto
+		auto = *req.Auto
 	}
-	return s.cfg.AutoSchedule
+	return core.ServeOptions(req.Tiles, auto && len(req.Tiles) == 0, min(threads, runtime.GOMAXPROCS(0)), req.Fast == nil || *req.Fast, !s.cfg.DisableMetrics)
 }
 
 // build compiles the request's pipeline (app or spec) behind the
@@ -382,46 +449,39 @@ func (s *Service) build(req *RunRequest, co core.Options, eo engine.ExecOptions)
 		}
 	}()
 	t0 := time.Now()
+	var b *dsl.Builder
+	var outs []string
 	if req.App != "" {
 		app, aerr := apps.Get(req.App)
 		if aerr != nil {
 			return c, errf(404, "%v", aerr)
 		}
-		b, outs := app.Build()
-		co.Estimates = req.Params
-		pl, perr := core.Compile(b, outs, co)
-		if perr != nil {
-			return c, toError(perr)
-		}
-		prog, berr := pl.Bind(req.Params, eo)
-		if berr != nil {
-			return c, toError(berr)
-		}
-		c = compiled{label: req.App, prog: prog, app: app, builder: b, params: req.Params}
+		b, outs = app.Build()
+		c = compiled{label: req.App, app: app, builder: b, params: req.Params}
 	} else {
 		rb, berr := req.Spec.Build(req.Perturb)
 		if berr != nil {
 			return c, errf(400, "spec: %v", berr)
 		}
-		co.Estimates = rb.Params
-		pl, perr := core.Compile(rb.Graph.Builder, rb.LiveOuts, co)
-		if perr != nil {
-			return c, toError(perr)
-		}
-		prog, berr2 := pl.Bind(rb.Params, eo)
-		if berr2 != nil {
-			return c, toError(berr2)
-		}
 		spec := *req.Spec
-		c = compiled{label: "spec:" + spec.ShortString(), prog: prog, spec: &spec, params: rb.Params}
+		b, outs = rb.Graph.Builder, rb.LiveOuts
+		c = compiled{label: "spec:" + spec.ShortString(), spec: &spec, params: rb.Params}
+	}
+	co.Estimates = c.params
+	pl, err := core.Compile(b, outs, co)
+	if err != nil {
+		return compiled{}, toError(err)
+	}
+	if c.prog, err = pl.Bind(c.params, eo); err != nil {
+		return compiled{}, toError(err)
 	}
 	c.compileMillis = float64(time.Since(t0).Nanoseconds()) / 1e6
 	return c, nil
 }
 
 // inputsFor resolves the request's input buffers: explicit data when
-// supplied, otherwise synthetic inputs memoized on the entry per seed.
-func (s *Service) inputsFor(e *entry, req *RunRequest) (map[string]*engine.Buffer, *Error) {
+// supplied, otherwise synthetic inputs at seed, memoized on the entry.
+func (s *Service) inputsFor(e *entry, req *RunRequest, seed int64) (map[string]*engine.Buffer, *Error) {
 	prog := e.res.prog
 	if len(req.Inputs) > 0 {
 		in := make(map[string]*engine.Buffer, len(req.Inputs))
@@ -440,14 +500,6 @@ func (s *Service) inputsFor(e *entry, req *RunRequest) (map[string]*engine.Buffe
 		return in, nil
 	}
 
-	seed := req.Seed
-	if seed == 0 {
-		if e.res.spec != nil {
-			seed = e.res.spec.Seed
-		} else {
-			seed = defaultSeed
-		}
-	}
 	e.imu.Lock()
 	defer e.imu.Unlock()
 	if in, ok := e.inputs[seed]; ok {
@@ -572,14 +624,11 @@ func (s *Service) Metrics() Metrics {
 	for _, e := range entries {
 		snap := e.res.prog.Executor().Snapshot()
 		snaps = append(snaps, snap)
-		e.imu.Lock()
-		n := e.requests
-		e.imu.Unlock()
 		stats := e.res.prog.Stats()
 		pm := ProgramMetrics{
 			Key:       e.key,
 			Pipeline:  e.res.label,
-			Requests:  n,
+			Requests:  e.requests.Load(),
 			Snapshot:  snap,
 			Stages:    stats.Stages,
 			GenMisses: stats.GenMisses,
@@ -603,7 +652,7 @@ func (s *Service) Metrics() Metrics {
 }
 
 // Snapshot returns the merged executor snapshot across all cached
-// programs — the stream source for /metrics?stream and harness.Serve.
+// programs — the stream source for /metrics?stream.
 func (s *Service) Snapshot() obs.Snapshot {
 	_, entries := s.cache.stats()
 	snaps := make([]obs.Snapshot, 0, len(entries))

@@ -159,7 +159,7 @@ func warmSpec() *difftest.PipelineSpec {
 
 // TestWarmLatencyParity guards the acceptance bound: warm-cache requests
 // through the full service path must stay close to the direct
-// executor loop (the pre-service harness.Serve shape). The benchmarks
+// executor loop on the same program. The benchmarks
 // below measure the precise ratio; this test only catches gross
 // regressions (2x) so it stays robust on noisy CI machines.
 func TestWarmLatencyParity(t *testing.T) {

@@ -27,258 +27,125 @@ import (
 // frames already emitted stay valid, and the in-flight frame finishes in
 // the background before its admission slot, cache reference and retained
 // buffers are released.
-func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*FrameResult) error) (err error) {
-	s.requests.Add(1)
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			err = errf(500, "internal error: %v", r)
+func (s *Service) DoStream(ctx context.Context, req *RunRequest, emit func(*FrameResult) error) error {
+	return s.lifecycle(ctx, req, true, (*flight).streamFrames, func(_ *flight, h handoff) error {
+		if err := emit(h.frame); err != nil {
+			var typed *Error // emit's own verdict, such as the HTTP layer's 422
+			if errors.As(err, &typed) {
+				return typed
+			}
+			return errf(500, "emit frame %d: %v", h.frame.Frame, err)
 		}
-		if err != nil {
-			s.errs.Add(1)
-		}
-	}()
-
-	if verr := req.validate(); verr != nil {
-		return verr
-	}
-	if req.Frames < 1 {
-		return errSentinel(400, ErrInvalidFrames, "streaming requires frames >= 1, got %d", req.Frames)
-	}
-	if req.Spec != nil && s.cfg.DisableSpecs {
-		return errf(403, "inline specs are disabled on this server")
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return &Error{Status: 503, Msg: "server is shutting down", RetryAfterSec: 1}
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
-
-	t0 := s.phases.now()
-	release, aerr := s.admit(ctx)
-	s.phases.since(phaseQueue, t0)
-	if aerr != nil {
-		return aerr
-	}
-	handedOff := false
-	defer func() {
-		if !handedOff {
-			release()
-		}
-	}()
-
-	// Frames and ROI are deliberately absent from the key: a stream runs
-	// the same compiled program single-shot requests share.
-	co, eo, auto := s.options(req)
-	key := req.cacheKey(eo, req.Tiles, auto)
-	t0 = s.phases.now()
-	e, cached, cerr := s.cache.acquire(ctx, key, func() (compiled, error) {
-		return s.build(req, co, eo)
+		return nil
 	})
-	s.phases.since(phaseCompile, t0)
-	if cerr != nil {
-		return toError(cerr)
-	}
-	cacheHeld := true
-	defer func() {
-		if cacheHeld {
-			s.cache.release(e)
-		}
-	}()
-	prog := e.res.prog
+}
 
-	base, ierr := s.inputsFor(e, req)
-	if ierr != nil {
-		return ierr
+// streamFrames is DoStream's executor-side body: req.Frames frames on an
+// engine.Stream, each handed to the caller as it completes. It stops
+// before the next frame once the caller is gone.
+func (f *flight) streamFrames() handoff {
+	req, prog := f.req, f.e.res.prog
+	roi, verr := requestROI(prog, req.ROI)
+	if verr != nil {
+		return handoff{err: verr}
 	}
 	// The memoized seed inputs are shared across requests; the stream
 	// mutates its inputs per frame, so it works on private clones.
-	inputs := make(map[string]*engine.Buffer, len(base))
-	for n, b := range base {
+	inputs := make(map[string]*engine.Buffer, len(f.inputs))
+	for n, b := range f.inputs {
 		cb := engine.NewBuffer(b.Box)
 		copy(cb.Data, b.Data)
 		inputs[n] = cb
 	}
+	st, err := prog.Executor().NewStream(engine.StreamOptions{})
+	if err != nil {
+		return handoff{err: err}
+	}
+	defer st.Close()
 
-	var roi affine.Box
-	if len(req.ROI) > 0 {
-		roi = make(affine.Box, len(req.ROI))
-		for d, iv := range req.ROI {
-			roi[d] = affine.Range{Lo: iv[0], Hi: iv[1]}
+	tmp := &engine.Buffer{}
+	var prev engine.StreamStats
+	for n := 0; n < req.Frames; n++ {
+		if err := f.ctx.Err(); err != nil {
+			return handoff{err: err}
 		}
-		if verr := validateROI(prog, roi); verr != nil {
-			return verr
+		if f.s.beforeRun != nil {
+			f.s.beforeRun(req)
 		}
-	}
-
-	st, serr := prog.Executor().NewStream(engine.StreamOptions{})
-	if serr != nil {
-		return toError(serr)
-	}
-
-	seed := req.Seed
-	if seed == 0 {
-		if e.res.spec != nil {
-			seed = e.res.spec.Seed
-		} else {
-			seed = defaultSeed
+		var frameROI affine.Box
+		if n > 0 {
+			refreshInputs(inputs, roi, f.seed*1009+int64(n)*37, tmp)
+			frameROI = roi
 		}
-	}
-
-	// Frames execute on their own goroutine so the request can time out
-	// (or the client disconnect) without abandoning slot accounting: the
-	// goroutine owns the admission slot, the shutdown waitgroup and the
-	// program-cache reference until the stream actually winds down. It
-	// frees them before it sends a final error or closes ch, panic
-	// included, so the caller's next request never finds them still held.
-	type frameMsg struct {
-		fr  *FrameResult
-		err error
-	}
-	ch := make(chan frameMsg)
-	done := make(chan struct{})
-	s.wg.Add(1) // safe: our own wg.Add(1) above is still held
-	s.inflight.Add(1)
-	handedOff = true
-	cacheHeld = false
-	go func() {
-		defer s.wg.Done()
-		var final error // the error that ends the stream early, if any
-		defer func() {
-			if r := recover(); r != nil {
-				s.panics.Add(1)
-				final = errf(500, "execution panicked: %v", r)
-			}
-			st.Close()
-			s.cache.release(e)
-			s.inflight.Add(-1)
-			release()
-			if final != nil {
-				select {
-				case ch <- frameMsg{err: final}:
-				case <-done:
-				}
-			}
-			close(ch)
-		}()
-		tmp := &engine.Buffer{}
-		var prev engine.StreamStats
-		for f := 0; f < req.Frames; f++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if s.beforeRun != nil {
-				s.beforeRun(req)
-			}
-			var frameROI affine.Box
-			if f > 0 {
-				refreshInputs(inputs, roi, seed*1009+int64(f)*37, tmp)
-				frameROI = roi
-			}
-			t0 := time.Now()
-			out, rerr := st.RunFrame(inputs, frameROI)
-			if rerr != nil {
-				final = rerr
-				return
-			}
-			dur := time.Since(t0)
-			s.phases.add(phaseRun, dur)
-			stats := st.Stats()
-			fr := &FrameResult{
-				Frame:         f,
-				RunMillis:     float64(dur.Nanoseconds()) / 1e6,
-				TilesExecuted: stats.TilesExecuted - prev.TilesExecuted,
-				TilesSkipped:  stats.TilesSkipped - prev.TilesSkipped,
-			}
-			prev = stats
-			if f == 0 {
-				fr.Pipeline = e.res.label
-				fr.Key = key
-				fr.Cached = cached
-				if !cached {
-					fr.CompileMillis = e.res.compileMillis
-				}
-			}
-			if req.Output != OutputNone {
-				// Encode before the next frame: the stream owns the output
-				// buffers and rotates them on the next RunFrame.
-				fr.Outputs = outputResults(prog, out, req.Output)
-			}
-			select {
-			case ch <- frameMsg{fr: fr}:
-			case <-done:
-				return
+		t0 := time.Now()
+		out, err := st.RunFrame(inputs, frameROI)
+		if err != nil {
+			return handoff{err: err}
+		}
+		dur := time.Since(t0)
+		f.s.phases.add(phaseRun, dur)
+		stats := st.Stats()
+		fr := &FrameResult{
+			Frame:         n,
+			RunMillis:     float64(dur.Nanoseconds()) / 1e6,
+			TilesExecuted: stats.TilesExecuted - prev.TilesExecuted,
+			TilesSkipped:  stats.TilesSkipped - prev.TilesSkipped,
+		}
+		prev = stats
+		if n == 0 {
+			fr.Pipeline = f.e.res.label
+			fr.Key = f.e.key
+			fr.Cached = f.cached
+			if !f.cached {
+				fr.CompileMillis = f.e.res.compileMillis
 			}
 		}
-	}()
-
-	defer close(done)
-	for {
-		select {
-		case msg, ok := <-ch:
-			if !ok {
-				return nil
-			}
-			if msg.err != nil {
-				return toError(msg.err)
-			}
-			if eerr := emit(msg.fr); eerr != nil {
-				var typed *Error // emit's own verdict, such as the HTTP layer's 422
-				if errors.As(eerr, &typed) {
-					return typed
-				}
-				return errf(500, "emit frame %d: %v", msg.fr.Frame, eerr)
-			}
-		case <-ctx.Done():
-			s.slows.Add(1)
-			return &Error{Status: 503, Msg: "deadline exceeded mid-stream; frames already emitted are valid", RetryAfterSec: 2}
+		if req.Output != OutputNone {
+			// Encode before the next frame: the stream owns the output
+			// buffers and rotates them on the next RunFrame.
+			fr.Outputs = outputResults(prog, out, req.Output)
+		}
+		if !f.send(handoff{frame: fr}) {
+			return handoff{err: f.ctx.Err()}
 		}
 	}
+	return handoff{}
 }
 
-// validateROI checks a request ROI against the program's input domains:
-// it must rank-match at least one input image and lie inside the domain
-// of one of those — an out-of-bounds rectangle is a client error, not a
-// silently-empty recompute.
-func validateROI(prog *engine.Program, roi affine.Box) *Error {
-	matched, inside := false, false
+// requestROI is a request's dirty rectangle as a box, nil when it has
+// none. It must rank-match at least one input image and lie inside the
+// domain of one of those — an out-of-bounds rectangle is a client error,
+// not a silently-empty recompute.
+func requestROI(prog *engine.Program, ivs [][2]int64) (affine.Box, *Error) {
+	if len(ivs) == 0 {
+		return nil, nil
+	}
+	roi := make(affine.Box, len(ivs))
+	for d, iv := range ivs {
+		roi[d] = affine.Range{Lo: iv[0], Hi: iv[1]}
+	}
+	matched := false
+images:
 	for name := range prog.Graph.Images {
 		box, err := prog.InputBox(name)
 		if err != nil {
-			return errf(500, "input %q: %v", name, err)
+			return nil, errf(500, "input %q: %v", name, err)
 		}
 		if len(box) != len(roi) {
 			continue
 		}
 		matched = true
-		contains := true
 		for d := range roi {
 			if roi[d].Lo < box[d].Lo || roi[d].Hi > box[d].Hi {
-				contains = false
-				break
+				continue images
 			}
 		}
-		if contains {
-			inside = true
-			break
-		}
+		return roi, nil
 	}
 	if !matched {
-		return errSentinel(400, ErrInvalidROI, "roi rank %d matches no input image", len(roi))
+		return nil, errSentinel(400, ErrInvalidROI, "roi rank %d matches no input image", len(roi))
 	}
-	if !inside {
-		return errSentinel(400, ErrInvalidROI, "roi %v lies outside every input image's domain", roi)
-	}
-	return nil
+	return nil, errSentinel(400, ErrInvalidROI, "roi %v lies outside every input image's domain", roi)
 }
 
 // refreshInputs evolves the frame inputs in place: without an ROI every
