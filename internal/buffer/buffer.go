@@ -279,7 +279,14 @@ func (b *Buffer) CopyRegion(src *Buffer, region affine.Box) {
 		return
 	}
 	// Iterate all dims but the last; copy contiguous runs along the last.
-	pt := make([]int64, nd)
+	// The odometer lives on the stack up to rank 4, so the engine's
+	// per-tile live-out copies allocate nothing.
+	var stack [4]int64
+	pt := stack[:]
+	if nd > len(stack) {
+		pt = make([]int64, nd)
+	}
+	pt = pt[:nd]
 	for d := range region {
 		pt[d] = region[d].Lo
 	}

@@ -147,8 +147,8 @@ func (e *emitter) emitGroup(grp *schedule.Group) error {
 	for d, c := range tp.TileCounts {
 		idx[d] = c / 2
 	}
-	req, err := tp.Required(idx, nil)
-	if err != nil {
+	req := tp.MemberBoxes()
+	if err := tp.RequiredInto(idx, req); err != nil {
 		return err
 	}
 
@@ -163,12 +163,9 @@ func (e *emitter) emitGroup(grp *schedule.Group) error {
 		opened++
 		if i == 0 {
 			e.printf("/* Scratchpads (tile-local intermediate storage) */")
-			for _, m := range grp.Members {
-				if liveOut[m] {
-					continue
-				}
-				box := req[m]
-				if box == nil || box.Empty() {
+			for mi, m := range grp.Members {
+				box := req[mi]
+				if liveOut[m] || box.Empty() {
 					continue
 				}
 				var dims []string

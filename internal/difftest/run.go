@@ -419,7 +419,7 @@ func diffFrames(sp PipelineSpec, k Knob, opts RunOptions, prog *engine.Program, 
 	for name := range refB.Inputs {
 		names = append(names, name)
 	}
-	sortNames(names)
+	slices.Sort(names)
 	cur := make(map[string]*engine.Buffer, len(refB.Inputs))
 	for _, name := range names {
 		cur[name] = cloneBuffer(refB.Inputs[name])
@@ -496,16 +496,6 @@ func diffFrames(sp PipelineSpec, k Knob, opts RunOptions, prog *engine.Program, 
 		}
 	}
 	return nil
-}
-
-// sortNames is an allocation-light insertion sort (difftest avoids the
-// sort import for its tiny name lists).
-func sortNames(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // diffConcurrent runs the program from k.Concurrent goroutines at once

@@ -302,42 +302,101 @@ func TestMultipleLiveOuts(t *testing.T) {
 		schedule.Options{TileSizes: []int64{32}, MinTileExtent: 16, MinSize: 64}, 1e-5)
 }
 
-func TestMidGroupLiveOut(t *testing.T) {
-	// c consumes b; b is also a pipeline output: b is a non-anchor live-out
-	// inside c's group and must be written via owned-region copies.
+// midGroupPipeline is the chain a → b → c over a 1-D image of extent R+4,
+// with b a pipeline output beside c: fused with c, b is a live-out that is
+// not its group's anchor.
+func midGroupPipeline(t testing.TB, R int64) (*pipeline.Graph, map[string]int64, map[string]*Buffer) {
+	t.Helper()
 	bld := dsl.NewBuilder()
-	R := bld.Param("R")
-	I := bld.Image("I", expr.Float, R.Affine().AddConst(4))
+	Rp := bld.Param("R")
+	I := bld.Image("I", expr.Float, Rp.Affine().AddConst(4))
 	x := bld.Var("x")
-	dom := []dsl.Interval{dsl.Span(affine.Const(2), R.Affine().AddConst(1))}
+	dom := []dsl.Interval{dsl.Span(affine.Const(2), Rp.Affine().AddConst(1))}
 	a := bld.Func("a", expr.Float, []*dsl.Variable{x}, dom)
 	a.Define(dsl.Case{E: dsl.Add(I.At(dsl.Sub(x, 1)), I.At(dsl.Add(x, 1)))})
 	bf := bld.Func("b", expr.Float, []*dsl.Variable{x},
-		[]dsl.Interval{dsl.Span(affine.Const(3), R.Affine())})
+		[]dsl.Interval{dsl.Span(affine.Const(3), Rp.Affine())})
 	bf.Define(dsl.Case{E: dsl.Add(a.At(dsl.Sub(x, 1)), a.At(dsl.Add(x, 1)))})
 	cf := bld.Func("c", expr.Float, []*dsl.Variable{x},
-		[]dsl.Interval{dsl.Span(affine.Const(4), R.Affine().AddConst(-1))})
+		[]dsl.Interval{dsl.Span(affine.Const(4), Rp.Affine().AddConst(-1))})
 	cf.Define(dsl.Case{E: dsl.Add(bf.At(dsl.Sub(x, 1)), bf.At(dsl.Add(x, 1)))})
 	g, err := pipeline.Build(bld, "c", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := map[string]int64{"R": 300}
+	params := map[string]int64{"R": R}
 	in, err := buffer.NewForDomain(I.Domain(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	FillPattern(in, 21)
-	allVariants(t, g, params, map[string]*Buffer{"I": in},
-		schedule.Options{TileSizes: []int64{32}, MinTileExtent: 16, MinSize: 16, OverlapThreshold: 0.8}, 1e-5)
+	return g, params, map[string]*Buffer{"I": in}
+}
+
+// midGroupOptions fuses midGroupPipeline's b and c under tiles of size ts.
+func midGroupOptions(ts int64) schedule.Options {
+	return schedule.Options{TileSizes: []int64{ts}, MinTileExtent: 16, MinSize: 16, OverlapThreshold: 0.8}
+}
+
+func TestMidGroupLiveOut(t *testing.T) {
+	// c consumes b; b is also a pipeline output: b is a non-anchor live-out
+	// inside c's group and must be written via owned-region copies.
+	g, params, inputs := midGroupPipeline(t, 300)
+	allVariants(t, g, params, inputs, midGroupOptions(32), 1e-5)
 	// Verify that fusion actually grouped b and c (otherwise this test is
 	// not exercising the mid-group live-out path).
-	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: []int64{32}, MinTileExtent: 16, MinSize: 16, OverlapThreshold: 0.8})
+	gr, err := schedule.BuildGroups(g, params, midGroupOptions(32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gr.ByName["b"] != gr.ByName["c"] {
 		t.Error("expected b and c to be fused for the mid-group live-out test")
+	}
+}
+
+// TestTileLoopAllocsFlat: a steady-state pooled Run allocates no more at
+// many tiles than at few, also when a tile copies a live-out that is not
+// the group's anchor (midGroupPipeline's b) out of its scratchpad — the tile
+// loop's owned-box and required-region boxes are the worker's, by position.
+func TestTileLoopAllocsFlat(t *testing.T) {
+	g, params, inputs := midGroupPipeline(t, 1000)
+	steady := func(ts int64) (allocs float64, tiles int64) {
+		gr, err := schedule.BuildGroups(g, params, midGroupOptions(ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grp := gr.ByName["c"]
+		if gr.ByName["b"] != grp {
+			t.Fatalf("tile size %d: b and c not fused", ts)
+		}
+		prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1, ReuseBuffers: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer prog.Close()
+		for _, ge := range prog.groups {
+			if ge.grp == grp {
+				tiles = ge.tp.NumTiles()
+			}
+		}
+		e := prog.Executor()
+		run := func() {
+			out, err := e.Run(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Recycle(out)
+		}
+		run() // warm the arena and the worker's scratch
+		return testing.AllocsPerRun(10, run), tiles
+	}
+	few, fewTiles := steady(256)
+	many, manyTiles := steady(16)
+	if manyTiles < 8*fewTiles {
+		t.Fatalf("tile counts %d and %d differ by less than 8x", fewTiles, manyTiles)
+	}
+	if many != few {
+		t.Errorf("steady-state Run allocates %.0f times at %d tiles, %.0f at %d tiles", many, manyTiles, few, fewTiles)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/affine"
 	"repro/internal/dsl"
 	"repro/internal/obs"
-	"repro/internal/schedule"
 )
 
 // Run executes the compiled pipeline on the given input images and returns
@@ -26,86 +25,43 @@ func (p *Program) Run(inputs map[string]*Buffer) (map[string]*Buffer, error) {
 	return p.Executor().Run(inputs)
 }
 
-// runGroup dispatches one group: dirty-rectangle frames (a stream run with
-// an ROI) go through the partial-recompute path; everything else runs the
-// normal full evaluation.
+// runGroup runs one group. Every group but an accumulator, a
+// self-referencing stage or a fused group under parallelogram/split tiling
+// runs the tile loop over its plan, which a dirty-rectangle frame (a stream
+// run with an ROI) narrows to the tiles its prepass marks dirty. Those
+// others have runners of their own, whose internal dependences cross any
+// tile cut: such a frame recomputes them whole or copies them whole.
 func (e *Executor) runGroup(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
-	if fc := rc.fc; fc != nil && !fc.full {
-		return e.runGroupDirty(rc, ge, outputs)
-	}
-	return e.runGroupAll(rc, ge, outputs)
-}
-
-func (e *Executor) runGroupAll(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
-	if len(ge.members) == 1 {
-		ls := ge.members[0]
-		switch {
-		case ls.isAcc:
-			return e.runAccumulator(rc, ls, outputs[ls.name])
-		case ls.selfRef:
-			return e.runSelfRef(rc, ls, outputs[ls.name])
-		default:
-			return e.runSingle(rc, ls, outputs[ls.name])
+	roi := rc.fc != nil && !rc.fc.full
+	ls := ge.members[0]
+	fused := len(ge.members) > 1
+	if fused && e.p.Opts.Tiling == OverlappedTiling || !fused && !ls.isAcc && !ls.selfRef {
+		var dirty []bool
+		if roi {
+			var err error
+			if dirty, err = e.dirtyTiles(rc, ge); err != nil {
+				return err
+			}
 		}
+		return e.runTiled(rc, ge, outputs, dirty)
 	}
-	switch e.p.Opts.Tiling {
-	case ParallelogramTiling:
+	if roi && e.copyWhole(rc, ge, outputs) {
+		return nil
+	}
+	switch {
+	case fused && e.p.Opts.Tiling == ParallelogramTiling:
 		return e.runParallelogram(rc, ge, outputs)
-	case SplitTiling:
+	case fused:
 		return e.runSplit(rc, ge, outputs)
 	}
-	return e.runTiled(rc, ge, outputs)
-}
-
-// runSingle executes an untiled single-stage group: the stage's domain is
-// computed into its full buffer, parallelized by slicing the outermost
-// dimension with extent > 1 across workers (the paper's per-stage OpenMP
-// parallel loop for ungrouped stages).
-func (e *Executor) runSingle(rc *runCtx, ls *loweredStage, out *Buffer) error {
-	if out == nil {
-		return fmt.Errorf("engine: no output buffer for %s", ls.name)
+	// The plan of an accumulator or a self-referencing stage is one region.
+	if w := rc.w; w.shard != nil {
+		w.shard.Tile(ge.id)
 	}
-	threads := e.threads
-	// Pick the split dimension: the outermost with extent > 1.
-	split := -1
-	for d := range ls.dom {
-		if ls.dom[d].Size() > 1 {
-			split = d
-			break
-		}
+	if ls.isAcc {
+		return e.runAccumulator(rc, ls, outputs[ls.name])
 	}
-	if threads > 1 && (split < 0 || ls.dom[split].Size() < 2) {
-		threads = 1
-	}
-	n := int64(0)
-	chunks := int64(1)
-	if threads > 1 {
-		n = ls.dom[split].Size()
-		chunks = int64(threads * 4)
-		if chunks > n {
-			chunks = n
-		}
-	}
-	var next atomic.Int64
-	return e.parallel(rc, threads, func(w *worker, fe *firstErr) {
-		rc.bind(w)
-		if threads <= 1 {
-			e.p.computeStageObs(w, ls, ls.dom, out, 0, 0)
-			return
-		}
-		for {
-			c := next.Add(1) - 1
-			if c >= chunks || fe.isSet() {
-				return
-			}
-			lo := ls.dom[split].Lo + c*n/chunks
-			hi := ls.dom[split].Lo + (c+1)*n/chunks - 1
-			region := cloneBoxInto(w.region, ls.dom)
-			w.region = region
-			region[split] = affine.Range{Lo: lo, Hi: hi}
-			e.p.computeStageObs(w, ls, region, out, 0, 0)
-		}
-	})
+	return e.runSelfRef(rc, ls, outputs[ls.name])
 }
 
 // cloneBoxInto copies src into dst's storage (grown as needed) so hot loops
@@ -119,11 +75,15 @@ func cloneBoxInto(dst, src affine.Box) affine.Box {
 	return dst
 }
 
-// runTiled executes a fused group with overlapped tiling: tiles are
-// independent (the halo is recomputed), so they are distributed over the
-// worker pool as a bag of tasks; intermediates live in per-worker
-// scratchpads that are reused across tiles, groups and runs (Section 3.6).
-func (e *Executor) runTiled(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
+// runTiled executes a group's tile plan: tiles are independent (a fused
+// group's tiles recompute their halo, a lone stage's bands are disjoint), so
+// they are distributed over the worker pool as a bag of tasks;
+// intermediates live in per-worker scratchpads that are reused across
+// tiles, groups and runs (Section 3.6). dirty, when non-nil, is a
+// dirty-rectangle frame's per-tile table: a clean tile's live-out values are
+// bitwise those of the previous frame, so it copies its owned boxes from
+// there instead of running.
+func (e *Executor) runTiled(rc *runCtx, ge *groupExec, outputs map[string]*Buffer, dirty []bool) error {
 	tp := ge.tp
 	numTiles := tp.NumTiles()
 	threads := e.threads
@@ -141,7 +101,18 @@ func (e *Executor) runTiled(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 				return
 			}
 			tp.TileIndex(t, idx)
-			if err := e.runTile(w, ge, tp, idx, outputs); err != nil {
+			if dirty != nil && !dirty[t] {
+				for i, ls := range ge.members {
+					if !ge.liveOut[i] {
+						continue
+					}
+					if own := w.owned(ge, i, idx); !own.Empty() {
+						outputs[ls.name].CopyRegion(rc.fc.prev[ls.name], own)
+					}
+				}
+				continue
+			}
+			if err := e.runTile(w, ge, idx, outputs); err != nil {
 				fe.set(err)
 				return
 			}
@@ -149,55 +120,66 @@ func (e *Executor) runTiled(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 	})
 }
 
-// runTile computes tile idx of plan tp: every member over its required
+// runTile computes tile idx of ge's plan: every member over its required
 // region, the anchor straight into its full buffer (its required region is
 // exactly its owned tile), the others into the worker's scratchpads, from
 // which live-outs copy their owned boxes.
-func (e *Executor) runTile(w *worker, ge *groupExec, tp *schedule.TilePlan, idx []int64, outputs map[string]*Buffer) error {
-	var err error
-	w.req, err = tp.Required(idx, w.req)
-	if err != nil {
+func (e *Executor) runTile(w *worker, ge *groupExec, idx []int64, outputs map[string]*Buffer) error {
+	req := w.reqBoxes(ge)
+	if err := ge.tp.RequiredInto(idx, req); err != nil {
 		return err
 	}
 	if w.shard != nil {
 		w.shard.Tile(ge.id)
 	}
 	for i, ls := range ge.members {
-		box := w.req[ls.name]
-		if box == nil || box.Empty() {
+		box := req[i]
+		if box.Empty() {
 			continue
 		}
-		isAnchor := ls.name == ge.grp.Anchor
-		out := outputs[ls.name]
-		if !isAnchor {
-			sc, ok := w.scratch[ls.name]
-			if !ok {
-				sc = &Buffer{}
-				w.scratch[ls.name] = sc
-			}
-			sc.ResetElem(box, ls.elem)
-			out = sc
+		if ls.name == ge.grp.Anchor {
+			out := outputs[ls.name]
+			w.ctx.bufs[ls.slot] = out
+			e.p.computeStageObs(w, ls, box, out, 0, 0)
+			continue
 		}
-		w.ctx.bufs[ls.slot] = out
-		if w.shard == nil {
-			e.p.computeStage(w, ls, box, out)
-		} else {
-			var recPts, recRows int64
-			if !isAnchor {
-				// Members other than the anchor recompute the halo outside
-				// their owned box.
-				recPts, recRows = w.recomputed(tp, ls.name, idx, box)
-			}
-			e.p.computeStageObs(w, ls, box, out, recPts, recRows)
+		sc := w.scratch[ls.id]
+		if sc == nil {
+			sc = &Buffer{}
+			w.scratch[ls.id] = sc
 		}
-		if ge.liveOut[i] && !isAnchor {
-			owned := tp.OwnedBox(ls.name, idx).Intersect(box)
-			if !owned.Empty() {
-				outputs[ls.name].CopyRegion(out, owned)
-			}
+		sc.ResetElem(box, ls.elem)
+		w.ctx.bufs[ls.slot] = sc
+		// The part of box outside the tile's owned box is the halo the
+		// tile recomputes (the paper's redundant computation, Section 3.4,
+		// measured rather than estimated).
+		own := w.owned(ge, i, idx)
+		own = intersectInto(own, own, box)
+		e.p.computeStageObs(w, ls, box, sc, box.Size()-own.Size(), rowsOf(box)-rowsOf(own))
+		if ge.liveOut[i] && !own.Empty() {
+			outputs[ls.name].CopyRegion(sc, own)
 		}
 	}
 	return nil
+}
+
+// reqBoxes returns the worker's required-region boxes for ge's plan, one
+// per member, allocated on first use.
+func (w *worker) reqBoxes(ge *groupExec) []affine.Box {
+	req := w.req[ge.id]
+	if req == nil {
+		req = ge.tp.MemberBoxes()
+		w.req[ge.id] = req
+	}
+	return req
+}
+
+// owned computes member i's owned box of tile idx into the worker's ownBox
+// scratch.
+func (w *worker) owned(ge *groupExec, i int, idx []int64) affine.Box {
+	w.ownBox = growBox(w.ownBox, len(ge.members[i].dom))
+	ge.tp.OwnedInto(w.ownBox, i, idx)
+	return w.ownBox
 }
 
 // computeStage evaluates a stage over region, attributing CPU samples to
@@ -241,36 +223,6 @@ func rowsOf(b affine.Box) int64 {
 	return b.Size() / last
 }
 
-// recomputed measures the overlap-halo portion of box: the points and rows
-// outside the tile's owned region of member m — the paper's redundant
-// computation (Section 3.4), measured rather than estimated. Uses the
-// worker's statBox scratch so the metrics path allocates nothing.
-func (w *worker) recomputed(tp *schedule.TilePlan, m string, idx []int64, box affine.Box) (recPts, recRows int64) {
-	if len(box) == 0 {
-		return 0, 0
-	}
-	owned := w.statBox
-	if cap(owned) < len(box) {
-		owned = make(affine.Box, len(box))
-	}
-	owned = owned[:len(box)]
-	w.statBox = owned
-	tp.OwnedBoxInto(owned, m, idx)
-	ownedPts, ownedRows := int64(1), int64(1)
-	for d := range box {
-		sz := owned[d].Intersect(box[d]).Size()
-		if sz <= 0 {
-			ownedPts, ownedRows = 0, 0
-			break
-		}
-		ownedPts *= sz
-		if d < len(box)-1 {
-			ownedRows *= sz
-		}
-	}
-	return box.Size() - ownedPts, rowsOf(box) - ownedRows
-}
-
 // computeRegion evaluates a stage over region into out, one case piece at a
 // time (pieces with box conditions iterate only their sub-box, keeping the
 // inner loop branch-free; pieces with residual predicates test per point).
@@ -307,24 +259,44 @@ func intersectInto(dst, a, b affine.Box) affine.Box {
 	return dst
 }
 
+// odometer starts pt at the first point of the non-empty box r and returns
+// pt[:len(r)]; step then walks it.
+func odometer(pt []int64, r affine.Box) []int64 {
+	pt = pt[:len(r)]
+	for d := range r {
+		pt[d] = r[d].Lo
+	}
+	return pt
+}
+
+// step advances the odometer pt over the first n dimensions of r, the
+// last of them fastest, and reports false once it has passed the last
+// point. A row loop steps n = rank−1 dimensions, once per row; a point
+// sweep steps all of them, once per point.
+func step(pt []int64, r affine.Box, n int) bool {
+	for d := n - 1; d >= 0; d-- {
+		pt[d]++
+		if pt[d] <= r[d].Hi {
+			return true
+		}
+		pt[d] = r[d].Lo
+	}
+	return false
+}
+
 // vmLoop drives the row bytecode program over a region: one program
 // execution per row, over the register type lowering chose, stored straight
 // into the output buffer. There is no per-row bookkeeping: the VM's register
 // file is preallocated and value numbering already shares repeated subtrees
 // within the program.
 func vmLoop(w *worker, vm *rowVM, r affine.Box, out *Buffer) {
-	nd := len(r)
-	last := nd - 1
+	last := len(r) - 1
 	c := &w.ctx
 	c.last = last
 	c.n = int(r[last].Size())
 	c.jLo = r[last].Lo
-	pt := c.pt[:nd]
-	for d := 0; d < nd; d++ {
-		pt[d] = r[d].Lo
-	}
+	pt := odometer(c.pt, r)
 	for {
-		pt[last] = r[last].Lo
 		off := out.Offset(pt)
 		switch vm.set {
 		case setF32:
@@ -334,28 +306,16 @@ func vmLoop(w *worker, vm *rowVM, r affine.Box, out *Buffer) {
 		default:
 			storeRow(out, off, evalRow[float64](vm, c))
 		}
-		d := last - 1
-		for ; d >= 0; d-- {
-			pt[d]++
-			if pt[d] <= r[d].Hi {
-				break
-			}
-			pt[d] = r[d].Lo
-		}
-		if d < 0 {
+		if !step(pt, r, last) {
 			return
 		}
 	}
 }
 
 func (p *Program) scalarLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buffer) {
-	nd := len(r)
-	last := nd - 1
+	last := len(r) - 1
 	c := &w.ctx.Ctx
-	pt := c.pt[:nd]
-	for d := 0; d < nd; d++ {
-		pt[d] = r[d].Lo
-	}
+	pt := odometer(c.pt, r)
 	narrow := out.Elem != ElemF32
 	for {
 		for j := r[last].Lo; j <= r[last].Hi; j++ {
@@ -369,15 +329,7 @@ func (p *Program) scalarLoop(w *worker, piece *loweredPiece, r affine.Box, out *
 				out.Data[out.Offset(pt)] = float32(piece.eval(c))
 			}
 		}
-		d := last - 1
-		for ; d >= 0; d-- {
-			pt[d]++
-			if pt[d] <= r[d].Hi {
-				break
-			}
-			pt[d] = r[d].Lo
-		}
-		if d < 0 {
+		if !step(pt, r, last) {
 			return
 		}
 	}
@@ -407,15 +359,11 @@ func (e *Executor) runSelfRef(rc *runCtx, ls *loweredStage, out *Buffer) error {
 }
 
 func (e *Executor) selfRefLoop(w *worker, ls *loweredStage, out *Buffer) {
-	c := &w.ctx.Ctx
-	nd := len(ls.dom)
-	pt := c.pt[:nd]
-	for d := 0; d < nd; d++ {
-		pt[d] = ls.dom[d].Lo
-	}
 	if ls.dom.Empty() {
 		return
 	}
+	c := &w.ctx.Ctx
+	pt := odometer(c.pt, ls.dom)
 	for {
 		for pi := range ls.pieces {
 			piece := &ls.pieces[pi]
@@ -428,15 +376,7 @@ func (e *Executor) selfRefLoop(w *worker, ls *loweredStage, out *Buffer) {
 			out.Data[out.Offset(pt)] = float32(piece.eval(c))
 			break
 		}
-		d := nd - 1
-		for ; d >= 0; d-- {
-			pt[d]++
-			if pt[d] <= ls.dom[d].Hi {
-				break
-			}
-			pt[d] = ls.dom[d].Lo
-		}
-		if d < 0 {
+		if !step(pt, ls.dom, len(pt)) {
 			return
 		}
 	}
@@ -533,11 +473,7 @@ func (p *Program) accumulateRegion(w *worker, ls *loweredStage, region affine.Bo
 		return
 	}
 	c := &w.ctx.Ctx
-	nd := len(region)
-	pt := c.pt[:nd]
-	for d := 0; d < nd; d++ {
-		pt[d] = region[d].Lo
-	}
+	pt := odometer(c.pt, region)
 	w.accIdx = growI64(w.accIdx, len(ls.accIdx))
 	idx := w.accIdx
 	for {
@@ -557,15 +493,7 @@ func (p *Program) accumulateRegion(w *worker, ls *loweredStage, region affine.Bo
 			off := out.Offset(idx)
 			out.Data[off] = applyReduce(ls.accOp, out.Data[off], float32(v))
 		}
-		d := nd - 1
-		for ; d >= 0; d-- {
-			pt[d]++
-			if pt[d] <= region[d].Hi {
-				break
-			}
-			pt[d] = region[d].Lo
-		}
-		if d < 0 {
+		if !step(pt, region, len(pt)) {
 			return
 		}
 	}
@@ -581,20 +509,15 @@ func (p *Program) accumulateRegion(w *worker, ls *loweredStage, region affine.Bo
 // do: a data-dependent read in it must stay inside its buffer over the whole
 // reduction domain.
 func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
-	nd := len(region)
-	last := nd - 1
+	last := len(region) - 1
 	c := &w.ctx
 	c.last = last
 	c.n = int(region[last].Size())
 	c.jLo = region[last].Lo
-	pt := c.pt[:nd]
-	for d := 0; d < nd; d++ {
-		pt[d] = region[d].Lo
-	}
+	pt := odometer(c.pt, region)
 	w.accIdx = growI64(w.accIdx, c.n)
 	offs := w.accIdx
 	for {
-		pt[last] = region[last].Lo
 		for i := range offs {
 			offs[i] = 0
 		}
@@ -623,15 +546,7 @@ func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box,
 				out.Data[off] = applyReduce(ls.accOp, out.Data[off], float32(v))
 			}
 		}
-		d := last - 1
-		for ; d >= 0; d-- {
-			pt[d]++
-			if pt[d] <= region[d].Hi {
-				break
-			}
-			pt[d] = region[d].Lo
-		}
-		if d < 0 {
+		if !step(pt, region, last) {
 			return
 		}
 	}

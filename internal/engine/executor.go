@@ -92,7 +92,7 @@ type runCtx struct {
 	w    *worker
 	// fc is non-nil while the run belongs to a frame stream: it carries the
 	// previous frame's retained buffers and the dirty-region state that
-	// runGroupDirty consults (see stream.go). Cleared before the context
+	// runGroup consults (see stream.go). Cleared before the context
 	// returns to the free list.
 	fc *frameCtx
 }
@@ -109,21 +109,22 @@ func (rc *runCtx) bind(w *worker) {
 // below survive across groups, runs and (for fleet workers) programs'
 // idle periods.
 type worker struct {
-	ctx     RowCtx
-	scratch map[string]*Buffer
+	ctx RowCtx
+	// scratch holds the tile scratchpad of every stage, by stage id.
+	scratch []*Buffer
 
 	// shard is the worker's private metric shard (nil with metrics off).
 	shard *obs.Shard
 
-	// Reusable per-task scratch (tile odometer, Required map, accumulator
-	// target index, region clones; statBox is the metrics path's owned-box
-	// scratch so measuring recomputation allocates nothing).
+	// Reusable per-task scratch: the tile odometer, the required-region
+	// boxes of each group's plan (by group id, then member position), the
+	// accumulator target index, region clones and the owned box of the
+	// member in hand.
 	tileIdx []int64
-	req     map[string]affine.Box
+	req     [][]affine.Box
 	accIdx  []int64
 	region  affine.Box
 	iBox    affine.Box
-	statBox affine.Box
 	ownBox  affine.Box
 
 	// genBufs/genCtx are the reusable call frame for generated kernels
@@ -178,17 +179,7 @@ func (f *firstErr) get() error {
 func (f *firstErr) isSet() bool { return f.p.Load() != nil }
 
 func newExecutor(p *Program) *Executor {
-	f := p.Opts.fleet
-	if f == nil {
-		f = defaultFleet()
-	}
-	t := p.Opts.threads()
-	if t > f.size {
-		// The fleet is the machine: a per-program Threads option larger
-		// than it would only oversubscribe, so it is clamped here and the
-		// effective value reported via Snapshot().Workers.
-		t = f.size
-	}
+	f, t := p.Opts.fleetOf()
 	e := &Executor{
 		p:       p,
 		fleet:   f,
@@ -217,7 +208,11 @@ func (p *Program) Close() { p.Executor().Close() }
 
 func (e *Executor) newWorker(shard int) *worker {
 	p := e.p
-	w := &worker{scratch: make(map[string]*Buffer), shard: e.rec.Shard(shard)}
+	w := &worker{
+		scratch: make([]*Buffer, len(p.stageNames)),
+		req:     make([][]affine.Box, len(p.groups)),
+		shard:   e.rec.Shard(shard),
+	}
 	w.ctx.pt = make([]int64, p.maxDims)
 	w.ctx.bufs = make([]*Buffer, p.slotCount)
 	w.ctx.vm.gauge = &e.vmRegBytes
@@ -375,9 +370,7 @@ func (e *Executor) Snapshot() obs.Snapshot {
 		g := &snap.Groups[i]
 		g.Members = append([]string(nil), ge.grp.Members...)
 		g.OverlapRatio = append([]float64(nil), ge.grp.OverlapRatio...)
-		if ge.grp.Tiled {
-			g.PlannedTiles = ge.tp.NumTiles()
-		}
+		g.PlannedTiles = ge.tp.NumTiles()
 	}
 	return snap
 }

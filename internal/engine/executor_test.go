@@ -12,6 +12,12 @@ import (
 
 func compileHarris(t testing.TB, opts ExecOptions) (*Program, map[string]*Buffer, map[string]*Buffer) {
 	t.Helper()
+	return compileHarrisWith(t, schedule.Options{TileSizes: []int64{16, 32}, MinTileExtent: 8}, opts)
+}
+
+// compileHarrisWith is compileHarris under the given schedule options.
+func compileHarrisWith(t testing.TB, sopts schedule.Options, opts ExecOptions) (*Program, map[string]*Buffer, map[string]*Buffer) {
+	t.Helper()
 	g, params, inputs := harrisPipeline(t)
 	ref, err := Reference(g, params, inputs)
 	if err != nil {
@@ -20,7 +26,7 @@ func compileHarris(t testing.TB, opts ExecOptions) (*Program, map[string]*Buffer
 	if _, err := inline.Apply(g, inline.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: []int64{16, 32}, MinTileExtent: 8})
+	gr, err := schedule.BuildGroups(g, params, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,77 +2,98 @@ package engine
 
 import (
 	"testing"
+
+	"repro/internal/schedule"
 )
 
-// TestMetricsSnapshotConsistency runs an instrumented single-threaded
-// executor and checks the snapshot's internal consistency: with one worker,
-// kernel time summed over stages cannot exceed the measured run wall time,
-// and tile counters must agree exactly with the tile plan.
+// TestMetricsSnapshotConsistency runs instrumented executors and checks
+// each snapshot's internal consistency. On every group the tile counters
+// agree exactly with the tile plan, runs × planned, and Program.Stats plans
+// the tiles Executor.Snapshot reports: on harris fused into overlapped
+// tiles, and on harris run stage by stage, whose lone stages run as bands
+// (4 per thread on a 4-worker fleet). With one worker, kernel time summed
+// over stages cannot exceed the measured run wall time.
 func TestMetricsSnapshotConsistency(t *testing.T) {
-	prog, inputs, ref := compileHarris(t, ExecOptions{Fast: true, Threads: 1, Metrics: true})
-	defer prog.Close()
-	e := prog.Executor()
-	const runs = 3
-	for i := 0; i < runs; i++ {
-		out, err := e.Run(inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eq, msg := out["harris"].Equal(ref["harris"], 1e-5); !eq {
-			t.Fatalf("instrumented run differs from reference: %s", msg)
-		}
-		e.Recycle(out)
-	}
-	snap := e.Snapshot()
-	if !snap.Enabled {
-		t.Fatal("Snapshot.Enabled = false on a Metrics executor")
-	}
-	if snap.Runs != runs {
-		t.Fatalf("Runs = %d, want %d", snap.Runs, runs)
-	}
-	var kernel int64
-	for _, st := range snap.Stages {
-		if st.Points <= 0 {
-			t.Errorf("stage %s: Points = %d, want > 0", st.Name, st.Points)
-		}
-		if st.RecomputedPoints < 0 || st.RecomputedPoints > st.Points {
-			t.Errorf("stage %s: RecomputedPoints = %d outside [0, %d]", st.Name, st.RecomputedPoints, st.Points)
-		}
-		if st.RecomputedRows < 0 || st.RecomputedRows > st.Rows {
-			t.Errorf("stage %s: RecomputedRows = %d outside [0, %d]", st.Name, st.RecomputedRows, st.Rows)
-		}
-		kernel += st.KernelNanos
-	}
-	if kernel <= 0 {
-		t.Fatal("total kernel time is zero")
-	}
-	// One worker: every kernel nanosecond is inside some Run call.
-	if kernel > snap.WallNanos {
-		t.Errorf("kernel time %d ns exceeds wall time %d ns with one worker", kernel, snap.WallNanos)
-	}
-	model := prog.Stats()
-	if len(model.Groups) != len(snap.Groups) {
-		t.Fatalf("model has %d groups, snapshot has %d", len(model.Groups), len(snap.Groups))
-	}
-	tiled := false
-	for i, g := range snap.Groups {
-		if g.PlannedTiles != 0 && g.Tiles != runs*g.PlannedTiles {
-			t.Errorf("group %s: Tiles = %d, want runs × planned = %d", g.Anchor, g.Tiles, runs*g.PlannedTiles)
-		}
-		if model.Groups[i].PlannedTiles != g.PlannedTiles {
-			t.Errorf("group %s: model PlannedTiles %d != snapshot %d", g.Anchor, model.Groups[i].PlannedTiles, g.PlannedTiles)
-		}
-		if g.PlannedTiles > 1 {
-			tiled = true
-		}
-	}
-	if !tiled {
-		t.Error("harris pipeline produced no tiled group; tile accounting untested")
-	}
-	// The fused harris group recomputes its halo: the derivative stages
-	// must report a nonzero recompute fraction.
-	if st, ok := snap.Stage("Ix"); !ok || st.RecomputedPoints == 0 {
-		t.Errorf("stage Ix: RecomputedPoints = 0, want halo recomputation (ok=%v)", ok)
+	for _, tc := range []struct {
+		name  string
+		sopts schedule.Options
+		opts  ExecOptions
+	}{
+		{"fused", schedule.Options{TileSizes: []int64{16, 32}, MinTileExtent: 8}, ExecOptions{Threads: 1}},
+		{"stages", schedule.Options{DisableFusion: true}, ExecOptions{Threads: 4, fleet: newFleet(4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Fast, opts.Metrics = true, true
+			prog, inputs, ref := compileHarrisWith(t, tc.sopts, opts)
+			defer prog.Close()
+			e := prog.Executor()
+			const runs = 3
+			for i := 0; i < runs; i++ {
+				out, err := e.Run(inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if eq, msg := out["harris"].Equal(ref["harris"], 1e-5); !eq {
+					t.Fatalf("instrumented run differs from reference: %s", msg)
+				}
+				e.Recycle(out)
+			}
+			snap := e.Snapshot()
+			if !snap.Enabled {
+				t.Fatal("Snapshot.Enabled = false on a Metrics executor")
+			}
+			if snap.Runs != runs {
+				t.Fatalf("Runs = %d, want %d", snap.Runs, runs)
+			}
+			var kernel int64
+			for _, st := range snap.Stages {
+				if st.Points <= 0 {
+					t.Errorf("stage %s: Points = %d, want > 0", st.Name, st.Points)
+				}
+				if st.RecomputedPoints < 0 || st.RecomputedPoints > st.Points {
+					t.Errorf("stage %s: RecomputedPoints = %d outside [0, %d]", st.Name, st.RecomputedPoints, st.Points)
+				}
+				if st.RecomputedRows < 0 || st.RecomputedRows > st.Rows {
+					t.Errorf("stage %s: RecomputedRows = %d outside [0, %d]", st.Name, st.RecomputedRows, st.Rows)
+				}
+				kernel += st.KernelNanos
+			}
+			if kernel <= 0 {
+				t.Fatal("total kernel time is zero")
+			}
+			// One worker: every kernel nanosecond is inside some Run call.
+			if tc.opts.Threads == 1 && kernel > snap.WallNanos {
+				t.Errorf("kernel time %d ns exceeds wall time %d ns with one worker", kernel, snap.WallNanos)
+			}
+			model := prog.Stats()
+			if len(model.Groups) != len(snap.Groups) {
+				t.Fatalf("model has %d groups, snapshot has %d", len(model.Groups), len(snap.Groups))
+			}
+			var tiled, banded bool
+			for i, g := range snap.Groups {
+				if g.Tiles != runs*g.PlannedTiles {
+					t.Errorf("group %s: Tiles = %d, want runs × planned = %d", g.Anchor, g.Tiles, runs*g.PlannedTiles)
+				}
+				if model.Groups[i].PlannedTiles != g.PlannedTiles {
+					t.Errorf("group %s: model PlannedTiles %d != snapshot %d", g.Anchor, model.Groups[i].PlannedTiles, g.PlannedTiles)
+				}
+				tiled = tiled || len(g.Members) > 1 && g.PlannedTiles > 1
+				banded = banded || len(g.Members) == 1 && g.PlannedTiles == 16
+			}
+			if tc.name == "fused" {
+				if !tiled {
+					t.Error("harris pipeline produced no tiled group; tile accounting untested")
+				}
+				// The fused harris group recomputes its halo: the derivative
+				// stages must report a nonzero recompute fraction.
+				if st, ok := snap.Stage("Ix"); !ok || st.RecomputedPoints == 0 {
+					t.Errorf("stage Ix: RecomputedPoints = 0, want halo recomputation (ok=%v)", ok)
+				}
+			} else if !banded || tiled {
+				t.Errorf("stage-by-stage harris: a lone stage in 16 bands %v, a fused group %v; want true, false", banded, tiled)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"repro/internal/affine"
-	"repro/internal/schedule"
-)
+import "repro/internal/schedule"
 
 // Parallelogram tiling is the alternative strategy of Section 3.2 /
 // Figure 5: tiles are skewed by the dependence slopes so no values are
@@ -68,21 +65,16 @@ func (e *Executor) runParallelogram(rc *runCtx, ge *groupExec, outputs map[strin
 
 	// Full buffers for every member; live-outs use the allocated outputs,
 	// intermediates come from the arena and recycle after the group.
-	liveOut := make(map[string]bool, len(tp.LiveOuts))
-	for _, lo := range tp.LiveOuts {
-		liveOut[lo] = true
-	}
-	full := make(map[string]*Buffer, len(ge.members))
+	full := make([]*Buffer, len(ge.members))
 	var scratch []*Buffer
-	for _, ls := range ge.members {
-		if liveOut[ls.name] {
-			full[ls.name] = outputs[ls.name]
+	for i, ls := range ge.members {
+		if ge.liveOut[i] {
+			full[i] = outputs[ls.name]
 		} else {
-			buf := e.arena.get(ls.dom, ls.elem)
-			full[ls.name] = buf
-			scratch = append(scratch, buf)
+			full[i] = e.arena.get(ls.dom, ls.elem)
+			scratch = append(scratch, full[i])
 		}
-		w.ctx.bufs[ls.slot] = full[ls.name]
+		w.ctx.bufs[ls.slot] = full[i]
 	}
 	defer func() {
 		for _, buf := range scratch {
@@ -107,20 +99,19 @@ func (e *Executor) runParallelogram(rc *runCtx, ge *groupExec, outputs map[strin
 		hw[i] = int64(-1) << 62
 	}
 	idx := make([]int64, len(tp.TileCounts))
-	var req map[string]affine.Box
+	req := tp.MemberBoxes()
 	n := tp.NumTiles()
 	for t := int64(0); t < n; t++ {
 		tp.TileIndex(t, idx)
-		req, err = tp.Required(idx, req)
-		if err != nil {
+		if err := tp.RequiredInto(idx, req); err != nil {
 			return err
 		}
 		for i, ls := range ge.members {
-			box := req[ls.name]
-			if box == nil || box.Empty() {
+			// The next RequiredInto rewrites the box: trim it in place.
+			region := req[i]
+			if region.Empty() {
 				continue
 			}
-			region := box.Clone()
 			if td := trimDim[i]; td >= 0 {
 				if region[td].Lo <= hw[i] {
 					region[td].Lo = hw[i] + 1
@@ -139,7 +130,7 @@ func (e *Executor) runParallelogram(rc *runCtx, ge *groupExec, outputs map[strin
 			if region.Empty() {
 				continue
 			}
-			p.computeStageObs(w, ls, region, full[ls.name], 0, 0)
+			p.computeStageObs(w, ls, region, full[i], 0, 0)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/affine"
@@ -70,6 +71,6 @@ func checkParams(g *pipeline.Graph, params map[string]int64) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	sortStrings(missing)
+	slices.Sort(missing)
 	return fmt.Errorf("engine: %w: missing %s", affine.ErrUnboundParam, strings.Join(missing, ", "))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
 
 	"repro/internal/affine"
@@ -60,8 +61,8 @@ type ExecOptions struct {
 	// keeps the historical float32 layout.
 	NarrowTypes bool
 	// NoGenKernels disables dispatch to ahead-of-time generated Go kernels
-	// (cmd/polymage-gen): stage pieces run on the row VM / specialized
-	// kernels even when the process links a kernel for their shape.
+	// (cmd/polymage-gen): stage pieces run on the row VM even when the
+	// process links a kernel for their shape.
 	// Generated kernels are a pure accelerator tier — with this knob, on
 	// any key miss, or for pieces no kernel can cover (predicated pieces,
 	// self-referencing stages), execution falls back to the tier below
@@ -75,11 +76,20 @@ type ExecOptions struct {
 	fleet *fleet
 }
 
-func (o ExecOptions) threads() int {
-	if o.Threads > 0 {
-		return o.Threads
+// fleetOf returns the fleet a program with these options runs on and its
+// effective parallelism: Threads (0: GOMAXPROCS) clamped to the fleet's
+// size. The fleet is the machine, so a larger request would only
+// oversubscribe it; Snapshot().Workers reports the clamped value.
+func (o ExecOptions) fleetOf() (*fleet, int) {
+	f := o.fleet
+	if f == nil {
+		f = defaultFleet()
 	}
-	return runtime.GOMAXPROCS(0)
+	t := o.Threads
+	if t <= 0 {
+		t = runtime.GOMAXPROCS(0)
+	}
+	return f, min(t, f.size)
 }
 
 // loweredPiece is one case of a stage lowered for a concrete parameter
@@ -139,13 +149,10 @@ type loweredStage struct {
 // groupExec pairs a schedule group with its tile plan and lowered members.
 type groupExec struct {
 	grp *schedule.Group
-	tp  *schedule.TilePlan
-	// roiPlan is the tile plan dirty-rectangle frames use to decide which
-	// tiles to recompute. Usually tp itself; for untiled single plain
-	// stages a synthetic tiled plan is substituted (the full run stays
-	// untiled, but the ROI path needs tiles to skip). Nil when the group
-	// cannot go tile-by-tile (accumulators, self-referencing stages).
-	roiPlan *schedule.TilePlan
+	// tp is the plan the tile loop runs: the schedule's overlapped tiles
+	// for a fused group, schedule.NewBandPlan's bands for a lone stage (one
+	// region for an accumulator or a self-referencing stage).
+	tp      *schedule.TilePlan
 	id      int // dense group id (execution order), for metrics
 	members []*loweredStage
 	// liveOut[i] reports whether members[i] must be written to its full
@@ -175,7 +182,7 @@ type Program struct {
 	slotElem []Elem
 	stages   map[string]*loweredStage
 	groups   []*groupExec
-	// fullSlots lists stages that get full-buffer allocations (all group
+	// fullStages lists stages that get full-buffer allocations (all group
 	// live-outs).
 	fullStages []string
 	// maxDims is the largest rank of any stage domain or reduction domain;
@@ -263,9 +270,24 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 	}
 	lowerDone()
 	planDone := p.BindTrace.Start("tileplan")
+	// A lone stage runs as the paper's parallel loop over its outer
+	// dimension, cut into 4 bands per thread.
+	_, threads := opts.fleetOf()
+	bands := int64(1)
+	if threads > 1 {
+		bands = 4 * int64(threads)
+	}
 	seenFull := make(map[string]bool)
 	for _, grp := range gr.Groups {
-		tp, err := schedule.NewTilePlan(g, grp, params)
+		var tp *schedule.TilePlan
+		var err error
+		if ls := p.stages[grp.Anchor]; len(grp.Members) > 1 {
+			tp, err = schedule.NewTilePlan(g, grp, params)
+		} else if ls.isAcc || ls.selfRef {
+			tp, err = schedule.NewBandPlan(g, grp, params, 1)
+		} else {
+			tp, err = schedule.NewBandPlan(g, grp, params, bands)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -281,20 +303,6 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 			if lo[m] && !seenFull[m] {
 				seenFull[m] = true
 				p.fullStages = append(p.fullStages, m)
-			}
-		}
-		ge.roiPlan = tp
-		if len(grp.Members) == 1 {
-			ls := p.stages[grp.Members[0]]
-			switch {
-			case ls.isAcc || ls.selfRef:
-				// Internal dependences cross any tile cut: the ROI path
-				// treats these groups all-or-nothing.
-				ge.roiPlan = nil
-			case tp.NumTiles() == 1:
-				if dtp := dirtyTilePlan(g, grp, ls.dom, params); dtp != nil {
-					ge.roiPlan = dtp
-				}
 			}
 		}
 		p.groups = append(p.groups, ge)
@@ -346,57 +354,13 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 	return p, nil
 }
 
-// dirtyTilePlan builds a synthetic tiled plan for an untiled single plain
-// stage so dirty-rectangle frames can skip the clean part of its domain:
-// each dimension with extent ≥ 16 is cut into ~16 tiles (each at least 8
-// wide). The full-frame path keeps running the stage untiled; only the ROI
-// path consults this plan. Returns nil when no dimension is worth tiling
-// (tiny domains fall back to all-or-nothing via the group's 1-tile plan).
-func dirtyTilePlan(g *pipeline.Graph, grp *schedule.Group, dom affine.Box, params map[string]int64) *schedule.TilePlan {
-	sizes := make([]int64, len(dom))
-	tiled := false
-	for d, r := range dom {
-		ext := r.Size()
-		if ext < 16 {
-			continue
-		}
-		ts := (ext + 15) / 16
-		if ts < 8 {
-			ts = 8
-		}
-		if ts < ext {
-			sizes[d] = ts
-			tiled = true
-		}
-	}
-	if !tiled {
-		return nil
-	}
-	g2 := *grp
-	g2.Tiled = true
-	g2.TileSizes = sizes
-	tp, err := schedule.NewTilePlan(g, &g2, params)
-	if err != nil {
-		return nil
-	}
-	return tp
-}
-
 func sortedImageNames(g *pipeline.Graph) []string {
 	names := make([]string, 0, len(g.Images))
 	for n := range g.Images {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	return names
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*loweredStage, error) {
@@ -551,9 +515,7 @@ func (p *Program) Stats() obs.ProgramStats {
 			TileSizes:    append([]int64(nil), ge.tp.TileSizes...),
 			TileCounts:   append([]int64(nil), ge.tp.TileCounts...),
 			OverlapRatio: append([]float64(nil), ge.grp.OverlapRatio...),
-		}
-		if ge.grp.Tiled {
-			gm.PlannedTiles = ge.tp.NumTiles()
+			PlannedTiles: ge.tp.NumTiles(),
 		}
 		if c := ge.grp.Cost; c != nil {
 			gm.Cost = &obs.GroupCostModel{

@@ -51,24 +51,19 @@ func (e *Executor) runSplit(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 	if err != nil {
 		return err
 	}
-	total, err := wtp.Required(make([]int64, len(wtp.TileCounts)), nil)
-	if err != nil {
+	total := wtp.MemberBoxes()
+	if err := wtp.RequiredInto(make([]int64, len(wtp.TileCounts)), total); err != nil {
 		return err
 	}
 
-	liveOut := make(map[string]bool, len(tp.LiveOuts))
-	for _, lo := range tp.LiveOuts {
-		liveOut[lo] = true
-	}
-	full := make(map[string]*Buffer, len(ge.members))
+	full := make([]*Buffer, len(ge.members))
 	var scratch []*Buffer
-	for _, ls := range ge.members {
-		if liveOut[ls.name] {
-			full[ls.name] = outputs[ls.name]
+	for i, ls := range ge.members {
+		if ge.liveOut[i] {
+			full[i] = outputs[ls.name]
 		} else {
-			buf := e.arena.get(ls.dom, ls.elem)
-			full[ls.name] = buf
-			scratch = append(scratch, buf)
+			full[i] = e.arena.get(ls.dom, ls.elem)
+			scratch = append(scratch, full[i])
 		}
 	}
 	defer func() {
@@ -77,13 +72,13 @@ func (e *Executor) runSplit(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 		}
 	}()
 
-	trimDim := make(map[string]int, len(ge.members))
-	for _, ls := range ge.members {
-		trimDim[ls.name] = -1
+	trimDim := make([]int, len(ge.members))
+	for i, ls := range ge.members {
+		trimDim[i] = -1
 		if tiledDim >= 0 {
 			for d, ds := range ge.grp.Scales[ls.name] {
 				if ds.AnchorDim == tiledDim {
-					trimDim[ls.name] = d
+					trimDim[i] = d
 					break
 				}
 			}
@@ -92,41 +87,40 @@ func (e *Executor) runSplit(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 
 	w := rc.w
 	rc.bind(w)
-	for _, ls := range ge.members {
-		w.ctx.bufs[ls.slot] = full[ls.name]
+	for i, ls := range ge.members {
+		w.ctx.bufs[ls.slot] = full[i]
 	}
 
 	numTiles := tp.NumTiles()
 	// Phase 1: per tile, per member (topo order), the largest sub-interval
 	// whose in-group reads stay inside the same tile's phase-1 regions.
-	phase1 := make(map[string][]affine.Range, len(ge.members))
+	// cur[i] is member i's phase-1 interval in this tile, when cut[i].
+	phase1 := make([][]affine.Range, len(ge.members))
+	cur := make([]affine.Range, len(ge.members))
+	cut := make([]bool, len(ge.members))
+	own := tp.MemberBoxes()
 	idx := make([]int64, len(tp.TileCounts))
-	var req map[string]affine.Box
 	for t := int64(0); t < numTiles; t++ {
 		tp.TileIndex(t, idx)
-		req, err = tp.Required(idx, req)
-		if err != nil {
-			return err
-		}
-		cur := make(map[string]affine.Range, len(ge.members))
-		for _, ls := range ge.members {
-			td := trimDim[ls.name]
+		clear(cut)
+		for i, ls := range ge.members {
+			td := trimDim[i]
 			if td < 0 {
 				// Unaligned members: compute fully with the first tile.
-				if t == 0 && total[ls.name] != nil && !total[ls.name].Empty() {
-					p.computeStageObs(w, ls, total[ls.name], full[ls.name], 0, 0)
+				if t == 0 && !total[i].Empty() {
+					p.computeStageObs(w, ls, total[i], full[i], 0, 0)
 				}
 				continue
 			}
-			if total[ls.name] == nil || total[ls.name].Empty() {
+			if total[i].Empty() {
 				continue
 			}
 			// Start from the tile's owned interval along the trim dim.
-			own := tp.OwnedBox(ls.name, idx)
-			r := own[td]
+			tp.OwnedInto(own[i], i, idx)
+			r := own[i][td]
 			// Shrink by inverting every in-group access against the
 			// producer's phase-1 interval for this tile.
-			for _, ma := range tp.InGroupAccesses(ls.name) {
+			for _, ma := range tp.InGroupAccesses(i) {
 				if !ma.OK {
 					r = affine.Range{Lo: 0, Hi: -1} // cannot split: no phase-1 region
 					break
@@ -138,7 +132,7 @@ func (e *Executor) runSplit(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 					// interval; otherwise it is unconstrained.
 					if ma.ProducerDim == ptd && ptd >= 0 {
 						v := ma.Acc.At(nil, p.Params)
-						if pr, ok := cur[ma.Target]; !ok || !pr.Contains(v) {
+						if !cut[ma.Target] || !cur[ma.Target].Contains(v) {
 							r = affine.Range{Lo: 0, Hi: -1}
 							break
 						}
@@ -155,12 +149,11 @@ func (e *Executor) runSplit(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 					}
 					continue
 				}
-				prodR, ok := cur[ma.Target]
-				if !ok {
+				if !cut[ma.Target] {
 					r = affine.Range{Lo: 0, Hi: -1}
 					break
 				}
-				inv, bounded, err := ma.Acc.InverseRange(prodR, p.Params)
+				inv, bounded, err := ma.Acc.InverseRange(cur[ma.Target], p.Params)
 				if err != nil {
 					return err
 				}
@@ -170,31 +163,31 @@ func (e *Executor) runSplit(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 				}
 				r = r.Intersect(inv)
 			}
-			r = r.Intersect(total[ls.name][td])
-			cur[ls.name] = r
+			r = r.Intersect(total[i][td])
+			cur[i], cut[i] = r, true
 			if r.Empty() {
 				continue
 			}
-			region := total[ls.name].Clone()
+			region := total[i].Clone()
 			region[td] = r
 			atomic.AddInt64(&p.SplitStats.Phase1, region.Size())
-			p.computeStageObs(w, ls, region, full[ls.name], 0, 0)
-			phase1[ls.name] = append(phase1[ls.name], r)
+			p.computeStageObs(w, ls, region, full[i], 0, 0)
+			phase1[i] = append(phase1[i], r)
 		}
 	}
 
 	// Phase 2: fill the gaps between phase-1 intervals (members in topo
 	// order so producers' gaps are complete before consumers read them).
-	for _, ls := range ge.members {
-		td := trimDim[ls.name]
-		if td < 0 || total[ls.name] == nil || total[ls.name].Empty() {
+	for i, ls := range ge.members {
+		td := trimDim[i]
+		if td < 0 || total[i].Empty() {
 			continue
 		}
-		for _, gap := range intervalGaps(total[ls.name][td], phase1[ls.name]) {
-			region := total[ls.name].Clone()
+		for _, gap := range intervalGaps(total[i][td], phase1[i]) {
+			region := total[i].Clone()
 			region[td] = gap
 			atomic.AddInt64(&p.SplitStats.Phase2, region.Size())
-			p.computeStageObs(w, ls, region, full[ls.name], 0, 0)
+			p.computeStageObs(w, ls, region, full[i], 0, 0)
 		}
 	}
 	return nil

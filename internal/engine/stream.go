@@ -2,8 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/affine"
 	"repro/internal/obs"
@@ -199,8 +199,8 @@ func (s *Stream) RunFrame(inputs map[string]*Buffer, roi affine.Box) (map[string
 			s.lastDirty[name] = ld
 		}
 		s.prevFull = false
-		s.stats.TilesExecuted += fc.executed.Load()
-		s.stats.TilesSkipped += fc.skipped.Load()
+		s.stats.TilesExecuted += fc.executed
+		s.stats.TilesSkipped += fc.skipped
 	} else {
 		s.prevFull = true
 	}
@@ -337,20 +337,20 @@ func (e *Executor) RunFrames(frames []Frame, opts StreamOptions, each func(frame
 // frameCtx carries one streamed frame's dirty-rectangle state through the
 // run: the previous frame's retained buffers, the dirty box per buffer
 // name (input images and upstream live-outs), the per-tile decisions of
-// the group in flight, and the frame's skip/execute accounting. The dirty
-// map is read and written only on the run goroutine (between groups and in
-// the per-group prepass); workers see the immutable tileDirty slice and
-// the atomic counters.
+// the group in flight, and the frame's skip/execute accounting. All of it
+// is written only on the run goroutine (between groups and in the
+// per-group prepass); workers read prev and the tileDirty table, both fixed
+// while the group's tiles run.
 type frameCtx struct {
 	// full marks a whole-frame recompute (first frame, nil ROI, or a
 	// non-overlapped tiling strategy): groups run their normal paths.
 	full      bool
 	prev      map[string]*Buffer
 	dirty     map[string]affine.Box
-	ext       map[string]affine.Box // ExternalReads scratch
+	ext       [][]affine.Box // per group: TilePlan.ExternalInto scratch
 	tileDirty []bool
-	executed  atomic.Int64
-	skipped   atomic.Int64
+	executed  int64
+	skipped   int64
 }
 
 func (fc *frameCtx) reset(prev map[string]*Buffer, full bool) {
@@ -360,8 +360,7 @@ func (fc *frameCtx) reset(prev map[string]*Buffer, full bool) {
 		fc.dirty = make(map[string]affine.Box)
 	}
 	clear(fc.dirty)
-	fc.executed.Store(0)
-	fc.skipped.Store(0)
+	fc.executed, fc.skipped = 0, 0
 }
 
 // markDirty unions box into name's dirty region (run goroutine only).
@@ -374,6 +373,16 @@ func (fc *frameCtx) markDirty(name string, box affine.Box) {
 	for i := range d {
 		d[i] = d[i].Union(box[i])
 	}
+}
+
+// retained reports whether the previous frame kept every live-out of ge.
+func (fc *frameCtx) retained(ge *groupExec) bool {
+	for i, ls := range ge.members {
+		if ge.liveOut[i] && fc.prev[ls.name] == nil {
+			return false
+		}
+	}
+	return true
 }
 
 func (fc *frameCtx) isDirty(name string) bool {
@@ -402,75 +411,41 @@ func growBox(b affine.Box, n int) affine.Box {
 	return b[:n]
 }
 
-// runGroupDirty executes one group of a dirty-rectangle frame. Plain
-// (tiled or tileable) groups go tile-by-tile through runTiledDirty;
-// self-referencing stages, accumulators and groups under non-overlapped
-// tiling strategies are all-or-nothing — recomputed whole when anything
-// upstream changed, copied whole from the previous frame otherwise (their
-// internal dependences cross any tile cut).
-func (e *Executor) runGroupDirty(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
+// copyWhole decides a dirty-rectangle frame for a group that runs on a
+// runner of its own: when nothing the group reads outside itself changed
+// and the previous frame retained its live-outs, it copies them whole and
+// reports true; otherwise it marks them dirty whole, and the caller
+// recomputes the group.
+func (e *Executor) copyWhole(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) bool {
 	fc := rc.fc
-	tileable := ge.roiPlan != nil
-	if len(ge.members) > 1 && e.p.Opts.Tiling != OverlappedTiling {
-		// Parallelogram/split tiles are not independent; the ROI decision
-		// is per group, not per tile.
-		tileable = false
-	}
-	if tileable {
-		return e.runTiledDirty(rc, ge, outputs)
-	}
-	dirty := e.groupUpstreamDirty(ge, fc)
-	if !dirty {
-		// Verify the previous frame retained every live-out we would copy;
-		// a missing buffer forces recompute.
-		for i, ls := range ge.members {
-			if ge.liveOut[i] && fc.prev[ls.name] == nil {
-				dirty = true
-				break
-			}
-		}
-	}
-	if dirty {
+	if e.groupUpstreamDirty(ge, fc) || !fc.retained(ge) {
 		for i, ls := range ge.members {
 			if ge.liveOut[i] {
 				fc.markDirty(ls.name, ls.dom)
 			}
 		}
-		fc.executed.Add(1)
-		return e.runGroupAll(rc, ge, outputs)
+		fc.executed++
+		return false
 	}
 	for i, ls := range ge.members {
-		if !ge.liveOut[i] {
-			continue
+		if ge.liveOut[i] {
+			outputs[ls.name].CopyRegion(fc.prev[ls.name], ls.dom)
 		}
-		out := outputs[ls.name]
-		if out == nil {
-			return fmt.Errorf("engine: no output buffer for %s", ls.name)
-		}
-		out.CopyRegion(fc.prev[ls.name], ls.dom)
 	}
-	fc.skipped.Add(1)
+	fc.skipped++
 	if rc.w.shard != nil {
 		rc.w.shard.TileSkipped(ge.id)
 	}
-	return nil
+	return true
 }
 
 // groupUpstreamDirty reports whether any out-of-group producer or input
 // image a member reads changed this frame.
 func (e *Executor) groupUpstreamDirty(ge *groupExec, fc *frameCtx) bool {
-	inGroup := func(name string) bool {
-		for _, m := range ge.grp.Members {
-			if m == name {
-				return true
-			}
-		}
-		return false
-	}
 	for _, ls := range ge.members {
 		st := e.p.Graph.Stages[ls.name]
 		for _, pr := range st.Producers {
-			if !inGroup(pr) && fc.isDirty(pr) {
+			if !slices.Contains(ge.grp.Members, pr) && fc.isDirty(pr) {
 				return true
 			}
 		}
@@ -483,116 +458,67 @@ func (e *Executor) groupUpstreamDirty(ge *groupExec, fc *frameCtx) bool {
 	return false
 }
 
-// runTiledDirty is runTiled with a per-tile dirty decision: a sequential
-// prepass derives each tile's external read regions (TilePlan.Required +
-// ExternalReads) and intersects them with the upstream dirty set; the
-// parallel drain then recomputes dirty tiles exactly as runTiled does and
-// copies clean tiles' owned live-out boxes from the previous frame. Dirty
-// tiles' owned boxes fold into the group's own dirty-out, which downstream
-// groups consult — copied tiles are bitwise identical to the previous
-// frame, so the propagation is exact, not just sound.
-func (e *Executor) runTiledDirty(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
-	fc := rc.fc
-	tp := ge.roiPlan
+// dirtyTiles is a dirty-rectangle frame's prepass over ge's tile plan, run
+// on the run goroutine before the tile loop: a tile is dirty when a region
+// it reads outside the group (RequiredInto, then ExternalInto) meets the
+// frame's dirty set, or when the previous frame retained no copy of a
+// live-out. Dirty tiles' owned boxes fold into the group's own dirty-out,
+// which downstream groups consult — a clean tile's copied values are
+// bitwise identical to the previous frame's, so the propagation is exact,
+// not just sound. The returned table is the frame's, reused group to group.
+func (e *Executor) dirtyTiles(rc *runCtx, ge *groupExec) ([]bool, error) {
+	fc, tp, w := rc.fc, ge.tp, rc.w
 	numTiles := tp.NumTiles()
 	if cap(fc.tileDirty) < int(numTiles) {
 		fc.tileDirty = make([]bool, numTiles)
 	}
-	dirtyTiles := fc.tileDirty[:numTiles]
-	// The ext map is keyed by the current group's external producers;
-	// entries from the previous group must not leak into this one's
-	// intersection test.
-	clear(fc.ext)
-
-	w0 := rc.w
-	w0.tileIdx = growI64(w0.tileIdx, len(tp.TileCounts))
-	idx := w0.tileIdx
-	var err error
-	prevOK := true
-	for _, m := range tp.LiveOuts {
-		if fc.prev[m] == nil {
-			prevOK = false
-			break
-		}
+	dirty := fc.tileDirty[:numTiles]
+	prevOK := fc.retained(ge)
+	if fc.ext == nil {
+		fc.ext = make([][]affine.Box, len(e.p.groups))
 	}
-	for t := int64(0); t < numTiles; t++ {
-		tp.TileIndex(t, idx)
-		dirty := !prevOK
+	ext := fc.ext[ge.id]
+	if ext == nil {
+		ext = tp.ExtBoxes()
+		fc.ext[ge.id] = ext
+	}
+	req := w.reqBoxes(ge)
+	w.tileIdx = growI64(w.tileIdx, len(tp.TileCounts))
+	idx := w.tileIdx
+	for t := range dirty {
+		tp.TileIndex(int64(t), idx)
+		d := !prevOK
 		if prevOK {
-			w0.req, err = tp.Required(idx, w0.req)
-			if err != nil {
-				return err
+			if err := tp.RequiredInto(idx, req); err != nil {
+				return nil, err
 			}
-			fc.ext, err = tp.ExternalReads(w0.req, fc.ext)
-			if err != nil {
-				return err
+			if err := tp.ExternalInto(req, ext); err != nil {
+				return nil, err
 			}
-			for target, b := range fc.ext {
-				if b.Empty() {
-					continue
-				}
-				if db := fc.dirty[target]; db != nil && boxesIntersect(b, db) {
-					dirty = true
+			for k, b := range ext {
+				if db := fc.dirty[tp.ExtName(k)]; db != nil && boxesIntersect(b, db) {
+					d = true
 					break
 				}
 			}
 		}
-		dirtyTiles[t] = dirty
-		if dirty {
-			for _, m := range tp.LiveOuts {
-				own := growBox(w0.ownBox, len(tp.MemberDomain(m)))
-				w0.ownBox = own
-				tp.OwnedBoxInto(own, m, idx)
-				if !own.Empty() {
-					fc.markDirty(m, own)
-				}
+		dirty[t] = d
+		if !d {
+			fc.skipped++
+			if w.shard != nil {
+				w.shard.TileSkipped(ge.id)
 			}
+			continue
 		}
-	}
-
-	threads := e.threads
-	if int64(threads) > numTiles {
-		threads = int(numTiles)
-	}
-	var next atomic.Int64
-	return e.parallel(rc, threads, func(w *worker, fe *firstErr) {
-		rc.bind(w)
-		w.tileIdx = growI64(w.tileIdx, len(tp.TileCounts))
-		idx := w.tileIdx
-		for {
-			t := next.Add(1) - 1
-			if t >= numTiles || fe.isSet() {
-				return
-			}
-			tp.TileIndex(t, idx)
-			if !dirtyTiles[t] {
-				// Clean tile: its live-out values are bitwise those of the
-				// previous frame; copy the owned boxes.
-				for _, m := range tp.LiveOuts {
-					dst := outputs[m]
-					src := fc.prev[m]
-					if dst == nil || src == nil {
-						fe.set(fmt.Errorf("engine: missing buffer for %s in dirty-rectangle copy", m))
-						return
-					}
-					own := growBox(w.ownBox, len(dst.Box))
-					w.ownBox = own
-					tp.OwnedBoxInto(own, m, idx)
-					if !own.Empty() {
-						dst.CopyRegion(src, own)
-					}
-				}
-				fc.skipped.Add(1)
-				if w.shard != nil {
-					w.shard.TileSkipped(ge.id)
-				}
+		fc.executed++
+		for i, ls := range ge.members {
+			if !ge.liveOut[i] {
 				continue
 			}
-			fc.executed.Add(1)
-			if err := e.runTile(w, ge, tp, idx, outputs); err != nil {
-				fe.set(err)
-				return
+			if own := w.owned(ge, i, idx); !own.Empty() {
+				fc.markDirty(ls.name, own)
 			}
 		}
-	})
+	}
+	return dirty, nil
 }

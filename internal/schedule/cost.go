@@ -45,7 +45,7 @@ func trafficFactor(pts float64) float64 {
 // This file is the analytical cost model behind Options.Auto: it prices a
 // candidate group (a set of fused stages with tile sizes) in domain points,
 // from the same tile-dependence machinery the engine executes — TilePlan's
-// Required/OwnedBox give the halo recompute and the external read regions,
+// RequiredInto/OwnedInto give the halo recompute and the external read regions,
 // so on small tile counts the model's numbers are not estimates but the
 // exact quantities the executor will later measure (obs.StageStats
 // RecomputedPoints, GroupStats.Tiles). The weighted sum of the terms is
@@ -230,12 +230,12 @@ func (tp *TilePlan) sumTiles(exact bool) (tileSums, error) {
 		n, scale = 1, float64(n)
 		idx = tp.interiorTile()
 	}
-	req, owned, ext := tp.memberBoxes(), tp.memberBoxes(), tp.extBoxes()
+	req, owned, ext := tp.MemberBoxes(), tp.MemberBoxes(), tp.ExtBoxes()
 	for flat := int64(0); flat < n; flat++ {
 		if exact {
 			tp.TileIndex(flat, idx)
 		}
-		if err := tp.requiredInto(idx, req); err != nil {
+		if err := tp.RequiredInto(idx, req); err != nil {
 			return tileSums{}, err
 		}
 		work := 0.0
@@ -255,7 +255,7 @@ func (tp *TilePlan) sumTiles(exact bool) (tileSums, error) {
 			// the same quantity the executor's metrics path measures into
 			// StageStats.RecomputedPoints.
 			ob := owned[i]
-			tp.ownedInto(ob, i, idx)
+			tp.OwnedInto(ob, i, idx)
 			in := int64(1)
 			for d := range b {
 				in *= ob[d].Intersect(b[d]).Size()
@@ -263,7 +263,7 @@ func (tp *TilePlan) sumTiles(exact bool) (tileSums, error) {
 			sums.recompute += (size - float64(in)) * scale
 			work += size
 		}
-		if err := tp.externalInto(req, ext); err != nil {
+		if err := tp.ExternalInto(req, ext); err != nil {
 			return tileSums{}, err
 		}
 		for e, b := range ext {
@@ -331,19 +331,19 @@ func (tp *TilePlan) perDimSums() (sums tileSums, ok bool) {
 	}
 
 	nM, nE := len(tp.members), len(tp.ext)
-	req, owned, ext := tp.memberBoxes(), tp.memberBoxes(), tp.extBoxes()
+	req, owned, ext := tp.MemberBoxes(), tp.MemberBoxes(), tp.ExtBoxes()
 	idx := make([]int64, len(tp.TileCounts))
 	probe := func() bool {
-		if tp.requiredInto(idx, req) != nil {
+		if tp.RequiredInto(idx, req) != nil {
 			return false
 		}
 		for i, b := range req {
 			if b.Empty() {
 				return false
 			}
-			tp.ownedInto(owned[i], i, idx)
+			tp.OwnedInto(owned[i], i, idx)
 		}
-		return tp.externalInto(req, ext) == nil
+		return tp.ExternalInto(req, ext) == nil
 	}
 	// factors lays out, for the probed tile, the product over the region
 	// dimensions on one axis (−1: the tile-independent dimensions) of each
@@ -480,7 +480,7 @@ func (tp *TilePlan) tileAxes() (mem, ext [][]int, ok bool) {
 	for a := range tp.TileCounts {
 		all |= tiled(a)
 	}
-	// Every member's owned box follows its scales (ownedInto): it seeds the
+	// Every member's owned box follows its scales (OwnedInto): it seeds the
 	// live-outs' regions, and the recompute term intersects it with the
 	// region of every member, so a region dimension must vary with the same
 	// anchor dimension its owned box does.

@@ -271,8 +271,8 @@ func TestTileShapeMatchesPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := tp.Required([]int64{tp.TileCounts[0] / 2}, nil)
-	if err != nil {
+	req := tp.MemberBoxes()
+	if err := tp.RequiredInto([]int64{tp.TileCounts[0] / 2}, req); err != nil {
 		t.Fatal(err)
 	}
 	shape, err := ComputeTileShape(g, grp)
@@ -280,8 +280,8 @@ func TestTileShapeMatchesPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	widest := int64(0)
-	for _, m := range grp.Members {
-		if w := req[m][0].Size(); w > widest {
+	for i := range grp.Members {
+		if w := req[i][0].Size(); w > widest {
 			widest = w
 		}
 	}

@@ -178,8 +178,8 @@ func evaluateMerge(gi *graphInfo, parent, child *Group, opts Options) (members [
 // compared against the tile size (Section 3.5: "the size of the overlapping
 // region as a fraction of the tile size").
 func estimateOverlap(tp *TilePlan, opts Options) ([]float64, error) {
-	req := tp.memberBoxes()
-	if err := tp.requiredInto(tp.interiorTile(), req); err != nil {
+	req := tp.MemberBoxes()
+	if err := tp.RequiredInto(tp.interiorTile(), req); err != nil {
 		return nil, err
 	}
 	ratios := make([]float64, len(tp.AnchorBox))

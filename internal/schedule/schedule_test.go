@@ -308,22 +308,22 @@ func checkTilePlanInvariants(t *testing.T, tp *TilePlan, params map[string]int64
 	t.Helper()
 	// Per live-out, per dimension: owned intervals must tile the domain.
 	type cover struct{ lo, hi int64 }
-	covers := make(map[string][][]cover) // member -> dim -> intervals
+	covers := make(map[int][][]cover) // live-out position -> dim -> intervals
 	idx := make([]int64, len(tp.TileCounts))
+	req, owned := tp.MemberBoxes(), tp.MemberBoxes()
 	n := tp.NumTiles()
 	for flat := int64(0); flat < n; flat++ {
 		tp.TileIndex(flat, idx)
-		req, err := tp.Required(idx, nil)
-		if err != nil {
+		if err := tp.RequiredInto(idx, req); err != nil {
 			t.Fatal(err)
 		}
 		// Soundness of propagation for in-group reads.
-		for _, cname := range tp.Group.Members {
-			crq := req[cname]
-			if crq == nil || crq.Empty() {
+		for ci, cname := range tp.Group.Members {
+			crq := req[ci]
+			if crq.Empty() {
 				continue
 			}
-			for _, aa := range tp.InGroupAccesses(cname) {
+			for _, aa := range tp.InGroupAccesses(ci) {
 				var vr affine.Range
 				if aa.Acc.Var >= 0 {
 					vr = crq[aa.Acc.Var]
@@ -332,37 +332,40 @@ func checkTilePlanInvariants(t *testing.T, tp *TilePlan, params map[string]int64
 				if err != nil {
 					t.Fatal(err)
 				}
-				need := aa.Acc.RangeAt(off, vr).Intersect(tp.MemberDomain(aa.Target)[aa.ProducerDim])
+				need := aa.Acc.RangeAt(off, vr).Intersect(tp.members[aa.Target].dom[aa.ProducerDim])
 				have := req[aa.Target][aa.ProducerDim]
 				if !rangeCovers(have, need) {
 					t.Fatalf("tile %v: %s needs %s of %s dim %d but tile computes %s",
-						idx, cname, need, aa.Target, aa.ProducerDim, have)
+						idx, cname, need, tp.Group.Members[aa.Target], aa.ProducerDim, have)
 				}
 			}
 		}
 		// Ownership bookkeeping.
-		for _, lo := range tp.LiveOuts {
-			owned := tp.OwnedBox(lo, idx)
-			if owned.Empty() {
+		for i, m := range tp.Group.Members {
+			if !tp.members[i].live {
 				continue
 			}
-			req2 := req[lo]
-			for d := range owned {
-				if !rangeCovers(req2[d], owned[d]) {
-					t.Fatalf("tile %v: owned box %v of %s not computed (%v)", idx, owned, lo, req2)
+			own := owned[i]
+			tp.OwnedInto(own, i, idx)
+			if own.Empty() {
+				continue
+			}
+			for d := range own {
+				if !rangeCovers(req[i][d], own[d]) {
+					t.Fatalf("tile %v: owned box %v of %s not computed (%v)", idx, own, m, req[i])
 				}
 			}
-			if covers[lo] == nil {
-				covers[lo] = make([][]cover, len(owned))
+			if covers[i] == nil {
+				covers[i] = make([][]cover, len(own))
 			}
-			for d, r := range owned {
-				covers[lo][d] = append(covers[lo][d], cover{r.Lo, r.Hi})
+			for d, r := range own {
+				covers[i][d] = append(covers[i][d], cover{r.Lo, r.Hi})
 			}
 		}
 	}
 	// Per dim: dedup and check the intervals tile the domain contiguously.
-	for lo, dims := range covers {
-		dom := tp.MemberDomain(lo)
+	for i, dims := range covers {
+		lo, dom := tp.Group.Members[i], tp.members[i].dom
 		for d, ivs := range dims {
 			uniq := map[cover]bool{}
 			for _, iv := range ivs {
@@ -428,9 +431,44 @@ func TestEffectiveTileSizes(t *testing.T) {
 	}
 }
 
+// TestBandPlan: a lone stage's band plan cuts the outermost dimension with
+// extent > 1 into min(bands, extent) balanced bands, band t owning
+// [Lo + t·n/k, Lo + (t+1)·n/k − 1], ignores the group's tile sizes, and is
+// one region at bands ≤ 1.
+func TestBandPlan(t *testing.T) {
+	g := harrisGraph(t)
+	est := map[string]int64{"R": 150, "C": 200}
+	gr, err := BuildGroups(g, est, Options{DisableFusion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grp := *gr.ByName["Ix"]
+	grp.Tiled, grp.TileSizes = true, []int64{32, 64} // ignored
+	for _, bands := range []int64{0, 1, 3, 8, 1000} {
+		tp, err := NewBandPlan(g, &grp, est, bands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, lo := tp.AnchorBox[0].Size(), tp.AnchorBox[0].Lo
+		k := max(1, min(bands, n))
+		if tp.NumTiles() != k || tp.TileCounts[1] != 1 || tp.TileSizes[0] != 0 || tp.TileSizes[1] != 0 {
+			t.Fatalf("bands=%d: counts %v sizes %v, want %d×1 untiled", bands, tp.TileCounts, tp.TileSizes, k)
+		}
+		own := tp.MemberBoxes()[0]
+		for b := int64(0); b < k; b++ {
+			tp.OwnedInto(own, 0, []int64{b, 0})
+			want := affine.Range{Lo: lo + b*n/k, Hi: lo + (b+1)*n/k - 1}
+			if own[0] != want || own[1] != tp.AnchorBox[1] {
+				t.Fatalf("bands=%d: band %d owns %v, want %v × %v", bands, b, own, want, tp.AnchorBox[1])
+			}
+		}
+		checkTilePlanInvariants(t, tp, est)
+	}
+}
+
 // TestRequiredSteadyStateAllocs pins the contract the engine's tile loop
-// relies on: with their maps reused, Required and ExternalReads allocate
-// nothing.
+// relies on: with their boxes reused, RequiredInto, ExternalInto and
+// OwnedInto allocate nothing.
 func TestRequiredSteadyStateAllocs(t *testing.T) {
 	g := harrisGraph(t)
 	est := map[string]int64{"R": 150, "C": 200}
@@ -443,26 +481,22 @@ func TestRequiredSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := []int64{1, 1}
-	req, err := tp.Required(idx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := tp.ExternalReads(req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req, owned, ext := tp.MemberBoxes(), tp.MemberBoxes(), tp.ExtBoxes()
 	if len(ext) == 0 {
 		t.Fatal("harris group reads no external producer")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := tp.Required(idx, req); err != nil {
+		if err := tp.RequiredInto(idx, req); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tp.ExternalReads(req, ext); err != nil {
+		if err := tp.ExternalInto(req, ext); err != nil {
 			t.Fatal(err)
+		}
+		for i := range owned {
+			tp.OwnedInto(owned[i], i, idx)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Required+ExternalReads allocate %.0f times per tile", allocs)
+		t.Errorf("steady-state RequiredInto+ExternalInto+OwnedInto allocate %.0f times per tile", allocs)
 	}
 }

@@ -13,13 +13,19 @@ import (
 // live-out values are obtained by backward interval propagation through the
 // in-group accesses (the tight tile shape construction of Section 3.4 /
 // Figure 6).
+//
+// The per-tile walks (RequiredInto, ExternalInto, OwnedInto) address members
+// by their position in Group.Members and out-of-group producers by their
+// position in the plan's external list (ExtName), so a caller that keeps one
+// box per position walks every tile without a lookup or an allocation.
 type TilePlan struct {
 	Group     *Group
 	Graph     *pipeline.Graph
 	Params    map[string]int64
 	AnchorBox affine.Box
 	// TileSizes per anchor dim; 0 means the dimension is untiled (one tile
-	// spans the whole extent).
+	// spans the whole extent) unless NewBandPlan cut it into TileCounts
+	// bands.
 	TileSizes []int64
 	// TileCounts per anchor dim.
 	TileCounts []int64
@@ -28,11 +34,8 @@ type TilePlan struct {
 	// anchor.
 	LiveOuts []string
 
-	// members parallels Group.Members; index maps a member's name to its
-	// position. The per-tile walks below (requiredInto, externalInto,
-	// ownedInto) address members and producers by position only.
+	// members parallels Group.Members.
 	members []planMember
-	index   map[string]int
 	// ext lists every out-of-group producer any member reads (earlier
 	// stages and input images) in first-read order, with its concrete
 	// domain, so dirty-rectangle runs can derive each tile's external read
@@ -70,6 +73,29 @@ func NewTilePlan(g *pipeline.Graph, grp *Group, params map[string]int64) (*TileP
 	return newTilePlan(newGraphInfo(g, params), grp)
 }
 
+// NewBandPlan is the plan of a one-stage group run as the paper's parallel
+// loop over its outer dimension: the outermost dimension with extent n > 1
+// is cut into k = min(bands, n) balanced bands, band t owning
+// [Lo + t·n/k, Lo + (t+1)·n/k − 1]. Any tile sizes the group carries are
+// ignored; bands ≤ 1 gives one region, the whole domain.
+func NewBandPlan(g *pipeline.Graph, grp *Group, params map[string]int64, bands int64) (*TilePlan, error) {
+	tp, err := NewTilePlan(g, grp, params)
+	if err != nil {
+		return nil, err
+	}
+	clear(tp.TileSizes)
+	for d := range tp.TileCounts {
+		tp.TileCounts[d] = 1
+	}
+	for d, r := range tp.AnchorBox {
+		if n := r.Size(); n > 1 {
+			tp.TileCounts[d] = max(1, min(bands, n))
+			break
+		}
+	}
+	return tp, nil
+}
+
 // newTilePlan is NewTilePlan over shared graph tables.
 func newTilePlan(gi *graphInfo, grp *Group) (*TilePlan, error) {
 	g := gi.g
@@ -86,7 +112,6 @@ func newTilePlan(gi *graphInfo, grp *Group) (*TilePlan, error) {
 		TileSizes:  make([]int64, len(anchorBox)),
 		TileCounts: make([]int64, len(anchorBox)),
 		members:    make([]planMember, len(grp.Members)),
-		index:      make(map[string]int, len(grp.Members)),
 	}
 	if grp.Tiled {
 		copy(tp.TileSizes, grp.TileSizes)
@@ -100,8 +125,9 @@ func newTilePlan(gi *graphInfo, grp *Group) (*TilePlan, error) {
 			tp.TileCounts[d] = affine.CeilDiv(r.Size(), ts)
 		}
 	}
+	pos := make(map[string]int, len(grp.Members))
 	for i, m := range grp.Members {
-		tp.index[m] = i
+		pos[m] = i
 	}
 	extIndex := make(map[string]int)
 	for i, m := range grp.Members {
@@ -116,7 +142,7 @@ func newTilePlan(gi *graphInfo, grp *Group) (*TilePlan, error) {
 		pm.anchor = m == grp.Anchor
 		pm.live = st.LiveOut || pm.anchor
 		for _, c := range st.Consumers {
-			if _, in := tp.index[c]; !in {
+			if _, in := pos[c]; !in {
 				pm.live = true
 			}
 		}
@@ -125,7 +151,7 @@ func newTilePlan(gi *graphInfo, grp *Group) (*TilePlan, error) {
 		}
 		for _, aa := range gi.accesses(m) {
 			pa := planAccess{argAccess: aa}
-			if t, in := tp.index[aa.Target]; in {
+			if t, in := pos[aa.Target]; in {
 				if t != i {
 					pa.target = t
 					pm.in = append(pm.in, pa)
@@ -182,72 +208,51 @@ func (tp *TilePlan) TileIndex(flat int64, idx []int64) []int64 {
 	return idx
 }
 
-// MemberDomain returns a member's concrete domain (nil for a non-member).
-func (tp *TilePlan) MemberDomain(m string) affine.Box {
-	if i, ok := tp.index[m]; ok {
-		return tp.members[i].dom
-	}
-	return nil
-}
+// ExtName returns the name of the out-of-group producer at position e of
+// the boxes ExternalInto fills.
+func (tp *TilePlan) ExtName(e int) string { return tp.ext[e].name }
 
 // MemberAccess is one in-group access of a member (consumer side view).
 type MemberAccess struct {
-	Target      string // producer stage (an in-group member)
+	Target      int // producer's position in Group.Members
 	ProducerDim int
 	Acc         affine.Access
 	OK          bool // quasi-affine form available
 }
 
-// InGroupAccesses lists a member's accesses to other group members in
-// expression order (used by alternative tiling strategies such as split
-// tiling).
-func (tp *TilePlan) InGroupAccesses(m string) []MemberAccess {
-	i, ok := tp.index[m]
-	if !ok {
-		return nil
-	}
+// InGroupAccesses lists the accesses of the member at position i to other
+// group members in expression order (used by alternative tiling strategies
+// such as split tiling).
+func (tp *TilePlan) InGroupAccesses(i int) []MemberAccess {
 	var out []MemberAccess
 	for _, a := range tp.members[i].in {
-		out = append(out, MemberAccess{Target: tp.Group.Members[a.target], ProducerDim: a.ProducerDim, Acc: a.Acc, OK: a.OK})
+		out = append(out, MemberAccess{Target: a.target, ProducerDim: a.ProducerDim, Acc: a.Acc, OK: a.OK})
 	}
 	return out
 }
 
-// OwnedBox returns the sub-box of live-out member m that the tile at idx is
-// responsible for writing. Tiles own disjoint boxes whose union covers the
-// member's domain exactly, so parallel tiles never write the same live-out
-// element twice (overlap regions are recomputed into scratchpads only).
-func (tp *TilePlan) OwnedBox(m string, idx []int64) affine.Box {
-	out := make(affine.Box, len(tp.MemberDomain(m)))
-	tp.OwnedBoxInto(out, m, idx)
-	return out
-}
-
-// OwnedBoxInto computes OwnedBox into dst (len(dst) must equal the member's
-// rank) without allocating — used by the engine's metrics path to measure
-// recomputation without perturbing the run it is measuring.
-func (tp *TilePlan) OwnedBoxInto(dst affine.Box, m string, idx []int64) {
-	if i, ok := tp.index[m]; ok {
-		tp.ownedInto(dst, i, idx)
-	}
-}
-
-// ownedInto computes the owned box of the member at position i into out
-// (len(out) must equal the member's rank) without allocating.
-func (tp *TilePlan) ownedInto(out affine.Box, i int, idx []int64) {
+// OwnedInto computes into out (len(out) must equal the member's rank) the
+// sub-box of the member at position i that the tile at idx is responsible
+// for writing, without allocating. Tiles own disjoint boxes whose union
+// covers the member's domain exactly, so parallel tiles never write the
+// same live-out element twice (overlap regions are recomputed into
+// scratchpads only).
+func (tp *TilePlan) OwnedInto(out affine.Box, i int, idx []int64) {
 	pm := &tp.members[i]
 	if pm.anchor {
 		for d, r := range tp.AnchorBox {
-			if tp.TileSizes[d] == 0 {
+			ts, k, t := tp.TileSizes[d], tp.TileCounts[d], idx[d]
+			switch {
+			case ts > 0:
+				lo := r.Lo + t*ts
+				out[d] = affine.Range{Lo: lo, Hi: min(lo+ts-1, r.Hi)}
+			case k > 1:
+				// A band of NewBandPlan.
+				n := r.Size()
+				out[d] = affine.Range{Lo: r.Lo + t*n/k, Hi: r.Lo + (t+1)*n/k - 1}
+			default:
 				out[d] = r
-				continue
 			}
-			lo := r.Lo + idx[d]*tp.TileSizes[d]
-			hi := lo + tp.TileSizes[d] - 1
-			if hi > r.Hi {
-				hi = r.Hi
-			}
-			out[d] = affine.Range{Lo: lo, Hi: hi}
 		}
 		return
 	}
@@ -273,49 +278,9 @@ func (tp *TilePlan) ownedInto(out affine.Box, i int, idx []int64) {
 	}
 }
 
-// boxStack is the stack space Required and ExternalReads lay a map's boxes
-// out in by position; groups with more members or producers spill to the
-// heap.
-const boxStack = 32
-
-// Required computes, for the tile at idx, the region of every member that
-// must be evaluated: the tile's owned live-out boxes plus everything the
-// in-group consumers transitively need (the overlapped tile of Figure 6).
-// Results are clipped to the member domains. The returned map is freshly
-// allocated unless dst is provided.
-//
-// Boxes in dst are reused in place across calls (steady-state Required
-// allocates nothing): a member not required by this tile holds an all-empty
-// box rather than nil, which callers treat identically.
-func (tp *TilePlan) Required(idx []int64, dst map[string]affine.Box) (map[string]affine.Box, error) {
-	req := dst
-	if req == nil {
-		req = make(map[string]affine.Box, len(tp.members))
-	}
-	var stack [boxStack]affine.Box
-	boxes := stack[:0]
-	for i, m := range tp.Group.Members {
-		boxes = append(boxes, mapBox(req, m, len(tp.members[i].dom)))
-	}
-	if err := tp.requiredInto(idx, boxes); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// mapBox returns m[name] if it has the given rank, else installs a fresh
-// box of that rank.
-func mapBox(m map[string]affine.Box, name string, rank int) affine.Box {
-	b := m[name]
-	if len(b) != rank {
-		b = make(affine.Box, rank)
-		m[name] = b
-	}
-	return b
-}
-
-// memberBoxes allocates one box per member, for requiredInto.
-func (tp *TilePlan) memberBoxes() []affine.Box {
+// MemberBoxes allocates one box per member, of the member's rank, for
+// RequiredInto and OwnedInto.
+func (tp *TilePlan) MemberBoxes() []affine.Box {
 	out := make([]affine.Box, len(tp.members))
 	for i := range out {
 		out[i] = make(affine.Box, len(tp.members[i].dom))
@@ -323,8 +288,8 @@ func (tp *TilePlan) memberBoxes() []affine.Box {
 	return out
 }
 
-// extBoxes allocates one box per external producer, for externalInto.
-func (tp *TilePlan) extBoxes() []affine.Box {
+// ExtBoxes allocates one box per external producer, for ExternalInto.
+func (tp *TilePlan) ExtBoxes() []affine.Box {
 	out := make([]affine.Box, len(tp.ext))
 	for i := range out {
 		out[i] = make(affine.Box, len(tp.ext[i].dom))
@@ -334,14 +299,18 @@ func (tp *TilePlan) extBoxes() []affine.Box {
 
 var emptyRange = affine.Range{Lo: 0, Hi: -1}
 
-// requiredInto is Required by position: req[i] (of member i's rank) receives
-// the region of Group.Members[i].
-func (tp *TilePlan) requiredInto(idx []int64, req []affine.Box) error {
+// RequiredInto computes, for the tile at idx, the region of every member
+// that must be evaluated: the tile's owned live-out boxes plus everything
+// the in-group consumers transitively need (the overlapped tile of
+// Figure 6), clipped to the member domains. req holds one box per member
+// (MemberBoxes), which receives Group.Members[i]'s region in place; a
+// member the tile does not need gets an all-empty box.
+func (tp *TilePlan) RequiredInto(idx []int64, req []affine.Box) error {
 	for i := range tp.members {
 		pm := &tp.members[i]
 		if pm.live {
 			// Seed with the owned live-out region.
-			tp.ownedInto(req[i], i, idx)
+			tp.OwnedInto(req[i], i, idx)
 			continue
 		}
 		b := req[i]
@@ -383,35 +352,15 @@ func (tp *TilePlan) requiredInto(idx []int64, req []affine.Box) error {
 	return nil
 }
 
-// ExternalReads computes, given a tile's member required regions req (as
-// returned by Required), the region of every out-of-group producer —
-// earlier groups' stages and input images — the tile reads. Like Required,
-// boxes in dst are reused in place across calls: a target the tile does not
-// read holds an all-empty box. A non-affine external access widens to the
-// producer's whole domain, a sound over-approximation — the dirty-rectangle
-// engine then recomputes the tile whenever that producer changed anywhere.
-func (tp *TilePlan) ExternalReads(req map[string]affine.Box, dst map[string]affine.Box) (map[string]affine.Box, error) {
-	out := dst
-	if out == nil {
-		out = make(map[string]affine.Box, len(tp.ext))
-	}
-	var rstack, estack [boxStack]affine.Box
-	reqBoxes, extBoxes := rstack[:0], estack[:0]
-	for _, m := range tp.Group.Members {
-		reqBoxes = append(reqBoxes, req[m])
-	}
-	for _, e := range tp.ext {
-		extBoxes = append(extBoxes, mapBox(out, e.name, len(e.dom)))
-	}
-	if err := tp.externalInto(reqBoxes, extBoxes); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// externalInto is ExternalReads by position: req is indexed like
-// Group.Members, out like tp.ext.
-func (tp *TilePlan) externalInto(req, out []affine.Box) error {
+// ExternalInto computes, given a tile's member required regions req (as
+// RequiredInto leaves them), the region of every out-of-group producer —
+// earlier groups' stages and input images — the tile reads, into out (one
+// box per producer, ExtBoxes; out[e] is ExtName(e)'s). A producer the tile
+// does not read gets an all-empty box. A non-affine external access widens
+// to the producer's whole domain, a sound over-approximation — the
+// dirty-rectangle engine then recomputes the tile whenever that producer
+// changed anywhere.
+func (tp *TilePlan) ExternalInto(req, out []affine.Box) error {
 	for _, b := range out {
 		for d := range b {
 			b[d] = emptyRange
