@@ -14,7 +14,8 @@ all: build test
 # `test` is tier 1 and includes the difftest seed corpus (TestSeedCorpus:
 # 200 random DAGs through the full schedule/execution knob sweep, which
 # covers the row bytecode VM and the concurrent fleet knob), the
-# generated-kernel drift check (gen), the no-FMA check (fma-check), the race-checked suites (rowvm-race,
+# generated-kernel drift check (gen), the kernels' bounds-check pins
+# (gen-bce), the no-FMA check (fma-check), the race-checked suites (rowvm-race,
 # fleet-race, stream-race, gen-race, narrow-race, auto-race), the
 # serving-layer smoke test (serve-smoke), `go vet` and gofmt here (vet),
 # the benchmark's own module vetted and run at test size (bench-vet,
@@ -24,7 +25,7 @@ all: build test
 build:
 	$(GO) build ./...
 
-test: vet bench-vet bench-smoke gen fma-check rowvm-race fleet-race stream-race gen-race narrow-race auto-race serve-smoke
+test: vet bench-vet bench-smoke gen gen-bce fma-check rowvm-race fleet-race stream-race gen-race narrow-race auto-race serve-smoke
 	$(GO) test ./...
 
 # Race-checked run of the row bytecode VM suite (differential vs scalar,
@@ -100,26 +101,30 @@ gen:
 # and the auto schedule), plus the generated leg of the hand-written tables
 # (kernels for data-dependent and cross-dimension indices, for the
 # int64-body forms, for phase loops, for values carried across iterations
-# and for accumulators, vs the VM and the scalar tier, and a NaN through
-# float32 min).
+# for accumulators and for strided reads run in lanes, vs the VM and the
+# scalar tier, and a NaN through float32 min).
 gen-race:
 	$(GO) test -race -run TestGen ./internal/engine/ ./internal/codegen/ ./internal/apps/gen/ -count=1
-	$(GO) test -race -run 'TestGenGatherTable|TestGenIntBodyTable|TestGenPhaseLoops|TestGenCarry|TestGenAccumTable|TestGenMinMaxNaN' ./internal/difftest/ -count=1
+	$(GO) test -race -run 'TestGenGatherTable|TestGenIntBodyTable|TestGenPhaseLoops|TestGenCarry|TestGenAccumTable|TestGenStride|TestGenMinMaxNaN' ./internal/difftest/ -count=1
 
 # Bounds checks the compiler could not eliminate in the checked-in kernels,
-# per kernel and in its inner loop, `for i := 0; i < n; i++` or a phase
-# loop's `for m := 0; m < cnt; m++` (the compiler's check_bce report joined
-# with the kernel each reported line belongs to). The int64 bodies of
+# per kernel and in its inner loops, `for i := 0; i < n; i++`, a phase
+# loop's `for m := 0; m < cnt; m++`, or a lane loop's `for ; i+4 <= n; i += 4`
+# and its remainder `for ; i < n; i++` (the compiler's check_bce report
+# joined with the kernel each reported line belongs to). The int64 bodies of
 # internal/apps/gen read 0 in the inner loop; float bodies read one per inner
 # loop, on the first row read (ROADMAP item 3 a), carried values or not; a
 # phase loop keeps one on its store o[D*m] (and one per read stepping by more
-# than 1); a kernel with per-element indexed loads (gathers, strided reads)
-# keeps one per such load by design, and an accumulator's one on its scatter
-# od[o]. The target fails when a body kind's inner-loop total rises above its
-# pin below (float64, float32, int64 bodies per package); lower a pin when a
-# change removes checks.
-BCE_PINS_APPS   = float64=46,float32=140,int64=0
-BCE_PINS_CORPUS = float64=48,float32=82,int64=16
+# than 1); a lane loop's strided reads index windows at constant offsets and
+# keep none (the window cuts are slice checks, printed beside, not pinned),
+# its remainder keeps one on orow[i]; a kernel with per-element indexed loads
+# (gathers, cross-dimension indices) keeps one per such load and lane by
+# design, and an accumulator's one on its scatter od[o]. The target fails
+# when a body kind's inner-loop total rises above its pin below (float64,
+# float32, int64 bodies per package); lower a pin when a change removes
+# checks. `make test` runs it.
+BCE_PINS_APPS   = float64=46,float32=33,int64=0
+BCE_PINS_CORPUS = float64=56,float32=78,int64=10
 gen-bce:
 	@for spec in internal/apps/gen:$(BCE_PINS_APPS) internal/difftest/gencorpus:$(BCE_PINS_CORPUS); do \
 		d=$${spec%%:*}; \
@@ -218,13 +223,14 @@ bench:
 # the persistent executor; then the micro benchmarks that time the generated
 # tier: BenchmarkGather (two data-dependent stages on the scalar, VM and
 # generated tiers), BenchmarkUpsample (four up-sampling and demosaic stages
-# whose kernels run as phase loops), BenchmarkBoxSum (harris's box sums,
-# whose kernels carry values across iterations) and BenchmarkAccumulate
-# (bilateral's grid accumulators), the last three on the generated and VM
-# tiers.
+# whose kernels run as phase loops), BenchmarkDownsample (four
+# down-sampling stages whose kernels read at stride 2 in four lanes),
+# BenchmarkBoxSum (harris's box sums, whose kernels carry values across
+# iterations) and BenchmarkAccumulate (bilateral's grid accumulators), the
+# last four on the generated and VM tiers.
 bench-kernels:
 	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRowEval|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/
-	$(GO) test -bench 'BenchmarkGather|BenchmarkUpsample|BenchmarkBoxSum|BenchmarkAccumulate' -benchmem -run '^$$' ./internal/apps/gen/
+	$(GO) test -bench 'BenchmarkGather|BenchmarkUpsample|BenchmarkDownsample|BenchmarkBoxSum|BenchmarkAccumulate' -benchmem -run '^$$' ./internal/apps/gen/
 
 # Run the pipeline-as-a-service HTTP server (POST /run, GET /healthz,
 # GET /metrics, GET /apps).

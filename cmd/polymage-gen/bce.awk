@@ -1,14 +1,17 @@
 # bce.awk joins the compiler's bounds-check report with the kernels of a
 # generated file (`make gen-bce`):
 #
-#	go build -gcflags=-d=ssa/check_bce/debug=1 ./PKG/ 2>&1 | awk -v pins=float64=42,float32=140,int64=0 -f bce.awk PKG/kernels_gen.go -
+#	go build -gcflags=-d=ssa/check_bce/debug=1 ./PKG/ 2>&1 | awk -v pins=float64=46,float32=33,int64=0 -f bce.awk PKG/kernels_gen.go -
 #
 # Pass 1, the generated source: which kernel each line belongs to, its body
-# kind, and the lines of its inner loop (`for i := 0; i < n; i++`, or a phase
-# loop's `for m := 0; m < cnt; m++`). Pass 2, the
-# report: the IsInBounds checks that survived, per kernel, and how many of
-# them sit in the inner loop; then the inner-loop total per body kind, and a
-# failing exit status when a total rises above its pin.
+# kind, and the lines of its inner loops (`for i := 0; i < n; i++`, a phase
+# loop's `for m := 0; m < cnt; m++`, a lane loop's `for ; i+4 <= n; i += 4`
+# and its remainder's `for ; i < n; i++`). Pass 2, the report: the
+# IsInBounds checks that survived, per kernel, and how many of them sit in
+# an inner loop; then the inner-loop total per body kind, and a failing exit
+# status when a total rises above its pin. The IsSliceInBounds checks in
+# the inner loops (a lane loop's window cuts) are printed beside them, for
+# information only.
 FNR == NR {
 	if ($0 ~ /^\/\/ k_[0-9a-f]+ computes .*\((float32|float64|int64) body[,)]/) {
 		kind = $0
@@ -21,7 +24,7 @@ FNR == NR {
 		order[++nk] = cur
 	}
 	if ($0 ~ /^}/) cur = ""
-	if (match($0, /^\t+for (i := 0; i < n; i|m := 0; m < cnt; m)\+\+ \{$/)) {
+	if (match($0, /^\t+for (i := 0; i < n; i\+\+|m := 0; m < cnt; m\+\+|; i\+[0-9]+ <= n; i \+= [0-9]+|; i < n; i\+\+) \{$/)) {
 		depth = match($0, /[^\t]/) - 1
 		inner = 1
 		next
@@ -38,10 +41,15 @@ FNR == NR {
 	total[k]++
 	if (in_loop[pos[2]]) loop[k]++
 }
+/Found IsSliceInBounds/ {
+	split($1, pos, ":")
+	k = fn[pos[2]]
+	if (k != "" && in_loop[pos[2]]) sloop[k]++
+}
 END {
 	for (i = 1; i <= nk; i++) {
 		k = order[i]
-		printf "  %s %-7s IsInBounds %3d, in the inner loop %d\n", k, body[k], total[k], loop[k]
+		printf "  %s %-7s IsInBounds %3d, in the inner loop %d (IsSliceInBounds there %d)\n", k, body[k], total[k], loop[k], sloop[k]
 		sum[body[k]] += loop[k]
 		cnt[body[k]]++
 	}

@@ -20,7 +20,7 @@
 //	                        the hand-written tables (difftest.GatherCases,
 //	                        difftest.IntBodyCases, difftest.AccumCases,
 //	                        difftest.PhaseCases, difftest.CarryCases,
-//	                        difftest.MinMaxNaNCase)
+//	                        difftest.StrideCases, difftest.MinMaxNaNCase)
 //
 // Run `go run ./cmd/polymage-gen` to regenerate both; -check (`make gen`)
 // verifies without writing, the tier-1 wiring that keeps checked-in
@@ -49,7 +49,7 @@ func main() {
 	dir := flag.String("dir", ".", "repository root the generated packages are written under")
 	scale := flag.Int64("scale", 4, "parameter scale the apps are compiled at (keys do not depend on it)")
 	check := flag.Bool("check", false, "verify checked-in files match the emitter instead of writing")
-	verbose := flag.Bool("v", false, "print every eligible piece, with its kernel's phase count and carried values")
+	verbose := flag.Bool("v", false, "print every eligible piece, with its kernel's phase count, carried values and lanes")
 	flag.Parse()
 
 	drift := 0
@@ -75,8 +75,8 @@ func main() {
 	gather := func(name string, prog *engine.Program) {
 		for _, u := range prog.GenUnits() {
 			if *verbose {
-				fmt.Printf("  %s/%s piece %d: rank %d set=%s phases=%d carried=%d out=%s reads=%v key=%.12s\n",
-					name, u.Stage, u.Piece, u.Rank, u.Set(), u.Phases(), u.Carried(), u.Out, u.Elems, u.Key)
+				fmt.Printf("  %s/%s piece %d: rank %d set=%s phases=%d carried=%d lanes=%d out=%s reads=%v key=%.12s\n",
+					name, u.Stage, u.Piece, u.Rank, u.Set(), u.Phases(), u.Carried(), u.Lanes(), u.Out, u.Elems, u.Key)
 			}
 			units = append(units, u)
 		}
@@ -156,6 +156,9 @@ func main() {
 		}
 		for _, cc := range difftest.CarryCases() {
 			tables = append(tables, cc.GatherCase)
+		}
+		for _, sc := range difftest.StrideCases() {
+			tables = append(tables, sc.GatherCase)
 		}
 		for _, gc := range append(tables, difftest.MinMaxNaNCase()) {
 			prog, err := gc.Compile(gc.Params, engine.ExecOptions{Fast: true})

@@ -185,6 +185,49 @@ func TestGenNarrowAppsMatchVM(t *testing.T) {
 	}
 }
 
+// TestGenLanePlan pins the lane rule on the apps: a kernel computes four
+// adjacent elements per iteration exactly when its inner loop is the plain
+// one (no phases, no carried values, no accumulator) and reads a row at a
+// stride c ≥ 2. The strided down-samplers get four lanes; unit-stride
+// stencils and gathers (harris Ix, bilateral out), the phase-looped
+// up-samplers, the carried box sums and the accumulators get one.
+func TestGenLanePlan(t *testing.T) {
+	want := map[string]map[string]int{
+		"pyramid":     {"gA1": 4, "gB1": 4, "gM1": 4, "colUp0": 1},
+		"laplacian":   {"gPyr1": 4, "inG1": 4, "gUp0": 1, "outL0": 1},
+		"camera":      {"rR": 4, "gGR": 4, "gGB": 4, "bB": 4, "rFull": 1},
+		"interpolate": {"down1": 4, "up0": 1},
+		"harris":      {"Ix": 1, "Sxx": 1, "Sxy": 1, "Syy": 1},
+		"bilateral":   {"out": 1, "gridV": 1, "gridW": 1},
+	}
+	for _, p := range tablePipes() {
+		stages := want[p.name]
+		if stages == nil {
+			continue
+		}
+		app, _ := apps.Get(p.name)
+		bd := bind(t, p, harness.ScaledParams(app, 4), false)
+		seen := map[string]bool{}
+		for _, u := range bd.on.GenUnits() {
+			lanes := u.Lanes()
+			if lanes != 1 && (lanes != 4 || u.Phases() != 1 || u.Carried() != 0 || u.Targets != nil) {
+				t.Errorf("%s/%s: %d lanes with %d phases, %d carried, accumulator %v", p.name, u.Stage, lanes, u.Phases(), u.Carried(), u.Targets != nil)
+			}
+			if w, ok := stages[u.Stage]; ok {
+				seen[u.Stage] = true
+				if lanes != w {
+					t.Errorf("%s/%s: %d lanes, want %d", p.name, u.Stage, lanes, w)
+				}
+			}
+		}
+		for st := range stages {
+			if !seen[st] {
+				t.Errorf("%s/%s: no generated-kernel unit", p.name, st)
+			}
+		}
+	}
+}
+
 // TestTierAttribution pins the lowering invariant in the configuration a
 // user gets (auto-scheduler, Fast, pooled buffers, this package's kernels
 // linked; narrow types for the uint8 apps): every stage piece is counted in
@@ -362,4 +405,14 @@ func BenchmarkBoxSum(b *testing.B) {
 func BenchmarkAccumulate(b *testing.B) {
 	tiers := []string{"gen", "vm"}
 	benchStages(b, []stageRow{{"bilateral", "gridV", tiers}, {"bilateral", "gridW", tiers}})
+}
+
+// BenchmarkDownsample times the down-sampling stages whose kernels read
+// their producer at stride 2 and run four lanes per iteration — pyramid
+// blending's `gA1` (a 5×5 tap on a 3-D buffer) and `gM1`, local Laplacian's
+// `gPyr1` and `inG1` — on the generated and VM tiers.
+func BenchmarkDownsample(b *testing.B) {
+	tiers := []string{"gen", "vm"}
+	benchStages(b, []stageRow{{"pyramid", "gA1", tiers}, {"pyramid", "gM1", tiers},
+		{"laplacian", "gPyr1", tiers}, {"laplacian", "inG1", tiers}})
 }

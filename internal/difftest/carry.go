@@ -82,13 +82,15 @@ func CarryCases() []CarryCase {
 	return out
 }
 
-// carryReads is what a CarryCase's out is defined from: its row coordinate
-// x, the producers read at (y+dy, x+dx), and src2 read at (y, c) for a
-// constant column c (row-invariant).
+// carryReads is what a CarryCase's (or a StrideCase's) out is defined from:
+// its row coordinate x, the producers read at (y+dy, x+dx), src2 read at
+// (y, c) for a constant column c (row-invariant), and the producers read at
+// (y, i) for any index i.
 type carryReads struct {
-	x         expr.Expr
-	src, src2 func(dy, dx int64) expr.Expr
-	col       func(c int64) expr.Expr
+	x             expr.Expr
+	src, src2     func(dy, dx int64) expr.Expr
+	col           func(c int64) expr.Expr
+	srcAt, src2At func(i expr.Expr) expr.Expr
 }
 
 // carryPipeline builds a 5×256 image I, two producers over rows [0, 4] ×
@@ -122,8 +124,11 @@ func carryPipeline(narrow bool, def func(carryReads) expr.Expr) func() (*dsl.Bui
 		read := func(f *dsl.Function) func(dy, dx int64) expr.Expr {
 			return func(dy, dx int64) expr.Expr { return f.At(dsl.Add(y, dy), dsl.Add(x, dx)) }
 		}
+		at := func(f *dsl.Function) func(i expr.Expr) expr.Expr {
+			return func(i expr.Expr) expr.Expr { return f.At(y, i) }
+		}
 		out.Define(dsl.Case{E: def(carryReads{x: x.Expr(), src: read(src), src2: read(src2),
-			col: func(c int64) expr.Expr { return src2.At(y, c) }})})
+			col: func(c int64) expr.Expr { return src2.At(y, c) }, srcAt: at(src), src2At: at(src2)})})
 		return b, []string{"out"}
 	}
 }

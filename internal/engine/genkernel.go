@@ -190,6 +190,11 @@ func (u GenUnit) Phases() int { return int(newKernelPrinter(&goPrinter{}, u).d) 
 // iteration of its plain inner loop to the next (gencarry.go), 0 for none.
 func (u GenUnit) Carried() int { return newKernelPrinter(&goPrinter{}, u).carry.carried() }
 
+// Lanes is the number of adjacent elements one iteration of the unit's
+// kernel computes (EmitGo): 4 for a plain loop with a strided read, 1
+// otherwise.
+func (u GenUnit) Lanes() int { return newKernelPrinter(&goPrinter{}, u).lanes }
+
 // lower lowers u.Expr with the row VM's builder, read position i as buffer
 // slot i, and picks the register type as compileRowVM does for want.
 func (u *GenUnit) lower(want vmSet) error {
