@@ -20,7 +20,8 @@
 //	                        the hand-written tables (difftest.GatherCases,
 //	                        difftest.IntBodyCases, difftest.AccumCases,
 //	                        difftest.PhaseCases, difftest.CarryCases,
-//	                        difftest.StrideCases, difftest.MinMaxNaNCase)
+//	                        difftest.StrideCases, difftest.MinMaxNaNCase,
+//	                        difftest.ExpCase)
 //
 // Run `go run ./cmd/polymage-gen` to regenerate both; -check (`make gen`)
 // verifies without writing, the tier-1 wiring that keeps checked-in
@@ -160,7 +161,7 @@ func main() {
 		for _, sc := range difftest.StrideCases() {
 			tables = append(tables, sc.GatherCase)
 		}
-		for _, gc := range append(tables, difftest.MinMaxNaNCase()) {
+		for _, gc := range append(tables, difftest.MinMaxNaNCase(), difftest.ExpCase()) {
 			prog, err := gc.Compile(gc.Params, engine.ExecOptions{Fast: true})
 			if err != nil {
 				fatal(fmt.Errorf("table case %s: %w", gc.Name, err))

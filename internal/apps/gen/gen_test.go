@@ -416,3 +416,10 @@ func BenchmarkDownsample(b *testing.B) {
 	benchStages(b, []stageRow{{"pyramid", "gA1", tiers}, {"pyramid", "gM1", tiers},
 		{"laplacian", "gPyr1", tiers}, {"laplacian", "inG1", tiers}})
 }
+
+// BenchmarkRemap times local Laplacian's `remap0`, one exp per point, whose
+// kernel prints numeric.Exp's common path inline, on the generated and VM
+// tiers.
+func BenchmarkRemap(b *testing.B) {
+	benchStages(b, []stageRow{{"laplacian", "remap0", []string{"gen", "vm"}}})
+}

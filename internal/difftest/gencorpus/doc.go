@@ -3,8 +3,9 @@
 // cmd/polymage-gen from each seed compiled under difftest.GenKnobs (hand
 // and auto schedule), of the integer corpus compiled with NarrowTypes under
 // difftest.NarrowGenKnobs, and of the hand-written tables
-// (difftest.GatherCases, difftest.IntBodyCases, difftest.PhaseCases,
-// difftest.MinMaxNaNCase). Kernels are keyed by piece
+// (difftest.GatherCases, difftest.IntBodyCases, difftest.AccumCases,
+// difftest.PhaseCases, difftest.CarryCases, difftest.StrideCases,
+// difftest.MinMaxNaNCase, difftest.ExpCase). Kernels are keyed by piece
 // shape, so they bind under every Fast knob of the sweep, and to any other
 // seed that happens to contain the same shape. The difftest tests
 // blank-import this package; TestGenKnobCorpus and

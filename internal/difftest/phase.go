@@ -1,6 +1,9 @@
 package difftest
 
 import (
+	"math"
+	"math/rand"
+
 	"repro/internal/affine"
 	"repro/internal/dsl"
 	"repro/internal/expr"
@@ -119,4 +122,49 @@ func MinMaxNaNCase() GatherCase {
 		out.Define(dsl.Case{E: dsl.Min(dsl.Sqrt(dsl.Sub(I.At(x, y), 2)), 1)})
 		return b, []string{"out"}
 	}}
+}
+
+// ExpCase is exp over arguments I(y) − x/64: each of the R rows sweeps
+// half a unit down from one of expArgs, in 32 steps. Its Double piece out =
+// exp(I(y) − x/64) runs exp in the inner loop, and two more expose the
+// float64 bits float32 storage drops, mid = out − float32(out) and low =
+// mid − float32(mid), so that out, mid and low together hold every bit of
+// exp's result wherever it and mid are normal float32 values. The sweeps
+// cross the common path's bound, overflow and underflow densely. The
+// kernels print numeric.Exp's common path inline and call its slow path;
+// every tier must agree on every bit.
+func ExpCase() GatherCase {
+	return GatherCase{Name: "exp", Params: map[string]int64{"R": int64(len(expArgs())), "C": 32}, Build: func() (*dsl.Builder, []string) {
+		b := dsl.NewBuilder()
+		R, C := b.Param("R"), b.Param("C")
+		I := b.Image("I", expr.Float, R.Affine())
+		y, x := b.Var("y"), b.Var("x")
+		e := dsl.Exp(dsl.Sub(I.At(y), dsl.Mul(x, 1.0/64)))
+		mid := dsl.Sub(e, dsl.Cast(expr.Float, e))
+		outs := []string{"out", "mid", "low"}
+		for i, def := range []expr.Expr{e, mid, dsl.Sub(mid, dsl.Cast(expr.Float, mid))} {
+			b.Func(outs[i], expr.Double, []*dsl.Variable{y, x}, []dsl.Interval{span(R.Affine()), span(C.Affine())}).Define(dsl.Case{E: def})
+		}
+		return b, outs
+	}}
+}
+
+// expArgs is ExpCase's image: the edges of numeric.Exp (NaN, ±Inf, ±0, the
+// smallest subnormal, either side of its common path's bound ±708, 709.5
+// where amd64's math.Exp overflows early, 709.79 past overflow, −740 to a
+// subnormal result, −746 past underflow), then 400 seeded arguments in
+// local Laplacian's remap range [−12.5, 0] and 200 in [−90, 90].
+func expArgs() []float32 {
+	args := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1, -1,
+		708, -708, math.Nextafter32(708, 709), math.Nextafter32(-708, -709), 709.5, 709.79, -708.5, -740, -745, -746}
+	rng := rand.New(rand.NewSource(36))
+	for i := range 600 {
+		if i < 400 {
+			args = append(args, float32(-12.5*rng.Float64()))
+		} else {
+			args = append(args, float32(180*rng.Float64()-90))
+		}
+	}
+	return args
 }

@@ -91,3 +91,60 @@ func TestGenMinMaxNaN(t *testing.T) {
 		t.Errorf("gen is not bit-identical to vm: %s (%#x vs %#x)", d, math.Float32bits(outs[0].Data[0]), math.Float32bits(outs[1].Data[0]))
 	}
 }
+
+// TestGenExp: exp over ExpCase's arguments gives the same bits on the
+// generated kernel (numeric.Exp's common path printed inline, its slow path
+// called), the row VM, the scalar tier and the reference interpreter, in
+// out and in the residuals mid and low that carry the float64 bits storage
+// drops. A NaN matches a NaN.
+func TestGenExp(t *testing.T) {
+	gc := ExpCase()
+	var ref map[string]*engine.Buffer
+	for _, tier := range gatherTiers {
+		opts := tier.opts
+		opts.Threads = 1
+		prog, err := gc.Compile(gc.Params, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer prog.Close()
+		if tier.name == "gen" {
+			if units := prog.GenUnits(); len(units) != 3 {
+				t.Errorf("%d generated units, want 3", len(units))
+			}
+			for _, u := range prog.GenUnits() {
+				if u.Set() != "float64" {
+					t.Errorf("%s is a %s unit, want float64", u.Stage, u.Set())
+				}
+			}
+			if m := prog.Stats().GenMisses; m.Total() != 0 {
+				t.Errorf("GenMisses = %+v, want none (rerun go run ./cmd/polymage-gen?)", m)
+			}
+		}
+		box, err := prog.InputBox("I")
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := engine.NewBuffer(box)
+		copy(img.Data, expArgs())
+		in := map[string]*engine.Buffer{"I": img}
+		got, err := prog.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref, err = engine.Reference(prog.Graph, gc.Params, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, lo := range []string{"out", "mid", "low"} {
+			for i, v := range got[lo].Data {
+				w := ref[lo].Data[i]
+				if math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
+					t.Errorf("%s: %s[%d] = %v (%#x), reference %v (%#x)", tier.name, lo, i, v, math.Float32bits(v), w, math.Float32bits(w))
+				}
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/affine"
 	"repro/internal/expr"
+	"repro/internal/numeric"
 )
 
 // Ctx is the per-worker evaluation context: the current point and the
@@ -125,7 +126,7 @@ func (cp *compiler) compile(e expr.Expr) (evalFn, error) {
 		case expr.Sqrt:
 			return func(c *Ctx) float64 { return math.Sqrt(x(c)) }, nil
 		case expr.Exp:
-			return func(c *Ctx) float64 { return math.Exp(x(c)) }, nil
+			return func(c *Ctx) float64 { return numeric.Exp(x(c)) }, nil
 		case expr.Log:
 			return func(c *Ctx) float64 { return math.Log(x(c)) }, nil
 		case expr.Sin:

@@ -33,7 +33,9 @@ import (
 // never bind to a piece lowered by a newer engine. Version 5: a kernel is a
 // printing of the row VM's program for the piece, keyed by its register type
 // (version 4 re-derived the body from the expression, keyed by tier).
-const genABI = "polymage-genabi/5"
+// Version 6: exp is numeric.Exp, its common path printed inline (version 5
+// called math.Exp).
+const genABI = "polymage-genabi/6"
 
 // GenCtx is the context a generated kernel receives: the region to
 // compute, the output buffer, and the input buffers of the kernel's

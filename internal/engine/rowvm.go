@@ -1406,7 +1406,7 @@ func (vm *rowVM) op64(c *RowCtx, in *rinstr, regs [][]float64) {
 		}
 	case rExp:
 		for i := range t {
-			t[i] = math.Exp(a[i])
+			t[i] = numeric.Exp(a[i])
 		}
 	case rLog:
 		for i := range t {

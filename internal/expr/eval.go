@@ -92,7 +92,7 @@ func evalUn(op UnOp, x float64) float64 {
 	case Sqrt:
 		return math.Sqrt(x)
 	case Exp:
-		return math.Exp(x)
+		return numeric.Exp(x)
 	case Log:
 		return math.Log(x)
 	case Sin:

@@ -16,6 +16,14 @@
 //
 // Min64 and Max64 are math.Min and math.Max, bit for bit, in a form the
 // compiler inlines (math's are assembly on amd64, one call per element).
+//
+// Exp (exp.go) is the repository's own exponential, which every tier
+// computes exp with: pure Go, table-driven, within 1 ULP, and the same bits
+// on every GOARCH, where math.Exp is assembly on amd64 and arm64 (fused
+// where the CPU can) and pure Go elsewhere. Its common path is short enough
+// for EmitGo to print inline; its constants, tables and slow path ExpSlow
+// are exported for the generated kernels that do. Log, Pow, Sin and Cos
+// are still Go's math, and their bits may differ by host.
 package numeric
 
 import "math"
