@@ -28,14 +28,16 @@ build:
 test: vet bench-vet bench-smoke gen gen-bce fma-check rowvm-race fleet-race stream-race gen-race narrow-race auto-race serve-smoke
 	$(GO) test ./...
 
-# Race-checked run of the row bytecode VM suite (differential vs scalar,
-# fusion/regalloc shape, every IR form lowered, float32 gate, register
-# gauge, end-to-end VM-vs-scalar pipeline; the one dispatch loop's float64,
-# float32 and int64 instantiations, the int64 one held to == with float64
-# over uint8 programs)
-# and of the gather/scatter table (internal/difftest: gather instruction and
-# row-swept accumulator vs the scalar tier, threads 1 and 2, out-of-region
-# faults).
+# Race-checked run of the row bytecode VM suite (differential vs the
+# reference evaluator, exact on float64 and int64 registers; fusion/regalloc
+# shape, every IR form lowered, float32 gate, register gauge, Debug's
+# per-row load checks, end-to-end VM-vs-reference pipeline; the one
+# dispatch loop's float64, float32 and int64 instantiations, the int64 one
+# held to == with float64 over uint8 programs), of the gather/scatter table
+# (internal/difftest: gather instruction and row-swept accumulator vs the
+# reference, threads 1 and 2, out-of-region faults) and of the
+# self-reference/predicate table (a row-at-a-time and a point-at-a-time
+# self-referencing stage, predicated pieces, vs the reference under Debug).
 rowvm-race:
 	$(GO) test -race -run 'TestRowVM|TestVMInt' ./internal/engine/ ./internal/difftest/
 
@@ -102,8 +104,8 @@ gen:
 # (kernels for data-dependent and cross-dimension indices, for the
 # int64-body forms, for phase loops, for values carried across iterations
 # for accumulators and for strided reads run in lanes, vs the VM and the
-# scalar tier, a NaN through float32 min, and exp's inline common path and
-# its slow path vs the VM, the scalar tier and the reference).
+# reference, a NaN through float32 min, and exp's inline common path and
+# its slow path vs the VM and the reference).
 gen-race:
 	$(GO) test -race -run TestGen ./internal/engine/ ./internal/codegen/ ./internal/apps/gen/ -count=1
 	$(GO) test -race -run 'TestGenGatherTable|TestGenIntBodyTable|TestGenPhaseLoops|TestGenCarry|TestGenAccumTable|TestGenStride|TestGenMinMaxNaN|TestGenExp' ./internal/difftest/ -count=1
@@ -230,14 +232,13 @@ bench:
 # (deep trees in float64 and float32, selects, a uint8 box sum on int64
 # registers) on the row VM, accumulators and the repeated-Run steady state of
 # the persistent executor; then the micro benchmarks that time the generated
-# tier: BenchmarkGather (two data-dependent stages on the scalar, VM and
-# generated tiers), BenchmarkUpsample (four up-sampling and demosaic stages
+# tier: BenchmarkGather (two data-dependent stages), BenchmarkUpsample (four up-sampling and demosaic stages
 # whose kernels run as phase loops), BenchmarkDownsample (four
 # down-sampling stages whose kernels read at stride 2 in four lanes),
 # BenchmarkBoxSum (harris's box sums, whose kernels carry values across
 # iterations), BenchmarkAccumulate (bilateral's grid accumulators) and
 # BenchmarkRemap (local Laplacian's remap0, one exp per point, printed
-# inline), the last five on the generated and VM tiers.
+# inline), each on the generated and VM tiers.
 bench-kernels:
 	$(GO) test -bench 'BenchmarkStencil|BenchmarkCombination|BenchmarkAccumulator|BenchmarkRowEval|BenchmarkRepeatedRun' -benchmem -run '^$$' ./internal/engine/
 	$(GO) test -bench 'BenchmarkGather|BenchmarkUpsample|BenchmarkDownsample|BenchmarkBoxSum|BenchmarkAccumulate|BenchmarkRemap' -benchmem -run '^$$' ./internal/apps/gen/

@@ -10,7 +10,6 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/dsl"
 	"repro/internal/engine"
-	"repro/internal/expr"
 	"repro/internal/harness"
 	"repro/internal/schedule"
 )
@@ -43,7 +42,7 @@ func narrowPipes() []pipe {
 
 // bound is a pipeline compiled once, as bench/ and polymage-serve compile
 // it (core.Compile, then Bind with Fast + ReuseBuffers), and bound twice:
-// with this package's kernels and with them pinned off.
+// with this package's kernels, and without Fast on the row VM alone.
 type bound struct {
 	on, off *engine.Program
 	inputs  map[string]*engine.Buffer
@@ -59,16 +58,16 @@ func bind(t *testing.T, p pipe, params map[string]int64, auto bool) bound {
 		t.Fatal(err)
 	}
 	var bd bound
-	for _, noGen := range []bool{false, true} {
-		prog, err := pl.Bind(params, engine.ExecOptions{Fast: true, ReuseBuffers: true, Threads: p.threads, NarrowTypes: p.narrow, NoGenKernels: noGen})
+	for _, fast := range []bool{true, false} {
+		prog, err := pl.Bind(params, engine.ExecOptions{Fast: fast, ReuseBuffers: true, Threads: p.threads, NarrowTypes: p.narrow})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { prog.Close() })
-		if noGen {
-			bd.off = prog
-		} else {
+		if fast {
 			bd.on = prog
+		} else {
+			bd.off = prog
 		}
 	}
 	if bd.inputs, err = p.inputs(b, params, harness.DefaultSeed); err != nil {
@@ -88,9 +87,9 @@ func genPieces(p *engine.Program) int {
 }
 
 // requireSubstitution demands that the generated kernels are a drop-in
-// substitution for the interpreted tiers, not an approximation of them:
-// every eligible piece binds a kernel, the kernels-off twin binds none, and
-// the two programs' outputs agree bit for bit. It returns the outputs of
+// substitution for the row VM, not an approximation of it: every eligible
+// piece binds a kernel, the twin without Fast binds none, and the two
+// programs' outputs agree bit for bit. It returns the outputs of
 // the run with kernels.
 func (bd bound) requireSubstitution(t *testing.T) map[string]*engine.Buffer {
 	t.Helper()
@@ -104,7 +103,7 @@ func (bd bound) requireSubstitution(t *testing.T) map[string]*engine.Buffer {
 		t.Errorf("%d pieces counted irregular: %+v", m.Irregular, m)
 	}
 	if n := genPieces(bd.off); n != 0 {
-		t.Fatalf("NoGenKernels binding still attached %d kernels", n)
+		t.Fatalf("the binding without Fast still attached %d kernels", n)
 	}
 	got, err := bd.on.Run(bd.inputs)
 	if err != nil {
@@ -116,7 +115,7 @@ func (bd bound) requireSubstitution(t *testing.T) map[string]*engine.Buffer {
 	}
 	for name, wb := range want {
 		if d := difftest.SameBits(got[name], wb); d != "" {
-			t.Fatalf("output %s of the gen run against the interpreted run: %s", name, d)
+			t.Fatalf("output %s of the gen run against the row VM run: %s", name, d)
 		}
 	}
 	return got
@@ -230,11 +229,10 @@ func TestGenLanePlan(t *testing.T) {
 
 // TestTierAttribution pins the lowering invariant in the configuration a
 // user gets (auto-scheduler, Fast, pooled buffers, this package's kernels
-// linked; narrow types for the uint8 apps): every stage piece is counted in
-// exactly one evaluator tier, the scalar loop takes only predicated pieces
-// (an accumulator runs its kernel, or its row sweep under NoGenKernels), the
-// four removed tiers stay empty
-// (also under NoGenKernels, where every other piece is on the row VM),
+// linked; narrow types for the uint8 apps): every stage piece is counted on
+// exactly one of the two tiers, a generated kernel or the row VM (an
+// accumulator runs its kernel, or its row sweep without Fast), the removed
+// tiers stay empty (also without Fast, where every piece is on the row VM),
 // every piece counted outside the generated tier has its reason in
 // GenMisses, and the Table-2 apps bind at least as many kernels as under the
 // hand schedule.
@@ -259,44 +257,30 @@ func TestTierAttribution(t *testing.T) {
 					t.Errorf("auto schedule binds %d kernels, hand schedule %d", got, want)
 				}
 			}
-			// Two tiers and the scalar loop: with kernels, a piece is on gen
-			// or the row VM; with NoGenKernels, every unpredicated piece —
-			// stencil-shaped ones included — counts as RowVM.
 			for _, tc := range []struct {
 				label string
 				prog  *engine.Program
-			}{{"gen", bd.on}, {"NoGenKernels", bd.off}} {
+			}{{"gen", bd.on}, {"vm", bd.off}} {
 				total, gen := 0, 0
 				for _, sm := range tc.prog.Stats().Stages {
 					st := tc.prog.Graph.Stages[sm.Name]
-					pieces, scalar := len(st.Cases), 0
+					pieces := len(st.Cases)
 					if st.IsAccumulator() {
 						pieces = 1
 						if tier := map[bool]int{true: sm.Gen, false: sm.RowVM}[tc.prog == bd.on]; tier != 1 {
-							t.Errorf("%s %s: accumulator counts Gen=%d RowVM=%d, want its generated kernel, or its row sweep under NoGenKernels",
+							t.Errorf("%s %s: accumulator counts Gen=%d RowVM=%d, want its generated kernel, or its row sweep without Fast",
 								tc.label, sm.Name, sm.Gen, sm.RowVM)
 						}
 					}
-					for _, c := range st.Cases {
-						if c.Cond == nil {
-							continue
-						}
-						if _, _, box := expr.CondToBox(c.Cond, len(st.Decl.Domain())); !box {
-							scalar++ // residual per-point predicate
-						}
-					}
-					if got := sm.Gen + sm.RowVM + sm.Scalar; got != pieces {
+					if got := sm.Gen + sm.RowVM; got != pieces {
 						t.Errorf("%s %s: %d pieces counted in tiers, stage has %d (%+v)", tc.label, sm.Name, got, pieces, sm)
 					}
-					if sm.Scalar != scalar {
-						t.Errorf("%s %s: %d pieces on the scalar loop, want %d (predicated pieces only)", tc.label, sm.Name, sm.Scalar, scalar)
+					if tc.prog == bd.off && sm.RowVM != pieces {
+						t.Errorf("%s %s: RowVM=%d, want every piece (%d) on the row VM", tc.label, sm.Name, sm.RowVM, pieces)
 					}
-					if tc.prog == bd.off && sm.RowVM != pieces-scalar {
-						t.Errorf("%s %s: RowVM=%d, want every unpredicated piece (%d) on the row VM", tc.label, sm.Name, sm.RowVM, pieces-scalar)
-					}
-					if sm.Stencil != 0 || sm.Comb != 0 || sm.IntStencil != 0 || sm.ClosureRow != 0 {
-						t.Errorf("%s %s: removed tiers report Stencil=%d Comb=%d IntStencil=%d ClosureRow=%d",
-							tc.label, sm.Name, sm.Stencil, sm.Comb, sm.IntStencil, sm.ClosureRow)
+					if sm.Stencil != 0 || sm.Comb != 0 || sm.IntStencil != 0 || sm.ClosureRow != 0 || sm.Scalar != 0 {
+						t.Errorf("%s %s: removed tiers report Stencil=%d Comb=%d IntStencil=%d ClosureRow=%d Scalar=%d",
+							tc.label, sm.Name, sm.Stencil, sm.Comb, sm.IntStencil, sm.ClosureRow, sm.Scalar)
 					}
 					total += pieces
 					gen += sm.Gen
@@ -320,9 +304,8 @@ type stageRow struct {
 
 // benchTiers are the execution tiers a stage can be timed on.
 var benchTiers = map[string]engine.ExecOptions{
-	"scalar": {},
-	"vm":     {Fast: true, NoGenKernels: true},
-	"gen":    {Fast: true},
+	"vm":  {},
+	"gen": {Fast: true},
 }
 
 // benchStages times each row's stage on each of its tiers at scale 4, hand
@@ -376,10 +359,10 @@ func benchStages(b *testing.B, rows []stageRow) {
 
 // BenchmarkGather times the two data-dependent stages the benchmark's worst
 // rows sat in — bilateral's trilinear slice `out` and local Laplacian's
-// level interpolation `outL0` — on the scalar, VM and generated tiers.
+// level interpolation `outL0` — on the VM and generated tiers.
 func BenchmarkGather(b *testing.B) {
-	all := []string{"scalar", "vm", "gen"}
-	benchStages(b, []stageRow{{"bilateral", "out", all}, {"laplacian", "outL0", all}})
+	tiers := []string{"vm", "gen"}
+	benchStages(b, []stageRow{{"bilateral", "out", tiers}, {"laplacian", "outL0", tiers}})
 }
 
 // BenchmarkUpsample times the up-sampling and demosaic stages whose

@@ -11,7 +11,7 @@ import (
 
 // Narrow-type application variants (Options.NarrowTypes): all-integer
 // uint8 pipelines whose every stage bitwidth inference proves integral
-// within ±2^24, so execution is bit-exact across the scalar, row-VM,
+// within ±2^24, so execution is bit-exact across the float64 row-VM,
 // integer-VM and generated int64 tiers and the narrowed buffers hold the
 // same values as the float32 layout at a fraction of the footprint.
 //

@@ -53,8 +53,8 @@ func sweepConfigs() []struct {
 }
 
 // MeasureSchedule compiles one app under the given schedule options and
-// measures it at 1 thread on the interpreted tiers (generated kernels
-// off, so schedule quality is what is timed).
+// measures it at 1 thread on the row VM (generated kernels off, so
+// schedule quality is what is timed).
 func MeasureSchedule(app *apps.App, params map[string]int64, opts schedule.Options, runs int, seed int64) (float64, [5]float64, error) {
 	pl, inputs, outs, err := compileApp(app, params, opts, seed)
 	if err != nil {
@@ -65,7 +65,7 @@ func MeasureSchedule(app *apps.App, params map[string]int64, opts schedule.Optio
 		return 0, [5]float64{}, err
 	}
 	ms, err := evalConfig(app, params, opts,
-		engine.ExecOptions{Threads: 1, Fast: true, NoGenKernels: true}, inputs, outs, pl, runs)
+		engine.ExecOptions{Threads: 1}, inputs, outs, pl, runs)
 	return ms, terms, err
 }
 

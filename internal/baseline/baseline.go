@@ -20,7 +20,8 @@ type Variant struct {
 	// Schedule derives the scheduling options from the tuned base options
 	// (tile sizes / threshold chosen by the autotuner or defaults).
 	Schedule func(base schedule.Options) schedule.Options
-	// Fast enables generated kernels and the row VM (the `+vec` axis).
+	// Fast enables generated kernels (the `+vec` axis); without it every
+	// piece runs on the row VM.
 	Fast bool
 }
 

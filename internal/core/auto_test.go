@@ -40,7 +40,7 @@ func TestAutoCompileMatchesHand(t *testing.T) {
 	var outs [2]map[string]*engine.Buffer
 	for i, auto := range []bool{true, false} {
 		pl, inputs, params := compileAutoApp(t, "unsharp", auto)
-		prog, err := pl.Bind(params, engine.ExecOptions{Threads: 1, Fast: true, NoGenKernels: true})
+		prog, err := pl.Bind(params, engine.ExecOptions{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestAutoCompileMatchesHand(t *testing.T) {
 func TestAutoCompileStats(t *testing.T) {
 	for _, auto := range []bool{true, false} {
 		pl, _, params := compileAutoApp(t, "harris", auto)
-		prog, err := pl.Bind(params, engine.ExecOptions{Threads: 1, Fast: true, NoGenKernels: true})
+		prog, err := pl.Bind(params, engine.ExecOptions{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,10 +8,10 @@ import (
 )
 
 // TestGenCarry: the generated kernels that carry values across iterations
-// against the row VM, the scalar tier and the reference interpreter,
-// exactly, with out's rows starting at −4, −1 and 5 and 1, 2, L, L+1 and 37
-// elements wide (every case carries lags of at most L = 2): a row narrower
-// than the lags reads only the prologue's values, a wider one rotates them.
+// against the row VM and the reference interpreter, exactly, with out's
+// rows starting at −4, −1 and 5 and 1, 2, L, L+1 and 37 elements wide
+// (every case carries lags of at most L = 2): a row narrower than the lags
+// reads only the prologue's values, a wider one rotates them.
 // Every piece binds a checked-in kernel, and out's kernel carries as many
 // values as the case names.
 func TestGenCarry(t *testing.T) {
@@ -44,9 +44,8 @@ func TestGenCarry(t *testing.T) {
 }
 
 // TestGenAccumTable: the generated accumulator kernels against the row VM's
-// sweep, the scalar sweep and the reference interpreter, exactly, on one and
-// two workers (private copies merged). Every accumulator binds a checked-in
-// kernel.
+// sweep and the reference interpreter, exactly, on one and two workers
+// (private copies merged). Every accumulator binds a checked-in kernel.
 func TestGenAccumTable(t *testing.T) {
 	gatherTable(t, AccumCases(), gatherTiers, true, func(t *testing.T, gc GatherCase, tier gatherTier, prog *engine.Program) {
 		if tier.name != "gen" {
@@ -58,7 +57,7 @@ func TestGenAccumTable(t *testing.T) {
 		}
 		for _, sm := range st.Stages {
 			if sm.Gen != 1 {
-				t.Errorf("%s counts Gen=%d RowVM=%d Scalar=%d, want its generated kernel", sm.Name, sm.Gen, sm.RowVM, sm.Scalar)
+				t.Errorf("%s counts Gen=%d RowVM=%d, want its generated kernel", sm.Name, sm.Gen, sm.RowVM)
 			}
 		}
 	})

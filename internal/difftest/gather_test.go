@@ -17,8 +17,7 @@ type gatherTier struct {
 
 var gatherTiers = []gatherTier{
 	{"gen", engine.ExecOptions{Fast: true}},
-	{"vm", engine.ExecOptions{Fast: true, NoGenKernels: true}},
-	{"scalar", engine.ExecOptions{}},
+	{"vm", engine.ExecOptions{}},
 }
 
 // gatherInputs fills the case's one image: the pattern as the compiled
@@ -95,14 +94,13 @@ func gatherTable(t *testing.T, cases []GatherCase, tiers []gatherTier, exact boo
 }
 
 // TestRowVMGatherTable: the row VM's gather instruction and the row-swept
-// accumulator against the scalar tier, which still walks one closure per
-// element.
+// accumulator against the reference interpreter.
 func TestRowVMGatherTable(t *testing.T) {
 	gatherTable(t, GatherCases(), gatherTiers[1:], false, nil)
 }
 
 // TestGenGatherTable: the generated kernels against the VM they replace and
-// the scalar tier. Every piece of the table binds a checked-in kernel,
+// the reference interpreter. Every piece of the table binds a checked-in kernel,
 // u8slot's gather from a uint8 slot and hist's accumulator included.
 func TestGenGatherTable(t *testing.T) {
 	gatherTable(t, GatherCases(), gatherTiers, false, func(t *testing.T, gc GatherCase, tier gatherTier, prog *engine.Program) {
@@ -116,10 +114,10 @@ func TestGenGatherTable(t *testing.T) {
 }
 
 // TestGenIntBodyTable: the generated int64 and float64-over-narrow bodies
-// against the integer VM, the scalar tier and the reference interpreter,
-// exactly. Every piece binds a checked-in kernel; each case's units are of
-// the register type its name says, and its live-outs of the element types
-// it was written to store.
+// against the integer VM and the reference interpreter, exactly. Every
+// piece binds a checked-in kernel; each case's units are of the register
+// type its name says, and its live-outs of the element types it was written
+// to store.
 func TestGenIntBodyTable(t *testing.T) {
 	wantElems := map[string]string{
 		"negdiv": "int32 int32 int32", "select": "int32 uint8",
@@ -180,7 +178,7 @@ func gatherFault(t *testing.T, opts engine.ExecOptions) error {
 }
 
 // TestRowVMGatherFaults: an index outside the gathered stage is a Run
-// error on every tier — the region check's message under Debug, Go's own
+// error on both tiers — the region check's message under Debug, Go's own
 // bounds check on the flat offset without it — never a crash or a read
 // outside the buffer.
 func TestRowVMGatherFaults(t *testing.T) {

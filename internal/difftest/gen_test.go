@@ -13,15 +13,15 @@ const gencorpusSeeds = 40
 // TestGenKnobCorpus differential-tests the ahead-of-time kernels: every
 // corpus seed polymage-gen emitted from runs under both GenKnobs (hand and
 // auto schedule — compiled kernels execute) against the reference
-// interpreter, and under the same knobs with the kernels pinned off. Any
-// divergence between a generated kernel and the tier it replaces surfaces
-// as a knob mismatch.
+// interpreter, and under the same knobs without Fast, on the row VM. Any
+// divergence between a generated kernel and the VM it replaces surfaces as
+// a knob mismatch.
 func TestGenKnobCorpus(t *testing.T) {
 	var knobs []Knob
 	for _, k := range GenKnobs() {
 		off := k
 		off.Name += "-off"
-		off.NoGenKernels = true
+		off.Fast = false
 		knobs = append(knobs, k, off)
 	}
 	for _, k := range GenKnobs() {

@@ -76,7 +76,7 @@ func TestIntegerCorpusBindsKernels(t *testing.T) {
 // narrow storage (non-float32 stage elements) and stay int-VM eligible
 // when compiled under a narrow knob.
 func TestIntegerCorpusNarrows(t *testing.T) {
-	k := NarrowKnobs()[1] // narrow-fast-seq
+	k := NarrowKnobs()[0] // narrow-vm-seq
 	narrowed, intExact := 0, 0
 	const n = 24
 	for i := 0; i < n; i++ {

@@ -8,10 +8,10 @@ import (
 	"repro/internal/engine"
 )
 
-// TestGenPhaseLoops: the generated phase-loop kernels against the row VM,
-// the scalar tier and the reference interpreter, exactly, with out's rows
-// starting even and odd, negative and positive, and 1, D−1, D, D+1 and 37
-// elements wide — every width and phase origin a kernel must get right.
+// TestGenPhaseLoops: the generated phase-loop kernels against the row VM
+// and the reference interpreter, exactly, with out's rows starting even and
+// odd, negative and positive, and 1, D−1, D, D+1 and 37 elements wide —
+// every width and phase origin a kernel must get right.
 // Every piece binds a checked-in kernel, and out's kernel runs as the
 // number of phase loops the case names.
 func TestGenPhaseLoops(t *testing.T) {
@@ -53,7 +53,7 @@ func TestGenPhaseLoops(t *testing.T) {
 func TestGenMinMaxNaN(t *testing.T) {
 	gc := MinMaxNaNCase()
 	var outs []*engine.Buffer
-	for _, tier := range gatherTiers[:2] {
+	for _, tier := range gatherTiers {
 		opts := tier.opts
 		opts.Threads = 1
 		prog, err := gc.Compile(gc.Params, opts)
@@ -94,9 +94,9 @@ func TestGenMinMaxNaN(t *testing.T) {
 
 // TestGenExp: exp over ExpCase's arguments gives the same bits on the
 // generated kernel (numeric.Exp's common path printed inline, its slow path
-// called), the row VM, the scalar tier and the reference interpreter, in
-// out and in the residuals mid and low that carry the float64 bits storage
-// drops. A NaN matches a NaN.
+// called), the row VM and the reference interpreter, in out and in the
+// residuals mid and low that carry the float64 bits storage drops. A NaN
+// matches a NaN.
 func TestGenExp(t *testing.T) {
 	gc := ExpCase()
 	var ref map[string]*engine.Buffer

@@ -26,7 +26,12 @@ type Knob struct {
 	DisableFusion bool
 	// DisableInline turns the point-wise inlining pass off.
 	DisableInline bool
-	// Fast selects the specialized float32 kernels and row evaluation.
+	// Fast dispatches pieces to the generated kernels the binary links
+	// (the test binary links gencorpus: kernels for the piece shapes of
+	// corpus seeds 1..40, which bind under any schedule), so the sweep diffs
+	// the compiled loop nests against the reference under every tiling,
+	// streaming and concurrency axis. Without it every piece runs on the
+	// row VM.
 	Fast bool
 	// Threads is the worker count (1 = fully sequential).
 	Threads int
@@ -64,14 +69,6 @@ type Knob struct {
 	// are ULP-diffed against the reference — the searched schedule must
 	// change only performance, never values.
 	Auto bool
-	// NoGenKernels pins ExecOptions.NoGenKernels. Every other Fast knob
-	// dispatches to whatever ahead-of-time generated Go kernels the binary
-	// links (the test binary links gencorpus: kernels for the piece shapes
-	// of corpus seeds 1..40, which bind under any schedule), so the sweep
-	// diffs the compiled loop nests against the reference under every
-	// tiling, streaming and concurrency axis; this knob keeps the
-	// interpreted tiers those kernels displace in the sweep too.
-	NoGenKernels bool
 	// Serve compiles and binds with core.ServeOptions, the configuration
 	// polymage-serve runs a request in: the auto-scheduler at its default
 	// options, Fast with generated kernels, pooled buffers, every thread,
@@ -91,9 +88,6 @@ func (k Knob) String() string {
 	}
 	if k.Auto {
 		s += " auto=true"
-	}
-	if k.NoGenKernels {
-		s += " gen=false"
 	}
 	if k.Serve {
 		s += " serve=true"
@@ -146,22 +140,21 @@ func (k Knob) inlineOptions() inline.Options {
 func (k Knob) engineOptions() engine.ExecOptions {
 	return engine.ExecOptions{Fast: k.Fast, Threads: k.Threads, Debug: true,
 		ReuseBuffers: k.ReuseBuffers, Tiling: k.Tiling,
-		NarrowTypes: k.NarrowTypes, NoGenKernels: k.NoGenKernels}
+		NarrowTypes: k.NarrowTypes}
 }
 
-// DefaultKnobs is the standard sweep: 20 combinations covering every axis
+// DefaultKnobs is the standard sweep: 19 combinations covering every axis
 // (tile sizes incl. degenerate and asymmetric, fusion on/off, inlining
-// on/off, fast float32 path on/off, 1 vs N threads, pooling on/off, the
+// on/off, generated kernels on/off, 1 vs N threads, pooling on/off, the
 // alternative tiling strategies of Figure 5, concurrent runs, frame
-// streams, narrow types, generated kernels and the auto-scheduler), then
-// the configuration polymage-serve runs a request in (ServeKnobs). The
-// Fast knobs run generated kernels where the binary links one for a piece
-// and the row bytecode VM elsewhere; fast-seq pins the kernels off, so both
-// are differentially tested against the reference on every seed.
+// streams, narrow types and the auto-scheduler), then the configuration
+// polymage-serve runs a request in (ServeKnobs). The Fast knobs run
+// generated kernels where the binary links one for a piece and the row
+// bytecode VM elsewhere; the others run the VM alone, so both are
+// differentially tested against the reference on every seed.
 func DefaultKnobs() []Knob {
 	return append([]Knob{
-		{Name: "scalar-seq", Tiles: []int64{8, 16}, Threads: 1},
-		{Name: "fast-seq", Tiles: []int64{8, 16}, Fast: true, Threads: 1, NoGenKernels: true},
+		{Name: "vm-seq", Tiles: []int64{8, 16}, Threads: 1},
 		{Name: "fast-par-pool", Tiles: []int64{16}, Fast: true, Threads: 4, ReuseBuffers: true},
 		{Name: "noinline-par", Tiles: []int64{32, 8}, DisableInline: true, Threads: 2},
 		{Name: "nofuse-fast-par", Tiles: []int64{16, 16}, DisableFusion: true, Fast: true, Threads: 4},
@@ -191,16 +184,15 @@ func ServeKnobs() []Knob {
 }
 
 // NarrowKnobs is the sweep for the integer corpus: the narrow layout
-// across the scalar/row-VM/parallel/pooled/unfused axes, one
-// float32-layout point and the auto-scheduled narrow-gen point, all of
-// which must agree bit-for-bit with the float64 reference on an Integer
-// spec (Diff pins the zero-tolerance oracle for those). The Fast knobs run
-// the gencorpus int64 kernels wherever a piece has one; narrow-fast-seq
-// pins them off, so the integer VM they displace stays in the sweep.
+// across the row-VM/parallel/pooled/unfused axes, one float32-layout point
+// and the auto-scheduled narrow-gen point, all of which must agree
+// bit-for-bit with the float64 reference on an Integer spec (Diff pins the
+// zero-tolerance oracle for those). The Fast knobs run the gencorpus int64
+// kernels wherever a piece has one; narrow-vm-seq runs none, so the
+// integer VM they displace stays in the sweep.
 func NarrowKnobs() []Knob {
 	return []Knob{
-		{Name: "narrow-scalar-seq", Tiles: []int64{8, 16}, Threads: 1, NarrowTypes: true},
-		{Name: "narrow-fast-seq", Tiles: []int64{8, 16}, Fast: true, Threads: 1, NarrowTypes: true, NoGenKernels: true},
+		{Name: "narrow-vm-seq", Tiles: []int64{8, 16}, Threads: 1, NarrowTypes: true},
 		{Name: "narrow-fast-par-pool", Tiles: []int64{16}, Fast: true, Threads: 4, ReuseBuffers: true, NarrowTypes: true},
 		{Name: "narrow-nofuse", Tiles: []int64{8, 8}, DisableFusion: true, Fast: true, Threads: 2, NarrowTypes: true},
 		{Name: "wide-fast-par", Tiles: []int64{16, 16}, Fast: true, Threads: 4},
@@ -211,8 +203,14 @@ func NarrowKnobs() []Knob {
 // QuickKnobs is a 4-point subset for the native fuzzing loop, where
 // per-input cost matters more than axis coverage.
 func QuickKnobs() []Knob {
-	k := DefaultKnobs()
-	return []Knob{k[1], k[2], k[5], k[7]}
+	var quick []Knob
+	for _, k := range DefaultKnobs() {
+		switch k.Name {
+		case "vm-seq", "fast-par-pool", "nofuse-noinline-pool", "tiny-tile-par":
+			quick = append(quick, k)
+		}
+	}
+	return quick
 }
 
 // RunOptions configures a differential run.

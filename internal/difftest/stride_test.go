@@ -8,10 +8,10 @@ import (
 )
 
 // TestGenStride: the generated kernels that read at a stride, four lanes
-// per iteration from windows over each tap row, against the row VM, the
-// scalar tier and the reference interpreter, exactly, with out's rows
-// starting at −4, −1 and 5 and 1, 3, 4, 5, 7, 8 and 37 elements wide: no
-// full lane iteration, one with and without a remainder, two, and many.
+// per iteration from windows over each tap row, against the row VM and the
+// reference interpreter, exactly, with out's rows starting at −4, −1 and 5
+// and 1, 3, 4, 5, 7, 8 and 37 elements wide: no full lane iteration, one
+// with and without a remainder, two, and many.
 // Every piece binds a checked-in kernel, and out's kernel runs as many
 // lanes as the case names.
 func TestGenStride(t *testing.T) {

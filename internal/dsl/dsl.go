@@ -158,7 +158,9 @@ func (im *Image) At(args ...any) expr.Expr {
 }
 
 // Case pairs a condition with the expression defining the function where the
-// condition holds. A nil Cond means "everywhere in the domain".
+// condition holds. A nil Cond means "everywhere in the domain". Where the
+// conditions of several cases hold at once, the first of them in Define's
+// order defines the point: a guard then a default is the usual idiom.
 type Case struct {
 	Cond expr.Cond
 	E    expr.Expr

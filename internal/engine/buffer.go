@@ -1,6 +1,7 @@
 // Package engine executes compiled pipelines: it lowers stage expressions
-// to closures (with an array-at-a-time fast path standing in for the
-// paper's SIMD vectorization, see DESIGN.md substitution note 3), runs
+// to row programs for an array-at-a-time VM, with ahead-of-time generated Go
+// kernels standing in for the paper's SIMD vectorization (DESIGN.md
+// substitution note 3), runs
 // groups as overlapped tiles over a goroutine worker pool (one worker per
 // OpenMP thread of the paper's generated code), and manages full buffers
 // for live-outs and per-worker scratchpads for intermediates (Section 3.6).

@@ -275,6 +275,81 @@ func TestSelfReferenceTimeIteration(t *testing.T) {
 		schedule.Options{}, 1e-4)
 }
 
+// TestSelfRefCarriedByRows pins which self-referencing stages run a row at
+// a time: those whose every self-read, in a value or a condition, lands in
+// an earlier row of the lexicographic sweep.
+func TestSelfRefCarriedByRows(t *testing.T) {
+	v := func(d int) expr.Expr { return expr.VarRef{Dim: d} }
+	h := func(args ...expr.Expr) expr.Expr { return expr.Access{Target: "h", Args: args} }
+	minus := func(e expr.Expr, k float64) expr.Expr { return expr.SubE(e, expr.C(k)) }
+	for _, c := range []struct {
+		name string
+		read expr.Expr
+		cond bool
+		want bool
+	}{
+		{"t-1", h(minus(v(0), 1), v(1), v(2)), false, true},
+		{"t-N", h(expr.SubE(v(0), expr.ParamRef{Name: "N"}), expr.AddE(v(1), expr.C(1)), v(2)), false, true},
+		{"x-1 at t", h(v(0), minus(v(1), 1), expr.AddE(v(2), expr.C(5))), false, true},
+		{"y-1 in row", h(v(0), v(1), minus(v(2), 1)), false, false},
+		{"t+1", h(expr.AddE(v(0), expr.C(1)), v(1), v(2)), false, false},
+		{"2t-1", h(minus(expr.MulE(expr.C(2), v(0)), 1), v(1), v(2)), false, false},
+		{"data-dependent t", h(expr.Cast{To: expr.Int, X: expr.Access{Target: "I", Args: []expr.Expr{v(1)}}}, v(1), v(2)), false, false},
+		{"y-1 in a condition", h(v(0), v(1), minus(v(2), 1)), true, false},
+	} {
+		st := &pipeline.Stage{Name: "h", Cases: []dsl.Case{{E: h(minus(v(0), 1), v(1), v(2))}}}
+		if c.cond {
+			st.Cases = append(st.Cases, dsl.Case{Cond: expr.Cmp{Op: expr.GT, L: c.read, R: expr.C(0)}, E: expr.C(1)})
+		} else {
+			st.Cases[0].E = expr.AddE(st.Cases[0].E, c.read)
+		}
+		if got := carriedByRows(st, 3, map[string]int64{"N": 2}); got != c.want {
+			t.Errorf("%s: carried by rows = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFirstMatchingCaseWins: where two cases' conditions overlap, the first
+// one defines the stage, as in the reference interpreter; the later default
+// applies only where the guard fails.
+func TestFirstMatchingCaseWins(t *testing.T) {
+	b := dsl.NewBuilder()
+	R := b.Param("R")
+	I := b.Image("I", expr.Float, R.Affine())
+	x := b.Var("x")
+	f := b.Func("f", expr.Float, []*dsl.Variable{x}, []dsl.Interval{dsl.Span(affine.Const(0), R.Affine().AddConst(-1))})
+	f.Define(
+		dsl.Case{Cond: dsl.Cond(x, ">=", 4), E: dsl.Add(I.At(x), 100)},
+		dsl.Case{E: I.At(x)},
+	)
+	g, err := pipeline.Build(b, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int64{"R": 16}
+	in, err := buffer.NewForDomain(I.Domain(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	FillPattern(in, 3)
+	inputs := map[string]*Buffer{"I": in}
+	ref, err := Reference(g, params, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ref["f"].At(8), in.At(8)+100; got != want {
+		t.Fatalf("reference f(8) = %v, want %v", got, want)
+	}
+	for _, fast := range []bool{false, true} {
+		for threads := 1; threads <= 2; threads++ {
+			out := compileAndRun(t, g, params, schedule.Options{}, ExecOptions{Fast: fast, Threads: threads, Debug: true}, inputs)
+			if eq, msg := out["f"].Equal(ref["f"], 0); !eq {
+				t.Errorf("fast=%v/threads=%d: %s", fast, threads, msg)
+			}
+		}
+	}
+}
+
 func TestMultipleLiveOuts(t *testing.T) {
 	// Two outputs sharing a producer: both must be materialized exactly.
 	b := dsl.NewBuilder()

@@ -224,8 +224,9 @@ func rowsOf(b affine.Box) int64 {
 }
 
 // computeRegion evaluates a stage over region into out, one case piece at a
-// time (pieces with box conditions iterate only their sub-box, keeping the
-// inner loop branch-free; pieces with residual predicates test per point).
+// time: each piece iterates only its sub-box, keeping the inner loop
+// branch-free, on its generated kernel when one is bound and on the row VM
+// otherwise (a piece with a residual predicate masks it per element).
 func (p *Program) computeRegion(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
 	for pi := range ls.pieces {
 		piece := &ls.pieces[pi]
@@ -238,12 +239,16 @@ func (p *Program) computeRegion(w *worker, ls *loweredStage, region affine.Box, 
 			p.genLoop(w, piece.gen, r, out)
 			continue
 		}
-		if piece.vm != nil {
-			vmLoop(w, piece.vm, r, out)
-			continue
-		}
-		p.scalarLoop(w, piece, r, out)
+		vmLoop(w, piece.vm, r, out)
 	}
+}
+
+// growI64 returns s resized to n elements, reallocating only on growth.
+func growI64(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	return s[:n]
 }
 
 // intersectInto writes the intersection of a and b into dst's storage
@@ -312,31 +317,10 @@ func vmLoop(w *worker, vm *rowVM, r affine.Box, out *Buffer) {
 	}
 }
 
-func (p *Program) scalarLoop(w *worker, piece *loweredPiece, r affine.Box, out *Buffer) {
-	last := len(r) - 1
-	c := &w.ctx.Ctx
-	pt := odometer(c.pt, r)
-	narrow := out.Elem != ElemF32
-	for {
-		for j := r[last].Lo; j <= r[last].Hi; j++ {
-			pt[last] = j
-			if piece.pred != nil && !piece.pred(c) {
-				continue
-			}
-			if narrow {
-				out.StoreF64(out.Offset(pt), piece.eval(c))
-			} else {
-				out.Data[out.Offset(pt)] = float32(piece.eval(c))
-			}
-		}
-		if !step(pt, r, last) {
-			return
-		}
-	}
-}
-
 // runSelfRef executes a self-referencing (time-iterated) stage in
-// lexicographic order, which respects the dependence on earlier values.
+// lexicographic order, which respects the dependence on earlier values: a
+// whole row at a time when every self-read is carried by an outer
+// dimension, else a point at a time.
 func (e *Executor) runSelfRef(rc *runCtx, ls *loweredStage, out *Buffer) error {
 	if out == nil {
 		return fmt.Errorf("engine: no output buffer for %s", ls.name)
@@ -351,34 +335,41 @@ func (e *Executor) runSelfRef(rc *runCtx, ls *loweredStage, out *Buffer) error {
 		}()
 	}
 	if ls.prof != nil {
-		pprof.Do(context.Background(), *ls.prof, func(context.Context) { e.selfRefLoop(w, ls, out) })
+		pprof.Do(context.Background(), *ls.prof, func(context.Context) { e.p.selfRefSweep(w, ls, out) })
 		return nil
 	}
-	e.selfRefLoop(w, ls, out)
+	e.p.selfRefSweep(w, ls, out)
 	return nil
 }
 
-func (e *Executor) selfRefLoop(w *worker, ls *loweredStage, out *Buffer) {
+// selfRefSweep computes ls over its domain one box at a time in
+// lexicographic order: a row (the innermost dimension whole) when ls.rows,
+// a single point otherwise. The box is its own odometer over the fixed
+// dimensions.
+func (p *Program) selfRefSweep(w *worker, ls *loweredStage, out *Buffer) {
 	if ls.dom.Empty() {
 		return
 	}
-	c := &w.ctx.Ctx
-	pt := odometer(c.pt, ls.dom)
+	fixed := len(ls.dom)
+	if ls.rows {
+		fixed--
+	}
+	r := cloneBoxInto(w.region, ls.dom)
+	w.region = r
+	for d := range fixed {
+		r[d].Hi = r[d].Lo
+	}
 	for {
-		for pi := range ls.pieces {
-			piece := &ls.pieces[pi]
-			if !piece.box.Contains(pt) {
-				continue
-			}
-			if piece.pred != nil && !piece.pred(c) {
-				continue
-			}
-			out.Data[out.Offset(pt)] = float32(piece.eval(c))
-			break
+		p.computeRegion(w, ls, r, out)
+		d := fixed - 1
+		for ; d >= 0 && r[d].Lo == ls.dom[d].Hi; d-- {
+			r[d] = affine.Range{Lo: ls.dom[d].Lo, Hi: ls.dom[d].Lo}
 		}
-		if !step(pt, ls.dom, len(pt)) {
+		if d < 0 {
 			return
 		}
+		r[d].Lo++
+		r[d].Hi++
 	}
 }
 
@@ -464,49 +455,21 @@ func (p *Program) accumulateStage(w *worker, ls *loweredStage, region affine.Box
 }
 
 func (p *Program) accumulateRegion(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
-	switch {
-	case ls.accGen != nil:
+	if ls.accGen != nil {
 		p.genLoop(w, ls.accGen, region, out)
 		return
-	case ls.accValVM != nil:
-		p.accumulateRows(w, ls, region, out)
-		return
 	}
-	c := &w.ctx.Ctx
-	pt := odometer(c.pt, region)
-	w.accIdx = growI64(w.accIdx, len(ls.accIdx))
-	idx := w.accIdx
-	for {
-		ok := true
-		for d, f := range ls.accIdx {
-			idx[d] = f(c)
-			if idx[d] < out.Box[d].Lo || idx[d] > out.Box[d].Hi {
-				if p.Opts.Debug {
-					panic(fmt.Sprintf("engine: accumulator %s target %v outside %v at %v", ls.name, idx, out.Box, pt))
-				}
-				ok = false
-				break
-			}
-		}
-		if ok {
-			v := ls.accVal(c)
-			off := out.Offset(idx)
-			out.Data[off] = applyReduce(ls.accOp, out.Data[off], float32(v))
-		}
-		if !step(pt, region, len(pt)) {
-			return
-		}
-	}
+	p.accumulateRows(w, ls, region, out)
 }
 
-// accumulateRows is the Fast form of the sweep. Per row of the reduction
-// domain each target index is evaluated by its row program and folded into a
-// per-worker row of flat output offsets, with the scalar sweep's
-// per-dimension skip-or-Debug-panic check (a skipped point's offset is -1);
-// the value row is then scattered left to right, so every output element
-// sees the same updates in the same order and sums are bit-identical. The
-// value is evaluated at skipped points too, which the scalar sweep does not
-// do: a data-dependent read in it must stay inside its buffer over the whole
+// accumulateRows sweeps the reduction domain a row at a time. Per row each
+// target index is evaluated by its row program and folded into a per-worker
+// row of flat output offsets, with the reference's per-dimension skip (a
+// skipped point's offset is -1), or under Debug a panic; the value row is
+// then scattered left to right, so every output element sees the same
+// updates in the same order and sums are bit-identical. The value is
+// evaluated at skipped points too, which the reference does not do: a
+// data-dependent read in it must stay inside its buffer over the whole
 // reduction domain.
 func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
 	last := len(region) - 1
@@ -515,8 +478,8 @@ func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box,
 	c.n = int(region[last].Size())
 	c.jLo = region[last].Lo
 	pt := odometer(c.pt, region)
-	w.accIdx = growI64(w.accIdx, c.n)
-	offs := w.accIdx
+	w.accOffs = growI64(w.accOffs, c.n)
+	offs := w.accOffs
 	for {
 		for i := range offs {
 			offs[i] = 0
@@ -530,12 +493,7 @@ func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box,
 				case x >= lo && x <= hi:
 					offs[i] += (x - lo) * stride
 				case p.Opts.Debug:
-					pt[last] = region[last].Lo + int64(i)
-					idx := make([]int64, d+1)
-					for k := range idx {
-						idx[k] = ls.accIdx[k](&c.Ctx)
-					}
-					panic(fmt.Sprintf("engine: accumulator %s target %v outside %v at %v", ls.name, idx, out.Box, pt))
+					p.accOutside(ls, c, out, d, i)
 				default:
 					offs[i] = -1
 				}
@@ -550,6 +508,19 @@ func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box,
 			return
 		}
 	}
+}
+
+// accOutside is Debug's accumulator check failing: target dimension d of
+// element i of the current row lies outside out. The message carries the
+// target's indices up to d, re-read from their index rows.
+func (p *Program) accOutside(ls *loweredStage, c *RowCtx, out *Buffer, d, i int) {
+	idx := make([]int64, d+1)
+	for k := range idx {
+		idx[k] = int64(evalRow[float64](ls.accIdxVM[k], c)[i])
+	}
+	pt := c.pt[:c.last+1]
+	pt[c.last] = c.jLo + int64(i)
+	panic(fmt.Sprintf("engine: accumulator %s target %v outside %v at %v", ls.name, idx, out.Box, pt))
 }
 
 func applyReduce(op dsl.ReduceOp, a, b float32) float32 {

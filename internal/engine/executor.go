@@ -117,12 +117,13 @@ type worker struct {
 	shard *obs.Shard
 
 	// Reusable per-task scratch: the tile odometer, the required-region
-	// boxes of each group's plan (by group id, then member position), the
-	// accumulator target index, region clones and the owned box of the
-	// member in hand.
+	// boxes of each group's plan (by group id, then member position), an
+	// accumulator row's flat target offsets, region clones (an
+	// accumulator's share, a self-referencing stage's row or point) and the
+	// owned box of the member in hand.
 	tileIdx []int64
 	req     [][]affine.Box
-	accIdx  []int64
+	accOffs []int64
 	region  affine.Box
 	iBox    affine.Box
 	ownBox  affine.Box

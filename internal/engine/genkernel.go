@@ -23,10 +23,11 @@ import (
 // only on the piece it computes and is registered here under a content key
 // of exactly what the emitter bakes in (GenUnit.Key). Lowering computes the
 // key of each eligible piece and binds on a hit, whatever the schedule,
-// stage names or image size. The registry is a pure accelerator: a miss,
-// ExecOptions.NoGenKernels, or an ineligible piece (predicated pieces,
-// self-referencing stages, stages of rank above 3, and under Debug gathers
-// and accumulators) runs on the row VM or the scalar loop exactly as before.
+// stage names or image size. The registry is a pure accelerator: a miss, a
+// program compiled without ExecOptions.Fast, or an ineligible piece
+// (predicated pieces, self-referencing stages, stages of rank above 3, and
+// under Debug gathers and accumulators) runs on the row VM exactly as
+// before.
 
 // genABI versions the generated-kernel calling convention and key layout.
 // It is folded into every key, so kernels emitted by an older emitter can
@@ -86,8 +87,8 @@ type genBound struct {
 }
 
 // attachGenKernels binds a registered kernel to every eligible piece whose
-// key it was emitted for, and records why each other piece stays on the
-// interpreted tiers (Stats().GenMisses).
+// key it was emitted for, and records why each other piece stays on the row
+// VM (Stats().GenMisses).
 func (p *Program) attachGenKernels() {
 	units, miss := p.genUnits()
 	genMu.RLock()
@@ -224,8 +225,8 @@ func (u *GenUnit) lower(want vmSet) error {
 // GenUnits enumerates the pieces of this program eligible for ahead-of-time
 // kernel generation, in deterministic (stage topological, piece
 // declaration) order. EmitGo renders one kernel per distinct key; pieces
-// not enumerated here run on the interpreted tiers. Only a Fast program has
-// row programs, so only a Fast program has units.
+// not enumerated here run on the row VM. Only a Fast program binds the
+// kernels, but every program has the units.
 func (p *Program) GenUnits() []GenUnit {
 	units, _ := p.genUnits()
 	return units
@@ -281,17 +282,14 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 		}
 		for pi := range ls.pieces {
 			piece := &ls.pieces[pi]
-			switch {
-			case piece.pred != nil:
+			if piece.pred != nil {
 				miss.Predicated++
-				continue
-			case piece.vm == nil:
 				continue
 			}
 			canon, reads, gather, ok := genCanon([]expr.Expr{piece.src}, p.slots, p.Params)
 			if !ok || (gather && p.Opts.Debug) {
 				// Under Debug a gather keeps the per-dimension region
-				// check, which only the interpreted tiers carry.
+				// check, which only the row VM carries.
 				miss.Irregular++
 				continue
 			}
@@ -302,13 +300,10 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 	return units, miss
 }
 
-// accUnit hands an accumulator swept by rows (a Fast program's) to unit,
-// or counts why it is not eligible. Under Debug the sweep keeps its
-// out-of-box panic, which only the interpreted tiers carry.
+// accUnit hands an accumulator to unit, or counts why it is not eligible.
+// Under Debug the row sweep keeps its out-of-box panic, which only the row
+// VM carries.
 func (p *Program) accUnit(name string, ls *loweredStage, miss *obs.GenMisses, unit func(GenUnit, vmSet)) {
-	if ls.accValVM == nil {
-		return
-	}
 	st := p.Graph.Stages[name]
 	n := len(st.AccTarget)
 	canon, reads, _, ok := genCanon(append(slices.Clone(st.AccTarget), st.AccValue), p.slots, p.Params)

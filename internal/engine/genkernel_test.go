@@ -107,7 +107,7 @@ func TestGenKeyStable(t *testing.T) {
 		t.Error("a row blur and a column blur share a key")
 	}
 	for label, got := range map[string]map[string]string{
-		"execution-only options": mk(params, ExecOptions{Fast: true, Threads: 4, Debug: true, NoGenKernels: true, NarrowTypes: true}),
+		"execution-only options": mk(params, ExecOptions{Threads: 4, Debug: true, NarrowTypes: true}),
 		"tile plan":              mk(params, ExecOptions{Fast: true, Threads: 1}, 16, 16),
 		"image size":             mk(map[string]int64{"R": 96, "C": 40}, ExecOptions{Fast: true, Threads: 1}),
 	} {
@@ -115,20 +115,14 @@ func TestGenKeyStable(t *testing.T) {
 			t.Errorf("%s changed the piece keys: %v vs %v", label, got, base)
 		}
 	}
-	// A kernel is a printing of the piece's row program: without Fast there
-	// is none, so there is no unit (and non-Fast programs never consult the
-	// registry anyway).
-	if slow := mk(params, ExecOptions{Threads: 1}); len(slow) != 0 {
-		t.Errorf("a non-Fast program enumerated units %v", slow)
-	}
 }
 
 // TestGenDispatchAndFallback registers a sentinel kernel (writes a
 // constant) under the key of one piece of the test pipeline and checks the
 // dispatch matrix: a key hit runs the kernel under any tile plan and image
 // size, a later registration shadows an earlier one, entries without a
-// function never bind, and NoGenKernels or a non-Fast compile fall back to
-// the interpreted tiers bit-identically.
+// function never bind, and a compile without Fast runs the row VM
+// bit-identically.
 func TestGenDispatchAndFallback(t *testing.T) {
 	g, params, inputs := genTestPipeline(t)
 
@@ -204,36 +198,18 @@ func TestGenDispatchAndFallback(t *testing.T) {
 		}
 	}
 
-	// NoGenKernels: knob wins over the registered kernel, output matches
-	// the pre-registration baseline bit for bit.
-	off := genTestCompile(t, g, params, ExecOptions{Fast: true, Threads: 1, NoGenKernels: true})
+	// Without Fast the registry is never consulted: the output matches the
+	// pre-registration baseline bit for bit.
+	off := genTestCompile(t, g, params, ExecOptions{Threads: 1})
 	defer off.Close()
 	if n := genCount(off); n != 0 {
-		t.Fatalf("NoGenKernels still attached %d kernels", n)
+		t.Fatalf("non-Fast program attached %d kernels", n)
 	}
 	offOut, err := off.Run(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitEqual(t, "NoGenKernels", offOut["genregBlurY"], refOut["genregBlurY"])
-
-	// Non-Fast compile never consults the registry (its scalar tier is a
-	// different evaluator, so no output comparison here — only that the
-	// sentinel cannot leak in).
-	slow := genTestCompile(t, g, params, ExecOptions{Threads: 1})
-	defer slow.Close()
-	if n := genCount(slow); n != 0 {
-		t.Fatalf("non-Fast program attached %d kernels", n)
-	}
-	slowOut, err := slow.Run(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range slowOut["genregBlurY"].Data {
-		if v == sentinel {
-			t.Fatal("sentinel leaked into a non-Fast run")
-		}
-	}
+	bitEqual(t, "non-Fast", offOut["genregBlurY"], refOut["genregBlurY"])
 }
 
 func bitEqual(t *testing.T, label string, got, want *Buffer) {

@@ -12,17 +12,17 @@ import (
 // provably integral and bounded within ±2^24 is stored as uint8/uint16/
 // int32 instead of float32. The 2^24 cap is the key soundness bound — every
 // such value is exactly representable in float32 AND float64 AND int64, so
-// the scalar closures, the float64 row paths, the integer row VM, and the
+// the float64 row paths, the integer row VM, the generated kernels and the
 // reference interpreter all compute bit-identical results; the narrowed
 // store is then a loss-free truncation (the inferred interval fits the
 // chosen type, so the saturating store never actually clamps).
 //
 // Stages that fall outside the provable subset (transcendentals, float
 // division, accumulators, self-references, unbounded growth) keep the
-// float32 layout and the existing tiers; a Cast to an integer type re-bounds
-// an otherwise unprovable operand (the saturating cast semantics guarantee
-// the result interval) but marks the stage float-fed, which keeps it off
-// the integer VM while still allowing narrow storage.
+// float32 layout and the float registers; a Cast to an integer type
+// re-bounds an otherwise unprovable operand (the saturating cast semantics
+// guarantee the result interval) but marks the stage float-fed, which keeps
+// it off the integer VM while still allowing narrow storage.
 
 // maxExact bounds every inferred interval: |v| <= 2^24 keeps integer
 // arithmetic exact in float32 (and trivially in float64/int64).

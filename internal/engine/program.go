@@ -20,10 +20,14 @@ type ExecOptions struct {
 	// Threads is the number of worker goroutines (the paper's OpenMP
 	// thread count). 0 means GOMAXPROCS.
 	Threads int
-	// Fast enables generated kernels and array-at-a-time row evaluation
-	// (the row VM) — the stand-in for the paper's `+vec` axis.
+	// Fast dispatches stage pieces to ahead-of-time generated Go kernels
+	// (cmd/polymage-gen) where the process links one for the piece's shape
+	// — the stand-in for the paper's `+vec` axis. Without it, and for every
+	// piece no kernel covers, pieces run on the row VM.
 	Fast bool
-	// Debug enables bounds-checked buffer accesses.
+	// Debug checks every row-VM load, gather and accumulator target against
+	// the region of the buffer it addresses. Generated kernels stay
+	// unchecked, and under Debug gathers and accumulators bind none.
 	Debug bool
 	// Tiling selects the tiling strategy for fused groups: the paper's
 	// overlapped tiling (default, parallel tiles with recomputed halos) or
@@ -60,14 +64,6 @@ type ExecOptions struct {
 	// Off by default: with the flag clear no inference runs and every buffer
 	// keeps the historical float32 layout.
 	NarrowTypes bool
-	// NoGenKernels disables dispatch to ahead-of-time generated Go kernels
-	// (cmd/polymage-gen): stage pieces run on the row VM even when the
-	// process links a kernel for their shape.
-	// Generated kernels are a pure accelerator tier — with this knob, on
-	// any key miss, or for pieces no kernel can cover (predicated pieces,
-	// self-referencing stages), execution falls back to the tier below
-	// unchanged.
-	NoGenKernels bool
 
 	// fleet overrides the process-wide scheduler this program's executor
 	// attaches to. Test hook only: lets scheduler tests build a private
@@ -95,14 +91,13 @@ func (o ExecOptions) fleetOf() (*fleet, int) {
 // loweredPiece is one case of a stage lowered for a concrete parameter
 // binding: the sub-box where it applies, an optional residual predicate
 // (nil when the condition is exactly the box — Section 3.7's branch-free
-// splitting), and the compiled evaluators. Under Fast an unpredicated piece
-// runs gen when one is bound and vm otherwise (vm stays compiled under a
-// bound gen: Program.GenUnits reads its register type); every other piece
-// runs the scalar loop over eval.
+// splitting), and its row program. A piece runs gen when one is bound and vm
+// otherwise (vm stays compiled under a bound gen: Program.GenUnits reads its
+// register type). A predicated piece's program is Select(pred, E, own
+// output), so the points its predicate rejects keep their values.
 type loweredPiece struct {
 	box  affine.Box
-	pred condFn
-	eval evalFn
+	pred expr.Cond
 	vm   *rowVM
 	// gen is the ahead-of-time generated Go kernel bound to this piece
 	// (nil unless a kernel is registered under the piece's content key);
@@ -121,6 +116,10 @@ type loweredStage struct {
 	dom     affine.Box
 	pieces  []loweredPiece
 	selfRef bool
+	// rows marks a self-referencing stage whose every self-read is carried
+	// by an outer dimension (carriedByRows): it runs a row at a time, any
+	// other self-referencing stage a point at a time.
+	rows bool
 	// elem is the stage's inferred storage element type (ElemF32 unless
 	// Options.NarrowTypes narrowed it); intExact marks stages whose every
 	// expression node is provably integral within ±2^24 — eligible for the
@@ -134,11 +133,9 @@ type loweredStage struct {
 	isAcc  bool
 	accOp  dsl.ReduceOp
 	redDom affine.Box
-	accIdx []idxFn
-	accVal evalFn
 	// accIdxVM/accValVM are the row programs of the target indices and the
-	// value (Fast only): the reduction domain is swept a row at a time and
-	// scattered in the scalar sweep's order.
+	// value: the reduction domain is swept a row at a time and scattered in
+	// the reference's order.
 	accIdxVM []*rowVM
 	accValVM *rowVM
 	// accGen is the generated kernel bound to the accumulator (nil unless one
@@ -348,7 +345,7 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 	}
 	// Generated-kernel lookup: bind every piece whose content key has an
 	// ahead-of-time kernel registered (see genkernel.go).
-	if opts.Fast && !opts.NoGenKernels {
+	if opts.Fast {
 		p.attachGenKernels()
 	}
 	return p, nil
@@ -387,47 +384,37 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 		if err != nil {
 			return nil, err
 		}
+		last := len(ls.redDom) - 1
 		for _, te := range st.AccTarget {
-			f, err := cp.compileIdx(te)
+			vm, err := cp.compileRowIdx(te, last)
 			if err != nil {
 				return nil, err
 			}
-			ls.accIdx = append(ls.accIdx, f)
+			ls.accIdxVM = append(ls.accIdxVM, vm)
 		}
-		ls.accVal, err = cp.compile(st.AccValue)
-		if err != nil {
-			return nil, err
-		}
-		if p.Opts.Fast && len(ls.redDom) > 0 {
-			last := len(ls.redDom) - 1
-			for _, te := range st.AccTarget {
-				vm, err := cp.compileRowIdx(te, last)
-				if err != nil {
-					return nil, err
-				}
-				ls.accIdxVM = append(ls.accIdxVM, vm)
-			}
-			ls.accValVM, err = cp.compileRowVM(st.AccValue, last, setF64)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return ls, nil
+		ls.accValVM, err = cp.compileRowVM(st.AccValue, last, setF64)
+		return ls, err
 	}
 	nd := len(dom)
-	for _, c := range st.Cases {
-		piece := loweredPiece{box: dom.Clone()}
+	ls.rows = st.SelfRef && carriedByRows(st, nd, p.Params)
+	// own is the stage's own output at the point: what a predicated piece
+	// stores where its predicate fails.
+	own := expr.Access{Target: st.Name, Args: make([]expr.Expr, nd)}
+	for d := range nd {
+		own.Args[d] = expr.VarRef{Dim: d}
+	}
+	boxes := make([]affine.Box, 0, len(st.Cases))
+cases:
+	for i, c := range st.Cases {
+		piece := loweredPiece{box: dom.Clone(), src: c.E}
 		if c.Cond != nil {
 			lower, upper, ok := expr.CondToBox(c.Cond, nd)
 			if !ok {
-				// Keep the per-point predicate but still shrink the
-				// iterated box with whatever conjuncts convert (sound
-				// over-approximation of the case's region).
+				// Keep the predicate but still shrink the iterated box with
+				// whatever conjuncts convert (sound over-approximation of
+				// the case's region).
 				lower, upper = expr.CondToBoxPartial(c.Cond, nd)
-				piece.pred, err = cp.compileCond(c.Cond)
-				if err != nil {
-					return nil, err
-				}
+				piece.pred = c.Cond
 			}
 			for d := 0; d < nd; d++ {
 				if lower[d] != nil {
@@ -450,10 +437,27 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 				}
 			}
 		}
-		piece.src = c.E
-		piece.eval, err = cp.compile(c.E)
-		if err != nil {
-			return nil, err
+		boxes = append(boxes, piece.box)
+		// The first matching case wins: where an earlier case's box meets
+		// this one, the earlier condition is excluded here, and an earlier
+		// case without one shadows this case entirely.
+		for j, b := range boxes[:i] {
+			if b.Intersect(piece.box).Empty() {
+				continue
+			}
+			cj := st.Cases[j].Cond
+			if cj == nil {
+				continue cases
+			}
+			if piece.pred == nil {
+				piece.pred = expr.Not{A: cj}
+			} else {
+				piece.pred = expr.And{A: piece.pred, B: expr.Not{A: cj}}
+			}
+		}
+		e := c.E
+		if piece.pred != nil {
+			e = expr.Select{Cond: piece.pred, Then: c.E, Else: own}
 		}
 		// Compile the row program and pick its register type. A provably
 		// integral stage (which stores a narrow type) asks for int64.
@@ -462,22 +466,61 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 		// break the narrow layout's exact-equality guarantee. The rest ask
 		// for float32. compileRowVM falls back to float64 when the program
 		// fails the requested set's gate.
-		if p.Opts.Fast && piece.pred == nil {
-			want := setF64
-			switch {
-			case ls.intExact:
-				want = setInt
-			case ls.elem == ElemF32 && !cp.readsNarrow(c.E):
-				want = setF32
-			}
-			piece.vm, err = cp.compileRowVM(c.E, nd-1, want)
-			if err != nil {
-				return nil, err
-			}
+		want := setF64
+		switch {
+		case ls.intExact:
+			want = setInt
+		case ls.elem == ElemF32 && !cp.readsNarrow(c.E):
+			want = setF32
+		}
+		piece.vm, err = cp.compileRowVM(e, nd-1, want)
+		if err != nil {
+			return nil, err
 		}
 		ls.pieces = append(ls.pieces, piece)
 	}
 	return ls, nil
+}
+
+// carriedByRows reports whether every read st makes of itself is carried by
+// an outer dimension: over the outer dimensions its index is
+// lexicographically earlier than the point's (heat's t−1), so a row depends
+// only on rows before it. A read that can land in its own row (an in-row
+// scan) or has a non-affine outer index is not carried.
+func carriedByRows(st *pipeline.Stage, nd int, params map[string]int64) bool {
+	carried := true
+	visit := func(e expr.Expr) bool {
+		if a, ok := e.(expr.Access); ok && a.Target == st.Name {
+			carried = carried && readCarried(a, nd, params)
+		}
+		return carried
+	}
+	for _, c := range st.Cases {
+		expr.Walk(c.E, visit)
+		if c.Cond != nil {
+			expr.WalkCond(c.Cond, visit)
+		}
+	}
+	return carried
+}
+
+// readCarried reports whether the self-read a lands in an earlier row: its
+// outer indices are the point's up to one dimension that reads d − k, k > 0.
+func readCarried(a expr.Access, nd int, params map[string]int64) bool {
+	for d := 0; d < nd-1; d++ {
+		aff, ok := expr.ToAffineAccess(a.Args[d])
+		if !ok || aff.Var != d || aff.Coeff != 1 || aff.Div != 1 {
+			return false
+		}
+		off, err := aff.Off.Eval(params)
+		if err != nil || off > 0 {
+			return false
+		}
+		if off < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // InputBox returns the concrete domain of a declared input image.
@@ -560,30 +603,25 @@ func (p *Program) Stats() obs.ProgramStats {
 		switch {
 		case ls.accGen != nil:
 			sm.Gen++
-		case ls.accValVM != nil:
-			// An accumulator is one piece; under Fast its targets and value
-			// are row programs (accumulateRows).
+		case ls.isAcc:
+			// An accumulator is one piece; its targets and value are row
+			// programs (accumulateRows).
 			sm.RowVM++
 			for _, vm := range ls.accIdxVM {
 				vmShape(vm)
 			}
 			vmShape(ls.accValVM)
-		case ls.isAcc:
-			sm.Scalar++
 		}
 		for pi := range ls.pieces {
 			piece := &ls.pieces[pi]
-			switch {
-			case piece.gen != nil:
+			if piece.gen != nil {
 				sm.Gen++
-			case piece.vm != nil:
-				sm.RowVM++
-				vmShape(piece.vm)
-				sm.VMF32 = sm.VMF32 || piece.vm.set == setF32
-				sm.VMInt = sm.VMInt || piece.vm.set == setInt
-			default:
-				sm.Scalar++
+				continue
 			}
+			sm.RowVM++
+			vmShape(piece.vm)
+			sm.VMF32 = sm.VMF32 || piece.vm.set == setF32
+			sm.VMInt = sm.VMInt || piece.vm.set == setInt
 		}
 		st.Stages = append(st.Stages, sm)
 	}

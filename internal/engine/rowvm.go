@@ -14,8 +14,8 @@ import (
 
 // The row VM lowers an expression to array-at-a-time evaluation: each
 // instruction produces a whole row (the innermost, unit-stride dimension)
-// per dispatch, so the per-element cost is a tight slice loop instead of a
-// closure tree walk. This is the engine's stand-in for the SIMD
+// per dispatch, so the per-element cost is a tight slice loop instead of an
+// expression tree walk. This is the engine's stand-in for the SIMD
 // vectorization the paper obtains from icc on the generated branch-free
 // inner loops (DESIGN.md substitution note 3): like SIMD it only pays off
 // on unit-stride regular loops, which is why tiling+vec composes the way
@@ -34,14 +34,17 @@ import (
 // data-dependent index argument (hist(I(x,y)), a trilinear grid tap), or with
 // several arguments varying along the row, compiles to a gather instruction
 // whose index arguments are ordinary value-numbered rows, so an index shared
-// by many taps is computed once per row. A subtree with no row instruction
-// at all compiles to a fallback instruction that evaluates the scalar
-// closure per element, so the VM stays total when the expression grammar
-// grows ahead of it; no expression form reaches it today.
+// by many taps is computed once per row. Every expression form has a row
+// instruction (TestRowVMCoversIR), so lowering is total over the IR.
 
 // RowCtx carries the evaluation state for one row.
 type RowCtx struct {
-	Ctx
+	// pt is the current point (the row's outer coordinates; pt[last] is
+	// scratch), bufs the buffer bound to each slot: full buffers for
+	// live-outs and inputs, the worker's scratchpads for in-tile
+	// intermediates.
+	pt   []int64
+	bufs []*Buffer
 	n    int   // row length
 	last int   // innermost dimension index
 	jLo  int64 // first coordinate of the row along the innermost dim
@@ -60,6 +63,40 @@ func (e errorString) Error() string { return string(e) }
 // so only a new IR form without a lowering here reaches it.
 func noRowForm(n fmt.Stringer) error {
 	return errorString("engine: no row instruction for " + n.String())
+}
+
+// compiler lowers expressions against a slot table mapping target names to
+// buffer slots. Parameters are bound at compile time.
+type compiler struct {
+	slots  map[string]int
+	params map[string]int64
+	// debug makes every load and gather check its indices against the
+	// bound buffer's box (ExecOptions.Debug).
+	debug bool
+	// elems is the storage element type per slot (nil or all-ElemF32 unless
+	// the program narrowed some slots).
+	elems []Elem
+}
+
+// readsNarrow reports whether any access in e targets a narrow-typed slot.
+func (cp *compiler) readsNarrow(e expr.Expr) bool {
+	found := false
+	expr.Walk(e, func(x expr.Expr) bool {
+		if a, ok := x.(expr.Access); ok {
+			if slot, ok := cp.slots[a.Target]; ok && slot < len(cp.elems) && cp.elems[slot] != ElemF32 {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// panicOutOfRegion is Debug's per-dimension access check failing: index x
+// of dimension d lies outside the buffer bound to target.
+func panicOutOfRegion(target string, d int, x int64, b *Buffer, pt []int64) {
+	panic(fmt.Sprintf("engine: out-of-region read of %s dim %d at %d (region %v, point %v)",
+		target, d, x, b.Box, pt))
 }
 
 // rop is a row-VM opcode. Opcodes prefixed b produce bool rows (masks) in
@@ -136,6 +173,8 @@ const (
 // offset is resolved at compile time.
 type vmLoad struct {
 	slot   int
+	target string
+	debug  bool
 	nd     int
 	varDim int // producer dim whose index varies along the row; -1 = none
 	affs   []affine.Access
@@ -146,6 +185,9 @@ type vmLoad struct {
 // row-invariant dimensions for the current row.
 func (l *vmLoad) rowBase(c *RowCtx) (*Buffer, int64) {
 	b := c.bufs[l.slot]
+	if l.debug {
+		l.check(c, b)
+	}
 	var base int64
 	for d := 0; d < l.nd; d++ {
 		if d == l.varDim {
@@ -163,8 +205,29 @@ func (l *vmLoad) rowBase(c *RowCtx) (*Buffer, int64) {
 	return b, base
 }
 
+// check is Debug's region check of one load over the current row: each
+// row-invariant index, and the varying index at both ends of the row (a
+// floor-affine index is monotone along it, so its ends bound it).
+func (l *vmLoad) check(c *RowCtx, b *Buffer) {
+	for d := 0; d < l.nd; d++ {
+		aff := l.affs[d]
+		for _, j := range [2]int64{c.jLo, c.jLo + int64(c.n) - 1} {
+			x := l.offs[d]
+			if d == l.varDim {
+				x += aff.Coeff * j
+			} else if aff.Var >= 0 {
+				x += aff.Coeff * c.pt[aff.Var]
+			}
+			if x = affine.FloorDiv(x, aff.Div); x < b.Box[d].Lo || x > b.Box[d].Hi {
+				c.pt[c.last] = j
+				panicOutOfRegion(l.target, d, x, b, c.pt)
+			}
+		}
+	}
+}
+
 // vmIdx is one quasi-affine index argument in row form: the integer
-// floor((Coeff·x_Var + off) / Div) that compileIdx computes per point, as a
+// floor((Coeff·x_Var + off) / Div) the reference computes per point, as a
 // float64 row (exact: indices are far below 2^53). Over any variable but the
 // row's the row is a broadcast.
 type vmIdx struct {
@@ -212,10 +275,10 @@ func (ix *vmIdx) row(c *RowCtx, t []float64) {
 // vmGather describes one access with no single-step row form: some index
 // argument is data-dependent, or several vary along the row. regs[d] >= 0
 // names the float register holding dimension d's index row, converted with
-// the same int64(v) as compileIdx; regs[d] < 0 marks a row-invariant affine
-// argument resolved from affs/offs like vmLoad.rowBase. The element load
-// keeps the scalar path's checks: a Go-bounds-checked flat offset, plus the
-// per-dimension region check under Debug.
+// the same int64(v) as the reference; regs[d] < 0 marks a row-invariant affine
+// argument resolved from affs/offs like vmLoad.rowBase. The element load is
+// a Go-bounds-checked flat offset, plus the per-dimension region check under
+// Debug.
 type vmGather struct {
 	slot   int
 	target string
@@ -509,8 +572,8 @@ func (vb *vmBuilder) shared(k int) bool { return vb.num.Uses(k) > 1 }
 
 // compileRowIdx lowers an index expression (an accumulator target) to a row
 // program whose float64 result converts to the index with int64(v): the
-// integer quasi-affine form where compileIdx would use one, the expression's
-// own value row otherwise, so the rows hold exactly compileIdx's indices.
+// integer quasi-affine form where the expression has one, its own value row
+// otherwise, so the rows hold exactly the reference's int64(Eval) indices.
 func (cp *compiler) compileRowIdx(e expr.Expr, last int) (*rowVM, error) {
 	aff, ok := expr.ToAffineAccess(e)
 	if !ok {
@@ -587,7 +650,7 @@ func (vb *vmBuilder) emitNew(e expr.Expr, k int) (int, error) {
 		}
 		return vb.push(vmValue{op: rVarB, a: -1, b: -1, m: -1, aux: int32(n.Dim)}), nil
 	case expr.ParamRef:
-		// Unbound parameter (lit failed): mirror the scalar compiler.
+		// Unbound parameter (lit failed).
 		return 0, errorString("engine: unbound parameter " + n.Name)
 	case expr.Access:
 		return vb.emitAccess(n, k)
@@ -658,7 +721,7 @@ func unaryOp(op expr.UnOp) (rop, bool) {
 }
 
 // foldBin evaluates a binary op over two compile-time scalars with the same
-// semantics as the scalar evaluator.
+// semantics as expr.Eval.
 func foldBin(op expr.BinOp, a, b float64) float64 {
 	switch op {
 	case expr.Add:
@@ -890,7 +953,7 @@ func (vb *vmBuilder) analyzeLoad(a expr.Access) (*vmLoad, rop, error) {
 		return nil, rNop, errorString("engine: no buffer slot for " + a.Target)
 	}
 	nd := len(a.Args)
-	l := &vmLoad{slot: slot, nd: nd, varDim: -1,
+	l := &vmLoad{slot: slot, target: a.Target, debug: vb.cp.debug, nd: nd, varDim: -1,
 		affs: make([]affine.Access, nd), offs: make([]int64, nd)}
 	for d, arg := range a.Args {
 		aff, ok := expr.ToAffineAccess(arg)
@@ -1348,9 +1411,9 @@ func typedOp[T vmNum](vm *rowVM, c *RowCtx, in *rinstr, regs [][]T) {
 }
 
 // op64 evaluates the float64 forms of the typed opcodes, and the opcodes only
-// the float64 set implements: pow, the transcendentals, index rows, gathers
-// and the scalar fallback. min and max are math.Min and math.Max, through
-// their inlinable forms numeric.Min64/Max64.
+// the float64 set implements: pow, the transcendentals, index rows and
+// gathers. min and max are math.Min and math.Max, through their inlinable
+// forms numeric.Min64/Max64.
 func (vm *rowVM) op64(c *RowCtx, in *rinstr, regs [][]float64) {
 	n, v := c.n, in.imm
 	t, a, b := regs[in.dst][:n], regs[in.a][:n], regs[in.b][:n]

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/affine"
@@ -12,13 +15,15 @@ import (
 	"repro/internal/schedule"
 )
 
-// vmHarness compiles an expression with the scalar compiler and the row VM
-// and evaluates both over one row, comparing element-wise. It returns the
-// compiled program so callers can assert on its shape (instruction mix,
-// register counts, fallbacks). The float64 instantiation runs every program;
-// the program also asks for the float32 set, or for the int64 set when every
-// buffer is integer-typed, and when it gets it that instantiation is checked
-// against the float64 result too: within float32 rounding, or exactly.
+// vmHarness compiles an expression to a row program and evaluates it over
+// one row, comparing element-wise with the reference evaluator expr.Eval. It
+// returns the compiled program so callers can assert on its shape
+// (instruction mix, register counts). The float64 instantiation runs every
+// program and must equal the reference bit for bit (a NaN matches a NaN);
+// the program also asks for the float32 set, or for the int64 set when
+// every buffer is integer-typed, and when it gets it that instantiation is
+// checked against the float64 result too: within float32 rounding, or
+// exactly.
 func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n int) *rowVM {
 	t.Helper()
 	slots := map[string]int{}
@@ -31,11 +36,8 @@ func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n
 		elems = append(elems, b.Elem)
 		integral = integral && b.Elem != ElemF32
 	}
-	cp := &compiler{slots: slots, params: map[string]int64{"P": 3}, elems: elems}
-	scalar, err := cp.compile(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	params := map[string]int64{"P": 3}
+	cp := &compiler{slots: slots, params: params, elems: elems}
 	want := setF32
 	if integral {
 		want = setInt
@@ -52,12 +54,16 @@ func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n
 	rc.n = n
 	got := append([]float64(nil), evalRow[float64](vm, rc)...)
 
-	sc := &Ctx{pt: append([]int64(nil), pt...), bufs: ctxBufs}
+	env := &expr.Env{Point: append([]int64(nil), pt...), Params: params,
+		Lookup: func(target string, idx []int64) float64 {
+			b := bufs[target]
+			return b.LoadF64(b.Offset(idx))
+		}}
 	for i := 0; i < n; i++ {
-		sc.pt[len(pt)-1] = pt[len(pt)-1] + int64(i)
-		want := scalar(sc)
-		if d := math.Abs(got[i] - want); d > 1e-12 && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
-			t.Fatalf("vm[%d] = %v, scalar = %v (expr %v)", i, got[i], want, e)
+		env.Point[len(pt)-1] = pt[len(pt)-1] + int64(i)
+		want := expr.Eval(e, env)
+		if math.Float64bits(got[i]) != math.Float64bits(want) && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
+			t.Fatalf("vm[%d] = %v, reference = %v (expr %v)", i, got[i], want, e)
 		}
 	}
 	switch vm.set {
@@ -78,9 +84,9 @@ func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n
 }
 
 // TestRowVMMatchesScalar is the differential property for the bytecode
-// evaluator: array-at-a-time evaluation must agree with scalar evaluation
-// for every expression form, including forms that exercise the fused
-// superinstructions and the gather instruction.
+// evaluator: array-at-a-time evaluation must agree with the reference's
+// point-at-a-time evaluation for every expression form, including forms
+// that exercise the fused superinstructions and the gather instruction.
 func TestRowVMMatchesScalar(t *testing.T) {
 	src := NewBuffer(affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 39}})
 	FillPattern(src, 9)
@@ -379,11 +385,68 @@ func TestRowVMFallback(t *testing.T) {
 		expr.Binary{Op: expr.FDiv, L: expr.MulE(expr.C(5), y), R: expr.C(3)}), bufs, []int64{3, 0}, 8)
 }
 
+// TestRowVMDebugLoads: under Debug every affine load checks its indices
+// once per row against the region of the buffer it is bound to — both ends
+// of the varying index and each row-invariant one — so a read one element
+// past a buffer narrower than it panics with the region check's message
+// instead of landing in a neighbouring row. Every load form is bound here
+// to a 10×10 buffer its row reads past in the named dimension.
+func TestRowVMDebugLoads(t *testing.T) {
+	src := NewBuffer(affine.Box{{Lo: 0, Hi: 9}, {Lo: 0, Hi: 9}})
+	FillPattern(src, 4)
+	x := expr.VarRef{Dim: 0, Name: "x"}
+	y := expr.VarRef{Dim: 1, Name: "y"}
+	g := func(a, b expr.Expr) expr.Expr {
+		return expr.Access{Target: "g", Args: []expr.Expr{a, b}}
+	}
+	half := func(e expr.Expr) expr.Expr { return expr.Binary{Op: expr.FDiv, L: e, R: expr.C(2)} }
+	cases := []struct {
+		name string
+		e    expr.Expr
+		dim  int
+		op   rop
+	}{
+		{"unit", g(x, expr.AddE(y, expr.C(1))), 1, rLoadU},
+		{"strided", g(x, expr.MulE(expr.C(2), y)), 1, rLoadS},
+		{"divided", g(x, half(expr.AddE(y, expr.C(12)))), 1, rLoadDiv},
+		{"broadcast", g(expr.AddE(x, expr.C(7)), expr.C(3)), 0, rLoadB},
+		{"taps", expr.AddE(expr.MulE(expr.C(0.5), g(x, expr.SubE(y, expr.C(1)))), expr.MulE(expr.C(0.5), g(x, y))), 1, rMadLoad},
+		{"in-region", g(x, y), -1, rLoadU},
+	}
+	for _, c := range cases {
+		cp := &compiler{slots: map[string]int{"g": 0}, params: map[string]int64{}, debug: true}
+		vm, err := cp.compileRowVM(c.e, 1, setF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(vm.instrs, func(in rinstr) bool { return in.op == c.op }) {
+			t.Fatalf("%s: no opcode %d in %v", c.name, c.op, vm.instrs)
+		}
+		rc := &RowCtx{pt: []int64{3, 0}, bufs: []*Buffer{src}, last: 1, n: 10}
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			evalRow[float64](vm, rc)
+			return ""
+		}()
+		want := fmt.Sprintf("engine: out-of-region read of g dim %d at ", c.dim)
+		if c.dim < 0 {
+			want = ""
+		}
+		if !strings.HasPrefix(msg, want) || (want == "") != (msg == "") {
+			t.Errorf("%s: got %q, want the region check's %q", c.name, msg, want)
+		}
+	}
+}
+
 // TestRowVMCoversIR pins why the row VM needs no per-element escape hatch:
 // the expression IR is sealed (expr's unexported isExpr/isCond), and every
 // Expr kind, BinOp, UnOp, CmpOp, Cond kind and cast Type lowers to row
-// instructions. Each form compiles with no error and matches the scalar
-// closure over a row on float64 registers and, where the gates admit it,
+// instructions. Each form compiles with no error and matches the reference
+// evaluator over a row on float64 registers and, where the gates admit it,
 // on float32 (a float32 buffer) and int64 (a uint8 buffer).
 func TestRowVMCoversIR(t *testing.T) {
 	box := affine.Box{{Lo: 0, Hi: 19}, {Lo: 0, Hi: 39}}
@@ -539,8 +602,8 @@ func TestVMIntMatchesFloat64(t *testing.T) {
 }
 
 // TestRowVMEndToEnd compiles a small two-stage pipeline, compares the VM's
-// output with the scalar evaluators', and checks that the lowering decisions
-// are visible in Program.Stats().
+// output with the reference interpreter's, with and without Fast, and
+// checks that the lowering decisions are visible in Program.Stats().
 func TestRowVMEndToEnd(t *testing.T) {
 	bl := dsl.NewBuilder()
 	R, C := bl.Param("R"), bl.Param("C")
@@ -588,15 +651,22 @@ func TestRowVMEndToEnd(t *testing.T) {
 		}
 		return outs["out"], prog
 	}
-	vmOut, vmProg := run(true)
-	scOut, _ := run(false)
-	if len(vmOut.Data) != len(scOut.Data) {
-		t.Fatalf("output sizes differ: %d vs %d", len(vmOut.Data), len(scOut.Data))
+	ref, err := Reference(gph, params, inputs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range vmOut.Data {
-		a, b := float64(vmOut.Data[i]), float64(scOut.Data[i])
-		if d := math.Abs(a - b); d > 1e-5+1e-5*math.Abs(b) {
-			t.Fatalf("output[%d]: vm %v vs scalar %v", i, a, b)
+	refOut := ref["out"]
+	vmOut, vmProg := run(true)
+	slowOut, _ := run(false)
+	for _, got := range []*Buffer{vmOut, slowOut} {
+		if len(got.Data) != len(refOut.Data) {
+			t.Fatalf("output sizes differ: %d vs %d", len(got.Data), len(refOut.Data))
+		}
+		for i := range got.Data {
+			a, b := float64(got.Data[i]), float64(refOut.Data[i])
+			if d := math.Abs(a - b); d > 1e-5+1e-5*math.Abs(b) {
+				t.Fatalf("output[%d]: vm %v vs reference %v", i, a, b)
+			}
 		}
 	}
 	var vmPieces, vmInstrs int
@@ -662,7 +732,7 @@ func TestRowVMRegisterGauge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 1, NarrowTypes: narrow, NoGenKernels: true})
+		prog, err := Compile(gr, params, ExecOptions{Threads: 1, NarrowTypes: narrow})
 		if err != nil {
 			t.Fatal(err)
 		}

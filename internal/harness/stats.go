@@ -130,9 +130,6 @@ func tierLabel(sm obs.StageModel) string {
 		}
 		tiers = append(tiers, vm)
 	}
-	if sm.Scalar > 0 {
-		tiers = append(tiers, "scalar")
-	}
 	return strings.Join(tiers, "+")
 }
 
@@ -191,7 +188,7 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 	gen, pieces := 0, 0
 	for _, sm := range model.Stages {
 		gen += sm.Gen
-		pieces += sm.Gen + sm.RowVM + sm.Scalar
+		pieces += sm.Gen + sm.RowVM
 	}
 	m := model.GenMisses
 	fmt.Fprintf(w, "  gen      %d/%d pieces; misses: %d no kernel for key, %d predicated, %d self-ref, %d irregular access\n",

@@ -129,17 +129,17 @@ type StageModel struct {
 	// integer-VM eligibility bound).
 	Elem     string
 	IntExact bool
-	// Evaluator selection, counted per case piece. Stencil, Comb, IntStencil
-	// and ClosureRow name tiers the engine no longer has and always read 0;
-	// they stay declared because bench/lib.go (a separate module, frozen by
-	// BENCHMARK.json) reads all seven fields.
+	// Evaluator selection, counted per case piece. Stencil, Comb, IntStencil,
+	// ClosureRow and Scalar name tiers the engine no longer has and always
+	// read 0; they stay declared because bench/lib.go (a separate module,
+	// frozen by BENCHMARK.json) reads all seven fields.
 	Gen        int // ahead-of-time generated Go kernel (polymage-gen)
 	Stencil    int
 	Comb       int
 	IntStencil int
 	RowVM      int // row bytecode VM (incl. an accumulator swept by rows)
 	ClosureRow int
-	Scalar     int // per-point scalar loop (predicated pieces; accumulators without Fast)
+	Scalar     int
 	// Row-VM program shape (zero when RowVM == 0).
 	VMInstrs   int  // instructions across the stage's VM programs
 	VMFusedOps int  // superinstructions emitted by the peephole pass

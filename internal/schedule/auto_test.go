@@ -57,7 +57,7 @@ func TestAutoCostPinning(t *testing.T) {
 			if !pl.Grouping.Searched {
 				t.Fatal("grouping not searched")
 			}
-			prog, err := pl.Bind(params, engine.ExecOptions{Threads: 1, Fast: true, Metrics: true, NoGenKernels: true})
+			prog, err := pl.Bind(params, engine.ExecOptions{Threads: 1, Metrics: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestAutoNeverWorseThanGreedy(t *testing.T) {
 // per-group cost breakdowns through Program.Stats.
 func TestAutoStatsSurface(t *testing.T) {
 	pl, _, _, params := compileAuto(t, "harris", 16)
-	prog, err := pl.Bind(params, engine.ExecOptions{Threads: 1, Fast: true, NoGenKernels: true})
+	prog, err := pl.Bind(params, engine.ExecOptions{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,8 @@ type (
 	Image = dsl.Image
 	// Function maps a multi-dimensional integer domain to scalar values.
 	Function = dsl.Function
-	// Case pairs a condition with a defining expression.
+	// Case pairs a condition with a defining expression. Where several
+	// cases' conditions hold at once, the first in Define's order wins.
 	Case = dsl.Case
 	// Accumulator is the reduction construct (histograms etc.).
 	Accumulator = dsl.Accumulator
@@ -246,8 +247,8 @@ type (
 // shapes the schedule — grouping, tile sizes, inlining — and therefore the
 // compiled Pipeline itself. ExecOptions is consumed later, at
 // Pipeline.Bind: it configures how a bound Program executes — thread
-// count, the fast fused-kernel path (Fast), the generated-kernel toggle
-// (NoGenKernels), metrics — without changing what is computed.
+// count, generated kernels or the row VM (Fast), metrics — without
+// changing what is computed.
 // Anything that alters results or the schedule belongs in Options;
 // anything that only alters execution strategy belongs in ExecOptions.
 // Ahead-of-time generated kernels (see cmd/polymage-gen) are keyed by the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	polymage "repro"
+	"repro/internal/engine"
 )
 
 // frameChecksum fingerprints a buffer's exact bit contents.
@@ -69,7 +70,10 @@ func buildHeatStep(t *testing.T, params map[string]int64) *polymage.Program {
 // the state image fed back from the previous frame's output must match,
 // bit for bit and frame by frame, the manual loop that runs a fresh
 // whole-frame execution per step on an independent program — and the
-// whole sequence's checksums must replay deterministically.
+// whole sequence's checksums must replay deterministically. The manual
+// loop's first step is held to the reference interpreter, so the two loops
+// cannot agree on a step that computes the wrong thing (the interior case
+// comes first and wins over the insulated default).
 func TestStreamingHeatOracle(t *testing.T) {
 	const frames = 6
 	params := map[string]int64{"N": 96}
@@ -96,6 +100,15 @@ func TestStreamingHeatOracle(t *testing.T) {
 		out, err := oracle.Run(map[string]*polymage.Buffer{"state": cur})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if f == 0 {
+			ref, err := engine.Reference(oracle.Graph, params, map[string]*polymage.Buffer{"state": cur})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eq, msg := out["step"].Equal(ref["step"], 1e-6); !eq {
+				t.Fatalf("frame 0 against the reference interpreter: %s", msg)
+			}
 		}
 		want[f] = frameChecksum(out["step"])
 		cur = cloneBuffer(out["step"])
