@@ -264,6 +264,8 @@ func TestTierAttribution(t *testing.T) {
 				total, gen := 0, 0
 				for _, sm := range tc.prog.Stats().Stages {
 					st := tc.prog.Graph.Stages[sm.Name]
+					// One piece per case: no app has a case shadowed by an
+					// earlier overlapping default, which lowers to none.
 					pieces := len(st.Cases)
 					if st.IsAccumulator() {
 						pieces = 1

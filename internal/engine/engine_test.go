@@ -312,39 +312,98 @@ func TestSelfRefCarriedByRows(t *testing.T) {
 // TestFirstMatchingCaseWins: where two cases' conditions overlap, the first
 // one defines the stage, as in the reference interpreter; the later default
 // applies only where the guard fails.
+// TestFirstMatchingCaseWins checks that a point takes the first case whose
+// condition holds, as engine.Reference does, also where conditions read a
+// buffer at a shifted index: the guard before the read keeps the reference
+// from making it, while the row program evaluates the read over the whole
+// box and must not fault where the guard decides.
 func TestFirstMatchingCaseWins(t *testing.T) {
-	b := dsl.NewBuilder()
-	R := b.Param("R")
-	I := b.Image("I", expr.Float, R.Affine())
-	x := b.Var("x")
-	f := b.Func("f", expr.Float, []*dsl.Variable{x}, []dsl.Interval{dsl.Span(affine.Const(0), R.Affine().AddConst(-1))})
-	f.Define(
-		dsl.Case{Cond: dsl.Cond(x, ">=", 4), E: dsl.Add(I.At(x), 100)},
-		dsl.Case{E: I.At(x)},
-	)
-	g, err := pipeline.Build(b, "f")
-	if err != nil {
-		t.Fatal(err)
+	defs := []struct {
+		name  string
+		cases func(x *dsl.Variable, I *dsl.Image, h *dsl.Function) []dsl.Case
+	}{
+		{"box then default", func(x *dsl.Variable, I *dsl.Image, h *dsl.Function) []dsl.Case {
+			return []dsl.Case{{Cond: dsl.Cond(x, ">=", 4), E: dsl.Add(I.At(x), 100)}, {E: I.At(x)}}
+		}},
+		// No conjunct converts to a box, so the case spans the domain and
+		// reads I(-1) at x = 0, where x < 1 decides.
+		{"guarded read in or", func(x *dsl.Variable, I *dsl.Image, h *dsl.Function) []dsl.Case {
+			return []dsl.Case{
+				{Cond: dsl.Or(dsl.Cond(x, "<", 1), dsl.Cond(I.At(dsl.Sub(x, 1)), ">", 0.5)), E: dsl.Add(I.At(x), 100)},
+				{E: I.At(x)},
+			}
+		}},
+		// Fused with 4-wide tiles, the first tile's reads of h all fall
+		// before the domain, so its h buffer is empty.
+		{"guard over a whole tile", func(x *dsl.Variable, I *dsl.Image, h *dsl.Function) []dsl.Case {
+			return []dsl.Case{
+				{Cond: dsl.Or(dsl.Cond(x, "<", 5), dsl.Cond(h.At(dsl.Sub(x, 5)), ">", 0.5)), E: dsl.Add(I.At(x), 100)},
+				{E: I.At(x)},
+			}
+		}},
+		// The default excludes the first condition over its whole box, x = 0
+		// included, where x >= 1 decides before h(-1) is read.
+		{"guard then default", func(x *dsl.Variable, I *dsl.Image, h *dsl.Function) []dsl.Case {
+			return []dsl.Case{
+				{Cond: dsl.And(dsl.Cond(x, ">=", 1), dsl.Cond(h.At(dsl.Sub(x, 1)), ">", 0.5)), E: dsl.Add(I.At(x), 100)},
+				{E: dsl.Sub(I.At(x), 100)},
+			}
+		}},
 	}
-	params := map[string]int64{"R": 16}
-	in, err := buffer.NewForDomain(I.Domain(), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	FillPattern(in, 3)
-	inputs := map[string]*Buffer{"I": in}
-	ref, err := Reference(g, params, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := ref["f"].At(8), in.At(8)+100; got != want {
-		t.Fatalf("reference f(8) = %v, want %v", got, want)
-	}
-	for _, fast := range []bool{false, true} {
-		for threads := 1; threads <= 2; threads++ {
-			out := compileAndRun(t, g, params, schedule.Options{}, ExecOptions{Fast: fast, Threads: threads, Debug: true}, inputs)
-			if eq, msg := out["f"].Equal(ref["f"], 0); !eq {
-				t.Errorf("fast=%v/threads=%d: %s", fast, threads, msg)
+	for _, def := range defs {
+		b := dsl.NewBuilder()
+		R := b.Param("R")
+		I := b.Image("I", expr.Float, R.Affine())
+		x := b.Var("x")
+		dom := []dsl.Interval{dsl.Span(affine.Const(0), R.Affine().AddConst(-1))}
+		h := b.Func("h", expr.Float, []*dsl.Variable{x}, dom)
+		h.Define(dsl.Case{E: dsl.Mul(I.At(x), I.At(x))})
+		f := b.Func("f", expr.Float, []*dsl.Variable{x}, dom)
+		f.Define(def.cases(x, I, h)...)
+		g, err := pipeline.Build(b, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := map[string]int64{"R": 16}
+		in, err := buffer.NewForDomain(I.Domain(), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		FillPattern(in, 3)
+		inputs := map[string]*Buffer{"I": in}
+		ref, err := Reference(g, params, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.name == "box then default" {
+			if got, want := ref["f"].At(8), in.At(8)+100; got != want {
+				t.Fatalf("reference f(8) = %v, want %v", got, want)
+			}
+		}
+		for _, fusion := range []bool{false, true} {
+			gr, err := schedule.BuildGroups(g, params, schedule.Options{
+				TileSizes: []int64{4}, MinTileExtent: 2, MinSize: 4, DisableFusion: !fusion})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fast := range []bool{false, true} {
+				for _, debug := range []bool{false, true} {
+					for threads := 1; threads <= 2; threads++ {
+						name := fmt.Sprintf("%s/fusion=%v/fast=%v/debug=%v/threads=%d", def.name, fusion, fast, debug, threads)
+						prog, err := Compile(gr, params, ExecOptions{Fast: fast, Threads: threads, Debug: debug})
+						if err != nil {
+							t.Fatal(err)
+						}
+						out, err := prog.Run(inputs)
+						if err != nil {
+							t.Errorf("%s: %v", name, err)
+							continue
+						}
+						if eq, msg := out["f"].Equal(ref["f"], 0); !eq {
+							t.Errorf("%s: %s", name, msg)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -214,7 +214,7 @@ func (u *GenUnit) lower(want vmSet) error {
 		u.prog, u.tres, u.res, u.set = vb, tres, res, setF64
 		return nil
 	}
-	vb, res, err := cp.lowerRow(u.Expr, u.Rank-1)
+	vb, res, err := cp.lowerRow(u.Expr, u.Rank-1, false)
 	if err != nil {
 		return err
 	}

@@ -94,7 +94,8 @@ func (o ExecOptions) fleetOf() (*fleet, int) {
 // splitting), and its row program. A piece runs gen when one is bound and vm
 // otherwise (vm stays compiled under a bound gen: Program.GenUnits reads its
 // register type). A predicated piece's program is Select(pred, E, own
-// output), so the points its predicate rejects keep their values.
+// output), so the points its predicate rejects keep their values. A case
+// shadowed by an earlier overlapping default has no piece.
 type loweredPiece struct {
 	box  affine.Box
 	pred expr.Cond
@@ -410,32 +411,24 @@ cases:
 		if c.Cond != nil {
 			lower, upper, ok := expr.CondToBox(c.Cond, nd)
 			if !ok {
-				// Keep the predicate but still shrink the iterated box with
-				// whatever conjuncts convert (sound over-approximation of
-				// the case's region).
+				// Keep the predicate; the conjuncts that convert still shrink
+				// the box (a sound over-approximation of the case's region).
 				lower, upper = expr.CondToBoxPartial(c.Cond, nd)
 				piece.pred = c.Cond
 			}
-			for d := 0; d < nd; d++ {
+			for d := range nd {
 				if lower[d] != nil {
-					v, err := lower[d].Eval(p.Params)
-					if err != nil {
+					if piece.box[d].Lo, err = lower[d].Eval(p.Params); err != nil {
 						return nil, err
-					}
-					if v > piece.box[d].Lo {
-						piece.box[d].Lo = v
 					}
 				}
 				if upper[d] != nil {
-					v, err := upper[d].Eval(p.Params)
-					if err != nil {
+					if piece.box[d].Hi, err = upper[d].Eval(p.Params); err != nil {
 						return nil, err
-					}
-					if v < piece.box[d].Hi {
-						piece.box[d].Hi = v
 					}
 				}
 			}
+			piece.box = piece.box.Intersect(dom)
 		}
 		boxes = append(boxes, piece.box)
 		// The first matching case wins: where an earlier case's box meets
@@ -473,10 +466,11 @@ cases:
 		case ls.elem == ElemF32 && !cp.readsNarrow(c.E):
 			want = setF32
 		}
-		piece.vm, err = cp.compileRowVM(e, nd-1, want)
+		vb, res, err := cp.lowerRow(e, nd-1, piece.pred != nil)
 		if err != nil {
 			return nil, err
 		}
+		piece.vm = vb.finish(res, want)
 		ls.pieces = append(ls.pieces, piece)
 	}
 	return ls, nil

@@ -279,10 +279,14 @@ func (ix *vmIdx) row(c *RowCtx, t []float64) {
 // argument resolved from affs/offs like vmLoad.rowBase. The element load is
 // a Go-bounds-checked flat offset, plus the per-dimension region check under
 // Debug.
+// clamp marks a read in a predicated piece's predicate, which runs over the
+// whole box, also where a guard in it keeps the reference from reading: each
+// index is clamped into the box instead (an empty or unbound one reads 0).
 type vmGather struct {
 	slot   int
 	target string
 	debug  bool
+	clamp  bool
 	regs   []int
 	affs   []affine.Access
 	offs   []int64
@@ -297,6 +301,10 @@ func (g *vmGather) outOfRegion(c *RowCtx, b *Buffer, d int, x int64, i int) {
 // at a time in the worker's offset row, so t may alias an index register.
 func (g *vmGather) run(c *RowCtx, regs [][]float64, t []float64) {
 	b := c.bufs[g.slot]
+	if g.clamp && (b == nil || b.Box.Empty()) {
+		fill(t, 0)
+		return
+	}
 	var base int64
 	for d, r := range g.regs {
 		if r >= 0 {
@@ -308,19 +316,27 @@ func (g *vmGather) run(c *RowCtx, regs [][]float64, t []float64) {
 			x += aff.Coeff * c.pt[aff.Var]
 		}
 		x = affine.FloorDiv(x, aff.Div)
-		if g.debug && (x < b.Box[d].Lo || x > b.Box[d].Hi) {
+		if g.clamp {
+			x = min(max(x, b.Box[d].Lo), b.Box[d].Hi)
+		} else if g.debug && (x < b.Box[d].Lo || x > b.Box[d].Hi) {
 			g.outOfRegion(c, b, d, x, 0)
 		}
 		base += (x - b.Box[d].Lo) * b.Stride[d]
 	}
 	offs := c.vm.offsRow(len(t))
-	first := true
+	fill(offs, base)
 	for d, r := range g.regs {
 		if r < 0 {
 			continue
 		}
 		idx := regs[r][:len(offs)]
 		lo, hi, stride := b.Box[d].Lo, b.Box[d].Hi, b.Stride[d]
+		if g.clamp {
+			for i, v := range idx {
+				offs[i] += (min(max(int64(v), lo), hi) - lo) * stride
+			}
+			continue
+		}
 		if g.debug {
 			for i, v := range idx {
 				if x := int64(v); x < lo || x > hi {
@@ -328,15 +344,8 @@ func (g *vmGather) run(c *RowCtx, regs [][]float64, t []float64) {
 				}
 			}
 		}
-		if first {
-			first = false
-			for i, v := range idx {
-				offs[i] = base + (int64(v)-lo)*stride
-			}
-		} else {
-			for i, v := range idx {
-				offs[i] += (int64(v) - lo) * stride
-			}
+		for i, v := range idx {
+			offs[i] += (int64(v) - lo) * stride
 		}
 	}
 	gatherRow(t, b, offs)
@@ -463,8 +472,13 @@ type vmValue struct {
 // a repeated subtree computes once per row; a subtree occurring more than
 // once is never absorbed into a fused instruction.
 type vmBuilder struct {
-	cp      *compiler
-	last    int // innermost dimension index of the stage domain
+	cp   *compiler
+	last int // innermost dimension index of the stage domain
+	// guard numbers a predicated piece's root Select (-1: none). Its
+	// condition, emitted before the arms, sets clamp: accesses lower to
+	// clamped gathers (vmGather.clamp), which read in-bounds arms unchanged.
+	guard   int
+	clamp   bool
 	vals    []vmValue
 	num     *expr.Numbering
 	memo    []int          // subtree number -> value id, -1 until emitted
@@ -483,7 +497,7 @@ type idxKey struct {
 }
 
 func newVMBuilder(cp *compiler, last int) *vmBuilder {
-	return &vmBuilder{cp: cp, last: last, idxMemo: make(map[idxKey]int), consts: make(map[uint64]int)}
+	return &vmBuilder{cp: cp, last: last, guard: -1, idxMemo: make(map[idxKey]int), consts: make(map[uint64]int)}
 }
 
 // compileRowVM lowers an expression to a row bytecode program. last is the
@@ -492,7 +506,7 @@ func newVMBuilder(cp *compiler, last int) *vmBuilder {
 // passes that type's gate, float64 otherwise. It is total over the
 // expression IR: every node lowers to row instructions.
 func (cp *compiler) compileRowVM(e expr.Expr, last int, want vmSet) (*rowVM, error) {
-	vb, res, err := cp.lowerRow(e, last)
+	vb, res, err := cp.lowerRow(e, last, false)
 	if err != nil {
 		return nil, err
 	}
@@ -501,11 +515,15 @@ func (cp *compiler) compileRowVM(e expr.Expr, last int, want vmSet) (*rowVM, err
 
 // lowerRow linearizes e into the builder's SSA values and returns the id of
 // the result: the program before register allocation, which finish encodes
-// for the VM and EmitGo prints as a generated kernel.
-func (cp *compiler) lowerRow(e expr.Expr, last int) (*vmBuilder, int, error) {
+// for the VM and EmitGo prints as a generated kernel. guarded marks e as a
+// predicated piece's Select(pred, E, own), whose pred reads are clamped.
+func (cp *compiler) lowerRow(e expr.Expr, last int, guarded bool) (*vmBuilder, int, error) {
 	vb := newVMBuilder(cp, last)
 	vb.num = expr.NewNumbering()
 	root := vb.num.Expr(e)
+	if guarded {
+		vb.guard = root
+	}
 	vb.memo = make([]int, vb.num.Len())
 	for i := range vb.memo {
 		vb.memo[i] = -1
@@ -673,7 +691,10 @@ func (vb *vmBuilder) emitNew(e expr.Expr, k int) (int, error) {
 			}
 			return vb.emit(n.Else, vb.kid(k, 2))
 		}
+		clamp := vb.clamp
+		vb.clamp = clamp || k == vb.guard
 		m, err := vb.emitCond(n.Cond, vb.kid(k, 0))
+		vb.clamp = clamp
 		if err != nil {
 			return 0, err
 		}
@@ -990,6 +1011,9 @@ func (vb *vmBuilder) analyzeLoad(a expr.Access) (*vmLoad, rop, error) {
 }
 
 func (vb *vmBuilder) emitAccess(a expr.Access, k int) (int, error) {
+	if vb.clamp {
+		return vb.emitGather(a, k)
+	}
 	l, op, err := vb.analyzeLoad(a)
 	if err != nil {
 		return 0, err
@@ -1007,7 +1031,7 @@ func (vb *vmBuilder) emitAccess(a expr.Access, k int) (int, error) {
 // gather's row base.
 func (vb *vmBuilder) emitGather(a expr.Access, k int) (int, error) {
 	nd := len(a.Args)
-	g := vmGather{slot: vb.cp.slots[a.Target], target: a.Target, debug: vb.cp.debug,
+	g := vmGather{slot: vb.cp.slots[a.Target], target: a.Target, debug: vb.cp.debug, clamp: vb.clamp,
 		regs: make([]int, nd), affs: make([]affine.Access, nd), offs: make([]int64, nd)}
 	xs := make([]int, nd)
 	for d, arg := range a.Args {
@@ -1051,7 +1075,7 @@ func (vb *vmBuilder) emitIdx(aff affine.Access, off int64) int {
 // unit-step access, letting the caller absorb it into a fused instruction.
 func (vb *vmBuilder) fuseLoad(e expr.Expr, k int) (int, bool) {
 	a, ok := e.(expr.Access)
-	if !ok || vb.shared(k) {
+	if !ok || vb.shared(k) || vb.clamp {
 		return 0, false
 	}
 	l, op, err := vb.analyzeLoad(a)

@@ -129,10 +129,11 @@ type StageModel struct {
 	// integer-VM eligibility bound).
 	Elem     string
 	IntExact bool
-	// Evaluator selection, counted per case piece. Stencil, Comb, IntStencil,
-	// ClosureRow and Scalar name tiers the engine no longer has and always
-	// read 0; they stay declared because bench/lib.go (a separate module,
-	// frozen by BENCHMARK.json) reads all seven fields.
+	// Evaluator selection, counted per case piece (a case shadowed by an
+	// earlier overlapping default has none and is not counted). Stencil,
+	// Comb, IntStencil, ClosureRow and Scalar name tiers the engine no
+	// longer has and always read 0; they stay declared because bench/lib.go
+	// (a separate module, frozen by BENCHMARK.json) reads all seven fields.
 	Gen        int // ahead-of-time generated Go kernel (polymage-gen)
 	Stencil    int
 	Comb       int
