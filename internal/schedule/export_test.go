@@ -12,10 +12,36 @@ func EvalGroupCostBothWays(g *pipeline.Graph, grp *Group, est map[string]int64, 
 		return fast, ref, false, err
 	}
 	ao = ao.withDefaults()
-	fast, perDim, ferr := evalGroupCost(tp, ao, true)
+	fast, walk, ferr := evalGroupCost(tp, ao, true)
 	ref, _, rerr := evalGroupCost(tp, ao, false)
 	if ferr != nil {
 		return fast, ref, false, ferr
 	}
-	return fast, ref, perDim, rerr
+	return fast, ref, walk.perDim, rerr
+}
+
+// AxisPeriods reports, per anchor dimension of a group's tile plan, the
+// period the per-dimension enumeration repeats the axis with between its
+// clamped ends: 0 for an axis it probes tile by tile, or that has one tile.
+func AxisPeriods(g *pipeline.Graph, grp *Group, est map[string]int64) ([]int64, error) {
+	tp, err := NewTilePlan(g, grp, est)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, len(tp.TileCounts))
+	memAxis, extAxis, ok := tp.tileAxes()
+	if !ok {
+		return out, nil
+	}
+	for a, n := range tp.TileCounts {
+		if n <= 1 {
+			continue
+		}
+		if ad, ok := tp.axisDrift(a, memAxis, extAxis); ok {
+			if _, _, ok := tp.clampRun(a, &ad, tp.MemberBoxes()); ok {
+				out[a] = ad.period
+			}
+		}
+	}
+	return out, nil
 }

@@ -22,12 +22,17 @@ func BuildGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Groupi
 		// partition, which the search could only reproduce.
 		return SearchGroups(g, est, opts)
 	}
+	return buildGroups(newGraphInfo(g, est), opts)
+}
+
+// buildGroups is Algorithm 1 over the graph tables gi, with resolved options.
+func buildGroups(gi *graphInfo, opts Options) (*Grouping, error) {
+	g, est := gi.g, gi.params
 	gr := &Grouping{
 		ByName: make(map[string]*Group),
 		Graph:  g,
 		Est:    est,
 	}
-	gi := newGraphInfo(g, est)
 	nextID := 0
 	for _, name := range g.Order {
 		grp := &Group{ID: nextID, Members: []string{name}, Anchor: name}
