@@ -113,27 +113,6 @@ func Compile(b *dsl.Builder, liveOuts []string, opts Options) (pl *Pipeline, err
 	if err != nil {
 		return nil, err
 	}
-	// Auto-scheduling searches the inlining decision too: when the inliner
-	// substituted stages, price the uninlined variant of the pipeline under
-	// the same cost-model search and keep whichever graph models cheaper
-	// (inlining trades buffer traffic for recomputed expressions — exactly
-	// the terms the model weighs). That search only has to beat the inlined
-	// graph's cost, so it stops once it cannot; its result is the unbounded
-	// search's whenever it wins. pipeline.Build re-extracts a pristine
-	// graph from the builder; the inline pass only mutates graph copies.
-	if opts.Schedule.Auto && !opts.Schedule.DisableFusion && gr.Searched && len(inlined) > 0 {
-		done = tr.Start("auto")
-		g2, err2 := pipeline.Build(b, liveOuts...)
-		if err2 == nil {
-			if gr2, err3 := schedule.SearchGroupsBelow(g2, opts.Estimates, opts.Schedule, gr.ModelCost); err3 == nil {
-				if gr2.ModelCost < gr.ModelCost {
-					g, gr, inlined = g2, gr2, nil
-				}
-				gr.Uninlined = gr2.Search
-			}
-		}
-		done()
-	}
 	return &Pipeline{Graph: g, Grouping: gr, Bounds: res, Inlined: inlined, Opts: opts, Trace: tr}, nil
 }
 

@@ -4,10 +4,11 @@ package core_test
 // testdata/schedule_digests.txt is one pipeline compiled under the
 // auto-scheduler: the digest of the grouping it chose, the bits of its
 // model cost, how many candidates the search priced and how many stages the
-// kept graph has inlined (0 when the uninlined variant won or nothing was
-// inlinable). A scheduler change that is meant to be a pure speed-up must
-// leave the file byte-identical; one that is meant to change schedules
-// regenerates it with
+// inline pass substituted (0 when nothing was inlinable). Every compile
+// runs one search, on the inlined graph, so its trace has exactly the
+// phases graph, bounds, inline and group. A scheduler change that is meant
+// to be a pure speed-up must leave the file byte-identical; one that is
+// meant to change schedules regenerates it with
 //
 //	go test ./internal/core -run TestScheduleGolden -update
 //
@@ -89,6 +90,13 @@ func TestScheduleGolden(t *testing.T) {
 		gr := pl.Grouping
 		if !gr.Searched || gr.Search == nil {
 			t.Fatalf("%s: grouping not searched", c.name)
+		}
+		var phases []string
+		for _, ph := range pl.Trace.Phases {
+			phases = append(phases, ph.Name)
+		}
+		if got := strings.Join(phases, " "); got != "graph bounds inline group" {
+			t.Errorf("%s: compile phases %q, want one search: \"graph bounds inline group\"", c.name, got)
 		}
 		fmt.Fprintf(&sb, "%s digest=%s cost=%016x states=%d inlined=%d\n",
 			c.name, gr.Digest(), math.Float64bits(gr.ModelCost), gr.Search.States, len(pl.Inlined))

@@ -14,9 +14,8 @@ var benchSink *core.Pipeline
 
 // BenchmarkSearch times core.Compile under the auto-scheduler for each
 // Table-2 app at scale 4 — what a program-cache miss of polymage-serve pays
-// before lowering (bench/'s schedule.group_ms rows, without bench/). The
-// search counters are those of the search whose graph was kept;
-// uninlined_states counts the un-inlined graph's search whichever won.
+// before lowering (bench/'s schedule.group_ms rows, without bench/), with
+// the search's counters.
 func BenchmarkSearch(b *testing.B) {
 	for _, app := range apps.All() {
 		b.Run(app.Name, func(b *testing.B) {
@@ -36,9 +35,6 @@ func BenchmarkSearch(b *testing.B) {
 			b.ReportMetric(float64(st.CostCacheHits), "cache_hits")
 			b.ReportMetric(float64(st.PerDimEvals), "perdim_evals")
 			b.ReportMetric(float64(st.EnumeratedEvals), "enumerated_evals")
-			if u := benchSink.Grouping.Uninlined; u != nil {
-				b.ReportMetric(float64(u.States), "uninlined_states")
-			}
 		})
 	}
 }

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"sync/atomic"
 
 	"repro/internal/affine"
@@ -140,7 +138,7 @@ func (e *Executor) runTile(w *worker, ge *groupExec, idx []int64, outputs map[st
 		if ls.name == ge.grp.Anchor {
 			out := outputs[ls.name]
 			w.ctx.bufs[ls.slot] = out
-			e.p.computeStageObs(w, ls, box, out, 0, 0)
+			e.p.computeStage(w, ls, box, out, 0, 0)
 			continue
 		}
 		sc := w.scratch[ls.id]
@@ -155,7 +153,7 @@ func (e *Executor) runTile(w *worker, ge *groupExec, idx []int64, outputs map[st
 		// measured rather than estimated).
 		own := w.owned(ge, i, idx)
 		own = intersectInto(own, own, box)
-		e.p.computeStageObs(w, ls, box, sc, box.Size()-own.Size(), rowsOf(box)-rowsOf(own))
+		e.p.computeStage(w, ls, box, sc, box.Size()-own.Size(), rowsOf(box)-rowsOf(own))
 		if ge.liveOut[i] && !own.Empty() {
 			outputs[ls.name].CopyRegion(sc, own)
 		}
@@ -182,31 +180,17 @@ func (w *worker) owned(ge *groupExec, i int, idx []int64) affine.Box {
 	return w.ownBox
 }
 
-// computeStage evaluates a stage over region, attributing CPU samples to
-// the stage via pprof labels when profiling is on (the label closure is
-// only materialized on the profiled branch, so the default path allocates
-// nothing).
-func (p *Program) computeStage(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
-	if ls.prof != nil {
-		pprof.Do(context.Background(), *ls.prof, func(context.Context) {
-			p.computeRegion(w, ls, region, out)
-		})
-		return
-	}
-	p.computeRegion(w, ls, region, out)
-}
-
-// computeStageObs is computeStage plus kernel metrics: when the worker
+// computeStage is computeRegion plus kernel metrics: when the worker
 // carries a shard it records the span, the points/rows evaluated and the
 // recomputed portion (recPts/recRows: work outside the tile's owned box).
-// With metrics off this is one nil check in front of computeStage.
-func (p *Program) computeStageObs(w *worker, ls *loweredStage, region affine.Box, out *Buffer, recPts, recRows int64) {
+// With metrics off this is one nil check in front of computeRegion.
+func (p *Program) computeStage(w *worker, ls *loweredStage, region affine.Box, out *Buffer, recPts, recRows int64) {
 	if w.shard == nil {
-		p.computeStage(w, ls, region, out)
+		p.computeRegion(w, ls, region, out)
 		return
 	}
 	t0 := obs.Now()
-	p.computeStage(w, ls, region, out)
+	p.computeRegion(w, ls, region, out)
 	w.shard.StageKernel(ls.id, obs.Now()-t0, region.Size(), recPts, rowsOf(region), recRows)
 }
 
@@ -334,10 +318,6 @@ func (e *Executor) runSelfRef(rc *runCtx, ls *loweredStage, out *Buffer) error {
 			w.shard.StageKernel(ls.id, obs.Now()-t0, ls.dom.Size(), 0, rowsOf(ls.dom), 0)
 		}()
 	}
-	if ls.prof != nil {
-		pprof.Do(context.Background(), *ls.prof, func(context.Context) { e.p.selfRefSweep(w, ls, out) })
-		return nil
-	}
 	e.p.selfRefSweep(w, ls, out)
 	return nil
 }
@@ -434,21 +414,15 @@ func (e *Executor) runAccumulator(rc *runCtx, ls *loweredStage, out *Buffer) err
 	return nil
 }
 
-// accumulateStage is accumulateRegion behind the same metrics/profiling
-// gates as computeStage: points recorded are the reduction-domain points
-// swept (not output elements), and nothing is ever counted as recomputed.
+// accumulateStage is accumulateRegion behind the same metrics gate as
+// computeStage: points recorded are the reduction-domain points swept (not
+// output elements), and nothing is ever counted as recomputed.
 func (p *Program) accumulateStage(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
 	var t0 int64
 	if w.shard != nil {
 		t0 = obs.Now()
 	}
-	if ls.prof != nil {
-		pprof.Do(context.Background(), *ls.prof, func(context.Context) {
-			p.accumulateRegion(w, ls, region, out)
-		})
-	} else {
-		p.accumulateRegion(w, ls, region, out)
-	}
+	p.accumulateRegion(w, ls, region, out)
 	if w.shard != nil {
 		w.shard.StageKernel(ls.id, obs.Now()-t0, region.Size(), 0, rowsOf(region), 0)
 	}

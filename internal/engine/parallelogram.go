@@ -130,7 +130,7 @@ func (e *Executor) runParallelogram(rc *runCtx, ge *groupExec, outputs map[strin
 			if region.Empty() {
 				continue
 			}
-			p.computeStageObs(w, ls, region, full[i], 0, 0)
+			p.computeStage(w, ls, region, full[i], 0, 0)
 		}
 	}
 	return nil

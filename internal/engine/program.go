@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"runtime/pprof"
 	"slices"
 	"sync"
 
@@ -48,11 +47,6 @@ type ExecOptions struct {
 	// executor is created). When false, the instrumented call sites reduce
 	// to a nil check and the steady-state Run path is unchanged.
 	Metrics bool
-	// Profile attaches runtime/pprof labels ("polymage_stage") to every
-	// per-stage kernel execution so CPU profiles attribute samples to
-	// pipeline stages. Independent of Metrics; off by default because
-	// label switching has per-kernel cost.
-	Profile bool
 	// NarrowTypes enables bitwidth inference (see narrow.go): stages whose
 	// values are provably integral and bounded within ±2^24 are stored as
 	// uint8/uint16/int32 instead of float32, cutting memory traffic on
@@ -127,9 +121,6 @@ type loweredStage struct {
 	// integer row VM.
 	elem     Elem
 	intExact bool
-	// prof carries the stage's pprof label set when ExecOptions.Profile is on
-	// (nil otherwise — the disabled path is a nil check).
-	prof *pprof.LabelSet
 
 	isAcc  bool
 	accOp  dsl.ReduceOp
@@ -260,10 +251,6 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 			return nil, err
 		}
 		ls.id = i
-		if opts.Profile {
-			labels := pprof.Labels("polymage_stage", name)
-			ls.prof = &labels
-		}
 		p.stages[name] = ls
 	}
 	lowerDone()
@@ -577,10 +564,6 @@ func (p *Program) Stats() obs.ProgramStats {
 			st.SearchCostCacheHits = s.CostCacheHits
 			st.SearchPerDimEvals = s.PerDimEvals
 			st.SearchEnumeratedEvals = s.EnumeratedEvals
-		}
-		if u := p.Grouping.Uninlined; u != nil {
-			st.UninlinedStates = u.States
-			st.UninlinedBounded = u.Bounded
 		}
 	}
 	st.Stages = make([]obs.StageModel, 0, len(p.stageNames))

@@ -108,7 +108,7 @@ func (e *Executor) runSplit(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 			if td < 0 {
 				// Unaligned members: compute fully with the first tile.
 				if t == 0 && !total[i].Empty() {
-					p.computeStageObs(w, ls, total[i], full[i], 0, 0)
+					p.computeStage(w, ls, total[i], full[i], 0, 0)
 				}
 				continue
 			}
@@ -171,7 +171,7 @@ func (e *Executor) runSplit(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 			region := total[i].Clone()
 			region[td] = r
 			atomic.AddInt64(&p.SplitStats.Phase1, region.Size())
-			p.computeStageObs(w, ls, region, full[i], 0, 0)
+			p.computeStage(w, ls, region, full[i], 0, 0)
 			phase1[i] = append(phase1[i], r)
 		}
 	}
@@ -187,7 +187,7 @@ func (e *Executor) runSplit(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 			region := total[i].Clone()
 			region[td] = gap
 			atomic.AddInt64(&p.SplitStats.Phase2, region.Size())
-			p.computeStageObs(w, ls, region, full[i], 0, 0)
+			p.computeStage(w, ls, region, full[i], 0, 0)
 		}
 	}
 	return nil

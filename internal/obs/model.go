@@ -81,10 +81,6 @@ type ProgramStats struct {
 	// SearchEnumeratedEvals walked every tile because the group is not
 	// separable (the slow kind: one that grows is a pipeline falling off
 	// the scheduler's fast path), the rest extrapolated an interior tile.
-	// When inlining substituted stages, the uninlined graph was searched
-	// too: UninlinedStates counts that search's candidates whichever graph
-	// won (0 when it did not run), and UninlinedBounded reports that it
-	// stopped because nothing left could beat the inlined graph's cost.
 	AutoScheduled         bool
 	ScheduleModelCost     float64
 	SearchStates          int
@@ -93,8 +89,6 @@ type ProgramStats struct {
 	SearchCostCacheHits   int
 	SearchPerDimEvals     int
 	SearchEnumeratedEvals int
-	UninlinedStates       int
-	UninlinedBounded      bool
 	// GenMisses counts, per reason, the stage pieces that did not bind an
 	// ahead-of-time generated kernel. Zero unless the program was compiled
 	// Fast with generated kernels enabled.

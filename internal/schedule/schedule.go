@@ -68,11 +68,6 @@ type Grouping struct {
 	Searched  bool
 	ModelCost float64
 	Search    *SearchStats
-	// Uninlined is the effort of the search core.Compile ran on the
-	// uninlined graph when inlining substituted stages, whichever graph it
-	// kept (the same counters as Search when the uninlined graph won); nil
-	// when no such search ran.
-	Uninlined *SearchStats
 }
 
 // Digest is a short hash of the schedule actually chosen — every group's

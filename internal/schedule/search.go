@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -17,9 +16,8 @@ import (
 // cut: instead of merging whenever an interior tile's overlap fraction is
 // below one knob, every candidate merge is priced (memory traffic saved vs
 // halo recompute and footprint added, parallelism lost) and the cheapest
-// partition wins. Inlining decisions ride on top in internal/core, which
-// searches the uninlined graph below the inlined graph's searched cost
-// (SearchGroupsBelow) and keeps whichever models cheaper.
+// partition wins. It runs once per compile, on the graph the inline pass
+// left (internal/core): inlining is a front-end decision, as in the paper.
 
 // AutoOptions tunes the cost-model search. The zero value means "use the
 // defaults" field by field.
@@ -36,9 +34,9 @@ type AutoOptions struct {
 	FleetWidth int
 	// MaxStates caps the number of candidates priced per search (memo hits
 	// included); the search stops expanding (keeping the best partition
-	// found) beyond it. Some searches reach it: pyramid's at scale 4 and
-	// laplacian's of the uninlined graph both price 512 candidates, so
-	// raising or lowering it changes their schedules.
+	// found) beyond it. Some searches reach it: pyramid's at scale 4
+	// prices 512 candidates, so raising or lowering it changes its
+	// schedule.
 	MaxStates int
 }
 
@@ -101,10 +99,6 @@ type SearchStats struct {
 	// of every tiled axis, or every tile of an axis whose bounds do not
 	// repeat.
 	AxisProbes int
-	// Bounded reports that SearchGroupsBelow stopped because nothing left
-	// could beat its incumbent, before the search would have run dry on
-	// its own; the grouping returned then costs at least the incumbent.
-	Bounded bool
 }
 
 // searchState is one partition of the stages into groups. Group objects
@@ -155,18 +149,6 @@ type searcher struct {
 // valid Grouping exactly like BuildGroups produces, with Searched,
 // ModelCost, Search and per-group Cost populated.
 func SearchGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Grouping, error) {
-	return SearchGroupsBelow(g, est, opts, math.Inf(1))
-}
-
-// SearchGroupsBelow is SearchGroups for a caller that already holds a
-// schedule of model cost incumbent (under the same weights) and only wants
-// this graph's if it is cheaper. Before each round, when no frontier
-// state's lower bound is below min(best so far, incumbent), nothing the
-// search can still reach beats both, and it stops (Search.Bounded records
-// a stop the incumbent caused). The per-state prune is unchanged, so the
-// result is SearchGroups' whenever that costs less than incumbent — same
-// grouping, cost and counters — and otherwise costs at least incumbent.
-func SearchGroupsBelow(g *pipeline.Graph, est map[string]int64, opts Options, incumbent float64) (*Grouping, error) {
 	opts = opts.withDefaults()
 	var ao AutoOptions
 	if opts.AutoOpts != nil {
@@ -194,9 +176,6 @@ func SearchGroupsBelow(g *pipeline.Graph, est map[string]int64, opts Options, in
 	// Each round merges one more pair somewhere; a partition of N stages
 	// supports at most N-1 merges.
 	for round := 0; round < len(g.Order) && len(frontier) > 0; round++ {
-		if s.cannotWin(frontier, best.total, incumbent) {
-			break
-		}
 		var next []*searchState
 		for _, st := range frontier {
 			if st.lowerBound(s.w) >= best.total {
@@ -242,27 +221,6 @@ func SearchGroupsBelow(g *pipeline.Graph, est map[string]int64, opts Options, in
 		return nil, err
 	}
 	return gr, nil
-}
-
-// cannotWin is SearchGroupsBelow's stop rule, checked before a round: every
-// frontier state's lower bound is at least min(best, incumbent). Every state
-// a later round could visit descends from this frontier, so costs at least
-// that much. On a stop the frontier counts as pruned, as a round that
-// pruned each state would count it, and Bounded records whether some state
-// was below best alone (the unbounded search would have gone on).
-func (s *searcher) cannotWin(frontier []*searchState, best, incumbent float64) bool {
-	cut := min(best, incumbent)
-	bounded := false
-	for _, st := range frontier {
-		lb := st.lowerBound(s.w)
-		if !(lb >= cut) { // written so a NaN keeps searching, as the prune does
-			return false
-		}
-		bounded = bounded || !(lb >= best)
-	}
-	s.stats.Pruned += len(frontier)
-	s.stats.Bounded = bounded
-	return true
 }
 
 // seedStates builds the search's starting partitions: the all-singleton

@@ -84,40 +84,6 @@ func TestAutoServeEndToEnd(t *testing.T) {
 		t.Errorf("%d searched and %d hand programs carry search metrics, want 1 and 1", searched, hand)
 	}
 
-	// Harris inlines stages, so its compile searched the uninlined graph
-	// too; /metrics says how far that search got before the inlined cost
-	// stopped it.
-	code, _, m = post(t, srv.URL, &RunRequest{App: "harris", Params: map[string]int64{"R": 64, "C": 64}})
-	if code != 200 {
-		t.Fatalf("harris run = %d %v", code, m["error"])
-	}
-	var met struct {
-		Programs []struct {
-			Pipeline string         `json:"pipeline"`
-			Search   map[string]any `json:"search"`
-		} `json:"programs"`
-	}
-	getJSON(t, srv.URL+"/metrics", &met)
-	found := false
-	for _, pm := range met.Programs {
-		if pm.Search == nil {
-			continue // the hand-scheduled program
-		}
-		if pm.Search["uninlined_states"] == nil {
-			t.Errorf("program %s: search metrics %v lack uninlined_states", pm.Pipeline, pm.Search)
-			continue
-		}
-		if n, _ := pm.Search["uninlined_states"].(float64); n > 0 {
-			found = true
-			if pm.Search["uninlined_bounded"] != true {
-				t.Errorf("program %s: uninlined search %v not stopped by the inlined cost", pm.Pipeline, pm.Search)
-			}
-		}
-	}
-	if !found {
-		t.Error("no program reports the uninlined graph's search")
-	}
-
 	// Explicit tiles pin a hand schedule; combining them with auto=true
 	// is a contradiction the API rejects.
 	on := true

@@ -305,19 +305,14 @@ type ProgramMetrics struct {
 // SearchMetrics are the schedule search's effort counters
 // (obs.ProgramStats Search*): candidates priced, of which evaluated and
 // remembered; evaluations by how they enumerated the group's tiles; states
-// cut by the lower bound. UninlinedStates is the candidates the search of
-// the uninlined graph priced, whichever graph won (0 when inlining changed
-// nothing), and UninlinedBounded whether that search stopped because it could
-// no longer beat the inlined graph.
+// cut by the lower bound.
 type SearchMetrics struct {
-	States           int  `json:"states"`
-	Pruned           int  `json:"pruned"`
-	CostEvals        int  `json:"cost_evals"`
-	CostCacheHits    int  `json:"cost_cache_hits"`
-	PerDimEvals      int  `json:"per_dim_evals"`
-	EnumeratedEvals  int  `json:"enumerated_evals"`
-	UninlinedStates  int  `json:"uninlined_states"`
-	UninlinedBounded bool `json:"uninlined_bounded"`
+	States          int `json:"states"`
+	Pruned          int `json:"pruned"`
+	CostEvals       int `json:"cost_evals"`
+	CostCacheHits   int `json:"cost_cache_hits"`
+	PerDimEvals     int `json:"per_dim_evals"`
+	EnumeratedEvals int `json:"enumerated_evals"`
 }
 
 // PhaseMetrics totals one request phase: how many samples, their summed

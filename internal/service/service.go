@@ -635,14 +635,12 @@ func (s *Service) Metrics() Metrics {
 		}
 		if stats.AutoScheduled {
 			pm.Search = &SearchMetrics{
-				States:           stats.SearchStates,
-				Pruned:           stats.SearchPruned,
-				CostEvals:        stats.SearchCostEvals,
-				CostCacheHits:    stats.SearchCostCacheHits,
-				PerDimEvals:      stats.SearchPerDimEvals,
-				EnumeratedEvals:  stats.SearchEnumeratedEvals,
-				UninlinedStates:  stats.UninlinedStates,
-				UninlinedBounded: stats.UninlinedBounded,
+				States:          stats.SearchStates,
+				Pruned:          stats.SearchPruned,
+				CostEvals:       stats.SearchCostEvals,
+				CostCacheHits:   stats.SearchCostCacheHits,
+				PerDimEvals:     stats.SearchPerDimEvals,
+				EnumeratedEvals: stats.SearchEnumeratedEvals,
 			}
 		}
 		m.Programs = append(m.Programs, pm)

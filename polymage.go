@@ -324,10 +324,9 @@ var (
 )
 
 // Observability. Compile with ExecOptions.Metrics to count kernel time,
-// points, tiles and recomputation per stage (Executor.Snapshot); with
-// ExecOptions.Profile to label CPU profiles per stage; Program.Stats
-// reports the schedule model (compile-phase times, per-group overlap) with
-// no execution at all.
+// points, tiles and recomputation per stage (Executor.Snapshot);
+// Program.Stats reports the schedule model (compile-phase times, per-group
+// overlap) with no execution at all.
 type (
 	// Trace is an ordered list of named wall-time phases (compiler phases,
 	// lowering phases).
