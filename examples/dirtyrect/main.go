@@ -2,8 +2,8 @@
 // frames whose content changes only inside a small rectangle (a cursor,
 // an overlay, a sprite). Each frame passes the changed region as the ROI;
 // the engine recomputes only the tiles whose reads reach it — stencil
-// footprints widen the region automatically — and copies every other
-// tile's outputs from the previous frame's retained buffers, bit for bit.
+// footprints widen the region automatically — writing into the previous
+// frame's buffers, where every other tile keeps its values, bit for bit.
 package main
 
 import (
@@ -87,12 +87,12 @@ func main() {
 		}
 		d := time.Since(start)
 		s := st.Stats()
-		fmt.Printf("  frame %d: roi [%d,%d]^2  %2d tiles recomputed, %2d copied  (%.2f ms)\n",
+		fmt.Printf("  frame %d: roi [%d,%d]^2  %2d tiles recomputed, %2d kept  (%.2f ms)\n",
 			f, lo, lo+cursor-1, s.TilesExecuted-prev.TilesExecuted, s.TilesSkipped-prev.TilesSkipped,
 			float64(d.Microseconds())/1000.0)
 		prev = s
 	}
 	total := st.Stats()
 	share := float64(total.TilesSkipped) / float64(total.TilesExecuted+total.TilesSkipped)
-	fmt.Printf("over %d ROI frames: %.0f%% of tiles copied instead of recomputed\n", frames-1, 100*share)
+	fmt.Printf("over %d ROI frames: %.0f%% of tiles kept instead of recomputed\n", frames-1, 100*share)
 }

@@ -54,8 +54,8 @@ type Knob struct {
 	Frames int
 	// ROI confines the between-frame input mutation to a centered dirty
 	// rectangle and passes that rectangle to the stream, so frames after
-	// the first exercise the dirty-tile decision and the clean-tile copies
-	// from the previous frame's retained buffers. Requires Frames > 1.
+	// the first exercise the dirty-tile decision and the in-place update
+	// of the previous frame's retained buffers. Requires Frames > 1.
 	ROI bool
 	// NarrowTypes enables the bitwidth-inference pass, so stages with
 	// provably bounded integral intervals store as uint8/uint16/int32 and
@@ -405,8 +405,8 @@ func centerRect(box affine.Box) affine.Box {
 // as the ROI) when k.ROI is set, everywhere otherwise — and comparing every
 // frame's live-outs against an independent whole-graph reference execution
 // on that frame's exact inputs. Frame-to-frame buffer retention, the
-// per-tile dirty decision and the clean-tile copies from the previous
-// frame's buffers are all under test.
+// per-tile dirty decision and the in-place update of the previous frame's
+// buffers are all under test.
 func diffFrames(sp PipelineSpec, k Knob, opts RunOptions, prog *engine.Program, refB *built, fail func(output, detail string) *Mismatch) *Mismatch {
 	s, err := prog.Executor().NewStream(engine.StreamOptions{})
 	if err != nil {

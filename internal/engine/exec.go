@@ -25,26 +25,32 @@ func (p *Program) Run(inputs map[string]*Buffer) (map[string]*Buffer, error) {
 
 // runGroup runs one group. Every group but an accumulator, a
 // self-referencing stage or a fused group under parallelogram/split tiling
-// runs the tile loop over its plan, which a dirty-rectangle frame (a stream
-// run with an ROI) narrows to the tiles its prepass marks dirty. Those
+// runs the tile loop over its plan; in a dirty-rectangle frame (a stream
+// run with an ROI) that loop decides tile by tile which tiles run. Those
 // others have runners of their own, whose internal dependences cross any
-// tile cut: such a frame recomputes them whole or copies them whole.
+// tile cut: such a frame recomputes them whole or keeps them whole.
 func (e *Executor) runGroup(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
-	roi := rc.fc != nil && !rc.fc.full
+	fc := rc.fc
 	ls := ge.members[0]
 	fused := len(ge.members) > 1
 	if fused && e.p.Opts.Tiling == OverlappedTiling || !fused && !ls.isAcc && !ls.selfRef {
-		var dirty []bool
-		if roi {
-			var err error
-			if dirty, err = e.dirtyTiles(rc, ge); err != nil {
-				return err
+		if fc != nil && !fc.full {
+			return e.runDirtyTiles(rc, ge, outputs)
+		}
+		return e.runTiled(rc, ge, outputs)
+	}
+	if fc != nil {
+		if !fc.full && e.keepWhole(rc, ge, outputs) {
+			return nil
+		}
+		// The runner recomputes the live-outs whole, in place: where a
+		// predicated piece's predicate fails, the point keeps its value,
+		// which must be a fresh buffer's zero.
+		for i, m := range ge.members {
+			if ge.liveOut[i] && m.predicated() {
+				outputs[m.name].Fill(0)
 			}
 		}
-		return e.runTiled(rc, ge, outputs, dirty)
-	}
-	if roi && e.copyWhole(rc, ge, outputs) {
-		return nil
 	}
 	switch {
 	case fused && e.p.Opts.Tiling == ParallelogramTiling:
@@ -77,56 +83,42 @@ func cloneBoxInto(dst, src affine.Box) affine.Box {
 // group's tiles recompute their halo, a lone stage's bands are disjoint), so
 // they are distributed over the worker pool as a bag of tasks;
 // intermediates live in per-worker scratchpads that are reused across
-// tiles, groups and runs (Section 3.6). dirty, when non-nil, is a
-// dirty-rectangle frame's per-tile table: a clean tile's live-out values are
-// bitwise those of the previous frame, so it copies its owned boxes from
-// there instead of running.
-func (e *Executor) runTiled(rc *runCtx, ge *groupExec, outputs map[string]*Buffer, dirty []bool) error {
+// tiles, groups and runs (Section 3.6). A streamed frame's outputs are the
+// previous frame's buffers, overwritten in place (see Stream).
+func (e *Executor) runTiled(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
 	tp := ge.tp
 	numTiles := tp.NumTiles()
-	threads := e.threads
-	if int64(threads) > numTiles {
-		threads = int(numTiles)
-	}
+	inPlace := rc.fc != nil
 	var next atomic.Int64
-	return e.parallel(rc, threads, func(w *worker, fe *firstErr) {
+	return e.parallel(rc, int(min(int64(e.threads), numTiles)), func(w *worker, fe *firstErr) {
 		rc.bind(w)
 		w.tileIdx = growI64(w.tileIdx, len(tp.TileCounts))
 		idx := w.tileIdx
+		req := w.reqBoxes(ge)
 		for {
 			t := next.Add(1) - 1
 			if t >= numTiles || fe.isSet() {
 				return
 			}
 			tp.TileIndex(t, idx)
-			if dirty != nil && !dirty[t] {
-				for i, ls := range ge.members {
-					if !ge.liveOut[i] {
-						continue
-					}
-					if own := w.owned(ge, i, idx); !own.Empty() {
-						outputs[ls.name].CopyRegion(rc.fc.prev[ls.name], own)
-					}
-				}
-				continue
-			}
-			if err := e.runTile(w, ge, idx, outputs); err != nil {
+			if err := tp.RequiredInto(idx, req); err != nil {
 				fe.set(err)
 				return
 			}
+			e.runTile(w, ge, idx, req, outputs, inPlace)
 		}
 	})
 }
 
-// runTile computes tile idx of ge's plan: every member over its required
-// region, the anchor straight into its full buffer (its required region is
-// exactly its owned tile), the others into the worker's scratchpads, from
-// which live-outs copy their owned boxes.
-func (e *Executor) runTile(w *worker, ge *groupExec, idx []int64, outputs map[string]*Buffer) error {
-	req := w.reqBoxes(ge)
-	if err := ge.tp.RequiredInto(idx, req); err != nil {
-		return err
-	}
+// runTile computes tile idx of ge's plan over req, its required regions:
+// every member over its region, the anchor straight into its full buffer
+// (its required region is exactly its owned tile), the others into the
+// worker's scratchpads, from which live-outs copy their owned boxes.
+// inPlace says the full buffers hold a previous frame's values. A
+// predicated piece stores the point's own value where its predicate fails,
+// which must read as a fresh buffer's zero, so there a predicated anchor
+// computes into a scratchpad too.
+func (e *Executor) runTile(w *worker, ge *groupExec, idx []int64, req []affine.Box, outputs map[string]*Buffer, inPlace bool) {
 	if w.shard != nil {
 		w.shard.Tile(ge.id)
 	}
@@ -135,7 +127,7 @@ func (e *Executor) runTile(w *worker, ge *groupExec, idx []int64, outputs map[st
 		if box.Empty() {
 			continue
 		}
-		if ls.name == ge.grp.Anchor {
+		if ls.name == ge.grp.Anchor && !(inPlace && ls.predicated()) {
 			out := outputs[ls.name]
 			w.ctx.bufs[ls.slot] = out
 			e.p.computeStage(w, ls, box, out, 0, 0)
@@ -158,7 +150,6 @@ func (e *Executor) runTile(w *worker, ge *groupExec, idx []int64, outputs map[st
 			outputs[ls.name].CopyRegion(sc, own)
 		}
 	}
-	return nil
 }
 
 // reqBoxes returns the worker's required-region boxes for ge's plan, one

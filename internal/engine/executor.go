@@ -91,9 +91,9 @@ type runCtx struct {
 	live map[string]*Buffer
 	w    *worker
 	// fc is non-nil while the run belongs to a frame stream: it carries the
-	// previous frame's retained buffers and the dirty-region state that
-	// runGroup consults (see stream.go). Cleared before the context
-	// returns to the free list.
+	// previous frame's retained buffers, which the run overwrites in place,
+	// and the dirty-region state that runGroup consults (see stream.go).
+	// Cleared before the context returns to the free list.
 	fc *frameCtx
 }
 
@@ -117,12 +117,13 @@ type worker struct {
 	shard *obs.Shard
 
 	// Reusable per-task scratch: the tile odometer, the required-region
-	// boxes of each group's plan (by group id, then member position), an
-	// accumulator row's flat target offsets, region clones (an
-	// accumulator's share, a self-referencing stage's row or point) and the
-	// owned box of the member in hand.
+	// and external-read boxes of each group's plan (by group id, then
+	// member or producer position), an accumulator row's flat target
+	// offsets, region clones (an accumulator's share, a self-referencing
+	// stage's row or point) and the owned box of the member in hand.
 	tileIdx []int64
 	req     [][]affine.Box
+	ext     [][]affine.Box
 	accOffs []int64
 	region  affine.Box
 	iBox    affine.Box
@@ -212,6 +213,7 @@ func (e *Executor) newWorker(shard int) *worker {
 	w := &worker{
 		scratch: make([]*Buffer, len(p.stageNames)),
 		req:     make([][]affine.Box, len(p.groups)),
+		ext:     make([][]affine.Box, len(p.groups)),
 		shard:   e.rec.Shard(shard),
 	}
 	w.ctx.pt = make([]int64, p.maxDims)
@@ -433,15 +435,17 @@ func (e *Executor) run(rc *runCtx, inputs map[string]*Buffer) (map[string]*Buffe
 		base[p.slots[name]] = buf
 	}
 	if p.Opts.ReuseBuffers && rc.fc == nil {
-		// Streamed frames (rc.fc set) never pool: every full stage must be
-		// retained so the next frame can copy clean regions and feed
-		// feedback inputs from it.
+		// Streamed frames (rc.fc set) never pool: every full stage is
+		// retained, and the next frame overwrites it in place.
 		return e.runPooled(rc)
 	}
 	outputs := make(map[string]*Buffer, len(p.fullStages))
 	for _, name := range p.fullStages {
 		ls := p.stages[name]
-		buf := e.arena.get(ls.dom, ls.elem)
+		buf := rc.fc.reuse(name, inputs)
+		if buf == nil {
+			buf = e.arena.get(ls.dom, ls.elem)
+		}
 		outputs[name] = buf
 		base[ls.slot] = buf
 	}

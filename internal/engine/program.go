@@ -135,6 +135,18 @@ type loweredStage struct {
 	accGen *genBound
 }
 
+// predicated reports whether a piece of ls has a residual predicate: its
+// program stores the point's own value where the predicate fails, so a
+// region recomputed into a buffer that is not fresh must first be zeroed.
+func (ls *loweredStage) predicated() bool {
+	for i := range ls.pieces {
+		if ls.pieces[i].pred != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // groupExec pairs a schedule group with its tile plan and lowered members.
 type groupExec struct {
 	grp *schedule.Group

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/affine"
 	"repro/internal/obs"
+	"repro/internal/schedule"
 )
 
 // StreamOptions configures a frame stream (Executor.NewStream/RunFrames).
@@ -21,8 +23,8 @@ type StreamOptions struct {
 }
 
 // StreamStats is a stream's always-on accounting: frames run, and — for
-// dirty-rectangle frames — tiles recomputed versus tiles copied from the
-// previous frame's retained buffers.
+// dirty-rectangle frames — tiles recomputed versus tiles skipped, whose
+// values the previous frame left in place.
 type StreamStats struct {
 	Frames        int64
 	TilesExecuted int64
@@ -31,14 +33,17 @@ type StreamStats struct {
 
 // Stream runs a compiled program over a frame sequence, reusing the
 // executor's arena, row-VM registers and per-fleet-worker state
-// frame-to-frame and retaining every full-stage buffer of the latest frame
-// so the next frame can (a) feed Feedback-bound inputs and (b) recompute
-// only the tiles a changed ROI touches, copying the rest.
+// frame-to-frame and retaining every full-stage buffer of the latest frame.
+// The next frame overwrites those buffers in place, so a frame with a
+// changed ROI recomputes only the tiles the change touches and the rest
+// keep their values at no cost. The exception is a buffer the frame reads
+// as an input, a Feedback source: it stays double-buffered, the frame
+// writing a fresh buffer and copying the skipped tiles into it.
 //
 // Ownership contract: the buffers RunFrame returns are retained by the
-// stream — they stay valid until the next RunFrame or Close, and must not
-// be passed to Executor.Recycle (the stream recycles them itself when it
-// rotates frames). RunFrame is safe for concurrent use but frames
+// stream — they stay valid until the next RunFrame, which overwrites them,
+// or Close, and must not be passed to Executor.Recycle (the stream
+// recycles them itself). RunFrame is safe for concurrent use but frames
 // serialize: a stream is one temporal sequence.
 type Stream struct {
 	e        *Executor
@@ -98,15 +103,17 @@ func (e *Executor) NewStream(opts StreamOptions) (*Stream, error) {
 	return &Stream{e: e, feedback: fb}, nil
 }
 
-// RunFrame executes one frame. roi, when non-nil and a previous frame is
-// retained, is the dirty rectangle: the caller promises the non-feedback
-// inputs changed only inside it since the previous frame, and the engine
-// recomputes only tiles whose required region (transitively) reads a
-// changed region, copying every other tile's live-out values from the
-// previous frame's buffers. A nil roi — and always the first frame —
+// RunFrame executes one frame into the previous frame's buffers. roi, when
+// non-nil and a previous frame is retained, is the dirty rectangle: the
+// caller promises the non-feedback inputs changed only inside it since the
+// previous frame, and the engine recomputes only tiles whose required
+// region (transitively) reads a changed region; every other tile keeps the
+// previous frame's values. A nil roi — and always the first frame —
 // recomputes everything. roi must have the rank of at least one
 // non-feedback input image (ErrROI otherwise); an empty roi means "nothing
-// changed". Outputs follow the Stream ownership contract.
+// changed". A frame that fails drops the retained frame: the next one runs
+// whole, like the first, and must supply the feedback images again.
+// Outputs follow the Stream ownership contract.
 func (s *Stream) RunFrame(inputs map[string]*Buffer, roi affine.Box) (map[string]*Buffer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -139,12 +146,12 @@ func (s *Stream) RunFrame(inputs map[string]*Buffer, roi affine.Box) (map[string
 
 	fc := &s.fc
 	useROI := roi != nil && s.prev != nil && e.p.Opts.Tiling == OverlappedTiling
+	fc.reset(s.prev, !useROI)
 	if useROI {
 		if err := s.seedDirty(roi); err != nil {
+			s.drop()
 			return nil, err
 		}
-	} else {
-		fc.reset(nil, true)
 	}
 
 	rc := e.acquireRun()
@@ -157,6 +164,8 @@ func (s *Stream) RunFrame(inputs map[string]*Buffer, roi affine.Box) (map[string
 	rc.fc = nil
 	e.releaseRun(rc)
 	if err != nil {
+		// The frame may have half-overwritten the retained buffers.
+		s.drop()
 		return nil, err
 	}
 	if e.rec != nil {
@@ -167,11 +176,13 @@ func (s *Stream) RunFrame(inputs map[string]*Buffer, roi affine.Box) (map[string
 		e.rec.RecordFrame(dt)
 	}
 
-	// Rotate retention: the previous frame's buffers served their purpose
-	// (feedback reads and clean-tile copies) and recycle to the arena; the
-	// new outputs are retained until the next frame.
-	for _, b := range s.prev {
-		e.arena.put(b)
+	// Retain the frame. Its buffers are the previous frame's, except a
+	// feedback source's: the previous one was this frame's input and
+	// recycles to the arena.
+	for n, b := range s.prev {
+		if out[n] != b {
+			e.arena.put(b)
+		}
 	}
 	if s.prev == nil {
 		s.prev = make(map[string]*Buffer, len(out))
@@ -214,7 +225,6 @@ func (s *Stream) RunFrame(inputs map[string]*Buffer, roi affine.Box) (map[string
 func (s *Stream) seedDirty(roi affine.Box) error {
 	e := s.e
 	fc := &s.fc
-	fc.reset(s.prev, false)
 	matched := false
 	nonFeedback := 0
 	for name := range e.p.Graph.Images {
@@ -285,13 +295,19 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
+	s.drop()
+	s.lastDirty = nil
+}
+
+// drop recycles the retained frame to the executor's arena, so the next
+// frame runs whole, as the first one does.
+func (s *Stream) drop() {
 	if !s.e.closed.Load() {
 		for _, b := range s.prev {
 			s.e.arena.put(b)
 		}
 	}
 	s.prev = nil
-	s.lastDirty = nil
 }
 
 // Frame is one step of a streaming execution (Executor.RunFrames).
@@ -309,8 +325,8 @@ type Frame struct {
 // buffers, scratchpads and per-fleet-worker state are reused
 // frame-to-frame, and frames carrying an ROI recompute only the tiles the
 // change touches. each (optional) observes every frame's outputs, which
-// are valid only until the next frame runs — copy what must outlive the
-// call. A non-nil error from each aborts the sequence.
+// are valid only until the next frame overwrites them — copy what must
+// outlive the call. A non-nil error from each aborts the sequence.
 func (e *Executor) RunFrames(frames []Frame, opts StreamOptions, each func(frame int, outputs map[string]*Buffer) error) error {
 	if len(frames) == 0 {
 		return fmt.Errorf("engine: empty frame sequence: %w", ErrFrames)
@@ -334,23 +350,23 @@ func (e *Executor) RunFrames(frames []Frame, opts StreamOptions, each func(frame
 	return nil
 }
 
-// frameCtx carries one streamed frame's dirty-rectangle state through the
-// run: the previous frame's retained buffers, the dirty box per buffer
-// name (input images and upstream live-outs), the per-tile decisions of
-// the group in flight, and the frame's skip/execute accounting. All of it
-// is written only on the run goroutine (between groups and in the
-// per-group prepass); workers read prev and the tileDirty table, both fixed
-// while the group's tiles run.
+// frameCtx carries one streamed frame's state through the run: the
+// previous frame's retained buffers, which the frame overwrites in place
+// (reuse), the dirty box per buffer name (input images and upstream
+// live-outs), the union of the owned boxes of the dirty tiles of the group
+// in flight, and the frame's skip/execute accounting. dirty is written only
+// on the run goroutine, between groups; a tile loop's workers read it and
+// prev, both fixed while the group's tiles run, and update own and
+// executed under the section's lock.
 type frameCtx struct {
 	// full marks a whole-frame recompute (first frame, nil ROI, or a
 	// non-overlapped tiling strategy): groups run their normal paths.
-	full      bool
-	prev      map[string]*Buffer
-	dirty     map[string]affine.Box
-	ext       [][]affine.Box // per group: TilePlan.ExternalInto scratch
-	tileDirty []bool
-	executed  int64
-	skipped   int64
+	full     bool
+	prev     map[string]*Buffer
+	dirty    map[string]affine.Box
+	own      []affine.Box
+	executed int64
+	skipped  int64
 }
 
 func (fc *frameCtx) reset(prev map[string]*Buffer, full bool) {
@@ -363,31 +379,51 @@ func (fc *frameCtx) reset(prev map[string]*Buffer, full bool) {
 	fc.executed, fc.skipped = 0, 0
 }
 
-// markDirty unions box into name's dirty region (run goroutine only).
-func (fc *frameCtx) markDirty(name string, box affine.Box) {
-	d := fc.dirty[name]
-	if len(d) != len(box) {
-		fc.dirty[name] = box.Clone()
-		return
+// reuse returns the buffer a streamed frame overwrites in place for stage
+// name: the previous frame's, unless the frame reads that buffer as an
+// input (a feedback source), which takes a fresh one. nil outside a
+// stream, and on a stream's first frame.
+func (fc *frameCtx) reuse(name string, inputs map[string]*Buffer) *Buffer {
+	if fc == nil {
+		return nil
 	}
-	for i := range d {
-		d[i] = d[i].Union(box[i])
-	}
-}
-
-// retained reports whether the previous frame kept every live-out of ge.
-func (fc *frameCtx) retained(ge *groupExec) bool {
-	for i, ls := range ge.members {
-		if ge.liveOut[i] && fc.prev[ls.name] == nil {
-			return false
+	b := fc.prev[name]
+	for _, in := range inputs {
+		if in == b {
+			return nil
 		}
 	}
-	return true
+	return b
+}
+
+// markDirty unions box into name's dirty region (run goroutine only).
+func (fc *frameCtx) markDirty(name string, box affine.Box) {
+	fc.dirty[name] = unionInto(fc.dirty[name], box)
 }
 
 func (fc *frameCtx) isDirty(name string) bool {
 	b := fc.dirty[name]
 	return b != nil && !b.Empty()
+}
+
+// readsDirty reports whether a tile's external reads, ext (ExternalInto),
+// meet the frame's dirty set.
+func (fc *frameCtx) readsDirty(tp *schedule.TilePlan, ext []affine.Box) bool {
+	for k, b := range ext {
+		if db := fc.dirty[tp.ExtName(k)]; db != nil && boxesIntersect(b, db) {
+			return true
+		}
+	}
+	return false
+}
+
+// fed reports whether the frame writes ge's live-out i into a fresh buffer
+// (a feedback source), into which a region the frame skips must be copied
+// from the previous frame; every other live-out already holds the previous
+// frame's values there.
+func (fc *frameCtx) fed(ge *groupExec, i int, outputs map[string]*Buffer) bool {
+	name := ge.members[i].name
+	return ge.liveOut[i] && fc.prev[name] != outputs[name]
 }
 
 // boxesIntersect reports whether two same-rank boxes overlap.
@@ -411,14 +447,28 @@ func growBox(b affine.Box, n int) affine.Box {
 	return b[:n]
 }
 
-// copyWhole decides a dirty-rectangle frame for a group that runs on a
-// runner of its own: when nothing the group reads outside itself changed
-// and the previous frame retained its live-outs, it copies them whole and
-// reports true; otherwise it marks them dirty whole, and the caller
-// recomputes the group.
-func (e *Executor) copyWhole(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) bool {
+// unionInto grows dst, a bounding box or of length 0 for none, to cover b.
+func unionInto(dst, b affine.Box) affine.Box {
+	if b.Empty() {
+		return dst
+	}
+	if len(dst) == 0 {
+		return cloneBoxInto(dst, b)
+	}
+	for d := range dst {
+		dst[d] = dst[d].Union(b[d])
+	}
+	return dst
+}
+
+// keepWhole decides a dirty-rectangle frame for a group that runs on a
+// runner of its own: when nothing the group reads outside itself changed,
+// its live-outs keep the previous frame's values and it reports true;
+// otherwise it marks them dirty whole, and the caller recomputes the
+// group.
+func (e *Executor) keepWhole(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) bool {
 	fc := rc.fc
-	if e.groupUpstreamDirty(ge, fc) || !fc.retained(ge) {
+	if e.groupUpstreamDirty(ge, fc) {
 		for i, ls := range ge.members {
 			if ge.liveOut[i] {
 				fc.markDirty(ls.name, ls.dom)
@@ -428,7 +478,7 @@ func (e *Executor) copyWhole(rc *runCtx, ge *groupExec, outputs map[string]*Buff
 		return false
 	}
 	for i, ls := range ge.members {
-		if ge.liveOut[i] {
+		if fc.fed(ge, i, outputs) {
 			outputs[ls.name].CopyRegion(fc.prev[ls.name], ls.dom)
 		}
 	}
@@ -458,67 +508,82 @@ func (e *Executor) groupUpstreamDirty(ge *groupExec, fc *frameCtx) bool {
 	return false
 }
 
-// dirtyTiles is a dirty-rectangle frame's prepass over ge's tile plan, run
-// on the run goroutine before the tile loop: a tile is dirty when a region
-// it reads outside the group (RequiredInto, then ExternalInto) meets the
-// frame's dirty set, or when the previous frame retained no copy of a
-// live-out. Dirty tiles' owned boxes fold into the group's own dirty-out,
-// which downstream groups consult — a clean tile's copied values are
-// bitwise identical to the previous frame's, so the propagation is exact,
-// not just sound. The returned table is the frame's, reused group to group.
-func (e *Executor) dirtyTiles(rc *runCtx, ge *groupExec) ([]bool, error) {
-	fc, tp, w := rc.fc, ge.tp, rc.w
+// runDirtyTiles is a dirty-rectangle frame's tile loop over ge's plan. A
+// worker that takes a tile computes the tile's required regions and, from
+// them, the regions it reads outside the group; it runs the tile, on the
+// boxes it just computed, only when those reads meet the frame's dirty
+// set. The owned boxes of the live-outs of the tiles that ran are unioned
+// under the section's lock; after the section they become the group's
+// dirty regions, which later groups consult. A skipped tile keeps the
+// previous frame's values, bitwise, so the propagation is exact, not just
+// sound.
+func (e *Executor) runDirtyTiles(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
+	fc, tp := rc.fc, ge.tp
 	numTiles := tp.NumTiles()
-	if cap(fc.tileDirty) < int(numTiles) {
-		fc.tileDirty = make([]bool, numTiles)
+	fc.own = slices.Grow(fc.own[:0], len(ge.members))[:len(ge.members)]
+	for i := range fc.own {
+		fc.own[i] = fc.own[i][:0] // no region yet; keeps the storage
 	}
-	dirty := fc.tileDirty[:numTiles]
-	prevOK := fc.retained(ge)
-	if fc.ext == nil {
-		fc.ext = make([][]affine.Box, len(e.p.groups))
-	}
-	ext := fc.ext[ge.id]
-	if ext == nil {
-		ext = tp.ExtBoxes()
-		fc.ext[ge.id] = ext
-	}
-	req := w.reqBoxes(ge)
-	w.tileIdx = growI64(w.tileIdx, len(tp.TileCounts))
-	idx := w.tileIdx
-	for t := range dirty {
-		tp.TileIndex(int64(t), idx)
-		d := !prevOK
-		if prevOK {
+	var next, skipped atomic.Int64
+	var mu sync.Mutex // guards fc.own and fc.executed
+	err := e.parallel(rc, int(min(int64(e.threads), numTiles)), func(w *worker, fe *firstErr) {
+		rc.bind(w)
+		w.tileIdx = growI64(w.tileIdx, len(tp.TileCounts))
+		idx := w.tileIdx
+		req, ext := w.reqBoxes(ge), w.extBoxes(ge)
+		for {
+			t := next.Add(1) - 1
+			if t >= numTiles || fe.isSet() {
+				return
+			}
+			tp.TileIndex(t, idx)
 			if err := tp.RequiredInto(idx, req); err != nil {
-				return nil, err
+				fe.set(err)
+				return
 			}
 			if err := tp.ExternalInto(req, ext); err != nil {
-				return nil, err
+				fe.set(err)
+				return
 			}
-			for k, b := range ext {
-				if db := fc.dirty[tp.ExtName(k)]; db != nil && boxesIntersect(b, db) {
-					d = true
-					break
+			if !fc.readsDirty(tp, ext) {
+				skipped.Add(1)
+				if w.shard != nil {
+					w.shard.TileSkipped(ge.id)
 				}
-			}
-		}
-		dirty[t] = d
-		if !d {
-			fc.skipped++
-			if w.shard != nil {
-				w.shard.TileSkipped(ge.id)
-			}
-			continue
-		}
-		fc.executed++
-		for i, ls := range ge.members {
-			if !ge.liveOut[i] {
+				for i, ls := range ge.members {
+					if fc.fed(ge, i, outputs) {
+						outputs[ls.name].CopyRegion(fc.prev[ls.name], w.owned(ge, i, idx))
+					}
+				}
 				continue
 			}
-			if own := w.owned(ge, i, idx); !own.Empty() {
-				fc.markDirty(ls.name, own)
+			mu.Lock()
+			fc.executed++
+			for i := range ge.members {
+				if ge.liveOut[i] {
+					fc.own[i] = unionInto(fc.own[i], w.owned(ge, i, idx))
+				}
 			}
+			mu.Unlock()
+			e.runTile(w, ge, idx, req, outputs, true)
+		}
+	})
+	fc.skipped += skipped.Load()
+	for i, b := range fc.own {
+		if len(b) > 0 {
+			fc.markDirty(ge.members[i].name, b)
 		}
 	}
-	return dirty, nil
+	return err
+}
+
+// extBoxes returns the worker's external-read boxes for ge's plan, one per
+// out-of-group producer, allocated on first use.
+func (w *worker) extBoxes(ge *groupExec) []affine.Box {
+	ext := w.ext[ge.id]
+	if ext == nil {
+		ext = ge.tp.ExtBoxes()
+		w.ext[ge.id] = ext
+	}
+	return ext
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
@@ -69,6 +70,8 @@ func TestStreamDirtyRectHarris(t *testing.T) {
 			t.Fatalf("dirty-rect frame: %s differs from whole-frame run: %s", name, msg)
 		}
 	}
+	// Without feedback, every frame overwrites the first frame's buffers.
+	sameBuffers(t, out0, out1, nil)
 	st := s.Stats()
 	if st.Frames != 2 {
 		t.Fatalf("Stats.Frames = %d, want 2", st.Frames)
@@ -80,18 +83,27 @@ func TestStreamDirtyRectHarris(t *testing.T) {
 		t.Fatal("dirty-rect frame executed no tiles despite a non-empty ROI")
 	}
 
-	// Frame 2: an empty ROI means nothing changed — every tile must be
-	// served from the previous frame.
+	// Frame 2: an empty ROI means nothing changed — no tile runs, no
+	// buffer moves and every value stays as it was.
 	executedBefore := st.TilesExecuted
+	kept := make(map[string]*Buffer, len(out1))
+	for name, b := range out1 {
+		kept[name] = cloneBuf(b)
+	}
+	arenaBefore := e.Snapshot().Arena
 	out2, err := s.RunFrame(map[string]*Buffer{"I": mod}, affine.Box{{Lo: 0, Hi: -1}, {Lo: 0, Hi: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, wb := range want {
-		if eq, msg := out2[name].Equal(wb, 0); !eq {
+	for name, kb := range kept {
+		if eq, msg := out2[name].Equal(kb, 0); !eq {
 			t.Fatalf("empty-ROI frame: %s differs: %s", name, msg)
 		}
 	}
+	if a := e.Snapshot().Arena; a != arenaBefore {
+		t.Fatalf("empty-ROI frame moved the arena: %+v, was %+v", a, arenaBefore)
+	}
+	sameBuffers(t, out1, out2, nil)
 	st = s.Stats()
 	if st.TilesExecuted != executedBefore {
 		t.Fatalf("empty-ROI frame executed %d tiles, want 0", st.TilesExecuted-executedBefore)
@@ -119,6 +131,21 @@ func TestStreamDirtyRectHarris(t *testing.T) {
 	}
 	if skipped != st.TilesSkipped {
 		t.Fatalf("Snapshot TilesSkipped = %d, Stats = %d", skipped, st.TilesSkipped)
+	}
+}
+
+// sameBuffers demands that frame cur returned every stage of frame prev as
+// the same buffer, overwritten in place, except the feedback sources in
+// fed, which must come back as fresh buffers.
+func sameBuffers(t *testing.T, prev, cur map[string]*Buffer, fed map[string]bool) {
+	t.Helper()
+	if len(cur) != len(prev) {
+		t.Fatalf("frame returned %d buffers, the one before %d", len(cur), len(prev))
+	}
+	for name, b := range prev {
+		if same := cur[name] == b; same == fed[name] {
+			t.Errorf("%s: same buffer as the previous frame = %v, want %v", name, same, !fed[name])
+		}
 	}
 }
 
@@ -220,16 +247,27 @@ func TestStreamFeedback(t *testing.T) {
 	state := inputs["S"]
 	in := cloneBuf(inputs["I"])
 	const frames = 5
+	var prev map[string]*Buffer
 	for k := 0; k < frames; k++ {
 		var frameROI affine.Box
 		if k > 0 {
 			bumpRegion(in, roi, float32(k)*0.25)
 			frameROI = roi
 		}
+		gets := arenaGets(e)
 		out, err := s.RunFrame(map[string]*Buffer{"S": state, "I": in}, frameROI)
 		if err != nil {
 			t.Fatalf("frame %d: %v", k, err)
 		}
+		if k > 0 {
+			// blur feeds S: it alone takes a buffer, since the frame reads
+			// the previous one.
+			if n := arenaGets(e) - gets; n != 1 {
+				t.Fatalf("frame %d took %d arena buffers, want 1", k, n)
+			}
+			sameBuffers(t, prev, out, map[string]bool{"blur": true})
+		}
+		prev = maps.Clone(out)
 		want, err := e.Run(map[string]*Buffer{"S": state, "I": in})
 		if err != nil {
 			t.Fatal(err)
@@ -256,6 +294,12 @@ func TestStreamFeedback(t *testing.T) {
 	if st.TilesSkipped == 0 {
 		t.Fatal("ROI frames skipped no tiles of the feedback-independent chain")
 	}
+}
+
+// arenaGets counts the buffers e's arena has handed out.
+func arenaGets(e *Executor) int64 {
+	a := e.Snapshot().Arena
+	return a.Hits + a.Misses
 }
 
 // TestStreamFeedbackValidation: feedback bindings to unknown images or
@@ -385,5 +429,184 @@ func TestStreamRunFrames(t *testing.T) {
 	})
 	if !errors.Is(err, stop) {
 		t.Fatalf("callback error not propagated: %v", err)
+	}
+}
+
+// gatherPipeline reads f through a data-dependent column index: out(x, y)
+// = f(x, y + K(x, y)·10⁶) + I(x, y), so a non-zero K sends a read far
+// outside f, which Debug reports as an error mid-run.
+func gatherPipeline(t testing.TB) (*Program, map[string]*Buffer) {
+	t.Helper()
+	b := dsl.NewBuilder()
+	R, C := b.Param("R"), b.Param("C")
+	I := b.Image("I", expr.Float, R.Affine(), C.Affine())
+	K := b.Image("K", expr.Float, R.Affine(), C.Affine())
+	x, y := b.Var("x"), b.Var("y")
+	dom := []dsl.Interval{
+		dsl.Span(affine.Const(0), R.Affine().AddConst(-1)),
+		dsl.Span(affine.Const(0), C.Affine().AddConst(-1)),
+	}
+	f := b.Func("f", expr.Float, []*dsl.Variable{x, y}, dom)
+	f.Define(dsl.Case{E: dsl.Mul(0.5, I.At(x, y))})
+	out := b.Func("out", expr.Float, []*dsl.Variable{x, y}, dom)
+	col := dsl.Cast(expr.Int, dsl.Add(y, dsl.Mul(K.At(x, y), 1e6)))
+	out.Define(dsl.Case{E: dsl.Add(f.At(x, col), I.At(x, y))})
+	g, err := pipeline.Build(b, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int64{"R": 64, "C": 96}
+	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: []int64{16, 32}, MinTileExtent: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(gr, params, ExecOptions{Debug: true, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string]*Buffer{}
+	for _, name := range []string{"I", "K"} {
+		if inputs[name], err = buffer.NewForDomain(g.Images[name].Domain(), params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	FillPattern(inputs["I"], 3)
+	return prog, inputs
+}
+
+// TestStreamFailedFrame: a frame that fails mid-run leaves the retained
+// buffers half-overwritten, so the next frame must not trust them: an ROI
+// frame after the failure must equal a whole-frame run bit for bit.
+func TestStreamFailedFrame(t *testing.T) {
+	prog, inputs := gatherPipeline(t)
+	defer prog.Close()
+	e := prog.Executor()
+	s, err := e.NewStream(StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.RunFrame(inputs, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Frame 1 changes I everywhere and points one gather off f: it fails
+	// after f has been overwritten, with out part done.
+	FillPattern(inputs["I"], 5)
+	inputs["K"].Set(1, 2, 3)
+	if _, err := s.RunFrame(inputs, nil); err == nil {
+		t.Fatal("frame 1: want the out-of-region gather to fail")
+	}
+	// Frame 2 differs from frame 1 only at the gather it mends.
+	inputs["K"].Set(0, 2, 3)
+	roi := affine.Box{{Lo: 0, Hi: 7}, {Lo: 0, Hi: 7}}
+	got, err := s.RunFrame(inputs, roi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, wb := range want {
+		if eq, msg := got[name].Equal(wb, 0); !eq {
+			t.Fatalf("ROI frame after a failed frame: %s differs from a whole-frame run: %s", name, msg)
+		}
+	}
+}
+
+// TestStreamPredicateFlip: a stage whose case predicate reads the input
+// stores its own value where the predicate fails, which a fresh buffer
+// holds as zero. Overwritten in place, the region a frame recomputes must
+// read as zero too: after the predicate flips inside the ROI, the frame
+// must match a whole-frame run on fresh buffers, and so must a whole frame
+// after it. hi is the anchor of a tiled group; run, a running sum over the
+// points above the threshold, is a self-referencing stage, which its own
+// runner recomputes whole.
+func TestStreamPredicateFlip(t *testing.T) {
+	b := dsl.NewBuilder()
+	R, C := b.Param("R"), b.Param("C")
+	I := b.Image("I", expr.Float, R.Affine(), C.Affine())
+	x, y := b.Var("x"), b.Var("y")
+	inner := []dsl.Interval{
+		dsl.Span(affine.Const(1), R.Affine().AddConst(-2)),
+		dsl.Span(affine.Const(1), C.Affine().AddConst(-2)),
+	}
+	box3 := [][]float64{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}}
+	sm := b.Func("sm", expr.Float, []*dsl.Variable{x, y}, inner)
+	sm.Define(dsl.Case{E: dsl.Stencil(I, 1.0/9, box3, [2]any{x, y})})
+	// Only where the smoothed input is high: a residual predicate.
+	hi := b.Func("hi", expr.Float, []*dsl.Variable{x, y}, inner)
+	hi.Define(dsl.Case{Cond: dsl.Cond(sm.At(x, y), ">", 0.5), E: dsl.Mul(2.0, sm.At(x, y))})
+	run := b.Func("run", expr.Float, []*dsl.Variable{x, y}, inner)
+	above := dsl.Cond(I.At(x, y), ">", 0.5)
+	run.Define(
+		dsl.Case{Cond: dsl.And(dsl.Cond(y, "==", 1), above), E: I.At(x, y)},
+		dsl.Case{Cond: dsl.And(dsl.Cond(y, ">", 1), above), E: dsl.Add(run.At(x, dsl.Sub(y, 1)), I.At(x, y))},
+	)
+	g, err := pipeline.Build(b, "hi", "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int64{"R": 64, "C": 96}
+	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: []int64{16, 32}, MinTileExtent: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(gr, params, ExecOptions{Fast: true, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prog.Close()
+	for _, name := range []string{"hi", "run"} {
+		if !prog.stages[name].predicated() {
+			t.Fatalf("%s has no predicated piece: the test would not exercise one", name)
+		}
+	}
+	if !prog.stages["run"].selfRef {
+		t.Fatal("run is not self-referencing")
+	}
+	in, err := buffer.NewForDomain(I.Domain(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	FillPattern(in, 7)
+	e := prog.Executor()
+	s, err := e.NewStream(StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// flip mirrors the input about the threshold inside region, so the
+	// predicate turns over there.
+	flip := func(region affine.Box) {
+		for x := region[0].Lo; x <= region[0].Hi; x++ {
+			for y := region[1].Lo; y <= region[1].Hi; y++ {
+				in.Set(1-in.At(x, y), x, y)
+			}
+		}
+	}
+	roi := affine.Box{{Lo: 20, Hi: 43}, {Lo: 30, Hi: 65}}
+	for k, frameROI := range []affine.Box{nil, roi, roi, nil} {
+		if k > 0 {
+			region := frameROI
+			if region == nil {
+				region = in.Box
+			}
+			flip(region)
+		}
+		got, err := s.RunFrame(map[string]*Buffer{"I": in}, frameROI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.Run(map[string]*Buffer{"I": in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"hi", "run"} {
+			if eq, msg := got[name].Equal(want[name], 0); !eq {
+				t.Fatalf("frame %d: %s differs from a whole-frame run on fresh buffers: %s", k, name, msg)
+			}
+		}
+		e.Recycle(want)
 	}
 }

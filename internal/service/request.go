@@ -234,8 +234,8 @@ type FrameResult struct {
 	// RunMillis is this frame's execution time.
 	RunMillis float64 `json:"run_ms"`
 	// TilesExecuted and TilesSkipped account the frame's dirty-rectangle
-	// decisions: tiles recomputed versus tiles copied from the previous
-	// frame. Whole-frame recomputes (frame 0, or no ROI) report 0/0 — the
+	// decisions: tiles recomputed versus tiles skipped, which keep the
+	// previous frame's values. Whole-frame recomputes (frame 0, or no ROI) report 0/0 — the
 	// partial-recompute machinery was not engaged.
 	TilesExecuted int64 `json:"tiles_executed"`
 	TilesSkipped  int64 `json:"tiles_skipped"`

@@ -102,7 +102,7 @@ func (f *flight) streamFrames() handoff {
 		}
 		if req.Output != OutputNone {
 			// Encode before the next frame: the stream owns the output
-			// buffers and rotates them on the next RunFrame.
+			// buffers and overwrites them on the next RunFrame.
 			fr.Outputs = outputResults(prog, out, req.Output)
 		}
 		if !f.send(handoff{frame: fr}) {

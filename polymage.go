@@ -222,8 +222,8 @@ type Executor = engine.Executor
 // previous frame's output (sliding-window temporal stencils such as heat
 // relaxation or exponential motion blur); and a Frame carrying an ROI —
 // the rectangle outside which the caller promises nothing changed —
-// recomputes only the tiles whose reads reach the change, copying every
-// other tile from the previous frame's retained buffers.
+// recomputes only the tiles whose reads reach the change, writing into
+// the previous frame's buffers, where every other tile keeps its values.
 type (
 	// Stream is an open frame sequence on an Executor; see
 	// Executor.NewStream.
@@ -231,7 +231,7 @@ type (
 	// StreamOptions configures a Stream (feedback bindings).
 	StreamOptions = engine.StreamOptions
 	// StreamStats counts a stream's frames and its dirty-rectangle tile
-	// decisions (recomputed vs copied).
+	// decisions (recomputed vs skipped).
 	StreamStats = engine.StreamStats
 	// Frame is one step of Executor.RunFrames: its inputs and an optional
 	// changed-region ROI.
