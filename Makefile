@@ -171,9 +171,10 @@ narrow-race:
 	$(GO) test -race -short -run 'TestNarrow|TestInteger|TestIvCast|TestVMInt|TestElemFor|TestGenNarrow' ./internal/engine/ ./internal/apps/... ./internal/difftest/ -count=1
 
 # Race-checked run of the auto-scheduler suite: cost-model term pinning
-# against executor observability counters, beam-search determinism and
-# never-worse-than-greedy, the core inlining axis, and the serving-layer
-# auto path (cache-key distinctness, end-to-end request).
+# against executor observability counters, search determinism, the
+# descent's local minimum and never-worse-than-greedy, the core inlining
+# axis, and the serving-layer auto path (cache-key distinctness,
+# end-to-end request).
 auto-race:
 	POLYMAGE_FLEET=4 $(GO) test -race -short -run 'TestAuto' ./internal/schedule/ ./internal/core/ ./internal/service/ -count=1
 

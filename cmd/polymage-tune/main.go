@@ -81,7 +81,7 @@ func main() {
 
 // autoMain validates the cost model on one app: it measures the sweep
 // grid, ranks it by predicted cost vs measured wall clock, and also times
-// the schedule the beam search actually picks.
+// the schedule the search actually picks.
 func autoMain(app *apps.App, params map[string]int64, runs int) {
 	fmt.Printf("%s: cost-model ranking at %v, 1 thread\n", app.Title, params)
 	samples, err := autotune.AppSamples(app, params, runs, 42)

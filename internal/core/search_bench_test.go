@@ -30,9 +30,8 @@ func BenchmarkSearch(b *testing.B) {
 			}
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/compile")
 			st := benchSink.Grouping.Search
-			b.ReportMetric(float64(st.CostEvals), "cost_evals")
+			b.ReportMetric(float64(st.States), "states")
 			b.ReportMetric(float64(st.AxisProbes), "axis_probes")
-			b.ReportMetric(float64(st.CostCacheHits), "cache_hits")
 			b.ReportMetric(float64(st.PerDimEvals), "perdim_evals")
 			b.ReportMetric(float64(st.EnumeratedEvals), "enumerated_evals")
 		})

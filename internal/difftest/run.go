@@ -65,7 +65,7 @@ type Knob struct {
 	// oracle, diffed bit-for-bit against the float64 reference.
 	NarrowTypes bool
 	// Auto compiles with the cost-model auto-scheduler
-	// (schedule.Options.Auto): the beam-searched grouping and tile sizes
+	// (schedule.Options.Auto): the searched grouping and tile sizes
 	// are ULP-diffed against the reference — the searched schedule must
 	// change only performance, never values.
 	Auto bool
@@ -119,12 +119,9 @@ func (k Knob) schedOptions() schedule.Options {
 		Auto:             k.Auto,
 	}
 	if k.Auto {
-		// Small tile candidates matched to the fuzzers' tiny extents, and
-		// a tight state budget so the sweep stays fast per seed.
+		// Small tile candidates matched to the fuzzers' tiny extents.
 		so.AutoOpts = &schedule.AutoOptions{
 			TileCandidates: [][]int64{{4, 4}, {8, 8}, {16, 16}, {8, 16}},
-			BeamWidth:      3,
-			MaxStates:      128,
 		}
 	}
 	return so

@@ -571,9 +571,6 @@ func (p *Program) Stats() obs.ProgramStats {
 		st.ScheduleModelCost = p.Grouping.ModelCost
 		if s := p.Grouping.Search; s != nil {
 			st.SearchStates = s.States
-			st.SearchPruned = s.Pruned
-			st.SearchCostEvals = s.CostEvals
-			st.SearchCostCacheHits = s.CostCacheHits
 			st.SearchPerDimEvals = s.PerDimEvals
 			st.SearchEnumeratedEvals = s.EnumeratedEvals
 		}

@@ -141,10 +141,9 @@ func renderStats(w io.Writer, name string, cfg Config, snap obs.Snapshot, model 
 		fmt.Fprintf(w, "  compile  %s\n", model.Compile.String())
 	}
 	if model.AutoScheduled {
-		fmt.Fprintf(w, "  search   %d states (%d evaluated, %d from memo), %d pruned; tiles per dimension %d, tile by tile %d, extrapolated %d\n",
-			model.SearchStates, model.SearchCostEvals, model.SearchCostCacheHits, model.SearchPruned,
-			model.SearchPerDimEvals, model.SearchEnumeratedEvals,
-			model.SearchCostEvals-model.SearchPerDimEvals-model.SearchEnumeratedEvals)
+		fmt.Fprintf(w, "  search   %d states; tiles per dimension %d, tile by tile %d, extrapolated %d\n",
+			model.SearchStates, model.SearchPerDimEvals, model.SearchEnumeratedEvals,
+			model.SearchStates-model.SearchPerDimEvals-model.SearchEnumeratedEvals)
 	}
 	fmt.Fprintf(w, "  lower    %s\n", model.Bind.String())
 	if len(walls) > 1 {

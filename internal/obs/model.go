@@ -72,21 +72,16 @@ type ProgramStats struct {
 	// and register footprint. Filled for Fast-compiled programs.
 	Stages []StageModel
 	// AutoScheduled reports that the grouping came from the cost-model
-	// beam search (schedule.Options.Auto); ScheduleModelCost is the
-	// searched schedule's weighted model cost and SearchStates /
-	// SearchPruned the search-effort counters. SearchCostEvals of the
-	// SearchStates candidates were priced by evaluating the cost model and
-	// SearchCostCacheHits from the search's memo; SearchPerDimEvals of the
-	// evaluations tabulated the group's tiles per dimension,
+	// search (schedule.Options.Auto); ScheduleModelCost is the searched
+	// schedule's weighted model cost and SearchStates the number of
+	// candidates the search priced, one cost-model evaluation each.
+	// SearchPerDimEvals of them tabulated the group's tiles per dimension,
 	// SearchEnumeratedEvals walked every tile because the group is not
 	// separable (the slow kind: one that grows is a pipeline falling off
 	// the scheduler's fast path), the rest extrapolated an interior tile.
 	AutoScheduled         bool
 	ScheduleModelCost     float64
 	SearchStates          int
-	SearchPruned          int
-	SearchCostEvals       int
-	SearchCostCacheHits   int
 	SearchPerDimEvals     int
 	SearchEnumeratedEvals int
 	// GenMisses counts, per reason, the stage pieces that did not bind an

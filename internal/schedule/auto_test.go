@@ -2,8 +2,8 @@ package schedule_test
 
 // Auto-scheduler tests that need whole apps (and therefore the core
 // front-end): cost-model term pinning against the executor's measured
-// observability counters, beam-search determinism, and the
-// never-worse-than-greedy guarantee in model space. Run race-checked by
+// observability counters, search determinism, the descent's stop rule and
+// the never-worse-than-greedy guarantee in model space. Run race-checked by
 // `make auto-race`.
 
 import (
@@ -129,6 +129,34 @@ func TestAutoSearchDeterminism(t *testing.T) {
 	}
 }
 
+// searchInput is one pipeline the model-space tests search.
+type searchInput struct {
+	name   string
+	b      *dsl.Builder
+	outs   []string
+	params map[string]int64
+}
+
+// searchInputs lists the seven Table-2 apps at the given scale and the
+// generated-pipeline corpus (the seeds cmd/polymage-gen emits gencorpus
+// kernels for, built as difftest.BuildProgram builds them).
+func searchInputs(t *testing.T, scale int64) []searchInput {
+	t.Helper()
+	var inputs []searchInput
+	for _, app := range apps.All() {
+		b, outs := app.Build()
+		inputs = append(inputs, searchInput{app.Name, b, outs, harness.ScaledParams(app, scale)})
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		built, err := difftest.Generate(seed).Build(false)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		inputs = append(inputs, searchInput{fmt.Sprintf("seed%03d", seed), built.Graph.Builder, built.LiveOuts, built.Params})
+	}
+	return inputs
+}
+
 // TestAutoNeverWorseThanGreedy checks the seed guarantee on every app and
 // on the generated-pipeline corpus (the seeds cmd/polymage-gen emits
 // gencorpus kernels for, built as difftest.BuildProgram builds them): the
@@ -139,25 +167,7 @@ func TestAutoSearchDeterminism(t *testing.T) {
 // engine.run_ms rows, bit-identical outputs from difftest's schedule-auto
 // knob.
 func TestAutoNeverWorseThanGreedy(t *testing.T) {
-	type input struct {
-		name   string
-		b      *dsl.Builder
-		outs   []string
-		params map[string]int64
-	}
-	var inputs []input
-	for _, app := range apps.All() {
-		b, outs := app.Build()
-		inputs = append(inputs, input{app.Name, b, outs, harness.ScaledParams(app, 16)})
-	}
-	for seed := int64(1); seed <= 40; seed++ {
-		built, err := difftest.Generate(seed).Build(false)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		inputs = append(inputs, input{fmt.Sprintf("seed%03d", seed), built.Graph.Builder, built.LiveOuts, built.Params})
-	}
-	for _, in := range inputs {
+	for _, in := range searchInputs(t, 16) {
 		t.Run(in.name, func(t *testing.T) {
 			pl, err := core.Compile(in.b, in.outs, core.Options{Estimates: in.params, Schedule: schedule.DefaultOptions(), AllowUnproven: true})
 			if err != nil {
@@ -180,6 +190,37 @@ func TestAutoNeverWorseThanGreedy(t *testing.T) {
 				t.Errorf("searched cost %g worse than greedy %g", searched.ModelCost, greedyCost)
 			}
 		})
+	}
+}
+
+// TestAutoDescentLocalMinimum checks the descent's stop rule on every app
+// at scale 4 and on the generated-pipeline corpus: no legal single-merge
+// successor of the searched partition models cheaper than it.
+func TestAutoDescentLocalMinimum(t *testing.T) {
+	so := schedule.DefaultOptions()
+	so.Auto = true
+	successors := 0
+	for _, in := range searchInputs(t, 4) {
+		t.Run(in.name, func(t *testing.T) {
+			pl, err := core.Compile(in.b, in.outs, core.Options{Estimates: in.params, Schedule: so, AllowUnproven: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gr := pl.Grouping
+			if !gr.Searched {
+				t.Fatal("grouping not searched")
+			}
+			costs := schedule.SuccessorCosts(gr, so)
+			successors += len(costs)
+			for i, c := range costs {
+				if c < gr.ModelCost {
+					t.Errorf("successor %d models %g, cheaper than the searched %g", i, c, gr.ModelCost)
+				}
+			}
+		})
+	}
+	if successors == 0 {
+		t.Error("no searched partition has a legal successor; the check is vacuous")
 	}
 }
 

@@ -49,7 +49,7 @@ func trafficFactor(pts float64) float64 {
 // so on small tile counts the model's numbers are not estimates but the
 // exact quantities the executor will later measure (obs.StageStats
 // RecomputedPoints, GroupStats.Tiles). The weighted sum of the terms is
-// what the beam search in search.go minimizes.
+// what the descent in search.go minimizes.
 
 // CostWeights are the model's coefficients: the relative price of one
 // point of each term. Only ratios matter to the search.
@@ -116,11 +116,6 @@ type GroupCost struct {
 	// of out-of-group producers (earlier stages and input images).
 	// In-group intermediates live in tile scratchpads and cost nothing.
 	Traffic float64
-	// ReducibleTraffic is the part of Traffic that further fusion could
-	// still delete: writes of live-outs that are not pipeline outputs,
-	// plus reads of stage (non-image) producers. The branch-and-bound
-	// lower bound subtracts it.
-	ReducibleTraffic float64
 	// ParallelIdle is the points-equivalent of idle worker capacity: the
 	// last wave of parallel units leaves workers idle when the unit count
 	// does not divide the fleet width.
@@ -158,7 +153,7 @@ type tileWalk struct {
 // where it applies; without it every exact evaluation walks every tile, the
 // reference the fast path is held to bit for bit.
 func evalGroupCost(tp *TilePlan, ao AutoOptions, perDim bool) (c GroupCost, walk tileWalk, err error) {
-	grp, g := tp.Group, tp.Graph
+	grp := tp.Group
 	c = GroupCost{Tiles: tp.NumTiles()}
 
 	// Live-out writes are tile-independent: each live-out's full domain is
@@ -168,11 +163,7 @@ func evalGroupCost(tp *TilePlan, ao AutoOptions, perDim bool) (c GroupCost, walk
 			continue
 		}
 		size := float64(tp.members[i].dom.Size())
-		priced := size * trafficFactor(size)
-		c.Traffic += priced
-		if !g.Stages[grp.Members[i]].LiveOut {
-			c.ReducibleTraffic += priced
-		}
+		c.Traffic += size * trafficFactor(size)
 	}
 
 	// Per-tile terms: exact when the tile count is within the cap,
@@ -202,11 +193,7 @@ func evalGroupCost(tp *TilePlan, ao AutoOptions, perDim bool) (c GroupCost, walk
 		if d := float64(tp.ext[e].dom.Size()); d < distinct {
 			distinct = d
 		}
-		priced := distinct*trafficFactor(distinct) + rereadDiscount*(sum-distinct)
-		c.Traffic += priced
-		if _, isImage := g.Images[tp.ext[e].name]; !isImage {
-			c.ReducibleTraffic += priced
-		}
+		c.Traffic += distinct*trafficFactor(distinct) + rereadDiscount*(sum-distinct)
 	}
 
 	// Parallelism: tiles are the parallel unit for tiled groups; untiled

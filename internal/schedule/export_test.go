@@ -45,3 +45,18 @@ func AxisPeriods(g *pipeline.Graph, grp *Group, est map[string]int64) ([]int64, 
 	}
 	return out, nil
 }
+
+// SuccessorCosts runs the search's expand on a searched grouping's
+// partition under the options it was searched with and returns the model
+// cost of every legal single-merge successor.
+func SuccessorCosts(gr *Grouping, opts Options) []float64 {
+	s := newSearcher(gr.Graph, gr.Est, opts)
+	for _, grp := range gr.Groups {
+		s.nextID = max(s.nextID, grp.ID+1)
+	}
+	var out []float64
+	for _, st := range s.expand(s.newState(gr.Groups)) {
+		out = append(out, st.total)
+	}
+	return out
+}

@@ -18,7 +18,7 @@ func BuildGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Groupi
 	opts = opts.withDefaults()
 	if opts.Auto && !opts.DisableFusion {
 		// Options.Auto swaps the threshold heuristic for the cost-model
-		// beam search (search.go); DisableFusion keeps the trivial
+		// search (search.go); DisableFusion keeps the trivial
 		// partition, which the search could only reproduce.
 		return SearchGroups(g, est, opts)
 	}

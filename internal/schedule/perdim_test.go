@@ -27,7 +27,7 @@ import (
 func sameCost(a, b schedule.GroupCost) bool {
 	bits := math.Float64bits
 	return bits(a.Compute) == bits(b.Compute) && bits(a.Recompute) == bits(b.Recompute) &&
-		bits(a.Traffic) == bits(b.Traffic) && bits(a.ReducibleTraffic) == bits(b.ReducibleTraffic) &&
+		bits(a.Traffic) == bits(b.Traffic) &&
 		bits(a.ParallelIdle) == bits(b.ParallelIdle) && bits(a.FootprintExcess) == bits(b.FootprintExcess) &&
 		a.Tiles == b.Tiles && a.Exact == b.Exact
 }

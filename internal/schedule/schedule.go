@@ -62,7 +62,7 @@ type Grouping struct {
 	Graph  *pipeline.Graph   // underlying pipeline
 	Est    map[string]int64  // parameter estimates used
 
-	// Searched reports that the cost-model beam search (Options.Auto)
+	// Searched reports that the cost-model search (Options.Auto)
 	// produced this grouping; ModelCost is its weighted model cost and
 	// Search the search-effort counters. All zero under Algorithm 1.
 	Searched  bool
@@ -110,14 +110,14 @@ type Options struct {
 	// tile or optimize storage).
 	DisableFusion bool
 	// Auto replaces Algorithm 1's single-threshold greedy merge with the
-	// cost-model beam search (cost.go / search.go): grouping candidates ×
+	// cost-model search (cost.go / search.go): grouping candidates ×
 	// per-group tile sizes are searched under an analytical model of
 	// memory traffic, halo recompute, parallelism and scratch footprint.
 	// OverlapThreshold is ignored when set; the other knobs (MinSize,
 	// MinTileExtent, MaxUnalignedExtent, DisableFusion) still apply.
 	Auto bool
-	// AutoOpts tunes the search (beam width, tile candidates, fleet width,
-	// state cap); nil uses DefaultAutoOptions.
+	// AutoOpts tunes the search (tile candidates, fleet width); nil uses
+	// DefaultAutoOptions.
 	AutoOpts *AutoOptions
 }
 

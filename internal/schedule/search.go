@@ -4,26 +4,30 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 
 	"repro/internal/pipeline"
 )
 
 // This file is the auto-scheduler's search (Options.Auto): a deterministic
-// beam search over grouping candidates × per-group tile sizes, scored by
-// the analytical model in cost.go, with branch-and-bound pruning on a
-// sound lower bound. It replaces Algorithm 1's single OverlapThreshold
-// cut: instead of merging whenever an interior tile's overlap fraction is
-// below one knob, every candidate merge is priced (memory traffic saved vs
-// halo recompute and footprint added, parallelism lost) and the cheapest
-// partition wins. It runs once per compile, on the graph the inline pass
+// greedy descent over grouping candidates × per-group tile sizes, scored by
+// the analytical model in cost.go. It replaces Algorithm 1's single
+// OverlapThreshold cut: instead of merging whenever an interior tile's
+// overlap fraction is below one knob, every candidate merge is priced
+// (memory traffic saved vs halo recompute and footprint added, parallelism
+// lost) and the cheapest one is taken, one merge per round, until no merge
+// lowers the cost. It runs once per compile, on the graph the inline pass
 // left (internal/core): inlining is a front-end decision, as in the paper.
+
+// maxSearchStates caps the number of candidates priced per search; the
+// descent stops expanding beyond it and keeps the partition it holds. It
+// bounds a compile's work and is not a tuning knob: no pipeline of the
+// schedule golden table or of generated seeds 41–400 reaches it (the most
+// is 129).
+const maxSearchStates = 512
 
 // AutoOptions tunes the cost-model search. The zero value means "use the
 // defaults" field by field.
 type AutoOptions struct {
-	// BeamWidth is the number of partition states kept per search round.
-	BeamWidth int
 	// TileCandidates are the per-group tile-size vectors the search
 	// chooses between (assigned to anchor dimensions like
 	// Options.TileSizes: outermost first, last entry repeating). The
@@ -32,66 +36,39 @@ type AutoOptions struct {
 	// FleetWidth is the worker count the parallelism term assumes;
 	// 0 uses runtime.GOMAXPROCS (the engine fleet's own default).
 	FleetWidth int
-	// MaxStates caps the number of candidates priced per search (memo hits
-	// included); the search stops expanding (keeping the best partition
-	// found) beyond it. Some searches reach it: pyramid's at scale 4
-	// prices 512 candidates, so raising or lowering it changes its
-	// schedule.
-	MaxStates int
 }
 
 // DefaultAutoOptions returns the search defaults.
 func DefaultAutoOptions() AutoOptions {
 	return AutoOptions{
-		BeamWidth: 4,
 		TileCandidates: [][]int64{
 			{32, 256}, {64, 64}, {128, 128}, {32, 32}, {16, 16}, {8, 8},
 		},
 		FleetWidth: runtime.GOMAXPROCS(0),
-		MaxStates:  512,
 	}
 }
 
 func (ao AutoOptions) withDefaults() AutoOptions {
 	d := DefaultAutoOptions()
-	if ao.BeamWidth <= 0 {
-		ao.BeamWidth = d.BeamWidth
-	}
 	if len(ao.TileCandidates) == 0 {
 		ao.TileCandidates = d.TileCandidates
 	}
 	if ao.FleetWidth <= 0 {
 		ao.FleetWidth = d.FleetWidth
 	}
-	if ao.MaxStates <= 0 {
-		ao.MaxStates = d.MaxStates
-	}
 	return ao
 }
 
 // SearchStats counts the search's effort.
 type SearchStats struct {
-	// States is the number of candidates priced — a candidate whose price
-	// came from the search's memo counts like one evaluated, so MaxStates
-	// cuts the search at the same point either way.
+	// States is the number of candidates priced: one cost-model
+	// evaluation each.
 	States int
-	// Expanded is the number of partition states whose merges were tried.
-	Expanded int
-	// Pruned is the number of states cut by the branch-and-bound lower
-	// bound without expansion.
-	Pruned int
-	// CostEvals is the number of cost-model evaluations actually performed
-	// and CostCacheHits the number of candidates priced from the memo
-	// instead: beam neighbours reach the same (members, tile sizes)
-	// candidate by different merge orders. States = CostEvals +
-	// CostCacheHits.
-	CostEvals     int
-	CostCacheHits int
 	// PerDimEvals and EnumeratedEvals split the exact evaluations
 	// (GroupCost.Exact) by how they enumerated the group's tiles: from a
 	// per-dimension table probed on one axis cross, or tile by tile because
 	// the group failed the separability check (cost.go perDimSums). The
-	// rest of CostEvals extrapolated from one interior tile.
+	// rest of States extrapolated from one interior tile.
 	PerDimEvals     int
 	EnumeratedEvals int
 	// AxisProbes is the number of tiles the per-dimension enumeration
@@ -107,109 +84,78 @@ type searchState struct {
 	groups []*Group
 	byName map[string]*Group
 	total  float64 // weighted model cost under the searcher's weights
-	sig    string  // canonical partition+tiling signature (dedup key)
-}
-
-// lowerBound is a sound optimistic bound on the cost of any state
-// reachable from s by further merges: merging never decreases the
-// compute, recompute or footprint terms, can delete at most each group's
-// ReducibleTraffic from the traffic term, and can at best zero the
-// parallel-idle term. Proof sketch: a merged group still evaluates at
-// least every point each constituent evaluated (halos only grow), still
-// writes every pipeline live-out and still reads every input image.
-func (s *searchState) lowerBound(w CostWeights) float64 {
-	lb := s.total
-	for _, grp := range s.groups {
-		if grp.Cost != nil {
-			lb -= w.Traffic*grp.Cost.ReducibleTraffic + w.Parallel*grp.Cost.ParallelIdle
-		}
-	}
-	return lb
 }
 
 // searcher holds the per-search context.
 type searcher struct {
 	g     *pipeline.Graph
-	est   map[string]int64
 	opts  Options
 	ao    AutoOptions
 	w     CostWeights
 	stats SearchStats
 	// gi holds the access tables and domains every candidate's tile plan
-	// reads; memo the price of every merged candidate seen so far.
-	gi   *graphInfo
-	memo map[string]candidatePrice
+	// reads.
+	gi *graphInfo
 	// nextID hands out group IDs above every seed ID so IDs stay unique
 	// within any state.
 	nextID int
 }
 
-// SearchGroups is the Options.Auto entry point: it replaces Algorithm 1's
-// greedy threshold merge with the cost-model beam search. The result is a
-// valid Grouping exactly like BuildGroups produces, with Searched,
-// ModelCost, Search and per-group Cost populated.
-func SearchGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Grouping, error) {
+// newSearcher sets up one search of g at the estimates est.
+func newSearcher(g *pipeline.Graph, est map[string]int64, opts Options) *searcher {
 	opts = opts.withDefaults()
 	var ao AutoOptions
 	if opts.AutoOpts != nil {
 		ao = *opts.AutoOpts
 	}
-	ao = ao.withDefaults()
-	s := &searcher{
-		g: g, est: est, opts: opts, ao: ao, w: DefaultCostWeights(),
-		gi: newGraphInfo(g, est), memo: make(map[string]candidatePrice),
-		nextID: len(g.Order) + 1,
+	return &searcher{
+		g: g, opts: opts, ao: ao.withDefaults(), w: DefaultCostWeights(),
+		gi: newGraphInfo(g, est), nextID: len(g.Order) + 1,
 	}
+}
 
+// SearchGroups is the Options.Auto entry point: it replaces Algorithm 1's
+// greedy threshold merge with the cost-model descent. The result is a
+// valid Grouping exactly like BuildGroups produces, with Searched,
+// ModelCost, Search and per-group Cost populated.
+//
+// The descent starts from the cheapest seed and each round moves to the
+// cheapest successor expand offers, the first in expand's anchor order on
+// a tie. It stops when that successor does not model cheaper than the
+// partition it holds, so the result is a local minimum under single
+// merges (or the partition held when maxSearchStates ran out).
+func SearchGroups(g *pipeline.Graph, est map[string]int64, opts Options) (*Grouping, error) {
+	s := newSearcher(g, est, opts)
 	seeds, err := s.seedStates()
 	if err != nil {
 		return nil, err
 	}
-	best := seeds[0]
-	for _, st := range seeds {
-		if st.total < best.total {
-			best = st
+	cur := seeds[0]
+	for _, st := range seeds[1:] {
+		if st.total < cur.total {
+			cur = st
 		}
 	}
-
-	frontier := truncateFrontier(seeds, ao.BeamWidth)
-	// Each round merges one more pair somewhere; a partition of N stages
-	// supports at most N-1 merges.
-	for round := 0; round < len(g.Order) && len(frontier) > 0; round++ {
-		var next []*searchState
-		for _, st := range frontier {
-			if st.lowerBound(s.w) >= best.total {
-				s.stats.Pruned++
-				continue
+	for s.stats.States < maxSearchStates {
+		var next *searchState
+		for _, st := range s.expand(cur) {
+			if next == nil || st.total < next.total {
+				next = st
 			}
-			if s.stats.States >= ao.MaxStates {
-				break
-			}
-			s.stats.Expanded++
-			exp, err := s.expand(st)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, exp...)
 		}
-		if len(next) == 0 {
+		if next == nil || next.total >= cur.total {
 			break
 		}
-		for _, st := range next {
-			if st.total < best.total {
-				best = st
-			}
-		}
-		frontier = truncateFrontier(next, ao.BeamWidth)
+		cur = next
 	}
 
 	gr := &Grouping{
-		Groups:    best.groups,
+		Groups:    cur.groups,
 		ByName:    make(map[string]*Group, len(g.Order)),
 		Graph:     g,
 		Est:       est,
 		Searched:  true,
-		ModelCost: best.total,
+		ModelCost: cur.total,
 		Search:    &s.stats,
 	}
 	for _, grp := range gr.Groups {
@@ -281,19 +227,19 @@ func (s *searcher) seedStates() ([]*searchState, error) {
 			seeds = append(seeds, s.newState(retiled))
 		}
 	}
-	return dedupStates(seeds), nil
+	return seeds, nil
 }
 
 // expand generates every legal single-merge successor of a state: each
 // group with exactly one child group, both sides mergeable, merged with
 // that child under the model's best tile choice.
-func (s *searcher) expand(st *searchState) ([]*searchState, error) {
+func (s *searcher) expand(st *searchState) []*searchState {
 	// Deterministic candidate order: groups sorted by anchor.
 	groups := append([]*Group(nil), st.groups...)
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Anchor < groups[j].Anchor })
 	var out []*searchState
 	for _, grp := range groups {
-		if s.stats.States >= s.ao.MaxStates {
+		if s.stats.States >= maxSearchStates {
 			break
 		}
 		children := childGroups(s.g, st.byName, grp)
@@ -324,7 +270,7 @@ func (s *searcher) expand(st *searchState) ([]*searchState, error) {
 		ng = append(ng, merged)
 		out = append(out, s.newState(ng))
 	}
-	return out, nil
+	return out
 }
 
 // bestMergedGroup aligns/scales the member set against the anchor and
@@ -346,7 +292,7 @@ func (s *searcher) bestMergedGroup(memberSet map[string]bool, anchor string) *Gr
 	var best *Group
 	var bestCost float64
 	for _, cand := range s.ao.TileCandidates {
-		if s.stats.States >= s.ao.MaxStates && best != nil {
+		if s.stats.States >= maxSearchStates && best != nil {
 			break
 		}
 		topts := s.opts
@@ -362,14 +308,10 @@ func (s *searcher) bestMergedGroup(memberSet map[string]bool, anchor string) *Gr
 			continue
 		}
 		trial := &Group{ID: s.nextID, Members: members, Anchor: anchor, Scales: scales, Tiled: true, TileSizes: ts}
-		p := s.priceCandidate(trial)
-		if !p.ok {
+		if !s.priceCandidate(trial) {
 			continue
 		}
-		trial.OverlapRatio = p.ratios
-		c := p.cost
-		trial.Cost = &c
-		if t := s.w.Total(c); best == nil || t < bestCost {
+		if t := s.w.Total(*trial.Cost); best == nil || t < bestCost {
 			best, bestCost = trial, t
 		}
 	}
@@ -420,7 +362,6 @@ func (s *searcher) evalPlan(tp *TilePlan) (GroupCost, error) {
 		return c, err
 	}
 	s.stats.States++
-	s.stats.CostEvals++
 	s.stats.AxisProbes += walk.probes
 	switch {
 	case !c.Exact: // extrapolated from an interior tile
@@ -432,48 +373,33 @@ func (s *searcher) evalPlan(tp *TilePlan) (GroupCost, error) {
 	return c, nil
 }
 
-// candidatePrice is the memoised outcome of pricing one merged candidate:
-// its legality (ok), overlap ratios and cost.
-type candidatePrice struct {
-	ok     bool
-	ratios []float64
-	cost   GroupCost
+// priceCandidate checks and prices a merged, tiled candidate, filling in
+// its OverlapRatio and Cost; false means the candidate is not a legal
+// fusion.
+func (s *searcher) priceCandidate(trial *Group) bool {
+	tp, err := newTilePlan(s.gi, trial)
+	if err != nil {
+		return false
+	}
+	// estimateOverlap doubles as the legality check Algorithm 1 relies on:
+	// it rejects over-wide unaligned dimensions and degenerate (NaN/Inf)
+	// overlaps. Its threshold is not applied here — the model prices the
+	// overlap instead.
+	ratios, err := estimateOverlap(tp, s.opts)
+	if err != nil {
+		return false
+	}
+	c, err := s.evalPlan(tp)
+	if err != nil {
+		return false
+	}
+	trial.OverlapRatio, trial.Cost = ratios, &c
+	return true
 }
 
-// priceCandidate checks and prices a merged, tiled candidate, once per
-// search: the outcome is a function of the anchor, the member set and the
-// tile sizes (scales follow from the first two), which is the memo's key. A
-// legal candidate counts as a state whether its price was computed or
-// remembered.
-func (s *searcher) priceCandidate(trial *Group) candidatePrice {
-	key := fmt.Sprintf("%s|%s|%v", trial.Anchor, strings.Join(trial.Members, ","), trial.TileSizes)
-	if p, hit := s.memo[key]; hit {
-		if p.ok {
-			s.stats.States++
-			s.stats.CostCacheHits++
-		}
-		return p
-	}
-	var p candidatePrice
-	if tp, err := newTilePlan(s.gi, trial); err == nil {
-		// estimateOverlap doubles as the legality check Algorithm 1 relies
-		// on: it rejects over-wide unaligned dimensions and degenerate
-		// (NaN/Inf) overlaps. Its threshold is not applied here — the
-		// model prices the overlap instead.
-		if p.ratios, err = estimateOverlap(tp, s.opts); err == nil {
-			p.cost, err = s.evalPlan(tp)
-			p.ok = err == nil
-		}
-	}
-	s.memo[key] = p
-	return p
-}
-
-// newState assembles a state from its groups: total cost, name index and
-// canonical signature.
+// newState assembles a state from its groups: total cost and name index.
 func (s *searcher) newState(groups []*Group) *searchState {
 	st := &searchState{groups: groups, byName: make(map[string]*Group, len(s.g.Order))}
-	parts := make([]string, 0, len(groups))
 	for _, grp := range groups {
 		for _, m := range grp.Members {
 			st.byName[m] = grp
@@ -481,38 +407,6 @@ func (s *searcher) newState(groups []*Group) *searchState {
 		if grp.Cost != nil {
 			st.total += s.w.Total(*grp.Cost)
 		}
-		parts = append(parts, fmt.Sprintf("%s[%s|%v]", grp.Anchor, strings.Join(grp.Members, ","), grp.TileSizes))
 	}
-	sort.Strings(parts)
-	st.sig = strings.Join(parts, ";")
 	return st
-}
-
-// truncateFrontier dedups by signature, sorts by (cost, signature) and
-// keeps the beam's width.
-func truncateFrontier(states []*searchState, width int) []*searchState {
-	states = dedupStates(states)
-	sort.Slice(states, func(i, j int) bool {
-		if states[i].total != states[j].total {
-			return states[i].total < states[j].total
-		}
-		return states[i].sig < states[j].sig
-	})
-	if len(states) > width {
-		states = states[:width]
-	}
-	return states
-}
-
-func dedupStates(states []*searchState) []*searchState {
-	seen := make(map[string]bool, len(states))
-	out := states[:0]
-	for _, st := range states {
-		if seen[st.sig] {
-			continue
-		}
-		seen[st.sig] = true
-		out = append(out, st)
-	}
-	return out
 }

@@ -303,14 +303,10 @@ type ProgramMetrics struct {
 }
 
 // SearchMetrics are the schedule search's effort counters
-// (obs.ProgramStats Search*): candidates priced, of which evaluated and
-// remembered; evaluations by how they enumerated the group's tiles; states
-// cut by the lower bound.
+// (obs.ProgramStats Search*): candidates priced, and how many of them
+// enumerated the group's tiles per dimension or tile by tile.
 type SearchMetrics struct {
 	States          int `json:"states"`
-	Pruned          int `json:"pruned"`
-	CostEvals       int `json:"cost_evals"`
-	CostCacheHits   int `json:"cost_cache_hits"`
 	PerDimEvals     int `json:"per_dim_evals"`
 	EnumeratedEvals int `json:"enumerated_evals"`
 }

@@ -636,9 +636,6 @@ func (s *Service) Metrics() Metrics {
 		if stats.AutoScheduled {
 			pm.Search = &SearchMetrics{
 				States:          stats.SearchStates,
-				Pruned:          stats.SearchPruned,
-				CostEvals:       stats.SearchCostEvals,
-				CostCacheHits:   stats.SearchCostCacheHits,
 				PerDimEvals:     stats.SearchPerDimEvals,
 				EnumeratedEvals: stats.SearchEnumeratedEvals,
 			}

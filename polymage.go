@@ -154,10 +154,9 @@ type ScheduleOptions = schedule.Options
 // InlineOptions tunes point-wise inlining.
 type InlineOptions = inline.Options
 
-// AutoScheduleOptions tunes the cost-model auto-scheduler's beam search
-// (ScheduleOptions.Auto / ScheduleOptions.AutoOpts): beam width, tile-size
-// candidates, the worker count the model assumes and a cap on priced
-// states.
+// AutoScheduleOptions tunes the cost-model auto-scheduler's search
+// (ScheduleOptions.Auto / ScheduleOptions.AutoOpts): the tile-size
+// candidates and the worker count the model assumes.
 type AutoScheduleOptions = schedule.AutoOptions
 
 // CostWeights are the auto-scheduler's model coefficients — the relative
@@ -169,10 +168,12 @@ type CostWeights = schedule.CostWeights
 
 // ScheduleAuto returns ScheduleOptions with the cost-model auto-scheduler
 // enabled: instead of Algorithm 1's single overlap-threshold cut, a
-// deterministic beam search over stage grouping, per-group tile sizes and
-// inlining picks the cheapest schedule under an analytical cost model
-// (memory traffic, redundant halo recompute, parallelism against the
-// worker fleet, cache footprint). Compile with
+// deterministic greedy descent over stage grouping and per-group tile
+// sizes takes, one merge at a time, the merge the analytical cost model
+// prices cheapest (memory traffic, redundant halo recompute, parallelism
+// against the worker fleet, cache footprint), and stops when no merge
+// lowers the cost. It searches the graph the inlining pass leaves.
+// Compile with
 //
 //	polymage.Compile(b, outs, polymage.Options{
 //		Estimates: params,
