@@ -105,9 +105,11 @@ gen:
 # int64-body forms, for phase loops, for values carried across iterations
 # for accumulators and for strided reads run in lanes, vs the VM and the
 # reference, a NaN through float32 min, and exp's inline common path and
-# its slow path vs the VM and the reference).
+# its slow path vs the VM and the reference), and the row VM running the
+# very program each unit prints (TestVMRunsGenUnitProgram: per stage of the
+# hand-written tables, the VM's instruction count is its units').
 gen-race:
-	$(GO) test -race -run TestGen ./internal/engine/ ./internal/codegen/ ./internal/apps/gen/ -count=1
+	$(GO) test -race -run 'TestGen|TestVMRunsGenUnitProgram' ./internal/engine/ ./internal/codegen/ ./internal/apps/gen/ -count=1
 	$(GO) test -race -run 'TestGenGatherTable|TestGenIntBodyTable|TestGenPhaseLoops|TestGenCarry|TestGenAccumTable|TestGenStride|TestGenMinMaxNaN|TestGenExp' ./internal/difftest/ -count=1
 
 # Bounds checks the compiler could not eliminate in the checked-in kernels,

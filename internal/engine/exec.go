@@ -427,15 +427,15 @@ func (p *Program) accumulateRegion(w *worker, ls *loweredStage, region affine.Bo
 	p.accumulateRows(w, ls, region, out)
 }
 
-// accumulateRows sweeps the reduction domain a row at a time. Per row each
-// target index is evaluated by its row program and folded into a per-worker
-// row of flat output offsets, with the reference's per-dimension skip (a
-// skipped point's offset is -1), or under Debug a panic; the value row is
-// then scattered left to right, so every output element sees the same
-// updates in the same order and sums are bit-identical. The value is
-// evaluated at skipped points too, which the reference does not do: a
-// data-dependent read in it must stay inside its buffer over the whole
-// reduction domain.
+// accumulateRows sweeps the reduction domain a row at a time. Per row the
+// accumulator's program computes every target index row and the value row;
+// the targets are folded into a per-worker row of flat output offsets, with
+// the reference's per-dimension skip (a skipped point's offset is -1), or
+// under Debug a panic; the value row is then scattered left to right, so
+// every output element sees the same updates in the same order and sums are
+// bit-identical. The value is evaluated at skipped points too, which the
+// reference does not do: a data-dependent read in it must stay inside its
+// buffer over the whole reduction domain.
 func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box, out *Buffer) {
 	last := len(region) - 1
 	c := &w.ctx
@@ -449,9 +449,10 @@ func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box,
 		for i := range offs {
 			offs[i] = 0
 		}
-		for d, vm := range ls.accIdxVM {
+		val := evalRow[float64](ls.accVM, c)
+		for d, r := range ls.accVM.targets {
 			lo, hi, stride := out.Box[d].Lo, out.Box[d].Hi, out.Stride[d]
-			for i, v := range evalRow[float64](vm, c) {
+			for i, v := range c.vm.f64[r][:c.n] {
 				x := int64(v)
 				switch {
 				case offs[i] < 0:
@@ -464,7 +465,7 @@ func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box,
 				}
 			}
 		}
-		for i, v := range evalRow[float64](ls.accValVM, c) {
+		for i, v := range val {
 			if off := offs[i]; off >= 0 {
 				out.Data[off] = applyReduce(ls.accOp, out.Data[off], float32(v))
 			}
@@ -477,11 +478,11 @@ func (p *Program) accumulateRows(w *worker, ls *loweredStage, region affine.Box,
 
 // accOutside is Debug's accumulator check failing: target dimension d of
 // element i of the current row lies outside out. The message carries the
-// target's indices up to d, re-read from their index rows.
+// target's indices up to d, read from their index rows.
 func (p *Program) accOutside(ls *loweredStage, c *RowCtx, out *Buffer, d, i int) {
 	idx := make([]int64, d+1)
 	for k := range idx {
-		idx[k] = int64(evalRow[float64](ls.accIdxVM[k], c)[i])
+		idx[k] = int64(c.vm.f64[ls.accVM.targets[k]][i])
 	}
 	pt := c.pt[:c.last+1]
 	pt[c.last] = c.jLo + int64(i)

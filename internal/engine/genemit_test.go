@@ -14,11 +14,13 @@ import (
 // lowering does for a piece.
 func genUnitOf(t *testing.T, e expr.Expr, rank int, want vmSet, out Elem, elems ...Elem) GenUnit {
 	t.Helper()
-	u := GenUnit{Key: fmt.Sprintf("%064x", 1), Rank: rank, Expr: e, Out: out, Elems: elems, Reads: make([]string, len(elems))}
-	if err := u.lower(want); err != nil {
-		t.Fatalf("%s: %v", e, err)
+	cp := &compiler{slots: map[string]int{}}
+	for i := range elems {
+		cp.slots[fmt.Sprintf("b%d", i)] = i
 	}
-	return u
+	vb, res, vm := lowerTest(t, cp, e, rank-1, want)
+	return GenUnit{Key: fmt.Sprintf("%064x", 1), Rank: rank, Expr: e, Out: out, Elems: elems, Reads: make([]string, len(elems)),
+		prog: vb, res: res, set: vm.set}
 }
 
 // TestGenPrintsEveryOpcode: for every row-VM opcode but rNop, a

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -21,13 +20,16 @@ import (
 // toolchain ahead of time. Everything tile-shaped arrives at run
 // time (GenCtx.Region, the buffers' boxes and strides), so a kernel depends
 // only on the piece it computes and is registered here under a content key
-// of exactly what the emitter bakes in (GenUnit.Key). Lowering computes the
-// key of each eligible piece and binds on a hit, whatever the schedule,
-// stage names or image size. The registry is a pure accelerator: a miss, a
-// program compiled without ExecOptions.Fast, or an ineligible piece
-// (predicated pieces, self-referencing stages, stages of rank above 3, and
-// under Debug gathers and accumulators) runs on the row VM exactly as
-// before.
+// of exactly what the emitter bakes in (GenUnit.Key). Lowering brings each
+// piece into canonical form and lowers that once (lowerCanon): the row VM
+// runs the program with the piece's slots, and a kernel is the same program
+// printed with read positions. A Fast bind hashes the key of each eligible
+// piece from its canonical form and register type, lowering nothing more,
+// and binds on a hit, whatever the schedule, stage names or image size. The
+// registry is a pure accelerator: a miss, a program compiled without
+// ExecOptions.Fast, or an ineligible piece (predicated pieces,
+// self-referencing stages, stages of rank above 3, and under Debug gathers
+// and accumulators) runs the same program on the row VM.
 
 // genABI versions the generated-kernel calling convention and key layout.
 // It is folded into every key, so kernels emitted by an older emitter can
@@ -170,15 +172,18 @@ type GenUnit struct {
 	// Both are nil and zero for any other piece.
 	Targets []expr.Expr
 	Op      dsl.ReduceOp
-	// prog is Expr lowered by the row VM's builder with read position i as
-	// buffer slot i, res its result value and set the register type it runs
-	// over — the piece's own: the program EmitGo prints. An accumulator's
-	// program computes its targets too, lowered first: tres are their values
-	// (lowerAcc).
-	prog *vmBuilder
-	res  int
-	set  vmSet
-	tres []int
+	// prog is the piece's one lowering, Expr lowered by the row VM's builder
+	// with read position i as buffer slot i (lowerCanon): the program EmitGo
+	// prints, and the row VM runs bound to the piece's slots. res is its
+	// result value and set the register type the row VM runs it over. An
+	// accumulator's program computes its targets too, lowered first: tres
+	// are their values (lowerAcc). gather reports a data-dependent index
+	// argument (genCanon).
+	prog   *vmBuilder
+	res    int
+	set    vmSet
+	tres   []int
+	gather bool
 }
 
 // Set names the register type the unit's kernel computes in, the one the
@@ -198,30 +203,6 @@ func (u GenUnit) Carried() int { return newKernelPrinter(&goPrinter{}, u).carry.
 // otherwise.
 func (u GenUnit) Lanes() int { return newKernelPrinter(&goPrinter{}, u).lanes }
 
-// lower lowers u.Expr with the row VM's builder, read position i as buffer
-// slot i, and picks the register type as compileRowVM does for want.
-func (u *GenUnit) lower(want vmSet) error {
-	slots := make(map[string]int, len(u.Elems))
-	for i := range u.Elems {
-		slots["b"+strconv.Itoa(i)] = i
-	}
-	cp := &compiler{slots: slots}
-	if u.Targets != nil {
-		vb, tres, res, err := cp.lowerAcc(u.Targets, u.Expr, u.Rank-1)
-		if err != nil {
-			return err
-		}
-		u.prog, u.tres, u.res, u.set = vb, tres, res, setF64
-		return nil
-	}
-	vb, res, err := cp.lowerRow(u.Expr, u.Rank-1, false)
-	if err != nil {
-		return err
-	}
-	u.prog, u.res, u.set = vb, res, vb.pickSet(res, want)
-	return nil
-}
-
 // GenUnits enumerates the pieces of this program eligible for ahead-of-time
 // kernel generation, in deterministic (stage topological, piece
 // declaration) order. EmitGo renders one kernel per distinct key; pieces
@@ -234,21 +215,13 @@ func (p *Program) GenUnits() []GenUnit {
 
 // genUnits is the one walk behind GenUnits and attachGenKernels: the
 // eligible pieces with their keys, and a count per reason of the pieces
-// that are not eligible.
+// that are not eligible. It lowers nothing: a unit is the piece's own
+// lowering (lowerCanon).
 func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 	var units []GenUnit
 	var miss obs.GenMisses
 	var kb []byte // key material, reused across pieces
-	unit := func(u GenUnit, want vmSet) {
-		for i, r := range u.Reads {
-			u.Elems[i] = p.slotElem[p.slots[r]]
-		}
-		// The canonical expression lowers to the piece's own program up to
-		// slot numbers.
-		if err := u.lower(want); err != nil || u.set != want {
-			miss.Irregular++
-			return
-		}
+	unit := func(u GenUnit) {
 		kb = fmt.Appendf(kb[:0], "%s ", genABI)
 		if u.Targets != nil {
 			kb = fmt.Appendf(kb, "acc=%s outrank=%d ", u.Op, len(u.Targets))
@@ -274,56 +247,78 @@ func (p *Program) genUnits() ([]GenUnit, obs.GenMisses) {
 			miss.SelfRef += max(len(ls.pieces), 1)
 			continue
 		case ls.isAcc:
-			p.accUnit(name, ls, &miss, unit)
+			// Under Debug the row sweep keeps its out-of-box panic, which
+			// only the row VM carries.
+			if rank := len(ls.redDom); p.Opts.Debug || rank < 1 || rank > 3 {
+				miss.Irregular++
+			} else {
+				unit(ls.acc)
+			}
 			continue
 		case rank < 1 || rank > 3:
 			miss.Irregular += len(ls.pieces)
 			continue
 		}
 		for pi := range ls.pieces {
-			piece := &ls.pieces[pi]
-			if piece.pred != nil {
+			switch piece := &ls.pieces[pi]; {
+			case piece.pred != nil:
 				miss.Predicated++
-				continue
-			}
-			canon, reads, gather, ok := genCanon([]expr.Expr{piece.src}, p.slots, p.Params)
-			if !ok || (gather && p.Opts.Debug) {
+			case piece.unit.gather && p.Opts.Debug:
 				// Under Debug a gather keeps the per-dimension region
 				// check, which only the row VM carries.
 				miss.Irregular++
-				continue
+			default:
+				unit(piece.unit)
 			}
-			unit(GenUnit{Stage: name, Piece: pi, Reads: reads, Rank: rank, Expr: canon[0],
-				Out: ls.elem, Elems: make([]Elem, len(reads))}, piece.vm.set)
 		}
 	}
 	return units, miss
 }
 
-// accUnit hands an accumulator to unit, or counts why it is not eligible.
-// Under Debug the row sweep keeps its out-of-box panic, which only the row
-// VM carries.
-func (p *Program) accUnit(name string, ls *loweredStage, miss *obs.GenMisses, unit func(GenUnit, vmSet)) {
-	st := p.Graph.Stages[name]
-	n := len(st.AccTarget)
-	canon, reads, _, ok := genCanon(append(slices.Clone(st.AccTarget), st.AccValue), p.slots, p.Params)
-	if rank := len(ls.redDom); !ok || p.Opts.Debug || rank < 1 || rank > 3 {
-		miss.Irregular++
-		return
+// lowerCanon lowers a piece or an accumulator once. It brings es into
+// canonical form (genCanon) and lowers that with read position i as slot i:
+// for a piece es is its expression alone (guarded: a predicated piece's
+// Select), for an accumulator (nt > 0) its nt targets, each quasi-affine one
+// in the smallest form that lowers to it, then its value. u names the piece:
+// stage, piece, rank, output and reduction. lowerCanon returns it completed
+// as the unit of that program, and the program bound to the piece's slots
+// for the row VM, over register type want if the program passes its gate.
+func (p *Program) lowerCanon(u GenUnit, es []expr.Expr, nt int, guarded bool, want vmSet) (GenUnit, *rowVM, error) {
+	canon, reads, gather, err := genCanon(es, p.slots, p.Params)
+	if err != nil {
+		return u, nil, err
 	}
-	for d := range n {
-		// A quasi-affine target in the smallest form that lowers to it.
-		if aff, affOK := expr.ToAffineAccess(canon[d]); affOK {
-			off, err := aff.Off.Eval(p.Params)
-			if err != nil || aff.Div < 1 {
-				miss.Irregular++
-				return
+	u.Reads, u.Expr, u.gather = reads, canon[nt], gather
+	u.Elems = make([]Elem, len(reads))
+	pos := make(map[string]int, len(reads))
+	for i, r := range reads {
+		u.Elems[i] = p.slotElem[p.slots[r]]
+		pos["b"+strconv.Itoa(i)] = i
+	}
+	cp := &compiler{slots: pos, params: p.Params, debug: p.Opts.Debug}
+	if nt == 0 {
+		u.prog, u.res, err = cp.lowerRow(u.Expr, u.Rank-1, guarded)
+	} else {
+		u.Targets = canon[:nt]
+		for d, t := range u.Targets {
+			if aff, ok := expr.ToAffineAccess(t); ok {
+				off, offErr := aff.Off.Eval(p.Params)
+				if offErr != nil {
+					return u, nil, offErr
+				}
+				u.Targets[d] = canonIndex(aff, off)
 			}
-			canon[d] = canonIndex(aff, off)
 		}
+		u.prog, u.tres, u.res, err = cp.lowerAcc(u.Targets, u.Expr, u.Rank-1)
 	}
-	unit(GenUnit{Stage: name, Reads: reads, Rank: len(ls.redDom), Expr: canon[n], Targets: canon[:n],
-		Op: ls.accOp, Out: ls.elem, Elems: make([]Elem, len(reads))}, setF64)
+	if err != nil {
+		return u, nil, err
+	}
+	// The unit keeps the program; what only lowering reads is let go.
+	u.prog.cp, u.prog.num, u.prog.memo, u.prog.idxMemo, u.prog.consts = nil, nil, nil, nil, nil
+	vm := u.prog.finish(u.res, u.tres, want, reads, p.slots)
+	u.set = vm.set
+	return u, vm, nil
 }
 
 // genCanon brings piece expressions into the canonical form GenUnit.Expr
@@ -334,16 +329,15 @@ func (p *Program) accUnit(name string, ls *loweredStage, miss *obs.GenMisses, un
 // twice (f(x, x)) — or arbitrary expressions, canonicalised recursively. It
 // fails only on an unknown target or an affine offset the binding cannot
 // evaluate.
-func genCanon(es []expr.Expr, slots map[string]int, params map[string]int64) (canon []expr.Expr, reads []string, gather, ok bool) {
+func genCanon(es []expr.Expr, slots map[string]int, params map[string]int64) (canon []expr.Expr, reads []string, gather bool, err error) {
 	pos := map[string]int{}
-	ok = true
 	f := func(x expr.Expr) expr.Expr {
 		switch n := x.(type) {
 		case expr.VarRef:
 			return expr.VarRef{Dim: n.Dim}
 		case expr.Access:
 			if _, exists := slots[n.Target]; !exists {
-				ok = false
+				err = errorString("engine: no buffer slot for " + n.Target)
 				return nil
 			}
 			// Transform is bottom-up: n.Args are canonical already.
@@ -357,9 +351,9 @@ func genCanon(es []expr.Expr, slots map[string]int, params map[string]int64) (ca
 					gather = true
 					continue
 				}
-				off, err := aff.Off.Eval(params)
-				if err != nil || aff.Div < 1 {
-					ok = false
+				off, offErr := aff.Off.Eval(params)
+				if offErr != nil {
+					err = offErr
 					return nil
 				}
 				args[d] = canonIndex(aff, off)
@@ -377,7 +371,7 @@ func genCanon(es []expr.Expr, slots map[string]int, params map[string]int64) (ca
 	for _, e := range es {
 		canon = append(canon, expr.Transform(expr.FoldParams(e, params), f))
 	}
-	return canon, reads, gather, ok
+	return canon, reads, gather, err
 }
 
 // canonIndex rebuilds floor((Coeff·x_Var + off) / Div) as the smallest

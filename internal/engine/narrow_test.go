@@ -307,10 +307,7 @@ func TestNarrowGenKeys(t *testing.T) {
 func TestVMIntOpcodes(t *testing.T) {
 	cp := &compiler{slots: map[string]int{"I": 0}, params: map[string]int64{}}
 	intSet := func(e expr.Expr) bool {
-		vm, err := cp.compileRowVM(e, 0, setInt)
-		if err != nil {
-			t.Fatalf("compileRowVM: %v", err)
-		}
+		_, _, vm := lowerTest(t, cp, e, 0, setInt)
 		return vm.set == setInt
 	}
 	acc := expr.Access{Target: "I", Args: []expr.Expr{expr.VarRef{Dim: 0}}}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/schedule"
@@ -12,7 +13,8 @@ import (
 // the tiles Executor.Snapshot reports: on harris fused into overlapped
 // tiles, and on harris run stage by stage, whose lone stages run as bands
 // (4 per thread on a 4-worker fleet). With one worker, kernel time summed
-// over stages cannot exceed the measured run wall time.
+// over stages cannot exceed the measured run wall time. The bind's phases
+// cover the whole of Compile, generated-kernel binding included.
 func TestMetricsSnapshotConsistency(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -67,6 +69,13 @@ func TestMetricsSnapshotConsistency(t *testing.T) {
 				t.Errorf("kernel time %d ns exceeds wall time %d ns with one worker", kernel, snap.WallNanos)
 			}
 			model := prog.Stats()
+			var phases []string
+			for _, ph := range model.Bind.Phases {
+				phases = append(phases, ph.Name)
+			}
+			if want := []string{"lower", "tileplan", "kernels"}; !slices.Equal(phases, want) {
+				t.Errorf("Stats().Bind phases = %v, want %v", phases, want)
+			}
 			if len(model.Groups) != len(snap.Groups) {
 				t.Fatalf("model has %d groups, snapshot has %d", len(model.Groups), len(snap.Groups))
 			}

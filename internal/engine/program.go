@@ -85,11 +85,10 @@ func (o ExecOptions) fleetOf() (*fleet, int) {
 // loweredPiece is one case of a stage lowered for a concrete parameter
 // binding: the sub-box where it applies, an optional residual predicate
 // (nil when the condition is exactly the box — Section 3.7's branch-free
-// splitting), and its row program. A piece runs gen when one is bound and vm
-// otherwise (vm stays compiled under a bound gen: Program.GenUnits reads its
-// register type). A predicated piece's program is Select(pred, E, own
-// output), so the points its predicate rejects keep their values. A case
-// shadowed by an earlier overlapping default has no piece.
+// splitting), and its one lowering. A piece runs gen when one is bound and
+// vm otherwise. A predicated piece's program is Select(pred, E, own output),
+// so the points its predicate rejects keep their values. A case shadowed by
+// an earlier overlapping default has no piece.
 type loweredPiece struct {
 	box  affine.Box
 	pred expr.Cond
@@ -98,9 +97,10 @@ type loweredPiece struct {
 	// (nil unless a kernel is registered under the piece's content key);
 	// it takes precedence over every interpreted tier.
 	gen *genBound
-	// src retains the case's expression for generated-kernel keys and the
-	// emitter (Program.GenUnits).
-	src expr.Expr
+	// unit is the piece's canonical form and its one lowering (lowerCanon),
+	// which vm runs bound to this program's slots and the piece's generated
+	// kernel prints. It follows the fields the tile loop reads.
+	unit GenUnit
 }
 
 // loweredStage is a stage compiled against a parameter binding.
@@ -125,11 +125,12 @@ type loweredStage struct {
 	isAcc  bool
 	accOp  dsl.ReduceOp
 	redDom affine.Box
-	// accIdxVM/accValVM are the row programs of the target indices and the
-	// value: the reduction domain is swept a row at a time and scattered in
-	// the reference's order.
-	accIdxVM []*rowVM
-	accValVM *rowVM
+	// acc is the accumulator's canonical form and its one lowering, and
+	// accVM that program for the row sweep: per row it computes every
+	// target index row and the value row, which are scattered in the
+	// reference's order.
+	acc   GenUnit
+	accVM *rowVM
 	// accGen is the generated kernel bound to the accumulator (nil unless one
 	// is registered under its key); it takes precedence over the row sweep.
 	accGen *genBound
@@ -198,7 +199,8 @@ type Program struct {
 	groupNames []string
 
 	// BindTrace times the lowering phases of this parameter binding
-	// (stage lowering, tile planning); part of Stats().
+	// (stage lowering, tile planning and, under Fast, binding generated
+	// kernels); part of Stats().
 	BindTrace obs.Trace
 	// CompileTrace, when set by core.Pipeline.Bind, carries the front-end
 	// phase timings (graph construction, bounds, inlining, grouping).
@@ -254,11 +256,10 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 			}
 		}
 	}
-	cp := &compiler{slots: p.slots, params: params, debug: opts.Debug, elems: p.slotElem}
 	lowerDone := p.BindTrace.Start("lower")
 	p.stageNames = append(p.stageNames, g.Order...)
 	for i, name := range g.Order {
-		ls, err := p.lowerStage(g.Stages[name], cp, nw)
+		ls, err := p.lowerStage(g.Stages[name], nw)
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +347,9 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 	// Generated-kernel lookup: bind every piece whose content key has an
 	// ahead-of-time kernel registered (see genkernel.go).
 	if opts.Fast {
+		kernelsDone := p.BindTrace.Start("kernels")
 		p.attachGenKernels()
+		kernelsDone()
 	}
 	return p, nil
 }
@@ -360,7 +363,7 @@ func sortedImageNames(g *pipeline.Graph) []string {
 	return names
 }
 
-func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*loweredStage, error) {
+func (p *Program) lowerStage(st *pipeline.Stage, nw *narrowing) (*loweredStage, error) {
 	dom, err := st.Decl.Domain().Eval(p.Params)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %s: %v", st.Name, err)
@@ -384,15 +387,8 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 		if err != nil {
 			return nil, err
 		}
-		last := len(ls.redDom) - 1
-		for _, te := range st.AccTarget {
-			vm, err := cp.compileRowIdx(te, last)
-			if err != nil {
-				return nil, err
-			}
-			ls.accIdxVM = append(ls.accIdxVM, vm)
-		}
-		ls.accValVM, err = cp.compileRowVM(st.AccValue, last, setF64)
+		ls.acc, ls.accVM, err = p.lowerCanon(GenUnit{Stage: st.Name, Rank: len(ls.redDom), Op: st.AccOp, Out: ls.elem},
+			append(slices.Clone(st.AccTarget), st.AccValue), len(st.AccTarget), false, setF64)
 		return ls, err
 	}
 	nd := len(dom)
@@ -406,7 +402,7 @@ func (p *Program) lowerStage(st *pipeline.Stage, cp *compiler, nw *narrowing) (*
 	boxes := make([]affine.Box, 0, len(st.Cases))
 cases:
 	for i, c := range st.Cases {
-		piece := loweredPiece{box: dom.Clone(), src: c.E}
+		piece := loweredPiece{box: dom.Clone()}
 		if c.Cond != nil {
 			lower, upper, ok := expr.CondToBox(c.Cond, nd)
 			if !ok {
@@ -451,28 +447,42 @@ cases:
 		if piece.pred != nil {
 			e = expr.Select{Cond: piece.pred, Then: c.E, Else: own}
 		}
-		// Compile the row program and pick its register type. A provably
-		// integral stage (which stores a narrow type) asks for int64.
-		// Narrow-involved pieces (the stage stores a narrow type, or any
-		// access reads a narrow slot) never get float32: its rounding would
-		// break the narrow layout's exact-equality guarantee. The rest ask
-		// for float32. compileRowVM falls back to float64 when the program
+		// Lower the piece's canonical form once and pick its register type.
+		// A provably integral stage (which stores a narrow type) asks for
+		// int64. Narrow-involved pieces (the stage stores a narrow type, or
+		// any access reads a narrow slot) never get float32: its rounding
+		// would break the narrow layout's exact-equality guarantee. The rest
+		// ask for float32. finish falls back to float64 when the program
 		// fails the requested set's gate.
 		want := setF64
 		switch {
 		case ls.intExact:
 			want = setInt
-		case ls.elem == ElemF32 && !cp.readsNarrow(c.E):
+		case ls.elem == ElemF32 && !p.readsNarrow(c.E):
 			want = setF32
 		}
-		vb, res, err := cp.lowerRow(e, nd-1, piece.pred != nil)
+		piece.unit, piece.vm, err = p.lowerCanon(GenUnit{Stage: st.Name, Piece: len(ls.pieces), Rank: nd, Out: ls.elem},
+			[]expr.Expr{e}, 0, piece.pred != nil, want)
 		if err != nil {
 			return nil, err
 		}
-		piece.vm = vb.finish(res, want)
 		ls.pieces = append(ls.pieces, piece)
 	}
 	return ls, nil
+}
+
+// readsNarrow reports whether any access in e targets a narrow-typed slot.
+func (p *Program) readsNarrow(e expr.Expr) bool {
+	found := false
+	expr.Walk(e, func(x expr.Expr) bool {
+		if a, ok := x.(expr.Access); ok {
+			if slot, ok := p.slots[a.Target]; ok && p.slotElem[slot] != ElemF32 {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // carriedByRows reports whether every read st makes of itself is carried by
@@ -590,13 +600,10 @@ func (p *Program) Stats() obs.ProgramStats {
 		case ls.accGen != nil:
 			sm.Gen++
 		case ls.isAcc:
-			// An accumulator is one piece; its targets and value are row
-			// programs (accumulateRows).
+			// An accumulator is one piece, one row program computing its
+			// targets and value (accumulateRows).
 			sm.RowVM++
-			for _, vm := range ls.accIdxVM {
-				vmShape(vm)
-			}
-			vmShape(ls.accValVM)
+			vmShape(ls.accVM)
 		}
 		for pi := range ls.pieces {
 			piece := &ls.pieces[pi]

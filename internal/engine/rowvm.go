@@ -73,23 +73,6 @@ type compiler struct {
 	// debug makes every load and gather check its indices against the
 	// bound buffer's box (ExecOptions.Debug).
 	debug bool
-	// elems is the storage element type per slot (nil or all-ElemF32 unless
-	// the program narrowed some slots).
-	elems []Elem
-}
-
-// readsNarrow reports whether any access in e targets a narrow-typed slot.
-func (cp *compiler) readsNarrow(e expr.Expr) bool {
-	found := false
-	expr.Walk(e, func(x expr.Expr) bool {
-		if a, ok := x.(expr.Access); ok {
-			if slot, ok := cp.slots[a.Target]; ok && slot < len(cp.elems) && cp.elems[slot] != ElemF32 {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // panicOutOfRegion is Debug's per-dimension access check failing: index x
@@ -274,11 +257,11 @@ func (ix *vmIdx) row(c *RowCtx, t []float64) {
 
 // vmGather describes one access with no single-step row form: some index
 // argument is data-dependent, or several vary along the row. regs[d] >= 0
-// names the float register holding dimension d's index row, converted with
-// the same int64(v) as the reference; regs[d] < 0 marks a row-invariant affine
-// argument resolved from affs/offs like vmLoad.rowBase. The element load is
-// a Go-bounds-checked flat offset, plus the per-dimension region check under
-// Debug.
+// (filled in by finish) names the float register holding dimension d's
+// index row, converted with the same int64(v) as the reference; regs[d] < 0
+// marks a row-invariant affine argument resolved from affs/offs like
+// vmLoad.rowBase. The element load is a Go-bounds-checked flat offset, plus
+// the per-dimension region check under Debug.
 // clamp marks a read in a predicated piece's predicate, which runs over the
 // whole box, also where a guard in it keeps the reference from reading: each
 // index is clamped into the box instead (an empty or unbound one reads 0).
@@ -374,14 +357,18 @@ type rowVM struct {
 	nRegs   int    // value row registers (liveness high-water mark)
 	nBool   int    // bool row registers
 	res     uint16 // register holding the finished row
-	fused   int    // superinstructions emitted by the peephole pass
-	set     vmSet  // register type the program executes over
+	// targets hold an accumulator's target index rows, live to the end of
+	// the program beside res (lowerAcc's targets).
+	targets []uint16
+	fused   int   // superinstructions emitted by the peephole pass
+	set     vmSet // register type the program executes over
 }
 
 // vmSet names the register type a row program executes over; lowering
-// picks it once per piece (compileRowVM's want, confirmed by the program's
-// gate). float32 needs vmFloat32OK and a stage that neither stores nor reads
-// a narrow type. int64 needs vmIntOK and a stage bitwidth inference proved
+// picks it once per piece (the want finish is given, confirmed by the
+// program's gate), and the piece's generated kernel computes in it too.
+// float32 needs vmFloat32OK and a stage that neither stores nor reads a
+// narrow type. int64 needs vmIntOK and a stage bitwidth inference proved
 // integral within ±2^24 (loweredStage.intExact, which implies narrow
 // storage): there int64 and float64 evaluation are bit-identical after the
 // narrowing store. Every other program runs on float64.
@@ -500,19 +487,6 @@ func newVMBuilder(cp *compiler, last int) *vmBuilder {
 	return &vmBuilder{cp: cp, last: last, guard: -1, idxMemo: make(map[idxKey]int), consts: make(map[uint64]int)}
 }
 
-// compileRowVM lowers an expression to a row bytecode program. last is the
-// innermost dimension index of the stage's domain (its rank - 1); want is
-// the register type the stage permits (see vmSet), kept when the program
-// passes that type's gate, float64 otherwise. It is total over the
-// expression IR: every node lowers to row instructions.
-func (cp *compiler) compileRowVM(e expr.Expr, last int, want vmSet) (*rowVM, error) {
-	vb, res, err := cp.lowerRow(e, last, false)
-	if err != nil {
-		return nil, err
-	}
-	return vb.finish(res, want), nil
-}
-
 // lowerRow linearizes e into the builder's SSA values and returns the id of
 // the result: the program before register allocation, which finish encodes
 // for the VM and EmitGo prints as a generated kernel. guarded marks e as a
@@ -533,11 +507,11 @@ func (cp *compiler) lowerRow(e expr.Expr, last int, guarded bool) (*vmBuilder, i
 }
 
 // lowerAcc linearizes an accumulator's target indices and update value into
-// one builder, lowering each as accumulateRows' programs do (compileRowIdx,
-// compileRowVM): a quasi-affine target as an index row, any other target and
-// the value as value rows. Value numbering spans all of them, so a read both
-// a target and the value make is made once. It returns the targets' values
-// and the update value's; the targets are lowered first.
+// one builder: a quasi-affine target as an index row, whose float64 values
+// convert to the index with int64(v) exactly, any other target and the value
+// as value rows. Value numbering spans all of them, so a read both a target
+// and the value make is made once. It returns the targets' values and the
+// update value's; the targets are lowered first.
 func (cp *compiler) lowerAcc(targets []expr.Expr, value expr.Expr, last int) (vb *vmBuilder, tres []int, res int, err error) {
 	vb = newVMBuilder(cp, last)
 	vb.num = expr.NewNumbering()
@@ -587,23 +561,6 @@ func (vb *vmBuilder) kid(k, i int) int { return vb.num.Operand(k, i) }
 
 // shared reports whether the subtree numbered k occurs more than once.
 func (vb *vmBuilder) shared(k int) bool { return vb.num.Uses(k) > 1 }
-
-// compileRowIdx lowers an index expression (an accumulator target) to a row
-// program whose float64 result converts to the index with int64(v): the
-// integer quasi-affine form where the expression has one, its own value row
-// otherwise, so the rows hold exactly the reference's int64(Eval) indices.
-func (cp *compiler) compileRowIdx(e expr.Expr, last int) (*rowVM, error) {
-	aff, ok := expr.ToAffineAccess(e)
-	if !ok {
-		return cp.compileRowVM(e, last, setF64)
-	}
-	off, err := aff.Off.Eval(cp.params)
-	if err != nil {
-		return nil, err
-	}
-	vb := newVMBuilder(cp, last)
-	return vb.finish(vb.emitIdx(aff, off), setF64), nil
-}
 
 func (vb *vmBuilder) push(v vmValue) int {
 	vb.vals = append(vb.vals, v)
@@ -1032,7 +989,7 @@ func (vb *vmBuilder) emitAccess(a expr.Access, k int) (int, error) {
 func (vb *vmBuilder) emitGather(a expr.Access, k int) (int, error) {
 	nd := len(a.Args)
 	g := vmGather{slot: vb.cp.slots[a.Target], target: a.Target, debug: vb.cp.debug, clamp: vb.clamp,
-		regs: make([]int, nd), affs: make([]affine.Access, nd), offs: make([]int64, nd)}
+		affs: make([]affine.Access, nd), offs: make([]int64, nd)}
 	xs := make([]int, nd)
 	for d, arg := range a.Args {
 		xs[d] = -1
@@ -1162,11 +1119,18 @@ func (vb *vmBuilder) emitBoolPair(op rop, l, r expr.Cond, k int) (int, error) {
 }
 
 // finish runs liveness-based register allocation over the value list and
-// encodes the instruction stream. Registers free as soon as their value's
+// encodes the instruction stream for the VM, over register type want when
+// the program passes its gate (pickSet). res and targets (an accumulator's,
+// lowerAcc) survive the program. Registers free as soon as their value's
 // last consumer executes — freeing happens before the consumer's own
 // destination is assigned, so elementwise ops may compute in place (every
 // op reads operand element i before writing destination element i).
-func (vb *vmBuilder) finish(res int, want vmSet) *rowVM {
+//
+// The builder's loads and gathers address slot i for read i, the way a
+// generated kernel addresses c.Bufs[i]; the program gets copies that address
+// slots[reads[i]] and name reads[i] in Debug's messages. The builder is left
+// as it was, for EmitGo to print.
+func (vb *vmBuilder) finish(res int, targets []int, want vmSet, reads []string, slots map[string]int) *rowVM {
 	n := len(vb.vals)
 	lastUse := make([]int, n)
 	for i := range lastUse {
@@ -1182,6 +1146,9 @@ func (vb *vmBuilder) finish(res int, want vmSet) *rowVM {
 		}
 	}
 	lastUse[res] = n // the result row survives the program
+	for _, t := range targets {
+		lastUse[t] = n
+	}
 
 	reg := make([]int, n)
 	var freeF, freeB []int
@@ -1231,6 +1198,16 @@ func (vb *vmBuilder) finish(res int, want vmSet) *rowVM {
 		}
 	}
 
+	loads := slices.Clone(vb.loads)
+	for i := range loads {
+		l := &loads[i]
+		l.slot, l.target = slots[reads[l.slot]], reads[l.slot]
+	}
+	gathers := slices.Clone(vb.gathers)
+	for i := range gathers {
+		g := &gathers[i]
+		g.slot, g.target, g.regs = slots[reads[g.slot]], reads[g.slot], make([]int, len(g.affs))
+	}
 	ins := make([]rinstr, n)
 	for i, v := range vb.vals {
 		in := rinstr{op: v.op, dst: uint16(reg[i]), aux: v.aux, imm: v.imm, imm2: v.imm2}
@@ -1244,16 +1221,19 @@ func (vb *vmBuilder) finish(res int, want vmSet) *rowVM {
 			in.m = uint16(reg[v.m])
 		}
 		for d, o := range v.xs {
+			gathers[v.aux].regs[d] = -1
 			if o >= 0 {
-				vb.gathers[v.aux].regs[d] = reg[o]
-			} else {
-				vb.gathers[v.aux].regs[d] = -1
+				gathers[v.aux].regs[d] = reg[o]
 			}
 		}
 		ins[i] = in
 	}
-	return &rowVM{instrs: ins, loads: vb.loads, idxs: vb.idxs, gathers: vb.gathers,
+	vm := &rowVM{instrs: ins, loads: loads, idxs: vb.idxs, gathers: gathers,
 		nRegs: nF, nBool: nB, res: uint16(reg[res]), fused: vb.fused, set: vb.pickSet(res, want)}
+	for _, t := range targets {
+		vm.targets = append(vm.targets, uint16(reg[t]))
+	}
+	return vm
 }
 
 // loadRow resolves a unit or strided load's buffer, first flat offset and

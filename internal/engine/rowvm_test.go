@@ -15,6 +15,23 @@ import (
 	"repro/internal/schedule"
 )
 
+// lowerTest lowers e once with lowerRow, as lowerCanon lowers a piece, and
+// finishes the program over cp's slots asking for register type want: the
+// builder and result value a generated kernel prints, and the program the
+// row VM runs.
+func lowerTest(t *testing.T, cp *compiler, e expr.Expr, last int, want vmSet) (*vmBuilder, int, *rowVM) {
+	t.Helper()
+	vb, res, err := cp.lowerRow(e, last, false)
+	if err != nil {
+		t.Fatalf("%s: %v", e, err)
+	}
+	reads := make([]string, len(cp.slots))
+	for name, s := range cp.slots {
+		reads[s] = name
+	}
+	return vb, res, vb.finish(res, nil, want, reads, cp.slots)
+}
+
 // vmHarness compiles an expression to a row program and evaluates it over
 // one row, comparing element-wise with the reference evaluator expr.Eval. It
 // returns the compiled program so callers can assert on its shape
@@ -28,24 +45,19 @@ func vmHarness(t *testing.T, e expr.Expr, bufs map[string]*Buffer, pt []int64, n
 	t.Helper()
 	slots := map[string]int{}
 	ctxBufs := []*Buffer{}
-	var elems []Elem
 	integral := true
 	for name, b := range bufs {
 		slots[name] = len(ctxBufs)
 		ctxBufs = append(ctxBufs, b)
-		elems = append(elems, b.Elem)
 		integral = integral && b.Elem != ElemF32
 	}
 	params := map[string]int64{"P": 3}
-	cp := &compiler{slots: slots, params: params, elems: elems}
+	cp := &compiler{slots: slots, params: params}
 	want := setF32
 	if integral {
 		want = setInt
 	}
-	vm, err := cp.compileRowVM(e, len(pt)-1, want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, vm := lowerTest(t, cp, e, len(pt)-1, want)
 	rc := &RowCtx{}
 	rc.pt = append([]int64(nil), pt...)
 	rc.bufs = ctxBufs
@@ -415,10 +427,7 @@ func TestRowVMDebugLoads(t *testing.T) {
 	}
 	for _, c := range cases {
 		cp := &compiler{slots: map[string]int{"g": 0}, params: map[string]int64{}, debug: true}
-		vm, err := cp.compileRowVM(c.e, 1, setF64)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, _, vm := lowerTest(t, cp, c.e, 1, setF64)
 		if !slices.ContainsFunc(vm.instrs, func(in rinstr) bool { return in.op == c.op }) {
 			t.Fatalf("%s: no opcode %d in %v", c.name, c.op, vm.instrs)
 		}

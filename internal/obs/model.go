@@ -63,7 +63,8 @@ type ProgramStats struct {
 	// lowered directly from a Grouping without the core front-end.
 	Compile *Trace
 	// Bind holds the lowering phase timings (stage lowering, tile
-	// planning) for this parameter binding.
+	// planning and, for a Fast program, binding generated kernels) for this
+	// parameter binding.
 	Bind Trace
 	// Groups lists the schedule model per group, in execution order.
 	Groups []GroupModel
@@ -98,7 +99,7 @@ type GenMisses struct {
 	NoKernel   int `json:"no_kernel"`  // eligible, no kernel registered for its key
 	Predicated int `json:"predicated"` // residual per-point predicate
 	SelfRef    int `json:"self_ref"`   // self-referencing stage
-	Irregular  int `json:"irregular"`  // stage rank outside 1–3, an index offset the binding cannot evaluate, a gather piece or an accumulator under Debug, or a canonical expression that does not lower to the piece's own register type
+	Irregular  int `json:"irregular"`  // stage rank outside 1–3, or a gather piece or an accumulator under Debug
 }
 
 // Total is the number of pieces without a generated kernel; with the Gen
