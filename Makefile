@@ -55,15 +55,18 @@ fleet-race:
 
 # Race-checked run of the streaming / dirty-rectangle suite: frame
 # sequences with feedback, partial-recompute correctness against
-# whole-frame execution, stream-vs-Close lifecycle, DoStream on the
-# service's shared request lifecycle (validation, mid-stream deadline
-# abandonment, emit abort and the ndjson serving surface), the difftest
-# streaming knobs catching a perturbed kernel (TestStreamKnobsMutationCaught)
-# and the public API's golden oracles (TestStreamingHeatOracle,
-# TestStreamingBlendDirtyRect): dirty-rectangle frames run the same tile
-# loop as every other run.
+# whole-frame execution, the points an ROI frame evaluates (harris's
+# dilated rectangle, laplacian at one thread) and its allocations,
+# stream-vs-Close lifecycle, DoStream on the service's shared request
+# lifecycle (validation, mid-stream deadline abandonment, emit abort and
+# the ndjson serving surface), the difftest streaming knobs catching a
+# perturbed kernel (TestStreamKnobsMutationCaught), the public API's golden
+# oracles (TestStreamingHeatOracle, TestStreamingBlendDirtyRect) and the
+# affected boxes a dirty frame clips its tiles to, held point by point to
+# the exact reads (internal/schedule's TestAffectedIntoSound):
+# dirty-rectangle frames run the same tile loop as every other run.
 stream-race:
-	POLYMAGE_FLEET=4 $(GO) test -race -run TestStream ./internal/engine/ ./internal/service/ ./internal/difftest/ . -count=1
+	POLYMAGE_FLEET=4 $(GO) test -race -run 'TestStream|TestAffectedIntoSound' ./internal/engine/ ./internal/schedule/ ./internal/service/ ./internal/difftest/ . -count=1
 
 # `go vet`, plus formatting: any file gofmt would rewrite fails the target
 # (bench/ is BENCHMARK.json's and is checked by bench-vet only).

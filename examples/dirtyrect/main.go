@@ -1,9 +1,9 @@
 // Dirty-rectangle partial recompute — streaming a stencil pipeline over
 // frames whose content changes only inside a small rectangle (a cursor,
 // an overlay, a sprite). Each frame passes the changed region as the ROI;
-// the engine recomputes only the tiles whose reads reach it — stencil
+// the engine recomputes only the points whose reads reach it — stencil
 // footprints widen the region automatically — writing into the previous
-// frame's buffers, where every other tile keeps its values, bit for bit.
+// frame's buffers, where every other point keeps its value, bit for bit.
 package main
 
 import (
@@ -33,7 +33,7 @@ func main() {
 	}
 	// Two chained 3x3 box blurs and an unsharp mask: a fused, overlapped-
 	// tiled stencil group whose 2-pixel total footprint decides which
-	// tiles a dirty rectangle touches.
+	// points a dirty rectangle reaches.
 	box3 := [][]float64{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}}
 	blur1 := b.Func("blur1", polymage.Float, vars, interior(1))
 	blur1.Define(polymage.Case{E: polymage.Stencil(I, 1.0/9, box3, [2]any{x, y})})

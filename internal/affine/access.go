@@ -128,15 +128,22 @@ func (a Access) InverseRange(target Range, params map[string]int64) (Range, bool
 	if err != nil {
 		return Range{}, false, err
 	}
+	r, ok := a.InverseAt(off, target)
+	return r, ok, nil
+}
+
+// InverseAt is InverseRange with the offset already evaluated (off = Off
+// under the binding), the form a tile plan probes with.
+func (a Access) InverseAt(off int64, target Range) (Range, bool) {
 	if target.Empty() {
-		return Range{Lo: 0, Hi: -1}, false, nil
+		return Range{Lo: 0, Hi: -1}, false
 	}
 	if a.Var < 0 {
 		v := FloorDiv(off, a.Div)
 		if target.Contains(v) {
-			return Range{Lo: -1 << 62, Hi: 1 << 62}, true, nil
+			return Range{Lo: -1 << 62, Hi: 1 << 62}, true
 		}
-		return Range{Lo: 0, Hi: -1}, false, nil
+		return Range{Lo: 0, Hi: -1}, false
 	}
 	// L <= floor((c·x + b)/d) <= H
 	//   <=>  L·d <= c·x + b <= H·d + d - 1
@@ -146,15 +153,15 @@ func (a Access) InverseRange(target Range, params map[string]int64) (Range, bool
 	hi := satAdd64(satAdd64(satMul64(target.Hi, a.Div), a.Div-1), -satClamp64(off))
 	switch {
 	case a.Coeff > 0:
-		return Range{Lo: CeilDiv(lo, a.Coeff), Hi: FloorDiv(hi, a.Coeff)}, true, nil
+		return Range{Lo: CeilDiv(lo, a.Coeff), Hi: FloorDiv(hi, a.Coeff)}, true
 	case a.Coeff < 0:
-		return Range{Lo: CeilDiv(hi, a.Coeff), Hi: FloorDiv(lo, a.Coeff)}, true, nil
+		return Range{Lo: CeilDiv(hi, a.Coeff), Hi: FloorDiv(lo, a.Coeff)}, true
 	default:
 		v := FloorDiv(off, a.Div)
 		if target.Contains(v) {
-			return Range{Lo: -1 << 62, Hi: 1 << 62}, true, nil
+			return Range{Lo: -1 << 62, Hi: 1 << 62}, true
 		}
-		return Range{Lo: 0, Hi: -1}, false, nil
+		return Range{Lo: 0, Hi: -1}, false
 	}
 }
 

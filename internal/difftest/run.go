@@ -3,6 +3,7 @@ package difftest
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 
@@ -377,29 +378,56 @@ func cloneBuffer(src *engine.Buffer) *engine.Buffer {
 	return out
 }
 
-// centerRect returns the rectangle covering the middle half of each
-// dimension of box — the dirty region the ROI knob confines its
-// between-frame mutations to.
-func centerRect(box affine.Box) affine.Box {
+// roiKinds names the dirty rectangles the ROI knob draws, frame by
+// frame: strictly inside the domain, touching its low corner, touching its
+// high corner, one index wide in one dimension, the whole domain, and
+// empty ("nothing changed").
+var roiKinds = [...]string{"interior", "low edge", "high edge", "1-wide", "whole", "empty"}
+
+// dirtyRect derives the dirty rectangle of frame f of the spec with the
+// given seed inside box: its kind cycles through roiKinds with the seed
+// and the frame, its extents are drawn from both.
+func dirtyRect(box affine.Box, seed int64, f int) affine.Box {
+	rng := rand.New(rand.NewSource(seed*1009 + int64(f)))
+	n := int64(len(roiKinds))
+	kind := roiKinds[((seed+int64(f))%n+n)%n]
 	r := make(affine.Box, len(box))
+	// span draws a sub-range of [lo, hi], which must not be empty.
+	span := func(lo, hi int64) affine.Range {
+		a := lo + rng.Int63n(hi-lo+1)
+		return affine.Range{Lo: a, Hi: a + rng.Int63n(hi-a+1)}
+	}
 	for d, rg := range box {
-		ext := rg.Size()
-		lo := rg.Lo + ext/4
-		hi := lo + ext/2 - 1
-		if hi < lo {
-			hi = lo
+		switch {
+		case kind == "whole" || rg.Empty():
+			r[d] = rg
+		case kind == "empty":
+			r[d] = affine.Range{Lo: rg.Lo, Hi: rg.Lo - 1}
+		case kind == "interior":
+			if rg.Size() >= 3 {
+				r[d] = span(rg.Lo+1, rg.Hi-1)
+			} else {
+				r[d] = span(rg.Lo, rg.Hi)
+			}
+		case kind == "low edge":
+			r[d] = affine.Range{Lo: rg.Lo, Hi: span(rg.Lo, rg.Hi).Hi}
+		case kind == "high edge":
+			r[d] = affine.Range{Lo: span(rg.Lo, rg.Hi).Lo, Hi: rg.Hi}
+		default: // 1-wide
+			r[d] = span(rg.Lo, rg.Hi)
 		}
-		if hi > rg.Hi {
-			hi = rg.Hi
-		}
-		r[d] = affine.Range{Lo: lo, Hi: hi}
+	}
+	if kind == "1-wide" && len(r) > 0 {
+		d := rng.Intn(len(r))
+		r[d].Hi = r[d].Lo
 	}
 	return r
 }
 
 // diffFrames streams the program over k.Frames frames, mutating the inputs
-// between frames — inside a centered dirty rectangle (passed to the stream
-// as the ROI) when k.ROI is set, everywhere otherwise — and comparing every
+// between frames — inside a dirty rectangle drawn per frame (dirtyRect,
+// passed to the stream as the ROI) when k.ROI is set, everywhere
+// otherwise — and comparing every
 // frame's live-outs against an independent whole-graph reference execution
 // on that frame's exact inputs. Frame-to-frame buffer retention, the
 // per-tile dirty decision and the in-place update of the previous frame's
@@ -441,10 +469,6 @@ func diffFrames(sp PipelineSpec, k Knob, opts RunOptions, prog *engine.Program, 
 			}
 		}
 	}
-	var roi affine.Box
-	if k.ROI {
-		roi = centerRect(cur[names[0]].Box)
-	}
 	for f := 0; f < k.Frames; f++ {
 		var frameROI affine.Box
 		if f > 0 {
@@ -453,6 +477,7 @@ func diffFrames(sp PipelineSpec, k Knob, opts RunOptions, prog *engine.Program, 
 				// Refresh only the rectangle: the dirty-rect contract is
 				// that everything outside it is unchanged since the
 				// previous frame.
+				roi := dirtyRect(cur[names[0]].Box, sp.Seed, f)
 				for i, name := range names {
 					b := cur[name]
 					if len(b.Box) != len(roi) {
@@ -460,7 +485,7 @@ func diffFrames(sp PipelineSpec, k Knob, opts RunOptions, prog *engine.Program, 
 					}
 					tmp := engine.NewBufferElem(b.Box, b.Elem)
 					engine.FillPattern(tmp, seed+int64(i))
-					b.CopyRegion(tmp, roi)
+					b.CopyRegion(tmp, roi.Intersect(b.Box))
 				}
 				frameROI = roi
 			} else {

@@ -117,13 +117,12 @@ type worker struct {
 	shard *obs.Shard
 
 	// Reusable per-task scratch: the tile odometer, the required-region
-	// and external-read boxes of each group's plan (by group id, then
-	// member or producer position), an accumulator row's flat target
-	// offsets, region clones (an accumulator's share, a self-referencing
-	// stage's row or point) and the owned box of the member in hand.
+	// boxes of each group's plan (by group id, then member position), an
+	// accumulator row's flat target offsets, region clones (an
+	// accumulator's share, a self-referencing stage's row or point) and
+	// the owned box of the member in hand.
 	tileIdx []int64
 	req     [][]affine.Box
-	ext     [][]affine.Box
 	accOffs []int64
 	region  affine.Box
 	iBox    affine.Box
@@ -213,7 +212,6 @@ func (e *Executor) newWorker(shard int) *worker {
 	w := &worker{
 		scratch: make([]*Buffer, len(p.stageNames)),
 		req:     make([][]affine.Box, len(p.groups)),
-		ext:     make([][]affine.Box, len(p.groups)),
 		shard:   e.rec.Shard(shard),
 	}
 	w.ctx.pt = make([]int64, p.maxDims)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/affine"
 	"repro/internal/obs"
-	"repro/internal/schedule"
 )
 
 // StreamOptions configures a frame stream (Executor.NewStream/RunFrames).
@@ -35,10 +34,10 @@ type StreamStats struct {
 // executor's arena, row-VM registers and per-fleet-worker state
 // frame-to-frame and retaining every full-stage buffer of the latest frame.
 // The next frame overwrites those buffers in place, so a frame with a
-// changed ROI recomputes only the tiles the change touches and the rest
+// changed ROI recomputes only the points the change reaches and the rest
 // keep their values at no cost. The exception is a buffer the frame reads
 // as an input, a Feedback source: it stays double-buffered, the frame
-// writing a fresh buffer and copying the skipped tiles into it.
+// writing a fresh buffer and copying the previous values into it.
 //
 // Ownership contract: the buffers RunFrame returns are retained by the
 // stream — they stay valid until the next RunFrame, which overwrites them,
@@ -106,9 +105,9 @@ func (e *Executor) NewStream(opts StreamOptions) (*Stream, error) {
 // RunFrame executes one frame into the previous frame's buffers. roi, when
 // non-nil and a previous frame is retained, is the dirty rectangle: the
 // caller promises the non-feedback inputs changed only inside it since the
-// previous frame, and the engine recomputes only tiles whose required
-// region (transitively) reads a changed region; every other tile keeps the
-// previous frame's values. A nil roi — and always the first frame —
+// previous frame, and the engine recomputes only the points whose reads
+// (transitively) meet a changed region; every other point keeps the
+// previous frame's value. A nil roi — and always the first frame —
 // recomputes everything. roi must have the rank of at least one
 // non-feedback input image (ErrROI otherwise); an empty roi means "nothing
 // changed". A frame that fails drops the retained frame: the next one runs
@@ -353,17 +352,19 @@ func (e *Executor) RunFrames(frames []Frame, opts StreamOptions, each func(frame
 // frameCtx carries one streamed frame's state through the run: the
 // previous frame's retained buffers, which the frame overwrites in place
 // (reuse), the dirty box per buffer name (input images and upstream
-// live-outs), the union of the owned boxes of the dirty tiles of the group
-// in flight, and the frame's skip/execute accounting. dirty is written only
-// on the run goroutine, between groups; a tile loop's workers read it and
-// prev, both fixed while the group's tiles run, and update own and
-// executed under the section's lock.
+// live-outs), the affected box of every member of the group in flight, the
+// union of the clipped boxes its tiles recomputed, and the frame's
+// skip/execute accounting. dirty and aff are written only on the run
+// goroutine, between groups; a tile loop's workers read them and prev, all
+// fixed while the group's tiles run, and update own and executed under the
+// section's lock.
 type frameCtx struct {
 	// full marks a whole-frame recompute (first frame, nil ROI, or a
 	// non-overlapped tiling strategy): groups run their normal paths.
 	full     bool
 	prev     map[string]*Buffer
 	dirty    map[string]affine.Box
+	aff      []affine.Box
 	own      []affine.Box
 	executed int64
 	skipped  int64
@@ -406,17 +407,6 @@ func (fc *frameCtx) isDirty(name string) bool {
 	return b != nil && !b.Empty()
 }
 
-// readsDirty reports whether a tile's external reads, ext (ExternalInto),
-// meet the frame's dirty set.
-func (fc *frameCtx) readsDirty(tp *schedule.TilePlan, ext []affine.Box) bool {
-	for k, b := range ext {
-		if db := fc.dirty[tp.ExtName(k)]; db != nil && boxesIntersect(b, db) {
-			return true
-		}
-	}
-	return false
-}
-
 // fed reports whether the frame writes ge's live-out i into a fresh buffer
 // (a feedback source), into which a region the frame skips must be copied
 // from the previous frame; every other live-out already holds the previous
@@ -424,19 +414,6 @@ func (fc *frameCtx) readsDirty(tp *schedule.TilePlan, ext []affine.Box) bool {
 func (fc *frameCtx) fed(ge *groupExec, i int, outputs map[string]*Buffer) bool {
 	name := ge.members[i].name
 	return ge.liveOut[i] && fc.prev[name] != outputs[name]
-}
-
-// boxesIntersect reports whether two same-rank boxes overlap.
-func boxesIntersect(a, b affine.Box) bool {
-	if len(a) != len(b) || len(a) == 0 {
-		return false
-	}
-	for d := range a {
-		if a[d].Intersect(b[d]).Empty() {
-			return false
-		}
-	}
-	return true
 }
 
 // growBox returns a box of length n backed by b's storage when possible.
@@ -508,52 +485,59 @@ func (e *Executor) groupUpstreamDirty(ge *groupExec, fc *frameCtx) bool {
 	return false
 }
 
-// runDirtyTiles is a dirty-rectangle frame's tile loop over ge's plan. A
-// worker that takes a tile computes the tile's required regions and, from
-// them, the regions it reads outside the group; it runs the tile, on the
-// boxes it just computed, only when those reads meet the frame's dirty
-// set. The owned boxes of the live-outs of the tiles that ran are unioned
+// runDirtyTiles is a dirty-rectangle frame's tile loop over ge's plan.
+// Before the section the run goroutine computes every member's affected
+// box (TilePlan.AffectedInto): the points whose reads meet the frame's
+// dirty map. A worker that takes a tile clips each live-out's owned box to
+// its affected box; it skips the tile when every clipped box is empty, and
+// otherwise propagates the tile's required regions from the clipped boxes
+// and runs it on them. The clipped boxes of the tiles that run are unioned
 // under the section's lock; after the section they become the group's
-// dirty regions, which later groups consult. A skipped tile keeps the
-// previous frame's values, bitwise, so the propagation is exact, not just
-// sound.
+// dirty regions, which later groups consult. A point outside the affected
+// box reads what it read the frame before and keeps the previous frame's
+// value, bitwise, so the propagation is exact, not just sound.
 func (e *Executor) runDirtyTiles(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
 	fc, tp := rc.fc, ge.tp
-	numTiles := tp.NumTiles()
-	fc.own = slices.Grow(fc.own[:0], len(ge.members))[:len(ge.members)]
-	for i := range fc.own {
+	n := len(ge.members)
+	fc.own = slices.Grow(fc.own[:0], n)[:n]
+	fc.aff = slices.Grow(fc.aff[:0], n)[:n]
+	for i, ls := range ge.members {
 		fc.own[i] = fc.own[i][:0] // no region yet; keeps the storage
+		fc.aff[i] = growBox(fc.aff[i], len(ls.dom))
 	}
+	if err := tp.AffectedInto(fc.dirty, fc.aff); err != nil {
+		return err
+	}
+	numTiles := tp.NumTiles()
 	var next, skipped atomic.Int64
 	var mu sync.Mutex // guards fc.own and fc.executed
 	err := e.parallel(rc, int(min(int64(e.threads), numTiles)), func(w *worker, fe *firstErr) {
 		rc.bind(w)
 		w.tileIdx = growI64(w.tileIdx, len(tp.TileCounts))
 		idx := w.tileIdx
-		req, ext := w.reqBoxes(ge), w.extBoxes(ge)
+		req := w.reqBoxes(ge)
 		for {
 			t := next.Add(1) - 1
 			if t >= numTiles || fe.isSet() {
 				return
 			}
 			tp.TileIndex(t, idx)
-			if err := tp.RequiredInto(idx, req); err != nil {
-				fe.set(err)
-				return
+			run := false
+			for i, ls := range ge.members {
+				if !ge.liveOut[i] {
+					continue
+				}
+				own := w.owned(ge, i, idx)
+				if fc.fed(ge, i, outputs) {
+					outputs[ls.name].CopyRegion(fc.prev[ls.name], own)
+				}
+				req[i] = intersectInto(req[i], own, fc.aff[i])
+				run = run || !req[i].Empty()
 			}
-			if err := tp.ExternalInto(req, ext); err != nil {
-				fe.set(err)
-				return
-			}
-			if !fc.readsDirty(tp, ext) {
+			if !run {
 				skipped.Add(1)
 				if w.shard != nil {
 					w.shard.TileSkipped(ge.id)
-				}
-				for i, ls := range ge.members {
-					if fc.fed(ge, i, outputs) {
-						outputs[ls.name].CopyRegion(fc.prev[ls.name], w.owned(ge, i, idx))
-					}
 				}
 				continue
 			}
@@ -561,10 +545,14 @@ func (e *Executor) runDirtyTiles(rc *runCtx, ge *groupExec, outputs map[string]*
 			fc.executed++
 			for i := range ge.members {
 				if ge.liveOut[i] {
-					fc.own[i] = unionInto(fc.own[i], w.owned(ge, i, idx))
+					fc.own[i] = unionInto(fc.own[i], req[i])
 				}
 			}
 			mu.Unlock()
+			if err := tp.PropagateInto(req); err != nil {
+				fe.set(err)
+				return
+			}
 			e.runTile(w, ge, idx, req, outputs, true)
 		}
 	})
@@ -575,15 +563,4 @@ func (e *Executor) runDirtyTiles(rc *runCtx, ge *groupExec, outputs map[string]*
 		}
 	}
 	return err
-}
-
-// extBoxes returns the worker's external-read boxes for ge's plan, one per
-// out-of-group producer, allocated on first use.
-func (w *worker) extBoxes(ge *groupExec) []affine.Box {
-	ext := w.ext[ge.id]
-	if ext == nil {
-		ext = ge.tp.ExtBoxes()
-		w.ext[ge.id] = ext
-	}
-	return ext
 }

@@ -33,8 +33,10 @@ func bumpRegion(b *Buffer, region affine.Box, delta float32) {
 
 // TestStreamDirtyRectHarris is the tentpole correctness check: a
 // dirty-rectangle frame must produce outputs bitwise identical to a
-// whole-frame run on the same inputs while recomputing only the tiles
-// whose required region reads the changed rectangle.
+// whole-frame run on the same inputs while recomputing only the points
+// whose reads meet the changed rectangle: harris reads its input through
+// two 3×3 stencils, so the frame evaluates harris exactly on the
+// rectangle dilated by 2.
 func TestStreamDirtyRectHarris(t *testing.T) {
 	prog, inputs, ref := compileHarris(t, ExecOptions{Fast: true, Threads: 4, Metrics: true})
 	defer prog.Close()
@@ -61,9 +63,14 @@ func TestStreamDirtyRectHarris(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := stagePoints(e, "harris")
 	out1, err := s.RunFrame(map[string]*Buffer{"I": mod}, roi)
 	if err != nil {
 		t.Fatal(err)
+	}
+	dilated := affine.Box{{Lo: roi[0].Lo - 2, Hi: roi[0].Hi + 2}, {Lo: roi[1].Lo - 2, Hi: roi[1].Hi + 2}}.Intersect(out0["harris"].Box)
+	if got := stagePoints(e, "harris") - before; got != dilated.Size() {
+		t.Errorf("dirty-rect frame evaluated %d harris points, want |roi ⊕ 2 ∩ domain| = %d", got, dilated.Size())
 	}
 	for name, wb := range want {
 		if eq, msg := out1[name].Equal(wb, 0); !eq {
@@ -132,6 +139,49 @@ func TestStreamDirtyRectHarris(t *testing.T) {
 	if skipped != st.TilesSkipped {
 		t.Fatalf("Snapshot TilesSkipped = %d, Stats = %d", skipped, st.TilesSkipped)
 	}
+}
+
+// maxROIFrameAllocs is what a steady-state ROI frame of compileHarris's
+// program allocated when a dirty frame ran whole tiles: the frame's
+// bookkeeping (the dirty map's boxes, the section's closures).
+const maxROIFrameAllocs = 23
+
+// TestStreamFrameAllocs pins the allocations of a steady-state
+// dirty-rectangle frame: computing every group's affected boxes and
+// clipping every tile to them reuse the stream's and the workers' storage,
+// so an ROI frame allocates no more than before.
+func TestStreamFrameAllocs(t *testing.T) {
+	prog, inputs, _ := compileHarris(t, ExecOptions{Fast: true, Threads: 1})
+	defer prog.Close()
+	s, err := prog.Executor().NewStream(StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	roi := affine.Box{{Lo: 30, Hi: 42}, {Lo: 50, Hi: 66}}
+	frame := func() {
+		if _, err := s.RunFrame(inputs, roi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame() // the whole first frame
+	frame() // warm the ROI path's storage
+	allocs := testing.AllocsPerRun(10, frame)
+	t.Logf("steady-state ROI frame: %.0f allocations", allocs)
+	if allocs > maxROIFrameAllocs {
+		t.Errorf("steady-state ROI frame allocates %.0f times, want <= %d", allocs, maxROIFrameAllocs)
+	}
+}
+
+// stagePoints reads the points the executor has evaluated for stage name so
+// far (ExecOptions.Metrics).
+func stagePoints(e *Executor, name string) int64 {
+	for _, st := range e.Snapshot().Stages {
+		if st.Name == name {
+			return st.Points
+		}
+	}
+	return 0
 }
 
 // sameBuffers demands that frame cur returned every stage of frame prev as

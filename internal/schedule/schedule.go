@@ -154,14 +154,18 @@ func (o Options) withDefaults() Options {
 
 // argAccess is one index expression of one access: which producer (a stage
 // or an input image) and which of its dimensions it indexes, and its
-// quasi-affine form (OK reports whether it has one). Read through a
-// graphInfo, off is Acc.Off under the graph's binding, or offErr why it has
-// no value there; a tile plan probes the access at every tile with them.
+// quasi-affine form (OK reports whether it has one). call numbers the
+// access call the expression is an argument of, in the stage's expression
+// order, so the arguments of one call f(e0, …, en−1) share it. Read through
+// a graphInfo, off is Acc.Off under the graph's binding, or offErr why it
+// has no value there; a tile plan probes the access at every tile with
+// them.
 type argAccess struct {
 	Target      string
 	ProducerDim int
 	Acc         affine.Access
 	OK          bool
+	call        int
 	off         int64
 	offErr      error
 }
@@ -175,20 +179,33 @@ func (aa *argAccess) rangeOver(varRange affine.Range) (affine.Range, error) {
 	return aa.Acc.RangeAt(aa.off, varRange), nil
 }
 
+// inverseOver is Acc.InverseRange(target, binding) with the offset
+// evaluated once: the consumer-variable values whose read lands in target,
+// and whether any does.
+func (aa *argAccess) inverseOver(target affine.Range) (affine.Range, bool, error) {
+	if aa.offErr != nil {
+		return affine.Range{}, false, aa.offErr
+	}
+	r, ok := aa.Acc.InverseAt(aa.off, target)
+	return r, ok, nil
+}
+
 // stageAccesses lists every index expression of every access a stage makes
 // (stages and images, conditions included), in expression order.
 func stageAccesses(st *pipeline.Stage) []argAccess {
 	var out []argAccess
+	calls := 0
 	record := func(e expr.Expr) bool {
 		a, ok := e.(expr.Access)
 		if !ok {
 			return true
 		}
 		for d, arg := range a.Args {
-			aa := argAccess{Target: a.Target, ProducerDim: d}
+			aa := argAccess{Target: a.Target, ProducerDim: d, call: calls}
 			aa.Acc, aa.OK = expr.ToAffineAccess(arg)
 			out = append(out, aa)
 		}
+		calls++
 		return true
 	}
 	for _, e := range st.Exprs() {

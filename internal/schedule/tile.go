@@ -14,10 +14,11 @@ import (
 // in-group accesses (the tight tile shape construction of Section 3.4 /
 // Figure 6).
 //
-// The per-tile walks (RequiredInto, ExternalInto, OwnedInto) address members
-// by their position in Group.Members and out-of-group producers by their
-// position in the plan's external list (ExtName), so a caller that keeps one
-// box per position walks every tile without a lookup or an allocation.
+// The per-tile walks (RequiredInto, PropagateInto, ExternalInto, OwnedInto)
+// address members by their position in Group.Members and out-of-group
+// producers by their position in the plan's external list (first-read
+// order), so a caller that keeps one box per position walks every tile
+// without a lookup or an allocation.
 type TilePlan struct {
 	Group     *Group
 	Graph     *pipeline.Graph
@@ -38,8 +39,8 @@ type TilePlan struct {
 	members []planMember
 	// ext lists every out-of-group producer any member reads (earlier
 	// stages and input images) in first-read order, with its concrete
-	// domain, so dirty-rectangle runs can derive each tile's external read
-	// regions without locking or allocating.
+	// domain and name, so the cost model can price each tile's external
+	// reads and AffectedInto look up each producer's dirty box.
 	ext []planExt
 }
 
@@ -50,8 +51,9 @@ type planMember struct {
 	anchor bool
 	live   bool
 	// in are the member's accesses to other members, out its accesses to
-	// out-of-group producers, both in expression order. Self-references and
-	// targets the graph does not know are in neither.
+	// out-of-group producers, both in expression order, so the arguments
+	// of one access call are adjacent and share argAccess.call.
+	// Self-references and targets the graph does not know are in neither.
 	in, out []planAccess
 }
 
@@ -213,10 +215,6 @@ func (tp *TilePlan) TileIndex(flat int64, idx []int64) []int64 {
 	return idx
 }
 
-// ExtName returns the name of the out-of-group producer at position e of
-// the boxes ExternalInto fills.
-func (tp *TilePlan) ExtName(e int) string { return tp.ext[e].name }
-
 // MemberAccess is one in-group access of a member (consumer side view).
 type MemberAccess struct {
 	Target      int // producer's position in Group.Members
@@ -314,13 +312,26 @@ var emptyRange = affine.Range{Lo: 0, Hi: -1}
 // member the tile does not need gets an all-empty box.
 func (tp *TilePlan) RequiredInto(idx []int64, req []affine.Box) error {
 	for i := range tp.members {
-		pm := &tp.members[i]
-		if pm.live {
-			// Seed with the owned live-out region.
+		if tp.members[i].live {
 			tp.OwnedInto(req[i], i, idx)
+		}
+	}
+	return tp.PropagateInto(req)
+}
+
+// PropagateInto completes a tile's required regions from its live-out
+// seeds: req[i] of every live-out member holds the region the tile must
+// write (RequiredInto seeds the owned boxes, a dirty-rectangle frame those
+// boxes clipped to the affected ones), and the backward pass adds what the
+// in-group consumers transitively read. The other members' boxes, and an
+// empty seed, are overwritten with all-empty boxes; every box ends clipped
+// to its member's domain.
+func (tp *TilePlan) PropagateInto(req []affine.Box) error {
+	for i := range tp.members {
+		b := req[i]
+		if tp.members[i].live && !b.Empty() {
 			continue
 		}
-		b := req[i]
 		for d := range b {
 			b[d] = emptyRange
 		}
@@ -362,11 +373,9 @@ func (tp *TilePlan) RequiredInto(idx []int64, req []affine.Box) error {
 // ExternalInto computes, given a tile's member required regions req (as
 // RequiredInto leaves them), the region of every out-of-group producer —
 // earlier groups' stages and input images — the tile reads, into out (one
-// box per producer, ExtBoxes; out[e] is ExtName(e)'s). A producer the tile
+// box per producer, ExtBoxes, in first-read order). A producer the tile
 // does not read gets an all-empty box. A non-affine external access widens
-// to the producer's whole domain, a sound over-approximation — the
-// dirty-rectangle engine then recomputes the tile whenever that producer
-// changed anywhere.
+// to the producer's whole domain, a sound over-approximation.
 func (tp *TilePlan) ExternalInto(req, out []affine.Box) error {
 	for _, b := range out {
 		for d := range b {
@@ -399,6 +408,81 @@ func (tp *TilePlan) ExternalInto(req, out []affine.Box) error {
 				return err
 			}
 			erq[a.ProducerDim] = erq[a.ProducerDim].Union(rng.Intersect(edom[a.ProducerDim]))
+		}
+	}
+	return nil
+}
+
+// AffectedInto computes, given the boxes where the out-of-group producers
+// changed (dirty, by producer name; an absent or empty box is unchanged),
+// the affected box of every member into aff (MemberBoxes): a bounding box
+// of the member's points that read a changed value, directly or through
+// earlier members — the forward image of the dirty boxes through the
+// group's accesses, the dual of RequiredInto's backward pass. A point
+// outside it reads exactly the values it read before, so it keeps its
+// value.
+//
+// Members are walked producers first. Each access call whose target is
+// dirty contributes the member points whose read lands in the target's
+// box: its domain, with each affine argument's variable intersected with
+// the exact inverse image of that dimension's dirty range (a var-free
+// argument whose index misses the range drops the call). A non-affine
+// argument, or one indexed by a reduction variable, constrains nothing.
+// Calls are kept whole because a box is a product: the points of f(x+1,
+// y) that meet a dirty box are those where both arguments land in it, a
+// much smaller set than where either does.
+func (tp *TilePlan) AffectedInto(dirty map[string]affine.Box, aff []affine.Box) error {
+	var stack [8]affine.Range
+	for i := range tp.members {
+		pm := &tp.members[i]
+		b := aff[i]
+		for d := range b {
+			b[d] = emptyRange
+		}
+		for side, list := range [...][]planAccess{pm.out, pm.in} {
+			for lo := 0; lo < len(list); {
+				hi := lo + 1
+				for hi < len(list) && list[hi].call == list[lo].call {
+					hi++
+				}
+				args := list[lo:hi]
+				lo = hi
+				var src affine.Box
+				if side == 0 {
+					src = dirty[tp.ext[args[0].target].name]
+				} else {
+					src = aff[args[0].target]
+				}
+				if src.Empty() {
+					continue
+				}
+				box := affine.Box(append(stack[:0], pm.dom...))
+				hit := true
+				for k := range args {
+					a := &args[k]
+					if !a.OK || a.Acc.Var >= len(box) {
+						continue
+					}
+					var inv affine.Range
+					var err error
+					inv, hit, err = a.inverseOver(src[a.ProducerDim])
+					if err != nil {
+						return err
+					}
+					if !hit {
+						break
+					}
+					if a.Acc.Var >= 0 {
+						box[a.Acc.Var] = box[a.Acc.Var].Intersect(inv)
+					}
+				}
+				if !hit || box.Empty() {
+					continue
+				}
+				for d := range b {
+					b[d] = b[d].Union(box[d])
+				}
+			}
 		}
 	}
 	return nil

@@ -223,8 +223,8 @@ type Executor = engine.Executor
 // previous frame's output (sliding-window temporal stencils such as heat
 // relaxation or exponential motion blur); and a Frame carrying an ROI —
 // the rectangle outside which the caller promises nothing changed —
-// recomputes only the tiles whose reads reach the change, writing into
-// the previous frame's buffers, where every other tile keeps its values.
+// recomputes only the points whose reads reach the change, writing into
+// the previous frame's buffers, where every other point keeps its value.
 type (
 	// Stream is an open frame sequence on an Executor; see
 	// Executor.NewStream.

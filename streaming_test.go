@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	polymage "repro"
+	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/harness"
+	"repro/internal/schedule"
 )
 
 // frameChecksum fingerprints a buffer's exact bit contents.
@@ -250,5 +254,87 @@ func TestStreamingBlendDirtyRect(t *testing.T) {
 	if stats.TilesSkipped <= stats.TilesExecuted {
 		t.Errorf("a 16x16 ROI on a 128x128 frame should skip more tiles than it recomputes: skipped=%d executed=%d",
 			stats.TilesSkipped, stats.TilesExecuted)
+	}
+}
+
+// TestStreamLaplacianOneThread pins the work a dirty-rectangle frame does
+// on a pipeline of lone stages at one thread, where each lone stage is one
+// band: laplacian under the auto-scheduler at scale 8, its input changed
+// only inside the centred quarter of each dimension (6.25 % of the image).
+// A tile recomputes only the points that read the change, so the ROI frame
+// evaluates at most 0.3× the points of a whole frame (a lone stage's band
+// used to run whole, 1.0×), and its outputs equal a whole frame's.
+func TestStreamLaplacianOneThread(t *testing.T) {
+	app, err := apps.Get("laplacian")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := harness.ScaledParams(app, 8)
+	b, outs := app.Build()
+	in, err := app.Inputs(b, params, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := schedule.DefaultOptions()
+	so.Auto = true
+	pl, err := core.Compile(b, outs, core.Options{Estimates: params, Schedule: so})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := pl.Bind(params, engine.ExecOptions{Fast: true, Threads: 1, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prog.Close()
+	e := prog.Executor()
+	points := func() int64 {
+		var n int64
+		for _, st := range e.Snapshot().Stages {
+			n += st.Points
+		}
+		return n
+	}
+	st, err := e.NewStream(engine.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p0 := points()
+	if _, err := st.RunFrame(in, nil); err != nil {
+		t.Fatal(err)
+	}
+	whole := points() - p0
+	var roi polymage.Box
+	for name, buf := range in {
+		if roi != nil {
+			t.Fatalf("laplacian has a second input %s", name)
+		}
+		for _, r := range buf.Box {
+			q := max(r.Size()/4, 1)
+			lo := r.Lo + (r.Size()-q)/2
+			roi = append(roi, polymage.Range{Lo: lo, Hi: lo + q - 1})
+		}
+		patch := engine.NewBufferElem(roi, buf.Elem)
+		engine.FillPattern(patch, 2)
+		buf.CopyRegion(patch, roi)
+	}
+	p1 := points()
+	out, err := st.RunFrame(in, roi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := float64(points()-p1) / float64(whole)
+	t.Logf("ROI frame evaluates %.3f of a whole frame's %d points", share, whole)
+	if share > 0.3 {
+		t.Errorf("ROI frame evaluates %.3f of a whole frame's points, want <= 0.3", share)
+	}
+	ref, err := e.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range outs {
+		if ok, detail := out[name].Equal(ref[name], 0); !ok {
+			t.Fatalf("%s differs from a whole frame: %s", name, detail)
+		}
 	}
 }
