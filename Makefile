@@ -56,14 +56,16 @@ fleet-race:
 # Race-checked run of the streaming / dirty-rectangle suite: frame
 # sequences with feedback, partial-recompute correctness against
 # whole-frame execution, the points an ROI frame evaluates (harris's
-# dilated rectangle, laplacian at one thread) and its allocations,
-# stream-vs-Close lifecycle, DoStream on the service's shared request
-# lifecycle (validation, mid-stream deadline abandonment, emit abort and
+# dilated rectangle; five apps at scale 4 in TestStreamROIPoints) and its
+# allocations, stream-vs-Close lifecycle, DoStream on the service's shared
+# request lifecycle (validation, mid-stream deadline abandonment, emit abort and
 # the ndjson serving surface), the difftest streaming knobs catching a
-# perturbed kernel (TestStreamKnobsMutationCaught), the public API's golden
-# oracles (TestStreamingHeatOracle, TestStreamingBlendDirtyRect) and the
-# affected boxes a dirty frame clips its tiles to, held point by point to
-# the exact reads (internal/schedule's TestAffectedIntoSound):
+# perturbed kernel (TestStreamKnobsMutationCaught), accumulators and
+# self-referencing stages streamed against whole frames, the empty ROI
+# included (internal/difftest's TestStreamRunnerGroups), the public API's
+# golden oracles (TestStreamingHeatOracle, TestStreamingBlendDirtyRect) and
+# the affected boxes a dirty frame clips its tiles to, held point by point
+# to the exact reads (internal/schedule's TestAffectedIntoSound):
 # dirty-rectangle frames run the same tile loop as every other run.
 stream-race:
 	POLYMAGE_FLEET=4 $(GO) test -race -run 'TestStream|TestAffectedIntoSound' ./internal/engine/ ./internal/schedule/ ./internal/service/ ./internal/difftest/ . -count=1

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/affine"
@@ -25,8 +26,8 @@ func (p *Program) Run(inputs map[string]*Buffer) (map[string]*Buffer, error) {
 
 // runGroup runs one group. Every group but an accumulator, a
 // self-referencing stage or a fused group under parallelogram/split tiling
-// runs the tile loop over its plan; in a dirty-rectangle frame (a stream
-// run with an ROI) that loop decides tile by tile which tiles run. Those
+// runs the tile loop over its plan, which in a dirty-rectangle frame (a
+// stream run with an ROI) decides tile by tile which tiles run. Those
 // others have runners of their own, whose internal dependences cross any
 // tile cut: such a frame recomputes them whole or keeps them whole.
 func (e *Executor) runGroup(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
@@ -34,9 +35,6 @@ func (e *Executor) runGroup(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 	ls := ge.members[0]
 	fused := len(ge.members) > 1
 	if fused && e.p.Opts.Tiling == OverlappedTiling || !fused && !ls.isAcc && !ls.selfRef {
-		if fc != nil && !fc.full {
-			return e.runDirtyTiles(rc, ge, outputs)
-		}
 		return e.runTiled(rc, ge, outputs)
 	}
 	if fc != nil {
@@ -83,14 +81,40 @@ func cloneBoxInto(dst, src affine.Box) affine.Box {
 // group's tiles recompute their halo, a lone stage's bands are disjoint), so
 // they are distributed over the worker pool as a bag of tasks;
 // intermediates live in per-worker scratchpads that are reused across
-// tiles, groups and runs (Section 3.6). A streamed frame's outputs are the
-// previous frame's buffers, overwritten in place (see Stream).
+// tiles, groups and runs (Section 3.6). A tile's required regions are
+// propagated from its live-outs' owned boxes (TilePlan.PropagateInto).
+//
+// A streamed frame's outputs are the previous frame's buffers, overwritten
+// in place (see Stream). In a dirty-rectangle frame the run goroutine first
+// computes every member's affected box (TilePlan.AffectedInto): the points
+// whose reads meet the frame's dirty map. It marks the live-outs' affected
+// boxes dirty for later groups before the section: owned boxes partition
+// each live-out's domain, so their clipped parts cover exactly that box.
+// Each tile then clips its owned boxes to the affected ones, after copying
+// a feedback source's owned box from the previous frame, and is skipped
+// when every clipped box is empty. A point outside the affected box reads
+// what it read the frame before and keeps the previous frame's value,
+// bitwise, so the clipping is exact, not just sound.
 func (e *Executor) runTiled(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
-	tp := ge.tp
+	fc, tp := rc.fc, ge.tp
+	dirty := fc != nil && !fc.full
+	if dirty {
+		fc.aff = slices.Grow(fc.aff[:0], len(ge.members))[:len(ge.members)]
+		for i, ls := range ge.members {
+			fc.aff[i] = growBox(fc.aff[i], len(ls.dom))
+		}
+		if err := tp.AffectedInto(fc.dirty, fc.aff); err != nil {
+			return err
+		}
+		for i, ls := range ge.members {
+			if ge.liveOut[i] {
+				fc.markDirty(ls.name, fc.aff[i])
+			}
+		}
+	}
 	numTiles := tp.NumTiles()
-	inPlace := rc.fc != nil
-	var next atomic.Int64
-	return e.parallel(rc, int(min(int64(e.threads), numTiles)), func(w *worker, fe *firstErr) {
+	var next, skipped atomic.Int64
+	err := e.parallel(rc, int(min(int64(e.threads), numTiles)), func(w *worker, fe *firstErr) {
 		rc.bind(w)
 		w.tileIdx = growI64(w.tileIdx, len(tp.TileCounts))
 		idx := w.tileIdx
@@ -101,13 +125,39 @@ func (e *Executor) runTiled(rc *runCtx, ge *groupExec, outputs map[string]*Buffe
 				return
 			}
 			tp.TileIndex(t, idx)
-			if err := tp.RequiredInto(idx, req); err != nil {
+			run := false
+			for i, ls := range ge.members {
+				if !ge.liveOut[i] {
+					continue
+				}
+				tp.OwnedInto(req[i], i, idx)
+				if dirty {
+					if fc.fed(ge, i, outputs) {
+						outputs[ls.name].CopyRegion(fc.prev[ls.name], req[i])
+					}
+					req[i] = intersectInto(req[i], req[i], fc.aff[i])
+				}
+				run = run || !req[i].Empty()
+			}
+			if !run {
+				skipped.Add(1)
+				if w.shard != nil {
+					w.shard.TileSkipped(ge.id)
+				}
+				continue
+			}
+			if err := tp.PropagateInto(req); err != nil {
 				fe.set(err)
 				return
 			}
-			e.runTile(w, ge, idx, req, outputs, inPlace)
+			e.runTile(w, ge, idx, req, outputs, fc != nil)
 		}
 	})
+	if dirty {
+		fc.skipped += skipped.Load()
+		fc.executed += numTiles - skipped.Load()
+	}
+	return err
 }
 
 // runTile computes tile idx of ge's plan over req, its required regions:

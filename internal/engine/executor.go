@@ -432,59 +432,47 @@ func (e *Executor) run(rc *runCtx, inputs map[string]*Buffer) (map[string]*Buffe
 		}
 		base[p.slots[name]] = buf
 	}
-	if p.Opts.ReuseBuffers && rc.fc == nil {
-		// Streamed frames (rc.fc set) never pool: every full stage is
-		// retained, and the next frame overwrites it in place.
-		return e.runPooled(rc)
-	}
+	// One loop gives every live-out its full buffer before its group runs:
+	// a streamed frame's is the retained frame's (frameCtx.reuse), any
+	// other comes from the arena. A pooled run (ReuseBuffers; streamed
+	// frames never pool, every full stage is retained) returns only the
+	// declared outputs and recycles every other buffer after its last
+	// consumer group, a schedule precomputed at compile time, so across
+	// runs its steady state allocates nothing but the output map.
+	pooled := p.Opts.ReuseBuffers && rc.fc == nil
 	outputs := make(map[string]*Buffer, len(p.fullStages))
-	for _, name := range p.fullStages {
-		ls := p.stages[name]
-		buf := rc.fc.reuse(name, inputs)
-		if buf == nil {
-			buf = e.arena.get(ls.dom, ls.elem)
-		}
-		outputs[name] = buf
-		base[ls.slot] = buf
+	live := outputs
+	if pooled {
+		outputs = make(map[string]*Buffer, len(p.Graph.LiveOuts))
+		live = rc.live
+		clear(live)
 	}
 	for _, ge := range p.groups {
-		if err := e.runGroup(rc, ge, outputs); err != nil {
-			return nil, err
-		}
-	}
-	return outputs, nil
-}
-
-// runPooled executes with liveness-based buffer pooling: each group's full
-// buffers come from the arena and return to it after their last consumer
-// group executes (the allocation/release schedule is precomputed at
-// compile time), so across runs the steady state allocates nothing but the
-// returned output map.
-func (e *Executor) runPooled(rc *runCtx) (map[string]*Buffer, error) {
-	p := e.p
-	outputs := make(map[string]*Buffer, len(p.Graph.LiveOuts))
-	live := rc.live
-	clear(live)
-	for _, ge := range p.groups {
-		for _, ls := range ge.allocs {
-			if live[ls.name] != nil {
+		for i, ls := range ge.members {
+			if !ge.liveOut[i] || live[ls.name] != nil {
 				continue
 			}
-			buf := e.arena.get(ls.dom, ls.elem)
+			buf := rc.fc.reuse(ls.name, inputs)
+			if buf == nil {
+				buf = e.arena.get(ls.dom, ls.elem)
+			}
 			live[ls.name] = buf
-			rc.base[ls.slot] = buf
-			if p.isOutput[ls.name] {
+			base[ls.slot] = buf
+			if pooled && p.isOutput[ls.name] {
 				outputs[ls.name] = buf
 			}
 		}
 		if err := e.runGroup(rc, ge, live); err != nil {
 			return nil, err
 		}
+		if !pooled {
+			continue
+		}
 		for _, ls := range ge.releases {
 			if buf := live[ls.name]; buf != nil {
 				e.arena.put(buf)
 				delete(live, ls.name)
-				rc.base[ls.slot] = nil
+				base[ls.slot] = nil
 			}
 		}
 	}

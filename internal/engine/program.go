@@ -160,12 +160,10 @@ type groupExec struct {
 	// liveOut[i] reports whether members[i] must be written to its full
 	// buffer.
 	liveOut []bool
-	// Pooled-execution buffer schedule, precomputed at compile time:
-	// allocs lists the live-out stages whose full buffers this group
-	// allocates before running; releases lists the stages whose buffers
-	// recycle to the arena after it (their last consumer group is this one
-	// and they are not declared pipeline outputs).
-	allocs   []*loweredStage
+	// releases lists the stages whose full buffers a pooled run recycles
+	// to the arena after this group, precomputed at compile time: their
+	// last consumer group is this one and they are not declared pipeline
+	// outputs.
 	releases []*loweredStage
 }
 
@@ -318,18 +316,13 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 	for _, lo := range g.LiveOuts {
 		p.isOutput[lo] = true
 	}
-	// Precompute the pooled-execution buffer schedule: which group
-	// allocates each full buffer and after which group it recycles (its
-	// last consumer group), so runs do no liveness analysis.
+	// Precompute the pooled-execution release schedule: after which group
+	// each full buffer recycles (its last consumer group), so runs do no
+	// liveness analysis.
 	groupOf := make(map[string]int, len(p.stages))
 	for gi, ge := range p.groups {
 		for _, m := range ge.grp.Members {
 			groupOf[m] = gi
-		}
-	}
-	for _, ge := range p.groups {
-		for _, name := range ge.tp.LiveOuts {
-			ge.allocs = append(ge.allocs, p.stages[name])
 		}
 	}
 	for _, name := range p.fullStages {

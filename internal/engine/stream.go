@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/affine"
 	"repro/internal/obs"
@@ -50,12 +49,11 @@ type Stream struct {
 
 	mu   sync.Mutex
 	prev map[string]*Buffer // previous frame's full-stage buffers
-	// lastDirty records, per full stage, the region the previous ROI frame
-	// changed; prevFull marks the previous frame as a whole-frame recompute
-	// (everything dirty). Feedback-bound inputs derive their dirty region
-	// from this, so incremental motion-blur loops stay incremental.
+	// lastDirty records, per feedback source stage, the region the
+	// previous frame changed (its whole domain after a whole frame): the
+	// feedback image's dirty region, so incremental motion-blur loops stay
+	// incremental.
 	lastDirty map[string]affine.Box
-	prevFull  bool
 	fc        frameCtx
 	eff       map[string]*Buffer // effective-inputs scratch
 	stats     StreamStats
@@ -99,7 +97,7 @@ func (e *Executor) NewStream(opts StreamOptions) (*Stream, error) {
 			fb[im] = st
 		}
 	}
-	return &Stream{e: e, feedback: fb}, nil
+	return &Stream{e: e, feedback: fb, lastDirty: make(map[string]affine.Box, len(fb))}, nil
 }
 
 // RunFrame executes one frame into the previous frame's buffers. roi, when
@@ -191,36 +189,23 @@ func (s *Stream) RunFrame(inputs map[string]*Buffer, roi affine.Box) (map[string
 		s.prev[n] = b
 	}
 
-	if useROI {
-		if s.lastDirty == nil {
-			s.lastDirty = make(map[string]affine.Box, len(e.p.fullStages))
+	for _, st := range s.feedback {
+		d := fc.dirty[st]
+		if !useROI {
+			d = e.p.stages[st].dom
 		}
-		for _, name := range e.p.fullStages {
-			d := fc.dirty[name]
-			ld := s.lastDirty[name]
-			if d == nil {
-				if cap(ld) > 0 {
-					ld = ld[:0]
-				}
-				s.lastDirty[name] = ld // zero-length = unchanged
-				continue
-			}
-			ld = cloneBoxInto(ld, d)
-			s.lastDirty[name] = ld
-		}
-		s.prevFull = false
-		s.stats.TilesExecuted += fc.executed
-		s.stats.TilesSkipped += fc.skipped
-	} else {
-		s.prevFull = true
+		s.lastDirty[st] = cloneBoxInto(s.lastDirty[st], d)
 	}
+	s.stats.TilesExecuted += fc.executed
+	s.stats.TilesSkipped += fc.skipped
 	s.stats.Frames++
 	return out, nil
 }
 
 // seedDirty prepares the frame context for a dirty-rectangle run: each
-// non-feedback input image is dirty where the ROI intersects its domain,
-// each feedback image where its source stage changed last frame.
+// non-feedback input image is dirty where the ROI intersects its domain
+// (whole when the ROI has another rank), each feedback image where its
+// source stage changed last frame.
 func (s *Stream) seedDirty(roi affine.Box) error {
 	e := s.e
 	fc := &s.fc
@@ -235,43 +220,17 @@ func (s *Stream) seedDirty(roi affine.Box) error {
 		if err != nil {
 			return err
 		}
-		if len(box) != len(roi) {
-			// The ROI cannot describe this image's change; conservatively
-			// treat the whole image as changed.
-			fc.markDirty(name, box)
-			continue
+		if len(box) == len(roi) {
+			matched = true
+			box = intersectInto(nil, roi, box)
 		}
-		matched = true
-		dirty := true
-		for d := range box {
-			if roi[d].Intersect(box[d]).Empty() {
-				dirty = false
-				break
-			}
-		}
-		if dirty {
-			inter := make(affine.Box, len(box))
-			for d := range box {
-				inter[d] = roi[d].Intersect(box[d])
-			}
-			fc.markDirty(name, inter)
-		}
+		fc.markDirty(name, box)
 	}
 	if nonFeedback > 0 && !matched {
 		return fmt.Errorf("engine: ROI rank %d matches no input image: %w", len(roi), ErrROI)
 	}
 	for im, st := range s.feedback {
-		if s.prevFull {
-			box, err := e.p.InputBox(im)
-			if err != nil {
-				return err
-			}
-			fc.markDirty(im, box)
-			continue
-		}
-		if ld := s.lastDirty[st]; len(ld) > 0 && !ld.Empty() {
-			fc.markDirty(im, ld)
-		}
+		fc.markDirty(im, s.lastDirty[st])
 	}
 	return nil
 }
@@ -352,12 +311,10 @@ func (e *Executor) RunFrames(frames []Frame, opts StreamOptions, each func(frame
 // frameCtx carries one streamed frame's state through the run: the
 // previous frame's retained buffers, which the frame overwrites in place
 // (reuse), the dirty box per buffer name (input images and upstream
-// live-outs), the affected box of every member of the group in flight, the
-// union of the clipped boxes its tiles recomputed, and the frame's
-// skip/execute accounting. dirty and aff are written only on the run
-// goroutine, between groups; a tile loop's workers read them and prev, all
-// fixed while the group's tiles run, and update own and executed under the
-// section's lock.
+// live-outs), the affected box of every member of the group in flight, and
+// the frame's skip/execute accounting. All of it is written only on the run
+// goroutine, between groups; a tile loop's workers read dirty, aff and prev,
+// which stay fixed while the group's tiles run.
 type frameCtx struct {
 	// full marks a whole-frame recompute (first frame, nil ROI, or a
 	// non-overlapped tiling strategy): groups run their normal paths.
@@ -365,7 +322,6 @@ type frameCtx struct {
 	prev     map[string]*Buffer
 	dirty    map[string]affine.Box
 	aff      []affine.Box
-	own      []affine.Box
 	executed int64
 	skipped  int64
 }
@@ -483,84 +439,4 @@ func (e *Executor) groupUpstreamDirty(ge *groupExec, fc *frameCtx) bool {
 		}
 	}
 	return false
-}
-
-// runDirtyTiles is a dirty-rectangle frame's tile loop over ge's plan.
-// Before the section the run goroutine computes every member's affected
-// box (TilePlan.AffectedInto): the points whose reads meet the frame's
-// dirty map. A worker that takes a tile clips each live-out's owned box to
-// its affected box; it skips the tile when every clipped box is empty, and
-// otherwise propagates the tile's required regions from the clipped boxes
-// and runs it on them. The clipped boxes of the tiles that run are unioned
-// under the section's lock; after the section they become the group's
-// dirty regions, which later groups consult. A point outside the affected
-// box reads what it read the frame before and keeps the previous frame's
-// value, bitwise, so the propagation is exact, not just sound.
-func (e *Executor) runDirtyTiles(rc *runCtx, ge *groupExec, outputs map[string]*Buffer) error {
-	fc, tp := rc.fc, ge.tp
-	n := len(ge.members)
-	fc.own = slices.Grow(fc.own[:0], n)[:n]
-	fc.aff = slices.Grow(fc.aff[:0], n)[:n]
-	for i, ls := range ge.members {
-		fc.own[i] = fc.own[i][:0] // no region yet; keeps the storage
-		fc.aff[i] = growBox(fc.aff[i], len(ls.dom))
-	}
-	if err := tp.AffectedInto(fc.dirty, fc.aff); err != nil {
-		return err
-	}
-	numTiles := tp.NumTiles()
-	var next, skipped atomic.Int64
-	var mu sync.Mutex // guards fc.own and fc.executed
-	err := e.parallel(rc, int(min(int64(e.threads), numTiles)), func(w *worker, fe *firstErr) {
-		rc.bind(w)
-		w.tileIdx = growI64(w.tileIdx, len(tp.TileCounts))
-		idx := w.tileIdx
-		req := w.reqBoxes(ge)
-		for {
-			t := next.Add(1) - 1
-			if t >= numTiles || fe.isSet() {
-				return
-			}
-			tp.TileIndex(t, idx)
-			run := false
-			for i, ls := range ge.members {
-				if !ge.liveOut[i] {
-					continue
-				}
-				own := w.owned(ge, i, idx)
-				if fc.fed(ge, i, outputs) {
-					outputs[ls.name].CopyRegion(fc.prev[ls.name], own)
-				}
-				req[i] = intersectInto(req[i], own, fc.aff[i])
-				run = run || !req[i].Empty()
-			}
-			if !run {
-				skipped.Add(1)
-				if w.shard != nil {
-					w.shard.TileSkipped(ge.id)
-				}
-				continue
-			}
-			mu.Lock()
-			fc.executed++
-			for i := range ge.members {
-				if ge.liveOut[i] {
-					fc.own[i] = unionInto(fc.own[i], req[i])
-				}
-			}
-			mu.Unlock()
-			if err := tp.PropagateInto(req); err != nil {
-				fe.set(err)
-				return
-			}
-			e.runTile(w, ge, idx, req, outputs, true)
-		}
-	})
-	fc.skipped += skipped.Load()
-	for i, b := range fc.own {
-		if len(b) > 0 {
-			fc.markDirty(ge.members[i].name, b)
-		}
-	}
-	return err
 }

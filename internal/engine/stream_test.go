@@ -142,9 +142,9 @@ func TestStreamDirtyRectHarris(t *testing.T) {
 }
 
 // maxROIFrameAllocs is what a steady-state ROI frame of compileHarris's
-// program allocated when a dirty frame ran whole tiles: the frame's
-// bookkeeping (the dirty map's boxes, the section's closures).
-const maxROIFrameAllocs = 23
+// program allocates: the frame's bookkeeping (the dirty map's boxes, the
+// sections' closures).
+const maxROIFrameAllocs = 22
 
 // TestStreamFrameAllocs pins the allocations of a steady-state
 // dirty-rectangle frame: computing every group's affected boxes and

@@ -384,3 +384,59 @@ func forEachPoint(b affine.Box, f func(pt []int64)) {
 		}
 	}
 }
+
+// TestAccumulatorReadsWiden: an accumulator's access variables index its
+// reduction domain from 0, not its output box, so the tile plan widens
+// every read it makes outside its group to the producer's whole extent. On
+// difftest's histogram at R=72, C=52 (an 8×12×32 grid swept over the 72×52
+// image I) the group's tile reads all of I, not the grid's [0,7]×[0,11]
+// corner of it, and a change anywhere in I affects the whole grid.
+func TestAccumulatorReadsWiden(t *testing.T) {
+	var hist difftest.GatherCase
+	for _, gc := range difftest.AccumCases() {
+		if gc.Name == "sum" {
+			hist = gc
+		}
+	}
+	b, outs := hist.Build()
+	g, err := pipeline.Build(b, outs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int64{"R": 72, "C": 52}
+	gr, err := schedule.BuildGroups(g, params, schedule.Options{TileSizes: []int64{4, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := affine.Box{{Lo: 0, Hi: 71}, {Lo: 0, Hi: 51}}
+	grid := affine.Box{{Lo: 0, Hi: 7}, {Lo: 0, Hi: 11}, {Lo: 0, Hi: 31}}
+	for _, grp := range gr.Groups {
+		if grp.Anchor != "hist" {
+			continue
+		}
+		tp, err := schedule.NewTilePlan(g, grp, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, ext := tp.MemberBoxes(), tp.ExtBoxes()
+		if err := tp.RequiredInto(make([]int64, len(tp.TileCounts)), req); err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.ExternalInto(req, ext); err != nil {
+			t.Fatal(err)
+		}
+		if len(ext) != 1 || !slices.Equal(ext[0], image) {
+			t.Errorf("hist's tile reads %v of I, want %v", ext, image)
+		}
+		aff := tp.MemberBoxes()
+		dirty := affine.Box{{Lo: 60, Hi: 61}, {Lo: 40, Hi: 40}}
+		if err := tp.AffectedInto(map[string]affine.Box{"I": dirty}, aff); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(aff[0], grid) {
+			t.Errorf("I dirty in %v affects %v of hist, want %v", dirty, aff[0], grid)
+		}
+		return
+	}
+	t.Fatal("no group anchored at hist")
+}

@@ -838,15 +838,15 @@ func (tp *TilePlan) axisProbe(a int, idx []int64, memAxis, extAxis [][]int, req,
 		if crq.Empty() {
 			continue
 		}
-		reads := tp.members[i].out
-		for k := range reads {
-			acc := &reads[k]
+		pm := &tp.members[i]
+		for k := range pm.out {
+			acc := &pm.out[k]
 			e, d := acc.target, acc.ProducerDim
 			if extAxis[e][d] != a {
 				continue
 			}
 			edom := tp.ext[e].dom[d]
-			if !acc.OK || acc.Acc.Var >= len(crq) {
+			if pm.widens(acc) {
 				ext[e][d] = ext[e][d].Union(edom)
 				continue
 			}
@@ -873,21 +873,17 @@ func boxPoints(b affine.Box) float64 {
 // dimension derives from two tiled anchor dimensions (a transposed in-group
 // access, a producer dimension fed by two consumer variables) or from an
 // index the masks do not model: a non-affine in-group access, which
-// Required refuses, or a variable outside the reader's output domain (a
-// reduction variable), charged to every tiled dimension.
+// Required refuses. An out-of-group read that widens to the producer's
+// whole extent (planMember.widens) varies with no tile.
 func (tp *TilePlan) tileAxes() (mem, ext [][]int, ok bool) {
 	if len(tp.TileCounts) > 64 {
 		return nil, nil, false
 	}
-	var all uint64
 	tiled := func(a int) uint64 {
 		if a >= 0 && a < len(tp.TileCounts) && tp.TileCounts[a] > 1 {
 			return 1 << uint(a)
 		}
 		return 0
-	}
-	for a := range tp.TileCounts {
-		all |= tiled(a)
 	}
 	// Every member's owned box follows its scales (OwnedInto): it seeds the
 	// live-outs' regions, and the recompute term intersects it with the
@@ -920,12 +916,11 @@ func (tp *TilePlan) tileAxes() (mem, ext [][]int, ok bool) {
 				mm[a.target][a.ProducerDim] |= mm[i][a.Acc.Var]
 			}
 		}
-		for _, a := range tp.members[i].out {
-			switch {
-			case !a.OK:
+		pm := &tp.members[i]
+		for k := range pm.out {
+			switch a := &pm.out[k]; {
+			case pm.widens(a):
 				// Widened to the producer's whole extent on every tile.
-			case a.Acc.Var >= len(mm[i]):
-				em[a.target][a.ProducerDim] |= all
 			case a.Acc.Var >= 0:
 				em[a.target][a.ProducerDim] |= mm[i][a.Acc.Var]
 			}

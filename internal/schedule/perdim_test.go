@@ -340,6 +340,9 @@ func handBuiltPeriods(t *testing.T) {
 
 // TestEvalGroupCostPerDimFallback hand-builds groups the separability check
 // or a probe must refuse; each still prices the same both ways, by the loop.
+// The reduction-variable case is the exception: an accumulator's reads
+// widen to the producer's whole extent on every tile, which the
+// per-dimension path models exactly.
 func TestEvalGroupCostPerDimFallback(t *testing.T) {
 	const n = 32
 	dom2 := []dsl.Interval{dsl.ConstSpan(0, n-1), dsl.ConstSpan(0, n-1)}
@@ -412,7 +415,7 @@ func TestEvalGroupCostPerDimFallback(t *testing.T) {
 				Members: []string{"acc"}, Anchor: "acc", Tiled: true, TileSizes: []int64{8, 8},
 				Scales: map[string][]schedule.DimScale{"acc": identity(2)},
 			}
-		}, false},
+		}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

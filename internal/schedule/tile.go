@@ -50,6 +50,9 @@ type planMember struct {
 	scales []DimScale // Group.Scales of the member
 	anchor bool
 	live   bool
+	// acc marks an accumulator, whose access variables index its
+	// reduction domain (numbered from 0), not its output box.
+	acc bool
 	// in are the member's accesses to other members, out its accesses to
 	// out-of-group producers, both in expression order, so the arguments
 	// of one access call are adjacent and share argAccess.call.
@@ -64,6 +67,11 @@ type planAccess struct {
 	*argAccess
 	target int
 }
+
+// widens reports whether the member's out-of-group read a widens to the
+// producer's whole extent: a non-affine access, or any read of an
+// accumulator, whose reduction sweep no output box describes.
+func (pm *planMember) widens(a *planAccess) bool { return !a.OK || pm.acc }
 
 type planExt struct {
 	name string
@@ -144,6 +152,7 @@ func newTilePlan(gi *graphInfo, grp *Group) (*TilePlan, error) {
 		pm.scales = grp.Scales[m]
 		pm.anchor = m == grp.Anchor
 		pm.live = st.LiveOut || pm.anchor
+		pm.acc = st.IsAccumulator()
 		for _, c := range st.Consumers {
 			if _, in := pos[c]; !in {
 				pm.live = true
@@ -374,8 +383,9 @@ func (tp *TilePlan) PropagateInto(req []affine.Box) error {
 // RequiredInto leaves them), the region of every out-of-group producer —
 // earlier groups' stages and input images — the tile reads, into out (one
 // box per producer, ExtBoxes, in first-read order). A producer the tile
-// does not read gets an all-empty box. A non-affine external access widens
-// to the producer's whole domain, a sound over-approximation.
+// does not read gets an all-empty box. A non-affine external access, and
+// every read of an accumulator, widens to the producer's whole domain, a
+// sound over-approximation.
 func (tp *TilePlan) ExternalInto(req, out []affine.Box) error {
 	for _, b := range out {
 		for d := range b {
@@ -387,15 +397,12 @@ func (tp *TilePlan) ExternalInto(req, out []affine.Box) error {
 		if crq.Empty() {
 			continue
 		}
-		reads := tp.members[i].out
-		for k := range reads {
-			a := &reads[k]
+		pm := &tp.members[i]
+		for k := range pm.out {
+			a := &pm.out[k]
 			edom := tp.ext[a.target].dom
 			erq := out[a.target]
-			if !a.OK || a.Acc.Var >= len(crq) {
-				// Non-affine access, or one indexed by a variable outside
-				// the member's output domain (a reduction variable):
-				// widen to the producer's whole extent.
+			if pm.widens(a) {
 				erq[a.ProducerDim] = erq[a.ProducerDim].Union(edom[a.ProducerDim])
 				continue
 			}
@@ -427,7 +434,8 @@ func (tp *TilePlan) ExternalInto(req, out []affine.Box) error {
 // box: its domain, with each affine argument's variable intersected with
 // the exact inverse image of that dimension's dirty range (a var-free
 // argument whose index misses the range drops the call). A non-affine
-// argument, or one indexed by a reduction variable, constrains nothing.
+// argument, and every argument of an accumulator's read, constrains
+// nothing.
 // Calls are kept whole because a box is a product: the points of f(x+1,
 // y) that meet a dirty box are those where both arguments land in it, a
 // much smaller set than where either does.
@@ -460,7 +468,7 @@ func (tp *TilePlan) AffectedInto(dirty map[string]affine.Box, aff []affine.Box) 
 				hit := true
 				for k := range args {
 					a := &args[k]
-					if !a.OK || a.Acc.Var >= len(box) {
+					if pm.widens(a) {
 						continue
 					}
 					var inv affine.Range

@@ -1,6 +1,7 @@
 package polymage_test
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -257,19 +258,50 @@ func TestStreamingBlendDirtyRect(t *testing.T) {
 	}
 }
 
-// TestStreamLaplacianOneThread pins the work a dirty-rectangle frame does
-// on a pipeline of lone stages at one thread, where each lone stage is one
-// band: laplacian under the auto-scheduler at scale 8, its input changed
-// only inside the centred quarter of each dimension (6.25 % of the image).
-// A tile recomputes only the points that read the change, so the ROI frame
-// evaluates at most 0.3× the points of a whole frame (a lone stage's band
-// used to run whole, 1.0×), and its outputs equal a whole frame's.
-func TestStreamLaplacianOneThread(t *testing.T) {
-	app, err := apps.Get("laplacian")
+// roiPoints is one row of TestStreamROIPoints: an app at a scale and the
+// most stage points its ROI frame may evaluate (0: no pin), or at most
+// maxShare of a whole frame's.
+type roiPoints struct {
+	app      string
+	scale    int64
+	max      int64
+	maxShare float64
+}
+
+// TestStreamROIPoints pins the work a dirty-rectangle frame does under the
+// auto-scheduler: each app's inputs change only inside the centred quarter
+// of each dimension of its highest-rank image (6.25 % of a 2-D image), and
+// the ROI frame may evaluate no more stage points than the row pins, at 1
+// and 2 threads; its outputs equal a whole frame's. A tile recomputes only
+// the points that read the change. The scale-8 laplacian row holds a
+// pipeline of lone stages, each one band at one thread, to at most 0.3× a
+// whole frame's points: a band is clipped like any tile.
+// Bilateral stays out: its grid is an accumulator, recomputed whole, and
+// its output gathers from the grid.
+func TestStreamROIPoints(t *testing.T) {
+	rows := []roiPoints{
+		{app: "harris", scale: 4, max: 1005376},
+		{app: "camera", scale: 4, max: 219552},
+		{app: "laplacian", scale: 4, max: 2019892},
+		{app: "unsharp", scale: 4, max: 54131},
+		{app: "interpolate", scale: 4, max: 2301862},
+		{app: "laplacian", scale: 8, maxShare: 0.3},
+	}
+	for _, row := range rows {
+		for threads := 1; threads <= 2; threads++ {
+			t.Run(fmt.Sprintf("%s/scale=%d/threads=%d", row.app, row.scale, threads), func(t *testing.T) {
+				streamROIPoints(t, row, threads)
+			})
+		}
+	}
+}
+
+func streamROIPoints(t *testing.T, row roiPoints, threads int) {
+	app, err := apps.Get(row.app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := harness.ScaledParams(app, 8)
+	params := harness.ScaledParams(app, row.scale)
 	b, outs := app.Build()
 	in, err := app.Inputs(b, params, 1)
 	if err != nil {
@@ -281,7 +313,7 @@ func TestStreamLaplacianOneThread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := pl.Bind(params, engine.ExecOptions{Fast: true, Threads: 1, Metrics: true})
+	prog, err := pl.Bind(params, engine.ExecOptions{Fast: true, Threads: threads, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,28 +337,35 @@ func TestStreamLaplacianOneThread(t *testing.T) {
 	}
 	whole := points() - p0
 	var roi polymage.Box
-	for name, buf := range in {
-		if roi != nil {
-			t.Fatalf("laplacian has a second input %s", name)
+	for _, buf := range in {
+		if len(buf.Box) > len(roi) {
+			roi = append(roi[:0:0], buf.Box...)
 		}
-		for _, r := range buf.Box {
-			q := max(r.Size()/4, 1)
-			lo := r.Lo + (r.Size()-q)/2
-			roi = append(roi, polymage.Range{Lo: lo, Hi: lo + q - 1})
+	}
+	for d, r := range roi {
+		q := max(r.Size()/4, 1)
+		lo := r.Lo + (r.Size()-q)/2
+		roi[d] = polymage.Range{Lo: lo, Hi: lo + q - 1}
+	}
+	for _, buf := range in {
+		if len(buf.Box) == len(roi) {
+			patch := engine.NewBufferElem(roi, buf.Elem)
+			engine.FillPattern(patch, 2)
+			buf.CopyRegion(patch, roi)
 		}
-		patch := engine.NewBufferElem(roi, buf.Elem)
-		engine.FillPattern(patch, 2)
-		buf.CopyRegion(patch, roi)
 	}
 	p1 := points()
 	out, err := st.RunFrame(in, roi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	share := float64(points()-p1) / float64(whole)
-	t.Logf("ROI frame evaluates %.3f of a whole frame's %d points", share, whole)
-	if share > 0.3 {
-		t.Errorf("ROI frame evaluates %.3f of a whole frame's points, want <= 0.3", share)
+	got := points() - p1
+	t.Logf("ROI frame evaluates %d of a whole frame's %d points (%.3f)", got, whole, float64(got)/float64(whole))
+	if row.max > 0 && got > row.max {
+		t.Errorf("ROI frame evaluates %d points, want <= %d", got, row.max)
+	}
+	if row.maxShare > 0 && float64(got) > row.maxShare*float64(whole) {
+		t.Errorf("ROI frame evaluates %.3f of a whole frame's points, want <= %.1f", float64(got)/float64(whole), row.maxShare)
 	}
 	ref, err := e.Run(in)
 	if err != nil {
