@@ -204,10 +204,13 @@ api:
 # (TestFleet*), concurrent cold-cache compiles / warm hits / shutdown
 # against the HTTP service (TestConcurrentColdWarmShutdown), and concurrent
 # pixel-carrying /run requests through the split-everything direct codec
-# (TestPixelsConcurrent, TestStreamPixels). CI should run this target. POLYMAGE_FLEET=4 keeps the scheduler multi-worker on
-# single-core machines.
+# (TestPixelsConcurrent, TestStreamPixels), and binds of one compiled
+# Pipeline at three sizes at once, which share its stages' read tables
+# (TestBindAndRunAtDifferentSizes). CI should run this target.
+# POLYMAGE_FLEET=4 keeps the scheduler multi-worker on single-core machines.
 race:
 	POLYMAGE_FLEET=4 $(GO) test -race ./internal/engine/... ./internal/service/...
+	POLYMAGE_FLEET=4 $(GO) test -race -run TestBindAndRunAtDifferentSizes ./internal/core/ -count=1
 
 # Short coverage-guided differential fuzzing budget; use
 # `go test -fuzz=FuzzDiff -fuzztime=10m ./internal/difftest` (or

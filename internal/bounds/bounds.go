@@ -60,45 +60,51 @@ func (r *Result) Err() error {
 // Check verifies every access in the pipeline graph against the producer
 // domains, using estimates to resolve parametric comparisons that cannot be
 // proven symbolically.
-func Check(g *pipeline.Graph, estimates map[string]int64) (*Result, error) {
+func Check(g *pipeline.Graph, estimates map[string]int64) *Result {
 	res := &Result{}
 	for _, name := range g.Order {
-		st := g.Stages[name]
-		if err := checkStage(g, st, estimates, res); err != nil {
-			return nil, err
-		}
+		checkStage(g, g.Stages[name], estimates, res)
 	}
-	return res, nil
+	return res
 }
 
-func checkStage(g *pipeline.Graph, st *pipeline.Stage, estimates map[string]int64, res *Result) error {
-	// The iteration domain for the stage's expressions: the stage domain for
-	// functions (per case, tightened by the case's box condition when it is
-	// one), the reduction domain for accumulators.
+// checkStage checks the reads of a stage's case expressions over the stage
+// domain, tightened per case by the case's box condition when it is one.
+// An accumulator's reads range over its reduction domain, and so do its
+// target indices, which must land inside its own domain: its write is
+// checked like a read.
+func checkStage(g *pipeline.Graph, st *pipeline.Stage, estimates map[string]int64, res *Result) {
 	if acc, ok := st.Decl.(*dsl.Accumulator); ok {
-		_, target, value := acc.Update()
-		for _, e := range target {
-			if err := checkExprAccesses(g, st, e, acc.ReductionDomain(), estimates, res); err != nil {
-				return err
-			}
+		red := []affine.Domain{acc.ReductionDomain()}
+		for _, site := range []pipeline.Site{pipeline.AccTarget, pipeline.AccWrite, pipeline.AccValue} {
+			checkReads(g, st, site, red, estimates, res)
 		}
-		// Target indices must also land inside the accumulator's own
-		// variable domain; affine targets are checked like accesses.
-		if err := checkTargetIndices(g, st, acc, estimates, res); err != nil {
-			return err
-		}
-		return checkExprAccesses(g, st, value, acc.ReductionDomain(), estimates, res)
+		return
 	}
-	for _, c := range st.Cases {
-		dom := st.Decl.Domain()
+	doms := make([]affine.Domain, len(st.Cases))
+	for i, c := range st.Cases {
+		doms[i] = st.Decl.Domain()
 		if c.Cond != nil {
-			dom = tightenByCond(dom, c.Cond)
-		}
-		if err := checkExprAccesses(g, st, c.E, dom, estimates, res); err != nil {
-			return err
+			doms[i] = tightenByCond(doms[i], c.Cond)
 		}
 	}
-	return nil
+	checkReads(g, st, pipeline.CaseExpr, doms, estimates, res)
+}
+
+// checkReads checks the stage's reads at one site, each over the domain of
+// its case (an accumulator's reads are all of case 0).
+func checkReads(g *pipeline.Graph, st *pipeline.Stage, site pipeline.Site, doms []affine.Domain, estimates map[string]int64, res *Result) {
+	var prod affine.Domain
+	call := -1
+	for _, r := range st.Reads {
+		if r.Site != site {
+			continue
+		}
+		if r.Call != call {
+			prod, call = producerDomain(g, r.Target), r.Call
+		}
+		checkOneAccess(st.Name, r, doms[r.Case], prod[r.ProducerDim], estimates, res)
+	}
 }
 
 // tightenByCond intersects a parametric domain with a case condition:
@@ -130,65 +136,22 @@ func tightenByCond(dom affine.Domain, cond expr.Cond) affine.Domain {
 	return out
 }
 
-func checkExprAccesses(g *pipeline.Graph, st *pipeline.Stage, e expr.Expr, dom affine.Domain, estimates map[string]int64, res *Result) error {
-	var werr error
-	expr.Walk(e, func(x expr.Expr) bool {
-		a, ok := x.(expr.Access)
-		if !ok || werr != nil {
-			return werr == nil
-		}
-		prodDom, ok := producerDomain(g, st, a.Target)
-		if !ok {
-			werr = fmt.Errorf("bounds: %s references unknown target %q", st.Name, a.Target)
-			return false
-		}
-		if len(a.Args) != len(prodDom) {
-			werr = fmt.Errorf("bounds: %s accesses %s with %d indices, domain has %d dims",
-				st.Name, a.Target, len(a.Args), len(prodDom))
-			return false
-		}
-		for d, arg := range a.Args {
-			checkOneAccess(st.Name, a, d, arg, dom, prodDom[d], estimates, res)
-		}
-		return true
-	})
-	return werr
-}
-
-func checkTargetIndices(g *pipeline.Graph, st *pipeline.Stage, acc *dsl.Accumulator, estimates map[string]int64, res *Result) error {
-	_, target, _ := acc.Update()
-	varDom := acc.Domain()
-	for d, e := range target {
-		checkOneAccess(st.Name, expr.Access{Target: st.Name, Args: target}, d, e,
-			acc.ReductionDomain(), varDom[d], estimates, res)
-	}
-	return nil
-}
-
-func producerDomain(g *pipeline.Graph, st *pipeline.Stage, target string) (affine.Domain, bool) {
-	if target == st.Name {
-		return st.Decl.Domain(), true
-	}
+// producerDomain is the domain of a stage or an input image of the graph.
+func producerDomain(g *pipeline.Graph, target string) affine.Domain {
 	if ps, ok := g.Stages[target]; ok {
-		return ps.Decl.Domain(), true
+		return ps.Decl.Domain()
 	}
-	if im, ok := g.Images[target]; ok {
-		return im.Domain(), true
-	}
-	if im, ok := g.Builder.InputImage(target); ok {
-		return im.Domain(), true
-	}
-	return nil, false
+	return g.Images[target].Domain()
 }
 
 // checkOneAccess verifies a single index expression against one producer
 // dimension.
-func checkOneAccess(consumer string, acc expr.Access, dim int, arg expr.Expr, dom affine.Domain, prod affine.Interval, estimates map[string]int64, res *Result) {
-	aff, ok := expr.ToAffineAccess(arg)
-	if !ok {
+func checkOneAccess(consumer string, r pipeline.Read, dom affine.Domain, prod affine.Interval, estimates map[string]int64, res *Result) {
+	aff := r.Acc
+	if !r.OK {
 		res.Unverifiable = append(res.Unverifiable, Violation{
-			Consumer: consumer, Producer: acc.Target, Dim: dim,
-			Access: arg.String(), Detail: "non-affine access, not analyzed",
+			Consumer: consumer, Producer: r.Target, Dim: r.ProducerDim,
+			Access: r.Arg.String(), Detail: "non-affine access, not analyzed",
 		})
 		return
 	}
@@ -196,8 +159,8 @@ func checkOneAccess(consumer string, acc expr.Access, dim int, arg expr.Expr, do
 	if aff.Var >= 0 {
 		if aff.Var >= len(dom) {
 			res.Violations = append(res.Violations, Violation{
-				Consumer: consumer, Producer: acc.Target, Dim: dim,
-				Access: arg.String(), Detail: "references nonexistent dimension",
+				Consumer: consumer, Producer: r.Target, Dim: r.ProducerDim,
+				Access: r.Arg.String(), Detail: "references nonexistent dimension",
 			})
 			return
 		}
@@ -233,22 +196,22 @@ func checkOneAccess(consumer string, acc expr.Access, dim int, arg expr.Expr, do
 		v, err := cond.Eval(estimates)
 		if err != nil {
 			res.Unproven = append(res.Unproven, Violation{
-				Consumer: consumer, Producer: acc.Target, Dim: dim,
-				Access: arg.String(),
+				Consumer: consumer, Producer: r.Target, Dim: r.ProducerDim,
+				Access: r.Arg.String(),
 				Detail: fmt.Sprintf("%s bound unresolvable: %v", side, err),
 			})
 			continue
 		}
 		if v < 0 {
 			res.Violations = append(res.Violations, Violation{
-				Consumer: consumer, Producer: acc.Target, Dim: dim,
-				Access: arg.String(),
+				Consumer: consumer, Producer: r.Target, Dim: r.ProducerDim,
+				Access: r.Arg.String(),
 				Detail: fmt.Sprintf("%s bound violated at estimates (%s = %d < 0)", side, cond, v),
 			})
 		} else {
 			res.Unproven = append(res.Unproven, Violation{
-				Consumer: consumer, Producer: acc.Target, Dim: dim,
-				Access: arg.String(),
+				Consumer: consumer, Producer: r.Target, Dim: r.ProducerDim,
+				Access: r.Arg.String(),
 				Detail: fmt.Sprintf("%s bound holds at estimates but is not proven parametrically", side),
 			})
 		}

@@ -89,11 +89,8 @@ func Compile(b *dsl.Builder, liveOuts []string, opts Options) (pl *Pipeline, err
 		return nil, err
 	}
 	done = tr.Start("bounds")
-	res, err := bounds.Check(g, opts.Estimates)
+	res := bounds.Check(g, opts.Estimates)
 	done()
-	if err != nil {
-		return nil, err
-	}
 	if err := res.Err(); err != nil {
 		return nil, err
 	}

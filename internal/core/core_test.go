@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/affine"
@@ -87,35 +89,52 @@ func TestCompileUnprovenPolicy(t *testing.T) {
 
 func TestBindAndRunAtDifferentSizes(t *testing.T) {
 	// The grouping is decided at the estimates but the implementation must
-	// be valid for other parameter values (Section 3.5).
+	// be valid for other parameter values (Section 3.5). The three sizes
+	// bind and run at once: binds of one Pipeline share its graph, read
+	// tables included, and only read them.
 	b, in := simplePipeline()
 	pl, err := Compile(b, []string{"out"}, Options{Estimates: map[string]int64{"W": 10000}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var wg sync.WaitGroup
 	for _, w := range []int64{64, 1000, 4096} {
-		params := map[string]int64{"W": w}
-		prog, err := pl.Bind(params, engine.ExecOptions{Fast: true, Debug: true})
-		if err != nil {
-			t.Fatalf("W=%d: %v", w, err)
-		}
-		buf, err := buffer.NewForDomain(in.Domain(), params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engine.FillPattern(buf, 3)
-		out, err := prog.Run(map[string]*engine.Buffer{"in": buf})
-		if err != nil {
-			t.Fatalf("W=%d: %v", w, err)
-		}
-		ref, err := engine.Reference(pl.Graph, params, map[string]*engine.Buffer{"in": buf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eq, msg := out["out"].Equal(ref["out"], 1e-5); !eq {
-			t.Errorf("W=%d: %s", w, msg)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := bindAndRun(pl, in, map[string]int64{"W": w}); err != nil {
+				t.Errorf("W=%d: %v", w, err)
+			}
+		}()
 	}
+	wg.Wait()
+}
+
+// bindAndRun binds pl under params, runs it on a patterned input and
+// compares the output with the reference interpreter's.
+func bindAndRun(pl *Pipeline, in *dsl.Image, params map[string]int64) error {
+	prog, err := pl.Bind(params, engine.ExecOptions{Fast: true, Debug: true})
+	if err != nil {
+		return err
+	}
+	defer prog.Close()
+	buf, err := buffer.NewForDomain(in.Domain(), params)
+	if err != nil {
+		return err
+	}
+	engine.FillPattern(buf, 3)
+	out, err := prog.Run(map[string]*engine.Buffer{"in": buf})
+	if err != nil {
+		return err
+	}
+	ref, err := engine.Reference(pl.Graph, params, map[string]*engine.Buffer{"in": buf})
+	if err != nil {
+		return err
+	}
+	if eq, msg := out["out"].Equal(ref["out"], 1e-5); !eq {
+		return errors.New(msg)
+	}
+	return nil
 }
 
 func TestScheduleOptionsFlowThrough(t *testing.T) {
@@ -134,11 +153,12 @@ func TestScheduleOptionsFlowThrough(t *testing.T) {
 
 // TestCompileRecoversMalformedSpecPanic feeds Compile a malformed spec that
 // slips past construction-time checks: the access double(x, x) has the
-// wrong arity but sits inside a case condition, which the bounds checker
-// does not scan, so the inliner hits it mid-substitution. Compile's recover
-// barrier must turn that panic into (nil, error) carrying the panic message
-// and stage name — a crash here would take down a serving process compiling
-// an untrusted spec.
+// wrong arity and sits inside a case condition, which the bounds checker
+// does not scan, and which the inliner would substitute into. The graph
+// build's scan rejects it; whichever phase catches such a spec, by an error
+// or through Compile's recover barrier, Compile must return (nil, error)
+// naming the stage — a crash here would take down a serving process
+// compiling an untrusted spec.
 func TestCompileRecoversMalformedSpecPanic(t *testing.T) {
 	b := dsl.NewBuilder()
 	W := b.Param("W")

@@ -275,10 +275,7 @@ func Diff(sp PipelineSpec, opts RunOptions) (*Mismatch, error) {
 	// The generator's central invariant: every access is provably in
 	// bounds. Check it once on the reference build; the optimized builds
 	// are re-checked inside core.Compile.
-	res, err := bounds.Check(refB.Graph, refB.Params)
-	if err != nil {
-		return nil, err
-	}
+	res := bounds.Check(refB.Graph, refB.Params)
 	if err := res.Err(); err != nil {
 		return nil, fmt.Errorf("difftest: generator produced out-of-bounds accesses for %s: %w", sp.ShortString(), err)
 	}

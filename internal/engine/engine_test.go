@@ -297,13 +297,22 @@ func TestSelfRefCarriedByRows(t *testing.T) {
 		{"data-dependent t", h(expr.Cast{To: expr.Int, X: expr.Access{Target: "I", Args: []expr.Expr{v(1)}}}, v(1), v(2)), false, false},
 		{"y-1 in a condition", h(v(0), v(1), minus(v(2), 1)), true, false},
 	} {
-		st := &pipeline.Stage{Name: "h", Cases: []dsl.Case{{E: h(minus(v(0), 1), v(1), v(2))}}}
+		cases := []dsl.Case{{E: h(minus(v(0), 1), v(1), v(2))}}
 		if c.cond {
-			st.Cases = append(st.Cases, dsl.Case{Cond: expr.Cmp{Op: expr.GT, L: c.read, R: expr.C(0)}, E: expr.C(1)})
+			cases = append(cases, dsl.Case{Cond: expr.Cmp{Op: expr.GT, L: c.read, R: expr.C(0)}, E: expr.C(1)})
 		} else {
-			st.Cases[0].E = expr.AddE(st.Cases[0].E, c.read)
+			cases[0].E = expr.AddE(cases[0].E, c.read)
 		}
-		if got := carriedByRows(st, 3, map[string]int64{"N": 2}); got != c.want {
+		b := dsl.NewBuilder()
+		b.Param("N")
+		b.Image("I", expr.Float, affine.Const(8))
+		dom := []dsl.Interval{dsl.ConstSpan(0, 7), dsl.ConstSpan(0, 7), dsl.ConstSpan(0, 7)}
+		b.Func("h", expr.Float, []*dsl.Variable{b.Var("t"), b.Var("x"), b.Var("y")}, dom).Define(cases...)
+		g, err := pipeline.Build(b, "h")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := carriedByRows(g.Stages["h"], 3, map[string]int64{"N": 2}); got != c.want {
 			t.Errorf("%s: carried by rows = %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -412,10 +412,7 @@ func (e *Executor) run(rc *runCtx, inputs map[string]*Buffer) (map[string]*Buffe
 		if !ok || buf == nil {
 			return nil, fmt.Errorf("engine: missing input image %q: %w", name, ErrNilInput)
 		}
-		want, err := p.InputBox(name)
-		if err != nil {
-			return nil, err
-		}
+		want := p.inBoxes[name]
 		if len(buf.Box) != len(want) {
 			return nil, fmt.Errorf("engine: input %q rank %d, want %d: %w", name, len(buf.Box), len(want), ErrShape)
 		}

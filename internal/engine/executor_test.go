@@ -137,6 +137,39 @@ func TestExecutorOutputsNotAliased(t *testing.T) {
 	}
 }
 
+// TestBoxesAreCopies: the boxes InputBox and OutputBox return belong to the
+// caller. Changing them changes neither what the next Run validates its
+// inputs against nor what the next call returns.
+func TestBoxesAreCopies(t *testing.T) {
+	prog, inputs, _ := compileHarris(t, ExecOptions{Threads: 1})
+	defer prog.Close()
+	for _, get := range []struct {
+		name string
+		box  func() (affine.Box, error)
+	}{
+		{"InputBox(I)", func() (affine.Box, error) { return prog.InputBox("I") }},
+		{"OutputBox(harris)", func() (affine.Box, error) { return prog.OutputBox("harris") }},
+	} {
+		box, err := get.box()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprint(box)
+		box[0].Hi += 5
+		box[1] = affine.Range{Lo: 1, Hi: 0}
+		if _, err := prog.Run(inputs); err != nil {
+			t.Fatalf("Run after changing the box %s returned: %v", get.name, err)
+		}
+		again, err := get.box()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(again) != want {
+			t.Errorf("%s = %v after a caller changed the box it returned, want %s", get.name, again, want)
+		}
+	}
+}
+
 func TestExecutorClose(t *testing.T) {
 	prog, inputs, _ := compileHarris(t, ExecOptions{Fast: true, Threads: 2})
 	if _, err := prog.Run(inputs); err != nil {

@@ -180,8 +180,10 @@ type Program struct {
 	// stages). All-ElemF32 unless Opts.NarrowTypes narrowed some slots;
 	// Run validates input buffers against it.
 	slotElem []Elem
-	stages   map[string]*loweredStage
-	groups   []*groupExec
+	// inBoxes is the concrete domain of each input image under Params.
+	inBoxes map[string]affine.Box
+	stages  map[string]*loweredStage
+	groups  []*groupExec
 	// fullStages lists stages that get full-buffer allocations (all group
 	// live-outs).
 	fullStages []string
@@ -241,6 +243,14 @@ func Compile(gr *schedule.Grouping, params map[string]int64, opts ExecOptions) (
 	for _, name := range g.Order {
 		p.slots[name] = p.slotCount
 		p.slotCount++
+	}
+	p.inBoxes = make(map[string]affine.Box, len(g.Images))
+	for name, im := range g.Images {
+		box, err := im.Domain().Eval(params)
+		if err != nil {
+			return nil, err
+		}
+		p.inBoxes[name] = box
 	}
 	// Bitwidth inference: pick a storage element type per slot. Without
 	// NarrowTypes everything is ElemF32 and lowering below is unchanged.
@@ -484,31 +494,23 @@ func (p *Program) readsNarrow(e expr.Expr) bool {
 // only on rows before it. A read that can land in its own row (an in-row
 // scan) or has a non-affine outer index is not carried.
 func carriedByRows(st *pipeline.Stage, nd int, params map[string]int64) bool {
-	carried := true
-	visit := func(e expr.Expr) bool {
-		if a, ok := e.(expr.Access); ok && a.Target == st.Name {
-			carried = carried && readCarried(a, nd, params)
-		}
-		return carried
-	}
-	for _, c := range st.Cases {
-		expr.Walk(c.E, visit)
-		if c.Cond != nil {
-			expr.WalkCond(c.Cond, visit)
-		}
-	}
-	return carried
-}
-
-// readCarried reports whether the self-read a lands in an earlier row: its
-// outer indices are the point's up to one dimension that reads d − k, k > 0.
-func readCarried(a expr.Access, nd int, params map[string]int64) bool {
-	for d := 0; d < nd-1; d++ {
-		aff, ok := expr.ToAffineAccess(a.Args[d])
-		if !ok || aff.Var != d || aff.Coeff != 1 || aff.Div != 1 {
+	for i, r := range st.Reads {
+		if r.Target == st.Name && r.ProducerDim == 0 && !readCarried(st.Reads[i:i+nd], params) {
 			return false
 		}
-		off, err := aff.Off.Eval(params)
+	}
+	return true
+}
+
+// readCarried reports whether the self-read whose arguments are args lands
+// in an earlier row: its outer indices are the point's up to one dimension
+// that reads d − k, k > 0.
+func readCarried(args []pipeline.Read, params map[string]int64) bool {
+	for d, r := range args[:len(args)-1] {
+		if !r.OK || r.Acc.Var != d || r.Acc.Coeff != 1 || r.Acc.Div != 1 {
+			return false
+		}
+		off, err := r.Acc.Off.Eval(params)
 		if err != nil || off > 0 {
 			return false
 		}
@@ -521,20 +523,20 @@ func readCarried(a expr.Access, nd int, params map[string]int64) bool {
 
 // InputBox returns the concrete domain of a declared input image.
 func (p *Program) InputBox(name string) (affine.Box, error) {
-	im, ok := p.Graph.Images[name]
+	box, ok := p.inBoxes[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown input image %q: %w", name, ErrUnknownStage)
 	}
-	return im.Domain().Eval(p.Params)
+	return slices.Clone(box), nil
 }
 
 // OutputBox returns the concrete domain of a live-out stage.
 func (p *Program) OutputBox(name string) (affine.Box, error) {
-	st, ok := p.Graph.Stages[name]
+	ls, ok := p.stages[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown stage %q: %w", name, ErrUnknownStage)
 	}
-	return st.Decl.Domain().Eval(p.Params)
+	return slices.Clone(ls.dom), nil
 }
 
 // Stats returns the compile-time side of the program's observability

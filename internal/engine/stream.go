@@ -216,15 +216,15 @@ func (s *Stream) seedDirty(roi affine.Box) error {
 			continue
 		}
 		nonFeedback++
-		box, err := e.p.InputBox(name)
-		if err != nil {
-			return err
+		box := e.p.inBoxes[name]
+		if len(box) != len(roi) {
+			fc.markDirty(name, box)
+			continue
 		}
-		if len(box) == len(roi) {
-			matched = true
-			box = intersectInto(nil, roi, box)
-		}
-		fc.markDirty(name, box)
+		// The frame's dirty map was just emptied (frameCtx.reset): the
+		// image's entry is storage to write the intersection into.
+		matched = true
+		fc.dirty[name] = intersectInto(fc.dirty[name], roi, box)
 	}
 	if nonFeedback > 0 && !matched {
 		return fmt.Errorf("engine: ROI rank %d matches no input image: %w", len(roi), ErrROI)
@@ -332,7 +332,11 @@ func (fc *frameCtx) reset(prev map[string]*Buffer, full bool) {
 	if fc.dirty == nil {
 		fc.dirty = make(map[string]affine.Box)
 	}
-	clear(fc.dirty)
+	// Empty every box but keep its storage for the next frame's marks: an
+	// empty box reads as clean (isDirty, TilePlan.AffectedInto).
+	for name, b := range fc.dirty {
+		fc.dirty[name] = b[:0]
+	}
 	fc.executed, fc.skipped = 0, 0
 }
 

@@ -142,9 +142,9 @@ func TestStreamDirtyRectHarris(t *testing.T) {
 }
 
 // maxROIFrameAllocs is what a steady-state ROI frame of compileHarris's
-// program allocates: the frame's bookkeeping (the dirty map's boxes, the
-// sections' closures).
-const maxROIFrameAllocs = 22
+// program allocates: the frame's bookkeeping (the sections' closures); the
+// dirty map keeps its boxes' storage from frame to frame.
+const maxROIFrameAllocs = 7
 
 // TestStreamFrameAllocs pins the allocations of a steady-state
 // dirty-rectangle frame: computing every group's affected boxes and

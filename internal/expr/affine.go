@@ -6,12 +6,27 @@ import (
 	"repro/internal/affine"
 )
 
+// maxTerms is the most variables a linear form holds at once. An index
+// ranges over the variables of one stage's domain, so every index of a stage
+// of rank up to maxTerms is analysed exactly; a form that would need more
+// terms is reported as not quasi-affine.
+const maxTerms = 8
+
+// term is coeff·x_dim.
+type term struct {
+	dim   int
+	coeff int64
+}
+
 // linForm is an intermediate linear form (Σ coeff_v·x_v + off) / div with
-// integer variable coefficients and an affine-in-parameters offset.
+// integer variable coefficients and an affine-in-parameters offset. Its
+// terms are the first n of the array, with distinct dimensions and non-zero
+// coefficients, so building one allocates nothing.
 type linForm struct {
-	vars map[int]int64
-	off  affine.Expr
-	div  int64
+	terms [maxTerms]term
+	n     int
+	off   affine.Expr
+	div   int64
 }
 
 func constForm(c int64) linForm { return linForm{off: affine.Const(c), div: 1} }
@@ -26,16 +41,11 @@ func ToAffineAccess(e Expr) (affine.Access, bool) {
 	if !ok {
 		return affine.Access{}, false
 	}
-	switch len(lf.vars) {
+	switch lf.n {
 	case 0:
 		return affine.Access{Var: -1, Coeff: 0, Off: lf.off, Div: lf.div}, true
 	case 1:
-		for v, c := range lf.vars {
-			if c == 0 {
-				return affine.Access{Var: -1, Coeff: 0, Off: lf.off, Div: lf.div}, true
-			}
-			return affine.Access{Var: v, Coeff: c, Off: lf.off, Div: lf.div}, true
-		}
+		return affine.Access{Var: lf.terms[0].dim, Coeff: lf.terms[0].coeff, Off: lf.off, Div: lf.div}, true
 	}
 	return affine.Access{}, false
 }
@@ -50,7 +60,9 @@ func toLinForm(e Expr) (linForm, bool) {
 	case ParamRef:
 		return linForm{off: affine.Param(n.Name), div: 1}, true
 	case VarRef:
-		return linForm{vars: map[int]int64{n.Dim: 1}, off: affine.Expr{}, div: 1}, true
+		lf := linForm{n: 1, div: 1}
+		lf.terms[0] = term{n.Dim, 1}
+		return lf, true
 	case Unary:
 		if n.Op != Neg {
 			return linForm{}, false
@@ -109,14 +121,15 @@ func toLinForm(e Expr) (linForm, bool) {
 			}
 			// Nested floor divisions by positive constants compose:
 			// floor(floor(v/a)/b) == floor(v/(a*b)).
-			return linForm{vars: l.vars, off: l.off, div: l.div * c}, true
+			l.div *= c
+			return l, true
 		}
 	}
 	return linForm{}, false
 }
 
 func (l linForm) constVal() (int64, bool) {
-	if len(l.vars) != 0 {
+	if l.n != 0 {
 		return 0, false
 	}
 	c, ok := l.off.ConstVal()
@@ -138,13 +151,8 @@ func (l linForm) scale(k int64) (linForm, bool) {
 		return linForm{}, false
 	}
 	r := linForm{off: l.off.Scale(k), div: l.div}
-	if len(l.vars) > 0 {
-		r.vars = make(map[int]int64, len(l.vars))
-		for v, c := range l.vars {
-			if kc := c * k; kc != 0 {
-				r.vars[v] = kc
-			}
-		}
+	for _, t := range l.terms[:l.n] {
+		r.addTerm(t.dim, t.coeff*k) // l's dimensions are distinct: they fit
 	}
 	return r, true
 }
@@ -159,25 +167,41 @@ func (l linForm) add(o linForm) (linForm, bool) {
 		l, o = o, l
 	}
 	// Now o.div == 1; fold o into l's numerator.
-	if l.div != 1 && len(o.vars) > 0 {
+	if l.div != 1 && o.n > 0 {
 		// (v/d) + x is not a single quasi-affine form.
 		return linForm{}, false
 	}
-	r := linForm{off: l.off.Add(o.off.Scale(l.div)), div: l.div}
-	if len(l.vars)+len(o.vars) > 0 {
-		r.vars = make(map[int]int64, len(l.vars)+len(o.vars))
-		for v, c := range l.vars {
-			r.vars[v] = c
-		}
-		for v, c := range o.vars {
-			if nc := r.vars[v] + c*l.div; nc != 0 {
-				r.vars[v] = nc
-			} else {
-				delete(r.vars, v)
-			}
+	r := l
+	r.off = l.off.Add(o.off.Scale(l.div))
+	for _, t := range o.terms[:o.n] {
+		if !r.addTerm(t.dim, t.coeff*l.div) {
+			return linForm{}, false
 		}
 	}
 	return r, true
+}
+
+// addTerm adds c·x_dim to the form, dropping the term when it cancels. It
+// reports false when the form has no room for another variable.
+func (l *linForm) addTerm(dim int, c int64) bool {
+	for i := range l.terms[:l.n] {
+		if l.terms[i].dim == dim {
+			if l.terms[i].coeff += c; l.terms[i].coeff == 0 {
+				l.n--
+				l.terms[i] = l.terms[l.n]
+			}
+			return true
+		}
+	}
+	switch {
+	case c == 0:
+		return true
+	case l.n == maxTerms:
+		return false
+	}
+	l.terms[l.n] = term{dim, c}
+	l.n++
+	return true
 }
 
 // CondToBox attempts to turn a condition into per-dimension bounds over the
@@ -247,17 +271,13 @@ func cmpToBound(c Cmp, lower, upper []*affine.Expr) bool {
 	if !ok {
 		return false
 	}
-	if len(lhs.vars) > 1 {
+	if lhs.n > 1 {
 		return false
 	}
-	if len(lhs.vars) == 0 {
+	if lhs.n == 0 {
 		return false // parameter-only comparisons are not box constraints
 	}
-	var v int
-	var a int64
-	for vv, cc := range lhs.vars {
-		v, a = vv, cc
-	}
+	v, a := lhs.terms[0].dim, lhs.terms[0].coeff
 	if v >= len(lower) {
 		return false
 	}

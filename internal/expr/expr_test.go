@@ -118,6 +118,8 @@ func TestToAffineAccess(t *testing.T) {
 		{MulE(x, x), "", false},
 		{C(3), "3", true},
 		{SubE(C(0), x), "-1*x0", true},
+		{SubE(AddE(x, y), y), "x0", true},
+		{SubE(MulE(C(2), x), x), "x0", true},
 	}
 	for _, c := range cases {
 		a, ok := ToAffineAccess(c.e)

@@ -54,7 +54,7 @@ func Apply(g *pipeline.Graph, opts Options) ([]string, error) {
 			return nil, err
 		}
 		inlined = append(inlined, candidate)
-		if err := g.Recompute(); err != nil {
+		if err := g.Recompute(g.Stages[candidate].Consumers...); err != nil {
 			return nil, err
 		}
 	}
@@ -97,20 +97,12 @@ func inlinable(g *pipeline.Graph, st *pipeline.Stage, opts Options) bool {
 	}
 	// The stage must be point-wise: every access in its definition is at
 	// the identity index vector (x0, x1, ...).
-	pointwise := true
-	expr.Walk(def, func(e expr.Expr) bool {
-		a, ok := e.(expr.Access)
-		if !ok {
-			return true
+	for _, r := range st.Reads {
+		if r.Site == pipeline.CaseExpr {
+			if v, ok := r.Arg.(expr.VarRef); !ok || v.Dim != r.ProducerDim {
+				return false
+			}
 		}
-		if !identityArgs(a.Args) {
-			pointwise = false
-			return false
-		}
-		return true
-	})
-	if !pointwise {
-		return false
 	}
 	// Consumers must all be plain functions (substituting into an
 	// accumulator's data-dependent target is legal for the value but we
@@ -124,22 +116,17 @@ func inlinable(g *pipeline.Graph, st *pipeline.Stage, opts Options) bool {
 		if c.IsAccumulator() {
 			return false
 		}
-		uses, gathered := 0, false
-		for _, e := range c.Exprs() {
-			expr.Walk(e, func(x expr.Expr) bool {
-				if a, ok := x.(expr.Access); ok && a.Target == st.Name {
-					uses++
-					for _, arg := range a.Args {
-						if _, affine := expr.ToAffineAccess(arg); !affine {
-							gathered = true
-						}
-					}
-				}
-				return true
-			})
-		}
-		if gathered {
-			return false
+		uses, lastCall := 0, -1
+		for _, r := range c.Reads {
+			if r.Target != st.Name || r.Site != pipeline.CaseExpr {
+				continue
+			}
+			if !r.OK {
+				return false
+			}
+			if r.Call != lastCall {
+				uses, lastCall = uses+1, r.Call
+			}
 		}
 		grown := 0
 		for _, e := range c.Exprs() {
@@ -147,16 +134,6 @@ func inlinable(g *pipeline.Graph, st *pipeline.Stage, opts Options) bool {
 		}
 		grown += uses * expr.Size(def)
 		if grown > opts.MaxGrownSize {
-			return false
-		}
-	}
-	return true
-}
-
-func identityArgs(args []expr.Expr) bool {
-	for i, a := range args {
-		v, ok := a.(expr.VarRef)
-		if !ok || v.Dim != i {
 			return false
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/affine"
 	"repro/internal/dsl"
 	"repro/internal/expr"
 )
@@ -34,7 +35,43 @@ type Stage struct {
 	SelfRef   bool     // references its own values (time-iterated patterns)
 	LiveOut   bool     // pipeline output
 	Level     int      // topological level (0 = reads only inputs)
+
+	// Reads is the table of the stage's accesses, filled when the graph is
+	// built and again when a pass rewrites the definition (Recompute); it
+	// is only read otherwise, by every pass and by every binding of the
+	// graph.
+	Reads []Read
 }
+
+// Read is one argument of one access call of a stage's definition: the
+// quasi-affine analysis of the index, made once for every pass that reads
+// it. Entries are in the definition's order: the case expressions (an
+// accumulator's target indices, then its value), then the case conditions,
+// each walked depth first with a call before the calls in its arguments;
+// an accumulator's own write comes last.
+type Read struct {
+	Target      string
+	Call        int // numbers the access calls in table order; one call's arguments share it
+	ProducerDim int
+	Site        Site
+	Case        int // the case of a CaseExpr or CaseCond read; 0 for an accumulator
+	Arg         expr.Expr
+	Acc         affine.Access // Arg's quasi-affine form when OK
+	OK          bool
+}
+
+// Site says where in a stage's definition a read sits.
+type Site uint8
+
+const (
+	CaseExpr  Site = iota // a case's expression
+	CaseCond              // a case's condition
+	AccTarget             // an index of an accumulator's target
+	AccValue              // an accumulator's value
+	// AccWrite is the accumulator's target itself, read as an access of
+	// the stage to its own domain: its indices are the call's arguments.
+	AccWrite
+)
 
 // IsAccumulator reports whether the stage is a reduction.
 func (s *Stage) IsAccumulator() bool { return s.Decl.IsAccumulator() }
@@ -74,7 +111,6 @@ func Build(b *dsl.Builder, liveOuts ...string) (*Graph, error) {
 	}
 	g := &Graph{
 		Stages:   make(map[string]*Stage),
-		Images:   make(map[string]*dsl.Image),
 		LiveOuts: liveOuts,
 		Builder:  b,
 	}
@@ -113,14 +149,10 @@ func Build(b *dsl.Builder, liveOuts ...string) (*Graph, error) {
 		onPath[name] = true
 		defer func() { onPath[name] = false }()
 
-		prods, imgs, selfRef, err := referencedTargets(b, st)
-		if err != nil {
+		if err := st.scan(b); err != nil {
 			return err
 		}
-		st.SelfRef = selfRef
-		st.Producers = prods
-		st.InputDeps = imgs
-		for _, p := range prods {
+		for _, p := range st.Producers {
 			if err := visit(p, append(path, name)); err != nil {
 				return err
 			}
@@ -133,70 +165,90 @@ func Build(b *dsl.Builder, liveOuts ...string) (*Graph, error) {
 		}
 		g.Stages[lo].LiveOut = true
 	}
-	for name := range g.Stages {
-		for _, p := range g.Stages[name].Producers {
-			g.Stages[p].Consumers = append(g.Stages[p].Consumers, name)
-		}
-	}
-	for _, st := range g.Stages {
-		sort.Strings(st.Consumers)
-	}
-	g.computeOrderAndLevels()
-	// Record images actually referenced.
-	for _, st := range g.Stages {
-		for _, im := range st.InputDeps {
-			img, _ := b.InputImage(im)
-			g.Images[im] = img
-		}
-	}
+	g.link()
 	return g, nil
 }
 
-// referencedTargets scans a stage's expressions (including case conditions)
-// for accesses, splitting them into producer stages and input images.
-func referencedTargets(b *dsl.Builder, st *Stage) (stages, images []string, selfRef bool, err error) {
+// scan fills the stage's read table with one walk of its definition, and
+// Producers, InputDeps and SelfRef from the targets the walk meets. It
+// errors on an unknown target and on an access whose argument count is not
+// its target's rank.
+func (st *Stage) scan(b *dsl.Builder) error {
+	st.Reads = nil
 	seenStage := make(map[string]bool)
 	seenImage := make(map[string]bool)
+	selfRef := false
+	var err error
+	calls, site, cs := 0, CaseExpr, 0
 	record := func(e expr.Expr) bool {
 		a, ok := e.(expr.Access)
 		if !ok || err != nil {
 			return err == nil
 		}
+		rank := 0
 		if a.Target == st.Name {
-			selfRef = true
-			return true
+			selfRef, rank = true, st.Decl.NumDims()
+		} else if decl, isStage := b.Stage(a.Target); isStage {
+			seenStage[a.Target], rank = true, decl.NumDims()
+		} else if im, isImage := b.InputImage(a.Target); isImage {
+			seenImage[a.Target], rank = true, im.NumDims()
+		} else {
+			err = fmt.Errorf("pipeline: stage %q references unknown target %q", st.Name, a.Target)
+			return false
 		}
-		if _, isStage := b.Stage(a.Target); isStage {
-			seenStage[a.Target] = true
-			return true
+		if len(a.Args) != rank {
+			err = fmt.Errorf("pipeline: stage %q accesses %q with %d indices, domain has %d dims",
+				st.Name, a.Target, len(a.Args), rank)
+			return false
 		}
-		if _, isImage := b.InputImage(a.Target); isImage {
-			seenImage[a.Target] = true
-			return true
-		}
-		err = fmt.Errorf("pipeline: stage %q references unknown target %q", st.Name, a.Target)
-		return false
+		st.addCall(a, calls, site, cs)
+		calls++
+		return true
 	}
-	for _, e := range st.Exprs() {
-		expr.Walk(e, record)
-	}
-	for _, c := range st.Cases {
-		if c.Cond != nil {
-			expr.WalkCond(c.Cond, record)
+	if st.IsAccumulator() {
+		site = AccTarget
+		for _, e := range st.AccTarget {
+			expr.Walk(e, record)
+		}
+		site = AccValue
+		expr.Walk(st.AccValue, record)
+	} else {
+		for cs = range st.Cases {
+			expr.Walk(st.Cases[cs].E, record)
+		}
+		site = CaseCond
+		for cs = range st.Cases {
+			if c := st.Cases[cs]; c.Cond != nil {
+				expr.WalkCond(c.Cond, record)
+			}
 		}
 	}
 	if err != nil {
-		return nil, nil, false, err
+		return err
 	}
-	for s := range seenStage {
-		stages = append(stages, s)
+	if st.IsAccumulator() {
+		st.addCall(expr.Access{Target: st.Name, Args: st.AccTarget}, calls, AccWrite, 0)
 	}
-	for s := range seenImage {
-		images = append(images, s)
+	st.Producers, st.InputDeps, st.SelfRef = sortedKeys(seenStage), sortedKeys(seenImage), selfRef
+	return nil
+}
+
+// addCall appends one entry per argument of the access call a.
+func (st *Stage) addCall(a expr.Access, call int, site Site, cs int) {
+	for d, arg := range a.Args {
+		r := Read{Target: a.Target, Call: call, ProducerDim: d, Site: site, Case: cs, Arg: arg}
+		r.Acc, r.OK = expr.ToAffineAccess(arg)
+		st.Reads = append(st.Reads, r)
 	}
-	sort.Strings(stages)
-	sort.Strings(images)
-	return stages, images, selfRef, nil
+}
+
+func sortedKeys(set map[string]bool) []string {
+	var out []string
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // computeOrderAndLevels assigns each stage its level in a topological sort
@@ -239,19 +291,15 @@ func (g *Graph) computeOrderAndLevels() {
 }
 
 // Recompute re-derives producer/consumer edges, input dependences, levels
-// and order from the (possibly rewritten) stage definitions, and prunes
-// stages that became unreachable from the live-outs. Optimizer passes that
-// rewrite stage expressions (inlining) call this afterwards.
-func (g *Graph) Recompute() error {
-	for _, st := range g.Stages {
-		prods, imgs, selfRef, err := referencedTargets(g.Builder, st)
-		if err != nil {
+// and order after a pass rewrote the definitions of the named stages
+// (inlining), rescanning only those, and prunes stages that became
+// unreachable from the live-outs.
+func (g *Graph) Recompute(rewritten ...string) error {
+	for _, name := range rewritten {
+		if err := g.Stages[name].scan(g.Builder); err != nil {
 			return err
 		}
-		st.Producers, st.InputDeps, st.SelfRef = prods, imgs, selfRef
-		st.Consumers = nil
 	}
-	// Prune unreachable stages.
 	reach := make(map[string]bool)
 	var mark func(string)
 	mark = func(n string) {
@@ -266,11 +314,19 @@ func (g *Graph) Recompute() error {
 	for _, lo := range g.LiveOuts {
 		mark(lo)
 	}
-	for n := range g.Stages {
+	for n, st := range g.Stages {
+		st.Consumers = nil
 		if !reach[n] {
 			delete(g.Stages, n)
 		}
 	}
+	g.link()
+	return nil
+}
+
+// link fills every stage's Consumers from the Producers, the levels and
+// order, and the images the stages read.
+func (g *Graph) link() {
 	for name := range g.Stages {
 		for _, p := range g.Stages[name].Producers {
 			g.Stages[p].Consumers = append(g.Stages[p].Consumers, name)
@@ -283,11 +339,9 @@ func (g *Graph) Recompute() error {
 	g.Images = make(map[string]*dsl.Image)
 	for _, st := range g.Stages {
 		for _, im := range st.InputDeps {
-			img, _ := g.Builder.InputImage(im)
-			g.Images[im] = img
+			g.Images[im], _ = g.Builder.InputImage(im)
 		}
 	}
-	return nil
 }
 
 // ParamNames returns the names of all declared parameters, sorted.

@@ -131,6 +131,19 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+func TestBuildRejectsWrongArity(t *testing.T) {
+	b := dsl.NewBuilder()
+	R := b.Param("R")
+	I := b.Image("I", expr.Float, R.Affine(), R.Affine())
+	x := b.Var("x")
+	f := b.Func("f", expr.Float, []*dsl.Variable{x},
+		[]dsl.Interval{dsl.Span(affine.Const(0), R.Affine().AddConst(-1))})
+	f.Define(dsl.Case{E: I.At(x)}) // 1 index for a 2-D image
+	if _, err := Build(b, "f"); err == nil || !strings.Contains(err.Error(), "indices") {
+		t.Errorf("expected arity error, got %v", err)
+	}
+}
+
 func TestAccumulatorInGraph(t *testing.T) {
 	b := dsl.NewBuilder()
 	R := b.Param("R")

@@ -63,7 +63,7 @@ func DependenceVectors(g *pipeline.Graph, grp *Group) ([]DepVector, error) {
 	for _, cname := range grp.Members {
 		cs := grp.Scales[cname]
 		seen := make(map[string]bool)
-		for _, aa := range stageAccesses(g.Stages[cname]) {
+		for _, aa := range g.Stages[cname].Reads {
 			target := aa.Target
 			if !memberSet[target] || target == cname {
 				continue

@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/affine"
-	"repro/internal/expr"
 	"repro/internal/pipeline"
 )
 
@@ -152,22 +151,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// argAccess is one index expression of one access: which producer (a stage
-// or an input image) and which of its dimensions it indexes, and its
-// quasi-affine form (OK reports whether it has one). call numbers the
-// access call the expression is an argument of, in the stage's expression
-// order, so the arguments of one call f(e0, …, en−1) share it. Read through
-// a graphInfo, off is Acc.Off under the graph's binding, or offErr why it
-// has no value there; a tile plan probes the access at every tile with
-// them.
+// argAccess is one read of a stage's table (pipeline.Read): one index
+// expression of one access, which producer (a stage or an input image) and
+// which of its dimensions it indexes, and its quasi-affine form (OK
+// reports whether it has one). Read through a graphInfo, off is Acc.Off
+// under the graph's binding, or offErr why it has no value there; a tile
+// plan probes the access at every tile with them.
 type argAccess struct {
-	Target      string
-	ProducerDim int
-	Acc         affine.Access
-	OK          bool
-	call        int
-	off         int64
-	offErr      error
+	pipeline.Read
+	off    int64
+	offErr error
 }
 
 // rangeOver is Acc.RangeOver(varRange, binding) with the offset evaluated
@@ -188,35 +181,6 @@ func (aa *argAccess) inverseOver(target affine.Range) (affine.Range, bool, error
 	}
 	r, ok := aa.Acc.InverseAt(aa.off, target)
 	return r, ok, nil
-}
-
-// stageAccesses lists every index expression of every access a stage makes
-// (stages and images, conditions included), in expression order.
-func stageAccesses(st *pipeline.Stage) []argAccess {
-	var out []argAccess
-	calls := 0
-	record := func(e expr.Expr) bool {
-		a, ok := e.(expr.Access)
-		if !ok {
-			return true
-		}
-		for d, arg := range a.Args {
-			aa := argAccess{Target: a.Target, ProducerDim: d, call: calls}
-			aa.Acc, aa.OK = expr.ToAffineAccess(arg)
-			out = append(out, aa)
-		}
-		calls++
-		return true
-	}
-	for _, e := range st.Exprs() {
-		expr.Walk(e, record)
-	}
-	for _, c := range st.Cases {
-		if c.Cond != nil {
-			expr.WalkCond(c.Cond, record)
-		}
-	}
-	return out
 }
 
 // graphInfo holds what every tile plan of one graph under one parameter
@@ -257,12 +221,18 @@ func graphInfoOf(g *pipeline.Graph, params map[string]int64, stages []string) *g
 	}
 	for _, name := range stages {
 		gi.addDomain(name)
-		a := stageAccesses(g.Stages[name])
-		for i := range a {
-			if a[i].OK {
-				a[i].off, a[i].offErr = a[i].Acc.Off.Eval(params)
+		reads := g.Stages[name].Reads
+		a := make([]argAccess, 0, len(reads))
+		for _, r := range reads {
+			if r.Site == pipeline.AccWrite {
+				continue
 			}
-			gi.addDomain(a[i].Target)
+			aa := argAccess{Read: r}
+			if r.OK {
+				aa.off, aa.offErr = r.Acc.Off.Eval(params)
+			}
+			gi.addDomain(r.Target)
+			a = append(a, aa)
 		}
 		gi.accs[name] = a
 	}
@@ -286,8 +256,9 @@ func (gi *graphInfo) addDomain(name string) {
 	gi.doms[name] = di
 }
 
-// accesses returns stageAccesses of a stage of the tables, with the offsets
-// of the quasi-affine ones evaluated under the graph's binding.
+// accesses returns the reads of a stage of the tables, its write left out,
+// with the offsets of the quasi-affine ones evaluated under the graph's
+// binding.
 func (gi *graphInfo) accesses(stage string) []argAccess { return gi.accs[stage] }
 
 // domain returns the concrete domain of a stage or an input image of the

@@ -55,7 +55,7 @@ type planMember struct {
 	acc bool
 	// in are the member's accesses to other members, out its accesses to
 	// out-of-group producers, both in expression order, so the arguments
-	// of one access call are adjacent and share argAccess.call.
+	// of one access call are adjacent and share argAccess.Call.
 	// Self-references and targets the graph does not know are in neither.
 	in, out []planAccess
 }
@@ -450,7 +450,7 @@ func (tp *TilePlan) AffectedInto(dirty map[string]affine.Box, aff []affine.Box) 
 		for side, list := range [...][]planAccess{pm.out, pm.in} {
 			for lo := 0; lo < len(list); {
 				hi := lo + 1
-				for hi < len(list) && list[hi].call == list[lo].call {
+				for hi < len(list) && list[hi].Call == list[lo].Call {
 					hi++
 				}
 				args := list[lo:hi]
