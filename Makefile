@@ -47,11 +47,16 @@ rowvm-race:
 # under concurrent multi-program load, and the request lifecycle Do and
 # DoStream share: a lone caller's back-to-back requests finding their
 # admission slot free, a run abandoned at its deadline keeping its program
-# out of eviction, and the same refusals through both. POLYMAGE_FLEET=4
+# out of eviction, and the same refusals through both; a cold request's
+# inputs synthesized beside its compile (cold = warm = library checksums, a
+# failed compile or a panicking synthesis joined and answered as before,
+# TestColdInputs*), an Integer spec served on its uint8 pattern
+# (TestIntegerSpecsServed), and FillPattern's goroutines and four chains
+# held to the serial chain bit for bit (./internal/buffer/). POLYMAGE_FLEET=4
 # forces a multi-worker fleet so the deque/steal/park paths are exercised
 # even on single-core CI machines.
 fleet-race:
-	POLYMAGE_FLEET=4 $(GO) test -race -run TestFleet ./internal/engine/ ./internal/service/ -count=1
+	POLYMAGE_FLEET=4 $(GO) test -race -run 'TestFleet|TestColdInputs|TestIntegerSpecsServed|TestFillPattern|TestXorshiftJump' ./internal/engine/ ./internal/service/ ./internal/buffer/ -count=1
 
 # Race-checked run of the streaming / dirty-rectangle suite: frame
 # sequences with feedback, partial-recompute correctness against

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -75,6 +76,38 @@ func TestAppMetadata(t *testing.T) {
 	}
 	if _, err := Get("nonexistent"); err == nil {
 		t.Error("expected error for unknown app")
+	}
+}
+
+// TestInterpolateInputsAlpha: the flat loop over the alpha plane writes
+// what a per-point loop over channel 3 writes, bit for bit, and leaves the
+// colour channels as the pattern filled them.
+func TestInterpolateInputsAlpha(t *testing.T) {
+	params := map[string]int64{"R": 2, "C": 3}
+	b, _ := buildInterpolate()
+	got, err := interpolateInputs(b, params, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := defaultInputs(b, params, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := want["I"]
+	box := in.Box
+	pt := []int64{3, 0, 0}
+	for x := box[1].Lo; x <= box[1].Hi; x++ {
+		for y := box[2].Lo; y <= box[2].Hi; y++ {
+			pt[1], pt[2] = x, y
+			off := in.Offset(pt)
+			in.Data[off] = 0.2 + 0.8*in.Data[off]
+		}
+	}
+	g := got["I"]
+	for i := range in.Data {
+		if math.Float32bits(g.Data[i]) != math.Float32bits(in.Data[i]) {
+			t.Fatalf("element %d is %v, want %v", i, g.Data[i], in.Data[i])
+		}
 	}
 }
 

@@ -44,16 +44,14 @@ func interpolateInputs(b *dsl.Builder, params map[string]int64, seed int64) (map
 	}
 	// Keep alpha (channel 3) bounded away from zero so the final
 	// normalization is well conditioned.
+	// Channels are the outermost dimension, so channel 3 is one
+	// contiguous plane.
 	in := out["I"]
-	box := in.Box
-	if len(box) == 3 {
-		pt := []int64{3, 0, 0}
-		for x := box[1].Lo; x <= box[1].Hi; x++ {
-			for y := box[2].Lo; y <= box[2].Hi; y++ {
-				pt[1], pt[2] = x, y
-				off := in.Offset(pt)
-				in.Data[off] = 0.2 + 0.8*in.Data[off]
-			}
+	if len(in.Box) == 3 {
+		lo := (3 - in.Box[0].Lo) * in.Stride[0]
+		alpha := in.Data[lo : lo+in.Stride[0]]
+		for i, v := range alpha {
+			alpha[i] = 0.2 + 0.8*v
 		}
 	}
 	return out, nil

@@ -8,6 +8,10 @@ package buffer
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/affine"
 	"repro/internal/numeric"
@@ -365,22 +369,159 @@ func Convert(src *Buffer, elem Elem) *Buffer {
 // buffers, integers in [0, 256) for the narrow element types — the native
 // value range of 8-bit imaging traffic, exactly representable in every
 // wider type.
+//
+// Element i is a function of the i+1-th state of one xorshift chain from
+// the seed: float32(s%10000)/10000, or s%256 for the integer types. The
+// chain is linear over GF(2), so the state any number of steps ahead is a
+// product of precomputed bit-matrix powers applied to the seed's state.
+// A large buffer is cut into fillChunk-element chunks filled on up to
+// GOMAXPROCS goroutines, each chunk in four interleaved chains; the bits
+// written do not depend on either split.
 func FillPattern(b *Buffer, seed int64) {
 	s := uint64(seed)*2654435761 + 1
-	n := b.active()
-	for i := 0; i < n; i++ {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		switch b.Elem {
-		case ElemU8:
-			b.U8[i] = uint8(s % 256)
-		case ElemU16:
-			b.U16[i] = uint16(s % 256)
-		case ElemI32:
-			b.I32[i] = int32(s % 256)
-		default:
-			b.Data[i] = float32(s%10000) / 10000
-		}
+	switch b.Elem {
+	case ElemU8:
+		fillParallel(b.U8, s, fillInts[uint8])
+	case ElemU16:
+		fillParallel(b.U16, s, fillInts[uint16])
+	case ElemI32:
+		fillParallel(b.I32, s, fillInts[int32])
+	default:
+		fillParallel(b.Data, s, fillF32)
 	}
 }
+
+// fillChunk is the element count one goroutine of FillPattern fills at a
+// time; buffers shorter than two chunks are filled on the calling
+// goroutine (the difftest sweep fills thousands of small buffers).
+const fillChunk = 1 << 16
+
+// fillParallel fills dst from state s with fill, chunk by chunk.
+func fillParallel[T any](dst []T, s uint64, fill func([]T, uint64) uint64) {
+	n := len(dst)
+	chunks := (n + fillChunk - 1) / fillChunk
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	if chunks < 2 || workers < 2 {
+		fill(dst, s)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < chunks; k = int(next.Add(1)) - 1 {
+				lo := k * fillChunk
+				fill(dst[lo:min(lo+fillChunk, n)], xorshiftJump(s, uint64(lo)))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// fillLanes is the shortest span fillF32 and fillInts split into four
+// chains; below it the three jumps to the chains' starts cost more than
+// the serial chain.
+const fillLanes = 512
+
+// fillF32 fills dst with the float32 pattern from state s (the state
+// before dst[0]'s step) and returns the state after its last element.
+func fillF32(dst []float32, s uint64) uint64 {
+	tab := patternF32()
+	q := len(dst) / 4
+	if len(dst) >= fillLanes {
+		s1 := xorshiftJump(s, uint64(q))
+		s2 := xorshiftJump(s1, uint64(q))
+		s3 := xorshiftJump(s2, uint64(q))
+		d0, d1, d2, d3 := dst[:q], dst[q:2*q], dst[2*q:3*q], dst[3*q:4*q]
+		d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)] // no bounds checks below
+		for i := range d0 {
+			s, s1, s2, s3 = xorshift(s), xorshift(s1), xorshift(s2), xorshift(s3)
+			d0[i], d1[i], d2[i], d3[i] = tab[s%10000], tab[s1%10000], tab[s2%10000], tab[s3%10000]
+		}
+		dst, s = dst[4*q:], s3
+	}
+	for i := range dst {
+		s = xorshift(s)
+		dst[i] = tab[s%10000]
+	}
+	return s
+}
+
+// fillInts is fillF32 for the integer element types: s%256 per element.
+func fillInts[T uint8 | uint16 | int32](dst []T, s uint64) uint64 {
+	q := len(dst) / 4
+	if len(dst) >= fillLanes {
+		s1 := xorshiftJump(s, uint64(q))
+		s2 := xorshiftJump(s1, uint64(q))
+		s3 := xorshiftJump(s2, uint64(q))
+		d0, d1, d2, d3 := dst[:q], dst[q:2*q], dst[2*q:3*q], dst[3*q:4*q]
+		d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)] // no bounds checks below
+		for i := range d0 {
+			s, s1, s2, s3 = xorshift(s), xorshift(s1), xorshift(s2), xorshift(s3)
+			d0[i], d1[i], d2[i], d3[i] = T(uint8(s)), T(uint8(s1)), T(uint8(s2)), T(uint8(s3))
+		}
+		dst, s = dst[4*q:], s3
+	}
+	for i := range dst {
+		s = xorshift(s)
+		dst[i] = T(uint8(s))
+	}
+	return s
+}
+
+// xorshift is one step of FillPattern's chain.
+func xorshift(s uint64) uint64 {
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	return s
+}
+
+// bitMatrix is a linear map over GF(2)^64: column j is the image of bit j.
+type bitMatrix [64]uint64
+
+func (m *bitMatrix) apply(v uint64) uint64 {
+	var r uint64
+	for ; v != 0; v &= v - 1 {
+		r ^= m[bits.TrailingZeros64(v)]
+	}
+	return r
+}
+
+// xorshiftPowers holds the xorshift step raised to 2^k, k = 0..63.
+var xorshiftPowers = sync.OnceValue(func() *[64]bitMatrix {
+	var p [64]bitMatrix
+	for j := range p[0] {
+		p[0][j] = xorshift(1 << j)
+	}
+	for k := 1; k < len(p); k++ {
+		for j := range p[k] {
+			p[k][j] = p[k-1].apply(p[k-1][j])
+		}
+	}
+	return &p
+})
+
+// xorshiftJump returns the state n steps of xorshift after s.
+func xorshiftJump(s, n uint64) uint64 {
+	if n == 0 {
+		return s
+	}
+	p := xorshiftPowers()
+	for ; n != 0; n &= n - 1 {
+		s = p[bits.TrailingZeros64(n)].apply(s)
+	}
+	return s
+}
+
+// patternF32 maps s%10000 to its float32 pattern value, built with the
+// expression the serial chain always used, so every value is exact.
+var patternF32 = sync.OnceValue(func() *[10000]float32 {
+	var t [10000]float32
+	for i := range t {
+		t[i] = float32(i) / 10000
+	}
+	return &t
+})

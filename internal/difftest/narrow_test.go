@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -250,5 +251,45 @@ func TestChecksumElemAware(t *testing.T) {
 	cp.StoreF64(5, 200)
 	if Checksum(u8) == Checksum(cp) {
 		t.Error("differing uint8 buffers share a checksum")
+	}
+}
+
+// TestChecksumLanes: the eight-lane digest is order-dependent within a
+// lane and across lanes — swapping two adjacent elements changes it, and
+// so does swapping two elements eight apart (the same lane) — for every
+// length around the lane count and both layouts, and it does not change
+// with GOMAXPROCS.
+func TestChecksumLanes(t *testing.T) {
+	for _, el := range []engine.Elem{engine.ElemF32, engine.ElemU8} {
+		for _, n := range []int64{2, 7, 8, 9, 16, 17, 100} {
+			b := engine.NewBufferElem(affine.Box{{Lo: 0, Hi: n - 1}}, el)
+			for i := int64(0); i < n; i++ {
+				b.StoreF64(i, float64(i%251+1))
+			}
+			base := Checksum(b)
+			swapped := func(i, j int64) uint64 {
+				c := engine.ConvertBuffer(b, el)
+				vi, vj := c.LoadF64(i), c.LoadF64(j)
+				c.StoreF64(i, vj)
+				c.StoreF64(j, vi)
+				return Checksum(c)
+			}
+			for i := int64(0); i+1 < n; i++ {
+				if swapped(i, i+1) == base {
+					t.Errorf("%s n=%d: swapping elements %d and %d leaves the checksum", el, n, i, i+1)
+				}
+				if i+8 < n && swapped(i, i+8) == base {
+					t.Errorf("%s n=%d: swapping elements %d and %d leaves the checksum", el, n, i, i+8)
+				}
+			}
+			for _, procs := range []int{1, 2} {
+				prev := runtime.GOMAXPROCS(procs)
+				got := Checksum(b)
+				runtime.GOMAXPROCS(prev)
+				if got != base {
+					t.Errorf("%s n=%d: checksum %x at GOMAXPROCS %d, %x before", el, n, got, procs, base)
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/affine"
 	"repro/internal/bounds"
@@ -665,44 +666,66 @@ func orderedBits(f float32) int64 {
 
 // Checksum returns an order-dependent FNV-1a-style hash of a buffer's
 // shape and exact bit contents — a compact fingerprint for golden oracles
-// and failure messages. Each box bound, the element-type tag and each
-// element is one xor-multiply step over the whole word (not one per byte:
-// a float32 has four and the step is a serial multiply chain, which made
-// this a visible share of a served request).
+// and failure messages. Each box bound and the element-type tag is one
+// xor-multiply step over the whole word. The elements are hashed in eight
+// interleaved lanes: element i is a step of lane i mod 8, each lane a
+// chain of its own from the shape's hash, and the lanes are then folded
+// into the hash in lane order. (One chain over every element was a serial
+// multiply chain and a visible share of a served request; eight keep the
+// multiplier busy.) The value depends on the buffer alone, never on the
+// machine's core count.
 func Checksum(b *engine.Buffer) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime
-	}
+	h := uint64(fnvOffset)
 	for _, r := range b.Box {
-		mix(uint64(r.Lo))
-		mix(uint64(r.Hi))
+		h = fnvMix(fnvMix(h, uint64(r.Lo)), uint64(r.Hi))
 	}
-	// Narrow layouts tag the element type and mix the raw stored integers,
-	// so a uint8 buffer and a float32 buffer holding the same values
-	// fingerprint differently.
+	// Narrow layouts tag the element type and hash the raw stored
+	// integers, so a uint8 buffer and a float32 buffer holding the same
+	// values fingerprint differently.
+	var lanes [8]uint64
 	switch b.Elem {
 	case engine.ElemU8:
-		mix(uint64(b.Elem))
-		for _, v := range b.U8 {
-			mix(uint64(v))
-		}
+		lanes = checksumLanes(b.U8, fnvMix(h, uint64(b.Elem)))
 	case engine.ElemU16:
-		mix(uint64(b.Elem))
-		for _, v := range b.U16 {
-			mix(uint64(v))
-		}
+		lanes = checksumLanes(b.U16, fnvMix(h, uint64(b.Elem)))
 	case engine.ElemI32:
-		mix(uint64(b.Elem))
-		for _, v := range b.I32 {
-			mix(uint64(uint32(v)))
-		}
+		lanes = checksumLanes(b.I32, fnvMix(h, uint64(b.Elem)))
 	default:
-		for _, v := range b.Data {
-			mix(uint64(math.Float32bits(v)))
-		}
+		// A float32 is hashed by its bits, as math.Float32bits gives them.
+		lanes = checksumLanes(unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b.Data))), len(b.Data)), h)
+	}
+	for _, l := range lanes {
+		h = fnvMix(h, l)
 	}
 	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvMix(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
+
+// checksumLanes hashes s in Checksum's eight lanes, each starting from h.
+// An element is one step over its 32-bit word (an int32 by its bits).
+func checksumLanes[T uint8 | uint16 | int32 | uint32](s []T, h uint64) [8]uint64 {
+	h0, h1, h2, h3, h4, h5, h6, h7 := h, h, h, h, h, h, h, h
+	n := len(s) &^ 7
+	for i := 0; i < n; i += 8 {
+		w := (*[8]T)(s[i : i+8])
+		h0 = fnvMix(h0, uint64(uint32(w[0])))
+		h1 = fnvMix(h1, uint64(uint32(w[1])))
+		h2 = fnvMix(h2, uint64(uint32(w[2])))
+		h3 = fnvMix(h3, uint64(uint32(w[3])))
+		h4 = fnvMix(h4, uint64(uint32(w[4])))
+		h5 = fnvMix(h5, uint64(uint32(w[5])))
+		h6 = fnvMix(h6, uint64(uint32(w[6])))
+		h7 = fnvMix(h7, uint64(uint32(w[7])))
+	}
+	lanes := [8]uint64{h0, h1, h2, h3, h4, h5, h6, h7}
+	for i, v := range s[n:] {
+		lanes[i] = fnvMix(lanes[i], uint64(uint32(v)))
+	}
+	return lanes
 }

@@ -438,11 +438,7 @@ func (sp PipelineSpec) Build(perturb bool) (*built, error) {
 	for d := 0; d < rank; d++ {
 		box[d] = affine.Range{Lo: 0, Hi: N - 1}
 	}
-	inElem := engine.ElemF32
-	if sp.Integer {
-		inElem = engine.ElemU8
-	}
-	in := engine.NewBufferElem(box, inElem)
+	in := engine.NewBufferElem(box, sp.InputElem())
 	engine.FillPattern(in, sp.Seed)
 	return &built{
 		Graph:    g,
@@ -507,6 +503,16 @@ func stencilWeights(n int) []float64 {
 		w[i] /= total
 	}
 	return w
+}
+
+// InputElem is the element type of the spec's input image: uint8 for an
+// Integer spec, float32 otherwise. FillPattern fills it with integers in
+// [0, 256) or with floats in [0, 1).
+func (sp PipelineSpec) InputElem() engine.Elem {
+	if sp.Integer {
+		return engine.ElemU8
+	}
+	return engine.ElemF32
 }
 
 // ShortString renders the spec on one line for log messages.

@@ -23,6 +23,10 @@ type compiled struct {
 	spec          *difftest.PipelineSpec
 	params        map[string]int64
 	compileMillis float64
+	// pending is the leader's seed inputs, filled beside the compile (or,
+	// for a spec, the inputs its build made), until a request at that seed
+	// takes them; once the entry is ready it is guarded by entry.imu.
+	pending *synthesis
 }
 
 // entry is one cached program. The ready channel implements singleflight:

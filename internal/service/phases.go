@@ -14,7 +14,9 @@ const (
 	phaseDecode phase = iota
 	phaseQueue
 	phaseCompile
+	phaseInputs
 	phaseRun
+	phaseChecksum
 	phaseEncode
 	numPhases
 )
@@ -61,7 +63,7 @@ func (p *phaseStats) totals() (ph RequestPhases, in, out int64) {
 		return ph, 0, 0
 	}
 	// In the order of the phase constants.
-	for i, m := range []*PhaseMetrics{&ph.Decode, &ph.Queue, &ph.Compile, &ph.Run, &ph.Encode} {
+	for i, m := range []*PhaseMetrics{&ph.Decode, &ph.Queue, &ph.Compile, &ph.Inputs, &ph.Run, &ph.Checksum, &ph.Encode} {
 		m.Count, m.Nanos, m.Hist = p.lat[i].Load()
 	}
 	return ph, p.bytesIn.Load(), p.bytesOut.Load()

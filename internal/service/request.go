@@ -326,14 +326,21 @@ type PhaseMetrics struct {
 // Encode is checking, encoding and writing a 200 response (a stream
 // contributes one sample per frame line). Queue is the wait for an
 // execution slot; Compile is program-cache resolution — a lookup on a hit,
-// the compile, or the wait for another request's compile, on a miss; Run
-// is pipeline execution, one sample per run or streamed frame.
+// the compile, or the wait for another request's compile, on a miss.
+// Inputs is resolving the run's input buffers: copying explicit inputs, a
+// memo lookup, synthesizing seed inputs, or waiting for the synthesis a
+// miss started beside its compile. Run is pipeline execution, one sample
+// per run or streamed frame; Checksum is fingerprinting (and, for output
+// "data", copying) the outputs, one sample per response or frame that
+// carries them.
 type RequestPhases struct {
-	Decode  PhaseMetrics `json:"decode"`
-	Queue   PhaseMetrics `json:"queue"`
-	Compile PhaseMetrics `json:"compile"`
-	Run     PhaseMetrics `json:"run"`
-	Encode  PhaseMetrics `json:"encode"`
+	Decode   PhaseMetrics `json:"decode"`
+	Queue    PhaseMetrics `json:"queue"`
+	Compile  PhaseMetrics `json:"compile"`
+	Inputs   PhaseMetrics `json:"inputs"`
+	Run      PhaseMetrics `json:"run"`
+	Checksum PhaseMetrics `json:"checksum"`
+	Encode   PhaseMetrics `json:"encode"`
 }
 
 // Metrics is the body of GET /metrics: service-level counters plus every

@@ -135,6 +135,9 @@ type Service struct {
 	// just before the program runs — the hook overload and deadline tests
 	// use to hold a slot deterministically.
 	beforeRun func(*RunRequest)
+	// beforeSynth, when set (tests only), runs on the goroutine that
+	// synthesizes a cold app request's inputs, before it starts.
+	beforeSynth func(*RunRequest)
 }
 
 // New returns a ready Service.
@@ -281,13 +284,7 @@ func (s *Service) lifecycle(ctx context.Context, req *RunRequest, stream bool,
 		<-s.sem
 		return toError(cerr)
 	}
-	f := &flight{s: s, ctx: ctx, req: req, e: e, cached: cached, seed: req.Seed, exec: exec, ch: make(chan handoff)}
-	if f.seed == 0 {
-		f.seed = defaultSeed
-		if e.res.spec != nil {
-			f.seed = e.res.spec.Seed
-		}
-	}
+	f := &flight{s: s, ctx: ctx, req: req, e: e, cached: cached, seed: requestSeed(req), exec: exec, ch: make(chan handoff)}
 	s.wg.Add(1) // safe: our own wg.Add(1) above is still held
 	s.inflight.Add(1)
 	go f.execute()
@@ -335,8 +332,11 @@ func (f *flight) execute() {
 			f.e.res.prog.Executor().Recycle(h.out)
 		}
 	}()
+	t0 := s.phases.now()
 	var ierr *Error
-	if f.inputs, ierr = s.inputsFor(f.e, f.req, f.seed); ierr != nil {
+	f.inputs, ierr = s.inputsFor(f.e, f.req, f.seed)
+	s.phases.since(phaseInputs, t0)
+	if ierr != nil {
 		h.err = ierr
 		return
 	}
@@ -386,7 +386,9 @@ func (f *flight) respond(h handoff) (*RunResponse, error) {
 		resp.CompileMillis = f.e.res.compileMillis
 	}
 	if f.req.Output != OutputNone {
+		t0 := f.s.phases.now()
 		resp.Outputs = outputResults(prog, h.out, f.req.Output)
+		f.s.phases.since(phaseChecksum, t0)
 	}
 	return resp, nil
 }
@@ -439,13 +441,32 @@ func (s *Service) options(req *RunRequest) (core.Options, engine.ExecOptions) {
 	return core.ServeOptions(req.Tiles, auto && len(req.Tiles) == 0, min(threads, runtime.GOMAXPROCS(0)), req.Fast == nil || *req.Fast, !s.cfg.DisableMetrics)
 }
 
+// requestSeed is the seed a request's synthetic inputs are made at: its
+// own, else the spec's, else the default.
+func requestSeed(req *RunRequest) int64 {
+	switch {
+	case req.Seed != 0:
+		return req.Seed
+	case req.Spec != nil:
+		return req.Spec.Seed
+	}
+	return defaultSeed
+}
+
 // build compiles the request's pipeline (app or spec) behind the
-// compile-barrier: any panic becomes a 500-classed error.
+// compile-barrier: any panic becomes a 500-classed error. A seed-based app
+// request's inputs are synthesized beside the compile, on a builder of
+// their own; a failed build waits for them before it returns, so no work
+// outlives the request's admission slot.
 func (s *Service) build(req *RunRequest, co core.Options, eo engine.ExecOptions) (c compiled, err error) {
+	var syn *synthesis
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			c, err = compiled{}, errf(500, "compile panicked: %v", r)
+		}
+		if err != nil && syn != nil {
+			<-syn.done
 		}
 	}()
 	t0 := time.Now()
@@ -457,7 +478,10 @@ func (s *Service) build(req *RunRequest, co core.Options, eo engine.ExecOptions)
 			return c, errf(404, "%v", aerr)
 		}
 		b, outs = app.Build()
-		c = compiled{label: req.App, app: app, builder: b, params: req.Params}
+		if len(req.Inputs) == 0 {
+			syn = s.synthesize(req, app)
+		}
+		c = compiled{label: req.App, app: app, builder: b, params: req.Params, pending: syn}
 	} else {
 		rb, berr := req.Spec.Build(req.Perturb)
 		if berr != nil {
@@ -465,7 +489,8 @@ func (s *Service) build(req *RunRequest, co core.Options, eo engine.ExecOptions)
 		}
 		spec := *req.Spec
 		b, outs = rb.Graph.Builder, rb.LiveOuts
-		c = compiled{label: "spec:" + spec.ShortString(), spec: &spec, params: rb.Params}
+		c = compiled{label: "spec:" + spec.ShortString(), spec: &spec, params: rb.Params,
+			pending: synthesized(spec.Seed, servedInputs(rb.Inputs))}
 	}
 	co.Estimates = c.params
 	pl, err := core.Compile(b, outs, co)
@@ -479,8 +504,65 @@ func (s *Service) build(req *RunRequest, co core.Options, eo engine.ExecOptions)
 	return c, nil
 }
 
+// synthesis is one set of seed inputs made off the executor goroutine;
+// in and err are set before done closes.
+type synthesis struct {
+	seed int64
+	done chan struct{}
+	in   map[string]*engine.Buffer
+	err  *Error
+}
+
+// synthesized is a synthesis that is already done.
+func synthesized(seed int64, in map[string]*engine.Buffer) *synthesis {
+	syn := &synthesis{seed: seed, done: make(chan struct{}), in: in}
+	close(syn.done)
+	return syn
+}
+
+// synthesize starts filling an app request's inputs at its seed on a
+// goroutine and a builder of their own, so they share no state with the
+// compile. A panic is recovered into a 500, as the compile barrier's is.
+func (s *Service) synthesize(req *RunRequest, app *apps.App) *synthesis {
+	syn := &synthesis{seed: requestSeed(req), done: make(chan struct{})}
+	go func() {
+		defer close(syn.done)
+		defer func() {
+			if r := recover(); r != nil {
+				s.panics.Add(1)
+				syn.in, syn.err = nil, errf(500, "input synthesis panicked: %v", r)
+			}
+		}()
+		if s.beforeSynth != nil {
+			s.beforeSynth(req)
+		}
+		b, _ := app.Build()
+		in, err := app.Inputs(b, req.Params, syn.seed)
+		if err != nil {
+			syn.err = errf(400, "inputs: %v", err)
+			return
+		}
+		syn.in = in
+	}()
+	return syn
+}
+
+// servedInputs converts inputs to the element type a served program
+// binds: the service compiles without NarrowTypes, so every input slot is
+// float32. An Integer spec's uint8 image widens exactly.
+func servedInputs(in map[string]*engine.Buffer) map[string]*engine.Buffer {
+	for name, b := range in {
+		if b.Elem != engine.ElemF32 {
+			in[name] = engine.ConvertBuffer(b, engine.ElemF32)
+		}
+	}
+	return in
+}
+
 // inputsFor resolves the request's input buffers: explicit data when
-// supplied, otherwise synthetic inputs at seed, memoized on the entry.
+// supplied, otherwise synthetic inputs at seed, memoized on the entry. The
+// first request at the seed a miss synthesized beside its compile takes
+// those, waiting for them if need be.
 func (s *Service) inputsFor(e *entry, req *RunRequest, seed int64) (map[string]*engine.Buffer, *Error) {
 	prog := e.res.prog
 	if len(req.Inputs) > 0 {
@@ -506,23 +588,34 @@ func (s *Service) inputsFor(e *entry, req *RunRequest, seed int64) (map[string]*
 		return in, nil
 	}
 	var in map[string]*engine.Buffer
-	if e.res.app != nil {
+	switch syn := e.res.pending; {
+	case syn != nil && syn.seed == seed:
+		e.res.pending = nil
+		<-syn.done
+		if syn.err != nil {
+			return nil, syn.err
+		}
+		in = syn.in
+	case e.res.app != nil:
 		var err error
 		in, err = e.res.app.Inputs(e.res.builder, e.res.params, seed)
 		if err != nil {
 			return nil, errf(400, "inputs: %v", err)
 		}
-	} else {
+	default:
+		// A spec's inputs are made in its own element type, as its build
+		// makes them, then converted.
 		in = make(map[string]*engine.Buffer, len(prog.Graph.Images))
 		for name := range prog.Graph.Images {
 			box, err := prog.InputBox(name)
 			if err != nil {
 				return nil, errf(500, "input %q: %v", name, err)
 			}
-			buf := engine.NewBuffer(box)
+			buf := engine.NewBufferElem(box, e.res.spec.InputElem())
 			engine.FillPattern(buf, seed)
 			in[name] = buf
 		}
+		in = servedInputs(in)
 	}
 	if e.inputs == nil {
 		e.inputs = make(map[int64]map[string]*engine.Buffer)

@@ -53,9 +53,13 @@ func (f *flight) streamFrames() handoff {
 	// mutates its inputs per frame, so it works on private clones.
 	inputs := make(map[string]*engine.Buffer, len(f.inputs))
 	for n, b := range f.inputs {
-		cb := engine.NewBuffer(b.Box)
-		copy(cb.Data, b.Data)
+		cb := engine.NewBufferElem(b.Box, b.Elem)
+		cb.CopyRegion(b, b.Box)
 		inputs[n] = cb
+	}
+	elem := engine.ElemF32
+	if spec := f.e.res.spec; spec != nil {
+		elem = spec.InputElem()
 	}
 	st, err := prog.Executor().NewStream(engine.StreamOptions{})
 	if err != nil {
@@ -74,7 +78,7 @@ func (f *flight) streamFrames() handoff {
 		}
 		var frameROI affine.Box
 		if n > 0 {
-			refreshInputs(inputs, roi, f.seed*1009+int64(n)*37, tmp)
+			refreshInputs(inputs, roi, f.seed*1009+int64(n)*37, elem, tmp)
 			frameROI = roi
 		}
 		t0 := time.Now()
@@ -103,7 +107,9 @@ func (f *flight) streamFrames() handoff {
 		if req.Output != OutputNone {
 			// Encode before the next frame: the stream owns the output
 			// buffers and overwrites them on the next RunFrame.
+			t0 := f.s.phases.now()
 			fr.Outputs = outputResults(prog, out, req.Output)
+			f.s.phases.since(phaseChecksum, t0)
 		}
 		if !f.send(handoff{frame: fr}) {
 			return handoff{err: f.ctx.Err()}
@@ -151,9 +157,12 @@ images:
 // refreshInputs evolves the frame inputs in place: without an ROI every
 // buffer refills with the frame seed; with one, only the ROI region of
 // rank-matching buffers is refreshed — upholding the dirty-rectangle
-// promise that nothing outside it changed. Iteration is name-ordered so
-// identical requests produce identical frame sequences.
-func refreshInputs(inputs map[string]*engine.Buffer, roi affine.Box, seed int64, tmp *engine.Buffer) {
+// promise that nothing outside it changed. The pattern is made in elem,
+// the element type the pipeline's inputs are synthesized in, and converted
+// where the buffer's differs, so an Integer spec's frames stay integral.
+// Iteration is name-ordered so identical requests produce identical frame
+// sequences.
+func refreshInputs(inputs map[string]*engine.Buffer, roi affine.Box, seed int64, elem engine.Elem, tmp *engine.Buffer) {
 	names := make([]string, 0, len(inputs))
 	for n := range inputs {
 		names = append(names, n)
@@ -161,28 +170,29 @@ func refreshInputs(inputs map[string]*engine.Buffer, roi affine.Box, seed int64,
 	sort.Strings(names)
 	for i, name := range names {
 		b := inputs[name]
-		if roi == nil {
+		region := b.Box
+		if roi != nil {
+			if len(b.Box) != len(roi) {
+				continue
+			}
+			region = make(affine.Box, len(roi))
+			for d := range roi {
+				region[d] = roi[d].Intersect(b.Box[d])
+				if region[d].Empty() {
+					region = nil
+					break
+				}
+			}
+			if region == nil {
+				continue
+			}
+		} else if b.Elem == elem {
 			engine.FillPattern(b, seed+int64(i))
 			continue
 		}
-		if len(b.Box) != len(roi) {
-			continue
-		}
-		inter := make(affine.Box, len(roi))
-		empty := false
-		for d := range roi {
-			inter[d] = roi[d].Intersect(b.Box[d])
-			if inter[d].Empty() {
-				empty = true
-				break
-			}
-		}
-		if empty {
-			continue
-		}
-		tmp.Reset(inter)
+		tmp.ResetElem(region, elem)
 		engine.FillPattern(tmp, seed+int64(i))
-		b.CopyRegion(tmp, inter)
+		b.CopyRegion(tmp, region)
 	}
 }
 
